@@ -291,45 +291,17 @@ def take(x, indices) -> Tensor:
         raise ValueError(f"take index out of range for first axis of size {n}")
     out = Tensor(x.data[idx])
     shape = x.data.shape
+    unique = np.bincount(idx).max(initial=0) <= 1
 
     def bw(g):
         buf = np.zeros(shape)
-        np.add.at(buf, idx, g)
+        if unique:
+            buf[idx] += g
+        else:
+            np.add.at(buf, idx, g)
         return (buf,)
 
     return _record(out, (x,), bw)
-
-
-def col(x, j: int) -> Tensor:
-    """Extract column ``j`` of a 2-D tensor as a 1-D tensor."""
-    x = _coerce(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"col expects a 2-D tensor, got shape {x.shape}")
-    if not 0 <= j < x.shape[1]:
-        raise ValueError(f"column {j} out of range for shape {x.shape}")
-    out = Tensor(x.data[:, j])
-    shape = x.data.shape
-
-    def bw(g):
-        buf = np.zeros(shape)
-        buf[:, j] = g
-        return (buf,)
-
-    return _record(out, (x,), bw)
-
-
-def scale_rows(x, s) -> Tensor:
-    """Multiply row t of a 2-D tensor by the scalar s[t]."""
-    x, s = _coerce(x), _coerce(s)
-    if x.data.ndim != 2 or s.data.ndim != 1 or s.shape[0] != x.shape[0]:
-        raise ValueError(f"scale_rows: shapes {x.shape} and {s.shape} are incompatible")
-    out = Tensor(x.data * s.data[:, None])
-    xd, sd = x.data, s.data
-
-    def bw(g):
-        return (g * sd[:, None], (g * xd).sum(axis=1))
-
-    return _record(out, (x, s), bw)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -352,11 +324,43 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (g @ bd.T, ad.T @ g)
+        return (g @ bd.T if need_a else None, ad.T @ g if need_b else None)
 
     return _record(out, (a, b), bw)
+
+
+def mix(probs, outputs: Sequence) -> Tensor:
+    """Probability-weighted sum Σ_i outputs[i] · probs[:, i] of N [T × d] tensors.
+
+    One tape node for the whole mixture. Terms are added in expert order,
+    so an exactly-zero probability drops its term bit for bit, and the
+    gradient into outputs[i] is exactly zero on those rows.
+    """
+    p = _coerce(probs)
+    ys = [_coerce(y) for y in outputs]
+    if p.data.ndim != 2 or p.shape[1] != len(ys) or not ys:
+        raise ValueError(f"mix: probs shape {p.shape} does not match {len(ys)} outputs")
+    rows = p.shape[0]
+    if any(y.data.ndim != 2 or y.shape != ys[0].shape or y.shape[0] != rows for y in ys):
+        raise ValueError(
+            f"mix: outputs {[y.shape for y in ys]} must share one [{rows} × d] shape"
+        )
+    pd, yds = p.data, [y.data for y in ys]
+    acc = yds[0] * pd[:, 0, None]
+    for i in range(1, len(yds)):
+        acc = acc + yds[i] * pd[:, i, None]
+    out = Tensor(acc)
+
+    def bw(g):
+        gp = np.empty_like(pd)
+        for i, yd in enumerate(yds):
+            gp[:, i] = (g * yd).sum(axis=1)
+        return (gp,) + tuple(g * pd[:, i, None] for i in range(len(yds)))
+
+    return _record(out, (p, *ys), bw)
 
 
 def masked_softmax(logits, mask: np.ndarray) -> Tensor:

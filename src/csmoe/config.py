@@ -25,6 +25,8 @@ __all__ = [
 
 VARIANTS = ("full", "no-moe", "no-aux-losses", "conventional-balance")
 TRANSITION_MODES = ("mixed", "sampled")
+# variants whose stages 2-3 add the language and balance routing penalties
+ROUTING_LOSS_VARIANTS = ("full", "conventional-balance")
 
 # fields that do not change any computed number; excluded from the hash
 COSMETIC_FIELDS = ("out_dir",)
@@ -98,6 +100,13 @@ class ExperimentConfig:
             )
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.top_k == 1 and self.variant in ROUTING_LOSS_VARIANTS:
+            # the lone selected expert has p = 1 exactly, so the language loss
+            # would take log(1 - 1) whenever it lies outside the token's group
+            raise ValueError(
+                f"top_k=1 is incompatible with variant {self.variant!r}: its "
+                f"language-specific loss needs top_k >= 2"
+            )
         if self.transition_mode not in TRANSITION_MODES:
             raise ValueError(
                 f"transition_mode must be one of {TRANSITION_MODES}, got {self.transition_mode!r}"

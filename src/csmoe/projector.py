@@ -4,8 +4,10 @@ The MoE projector keeps N = n·m expert linear maps per layer — n experts per
 language group — plus one linear router per layer. Each token is dispatched to
 its top-k experts; probabilities are normalized over the selected set only and
 are exactly zero elsewhere. ``moe_forward`` processes whole batches of tokens
-at once; ``route`` / ``moe_layer_forward`` are the single-token reference
-path, and both agree.
+at once: each layer multiplies the batch through every expert and combines
+the N products in one ``mix`` node weighted by the sparse probabilities.
+``route`` / ``moe_layer_forward`` are the single-token reference path, and
+both agree.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
-    add,
-    col,
     masked_softmax,
     matmul,
+    mix,
     relu,
     reshape,
-    scale_rows,
     softmax,
     take,
 )
@@ -247,8 +247,9 @@ def moe_layer_forward(layer: MoeLayer, h_t: Tensor, k: int):
 def _moe_layer_batch(layer: MoeLayer, h: Tensor, k: int):
     """Batched mixture over all tokens at once; equals the per-token path.
 
-    Every expert is applied densely but weighted by its (possibly exactly
-    zero) probability, which preserves exact values and exact gradient
+    Every expert multiplies the whole batch (one ``matmul`` each), and a
+    single ``mix`` node weights the N products by their (possibly exactly
+    zero) probabilities. That preserves exact values and exact gradient
     sparsity for non-selected experts.
     """
     logits = matmul(h, layer.router_weights.value)  # [T × N]
@@ -256,10 +257,7 @@ def _moe_layer_batch(layer: MoeLayer, h: Tensor, k: int):
     mask = np.zeros(logits.shape, dtype=bool)
     np.put_along_axis(mask, sel, True, axis=1)
     probs = masked_softmax(logits, mask)
-    out = None
-    for i, ew in enumerate(layer.expert_weights):
-        term = scale_rows(matmul(h, ew.value), col(probs, i))
-        out = term if out is None else add(out, term)
+    out = mix(probs, [matmul(h, ew.value) for ew in layer.expert_weights])
     return out, sel, probs
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take
-from .config import ExperimentConfig
+from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig
 from .losses import (
     LossBundle,
     TransitionState,
@@ -557,7 +557,7 @@ class PipelineResult:
 
 
 def _stage_plans(config: ExperimentConfig):
-    strip = config.variant in ("no-moe", "no-aux-losses")
+    strip = config.variant not in ROUTING_LOSS_VARIANTS
     balance_mode = ("conventional" if config.variant == "conventional-balance"
                     else "intra")
     aux = dict(balance_mode=balance_mode, normalize_aux=config.normalize_aux,
@@ -696,6 +696,8 @@ def run_pipeline(
 def evaluate_dataset(state: TrainState, utterances) -> dict:
     """Token cross-entropy and accuracy over a dataset, assembled exactly.
 
+    All utterances go through one batched forward pass (every op is
+    row-wise, so each utterance's logits equal those of its own pass).
     ``ce`` is the token-weighted mean: per-utterance cross-entropy sums are
     accumulated and divided by the total token count, so a report over a
     concatenation of datasets equals the record-weighted combination of the
@@ -704,14 +706,15 @@ def evaluate_dataset(state: TrainState, utterances) -> dict:
     utts = tuple(utterances)
     if not utts:
         raise ValueError("cannot evaluate an empty dataset")
+    feats, _, labels = _batch_arrays(utts)
+    logits, _ = _forward(state.projector, state.decoder, feats, labels)
     ce_sum = 0.0
     correct = 0
     tokens = 0
     for u in utts:
-        logits, _ = _forward(state.projector, state.decoder, u.features,
-                             u.training_labels())
-        ce_sum += cross_entropy(logits, u.targets).item() * u.length
-        correct += int((logits.data.argmax(axis=1) == u.targets).sum())
+        z = logits.data[tokens:tokens + u.length]
+        ce_sum += cross_entropy(z, u.targets).item() * u.length
+        correct += int((z.argmax(axis=1) == u.targets).sum())
         tokens += u.length
     return {
         "ce": ce_sum / tokens,

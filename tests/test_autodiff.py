@@ -1,7 +1,8 @@
 """Tests for the reverse-mode autodiff core.
 
 Oracles: hand-differentiated closed forms, naive reimplementations of
-softmax/cross-entropy, and central finite differences.
+softmax/cross-entropy, the per-expert col/scale_rows/add chain that ``mix``
+fuses, and central finite differences.
 """
 
 import math
@@ -16,6 +17,7 @@ from csmoe.autodiff import (
     Tape,
     Tensor,
     add,
+    _record,
     backward,
     concat,
     cross_entropy,
@@ -24,6 +26,7 @@ from csmoe.autodiff import (
     fd_gradient,
     log,
     matmul,
+    mix,
     mul,
     relu,
     reshape,
@@ -273,6 +276,135 @@ def test_take_accumulates_duplicate_indices():
     with Tape():
         backward(tsum(take(w.value, np.array([1, 1, 2]))))
     assert_allclose(w.grad, [0.0, 2.0, 1.0])
+
+
+def test_take_unique_indices_gradient_scatters_once():
+    w = Parameter("x", Tensor(np.arange(12.0).reshape(4, 3)))
+    g = np.arange(6.0).reshape(2, 3) - 2.5
+    with Tape():
+        backward(tsum(mul(take(w.value, np.array([3, 0])), Tensor(g))))
+    expected = np.zeros((4, 3))
+    np.add.at(expected, np.array([3, 0]), g)
+    assert np.array_equal(w.grad, expected)
+
+
+def test_matmul_skips_gradient_of_constant_operand():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 4)))
+    w = Parameter("w", Tensor(rng.normal(size=(4, 2))))
+    with Tape():
+        backward(tsum(matmul(x, w.value)))
+    assert x.grad is None
+    assert np.array_equal(w.grad, x.data.T @ np.ones((3, 2)))
+
+
+# ------------------------------------------------------------------- mix
+
+
+def _mix_instance(seed=0, tokens=8, experts=6, width=5):
+    """Random sparse probabilities (two exact zeros per row) and expert outputs."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((tokens, experts))
+    for t in range(tokens):
+        p[t, rng.choice(experts, size=2, replace=False)] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    ys = [rng.normal(size=(tokens, width)) for _ in range(experts)]
+    return p, ys
+
+
+def _mix_grads(combine, p0, ys0, weights):
+    p = Parameter("p", Tensor(p0))
+    ys = [Parameter(f"y{i}", Tensor(y)) for i, y in enumerate(ys0)]
+    with Tape():
+        out = combine(p.value, [y.value for y in ys])
+        backward(tsum(mul(out, Tensor(weights))))
+    return out.data, p.grad, [y.grad for y in ys]
+
+
+def _col(x, j):
+    """Column j of a 2-D tensor as a 1-D tape op (the oracle chain's gather)."""
+    out = Tensor(x.data[:, j])
+    shape = x.data.shape
+
+    def bw(g):
+        buf = np.zeros(shape)
+        buf[:, j] = g
+        return (buf,)
+
+    return _record(out, (x,), bw)
+
+
+def _scale_rows(x, s):
+    """Row t of x times s[t] as a tape op (the oracle chain's product)."""
+    out = Tensor(x.data * s.data[:, None])
+    xd, sd = x.data, s.data
+
+    def bw(g):
+        return (g * sd[:, None], (g * xd).sum(axis=1))
+
+    return _record(out, (x, s), bw)
+
+
+def _chain(p, ys):
+    """The per-expert col / scale_rows / add chain that mix replaces."""
+    out = None
+    for i, y in enumerate(ys):
+        term = _scale_rows(y, _col(p, i))
+        out = term if out is None else add(out, term)
+    return out
+
+
+def test_mix_is_bit_equal_to_scale_rows_add_chain():
+    p0, ys0 = _mix_instance()
+    weights = np.random.default_rng(1).normal(size=ys0[0].shape)
+    out_a, gp_a, gys_a = _mix_grads(mix, p0, ys0, weights)
+    out_b, gp_b, gys_b = _mix_grads(_chain, p0, ys0, weights)
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(gp_a, gp_b)
+    for ga, gb in zip(gys_a, gys_b):
+        assert np.array_equal(ga, gb)
+
+
+def test_mix_gradient_vs_finite_differences():
+    p0, ys0 = _mix_instance(seed=2)
+    weights = np.random.default_rng(3).normal(size=ys0[0].shape)
+    _, gp, gys = _mix_grads(mix, p0, ys0, weights)
+
+    def loss_of_p(t):
+        return tsum(mul(mix(t, [Tensor(y) for y in ys0]), Tensor(weights)))
+
+    fd = fd_gradient(loss_of_p, Tensor(p0), eps=1e-5)
+    assert np.linalg.norm(gp - fd.data) / np.linalg.norm(fd.data) < 1e-4
+    for i in range(len(ys0)):
+        def loss_of_y(t, i=i):
+            parts = [t if j == i else Tensor(y) for j, y in enumerate(ys0)]
+            return tsum(mul(mix(Tensor(p0), parts), Tensor(weights)))
+
+        fd = fd_gradient(loss_of_y, Tensor(ys0[i]), eps=1e-5)
+        assert np.linalg.norm(gys[i] - fd.data) / np.linalg.norm(fd.data) < 1e-4
+
+
+def test_mix_zero_probability_rows_get_exactly_zero_gradient():
+    p0, ys0 = _mix_instance(seed=4)
+    weights = np.random.default_rng(5).normal(size=ys0[0].shape)
+    _, _, gys = _mix_grads(mix, p0, ys0, weights)
+    for i, g in enumerate(gys):
+        zero_rows = p0[:, i] == 0.0
+        assert zero_rows.any()
+        assert np.all(g[zero_rows] == 0.0)
+        assert np.all(g[~zero_rows] != 0.0)
+
+
+def test_mix_rejects_mismatched_shapes():
+    p0, ys0 = _mix_instance()
+    with pytest.raises(ValueError):
+        mix(p0, ys0[:-1])  # one output too few for the probability columns
+    with pytest.raises(ValueError):
+        mix(p0, ys0[:-1] + [ys0[-1][:, :2]])  # widths differ
+    with pytest.raises(ValueError):
+        mix(p0[:-1], ys0)  # token counts differ
+    with pytest.raises(ValueError):
+        mix(p0[:, 0], ys0[:1])  # probabilities must be [T × N]
 
 
 def test_adam_zero_grad_leaves_value_unchanged():

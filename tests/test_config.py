@@ -78,3 +78,9 @@ def test_config_diff_lists_changed_fields():
     assert len(diff) == 2
     assert any("train_seed" in line for line in diff)
     assert any("separation" in line for line in diff)
+
+
+@pytest.mark.parametrize("variant", ["full", "conventional-balance"])
+def test_top1_rejected_with_language_loss(variant):
+    with pytest.raises(ValueError, match="top_k"):
+        ExperimentConfig(top_k=1, variant=variant)

@@ -330,6 +330,18 @@ def test_moe_forward_gradient_sparsity():
                 assert (ew.grad != 0.0).any()
 
 
+@pytest.mark.parametrize("m,n,L", [(2, 2, 2), (2, 3, 3), (3, 1, 1)])
+def test_moe_forward_tape_nodes_per_layer(m, n, L):
+    # Per layer: router matmul, masked_softmax, N expert matmuls, one mix;
+    # plus one relu between consecutive layers.
+    moe = tiny_moe(m=m, n=n, k=2, d_in=3, d_model=4, L=L)
+    x = np.random.default_rng(0).normal(size=(5, 3))
+    with Tape() as tape:
+        moe_forward(moe, Tensor(x))
+    ops = sum(node.backward is not None for node in tape.nodes)
+    assert ops == L * (m * n + 3) + (L - 1)
+
+
 def test_moe_forward_width_mismatch():
     moe = tiny_moe(d_in=3)
     with pytest.raises(ValueError):

@@ -6,11 +6,14 @@ the transition blend, and training-run assertions (losses fall, validation
 improves) on a deliberately tiny world.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from csmoe.autodiff import Tensor, cross_entropy
 from csmoe.config import ExperimentConfig, StageSettings
-from csmoe.projector import MlpProjector, MoeProjector
+from csmoe.projector import MlpProjector, MoeProjector, moe_forward
 from csmoe.stages import (
     DatasetBundle,
     ModelSpec,
@@ -25,7 +28,7 @@ from csmoe.stages import (
     run_stage3,
     run_stage4,
 )
-from csmoe.world import TASK_ASR, TASK_CS_ST, TASK_ST, gen_dataset, gen_world
+from csmoe.world import TASK_ASR, TASK_CS_ST, TASK_ST, decode, gen_dataset, gen_world
 
 
 def tiny_config(**overrides):
@@ -425,6 +428,35 @@ def test_evaluate_dataset_matches_manual_recomputation(setup, stage2_state):
     assert abs(report["ce"] - report["ce_sum"] / report["tokens"]) < 1e-12
     again = evaluate_dataset(stage2_state, subset)
     assert report == again
+
+
+def test_evaluate_dataset_batched_equals_per_utterance_loop(setup, stage2_state):
+    config, world, bundle = setup
+    utts = bundle.cs_val + bundle.st_val
+    # oracle: one forward pass per utterance
+    ce_sum, correct, tokens = 0.0, 0, 0
+    for u in utts:
+        h, _ = moe_forward(stage2_state.projector, Tensor(u.features), u.training_labels())
+        logits = decode(stage2_state.decoder, h)
+        ce_sum += cross_entropy(logits, u.targets).item() * u.length
+        correct += int((logits.data.argmax(axis=1) == u.targets).sum())
+        tokens += u.length
+    report = evaluate_dataset(stage2_state, utts)
+    assert report["ce_sum"] == ce_sum
+    assert report["correct"] == correct
+    assert report["tokens"] == tokens
+
+
+@pytest.mark.parametrize("variant", ["no-aux-losses", "no-moe"])
+def test_pipeline_top1_trains_to_finite_losses(setup, variant):
+    _, _, bundle = setup
+    tiny = StageSettings(3, 4, 3e-3)
+    config = tiny_config(top_k=1, variant=variant,
+                         stage1=tiny, stage2=tiny, stage3=tiny, stage4=tiny)
+    result = run_pipeline(config, bundle=bundle)
+    losses = [v for row in result.metrics for k, v in row.items()
+              if k not in ("stage", "step", "language", "task", "probe")]
+    assert losses and all(math.isfinite(v) for v in losses)
 
 
 def test_routing_probe_reports_stats(setup, stage2_state):
