@@ -14,6 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import VARIANTS
+from .losses import _group_layout, _in_group_wins
 from .projector import CS_UNLABELED, RoutingTrace
 
 __all__ = [
@@ -28,16 +30,7 @@ __all__ = [
     "ablation_report",
 ]
 
-CANONICAL_VARIANTS = ("full", "no-moe", "no-aux-losses", "conventional-balance")
-
-
-def _group_layout(group_of: np.ndarray) -> tuple[np.ndarray, int, int]:
-    group_of = np.asarray(group_of, dtype=np.intp)
-    m = int(group_of.max()) + 1
-    counts = np.bincount(group_of, minlength=m)
-    if group_of.min() < 0 or np.any(counts == 0) or len(set(counts.tolist())) != 1:
-        raise ValueError("group_of must assign every expert to equally sized groups 0..m-1")
-    return group_of, m, int(counts[0])
+_BLOCK = 128  # distance-matrix rows held at once by separation_score
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,6 @@ def routing_accuracy(trace: RoutingTrace, group_of: np.ndarray) -> RoutingStats:
     top1_hits = np.zeros(m)
     mass_sum = np.zeros(m)
     count_sum = np.zeros(m)
-    share_counts = np.zeros((m, n))
     own_mask = group_of[None, :] == labels[:, None]  # [T × N]
 
     for layer in trace.layers:
@@ -99,12 +91,9 @@ def routing_accuracy(trace: RoutingTrace, group_of: np.ndarray) -> RoutingStats:
             top1_hits[j] += in_group_win[rows].sum()
             mass_sum[j] += mass[rows].sum()
             count_sum[j] += count_frac[rows].sum()
-            sub = p[rows][:, group_of == j]
-            has_mass = sub.sum(axis=1) > 0.0
-            if has_mass.any():
-                wins = sub[has_mass].argmax(axis=1)
-                share_counts[j] += np.bincount(wins, minlength=n)
 
+    share_counts = sum((_in_group_wins(layer.probs.data, labels, group_of, m, n)
+                        for layer in trace.layers), np.zeros((m, n)))
     with np.errstate(invalid="ignore", divide="ignore"):
         top1 = np.where(pairs > 0, top1_hits / pairs, np.nan)
         mass_frac = np.where(pairs > 0, mass_sum / pairs, np.nan)
@@ -138,22 +127,10 @@ def expert_load(trace: RoutingTrace, group_of: np.ndarray) -> ExpertLoad:
     )
 
     counts = np.zeros(num_experts)
-    group_counts = np.zeros((m, n))
-    total = 0
     for layer in trace.layers:
-        p = layer.probs.data
-        winners = p.argmax(axis=1)
-        counts += np.bincount(winners, minlength=num_experts)
-        total += p.shape[0]
-        for j in range(m):
-            rows = labels == j
-            if not rows.any():
-                continue
-            sub = p[rows][:, group_of == j]
-            has_mass = sub.sum(axis=1) > 0.0
-            if has_mass.any():
-                wins = sub[has_mass].argmax(axis=1)
-                group_counts[j] += np.bincount(wins, minlength=n)
+        counts += np.bincount(layer.probs.data.argmax(axis=1), minlength=num_experts)
+    group_counts = sum((_in_group_wins(layer.probs.data, labels, group_of, m, n)
+                        for layer in trace.layers), np.zeros((m, n)))
 
     shares = counts / (counts.sum() if counts.sum() > 0 else 1.0)
     ratio = np.full(m, np.nan)
@@ -186,15 +163,31 @@ def separation_score(features: np.ndarray, labels: np.ndarray) -> SeparationRepo
     mask = np.isin(labels, kept)
     x, y = features[mask], labels[mask]
 
-    diffs = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diffs**2).sum(-1))
-    sil = np.empty(len(x))
-    for i in range(len(x)):
-        same = (y == y[i]) & (np.arange(len(x)) != i)
-        a = dist[i, same].mean()
-        b = min(dist[i, y == other].mean() for other in kept if other != y[i])
-        top = max(a, b)
-        sil[i] = 0.0 if top == 0.0 else (b - a) / top
+    # Per-label distance sums, one block of rows at a time: memory is
+    # O(block · n). Gram distances |a|² + |b|² − 2·a·b lose all precision
+    # when d² is at rounding level against |a|² + |b|² (the diagonal, exact
+    # duplicates), so those entries are recomputed from the differences.
+    code = np.searchsorted(kept, y)
+    onehot = (code[:, None] == np.arange(len(kept))).astype(float)
+    xc = x - x.mean(axis=0)
+    sq = (xc**2).sum(axis=1)
+    sums = np.empty((len(xc), len(kept)))
+    for start in range(0, len(xc), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        norms = sq[rows, None] + sq
+        d2 = (-2.0 * xc[rows]) @ xc.T
+        d2 += norms
+        near_r, near_c = np.nonzero(d2 <= 1e-12 * norms)
+        d2[near_r, near_c] = ((xc[start + near_r] - xc[near_c]) ** 2).sum(axis=1)
+        sums[rows] = np.sqrt(d2, out=d2) @ onehot
+    sizes = onehot.sum(axis=0)
+    own = np.arange(len(xc)), code
+    a = sums[own] / (sizes[code] - 1)
+    means = sums / sizes
+    means[own] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    sil = np.divide(b - a, top, out=np.zeros_like(top), where=top > 0.0)
 
     centroids = np.stack([x[y == u].mean(axis=0) for u in kept])
     spreads = np.array([np.linalg.norm(x[y == u] - c, axis=1).mean() for u, c in zip(kept, centroids)])
@@ -256,8 +249,8 @@ def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> Abl
     populated = {v: list(runs) for v, runs in results.items() if runs}
     if not populated:
         raise ValueError("ablation report requires at least one completed run")
-    ordered = [v for v in CANONICAL_VARIANTS if v in populated] + sorted(
-        v for v in populated if v not in CANONICAL_VARIANTS
+    ordered = [v for v in VARIANTS if v in populated] + sorted(
+        v for v in populated if v not in VARIANTS
     )
     rows = []
     for variant in ordered:
@@ -273,6 +266,6 @@ def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> Abl
             }
         rows.append(AblationRow(variant=variant, num_runs=len(runs), metrics=metrics))
     notices = tuple(
-        f"variant '{v}' missing — row omitted" for v in CANONICAL_VARIANTS if v not in populated
+        f"variant '{v}' missing — row omitted" for v in VARIANTS if v not in populated
     )
     return AblationReport(rows=tuple(rows), notices=notices)

@@ -27,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import CANONICAL_VARIANTS, ablation_report, separation_score
+from .analysis import ablation_report, separation_score
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_from_dict, config_hash, config_to_dict
+from .config import VARIANTS, ExperimentConfig, config_from_dict, config_hash, config_to_dict
 from .dataio import (
     append_metrics,
     load_dataset,
@@ -45,7 +45,9 @@ from .stages import (
     TrainState,
     evaluate_dataset,
     generate_datasets,
+    generate_eval_splits,
     routing_probe,
+    routing_summary,
     run_pipeline,
 )
 
@@ -231,22 +233,22 @@ def _combined_report(parts: list) -> dict:
     }
 
 
-def _load_state_checkpoint(path, config) -> TrainState:
-    state = load_checkpoint(path, config)
+def _checkpoint_and_val_splits(args):
+    """Config, stage >= 2 state and the scored ``(st_val, cs_val)`` splits."""
+    config = _load_config(args)
+    state = load_checkpoint(args.checkpoint, config)
     if not isinstance(state, TrainState):
         raise _UsageError(
-            f"checkpoint {path} holds stage-1 per-language projectors; this "
-            f"command needs a stage >= 2 checkpoint with a decoder"
+            f"checkpoint {args.checkpoint} holds stage-1 per-language projectors; "
+            f"this command needs a stage >= 2 checkpoint with a decoder"
         )
-    return state
+    return (config, state) + generate_eval_splits(config, max_workers=_max_workers())
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    state = _load_state_checkpoint(args.checkpoint, config)
-    _, bundle = generate_datasets(config, max_workers=_max_workers())
-    cs = evaluate_dataset(state, bundle.cs_val)
-    mono = evaluate_dataset(state, bundle.st_val)
+    config, state, st_val, cs_val = _checkpoint_and_val_splits(args)
+    cs = evaluate_dataset(state, cs_val)
+    mono = evaluate_dataset(state, st_val)
     both = _combined_report([cs, mono])
     report = {
         "checkpoint_stage": state.stage,
@@ -287,7 +289,7 @@ def _parse_csv(text: str) -> list:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    variants = _parse_csv(args.variants) if args.variants else list(CANONICAL_VARIANTS)
+    variants = _parse_csv(args.variants) if args.variants else list(VARIANTS)
     seeds = ([int(s) for s in _parse_csv(args.seeds)] if args.seeds else [0, 1, 2])
     if not variants or not seeds:
         raise _UsageError("ablate needs at least one variant and one seed")
@@ -363,36 +365,23 @@ def _write_report_csv(path, report) -> None:
 
 
 def cmd_routing_report(args) -> int:
-    config = _load_config(args)
-    state = _load_state_checkpoint(args.checkpoint, config)
-    _, bundle = generate_datasets(config, max_workers=_max_workers())
-    probe_set = tuple(bundle.st_val) + tuple(bundle.cs_val)
+    config, state, st_val, cs_val = _checkpoint_and_val_splits(args)
+    probe_set = st_val + cs_val
     feats = np.concatenate([u.features for u in probe_set], axis=0)
     labels = np.concatenate([u.token_languages() for u in probe_set])
     if isinstance(state.projector, MoeProjector):
-        h = moe_forward(state.projector, Tensor(feats))[0].data
-        routing = routing_probe(state, probe_set)
+        h, trace = moe_forward(state.projector, Tensor(feats), labels)
+        routing = routing_summary(trace, state.projector.group_of)
     else:
-        h = mlp_forward(state.projector, Tensor(feats)).data
-        routing = None
-    sep_in = separation_score(feats, labels)
-    sep_out = separation_score(h, labels)
-    report = {
-        "checkpoint_stage": state.stage,
-        "routing": routing,
-        "input": {
-            "silhouette": sep_in.silhouette,
-            "pair_ratios": sep_in.pair_ratios.tolist(),
-        },
-        "projected": {
-            "silhouette": sep_out.silhouette,
-            "pair_ratios": sep_out.pair_ratios.tolist(),
-        },
-    }
+        h, routing = mlp_forward(state.projector, Tensor(feats)), None
+    sep = {"input": separation_score(feats, labels), "projected": separation_score(h.data, labels)}
+    report = {"checkpoint_stage": state.stage, "routing": routing}
+    for name, score in sep.items():
+        report[name] = {"silhouette": score.silhouette, "pair_ratios": score.pair_ratios.tolist()}
     out = _out_dir(config)
     write_json(out / "report.json", report)
-    print(f"input silhouette {sep_in.silhouette:.4f} -> "
-          f"projected {sep_out.silhouette:.4f}")
+    print(f"input silhouette {sep['input'].silhouette:.4f} -> "
+          f"projected {sep['projected'].silhouette:.4f}")
     if routing:
         frames = ", ".join(f"{x:.4f}" for x in routing["top1_in_group"])
         print(f"top-1 in-group routing per language: {frames}")
@@ -413,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help=seed_help)
 
     p = sub.add_parser("gen-data", help="write the world and all dataset splits")
-    common(p, "unused")
+    common(p, "override the dataset seed (data_seed)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run training stages on generated datasets")

@@ -75,6 +75,23 @@ def _group_layout(group_of: np.ndarray) -> tuple[np.ndarray, int, int]:
     return group_of, m, int(counts[0])
 
 
+def _in_group_wins(probs: np.ndarray, labels: np.ndarray, group_of: np.ndarray,
+                   m: int, n: int) -> np.ndarray:
+    """[m × n] in-group argmax winners of one layer's probabilities.
+
+    Row j counts, over language j's tokens, which of group j's experts holds
+    the largest probability (ties to the lowest expert index, matching the
+    routing tie-break); tokens with no mass inside their group are skipped.
+    """
+    wins = np.zeros((m, n))
+    for j in range(m):
+        in_group = probs[labels == j][:, group_of == j]  # [T_j × n]
+        has_mass = in_group.sum(axis=1) > 0.0
+        if has_mass.any():
+            wins[j] = np.bincount(in_group[has_mass].argmax(axis=1), minlength=n)
+    return wins
+
+
 def language_specific_loss(
     trace: RoutingTrace,
     lang: Optional[int],
@@ -132,25 +149,17 @@ def intra_group_balance_loss(
     num_experts = group_of.size
     total: Optional[Tensor] = None
     for layer in trace.layers:
-        pdata = layer.probs.data
+        wins = _in_group_wins(layer.probs.data, labels, group_of, m, n)
         for j in range(m):
-            rows = labels == j
-            if not rows.any():
+            if wins[j].sum() == 0:
                 continue
             gmask = group_of == j
-            in_group = pdata[rows][:, gmask]  # [T_j × n]
-            has_mass = in_group.sum(axis=1) > 0.0
-            if not has_mass.any():
-                continue
-            # f: constant assignment fractions from in-group argmax (ties to
-            # the lowest expert index, matching the routing tie-break)
-            winners = in_group[has_mass].argmax(axis=1)
-            counts = np.bincount(winners, minlength=n).astype(float)
-            f = counts / counts.sum()
+            # f: constant assignment fractions from in-group argmax
+            f = wins[j] / wins[j].sum()
             # P: differentiable language-mean probabilities renormalized over
             # the group — built from column sums so gradients reach the
             # denominator too
-            sel_row = Tensor(rows.astype(float)[None, :])  # [1 × T]
+            sel_row = Tensor((labels == j).astype(float)[None, :])  # [1 × T]
             colsums = matmul(sel_row, layer.probs)  # [1 × N]
             f_row = np.zeros(num_experts)
             f_row[gmask] = f
@@ -235,6 +244,7 @@ class LossBundle:
     transition: Optional[Tensor] = None
 
 
+# stage -> loss terms; the first is the core term ablations keep alone
 _STAGE_COMPONENTS = {
     1: ("ce",),
     2: ("ce", "lang", "balance"),

@@ -20,9 +20,11 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .analysis import expert_load, routing_accuracy
 from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take
 from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig
 from .losses import (
+    _STAGE_COMPONENTS,
     LossBundle,
     TransitionState,
     compose_stage_loss,
@@ -36,12 +38,14 @@ from .projector import (
     MoeLayer,
     MoeProjector,
     ProjectorConfig,
+    RoutingTrace,
     build_moe_from_pretrained,
     init_mlp,
     mlp_forward,
     moe_forward,
 )
 from .world import (
+    _TASKS,
     TASK_ASR,
     TASK_CS_ST,
     TASK_ST,
@@ -61,6 +65,7 @@ __all__ = [
     "DatasetBundle",
     "PipelineResult",
     "generate_datasets",
+    "generate_eval_splits",
     "run_stage1",
     "run_stage2",
     "run_stage3",
@@ -68,16 +73,9 @@ __all__ = [
     "run_pipeline",
     "evaluate_dataset",
     "routing_probe",
+    "routing_summary",
 ]
 
-_CANONICAL_LOSS_SETS = {
-    1: ("ce",),
-    2: ("ce", "lang", "balance"),
-    3: ("transition", "lang", "balance"),
-    4: ("transition",),
-}
-_CORE_LOSS = {1: "ce", 2: "ce", 3: "transition", 4: "transition"}
-_TASKS = (TASK_ASR, TASK_ST, TASK_CS_ST)
 _TASK_CODE = {TASK_ASR: 0, TASK_ST: 1, TASK_CS_ST: 2}
 
 
@@ -141,7 +139,7 @@ class StagePlan:
     balance_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.stage_id not in _CANONICAL_LOSS_SETS:
+        if self.stage_id not in _STAGE_COMPONENTS:
             raise ValueError(f"stage_id must be 1..4, got {self.stage_id}")
         if self.total_batches < 1:
             raise ValueError(f"total_batches must be >= 1, got {self.total_batches}")
@@ -149,8 +147,8 @@ class StagePlan:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        canonical = _CANONICAL_LOSS_SETS[self.stage_id]
-        core_only = (_CORE_LOSS[self.stage_id],)
+        canonical = _STAGE_COMPONENTS[self.stage_id]
+        core_only = canonical[:1]
         if self.loss_set is None:
             object.__setattr__(self, "loss_set", canonical)
         elif set(self.loss_set) == set(canonical):
@@ -257,6 +255,25 @@ class DatasetBundle:
         return tuple(u for ds in self.asr_train for u in ds)
 
 
+def _split_maker(config: ExperimentConfig, max_workers: int):
+    """The world plus ``make(task, language, count, split_code)``.
+
+    ``make`` is the one place a split's seed stream is derived:
+    ``[data_seed, task code, language code, split code]``, with language
+    code ``m`` for code-switched data and split code 0 train, 1 validation.
+    """
+    world = gen_world(config.num_languages, config.d_in, config.separation, config.noise_sigma,
+                      config.vocab_per_lang, config.world_seed, token_margin=config.token_margin)
+
+    def make(task, language, count, split_code):
+        lang_code = config.num_languages if language is None else language
+        return gen_dataset(world, task, language, count, config.utterance_length,
+                           [config.data_seed, _TASK_CODE[task], lang_code, split_code],
+                           num_switches=config.cs_switches, max_workers=max_workers)
+
+    return world, make
+
+
 def generate_datasets(
     config: ExperimentConfig, max_workers: int = 1
 ) -> tuple[World, DatasetBundle]:
@@ -266,30 +283,8 @@ def generate_datasets(
     ``data_seed``, so any one dataset can be regenerated independently and
     the result never depends on generation order or worker count.
     """
-    world = gen_world(
-        config.num_languages,
-        config.d_in,
-        config.separation,
-        config.noise_sigma,
-        config.vocab_per_lang,
-        config.world_seed,
-        token_margin=config.token_margin,
-    )
+    world, make = _split_maker(config, max_workers)
     m = config.num_languages
-
-    def make(task, language, count, split_code):
-        lang_code = m if language is None else language
-        return gen_dataset(
-            world,
-            task,
-            language,
-            count,
-            config.utterance_length,
-            [config.data_seed, _TASK_CODE[task], lang_code, split_code],
-            num_switches=config.cs_switches,
-            max_workers=max_workers,
-        )
-
     n_train, n_val = config.train_utterances, config.val_utterances
     asr_train = tuple(make(TASK_ASR, g, n_train, 0) for g in range(m))
     asr_val = tuple(u for g in range(m) for u in make(TASK_ASR, g, n_val, 1))
@@ -298,6 +293,14 @@ def generate_datasets(
     cs_train = make(TASK_CS_ST, None, n_train, 0)
     cs_val = make(TASK_CS_ST, None, n_val, 1)
     return world, DatasetBundle(asr_train, st_train, cs_train, asr_val, st_val, cs_val)
+
+
+def generate_eval_splits(config: ExperimentConfig, max_workers: int = 1) -> tuple[tuple, tuple]:
+    """``(st_val, cs_val)`` as ``generate_datasets`` builds them, without the other splits."""
+    _, make = _split_maker(config, max_workers)
+    n_val = config.val_utterances
+    st_val = tuple(u for g in range(config.num_languages) for u in make(TASK_ST, g, n_val, 1))
+    return st_val, make(TASK_CS_ST, None, n_val, 1)
 
 
 # ----------------------------------------------------------- training loops
@@ -349,7 +352,7 @@ def _aux_terms(plan: StagePlan, trace, group_of) -> dict:
 
 def _compose(plan: StagePlan, *, ce=None, transition=None, aux=None) -> LossBundle:
     aux = aux or {}
-    if plan.loss_set == _CANONICAL_LOSS_SETS[plan.stage_id]:
+    if plan.loss_set == _STAGE_COMPONENTS[plan.stage_id]:
         return compose_stage_loss(
             plan.stage_id,
             ce=ce,
@@ -360,7 +363,7 @@ def _compose(plan: StagePlan, *, ce=None, transition=None, aux=None) -> LossBund
             balance_weight=plan.balance_weight,
         )
     # ablation: the stage runs on its core term alone
-    core = ce if _CORE_LOSS[plan.stage_id] == "ce" else transition
+    core = ce if _STAGE_COMPONENTS[plan.stage_id][0] == "ce" else transition
     if core is None:
         raise ValueError(f"stage {plan.stage_id} core loss term missing")
     return LossBundle(
@@ -725,6 +728,19 @@ def evaluate_dataset(state: TrainState, utterances) -> dict:
     }
 
 
+def routing_summary(trace: RoutingTrace, group_of: np.ndarray) -> dict:
+    """Routing accuracy and expert load of a labeled trace, as plain tuples."""
+    stats = routing_accuracy(trace, group_of)
+    load = expert_load(trace, group_of)
+    return {
+        "top1_in_group": tuple(float(x) for x in stats.top1_in_group),
+        "topk_mass_in_group": tuple(float(x) for x in stats.topk_mass_in_group),
+        "topk_count_in_group": tuple(float(x) for x in stats.topk_count_in_group),
+        "expert_shares": tuple(float(x) for x in load.shares),
+        "group_ratio": tuple(float(x) for x in load.group_ratio),
+    }
+
+
 def routing_probe(state: TrainState, utterances) -> dict:
     """Routing-quality summary on a probe set; empty for plain-MLP states.
 
@@ -733,20 +749,10 @@ def routing_probe(state: TrainState, utterances) -> dict:
     """
     if not isinstance(state.projector, MoeProjector):
         return {}
-    from .analysis import expert_load, routing_accuracy
-
     utts = tuple(utterances)
     if not utts:
         raise ValueError("routing probe needs at least one utterance")
     feats = np.concatenate([u.features for u in utts], axis=0)
     labels = np.concatenate([u.token_languages() for u in utts])
     _, trace = moe_forward(state.projector, Tensor(feats), labels)
-    stats = routing_accuracy(trace, state.projector.group_of)
-    load = expert_load(trace, state.projector.group_of)
-    return {
-        "top1_in_group": tuple(float(x) for x in stats.top1_in_group),
-        "topk_mass_in_group": tuple(float(x) for x in stats.topk_mass_in_group),
-        "topk_count_in_group": tuple(float(x) for x in stats.topk_count_in_group),
-        "expert_shares": tuple(float(x) for x in load.shares),
-        "group_ratio": tuple(float(x) for x in load.group_ratio),
-    }
+    return routing_summary(trace, state.projector.group_of)

@@ -185,7 +185,7 @@ def test_separation_requires_two_populated_labels():
     feats = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError):
         separation_score(feats, np.array([0, 0, 0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), pytest.warns(UserWarning, match="label 1"):
         separation_score(feats, np.array([0, 0, 1]))  # label 1 singleton
 
 
@@ -219,6 +219,81 @@ def test_separation_pair_ratios_symmetric():
     labels = np.repeat([0, 1, 2], 20)
     report = separation_score(feats, labels)
     assert np.allclose(report.pair_ratios, report.pair_ratios.T)
+
+
+def _silhouette_oracle(x, y):
+    """Mean silhouette from the full pairwise-difference tensor, one sample at a time."""
+    kept = np.unique(y)
+    diffs = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt((diffs**2).sum(-1))
+    sil = np.empty(len(x))
+    for i in range(len(x)):
+        same = (y == y[i]) & (np.arange(len(x)) != i)
+        a = dist[i, same].mean()
+        b = min(dist[i, y == other].mean() for other in kept if other != y[i])
+        top = max(a, b)
+        sil[i] = 0.0 if top == 0.0 else (b - a) / top
+    return float(sil.mean())
+
+
+def _pair_ratios_oracle(x, y):
+    kept = np.unique(y)
+    centroids = np.stack([x[y == u].mean(axis=0) for u in kept])
+    spreads = np.array([np.linalg.norm(x[y == u] - c, axis=1).mean() for u, c in zip(kept, centroids)])
+    ratios = np.zeros((len(kept), len(kept)))
+    for i in range(len(kept)):
+        for j in range(i + 1, len(kept)):
+            gap = np.linalg.norm(centroids[i] - centroids[j])
+            spread = (spreads[i] + spreads[j]) / 2.0
+            ratios[i, j] = ratios[j, i] = np.inf if spread == 0.0 else gap / spread
+    return ratios
+
+
+def _separation_case(seed):
+    """2-4 labels, sizes at and around the 128-row block edges, a singleton
+    label, far-from-origin data, exact duplicate rows and integer grids."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    n = (127, 128, 129, 256, 257)[seed] if seed < 5 else int(rng.integers(2 * k, 300))
+    d = int(rng.integers(1, 9))
+    y = np.concatenate([np.repeat(np.arange(k), 2), rng.integers(0, k, size=n - 2 * k)])
+    x = rng.normal(size=(n, d)) + rng.uniform(0, 3) * rng.normal(size=(k, d))[y]
+    if seed % 3 == 0:
+        x = x * 1e3 + 1e4
+    if seed % 4 == 0:
+        x[rng.integers(0, n, size=n // 3)] = x[rng.integers(0, n, size=n // 3)]
+    if seed % 5 == 0:
+        x = np.round(x)
+    if seed % 7 == 0:
+        x, y = np.vstack([x, rng.normal(size=(1, d))]), np.append(y, k)
+    order = rng.permutation(len(y))
+    return x[order], y[order]
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_separation_matches_pairwise_oracle(seed):
+    x, y = _separation_case(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singleton label
+        report = separation_score(x, y)
+    kept = np.isin(y, report.labels)
+    assert abs(report.silhouette - _silhouette_oracle(x[kept], y[kept])) <= 1e-12
+    assert np.array_equal(report.pair_ratios, _pair_ratios_oracle(x[kept], y[kept]))
+
+
+def test_separation_memory_is_bounded_at_report_size():
+    import tracemalloc
+
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(2304, 32))
+    y = np.arange(2304) % 2
+    tracemalloc.start()
+    try:
+        separation_score(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_separated_worlds_score_higher_than_overlapping_ones():

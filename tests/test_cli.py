@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csmoe.cli
+import csmoe.stages
 from csmoe.checkpoint import load_checkpoint
 from csmoe.cli import main
 from csmoe.config import config_from_dict
 from csmoe.dataio import read_metrics
-from csmoe.stages import evaluate_dataset, generate_datasets
+from csmoe.stages import evaluate_dataset, generate_datasets, routing_probe
 
 TINY = {
     "num_languages": 2,
@@ -84,6 +86,20 @@ def test_gen_data_byte_identical_regeneration(tmp_path, cfg_path):
         if name == "config.json":
             continue  # records the out_dir, which differs by construction
         assert ta[name] == tb[name], name
+
+
+def test_gen_data_seed_flag_sets_the_dataset_seed(tmp_path, cfg_path):
+    flag, configured = tmp_path / "flag", tmp_path / "configured"
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**TINY, "data_seed": 5}))
+    assert main(["gen-data", "--config", cfg_path, "--seed", "5", "--out", str(flag)]) == 0
+    assert main(["gen-data", "--config", str(seeded), "--out", str(configured)]) == 0
+    a, b = _tree_bytes(flag), _tree_bytes(configured)
+    del a["config.json"], b["config.json"]  # out_dir differs
+    assert a == b
+    base = tmp_path / "base"
+    main(["gen-data", "--config", cfg_path, "--out", str(base)])
+    assert _tree_bytes(base)["cs.val.jsonl"] != a["cs.val.jsonl"]
 
 
 def test_gen_data_worker_count_does_not_change_bytes(tmp_path, cfg_path, monkeypatch):
@@ -250,6 +266,38 @@ def test_routing_report_command(tmp_path, cfg_path, trained_dir):
     assert len(report["routing"]["top1_in_group"]) == 2
     assert -1.0 <= report["projected"]["silhouette"] <= 1.0
     assert -1.0 <= report["input"]["silhouette"] <= 1.0
+
+
+def test_routing_report_runs_one_forward_over_the_scored_splits(
+        tmp_path, cfg_path, trained_dir, monkeypatch):
+    forwarded, generated = [], []
+    forward, gen = csmoe.stages.moe_forward, csmoe.stages.gen_dataset
+
+    def counted_forward(*args, **kwargs):
+        forwarded.append(args[1].shape[0])
+        return forward(*args, **kwargs)
+
+    def counted_gen(*args, **kwargs):
+        generated.append(args[1])
+        return gen(*args, **kwargs)
+
+    for module in (csmoe.cli, csmoe.stages):
+        monkeypatch.setattr(module, "moe_forward", counted_forward)
+    monkeypatch.setattr(csmoe.stages, "gen_dataset", counted_gen)
+    out = tmp_path / "rr"
+    checkpoint = trained_dir / "checkpoints" / "stage4"
+    assert main(["routing-report", "--config", cfg_path, "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 0
+    monkeypatch.undo()
+    # only st_val (one file per language) and cs_val are regenerated
+    assert generated == ["st", "st", "cs-st"]
+    config = config_from_dict(json.loads(Path(cfg_path).read_text()))
+    _, bundle = generate_datasets(config)
+    probe_set = bundle.st_val + bundle.cs_val
+    assert forwarded == [sum(u.length for u in probe_set)]
+    report = json.loads((out / "report.json").read_text())
+    probe = routing_probe(load_checkpoint(checkpoint, config), probe_set)
+    assert report["routing"] == json.loads(json.dumps(probe))
 
 
 # ------------------------------------------------------------ error surface

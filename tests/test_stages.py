@@ -21,6 +21,7 @@ from csmoe.stages import (
     TrainState,
     evaluate_dataset,
     generate_datasets,
+    generate_eval_splits,
     routing_probe,
     run_pipeline,
     run_stage1,
@@ -416,6 +417,27 @@ def test_generate_datasets_deterministic():
     _, b = generate_datasets(config)
     assert np.array_equal(a.cs_train[0].features, b.cs_train[0].features)
     assert np.array_equal(a.st_val[-1].targets, b.st_val[-1].targets)
+
+
+def _same_utterances(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(u.features, v.features)
+        and np.array_equal(u.targets, v.targets)
+        and np.array_equal(u.source_tokens, v.source_tokens)
+        and (u.task, u.language, u.segments) == (v.task, v.language, v.segments)
+        for u, v in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(),
+    tiny_config(num_languages=3, world_seed=3, data_seed=7, cs_switches=2),
+], ids=["default", "three-languages"])
+def test_generate_eval_splits_equal_the_full_bundle(config):
+    _, bundle = generate_datasets(config)
+    st_val, cs_val = generate_eval_splits(config, max_workers=2)
+    assert _same_utterances(st_val, bundle.st_val)
+    assert _same_utterances(cs_val, bundle.cs_val)
 
 
 def test_evaluate_dataset_matches_manual_recomputation(setup, stage2_state):
