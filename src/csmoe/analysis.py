@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import VARIANTS
-from .losses import _group_layout, _in_group_wins
+from .losses import _group_layout, _in_group_wins, _resolve_labels
 from .projector import CS_UNLABELED, RoutingTrace
 
 __all__ = [
@@ -65,11 +65,7 @@ class SeparationReport:
 def routing_accuracy(trace: RoutingTrace, group_of: np.ndarray) -> RoutingStats:
     """How faithfully tokens route to their own language's expert group."""
     group_of, m, n = _group_layout(group_of)
-    if trace.token_language is None:
-        raise ValueError("routing_accuracy requires a trace with token language labels")
-    labels = np.asarray(trace.token_language, dtype=np.intp)
-    if np.any(labels == CS_UNLABELED) or labels.min() < 0 or labels.max() >= m:
-        raise ValueError("routing_accuracy requires a concrete in-range label per token")
+    labels = _resolve_labels(trace, None, m)
 
     pairs = np.zeros(m)
     top1_hits = np.zeros(m)

@@ -29,7 +29,7 @@ from .config import (
     config_to_dict,
 )
 from .projector import MlpProjector, MoeLayer, MoeProjector, ProjectorConfig
-from .stages import ModelSpec, TrainState
+from .stages import TrainState
 from .world import ToyDecoder
 
 __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_stage"]
@@ -149,8 +149,7 @@ def load_checkpoint(
             f"checkpoint at {directory} was written under a different "
             f"configuration: {detail}"
         )
-    model = ModelSpec.from_config(config)
-    pcfg = model.projector_config()
+    pcfg = ProjectorConfig(config.d_in, config.d_model, config.num_layers)
     loaded = _load_param_data(directory, manifest)
     stage = int(manifest["stage"])
 
@@ -166,13 +165,13 @@ def load_checkpoint(
 
     if manifest["projector_type"] == "moe":
         m = int(manifest["num_languages"])
-        n = model.experts_per_group
+        n = config.experts_per_group
         layers = []
         for l in range(pcfg.num_layers):
             experts = [_take(loaded, f"moe.layer{l}.expert{i}") for i in range(m * n)]
             router = _take(loaded, f"moe.layer{l}.router")
             layers.append(MoeLayer(experts, router))
-        projector = MoeProjector(pcfg, m, n, model.top_k, layers)
+        projector = MoeProjector(pcfg, m, n, config.top_k, layers)
     else:
         projector = MlpProjector(
             pcfg, [_take(loaded, f"mlp.layer{l}") for l in range(pcfg.num_layers)]

@@ -49,6 +49,7 @@ from .stages import (
     routing_probe,
     routing_summary,
     run_pipeline,
+    token_report,
 )
 
 __all__ = ["main"]
@@ -142,23 +143,28 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
-    m = config.num_languages
-    missing = [name for name, *_ in _split_files(m) if not (out / name).exists()]
+    files = _split_files(config.num_languages)
+    missing = [name for name, *_ in files if not (out / name).exists()]
     if missing:
         raise _UsageError(
             f"datasets not found under {out} (missing {missing[0]} and "
             f"{len(missing) - 1} more); run gen-data first"
         )
-    asr_train = tuple(load_dataset(out / f"asr_lang{g}.train.jsonl") for g in range(m))
-    asr_val = tuple(u for g in range(m)
-                    for u in load_dataset(out / f"asr_lang{g}.val.jsonl"))
-    st_train = tuple(u for g in range(m)
-                     for u in load_dataset(out / f"st_lang{g}.train.jsonl"))
-    st_val = tuple(u for g in range(m)
-                   for u in load_dataset(out / f"st_lang{g}.val.jsonl"))
-    cs_train = load_dataset(out / "cs.train.jsonl")
-    cs_val = load_dataset(out / "cs.val.jsonl")
-    return DatasetBundle(asr_train, st_train, cs_train, asr_val, st_val, cs_val)
+    parts = {}  # (task, split) -> one loaded file per language, in order
+    for filename, task, _, split in files:
+        parts.setdefault((task, split), []).append(load_dataset(out / filename))
+
+    def pooled(task, split):
+        return tuple(u for ds in parts[(task, split)] for u in ds)
+
+    return DatasetBundle(tuple(parts[("asr", "train")]), pooled("st", "train"),
+                         pooled("cs", "train"), pooled("asr", "val"),
+                         pooled("st", "val"), pooled("cs", "val"))
+
+
+def _probe_set(bundle: DatasetBundle) -> tuple:
+    """The fixed routing probe: the first validation utterances of each split."""
+    return tuple(bundle.st_val[:_PROBE_UTTERANCES]) + tuple(bundle.cs_val[:_PROBE_UTTERANCES])
 
 
 def _parse_stages(text: str) -> tuple:
@@ -196,9 +202,7 @@ def cmd_train(args) -> int:
         default_stages = (1, 2, 3, 4)
     stages = _parse_stages(args.stages) if args.stages else default_stages
 
-    probe_set = tuple(bundle.st_val[:_PROBE_UTTERANCES]) + tuple(
-        bundle.cs_val[:_PROBE_UTTERANCES]
-    )
+    probe_set = _probe_set(bundle)
 
     def probe(model, stage):
         if not isinstance(model, TrainState):
@@ -220,19 +224,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _combined_report(parts: list) -> dict:
-    ce_sum = sum(p["ce_sum"] for p in parts)
-    tokens = sum(p["tokens"] for p in parts)
-    correct = sum(p["correct"] for p in parts)
-    return {
-        "ce": ce_sum / tokens,
-        "accuracy": correct / tokens,
-        "ce_sum": ce_sum,
-        "tokens": tokens,
-        "correct": correct,
-    }
-
-
 def _checkpoint_and_val_splits(args):
     """Config, stage >= 2 state and the scored ``(st_val, cs_val)`` splits."""
     config = _load_config(args)
@@ -249,7 +240,8 @@ def cmd_eval(args) -> int:
     config, state, st_val, cs_val = _checkpoint_and_val_splits(args)
     cs = evaluate_dataset(state, cs_val)
     mono = evaluate_dataset(state, st_val)
-    both = _combined_report([cs, mono])
+    both = token_report(cs["ce_sum"] + mono["ce_sum"], cs["correct"] + mono["correct"],
+                        cs["tokens"] + mono["tokens"])
     report = {
         "checkpoint_stage": state.stage,
         "config_hash": config_hash(config),
@@ -299,9 +291,7 @@ def cmd_ablate(args) -> int:
     for seed in seeds:
         cfg_seed = replace(config, world_seed=seed, data_seed=seed, train_seed=seed)
         _, bundle = generate_datasets(cfg_seed, max_workers=_max_workers())
-        probe_set = tuple(bundle.st_val[:_PROBE_UTTERANCES]) + tuple(
-            bundle.cs_val[:_PROBE_UTTERANCES]
-        )
+        probe_set = _probe_set(bundle)
         for variant in variants:
             cfg_run = replace(cfg_seed, variant=variant)
             try:
@@ -396,10 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help):
+    def common(p, seed_help=None):
         p.add_argument("--config", help="JSON config file (defaults apply otherwise)")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument("--seed", type=int, help=seed_help)
+        if seed_help:
+            p.add_argument("--seed", type=int, help=seed_help)
 
     p = sub.add_parser("gen-data", help="write the world and all dataset splits")
     common(p, "override the dataset seed (data_seed)")
@@ -413,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on CS / Mono / Both splits")
-    common(p, "unused")
+    common(p)
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.set_defaults(func=cmd_eval)
 
@@ -423,14 +414,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="random instances per loss (default 20)")
     p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("ablate", help="run the pipeline per variant and seed")
-    common(p, "unused (see --seeds)")
+    # no abbreviations, or --seed would silently stand for --seeds
+    p = sub.add_parser("ablate", help="run the pipeline per variant and seed", allow_abbrev=False)
+    common(p)
     p.add_argument("--variants", help="comma-separated variants (default: all four)")
     p.add_argument("--seeds", help="comma-separated seeds (default: 0,1,2)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("routing-report", help="routing and separation statistics")
-    common(p, "unused")
+    common(p)
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.set_defaults(func=cmd_routing_report)
     return parser

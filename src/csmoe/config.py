@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping
 
 __all__ = [
@@ -119,9 +119,13 @@ class ExperimentConfig:
         for name in ("world_seed", "data_seed", "train_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("train_utterances", "val_utterances"):
+        for name in ("train_utterances", "val_utterances", "d_in", "d_model", "num_layers",
+                     "experts_per_group", "top_k", "prompt_len", "vocab_per_lang"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lang_weight", "balance_weight"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def total_experts(self) -> int:
@@ -139,16 +143,34 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return asdict(config)
 
 
-def config_from_dict(data: Mapping) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
+# the values each field annotation admits; bool is not a number here
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+                "StageSettings": (StageSettings,)}
+
+
+def _from_mapping(cls, data: Mapping, prefix: str = ""):
+    """``cls(**data)``, refusing unknown, missing and mistyped fields by name."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    for name in ("stage1", "stage2", "stage3", "stage4"):
-        if name in kwargs and isinstance(kwargs[name], Mapping):
-            kwargs[name] = StageSettings(**kwargs[name])
-    return ExperimentConfig(**kwargs)
+        raise ValueError(f"unknown config fields: {sorted(f'{prefix}{n}' for n in unknown)}")
+    kwargs = {}
+    for name, value in data.items():
+        kind = types[name]
+        if kind == "StageSettings" and isinstance(value, Mapping):
+            value = _from_mapping(StageSettings, value, f"{name}.")
+        if not isinstance(value, _FIELD_TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
+            raise ValueError(f"config field {prefix}{name} must be {kind}, got {value!r}")
+        kwargs[name] = value
+    missing = [f.name for f in fields(cls)
+               if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing config fields: {[prefix + n for n in missing]}")
+    return cls(**kwargs)
+
+
+def config_from_dict(data: Mapping) -> ExperimentConfig:
+    return _from_mapping(ExperimentConfig, data)
 
 
 def config_hash(config: ExperimentConfig) -> str:

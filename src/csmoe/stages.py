@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import expert_load, routing_accuracy
 from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take
-from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig
+from .config import ROUTING_LOSS_VARIANTS, TRANSITION_MODES, ExperimentConfig, StageSettings
 from .losses import (
     _STAGE_COMPONENTS,
     LossBundle,
@@ -35,7 +35,6 @@ from .losses import (
 )
 from .projector import (
     MlpProjector,
-    MoeLayer,
     MoeProjector,
     ProjectorConfig,
     RoutingTrace,
@@ -59,7 +58,6 @@ from .world import (
 )
 
 __all__ = [
-    "ModelSpec",
     "StagePlan",
     "TrainState",
     "DatasetBundle",
@@ -72,45 +70,12 @@ __all__ = [
     "run_stage4",
     "run_pipeline",
     "evaluate_dataset",
+    "token_report",
     "routing_probe",
     "routing_summary",
 ]
 
 _TASK_CODE = {TASK_ASR: 0, TASK_ST: 1, TASK_CS_ST: 2}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Geometry of the projector and toy decoder, independent of any data."""
-
-    d_in: int
-    d_model: int
-    num_layers: int
-    experts_per_group: int
-    top_k: int
-    prompt_len: int
-    target_vocab_size: int
-
-    def __post_init__(self) -> None:
-        for name in ("d_in", "d_model", "num_layers", "experts_per_group",
-                     "top_k", "prompt_len", "target_vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def projector_config(self) -> ProjectorConfig:
-        return ProjectorConfig(self.d_in, self.d_model, self.num_layers)
-
-    @staticmethod
-    def from_config(config: ExperimentConfig) -> "ModelSpec":
-        return ModelSpec(
-            d_in=config.d_in,
-            d_model=config.d_model,
-            num_layers=config.num_layers,
-            experts_per_group=config.experts_per_group,
-            top_k=config.top_k,
-            prompt_len=config.prompt_len,
-            target_vocab_size=config.target_vocab_size,
-        )
 
 
 @dataclass(frozen=True)
@@ -141,12 +106,7 @@ class StagePlan:
     def __post_init__(self) -> None:
         if self.stage_id not in _STAGE_COMPONENTS:
             raise ValueError(f"stage_id must be 1..4, got {self.stage_id}")
-        if self.total_batches < 1:
-            raise ValueError(f"total_batches must be >= 1, got {self.total_batches}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        StageSettings(self.total_batches, self.batch_size, self.learning_rate)
         canonical = _STAGE_COMPONENTS[self.stage_id]
         core_only = canonical[:1]
         if self.loss_set is None:
@@ -178,8 +138,8 @@ class StagePlan:
                     raise ValueError(f"{role} {task!r} is not one of {_TASKS}")
             if self.source_task == self.target_task:
                 raise ValueError("source_task and target_task must differ")
-        if self.transition_mode not in ("mixed", "sampled"):
-            raise ValueError(f"transition_mode must be 'mixed' or 'sampled', "
+        if self.transition_mode not in TRANSITION_MODES:
+            raise ValueError(f"transition_mode must be one of {TRANSITION_MODES}, "
                              f"got {self.transition_mode!r}")
         if self.balance_mode not in ("intra", "conventional"):
             raise ValueError(f"balance_mode must be 'intra' or 'conventional', "
@@ -204,36 +164,6 @@ class TrainState:
     def parameters(self) -> list[Parameter]:
         return list(self.projector.parameters()) + list(self.decoder.parameters())
 
-    def clone(self) -> "TrainState":
-        """Deep copy: training the clone leaves this state untouched."""
-        return TrainState(
-            projector=_copy_projector(self.projector),
-            decoder=ToyDecoder(
-                _copy_param(self.decoder.prompt_embedding),
-                _copy_param(self.decoder.output_head),
-            ),
-            stage=self.stage,
-            metrics=[dict(row) for row in self.metrics],
-        )
-
-
-def _copy_param(p: Parameter) -> Parameter:
-    return Parameter(p.name, Tensor(p.value.data.copy()))
-
-
-def _copy_projector(proj: Union[MlpProjector, MoeProjector]):
-    if isinstance(proj, MlpProjector):
-        return MlpProjector(proj.config, [_copy_param(w) for w in proj.layers])
-    layers = [
-        MoeLayer(
-            [_copy_param(e) for e in layer.expert_weights],
-            _copy_param(layer.router_weights),
-        )
-        for layer in proj.layers
-    ]
-    return MoeProjector(proj.config, proj.num_languages, proj.experts_per_group,
-                        proj.top_k, layers)
-
 
 # --------------------------------------------------------------------- data
 
@@ -252,7 +182,7 @@ class DatasetBundle:
     @property
     def asr_pooled(self) -> tuple:
         """Stage-3 source view: all languages' ASR training utterances."""
-        return tuple(u for ds in self.asr_train for u in ds)
+        return _pooled(self.asr_train)
 
 
 def _split_maker(config: ExperimentConfig, max_workers: int):
@@ -326,21 +256,25 @@ def _forward(projector, decoder: ToyDecoder, feats: np.ndarray, labels):
     return decode(decoder, h), trace
 
 
-def _aux_terms(plan: StagePlan, trace, group_of) -> dict:
-    wanted = [name for name in ("lang", "balance") if name in plan.loss_set]
-    if not wanted:
-        return {}
-    if trace is None or group_of is None:
+def _routing_groups(projector, plan: StagePlan):
+    """The projector's expert-group map; routing losses without one are refused."""
+    if isinstance(projector, MoeProjector):
+        return projector.group_of
+    if plan.uses_aux:
         raise ValueError(
             "plan includes routing losses but the projector produces no routing "
             "trace; use a core-only loss set with plain MLP projectors"
         )
+    return None
+
+
+def _aux_terms(plan: StagePlan, trace, group_of) -> dict:
     out = {}
-    if "lang" in wanted:
+    if "lang" in plan.loss_set:
         out["lang"] = language_specific_loss(
             trace, None, group_of, normalize=plan.normalize_aux
         )
-    if "balance" in wanted:
+    if "balance" in plan.loss_set:
         if plan.balance_mode == "intra":
             out["balance"] = intra_group_balance_loss(
                 trace, group_of, normalize=plan.normalize_aux
@@ -374,12 +308,20 @@ def _compose(plan: StagePlan, *, ce=None, transition=None, aux=None) -> LossBund
     )
 
 
-def _train_ce_stage(projector, decoder, dataset, plan, rng, *, language=None) -> list:
-    """Plain cross-entropy loop (plus any planned routing penalties)."""
+def _train_ce_stage(projector, dataset, plan, config, stream, *, language=None):
+    """Train ``projector`` under a new decoder head; return the head and the step rows.
+
+    The loss is cross-entropy plus any planned routing penalties. The head is
+    drawn from seed stream ``[*stream, 1]`` and the batch order from
+    ``[*stream, 2]``.
+    """
     dataset = tuple(dataset)
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
-    group_of = projector.group_of if isinstance(projector, MoeProjector) else None
+    group_of = _routing_groups(projector, plan)
+    decoder = init_decoder(config.d_model, config.target_vocab_size,
+                           config.prompt_len, [*stream, 1])
+    rng = np.random.default_rng([*stream, 2])
     opt = Adam(list(projector.parameters()) + list(decoder.parameters()),
                lr=plan.learning_rate)
     rows = []
@@ -400,15 +342,21 @@ def _train_ce_stage(projector, decoder, dataset, plan, rng, *, language=None) ->
         for name, term in aux.items():
             row[name] = term.item()
         rows.append(row)
-    return rows
+    return decoder, rows
 
 
-def run_stage1(asr_datasets, plan: StagePlan, model: ModelSpec, seed: int):
+def _pooled(datasets) -> tuple:
+    return tuple(u for ds in datasets for u in ds)
+
+
+def run_stage1(asr_datasets, plan: StagePlan, config: ExperimentConfig, seed: int):
     """Pretrain one MLP projector per language on its own ASR-proxy data.
 
     Each language trains independently with its own throwaway decoder head;
     the heads are discarded and the projectors returned together with the
-    per-step metric rows.
+    per-step metric rows. Under ``no-moe`` one shared MLP trains instead on
+    the pooled languages for m× the plan's batches (the grouped budget) and
+    is returned with its head as a stage-1 TrainState.
     """
     if plan.stage_id != 1:
         raise ValueError(f"expected a stage-1 plan, got stage {plan.stage_id}")
@@ -417,45 +365,54 @@ def run_stage1(asr_datasets, plan: StagePlan, model: ModelSpec, seed: int):
         raise ValueError(f"need one ASR dataset per language (>= 2), got {len(datasets)}")
     if any(not ds for ds in datasets):
         raise ValueError("every language's ASR dataset must be non-empty")
+    shape = ProjectorConfig(config.d_in, config.d_model, config.num_layers)
+    if config.variant == "no-moe":
+        mlp = init_mlp(shape, [seed, 1, 0, 0])
+        pooled_plan = replace(plan, total_batches=len(datasets) * plan.total_batches)
+        head, rows = _train_ce_stage(mlp, _pooled(datasets), pooled_plan, config, [seed, 1, 0])
+        return TrainState(mlp, head, 1, list(rows)), rows
     mlps, metrics = [], []
     for g, ds in enumerate(datasets):
-        mlp = init_mlp(model.projector_config(), [seed, 1, g, 0])
+        mlp = init_mlp(shape, [seed, 1, g, 0])
         for p in mlp.parameters():
             p.name = f"lang{g}.{p.name}"
-        head = init_decoder(model.d_model, model.target_vocab_size,
-                            model.prompt_len, [seed, 1, g, 1])
-        rng = np.random.default_rng([seed, 1, g, 2])
-        metrics.extend(_train_ce_stage(mlp, head, ds, plan, rng, language=g))
+        metrics.extend(_train_ce_stage(mlp, ds, plan, config, [seed, 1, g], language=g)[1])
         mlps.append(mlp)
     return tuple(mlps), metrics
 
 
-def run_stage2(mlps, asr_datasets, plan: StagePlan, model: ModelSpec, seed: int) -> TrainState:
+def run_stage2(stage1, asr_datasets, plan: StagePlan, config: ExperimentConfig,
+               seed: int) -> TrainState:
     """Assemble the grouped MoE from the pretrained MLPs and specialize it.
 
     Trains on pooled multilingual ASR batches whose tokens carry their
     utterance's language label, with a fresh shared decoder head (the pooled
-    target space differs from the per-language stage-1 setup).
+    target space differs from the per-language stage-1 setup). Under
+    ``no-moe``, ``stage1`` is the stage-1 TrainState and its shared MLP
+    trains on under a fresh head.
     """
     if plan.stage_id != 2:
         raise ValueError(f"expected a stage-2 plan, got stage {plan.stage_id}")
-    mlps = list(mlps)
     datasets = [tuple(ds) for ds in asr_datasets]
-    if len(datasets) != len(mlps):
-        raise ValueError(
-            f"got {len(mlps)} pretrained projectors but {len(datasets)} datasets"
-        )
     if any(not ds for ds in datasets):
         raise ValueError("every language's ASR dataset must be non-empty")
-    moe = build_moe_from_pretrained(
-        mlps, model.experts_per_group, model.top_k, [seed, 2, 0]
-    )
-    decoder = init_decoder(model.d_model, model.target_vocab_size,
-                           model.prompt_len, [seed, 2, 1])
-    rng = np.random.default_rng([seed, 2, 2])
-    pooled = tuple(u for ds in datasets for u in ds)
-    rows = _train_ce_stage(moe, decoder, pooled, plan, rng)
-    return TrainState(projector=moe, decoder=decoder, stage=2, metrics=rows)
+    if isinstance(stage1, TrainState) != (config.variant == "no-moe"):
+        raise ValueError("stage 2 continues the stage-1 TrainState under no-moe "
+                         "and the stage-1 projector list otherwise")
+    if isinstance(stage1, TrainState):
+        projector, metrics = stage1.projector, list(stage1.metrics)
+    else:
+        mlps = list(stage1)
+        if len(datasets) != len(mlps):
+            raise ValueError(
+                f"got {len(mlps)} pretrained projectors but {len(datasets)} datasets"
+            )
+        projector = build_moe_from_pretrained(
+            mlps, config.experts_per_group, config.top_k, [seed, 2, 0]
+        )
+        metrics = []
+    decoder, rows = _train_ce_stage(projector, _pooled(datasets), plan, config, [seed, 2])
+    return TrainState(projector=projector, decoder=decoder, stage=2, metrics=metrics + rows)
 
 
 def _run_transition_stage(state: TrainState, source_ds, target_ds,
@@ -467,13 +424,7 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
     source_ds, target_ds = tuple(source_ds), tuple(target_ds)
     if not source_ds or not target_ds:
         raise ValueError("transition stages need non-empty source and target datasets")
-    if plan.uses_aux and not isinstance(state.projector, MoeProjector):
-        raise ValueError(
-            "plan includes routing losses but the projector produces no routing "
-            "trace; use a core-only loss set with plain MLP projectors"
-        )
-    group_of = (state.projector.group_of
-                if isinstance(state.projector, MoeProjector) else None)
+    group_of = _routing_groups(state.projector, plan)
     rng = np.random.default_rng([seed, stage])
     opt = Adam(state.parameters(), lr=plan.learning_rate)
     B = plan.total_batches
@@ -592,6 +543,11 @@ def _validate_stages(stages, initial):
     if stages[0] > 1 and initial is None:
         raise ValueError(f"starting at stage {stages[0]} requires the "
                          f"stage-{stages[0] - 1} state to resume from")
+    if initial is not None:
+        resumed = initial.stage if isinstance(initial, TrainState) else 1
+        if resumed != stages[0] - 1:
+            raise ValueError(f"initial state is at stage {resumed}; "
+                             f"cannot resume at stage {stages[0]}")
     return stages
 
 
@@ -614,86 +570,59 @@ def run_pipeline(
     ``model`` is the projector list after stage 1 of a grouped run and the
     TrainState everywhere else.
 
-    Variants: ``no-moe`` keeps one shared MLP throughout — it never builds
-    the mixture and spends the same batch budget (m× the stage-1 plan on
-    pooled data, then the stage-2 plan) on plain cross-entropy, so stagewise
-    comparisons are compute-matched. ``no-aux-losses`` strips the routing
-    penalties from stages 2–3. ``conventional-balance`` swaps the
-    within-group balance penalty for the group-agnostic one.
+    Variants: ``no-moe`` keeps one shared MLP throughout — ``run_stage1`` and
+    ``run_stage2`` never build the mixture and spend the same batch budget
+    (m× the stage-1 plan on pooled data, then the stage-2 plan) on plain
+    cross-entropy, so stagewise comparisons are compute-matched.
+    ``no-aux-losses`` strips the routing penalties from stages 2–3.
+    ``conventional-balance`` swaps the within-group balance penalty for the
+    group-agnostic one.
     """
     stages = _validate_stages(stages, initial)
     world = None
     if bundle is None:
         world, bundle = generate_datasets(config)
-    model = ModelSpec.from_config(config)
     plan1, plan2, plan3, plan4 = _stage_plans(config)
     seed = config.train_seed
-    m = config.num_languages
-    no_moe = config.variant == "no-moe"
 
-    state: Optional[TrainState] = None
-    mlps = None
-    if initial is not None:
-        if isinstance(initial, TrainState):
-            state = initial
-            if state.stage != stages[0] - 1:
-                raise ValueError(f"initial state is at stage {state.stage}; "
-                                 f"cannot resume at stage {stages[0]}")
-        else:
-            if stages[0] != 2 or no_moe:
-                raise ValueError("a projector list can only resume a grouped "
-                                 "run at stage 2")
-            mlps = tuple(initial)
-
+    model = initial
     metrics: list = []
     for stage in stages:
+        done = len(model.metrics) if isinstance(model, TrainState) else 0
         if stage == 1:
-            if no_moe:
-                mlp = init_mlp(model.projector_config(), [seed, 1, 0, 0])
-                head = init_decoder(model.d_model, model.target_vocab_size,
-                                    model.prompt_len, [seed, 1, 0, 1])
-                rng = np.random.default_rng([seed, 1, 0, 2])
-                pooled_plan = replace(plan1, total_batches=m * plan1.total_batches)
-                rows = _train_ce_stage(mlp, head, bundle.asr_pooled, pooled_plan, rng)
-                state = TrainState(mlp, head, 1, rows)
-            else:
-                mlps, rows = run_stage1(bundle.asr_train, plan1, model, seed)
-        elif stage == 2:
-            if no_moe:
-                head = init_decoder(model.d_model, model.target_vocab_size,
-                                    model.prompt_len, [seed, 2, 1])
-                rng = np.random.default_rng([seed, 2, 2])
-                rows = _train_ce_stage(state.projector, head, bundle.asr_pooled,
-                                       plan2, rng)
-                state.decoder = head
-                state.stage = 2
-                state.metrics.extend(rows)
-            else:
-                if mlps is None:
-                    raise ValueError("stage 2 needs the stage-1 projectors")
-                state = run_stage2(mlps, bundle.asr_train, plan2, model, seed)
-                rows = list(state.metrics)
-        elif stage == 3:
-            n0 = len(state.metrics)
-            state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan3, seed)
-            rows = state.metrics[n0:]
+            model, rows = run_stage1(bundle.asr_train, plan1, config, seed)
         else:
-            n0 = len(state.metrics)
-            state = run_stage4(state, bundle.st_train, bundle.cs_train, plan4, seed)
-            rows = state.metrics[n0:]
+            if stage == 2:
+                model = run_stage2(model, bundle.asr_train, plan2, config, seed)
+            elif stage == 3:
+                model = run_stage3(model, bundle.asr_pooled, bundle.st_train, plan3, seed)
+            else:
+                model = run_stage4(model, bundle.st_train, bundle.cs_train, plan4, seed)
+            rows = model.metrics[done:]
         metrics.extend(rows)
-        current = state if state is not None else mlps
         if probe is not None:
-            probe_row = probe(current, stage)
+            probe_row = probe(model, stage)
             if probe_row:
                 metrics.append({"stage": stage, "probe": dict(probe_row)})
         if checkpoint_cb is not None:
-            checkpoint_cb(stage, current)
+            checkpoint_cb(stage, model)
+    state = model if isinstance(model, TrainState) else None
     return PipelineResult(state=state, metrics=metrics, variant=config.variant,
                           world=world)
 
 
 # --------------------------------------------------------------- evaluation
+
+
+def token_report(ce_sum: float, correct: int, tokens: int) -> dict:
+    """Token-weighted cross-entropy and accuracy from summed per-token counts."""
+    return {
+        "ce": ce_sum / tokens,
+        "accuracy": correct / tokens,
+        "ce_sum": ce_sum,
+        "tokens": tokens,
+        "correct": correct,
+    }
 
 
 def evaluate_dataset(state: TrainState, utterances) -> dict:
@@ -719,13 +648,7 @@ def evaluate_dataset(state: TrainState, utterances) -> dict:
         ce_sum += cross_entropy(z, u.targets).item() * u.length
         correct += int((z.argmax(axis=1) == u.targets).sum())
         tokens += u.length
-    return {
-        "ce": ce_sum / tokens,
-        "accuracy": correct / tokens,
-        "ce_sum": ce_sum,
-        "tokens": tokens,
-        "correct": correct,
-    }
+    return token_report(ce_sum, correct, tokens)
 
 
 def routing_summary(trace: RoutingTrace, group_of: np.ndarray) -> dict:

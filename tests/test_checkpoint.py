@@ -11,9 +11,8 @@ import pytest
 
 from csmoe.checkpoint import checkpoint_stage, load_checkpoint, save_checkpoint
 from csmoe.config import ExperimentConfig, StageSettings
-from csmoe.projector import MlpProjector, MoeProjector
+from csmoe.projector import MlpProjector, MoeProjector, ProjectorConfig
 from csmoe.stages import (
-    ModelSpec,
     StagePlan,
     TrainState,
     generate_datasets,
@@ -49,9 +48,8 @@ def tiny_config(**overrides):
 def trained():
     config = tiny_config()
     world, bundle = generate_datasets(config)
-    model = ModelSpec.from_config(config)
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 6, 4, 3e-3), model, seed=0)
-    state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 6, 4, 3e-3), model, seed=0)
+    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 6, 4, 3e-3), config, seed=0)
+    state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 6, 4, 3e-3), config, seed=0)
     return config, world, bundle, mlps, state
 
 
@@ -99,7 +97,7 @@ def test_mlp_state_round_trip(tmp_path, trained):
     from csmoe.world import init_decoder
 
     mlp_state = TrainState(
-        projector=init_mlp(ModelSpec.from_config(config).projector_config(), 5),
+        projector=init_mlp(ProjectorConfig(config.d_in, config.d_model, config.num_layers), 5),
         decoder=init_decoder(config.d_model, config.target_vocab_size, config.prompt_len, 6),
         stage=2,
     )

@@ -140,16 +140,19 @@ def test_train_full_run(tmp_path, cfg_path):
     assert any(r["stage"] == 2 and "top1_in_group" in r["probe"] for r in probes)
 
 
-def test_train_split_and_resume_matches_full_run(tmp_path, cfg_path):
+@pytest.mark.parametrize("variant", ["full", "no-moe"])
+@pytest.mark.parametrize("after", [1, 2])
+def test_train_split_and_resume_matches_full_run(tmp_path, cfg_path, after, variant):
+    # splitting after stage 1 resumes a grouped run from the projector list
+    # and a no-moe run from its stage-1 TrainState
     full, split = tmp_path / "full", tmp_path / "split"
     for out in (full, split):
         main(["gen-data", "--config", cfg_path, "--out", str(out)])
-    assert main(["train", "--config", cfg_path, "--out", str(full)]) == 0
-    assert main(["train", "--config", cfg_path, "--out", str(split),
-                 "--stages", "1,2"]) == 0
-    assert main(["train", "--config", cfg_path, "--out", str(split),
-                 "--stages", "3-4",
-                 "--resume", str(split / "checkpoints" / "stage2")]) == 0
+    train = ["train", "--config", cfg_path, "--variant", variant, "--out"]
+    assert main([*train, str(full)]) == 0
+    assert main([*train, str(split), "--stages", f"1-{after}"]) == 0
+    assert main([*train, str(split), "--stages", f"{after + 1}-4",
+                 "--resume", str(split / "checkpoints" / f"stage{after}")]) == 0
     assert (full / "metrics.jsonl").read_bytes() == (split / "metrics.jsonl").read_bytes()
     fa = _tree_bytes(full / "checkpoints" / "stage4")
     fb = _tree_bytes(split / "checkpoints" / "stage4")
@@ -309,12 +312,42 @@ def test_unknown_command_is_usage_error(capsys):
     assert err.value.code == 2
 
 
-def test_bad_config_field_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("data, field", [
+    ({"num_langs": 3}, "num_langs"),
+    ({"stage1": {**TINY["stage1"], "extra": 1}}, "stage1.extra"),
+    ({"d_in": "16"}, "d_in"),
+    ({"stage2": {"total_batches": 5}}, "stage2.batch_size"),
+], ids=["unknown", "unknown-stage-field", "mistyped", "missing-stage-field"])
+def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"num_langs": 3}))
+    bad.write_text(json.dumps(data))
     rc = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "num_langs" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_model", 0), ("num_layers", 0), ("prompt_len", 0),
+    ("lang_weight", 0), ("balance_weight", -1),
+])
+def test_bad_config_value_is_rejected_before_training(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, field: value}))
+    out = tmp_path / "o"
+    assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "world.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "routing-report", "ablate"])
+def test_seed_flag_is_rejected_where_nothing_reads_it(tmp_path, command, capsys):
+    argv = [command, "--seed", "3", "--out", str(tmp_path / "o")]
+    if command != "ablate":
+        argv += ["--checkpoint", str(tmp_path / "ck")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bad_variant_is_usage_error(tmp_path, cfg_path, capsys):

@@ -6,6 +6,7 @@ the transition blend, and training-run assertions (losses fall, validation
 improves) on a deliberately tiny world.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from csmoe.config import ExperimentConfig, StageSettings
 from csmoe.projector import MlpProjector, MoeProjector, moe_forward
 from csmoe.stages import (
     DatasetBundle,
-    ModelSpec,
     StagePlan,
     TrainState,
     evaluate_dataset,
@@ -54,18 +54,6 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
-
-
-def tiny_model(config, world):
-    return ModelSpec(
-        d_in=config.d_in,
-        d_model=config.d_model,
-        num_layers=config.num_layers,
-        experts_per_group=config.experts_per_group,
-        top_k=config.top_k,
-        prompt_len=config.prompt_len,
-        target_vocab_size=world.target_vocab_size,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +132,7 @@ def test_stage_plan_basic_validation():
 def test_stage1_returns_per_language_projectors(setup):
     config, world, bundle = setup
     plan = StagePlan(1, 30, 4, 3e-3)
-    mlps, metrics = run_stage1(bundle.asr_train, plan, tiny_model(config, world), seed=0)
+    mlps, metrics = run_stage1(bundle.asr_train, plan, config, seed=0)
     assert len(mlps) == 2
     assert all(isinstance(m, MlpProjector) for m in mlps)
     assert len(metrics) == 2 * 30
@@ -157,13 +145,12 @@ def test_stage1_returns_per_language_projectors(setup):
 def test_stage1_deterministic(setup):
     config, world, bundle = setup
     plan = StagePlan(1, 10, 4, 3e-3)
-    model = tiny_model(config, world)
-    a, _ = run_stage1(bundle.asr_train, plan, model, seed=3)
-    b, _ = run_stage1(bundle.asr_train, plan, model, seed=3)
+    a, _ = run_stage1(bundle.asr_train, plan, config, seed=3)
+    b, _ = run_stage1(bundle.asr_train, plan, config, seed=3)
     for ma, mb in zip(a, b):
         for la, lb in zip(ma.layers, mb.layers):
             assert np.array_equal(la.value.data, lb.value.data)
-    c, _ = run_stage1(bundle.asr_train, plan, model, seed=4)
+    c, _ = run_stage1(bundle.asr_train, plan, config, seed=4)
     assert not np.array_equal(a[0].layers[0].value.data, c[0].layers[0].value.data)
 
 
@@ -171,20 +158,19 @@ def test_stage1_three_languages():
     config = tiny_config(num_languages=3, top_k=2)
     world, bundle = generate_datasets(config)
     plan = StagePlan(1, 5, 4, 3e-3)
-    mlps, _ = run_stage1(bundle.asr_train, plan, tiny_model(config, world), seed=0)
+    mlps, _ = run_stage1(bundle.asr_train, plan, config, seed=0)
     assert len(mlps) == 3
 
 
 def test_stage1_rejects_bad_datasets(setup):
     config, world, bundle = setup
     plan = StagePlan(1, 5, 4, 3e-3)
-    model = tiny_model(config, world)
     with pytest.raises(ValueError):
-        run_stage1([bundle.asr_train[0]], plan, model, seed=0)  # m = 1
+        run_stage1([bundle.asr_train[0]], plan, config, seed=0)  # m = 1
     with pytest.raises(ValueError):
-        run_stage1([bundle.asr_train[0], ()], plan, model, seed=0)  # empty
+        run_stage1([bundle.asr_train[0], ()], plan, config, seed=0)  # empty
     with pytest.raises(ValueError):
-        run_stage1(bundle.asr_train, StagePlan(2, 5, 4, 3e-3), model, seed=0)
+        run_stage1(bundle.asr_train, StagePlan(2, 5, 4, 3e-3), config, seed=0)
 
 
 # ------------------------------------------------------------------ run_stage2
@@ -193,9 +179,8 @@ def test_stage1_rejects_bad_datasets(setup):
 @pytest.fixture(scope="module")
 def stage2_state(setup):
     config, world, bundle = setup
-    model = tiny_model(config, world)
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 30, 4, 3e-3), model, seed=0)
-    state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 40, 4, 3e-3), model, seed=0)
+    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 30, 4, 3e-3), config, seed=0)
+    state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 40, 4, 3e-3), config, seed=0)
     return state
 
 
@@ -221,10 +206,9 @@ def test_stage2_experts_specialize_apart(stage2_state):
 
 def test_stage2_deterministic(setup):
     config, world, bundle = setup
-    model = tiny_model(config, world)
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 8, 4, 3e-3), model, seed=1)
-    a = run_stage2(mlps, bundle.asr_train, StagePlan(2, 8, 4, 3e-3), model, seed=1)
-    b = run_stage2(mlps, bundle.asr_train, StagePlan(2, 8, 4, 3e-3), model, seed=1)
+    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 8, 4, 3e-3), config, seed=1)
+    a = run_stage2(mlps, bundle.asr_train, StagePlan(2, 8, 4, 3e-3), config, seed=1)
+    b = run_stage2(mlps, bundle.asr_train, StagePlan(2, 8, 4, 3e-3), config, seed=1)
     for la, lb in zip(a.projector.layers, b.projector.layers):
         assert np.array_equal(la.router_weights.value.data, lb.router_weights.value.data)
         for ea, eb in zip(la.expert_weights, lb.expert_weights):
@@ -234,20 +218,18 @@ def test_stage2_deterministic(setup):
 
 def test_stage2_no_aux_variant_omits_metric_fields(setup):
     config, world, bundle = setup
-    model = tiny_model(config, world)
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 5, 4, 3e-3), model, seed=2)
+    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 5, 4, 3e-3), config, seed=2)
     plan = StagePlan(2, 5, 4, 3e-3, loss_set=("ce",))
-    state = run_stage2(mlps, bundle.asr_train, plan, model, seed=2)
+    state = run_stage2(mlps, bundle.asr_train, plan, config, seed=2)
     rows = [r for r in state.metrics if r.get("stage") == 2 and "step" in r]
     assert all("lang" not in r and "balance" not in r for r in rows)
 
 
 def test_stage2_conventional_balance_mode(setup):
     config, world, bundle = setup
-    model = tiny_model(config, world)
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 5, 4, 3e-3), model, seed=2)
+    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 5, 4, 3e-3), config, seed=2)
     plan = StagePlan(2, 5, 4, 3e-3, balance_mode="conventional")
-    state = run_stage2(mlps, bundle.asr_train, plan, model, seed=2)
+    state = run_stage2(mlps, bundle.asr_train, plan, config, seed=2)
     rows = [r for r in state.metrics if r.get("stage") == 2 and "step" in r]
     assert all("balance" in r for r in rows)
 
@@ -257,7 +239,7 @@ def test_stage2_conventional_balance_mode(setup):
 
 def test_stage3_lambda_schedule_and_endpoint(setup, stage2_state):
     config, world, bundle = setup
-    state = stage2_state.clone()
+    state = copy.deepcopy(stage2_state)
     B = 12
     plan = StagePlan(3, B, 4, 3e-3, source_task="asr", target_task="st")
     state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan, seed=0)
@@ -276,7 +258,7 @@ def test_stage3_lambda_schedule_and_endpoint(setup, stage2_state):
 
 def test_stage3_improves_translation(setup, stage2_state):
     config, world, bundle = setup
-    state = stage2_state.clone()
+    state = copy.deepcopy(stage2_state)
     before = evaluate_dataset(state, bundle.st_val)["ce"]
     plan = StagePlan(3, 30, 4, 3e-3, source_task="asr", target_task="st")
     state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan, seed=0)
@@ -288,13 +270,13 @@ def test_stage3_improves_translation(setup, stage2_state):
 def test_stage3_requires_stage3_plan(setup, stage2_state):
     config, world, bundle = setup
     with pytest.raises(ValueError):
-        run_stage3(stage2_state.clone(), bundle.asr_pooled, bundle.st_train,
+        run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train,
                    StagePlan(2, 5, 4, 3e-3), seed=0)
 
 
 def test_stage3_sampled_mode_runs(setup, stage2_state):
     config, world, bundle = setup
-    state = stage2_state.clone()
+    state = copy.deepcopy(stage2_state)
     plan = StagePlan(3, 10, 4, 3e-3, source_task="asr", target_task="st",
                      transition_mode="sampled")
     state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan, seed=0)
@@ -305,7 +287,7 @@ def test_stage3_sampled_mode_runs(setup, stage2_state):
 
 def test_stage4_transition_only_and_improves_cs(setup, stage2_state):
     config, world, bundle = setup
-    state = stage2_state.clone()
+    state = copy.deepcopy(stage2_state)
     plan3 = StagePlan(3, 30, 4, 3e-3, source_task="asr", target_task="st")
     state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan3, seed=0)
     before = evaluate_dataset(state, bundle.cs_val)["ce"]
@@ -322,11 +304,11 @@ def test_stage4_transition_only_and_improves_cs(setup, stage2_state):
 
 
 def test_stage_boundary_is_a_pure_function_of_state(setup, stage2_state):
-    # running stage 3 twice from clones of the same state gives identical bits
+    # running stage 3 twice from copies of the same state gives identical bits
     config, world, bundle = setup
     plan = StagePlan(3, 8, 4, 3e-3, source_task="asr", target_task="st")
-    a = run_stage3(stage2_state.clone(), bundle.asr_pooled, bundle.st_train, plan, seed=7)
-    b = run_stage3(stage2_state.clone(), bundle.asr_pooled, bundle.st_train, plan, seed=7)
+    a = run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train, plan, seed=7)
+    b = run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train, plan, seed=7)
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa.value.data, pb.value.data)
     ra = [r for r in a.metrics if r.get("stage") == 3]
