@@ -75,7 +75,7 @@ class _Node:
     def __init__(self, parents, backward, tensor):
         self.parents = parents  # tuple of node ids (None for grad-free operands)
         self.backward = backward  # None marks a leaf
-        self.tensor = tensor
+        self.tensor = tensor  # leaves only; None on op nodes
 
 
 class Tape:
@@ -112,7 +112,10 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     pids = tuple(tape._leaf_id(p) if p.requires_grad else None for p in parents)
     out._tape = tape
     out.node_id = len(tape.nodes)
-    tape.nodes.append(_Node(pids, backward_fn, out))
+    # Op nodes keep no tensor: backward writes grads into leaves only, and a
+    # node -> tensor -> tape cycle would keep each finished tape alive until
+    # the cyclic GC runs.
+    tape.nodes.append(_Node(pids, backward_fn, None))
     return out
 
 
@@ -441,28 +444,38 @@ def cross_entropy(logits, targets) -> Tensor:
     return _record(out, (z,), bw)
 
 
-def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
+def fd_gradient(f: Callable[[Tensor], "Tensor | float | np.ndarray"], x: Tensor,
+                eps: float = 1e-5) -> Tensor:
+    """Central-difference gradient of ``f``, one coordinate at a time.
+
+    A ``Tensor`` or float result is a scalar, and the gradient has ``x``'s
+    shape. An ``np.ndarray`` result of n values gives the Jacobian, shaped
+    ``x.shape + (n,)``, whose column i is bit-equal to the scalar sweep of
+    component i. Every component of every evaluation must be finite.
+    """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     base = x.data.copy()
-    grad = np.zeros_like(base)
 
-    def evaluate(arr: np.ndarray) -> float:
+    def evaluate(arr: np.ndarray):
         r = f(Tensor(arr))
-        v = r.item() if isinstance(r, Tensor) else float(r)
-        if not np.isfinite(v):
+        if isinstance(r, np.ndarray):
+            v = np.asarray(r, dtype=np.float64).reshape(-1)
+        else:
+            v = r.item() if isinstance(r, Tensor) else float(r)
+        if not np.isfinite(v).all():
             raise ValueError("fd_gradient: non-finite function evaluation")
         return v
 
-    flat = grad.reshape(-1)
+    cols = []
     for i in range(base.size):
         hi = base.copy()
         hi.reshape(-1)[i] += eps
         lo = base.copy()
         lo.reshape(-1)[i] -= eps
-        flat[i] = (evaluate(hi) - evaluate(lo)) / (2.0 * eps)
-    return Tensor(grad)
+        cols.append((evaluate(hi) - evaluate(lo)) / (2.0 * eps))
+    grad = np.array(cols, dtype=np.float64)
+    return Tensor(grad.reshape(base.shape + grad.shape[1:]))
 
 
 class Adam:

@@ -9,7 +9,8 @@ separation statistics for a checkpoint).
 
 Exit codes: 0 success, 1 assertion/tolerance failure (a failed gradient
 check or a failed ablation run), 2 usage or configuration errors (bad
-flags, bad config files, missing inputs, checkpoint/config mismatches).
+flags, bad config files, missing inputs, checkpoint/config mismatches), 3 a
+training loss that turned infinite or NaN.
 All randomness flows from the seeds named in the config, so every command
 is deterministic; flags override config-file values and the effective
 merged config is written next to each command's outputs.
@@ -42,6 +43,7 @@ from .gradcheck import grad_check_report
 from .projector import MoeProjector, mlp_forward, moe_forward
 from .stages import (
     DatasetBundle,
+    NonFiniteLossError,
     TrainState,
     evaluate_dataset,
     generate_datasets,
@@ -436,6 +438,9 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except NonFiniteLossError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,8 +2,15 @@
 
 For each of a set of tiny random model instances, compares reverse-mode
 gradients against central finite differences for each loss and each stage
-composition, parameter by parameter, and reports the worst relative error
-per loss.
+composition, and reports the worst relative error per loss.
+
+All eight losses share one sweep. An instance runs three MoE forwards
+(batch 1, batch 2 and the mixed batch 1 + 2) and decodes them once into the
+eight values; the analytic gradients come from one tape, one ``backward``
+per loss. Each perturbed coordinate is evaluated once for all eight losses
+(``fd_gradient`` with a vector-valued function), and a decoder coordinate
+reuses the unperturbed forwards, since the MoE reads no decoder parameter.
+An instance costs 3·(2·|MoE coordinates| + 1) MoE forwards (843 here).
 
 Finite differences are only meaningful where the objective is locally
 smooth, so candidate instances are screened: any instance whose routing
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, relu
+from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, relu, take
 from .losses import (
     TransitionState,
     compose_stage_loss,
@@ -49,6 +56,7 @@ GRAD_LOSSES = (
     "stage3_total",
     "stage4_total",
 )
+_MOE_ONLY = frozenset({"lang", "balance", "conventional"})  # scored on MoE parameters only
 
 # tiny instance geometry: 2 languages x 2 experts, top-2 of 4, 2 layers
 _M, _N, _K, _L = 2, 2, 2, 2
@@ -114,109 +122,97 @@ def _make_instance(seed: int, candidate: int):
     return moe, decoder, batches, ts, weights
 
 
-def _builders(moe, decoder, batches, ts, weights):
-    (f1, l1, t1), (f2, l2, t2) = batches
+def _routed(moe, batches):
+    """The three MoE forwards of an instance and the routing terms read from them.
+
+    Runs batch 1, batch 2 and the mixed batch 1 + 2. Returns their outputs,
+    ``(lang, balance, conventional)`` on batch 1's trace and
+    ``(lang, balance)`` on the mixed trace. Nothing here reads a decoder
+    parameter.
+    """
+    (f1, l1, _), (f2, l2, _) = batches
     g_of = moe.group_of
+    h1, trace1 = moe_forward(moe, Tensor(f1), l1)
+    h2, _ = moe_forward(moe, Tensor(f2), l2)
+    h_mix, trace_mix = moe_forward(moe, Tensor(np.concatenate([f1, f2], axis=0)),
+                                   np.concatenate([l1, l2]))
+    on_batch1 = (language_specific_loss(trace1, None, g_of),
+                 intra_group_balance_loss(trace1, g_of),
+                 conventional_balance_loss(trace1))
+    on_mixed = (language_specific_loss(trace_mix, None, g_of),
+                intra_group_balance_loss(trace_mix, g_of))
+    return (h1, h2, h_mix), on_batch1, on_mixed
+
+
+def _losses(routed, decoder, batches, ts, weights) -> tuple:
+    """Decode the routed outputs; the eight losses in ``GRAD_LOSSES`` order."""
+    (h1, h2, h_mix), (lang, balance, conventional), (lang_mix, balance_mix) = routed
+    (_, _, t1), (_, _, t2) = batches
     lang_w, bal_w = weights
+    ce = cross_entropy(decode(decoder, h1), t1)
+    ce2 = cross_entropy(decode(decoder, h2), t2)
+    logits = decode(decoder, h_mix)
+    n_src = t1.shape[0]
+    mixed = transition_loss(
+        cross_entropy(take(logits, np.arange(n_src)), t1),
+        cross_entropy(take(logits, np.arange(n_src, logits.shape[0])), t2),
+        ts,
+    )
+    aux = dict(lang_weight=lang_w, balance_weight=bal_w)
+    return (
+        ce,
+        lang,
+        balance,
+        conventional,
+        transition_loss(ce, ce2, ts),
+        compose_stage_loss(2, ce=ce, lang=lang, balance=balance, **aux).total,
+        compose_stage_loss(3, transition=mixed, lang=lang_mix, balance=balance_mix,
+                           **aux).total,
+        compose_stage_loss(4, transition=mixed).total,
+    )
 
-    def fwd(feats, labels):
-        return moe_forward(moe, Tensor(feats), labels)
 
-    def ce_of(feats, labels, targets):
-        h, trace = fwd(feats, labels)
-        return cross_entropy(decode(decoder, h), targets), trace
+def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
+    # The denominator floor turns the ratio into an absolute test for
+    # near-zero gradients: central differences carry cancellation noise of
+    # order |loss|*1e-16/(2*eps) per entry, which would otherwise dominate
+    # the ratio exactly where both sides agree the gradient vanishes.
+    denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-5)
+    return float(np.linalg.norm(fd - analytic) / denom)
 
-    def b_ce():
-        return ce_of(f1, l1, t1)[0]
 
-    def b_lang():
-        return language_specific_loss(fwd(f1, l1)[1], None, g_of)
-
-    def b_balance():
-        return intra_group_balance_loss(fwd(f1, l1)[1], g_of)
-
-    def b_conventional():
-        return conventional_balance_loss(fwd(f1, l1)[1])
-
-    def b_transition():
-        return transition_loss(ce_of(f1, l1, t1)[0], ce_of(f2, l2, t2)[0], ts)
-
-    def b_stage2():
-        ce, trace = ce_of(f1, l1, t1)
-        return compose_stage_loss(
-            2,
-            ce=ce,
-            lang=language_specific_loss(trace, None, g_of),
-            balance=intra_group_balance_loss(trace, g_of),
-            lang_weight=lang_w,
-            balance_weight=bal_w,
-        ).total
-
-    def _mixed():
-        from .autodiff import take
-
-        feats = np.concatenate([f1, f2], axis=0)
-        labels = np.concatenate([l1, l2])
-        h, trace = fwd(feats, labels)
-        logits = decode(decoder, h)
-        n_src = f1.shape[0]
-        ce_src = cross_entropy(take(logits, np.arange(n_src)), t1)
-        ce_tgt = cross_entropy(take(logits, np.arange(n_src, feats.shape[0])), t2)
-        return transition_loss(ce_src, ce_tgt, ts), trace
-
-    def b_stage3():
-        trans, trace = _mixed()
-        return compose_stage_loss(
-            3,
-            transition=trans,
-            lang=language_specific_loss(trace, None, g_of),
-            balance=intra_group_balance_loss(trace, g_of),
-            lang_weight=lang_w,
-            balance_weight=bal_w,
-        ).total
-
-    def b_stage4():
-        return compose_stage_loss(4, transition=_mixed()[0]).total
-
+def _instance_errors(moe, decoder, batches, ts, weights, eps: float) -> dict:
+    """Worst relative error of each loss over every coordinate of one instance."""
     moe_params = moe.parameters()
-    all_params = moe_params + decoder.parameters()
-    return {
-        "ce": (b_ce, all_params),
-        "lang": (b_lang, moe_params),
-        "balance": (b_balance, moe_params),
-        "conventional": (b_conventional, moe_params),
-        "transition": (b_transition, all_params),
-        "stage2_total": (b_stage2, all_params),
-        "stage3_total": (b_stage3, all_params),
-        "stage4_total": (b_stage4, all_params),
-    }
-
-
-def _max_rel_err(build_loss, params, eps: float) -> float:
-    for p in params:
-        p.zero_grad()
+    params = moe_params + decoder.parameters()
     with Tape():
-        backward(build_loss())
-    worst = 0.0
-    for p in params:
-        analytic = p.grad.copy()
+        routed = _routed(moe, batches)
+        losses = _losses(routed, decoder, batches, ts, weights)
+    analytic = []  # [loss][param]
+    for loss in losses:
+        for p in params:
+            p.zero_grad()
+        backward(loss)
+        analytic.append([p.grad.copy() for p in params])
 
-        def f(t, _p=p):
+    worst = dict.fromkeys(GRAD_LOSSES, 0.0)
+    for j, p in enumerate(params):
+        on_moe = j < len(moe_params)
+
+        def f(t, _p=p, _on_moe=on_moe):
             old = _p.value.data.copy()
             _p.value.data[...] = t.data
             try:
-                return build_loss()
+                # the MoE forward reads no decoder parameter
+                r = _routed(moe, batches) if _on_moe else routed
+                return np.array([v.item() for v in _losses(r, decoder, batches, ts, weights)])
             finally:
                 _p.value.data[...] = old
 
         fd = fd_gradient(f, Tensor(p.value.data.copy()), eps=eps).data
-        # The denominator floor turns the ratio into an absolute test for
-        # near-zero gradients: central differences carry cancellation noise
-        # of order |loss|*1e-16/(2*eps) per entry, which would otherwise
-        # dominate the ratio exactly where both sides agree the gradient
-        # vanishes.
-        denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-5)
-        worst = max(worst, float(np.linalg.norm(fd - analytic) / denom))
+        for i, name in enumerate(GRAD_LOSSES):
+            if on_moe or name not in _MOE_ONLY:
+                worst[name] = max(worst[name], _rel_err(fd[..., i], analytic[i][j]))
     return worst
 
 
@@ -246,15 +242,14 @@ def grad_check_report(*, seed: int = 0, instances: int = 20,
                    for feats, labels, _ in batches):
             skipped += 1
             continue
-        builders = _builders(moe, decoder, batches, ts, weights)
         try:
-            for name, (build, params) in builders.items():
-                err = _max_rel_err(build, params, eps)
-                worst[name] = max(worst[name], err)
+            errors = _instance_errors(moe, decoder, batches, ts, weights, eps)
         except ValueError:
             # e.g. a draw where some language carries no in-group mass at all
             skipped += 1
             continue
+        for name in GRAD_LOSSES:
+            worst[name] = max(worst[name], errors[name])
         accepted += 1
 
     losses = {

@@ -15,6 +15,7 @@ checkpoint reproduces the remaining stages bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -58,6 +59,7 @@ from .world import (
 )
 
 __all__ = [
+    "NonFiniteLossError",
     "StagePlan",
     "TrainState",
     "DatasetBundle",
@@ -76,6 +78,20 @@ __all__ = [
 ]
 
 _TASK_CODE = {TASK_ASR: 0, TASK_ST: 1, TASK_CS_ST: 2}
+
+
+class NonFiniteLossError(FloatingPointError):
+    """A training step produced an infinite or NaN loss value."""
+
+
+def _finite_row(row: dict) -> dict:
+    """``row`` itself, once every loss value in it is finite."""
+    for name, value in row.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteLossError(
+                f"stage {row['stage']} step {row['step']}: {name} is {value}"
+            )
+    return row
 
 
 @dataclass(frozen=True)
@@ -333,15 +349,15 @@ def _train_ce_stage(projector, dataset, plan, config, stream, *, language=None):
             ce = cross_entropy(logits, targets)
             aux = _aux_terms(plan, trace, group_of)
             bundle = _compose(plan, ce=ce, aux=aux)
-            backward(bundle.total)
-        opt.step()
         row = {"stage": plan.stage_id, "step": b, "ce": ce.item(),
                "total": bundle.total.item()}
         if language is not None:
             row["language"] = language
         for name, term in aux.items():
             row[name] = term.item()
-        rows.append(row)
+        rows.append(_finite_row(row))
+        backward(bundle.total)
+        opt.step()
     return decoder, rows
 
 
@@ -448,8 +464,6 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
                 trans = transition_loss(ce_src, ce_tgt, ts)
                 aux = _aux_terms(plan, trace, group_of)
                 bundle = _compose(plan, transition=trans, aux=aux)
-                backward(bundle.total)
-            opt.step()
             row = {"stage": stage, "step": b, "lam": ts.lam,
                    "ce_source": ce_src.item(), "ce_target": ce_tgt.item(),
                    "transition": trans.item(), "total": bundle.total.item()}
@@ -461,14 +475,14 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
                 ce = cross_entropy(logits, targets)
                 aux = _aux_terms(plan, trace, group_of)
                 bundle = _compose(plan, transition=ce, aux=aux)
-                backward(bundle.total)
-            opt.step()
             row = {"stage": stage, "step": b, "lam": ts.lam,
                    "task": plan.target_task if use_target else plan.source_task,
                    "transition": ce.item(), "total": bundle.total.item()}
         for name, term in aux.items():
             row[name] = term.item()
-        state.metrics.append(row)
+        state.metrics.append(_finite_row(row))
+        backward(bundle.total)
+        opt.step()
     state.stage = stage
     return state
 

@@ -5,7 +5,9 @@ softmax/cross-entropy, the per-expert col/scale_rows/add chain that ``mix``
 fuses, and central finite differences.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -229,6 +231,41 @@ def test_fd_gradient_rejects_nonfinite_evaluation():
 
     with pytest.raises(ValueError):
         fd_gradient(lambda t: Tensor(float("nan")), Tensor([1.0]), eps=1e-5)
+
+
+def _vector_f(t):
+    # three components of different form, returned as one vector
+    x = t.data.reshape(-1)
+    return np.array([float((x * x).sum()), float(np.sin(x).sum()), float(x[0] * x[-1])])
+
+
+def test_fd_gradient_vector_columns_equal_scalar_sweeps_bit_for_bit():
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3)))
+    jac = fd_gradient(_vector_f, x, eps=1e-5)
+    assert jac.shape == (2, 3, 3)
+    for i in range(3):
+        col = fd_gradient(lambda t, i=i: float(_vector_f(t)[i]), x, eps=1e-5)
+        assert col.shape == (2, 3)
+        assert np.array_equal(jac.data[..., i], col.data)
+
+
+def test_fd_gradient_scalar_tensor_result_keeps_input_shape():
+    # tsum's output has shape (1,): a Tensor result is a scalar whatever its ndim
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    fd = fd_gradient(lambda t: tsum(mul(t, t)), x, eps=1e-5)
+    assert fd.shape == (2, 2)
+    assert_allclose(fd.data, 2.0 * x.data, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_fd_gradient_vector_rejects_any_nonfinite_component(bad):
+    def f(t):
+        v = _vector_f(t)
+        v[bad] = np.nan
+        return v
+
+    with pytest.raises(ValueError, match="non-finite"):
+        fd_gradient(f, Tensor([1.0, 2.0]), eps=1e-5)
 
 
 def test_cross_entropy_backward_matches_fd():
@@ -461,3 +498,26 @@ def test_forward_values_finite_on_finite_inputs():
         z = rng.normal(scale=50.0, size=6)
         assert np.isfinite(softmax(Tensor(z)).data).all()
         assert np.isfinite(cross_entropy(Tensor(z[None, :]), [0]).data).all()
+
+
+def test_finished_tape_is_freed_by_refcount():
+    # Op nodes hold no tensor, so a finished step's tape is not in a reference
+    # cycle: it dies as soon as its loss and outputs are dropped and the
+    # parameters register on the next step's tape, with no cyclic GC.
+    w = Parameter("w", Tensor(np.random.default_rng(2).normal(size=(3, 2))))
+    x = Tensor(np.ones((4, 3)))
+    opt = Adam([w], lr=1e-2)
+    tapes = []
+    gc.disable()
+    try:
+        for _ in range(3):
+            opt.zero_grad()
+            with Tape() as tape:
+                loss = tsum(relu(matmul(x, w.value)))
+                backward(loss)
+            opt.step()
+            tapes.append(weakref.ref(tape))
+            del tape, loss
+        assert [t() is None for t in tapes] == [True, True, False]
+    finally:
+        gc.enable()

@@ -170,6 +170,21 @@ def test_train_resume_refuses_other_config(tmp_path, cfg_path, capsys):
     assert "train_seed" in capsys.readouterr().err
 
 
+def test_train_non_finite_loss_exits_3_and_writes_no_checkpoint(
+        tmp_path, cfg_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    main(["gen-data", "--config", cfg_path, "--out", str(out)])
+    real_ce = csmoe.stages.cross_entropy
+    monkeypatch.setattr(csmoe.stages, "cross_entropy",
+                        lambda logits, targets: real_ce(logits, targets) * np.inf)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 1" in err and "step 1" in err and "ce" in err, err
+    assert not (out / "checkpoints").exists()
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_train_variant_flag_reaches_config(tmp_path, cfg_path):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])

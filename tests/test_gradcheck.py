@@ -3,15 +3,28 @@
 Oracles: the report covers every loss composition, a clean run passes at the
 default tolerance, the harness is deterministic, and a deliberately corrupted
 backward rule is caught (sensitivity check — a harness that cannot fail
-verifies nothing).
+verifies nothing). The shared sweep must reproduce, float for float, a
+per-loss sweep that builds each loss on its own tape and perturbs each
+coordinate once per loss.
 """
 
 import numpy as np
 import pytest
 
 import csmoe.autodiff as ad
+import csmoe.gradcheck as gradcheck
 import csmoe.losses
+from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, take
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
+from csmoe.losses import (
+    compose_stage_loss,
+    conventional_balance_loss,
+    intra_group_balance_loss,
+    language_specific_loss,
+    transition_loss,
+)
+from csmoe.projector import moe_forward
+from csmoe.world import decode
 
 
 EXPECTED = {
@@ -66,3 +79,155 @@ def test_rejects_bad_arguments():
         grad_check_report(eps=0.0)
     with pytest.raises(ValueError):
         grad_check_report(tol=0.0)
+
+
+# ------------------------------------------------- per-loss sweep (oracle)
+
+
+def _oracle_builders(moe, decoder, batches, ts, weights):
+    """One closure per loss, each running its own MoE forwards."""
+    (f1, l1, t1), (f2, l2, t2) = batches
+    g_of = moe.group_of
+    lang_w, bal_w = weights
+
+    def fwd(feats, labels):
+        return moe_forward(moe, Tensor(feats), labels)
+
+    def ce_of(feats, labels, targets):
+        h, trace = fwd(feats, labels)
+        return cross_entropy(decode(decoder, h), targets), trace
+
+    def b_stage2():
+        ce, trace = ce_of(f1, l1, t1)
+        return compose_stage_loss(
+            2, ce=ce, lang=language_specific_loss(trace, None, g_of),
+            balance=intra_group_balance_loss(trace, g_of),
+            lang_weight=lang_w, balance_weight=bal_w,
+        ).total
+
+    def mixed():
+        feats = np.concatenate([f1, f2], axis=0)
+        h, trace = fwd(feats, np.concatenate([l1, l2]))
+        logits = decode(decoder, h)
+        n_src = f1.shape[0]
+        ce_src = cross_entropy(take(logits, np.arange(n_src)), t1)
+        ce_tgt = cross_entropy(take(logits, np.arange(n_src, feats.shape[0])), t2)
+        return transition_loss(ce_src, ce_tgt, ts), trace
+
+    def b_stage3():
+        trans, trace = mixed()
+        return compose_stage_loss(
+            3, transition=trans, lang=language_specific_loss(trace, None, g_of),
+            balance=intra_group_balance_loss(trace, g_of),
+            lang_weight=lang_w, balance_weight=bal_w,
+        ).total
+
+    moe_params = moe.parameters()
+    all_params = moe_params + decoder.parameters()
+    return {
+        "ce": (lambda: ce_of(f1, l1, t1)[0], all_params),
+        "lang": (lambda: language_specific_loss(fwd(f1, l1)[1], None, g_of), moe_params),
+        "balance": (lambda: intra_group_balance_loss(fwd(f1, l1)[1], g_of), moe_params),
+        "conventional": (lambda: conventional_balance_loss(fwd(f1, l1)[1]), moe_params),
+        "transition": (lambda: transition_loss(ce_of(f1, l1, t1)[0],
+                                               ce_of(f2, l2, t2)[0], ts), all_params),
+        "stage2_total": (b_stage2, all_params),
+        "stage3_total": (b_stage3, all_params),
+        "stage4_total": (lambda: compose_stage_loss(4, transition=mixed()[0]).total,
+                         all_params),
+    }
+
+
+def _oracle_max_rel_err(build_loss, params, eps):
+    for p in params:
+        p.zero_grad()
+    with Tape():
+        backward(build_loss())
+    worst = 0.0
+    for p in params:
+        analytic = p.grad.copy()
+
+        def f(t, _p=p):
+            old = _p.value.data.copy()
+            _p.value.data[...] = t.data
+            try:
+                return build_loss()
+            finally:
+                _p.value.data[...] = old
+
+        fd = fd_gradient(f, Tensor(p.value.data.copy()), eps=eps).data
+        denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-5)
+        worst = max(worst, float(np.linalg.norm(fd - analytic) / denom))
+    return worst
+
+
+def _oracle_instance_errors(moe, decoder, batches, ts, weights, eps):
+    builders = _oracle_builders(moe, decoder, batches, ts, weights)
+    return {name: _oracle_max_rel_err(build, params, eps)
+            for name, (build, params) in builders.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_shared_sweep_equals_per_loss_sweep_exactly(seed, monkeypatch):
+    shared = grad_check_report(seed=seed, instances=2)
+    monkeypatch.setattr(gradcheck, "_instance_errors", _oracle_instance_errors)
+    oracle = grad_check_report(seed=seed, instances=2)
+    assert shared == oracle  # floats compared exactly
+
+
+def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
+    calls = []
+    real = gradcheck.moe_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "moe_forward", counted)
+    instances = 2
+    grad_check_report(seed=0, instances=instances)
+    moe = gradcheck._make_instance(0, 0)[0]
+    moe_coords = sum(p.value.data.size for p in moe.parameters())  # 140
+    assert len(calls) <= instances * 3 * (2 * moe_coords + 2)
+
+
+def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
+    # The first candidate whose losses run gets a corrupted log rule (breaks
+    # lang) and a conventional balance that raises ValueError: it must count as
+    # skipped, and none of its errors may reach the report. Losing that
+    # instance, the run walks the candidates of a clean run one instance longer.
+    base = grad_check_report(seed=0, instances=3)
+    state = {"current": None, "bad": None}
+    real_make = gradcheck._make_instance
+    real_log = csmoe.losses.log
+    real_conventional = gradcheck.conventional_balance_loss
+
+    def make(seed, candidate):
+        state["current"] = candidate
+        return real_make(seed, candidate)
+
+    def on_bad_candidate():
+        if state["bad"] is None:
+            state["bad"] = state["current"]
+        return state["current"] == state["bad"]
+
+    def crooked_log(x):
+        if not on_bad_candidate():
+            return real_log(x)
+        x = ad._coerce(x)
+        out = ad.Tensor(np.log(x.data))
+        xd = x.data
+        return ad._record(out, (x,), lambda g: (g / xd * 1.5,))
+
+    def raising_conventional(trace, **kwargs):
+        if on_bad_candidate():
+            raise ValueError("conventional balance undefined on this draw")
+        return real_conventional(trace, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "_make_instance", make)
+    monkeypatch.setattr(csmoe.losses, "log", crooked_log)
+    monkeypatch.setattr(gradcheck, "conventional_balance_loss", raising_conventional)
+    report = grad_check_report(seed=0, instances=2)
+    assert state["bad"] is not None
+    assert report["pass"] is True, report["losses"]
+    assert report["skipped_candidates"] == base["skipped_candidates"] + 1
