@@ -79,10 +79,16 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of forward operations; parents always precede children."""
+    """Ordered record of forward operations; parents always precede children.
+
+    Op outputs carry their tape and node id. Leaves are looked up by identity
+    in the tape's own table and carry nothing, so a parameter never refers
+    back to a tape: a finished tape is freed by refcount alone.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._leaves: dict[int, int] = {}  # id(leaf tensor) -> node id
         self._outer: "Tape | None" = None
 
     def __enter__(self) -> "Tape":
@@ -96,12 +102,14 @@ class Tape:
         _ACTIVE_TAPE = self._outer
         return False
 
-    def _leaf_id(self, t: Tensor) -> int:
-        if t._tape is not self:
-            t._tape = self
-            t.node_id = len(self.nodes)
+    def _node_id(self, t: Tensor) -> int:
+        if t._tape is self:
+            return t.node_id
+        nid = self._leaves.get(id(t))
+        if nid is None:  # the leaf node holds t, so its id stays unique
+            nid = self._leaves[id(t)] = len(self.nodes)
             self.nodes.append(_Node((), None, t))
-        return t.node_id
+        return nid
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -109,7 +117,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is None or not out.requires_grad:
         return out
-    pids = tuple(tape._leaf_id(p) if p.requires_grad else None for p in parents)
+    pids = tuple(tape._node_id(p) if p.requires_grad else None for p in parents)
     out._tape = tape
     out.node_id = len(tape.nodes)
     # Op nodes keep no tensor: backward writes grads into leaves only, and a
@@ -479,7 +487,14 @@ def fd_gradient(f: Callable[[Tensor], "Tensor | float | np.ndarray"], x: Tensor,
 
 
 class Adam:
-    """Adam with bias correction; one moment pair per parameter."""
+    """Adam with bias correction over one flat parameter arena.
+
+    The constructor copies the parameters' values and gradients, in the
+    given order, into two contiguous float64 buffers and rebinds each
+    ``value.data`` and ``.grad`` as a view into them. ``step`` and
+    ``zero_grad`` are then one pass each over the arena, with the same
+    per-element operations a loop over the parameters would apply.
+    """
 
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = list(params)
@@ -487,21 +502,43 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.value.data) for p in self.params]
-        self._v = [np.zeros_like(p.value.data) for p in self.params]
+        seen = set()
+        for p in self.params:
+            if id(p.value) in seen:  # two views of one slot would drop an update
+                raise ValueError(f"parameter {p.name!r} is listed twice")
+            seen.add(id(p.value))
+        size = sum(p.value.data.size for p in self.params)
+        self._value = np.empty(size)
+        self._grad = np.empty(size)
+        start = 0
+        for p in self.params:
+            t = p.value
+            end = start + t.data.size
+            value, grad = self._value[start:end], self._grad[start:end]
+            value[...] = t.data.reshape(-1)
+            grad[...] = t.grad.reshape(-1)
+            t.data, t.grad = value.reshape(t.data.shape), grad.reshape(t.data.shape)
+            start = end
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        # scratch for the update: fresh arena-sized temporaries are mapped
+        # and page-faulted in again on every step
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g, m, v, a, b = self._grad, self._m, self._v, self._a, self._b
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+        # value -= lr·(m / c1) / (√(v / c2) + ε)
+        update = np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
+        denom = np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+        self._value -= np.divide(update, denom, out=a)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._grad[...] = 0.0

@@ -217,9 +217,11 @@ def cmd_train(args) -> int:
     def checkpoint_cb(stage, model):
         save_checkpoint(out / "checkpoints" / f"stage{stage}", config, stage, model)
 
-    result = run_pipeline(config, bundle, stages=stages, initial=initial,
-                          probe=probe, checkpoint_cb=checkpoint_cb)
-    append_metrics(out / "metrics.jsonl", result.metrics)
+    def metrics_cb(rows):  # streamed, so a run that fails late keeps its rows
+        append_metrics(out / "metrics.jsonl", rows)
+
+    run_pipeline(config, bundle, stages=stages, initial=initial,
+                 probe=probe, checkpoint_cb=checkpoint_cb, metrics_cb=metrics_cb)
     _write_effective_config(out, config)
     print(f"ran stages {','.join(str(s) for s in stages)} "
           f"(variant {config.variant}); metrics in {out / 'metrics.jsonl'}")

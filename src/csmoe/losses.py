@@ -16,6 +16,13 @@ All losses are sums (not means) over tokens and layers unless the
 ``normalize`` flag is set, and all are differentiable through the routing
 probabilities: assignment counts are treated as constants (gradients flow
 only through the probability factors).
+
+Each routing loss records one tape node whose parents are the layers'
+``probs``. Its forward evaluates the numpy expressions of the op-by-op
+chain (mul, sub, log, tsum, matmul, div, add) in the same order, and its
+hand-written backward repeats that chain's backward arithmetic, so values
+and gradients are bit-identical to it. The backward closures hold numpy
+arrays only, never a tensor or the trace.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, add, div, log, matmul, mul, sub, tsum
+from .autodiff import Tensor, _record, add, mul
 from .projector import CS_UNLABELED, RoutingTrace
 
 __all__ = [
@@ -92,6 +99,16 @@ def _in_group_wins(probs: np.ndarray, labels: np.ndarray, group_of: np.ndarray,
     return wins
 
 
+def _lang_backward(g: np.ndarray, ones_minus: list, out_mask: np.ndarray) -> tuple:
+    """Per-layer ∂(lang)/∂probs for upstream ``g``: −(g·−1 / (1 − p⊙mask))⊙mask.
+
+    ``ones_minus`` holds each layer's 1 − p⊙mask; the operations are those
+    of the mul → sub → log → tsum → scale chain this op stands for.
+    """
+    gs = g * -1.0
+    return tuple(-(gs / x) * out_mask for x in ones_minus)
+
+
 def language_specific_loss(
     trace: RoutingTrace,
     lang: Optional[int],
@@ -112,17 +129,28 @@ def language_specific_loss(
     labels = _resolve_labels(trace, lang, m)
     # out_mask[t, i] = 1.0 when expert i is outside token t's language group
     out_mask = (group_of[None, :] != labels[:, None]).astype(float)
-    total: Optional[Tensor] = None
+    num_tokens = float(trace.num_tokens)
+    ones_minus = []
+    total = None
     for layer in trace.layers:
         # p ⊙ mask zeroes in-group entries, so log(1 - ·) is 0 there and the
         # sum reduces to the out-group terms without a second masking pass.
-        masked = mul(layer.probs, Tensor(out_mask))
-        term = mul(tsum(log(sub(1.0, masked))), -1.0)
-        total = term if total is None else add(total, term)
+        x = 1.0 - layer.probs.data * out_mask
+        if not (x > 0.0).all():
+            raise ValueError("log requires strictly positive input")
+        ones_minus.append(x)
+        term = np.log(x).sum() * -1.0
+        total = term if total is None else total + term
     assert total is not None
     if normalize:
-        total = div(total, float(trace.num_tokens))
-    return total
+        total = total / num_tokens
+
+    def bw(g):
+        if normalize:
+            g = g / num_tokens
+        return _lang_backward(g, ones_minus, out_mask)
+
+    return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
 
 
 def intra_group_balance_loss(
@@ -147,31 +175,61 @@ def intra_group_balance_loss(
     group_of, m, n = _group_layout(group_of)
     labels = _resolve_labels(trace, lang, m)
     num_experts = group_of.size
-    total: Optional[Tensor] = None
+    scale = float(m * trace.num_layers)
+    cells = []  # per layer: [(sel_row, f_row, gmask_row, numer, denom)] in j order
+    total = None
     for layer in trace.layers:
-        wins = _in_group_wins(layer.probs.data, labels, group_of, m, n)
+        probs = layer.probs.data
+        wins = _in_group_wins(probs, labels, group_of, m, n)
+        layer_cells = []
         for j in range(m):
             if wins[j].sum() == 0:
                 continue
             gmask = group_of == j
             # f: constant assignment fractions from in-group argmax
             f = wins[j] / wins[j].sum()
-            # P: differentiable language-mean probabilities renormalized over
-            # the group — built from column sums so gradients reach the
-            # denominator too
-            sel_row = Tensor((labels == j).astype(float)[None, :])  # [1 × T]
-            colsums = matmul(sel_row, layer.probs)  # [1 × N]
+            # P: language-mean probabilities renormalized over the group,
+            # from column sums so gradients reach the denominator too
+            sel_row = (labels == j).astype(float)[None, :]  # [1 × T]
+            colsums = sel_row @ probs  # [1 × N]
             f_row = np.zeros(num_experts)
             f_row[gmask] = f
-            numer = tsum(mul(colsums, Tensor(f_row[None, :])))
-            denom = tsum(mul(colsums, Tensor(gmask.astype(float)[None, :])))
-            term = div(numer, denom)
-            total = term if total is None else add(total, term)
+            f_row = f_row[None, :]
+            gmask_row = gmask.astype(float)[None, :]
+            numer = (colsums * f_row).sum()
+            denom = (colsums * gmask_row).sum()
+            term = numer / denom
+            total = term if total is None else total + term
+            layer_cells.append((sel_row, f_row, gmask_row, numer, denom))
+        cells.append(layer_cells)
     if total is None:
         raise ValueError("no token carries in-group probability mass; balance undefined")
     if normalize:
-        total = div(total, float(m * trace.num_layers))
-    return total
+        total = total / scale
+
+    def bw(g):
+        if normalize:
+            g = g / scale
+        grads = []
+        # each cell the div → tsum → mul → matmul chain, summed in the order
+        # the tape visits them (descending j); a cell's rows are its own
+        # language's tokens, so the sum is exact in any order
+        for layer_cells in cells:
+            acc = None
+            for sel_row, f_row, gmask_row, numer, denom in reversed(layer_cells):
+                g_numer = g / denom
+                g_denom = -g * numer / (denom * denom)
+                g_cols = g_denom * gmask_row
+                g_cols += g_numer * f_row
+                cell = sel_row.T @ g_cols
+                if acc is None:
+                    acc = cell
+                else:
+                    acc += cell
+            grads.append(acc)
+        return tuple(grads)
+
+    return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
 
 
 def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
@@ -182,21 +240,30 @@ def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -
     (differentiable). Each layer contributes ``sum_i f'_i * P'_i``; layers are
     summed. Language labels and grouping play no role.
     """
-    total: Optional[Tensor] = None
+    num_layers = float(trace.num_layers)
+    rows = []  # per layer: (ones_row, f_row)
+    total = None
     for layer in trace.layers:
         pdata = layer.probs.data
         num_tokens, num_experts = pdata.shape
         winners = pdata.argmax(axis=1)
         counts = np.bincount(winners, minlength=num_experts).astype(float)
-        f = counts / num_tokens
-        ones_row = Tensor(np.full((1, num_tokens), 1.0 / num_tokens))
-        colmeans = matmul(ones_row, layer.probs)  # [1 × N]
-        term = tsum(mul(colmeans, Tensor(f[None, :])))
-        total = term if total is None else add(total, term)
+        f_row = (counts / num_tokens)[None, :]
+        ones_row = np.full((1, num_tokens), 1.0 / num_tokens)
+        colmeans = ones_row @ pdata  # [1 × N]
+        term = (colmeans * f_row).sum()
+        total = term if total is None else total + term
+        rows.append((ones_row, f_row))
     assert total is not None
     if normalize:
-        total = div(total, float(trace.num_layers))
-    return total
+        total = total / num_layers
+
+    def bw(g):
+        if normalize:
+            g = g / num_layers
+        return tuple(ones_row.T @ (g * f_row) for ones_row, f_row in rows)
+
+    return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
 
 
 @dataclass(frozen=True)

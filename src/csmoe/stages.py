@@ -573,6 +573,7 @@ def run_pipeline(
     initial=None,
     probe: Optional[Callable] = None,
     checkpoint_cb: Optional[Callable] = None,
+    metrics_cb: Optional[Callable] = None,
 ) -> PipelineResult:
     """Run the staged curriculum for the config's variant.
 
@@ -580,9 +581,10 @@ def run_pipeline(
     stage 1 requires ``initial`` — the stage-1 projector list when resuming
     at stage 2 under the grouped variants, otherwise the previous stage's
     TrainState. After each stage, ``probe(model, stage)`` may contribute a
-    metrics row and ``checkpoint_cb(stage, model)`` may persist the model;
-    ``model`` is the projector list after stage 1 of a grouped run and the
-    TrainState everywhere else.
+    metrics row, ``checkpoint_cb(stage, model)`` may persist the model, and
+    then ``metrics_cb(rows)`` receives the stage's metric rows (its probe row
+    last); ``model`` is the projector list after stage 1 of a grouped run and
+    the TrainState everywhere else.
 
     Variants: ``no-moe`` keeps one shared MLP throughout — ``run_stage1`` and
     ``run_stage2`` never build the mixture and spend the same batch budget
@@ -613,13 +615,16 @@ def run_pipeline(
             else:
                 model = run_stage4(model, bundle.st_train, bundle.cs_train, plan4, seed)
             rows = model.metrics[done:]
-        metrics.extend(rows)
+        rows = list(rows)
         if probe is not None:
             probe_row = probe(model, stage)
             if probe_row:
-                metrics.append({"stage": stage, "probe": dict(probe_row)})
+                rows.append({"stage": stage, "probe": dict(probe_row)})
+        metrics.extend(rows)
         if checkpoint_cb is not None:
             checkpoint_cb(stage, model)
+        if metrics_cb is not None:
+            metrics_cb(rows)
     state = model if isinstance(model, TrainState) else None
     return PipelineResult(state=state, metrics=metrics, variant=config.variant,
                           world=world)

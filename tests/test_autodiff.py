@@ -477,6 +477,51 @@ def test_adam_deterministic_across_runs():
     assert np.array_equal(a, b)
 
 
+def _looped_adam_steps(params, grads_per_step, lr, betas=(0.9, 0.999), eps=1e-8):
+    """Oracle: Adam as a loop over the parameters, one moment pair each."""
+    b1, b2 = betas
+    values = [p.value.data.copy() for p in params]
+    ms = [np.zeros_like(v) for v in values]
+    vs = [np.zeros_like(v) for v in values]
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for value, m, v, g in zip(values, ms, vs, grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return values
+
+
+def test_adam_arena_equals_per_parameter_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    shapes = [(3, 4), (4,), (), (2, 2, 3)]
+    params = [Parameter(f"p{i}", Tensor(rng.normal(size=s))) for i, s in enumerate(shapes)]
+    params[1].grad[...] = 5.0  # a gradient pending before the optimizer exists
+    grads_per_step = [[rng.normal(size=s) for s in shapes] for _ in range(6)]
+    expected = _looped_adam_steps(params, grads_per_step, lr=1e-2)
+    opt = Adam(params, lr=1e-2)
+    assert params[1].grad.tolist() == [5.0] * 4
+    for grads in grads_per_step:
+        opt.zero_grad()
+        assert all(not p.grad.any() for p in params)
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        opt.step()
+    for p, want in zip(params, expected):
+        assert p.value.data.shape == want.shape
+        assert p.value.data.flags.c_contiguous
+        assert np.array_equal(p.value.data, want), p.name
+
+
+def test_adam_rejects_a_parameter_listed_twice():
+    w = Parameter("w", Tensor(np.ones((2, 2))))
+    b = Parameter("b", Tensor(np.ones(2)))
+    with pytest.raises(ValueError, match="'w'"):
+        Adam([w, b, w])
+
+
 def test_parameter_zero_grad():
     p = Parameter("w", Tensor([1.0, 2.0]))
     p.grad[:] = 5.0
@@ -501,9 +546,9 @@ def test_forward_values_finite_on_finite_inputs():
 
 
 def test_finished_tape_is_freed_by_refcount():
-    # Op nodes hold no tensor, so a finished step's tape is not in a reference
-    # cycle: it dies as soon as its loss and outputs are dropped and the
-    # parameters register on the next step's tape, with no cyclic GC.
+    # Op nodes hold no tensor and leaves carry no tape, so a finished step's
+    # tape is not in a reference cycle: it dies as soon as its loss and
+    # outputs are dropped, with no cyclic GC; the last step's tape too.
     w = Parameter("w", Tensor(np.random.default_rng(2).normal(size=(3, 2))))
     x = Tensor(np.ones((4, 3)))
     opt = Adam([w], lr=1e-2)
@@ -518,6 +563,6 @@ def test_finished_tape_is_freed_by_refcount():
             opt.step()
             tapes.append(weakref.ref(tape))
             del tape, loss
-        assert [t() is None for t in tapes] == [True, True, False]
+        assert [t() is None for t in tapes] == [True, True, True]
     finally:
         gc.enable()

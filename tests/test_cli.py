@@ -185,6 +185,30 @@ def test_train_non_finite_loss_exits_3_and_writes_no_checkpoint(
     assert not (out / "metrics.jsonl").exists()
 
 
+def test_train_non_finite_loss_in_stage3_keeps_stage_1_2_rows_and_checkpoints(
+        tmp_path, cfg_path, monkeypatch, capsys):
+    full = tmp_path / "full"
+    main(["gen-data", "--config", cfg_path, "--out", str(full)])
+    assert main(["train", "--config", cfg_path, "--out", str(full)]) == 0
+    full_lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
+    out = tmp_path / "out"
+    main(["gen-data", "--config", cfg_path, "--out", str(out)])
+    real_transition = csmoe.stages.transition_loss
+    monkeypatch.setattr(csmoe.stages, "transition_loss",
+                        lambda *args: real_transition(*args) * np.inf)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 3" in err and "step 1" in err and "transition" in err, err
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["stage1", "stage2"]
+    lines = (out / "metrics.jsonl").read_text().splitlines(keepends=True)
+    stages_seen = [json.loads(line)["stage"] for line in lines]
+    assert sorted(set(stages_seen)) == [1, 2]
+    assert any("probe" in json.loads(line) for line in lines)
+    assert lines == full_lines[:len(lines)]
+    assert json.loads(full_lines[len(lines)])["stage"] == 3
+
+
 def test_train_variant_flag_reaches_config(tmp_path, cfg_path):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])

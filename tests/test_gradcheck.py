@@ -11,7 +11,6 @@ coordinate once per loss.
 import numpy as np
 import pytest
 
-import csmoe.autodiff as ad
 import csmoe.gradcheck as gradcheck
 import csmoe.losses
 from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, take
@@ -54,16 +53,13 @@ def test_deterministic():
 
 
 def test_corrupted_backward_is_caught(monkeypatch):
-    def crooked_log(x):
-        x = ad._coerce(x)
-        out = ad.Tensor(np.log(x.data))
+    real_lang_backward = csmoe.losses._lang_backward
 
-        def bw(g):
-            return (g / x.data * 1.5,)  # wrong by a factor of 1.5
+    def crooked_lang_backward(*args):
+        # wrong by a factor of 1.5
+        return tuple(g * 1.5 for g in real_lang_backward(*args))
 
-        return ad._record(out, (x,), bw)
-
-    monkeypatch.setattr(csmoe.losses, "log", crooked_log)
+    monkeypatch.setattr(csmoe.losses, "_lang_backward", crooked_lang_backward)
     report = grad_check_report(seed=0, instances=3)
     assert report["pass"] is False
     assert not report["losses"]["lang"]["pass"]
@@ -192,14 +188,15 @@ def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
 
 
 def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
-    # The first candidate whose losses run gets a corrupted log rule (breaks
-    # lang) and a conventional balance that raises ValueError: it must count as
-    # skipped, and none of its errors may reach the report. Losing that
-    # instance, the run walks the candidates of a clean run one instance longer.
+    # The first candidate whose losses run gets a corrupted lang backward (breaks
+    # lang) and a conventional balance that raises ValueError once the sweep has
+    # finished the first parameter: it must count as skipped, and none of its
+    # errors may reach the report. Losing that instance, the run walks the
+    # candidates of a clean run one instance longer.
     base = grad_check_report(seed=0, instances=3)
-    state = {"current": None, "bad": None}
+    state = {"current": None, "bad": None, "conventional_calls": 0, "corrupted": False}
     real_make = gradcheck._make_instance
-    real_log = csmoe.losses.log
+    real_lang_backward = csmoe.losses._lang_backward
     real_conventional = gradcheck.conventional_balance_loss
 
     def make(seed, candidate):
@@ -211,23 +208,26 @@ def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
             state["bad"] = state["current"]
         return state["current"] == state["bad"]
 
-    def crooked_log(x):
+    def crooked_lang_backward(*args):
+        grads = real_lang_backward(*args)
         if not on_bad_candidate():
-            return real_log(x)
-        x = ad._coerce(x)
-        out = ad.Tensor(np.log(x.data))
-        xd = x.data
-        return ad._record(out, (x,), lambda g: (g / xd * 1.5,))
+            return grads
+        state["corrupted"] = True
+        return tuple(g * 1.5 for g in grads)
 
     def raising_conventional(trace, **kwargs):
         if on_bad_candidate():
-            raise ValueError("conventional balance undefined on this draw")
+            state["conventional_calls"] += 1
+            # one unperturbed call, then two per coordinate of the first
+            # parameter (a [d_in × d_model] expert); the next call raises
+            if state["conventional_calls"] > 1 + 2 * gradcheck._D_IN * gradcheck._D_MODEL:
+                raise ValueError("conventional balance undefined on this draw")
         return real_conventional(trace, **kwargs)
 
     monkeypatch.setattr(gradcheck, "_make_instance", make)
-    monkeypatch.setattr(csmoe.losses, "log", crooked_log)
+    monkeypatch.setattr(csmoe.losses, "_lang_backward", crooked_lang_backward)
     monkeypatch.setattr(gradcheck, "conventional_balance_loss", raising_conventional)
     report = grad_check_report(seed=0, instances=2)
-    assert state["bad"] is not None
+    assert state["bad"] is not None and state["corrupted"]
     assert report["pass"] is True, report["losses"]
     assert report["skipped_candidates"] == base["skipped_candidates"] + 1

@@ -11,10 +11,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csmoe.autodiff import Parameter, Tape, Tensor, backward, fd_gradient
+from csmoe import stages
+from csmoe.autodiff import (
+    Parameter,
+    Tape,
+    Tensor,
+    add,
+    backward,
+    cross_entropy,
+    div,
+    fd_gradient,
+    log,
+    matmul,
+    mul,
+    sub,
+    take,
+    tsum,
+)
 from csmoe.losses import (
     LossBundle,
     TransitionState,
+    _group_layout,
+    _in_group_wins,
+    _resolve_labels,
     compose_stage_loss,
     conventional_balance_loss,
     intra_group_balance_loss,
@@ -30,6 +49,7 @@ from csmoe.projector import (
     init_mlp,
     moe_forward,
 )
+from csmoe.world import init_decoder
 
 
 def make_trace(prob_rows_per_layer, labels=None):
@@ -418,3 +438,173 @@ def test_balance_losses_gradient_through_router(seed):
             p.zero_grad()
         for p in moe.parameters():
             p.zero_grad()
+
+
+# ------------------------------------- fused routing losses vs the tape chain
+# Each routing loss is one tape node with a hand-written backward. The
+# op-by-op tape chains below are what those nodes replace; the fused ops must
+# reproduce their values and every parameter gradient bit for bit.
+
+
+def chain_language_specific_loss(trace, lang, group_of, *, normalize=False):
+    group_of, m, _ = _group_layout(group_of)
+    labels = _resolve_labels(trace, lang, m)
+    out_mask = (group_of[None, :] != labels[:, None]).astype(float)
+    total = None
+    for layer in trace.layers:
+        masked = mul(layer.probs, Tensor(out_mask))
+        term = mul(tsum(log(sub(1.0, masked))), -1.0)
+        total = term if total is None else add(total, term)
+    if normalize:
+        total = div(total, float(trace.num_tokens))
+    return total
+
+
+def chain_intra_group_balance_loss(trace, group_of, *, lang=None, normalize=False):
+    group_of, m, n = _group_layout(group_of)
+    labels = _resolve_labels(trace, lang, m)
+    total = None
+    for layer in trace.layers:
+        wins = _in_group_wins(layer.probs.data, labels, group_of, m, n)
+        for j in range(m):
+            if wins[j].sum() == 0:
+                continue
+            gmask = group_of == j
+            sel_row = Tensor((labels == j).astype(float)[None, :])
+            colsums = matmul(sel_row, layer.probs)
+            f_row = np.zeros(group_of.size)
+            f_row[gmask] = wins[j] / wins[j].sum()
+            numer = tsum(mul(colsums, Tensor(f_row[None, :])))
+            denom = tsum(mul(colsums, Tensor(gmask.astype(float)[None, :])))
+            term = div(numer, denom)
+            total = term if total is None else add(total, term)
+    if total is None:
+        raise ValueError("no token carries in-group probability mass; balance undefined")
+    if normalize:
+        total = div(total, float(m * trace.num_layers))
+    return total
+
+
+def chain_conventional_balance_loss(trace, *, normalize=False):
+    total = None
+    for layer in trace.layers:
+        num_tokens, num_experts = layer.probs.shape
+        counts = np.bincount(layer.probs.data.argmax(axis=1), minlength=num_experts)
+        f = counts.astype(float) / num_tokens
+        ones_row = Tensor(np.full((1, num_tokens), 1.0 / num_tokens))
+        term = tsum(mul(matmul(ones_row, layer.probs), Tensor(f[None, :])))
+        total = term if total is None else add(total, term)
+    if normalize:
+        total = div(total, float(trace.num_layers))
+    return total
+
+
+def fused_setup(seed, m, absent):
+    """An m × 3-expert top-2 MoE, a decoder and two 12-token batches.
+
+    In the first batch one token routes both layer-0 picks into one group g
+    and is labelled with the next language, so it carries no in-group mass
+    there. With ``absent`` that batch's language-g tokens are relabelled the
+    same way, so language g has no cell.
+    """
+    cfg = ProjectorConfig(d_in=3, d_model=4, num_layers=2)
+    mlps = [init_mlp(cfg, seed=[seed, g]) for g in range(m)]
+    moe = build_moe_from_pretrained(mlps, n=3, k=2, seed=[seed, 9])
+    decoder = init_decoder(4, 7, 2, [seed, 10])
+    rng = np.random.default_rng([seed, 11])
+    batches = []
+    for _ in range(2):
+        feats = rng.normal(size=(12, 3))
+        batches.append((feats, rng.integers(0, m, size=12), rng.integers(0, 7, size=12)))
+    feats, labels, _ = batches[0]
+    picked = moe.group_of[moe_forward(moe, Tensor(feats))[1].layers[0].selected]  # [T × 2]
+    t = int(np.flatnonzero(picked[:, 0] == picked[:, 1])[0])
+    g = picked[t, 0]
+    labels[t] = (g + 1) % m
+    if absent:
+        labels[labels == g] = (g + 1) % m
+    return moe, decoder, batches
+
+
+def composed_step(moe, decoder, plan, batches):
+    """The step's loss terms and every parameter's gradient, as the loops build them."""
+    (f1, l1, t1), (f2, l2, t2) = batches
+    params = moe.parameters() + decoder.parameters()
+    for p in params:
+        p.zero_grad()
+    with Tape():
+        if plan.stage_id == 3 and plan.transition_mode == "mixed":
+            feats, labels = np.concatenate([f1, f2]), np.concatenate([l1, l2])
+            logits, trace = stages._forward(moe, decoder, feats, labels)
+            core = transition_loss(cross_entropy(take(logits, np.arange(12)), t1),
+                                   cross_entropy(take(logits, np.arange(12, 24)), t2),
+                                   TransitionState(1, 3))
+        else:
+            logits, trace = stages._forward(moe, decoder, f1, l1)
+            core = cross_entropy(logits, t1)
+        aux = stages._aux_terms(plan, trace, moe.group_of)
+        core_name = "ce" if plan.stage_id == 2 else "transition"
+        bundle = stages._compose(plan, aux=aux, **{core_name: core})
+    backward(bundle.total)
+    values = {name: term.item() for name, term in aux.items()}
+    values["total"] = bundle.total.item()
+    return values, trace, [p.grad.copy() for p in params]
+
+
+def use_chain_losses(monkeypatch):
+    monkeypatch.setattr(stages, "language_specific_loss", chain_language_specific_loss)
+    monkeypatch.setattr(stages, "intra_group_balance_loss", chain_intra_group_balance_loss)
+    monkeypatch.setattr(stages, "conventional_balance_loss", chain_conventional_balance_loss)
+
+
+# seed, languages, one language absent from the first batch; with three
+# languages a layer sums up to three balance cells, so their order shows
+@pytest.mark.parametrize("seed,m,absent", [(0, 2, False), (1, 3, False),
+                                           (3, 2, True), (4, 3, True)])
+@pytest.mark.parametrize("balance_mode", ["intra", "conventional"])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("stage,mode", [(2, "mixed"), (3, "mixed"), (3, "sampled")])
+def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
+        seed, m, absent, balance_mode, normalize, weights, stage, mode, monkeypatch):
+    tasks = {} if stage == 2 else {"source_task": "asr", "target_task": "st"}
+    plan = stages.StagePlan(stage, 1, 1, 1e-3, transition_mode=mode,
+                            balance_mode=balance_mode, normalize_aux=normalize,
+                            lang_weight=weights[0], balance_weight=weights[1], **tasks)
+    moe, decoder, batches = fused_setup(seed, m, absent)
+    fused, trace, fused_grads = composed_step(moe, decoder, plan, batches)
+    use_chain_losses(monkeypatch)
+    chain, _, chain_grads = composed_step(moe, decoder, plan, batches)
+    assert fused == chain
+    assert len(fused_grads) == len(chain_grads)
+    for p, a, b in zip(moe.parameters() + decoder.parameters(), fused_grads, chain_grads):
+        assert np.array_equal(a, b), p.name
+    labels = trace.token_language
+    if absent and (stage, mode) != (3, "mixed"):
+        assert np.unique(labels).size == m - 1
+    # some token routes no mass into its own group (balance skips it)
+    in_group = moe.group_of[None, :] == labels[:, None]
+    assert ((trace.layers[0].probs.data * in_group).sum(axis=1) == 0.0).any()
+
+
+@pytest.mark.parametrize("loss_name", ["lang", "balance", "conventional"])
+def test_routing_loss_call_adds_one_tape_node(loss_name):
+    moe, _, batches = fused_setup(0, 2, absent=False)
+    feats, labels, _ = batches[0]
+    calls = {
+        "lang": lambda tr: language_specific_loss(tr, None, moe.group_of, normalize=True),
+        "balance": lambda tr: intra_group_balance_loss(tr, moe.group_of, normalize=True),
+        "conventional": lambda tr: conventional_balance_loss(tr, normalize=True),
+    }
+    with Tape() as tape:
+        _, trace = moe_forward(moe, Tensor(feats), labels)
+        before = len(tape.nodes)
+        calls[loss_name](trace)
+        assert len(tape.nodes) == before + 1
+
+
+def test_language_loss_keeps_log_domain_error():
+    # an out-of-group probability of exactly 1 makes log(1 - p) undefined
+    trace = make_trace([[[0.0, 0.0, 1.0, 0.0]]], labels=[0])
+    with pytest.raises(ValueError, match="strictly positive"):
+        language_specific_loss(trace, None, GROUPS_2x2)

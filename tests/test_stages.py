@@ -7,12 +7,15 @@ improves) on a deliberately tiny world.
 """
 
 import copy
+import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from csmoe.autodiff import Tensor, cross_entropy
+from csmoe import stages
+from csmoe.autodiff import Tape, Tensor, _Node, cross_entropy
 from csmoe.config import ExperimentConfig, StageSettings
 from csmoe.projector import MlpProjector, MoeProjector, moe_forward
 from csmoe.stages import (
@@ -374,6 +377,50 @@ def test_pipeline_callbacks(setup):
     )
     assert probed == [1, 2, 3, 4]
     assert saved == [1, 2, 3, 4]
+
+
+def test_default_config_op_nodes_per_step(monkeypatch):
+    # Each routing loss is one tape node: stages 2-3 add lang, balance, the
+    # balance weight and two adds to the 34 and 40 nodes of no-aux-losses.
+    budget = StageSettings(2, 8, 3e-3)
+    config = replace(ExperimentConfig(), train_utterances=8, val_utterances=2,
+                     stage1=budget, stage2=budget, stage3=budget, stage4=budget)
+    counts, current = {}, {}
+    real_backward = stages.backward
+
+    def counting_backward(loss):
+        nodes = loss._tape.nodes
+        ops = sum(node.backward is not None for node in nodes)
+        counts.setdefault(current["stage"], set()).add(ops)
+        return real_backward(loss)
+
+    monkeypatch.setattr(stages, "backward", counting_backward)
+    for s in (1, 2, 3, 4):
+        def entered(*args, _s=s, _run=getattr(stages, f"run_stage{s}"), **kwargs):
+            current["stage"] = _s
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(stages, f"run_stage{s}", entered)
+    run_pipeline(config)
+    assert counts == {1: {10}, 2: {39}, 3: {45}, 4: {40}}
+
+
+def test_stage2_steps_leave_no_tape_for_the_cyclic_collector(setup):
+    # Leaves carry no tape and op nodes no tensor, so every step's tape is
+    # freed by refcount: with the collector off, none outlives the stage.
+    config, world, bundle = setup
+    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 2, 4, 3e-3), config, seed=0)
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, (Tape, _Node))}
+    gc.disable()
+    try:
+        state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 3, 4, 3e-3), config, seed=0)
+        left = [o for o in gc.get_objects()
+                if isinstance(o, (Tape, _Node)) and id(o) not in before]
+    finally:
+        gc.enable()
+    assert len(state.metrics) == 3
+    assert left == []
 
 
 # ----------------------------------------------------- datasets and evaluation
