@@ -41,32 +41,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -215,80 +191,15 @@ def add(a, b) -> Tensor:
     return _binary(a, b, "add", lambda x, y: x + y, lambda g, x, y: (g, g))
 
 
-def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", lambda x, y: x - y, lambda g, x, y: (g, -g))
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product; with a scalar operand this is the scale op."""
     return _binary(a, b, "mul", lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
 
 
-def div(a, b) -> Tensor:
-    return _binary(
-        a, b, "div", lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))
-    )
-
-
-def _unary(x, fwd, bwd) -> Tensor:
-    x = _coerce(x)
-    out = Tensor(fwd(x.data))
-    xd, od = x.data, out.data
-
-    def bw(g):
-        return (bwd(g, xd, od),)
-
-    return _record(out, (x,), bw)
-
-
-def log(x) -> Tensor:
-    x = _coerce(x)
-    if not (x.data > 0.0).all():
-        raise ValueError("log requires strictly positive input")
-    return _unary(x, np.log, lambda g, xd, od: g / xd)
-
-
-def exp(x) -> Tensor:
-    return _unary(x, np.exp, lambda g, xd, od: g * od)
-
-
 def relu(x) -> Tensor:
-    return _unary(x, lambda d: np.maximum(d, 0.0), lambda g, xd, od: g * (xd > 0.0))
-
-
-def tsum(x) -> Tensor:
-    """Full reduction to a scalar."""
     x = _coerce(x)
-    out = Tensor(x.data.sum())
-    shape = x.data.shape
-
-    def bw(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _record(out, (x,), bw)
-
-
-def tmean(x) -> Tensor:
-    x = _coerce(x)
-    n = x.data.size
-    out = Tensor(x.data.sum() / n)
-    shape = x.data.shape
-
-    def bw(g):
-        return (np.broadcast_to(g / n, shape).copy(),)
-
-    return _record(out, (x,), bw)
-
-
-def reshape(x, shape) -> Tensor:
-    x = _coerce(x)
-    out = Tensor(x.data.reshape(shape))
-    orig = x.data.shape
-
-    def bw(g):
-        return (g.reshape(orig),)
-
-    return _record(out, (x,), bw)
+    xd = x.data
+    return _record(Tensor(np.maximum(xd, 0.0)), (x,), lambda g: (g * (xd > 0.0),))
 
 
 def take(x, indices) -> Tensor:
@@ -313,20 +224,6 @@ def take(x, indices) -> Tensor:
         return (buf,)
 
     return _record(out, (x,), bw)
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    parts = [_coerce(t) for t in tensors]
-    if not parts:
-        raise ValueError("concat of an empty sequence")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    cuts = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return tuple(np.array(piece) for piece in np.split(g, cuts, axis=axis))
-
-    return _record(out, tuple(parts), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -397,31 +294,6 @@ def masked_softmax(logits, mask: np.ndarray) -> Tensor:
         return (p * (g - dot),)
 
     return _record(out, (z,), bw)
-
-
-def softmax(logits, subset=None) -> Tensor:
-    """Softmax of a 1-D logit vector, optionally restricted to ``subset``.
-
-    Probabilities are normalized over the subset only; entries outside it are
-    exactly zero.
-    """
-    z = _coerce(logits)
-    if z.data.ndim != 1:
-        raise ValueError(f"softmax expects a 1-D logit vector, got shape {z.shape}")
-    n = z.data.shape[0]
-    if subset is None:
-        mask = np.ones(n, dtype=bool)
-    else:
-        idx = np.asarray(list(subset), dtype=np.intp)
-        if idx.size == 0:
-            raise ValueError("softmax subset is empty")
-        if len(set(idx.tolist())) != idx.size:
-            raise ValueError("softmax subset has duplicate indices")
-        if idx.min() < 0 or idx.max() >= n:
-            raise ValueError(f"softmax subset index out of range for {n} logits")
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-    return masked_softmax(z, mask)
 
 
 def cross_entropy(logits, targets) -> Tensor:

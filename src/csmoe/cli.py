@@ -9,8 +9,8 @@ separation statistics for a checkpoint).
 
 Exit codes: 0 success, 1 assertion/tolerance failure (a failed gradient
 check or a failed ablation run), 2 usage or configuration errors (bad
-flags, bad config files, missing inputs, checkpoint/config mismatches), 3 a
-training loss that turned infinite or NaN.
+flags, bad config files, missing inputs, checkpoint/config or
+dataset/config mismatches), 3 a training loss that turned infinite or NaN.
 All randomness flows from the seeds named in the config, so every command
 is deterministic; flags override config-file values and the effective
 merged config is written next to each command's outputs.
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,8 +29,15 @@ import numpy as np
 
 from .analysis import ablation_report, separation_score
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
-from .config import VARIANTS, ExperimentConfig, config_from_dict, config_hash, config_to_dict
+from .checkpoint import checkpoint_stage, load_checkpoint, save_checkpoint
+from .config import (
+    DATA_FIELDS,
+    VARIANTS,
+    ExperimentConfig,
+    config_from_dict,
+    config_hash,
+    config_to_dict,
+)
 from .dataio import (
     append_metrics,
     load_dataset,
@@ -45,14 +51,17 @@ from .stages import (
     DatasetBundle,
     NonFiniteLossError,
     TrainState,
+    build_world,
     evaluate_dataset,
     generate_datasets,
-    generate_eval_splits,
+    generate_splits,
     routing_probe,
     routing_summary,
     run_pipeline,
+    split_table,
     token_report,
 )
+from .world import TASK_CS_ST, TASK_ST
 
 __all__ = ["main"]
 
@@ -63,16 +72,22 @@ class _UsageError(Exception):
     """Bad flags, bad config, missing inputs — exit code 2."""
 
 
+def _json_object(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text())
+    except OSError as err:
+        raise _UsageError(f"config file {path} cannot be read: {err.strerror}")
+    except json.JSONDecodeError as err:
+        raise _UsageError(f"config file {path} is not valid JSON: {err}")
+    if not isinstance(data, dict):
+        raise _UsageError(f"config file {path} must hold a JSON object, "
+                          f"not a {type(data).__name__}")
+    return data
+
+
 def _load_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise _UsageError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise _UsageError(f"config file {path} is not valid JSON: {err}")
-        config = config_from_dict(data)
+        config = config_from_dict(_json_object(Path(args.config)))
     else:
         config = ExperimentConfig()
     overrides = {}
@@ -85,17 +100,6 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CSMOE_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise _UsageError(f"CSMOE_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise _UsageError(f"CSMOE_THREADS must be >= 1, got {workers}")
-    return workers
-
-
 def _out_dir(config: ExperimentConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -106,62 +110,40 @@ def _write_effective_config(out: Path, config: ExperimentConfig) -> None:
     write_json(out / "config.json", config_to_dict(config))
 
 
-def _split_files(m: int) -> list[tuple[str, str, int, str]]:
-    """(filename, task, language, split) for every dataset file."""
-    files = []
-    for g in range(m):
-        files.append((f"asr_lang{g}.train.jsonl", "asr", g, "train"))
-        files.append((f"asr_lang{g}.val.jsonl", "asr", g, "val"))
-        files.append((f"st_lang{g}.train.jsonl", "st", g, "train"))
-        files.append((f"st_lang{g}.val.jsonl", "st", g, "val"))
-    files.append(("cs.train.jsonl", "cs", -1, "train"))
-    files.append(("cs.val.jsonl", "cs", -1, "val"))
-    return files
-
-
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     if args.seed is not None:
         config = replace(config, data_seed=args.seed)
     out = _out_dir(config)
-    world, bundle = generate_datasets(config, max_workers=_max_workers())
+    world = build_world(config)
     _write_effective_config(out, config)
     save_world(out / "world.json", world)
-    m, n_val, n_train = config.num_languages, config.val_utterances, config.train_utterances
-    blocks = {
-        ("asr", "train"): lambda g: bundle.asr_train[g],
-        ("asr", "val"): lambda g: bundle.asr_val[g * n_val:(g + 1) * n_val],
-        ("st", "train"): lambda g: bundle.st_train[g * n_train:(g + 1) * n_train],
-        ("st", "val"): lambda g: bundle.st_val[g * n_val:(g + 1) * n_val],
-        ("cs", "train"): lambda g: bundle.cs_train,
-        ("cs", "val"): lambda g: bundle.cs_val,
-    }
-    for filename, task, language, split in _split_files(m):
-        data = blocks[(task, split)](language)
-        save_dataset(out / filename, data)
-        print(f"wrote {out / filename} ({len(data)} utterances)")
+    for entry, data in generate_splits(config, world, split_table(config)):
+        save_dataset(out / entry.filename, data)
+        print(f"wrote {out / entry.filename} ({len(data)} utterances)")
     print(f"wrote {out / 'world.json'}")
     return 0
 
 
 def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
-    files = _split_files(config.num_languages)
-    missing = [name for name, *_ in files if not (out / name).exists()]
+    """The gen-data splits under ``out``, refused unless drawn from ``config``'s data fields."""
+    entries = split_table(config)
+    missing = [e.filename for e in entries if not (out / e.filename).exists()]
+    if not (out / "config.json").exists():
+        missing.insert(0, "config.json")
     if missing:
         raise _UsageError(
             f"datasets not found under {out} (missing {missing[0]} and "
             f"{len(missing) - 1} more); run gen-data first"
         )
-    parts = {}  # (task, split) -> one loaded file per language, in order
-    for filename, task, _, split in files:
-        parts.setdefault((task, split), []).append(load_dataset(out / filename))
-
-    def pooled(task, split):
-        return tuple(u for ds in parts[(task, split)] for u in ds)
-
-    return DatasetBundle(tuple(parts[("asr", "train")]), pooled("st", "train"),
-                         pooled("cs", "train"), pooled("asr", "val"),
-                         pooled("st", "val"), pooled("cs", "val"))
+    written = _json_object(out / "config.json")
+    differing = [name for name in DATA_FIELDS if written.get(name) != getattr(config, name)]
+    if differing:
+        raise _UsageError(
+            f"datasets under {out} were generated with different {', '.join(differing)}; "
+            f"run gen-data with this config first"
+        )
+    return DatasetBundle.from_splits((e, load_dataset(out / e.filename)) for e in entries)
 
 
 def _probe_set(bundle: DatasetBundle) -> tuple:
@@ -197,9 +179,7 @@ def cmd_train(args) -> int:
     initial = None
     if args.resume:
         initial = load_checkpoint(args.resume, config)
-        resumed_stage = (initial.stage if isinstance(initial, TrainState)
-                         else 1)
-        default_stages = tuple(range(resumed_stage + 1, 5))
+        default_stages = tuple(range(checkpoint_stage(args.resume) + 1, 5))
     else:
         default_stages = (1, 2, 3, 4)
     stages = _parse_stages(args.stages) if args.stages else default_stages
@@ -237,7 +217,10 @@ def _checkpoint_and_val_splits(args):
             f"checkpoint {args.checkpoint} holds stage-1 per-language projectors; "
             f"this command needs a stage >= 2 checkpoint with a decoder"
         )
-    return (config, state) + generate_eval_splits(config, max_workers=_max_workers())
+    scored = [e for e in split_table(config)
+              if e.split == "val" and e.task in (TASK_ST, TASK_CS_ST)]
+    _, bundle = generate_datasets(config, scored)
+    return config, state, bundle.st_val, bundle.cs_val
 
 
 def cmd_eval(args) -> int:
@@ -294,7 +277,7 @@ def cmd_ablate(args) -> int:
     failures = []
     for seed in seeds:
         cfg_seed = replace(config, world_seed=seed, data_seed=seed, train_seed=seed)
-        _, bundle = generate_datasets(cfg_seed, max_workers=_max_workers())
+        _, bundle = generate_datasets(cfg_seed)
         probe_set = _probe_set(bundle)
         for variant in variants:
             cfg_run = replace(cfg_seed, variant=variant)

@@ -30,6 +30,10 @@ ROUTING_LOSS_VARIANTS = ("full", "conventional-balance")
 
 # fields that do not change any computed number; excluded from the hash
 COSMETIC_FIELDS = ("out_dir",)
+# fields the dataset splits are drawn from: the world, the dataset sizes and their seeds
+DATA_FIELDS = ("num_languages", "d_in", "separation", "noise_sigma", "vocab_per_lang",
+               "token_margin", "utterance_length", "cs_switches", "train_utterances",
+               "val_utterances", "world_seed", "data_seed")
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"d_in={self.d_in} must be >= num_languages={self.num_languages}"
             )
-        if self.top_k < 1 or self.top_k > self.experts_per_group * self.num_languages:
-            raise ValueError(
-                f"top_k={self.top_k} out of range for "
-                f"{self.experts_per_group * self.num_languages} experts"
-            )
+        if self.top_k < 1 or self.top_k > self.total_experts:
+            raise ValueError(f"top_k={self.top_k} out of range for {self.total_experts} experts")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.top_k == 1 and self.variant in ROUTING_LOSS_VARIANTS:

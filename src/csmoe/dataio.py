@@ -14,15 +14,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .world import LanguageSpec, Segment, Utterance, World
+from .world import Segment, Utterance, World
 
 __all__ = [
     "save_world",
-    "load_world",
     "save_dataset",
     "load_dataset",
     "append_metrics",
-    "read_metrics",
     "write_json",
 ]
 
@@ -63,31 +61,6 @@ def save_world(path, world: World) -> None:
         ],
     }
     write_json(path, payload)
-
-
-def load_world(path) -> World:
-    data = json.loads(Path(path).read_text())
-    languages = tuple(
-        LanguageSpec(
-            language_index=int(lang["language_index"]),
-            centroid=np.asarray(lang["centroid"], dtype=np.float64),
-            noise_sigma=float(lang["noise_sigma"]),
-            vocab_start=int(lang["vocab_start"]),
-            vocab_size=int(lang["vocab_size"]),
-            token_embeddings=np.asarray(lang["token_embeddings"], dtype=np.float64),
-            st_bijection=np.asarray(lang["st_bijection"], dtype=np.intp),
-        )
-        for lang in data["languages"]
-    )
-    return World(
-        languages=languages,
-        d_in=int(data["d_in"]),
-        separation=float(data["separation"]),
-        noise_sigma=float(data["noise_sigma"]),
-        vocab_per_lang=int(data["vocab_per_lang"]),
-        token_margin=float(data["token_margin"]),
-        seed=int(data["seed"]),
-    )
 
 
 # ----------------------------------------------------------------- datasets
@@ -142,13 +115,3 @@ def append_metrics(path, rows: Iterable[Mapping]) -> None:
     with open(path, "a") as fh:
         for row in rows:
             fh.write(_dump_line(row) + "\n")
-
-
-def read_metrics(path) -> list:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows

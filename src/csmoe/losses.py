@@ -19,9 +19,9 @@ only through the probability factors).
 
 Each routing loss records one tape node whose parents are the layers'
 ``probs``. Its forward evaluates the numpy expressions of the op-by-op
-chain (mul, sub, log, tsum, matmul, div, add) in the same order, and its
-hand-written backward repeats that chain's backward arithmetic, so values
-and gradients are bit-identical to it. The backward closures hold numpy
+chain (mul, sub, log, tsum, matmul, div, add; the tests keep it as their
+oracle) in the same order, and its hand-written backward repeats that
+chain's backward arithmetic, so values and gradients are bit-identical to it. The backward closures hold numpy
 arrays only, never a tensor or the trace.
 """
 

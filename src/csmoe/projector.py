@@ -6,8 +6,8 @@ its top-k experts; probabilities are normalized over the selected set only and
 are exactly zero elsewhere. ``moe_forward`` processes whole batches of tokens
 at once: each layer multiplies the batch through every expert and combines
 the N products in one ``mix`` node weighted by the sparse probabilities.
-``route`` / ``moe_layer_forward`` are the single-token reference path, and
-both agree.
+The tests hold a single-token reference path (``tests/oracles.py``) that
+routes and mixes one token at a time; the batched forward agrees with it.
 """
 
 from __future__ import annotations
@@ -16,17 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Parameter,
-    Tensor,
-    masked_softmax,
-    matmul,
-    mix,
-    relu,
-    reshape,
-    softmax,
-    take,
-)
+from .autodiff import Parameter, Tensor, masked_softmax, matmul, mix, relu
 
 #: Per-token language value marking code-switched (unlabeled) tokens.
 CS_UNLABELED = -1
@@ -96,10 +86,6 @@ class MoeLayer:
     def __init__(self, expert_weights: list[Parameter], router_weights: Parameter):
         self.expert_weights = expert_weights
         self.router_weights = router_weights
-
-    @property
-    def num_experts(self) -> int:
-        return len(self.expert_weights)
 
 
 class MoeProjector:
@@ -200,10 +186,6 @@ class RoutingTrace:
     def num_tokens(self) -> int:
         return self.layers[0].selected.shape[0] if self.layers else 0
 
-    @property
-    def num_experts(self) -> int:
-        return self.layers[0].probs.shape[1] if self.layers else 0
-
 
 def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:
     """Top-k column indices per row, ties broken toward the lower index."""
@@ -213,39 +195,8 @@ def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:
     return sel
 
 
-def route(layer: MoeLayer, h_t: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
-    """Dispatch one token: top-k expert indices and subset-normalized probs."""
-    n = layer.num_experts
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for {n} experts")
-    if h_t.data.ndim != 1:
-        raise ValueError(f"route expects a 1-D token activation, got shape {h_t.shape}")
-    w = layer.router_weights.value
-    logits = reshape(matmul(reshape(h_t, (1, h_t.shape[0])), w), (n,))
-    idx = _topk_rows(logits.data[None, :], k)[0]
-    probs = softmax(logits, subset=idx)
-    return idx, probs
-
-
-def moe_layer_forward(layer: MoeLayer, h_t: Tensor, k: int):
-    """Single-token mixture: Σ probs_i · expert_i(h_t) over the selected set."""
-    idx, probs = route(layer, h_t, k)
-    width = h_t.shape[0]
-    row = reshape(h_t, (1, width))
-    outs = [matmul(row, layer.expert_weights[i].value) for i in idx]
-    if len(outs) == 1:
-        stacked = outs[0]
-    else:
-        from .autodiff import concat
-
-        stacked = concat(outs, axis=0)  # [k × d_out]
-    p_sel = reshape(take(probs, idx), (1, k))
-    mixed = reshape(matmul(p_sel, stacked), (stacked.shape[1],))
-    return mixed, (idx, probs)
-
-
 def _moe_layer_batch(layer: MoeLayer, h: Tensor, k: int):
-    """Batched mixture over all tokens at once; equals the per-token path.
+    """Batched mixture over all tokens at once; equals routing each token alone.
 
     Every expert multiplies the whole batch (one ``matmul`` each), and a
     single ``mix`` node weights the N products by their (possibly exactly

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,10 +62,13 @@ __all__ = [
     "NonFiniteLossError",
     "StagePlan",
     "TrainState",
+    "SplitEntry",
     "DatasetBundle",
     "PipelineResult",
+    "split_table",
+    "build_world",
+    "generate_splits",
     "generate_datasets",
-    "generate_eval_splits",
     "run_stage1",
     "run_stage2",
     "run_stage3",
@@ -76,9 +79,6 @@ __all__ = [
     "routing_probe",
     "routing_summary",
 ]
-
-_TASK_CODE = {TASK_ASR: 0, TASK_ST: 1, TASK_CS_ST: 2}
-
 
 class NonFiniteLossError(FloatingPointError):
     """A training step produced an infinite or NaN loss value."""
@@ -184,6 +184,63 @@ class TrainState:
 # --------------------------------------------------------------------- data
 
 
+class SplitEntry(NamedTuple):
+    """One dataset split: its file name, task, language (None if code-switched) and split."""
+
+    filename: str
+    task: str
+    language: Optional[int]
+    split: str
+
+
+_TASK_CODE = {TASK_ASR: 0, TASK_ST: 1, TASK_CS_ST: 2}
+_SPLIT_CODE = {"train": 0, "val": 1}
+
+
+def split_table(config: ExperimentConfig) -> tuple[SplitEntry, ...]:
+    """Every dataset split of a run, in the order ``gen-data`` writes them.
+
+    ASR and ST have a train and a validation split per language; the
+    code-switched task has one of each over all languages.
+    """
+    per_language = tuple(
+        SplitEntry(f"{prefix}_lang{g}.{split}.jsonl", task, g, split)
+        for g in range(config.num_languages)
+        for prefix, task in (("asr", TASK_ASR), ("st", TASK_ST))
+        for split in _SPLIT_CODE
+    )
+    return per_language + tuple(
+        SplitEntry(f"cs.{split}.jsonl", TASK_CS_ST, None, split) for split in _SPLIT_CODE
+    )
+
+
+def build_world(config: ExperimentConfig) -> World:
+    return gen_world(config.num_languages, config.d_in, config.separation, config.noise_sigma,
+                     config.vocab_per_lang, config.world_seed, token_margin=config.token_margin)
+
+
+def generate_splits(config: ExperimentConfig, world: World,
+                    entries: Iterable[SplitEntry]) -> Iterator[tuple[SplitEntry, tuple]]:
+    """``(entry, utterances)`` for each entry, drawn on the entry's own seed stream.
+
+    The stream is ``[data_seed, task code, language code, split code]``, with
+    language code ``m`` for code-switched data and split code 0 train, 1
+    validation, so any subset of entries draws what the full table draws.
+    """
+    for entry in entries:
+        count = config.train_utterances if entry.split == "train" else config.val_utterances
+        language_code = config.num_languages if entry.language is None else entry.language
+        stream = [config.data_seed, _TASK_CODE[entry.task], language_code,
+                  _SPLIT_CODE[entry.split]]
+        yield entry, gen_dataset(world, entry.task, entry.language, count,
+                                 config.utterance_length, stream,
+                                 num_switches=config.cs_switches)
+
+
+def _pooled(datasets) -> tuple:
+    return tuple(u for ds in datasets for u in ds)
+
+
 @dataclass(frozen=True)
 class DatasetBundle:
     """All train/validation splits one experiment needs, generated once."""
@@ -195,58 +252,33 @@ class DatasetBundle:
     st_val: tuple
     cs_val: tuple
 
+    @classmethod
+    def from_splits(cls, splits: Iterable[tuple[SplitEntry, Sequence]]) -> "DatasetBundle":
+        """Pool ``(entry, utterances)`` pairs in their order; absent splits are empty."""
+        parts: dict = {}
+        for entry, utterances in splits:
+            parts.setdefault((entry.task, entry.split), []).append(tuple(utterances))
+
+        def pooled(task, split):
+            return _pooled(parts.get((task, split), ()))
+
+        return cls(tuple(parts.get((TASK_ASR, "train"), ())), pooled(TASK_ST, "train"),
+                   pooled(TASK_CS_ST, "train"), pooled(TASK_ASR, "val"),
+                   pooled(TASK_ST, "val"), pooled(TASK_CS_ST, "val"))
+
     @property
     def asr_pooled(self) -> tuple:
         """Stage-3 source view: all languages' ASR training utterances."""
         return _pooled(self.asr_train)
 
 
-def _split_maker(config: ExperimentConfig, max_workers: int):
-    """The world plus ``make(task, language, count, split_code)``.
-
-    ``make`` is the one place a split's seed stream is derived:
-    ``[data_seed, task code, language code, split code]``, with language
-    code ``m`` for code-switched data and split code 0 train, 1 validation.
-    """
-    world = gen_world(config.num_languages, config.d_in, config.separation, config.noise_sigma,
-                      config.vocab_per_lang, config.world_seed, token_margin=config.token_margin)
-
-    def make(task, language, count, split_code):
-        lang_code = config.num_languages if language is None else language
-        return gen_dataset(world, task, language, count, config.utterance_length,
-                           [config.data_seed, _TASK_CODE[task], lang_code, split_code],
-                           num_switches=config.cs_switches, max_workers=max_workers)
-
-    return world, make
-
-
 def generate_datasets(
-    config: ExperimentConfig, max_workers: int = 1
+    config: ExperimentConfig, entries: Optional[Iterable[SplitEntry]] = None
 ) -> tuple[World, DatasetBundle]:
-    """Build the world and every split from the config's named seeds.
-
-    Each (task, language, split) gets its own seed stream derived from
-    ``data_seed``, so any one dataset can be regenerated independently and
-    the result never depends on generation order or worker count.
-    """
-    world, make = _split_maker(config, max_workers)
-    m = config.num_languages
-    n_train, n_val = config.train_utterances, config.val_utterances
-    asr_train = tuple(make(TASK_ASR, g, n_train, 0) for g in range(m))
-    asr_val = tuple(u for g in range(m) for u in make(TASK_ASR, g, n_val, 1))
-    st_train = tuple(u for g in range(m) for u in make(TASK_ST, g, n_train, 0))
-    st_val = tuple(u for g in range(m) for u in make(TASK_ST, g, n_val, 1))
-    cs_train = make(TASK_CS_ST, None, n_train, 0)
-    cs_val = make(TASK_CS_ST, None, n_val, 1)
-    return world, DatasetBundle(asr_train, st_train, cs_train, asr_val, st_val, cs_val)
-
-
-def generate_eval_splits(config: ExperimentConfig, max_workers: int = 1) -> tuple[tuple, tuple]:
-    """``(st_val, cs_val)`` as ``generate_datasets`` builds them, without the other splits."""
-    _, make = _split_maker(config, max_workers)
-    n_val = config.val_utterances
-    st_val = tuple(u for g in range(config.num_languages) for u in make(TASK_ST, g, n_val, 1))
-    return st_val, make(TASK_CS_ST, None, n_val, 1)
+    """The world and a bundle of ``entries`` (default: every split) from the config's seeds."""
+    world = build_world(config)
+    splits = generate_splits(config, world, split_table(config) if entries is None else entries)
+    return world, DatasetBundle.from_splits(splits)
 
 
 # ----------------------------------------------------------- training loops
@@ -359,10 +391,6 @@ def _train_ce_stage(projector, dataset, plan, config, stream, *, language=None):
         backward(bundle.total)
         opt.step()
     return decoder, rows
-
-
-def _pooled(datasets) -> tuple:
-    return tuple(u for ds in datasets for u in ds)
 
 
 def run_stage1(asr_datasets, plan: StagePlan, config: ExperimentConfig, seed: int):
@@ -521,7 +549,6 @@ class PipelineResult:
     state: Optional[TrainState]
     metrics: list
     variant: str
-    world: Optional[World] = None
 
 
 def _stage_plans(config: ExperimentConfig):
@@ -567,7 +594,7 @@ def _validate_stages(stages, initial):
 
 def run_pipeline(
     config: ExperimentConfig,
-    bundle: Optional[DatasetBundle] = None,
+    bundle: DatasetBundle,
     *,
     stages=None,
     initial=None,
@@ -595,9 +622,6 @@ def run_pipeline(
     group-agnostic one.
     """
     stages = _validate_stages(stages, initial)
-    world = None
-    if bundle is None:
-        world, bundle = generate_datasets(config)
     plan1, plan2, plan3, plan4 = _stage_plans(config)
     seed = config.train_seed
 
@@ -626,8 +650,7 @@ def run_pipeline(
         if metrics_cb is not None:
             metrics_cb(rows)
     state = model if isinstance(model, TrainState) else None
-    return PipelineResult(state=state, metrics=metrics, variant=config.variant,
-                          world=world)
+    return PipelineResult(state=state, metrics=metrics, variant=config.variant)
 
 
 # --------------------------------------------------------------- evaluation

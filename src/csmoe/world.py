@@ -304,13 +304,11 @@ def gen_dataset(
     seed,
     *,
     num_switches: int = 1,
-    max_workers: int = 1,
 ) -> tuple[Utterance, ...]:
     """Draw ``count`` utterances on independent per-index rng streams.
 
-    Utterance i is generated from ``default_rng([*seed, i])``, so the result
-    is byte-identical regardless of generation order or worker count;
-    ``max_workers > 1`` parallelizes across utterances with threads.
+    Utterance i is generated from ``default_rng([*seed, i])``, so a dataset
+    with fewer utterances is a prefix of a larger one under the same seed.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -319,17 +317,11 @@ def gen_dataset(
         if isinstance(seed, (int, np.integer))
         else tuple(int(s) for s in seed)
     )
-
-    def one(i: int) -> Utterance:
-        rng = np.random.default_rng([*base, i])
-        return gen_utterance(world, language, task, length, rng, num_switches=num_switches)
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return tuple(pool.map(one, range(count)))
-    return tuple(one(i) for i in range(count))
+    return tuple(
+        gen_utterance(world, language, task, length, np.random.default_rng([*base, i]),
+                      num_switches=num_switches)
+        for i in range(count)
+    )
 
 
 @dataclass(frozen=True)

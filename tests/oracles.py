@@ -1,0 +1,117 @@
+"""Reference paths the tests compare the library against.
+
+No command runs these, so they live with the tests: the tape ops that the
+op-by-op chains behind the fused routing losses are built from, the
+subset softmax of a single logit vector, the single-token routing and
+mixture path that the batched MoE forward must agree with, and readers of
+the world and metrics files the commands write.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from csmoe.autodiff import Tensor, _binary, _coerce, _record, masked_softmax
+from csmoe.projector import _topk_rows
+from csmoe.world import LanguageSpec, World
+
+
+def sub(a, b) -> Tensor:
+    return _binary(a, b, "sub", lambda x, y: x - y, lambda g, x, y: (g, -g))
+
+
+def div(a, b) -> Tensor:
+    return _binary(
+        a, b, "div", lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))
+    )
+
+
+def log(x) -> Tensor:
+    x = _coerce(x)
+    if not (x.data > 0.0).all():
+        raise ValueError("log requires strictly positive input")
+    xd = x.data
+    return _record(Tensor(np.log(xd)), (x,), lambda g: (g / xd,))
+
+
+def tsum(x) -> Tensor:
+    """Full reduction to a scalar."""
+    x = _coerce(x)
+    shape = x.data.shape
+    return _record(Tensor(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
+
+
+def softmax(logits, subset=None) -> Tensor:
+    """Softmax of a 1-D logit vector, optionally restricted to ``subset``.
+
+    Probabilities are normalized over the subset only; entries outside it are
+    exactly zero.
+    """
+    z = _coerce(logits)
+    if z.data.ndim != 1:
+        raise ValueError(f"softmax expects a 1-D logit vector, got shape {z.shape}")
+    n = z.data.shape[0]
+    if subset is None:
+        mask = np.ones(n, dtype=bool)
+    else:
+        idx = np.asarray(list(subset), dtype=np.intp)
+        if idx.size == 0:
+            raise ValueError("softmax subset is empty")
+        if len(set(idx.tolist())) != idx.size:
+            raise ValueError("softmax subset has duplicate indices")
+        if idx.min() < 0 or idx.max() >= n:
+            raise ValueError(f"softmax subset index out of range for {n} logits")
+        mask = np.zeros(n, dtype=bool)
+        mask[idx] = True
+    return masked_softmax(z, mask)
+
+
+def route(layer, h_t: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
+    """Dispatch one token: top-k expert indices and subset-normalized probs."""
+    n = len(layer.expert_weights)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} experts")
+    if h_t.data.ndim != 1:
+        raise ValueError(f"route expects a 1-D token activation, got shape {h_t.shape}")
+    logits = (h_t.data[None, :] @ layer.router_weights.value.data)[0]
+    idx = _topk_rows(logits[None, :], k)[0]
+    return idx, softmax(Tensor(logits), subset=idx)
+
+
+def moe_layer_forward(layer, h_t: Tensor, k: int):
+    """Single-token mixture: Σ probs_i · expert_i(h_t) over the selected set."""
+    idx, probs = route(layer, h_t, k)
+    row = h_t.data[None, :]
+    stacked = np.concatenate([row @ layer.expert_weights[i].value.data for i in idx])
+    mixed = probs.data[idx][None, :] @ stacked  # [1 × k] @ [k × d_out]
+    return Tensor(mixed[0]), (idx, probs)
+
+
+def load_world(path) -> World:
+    data = json.loads(Path(path).read_text())
+    languages = tuple(
+        LanguageSpec(
+            language_index=int(lang["language_index"]),
+            centroid=np.asarray(lang["centroid"], dtype=np.float64),
+            noise_sigma=float(lang["noise_sigma"]),
+            vocab_start=int(lang["vocab_start"]),
+            vocab_size=int(lang["vocab_size"]),
+            token_embeddings=np.asarray(lang["token_embeddings"], dtype=np.float64),
+            st_bijection=np.asarray(lang["st_bijection"], dtype=np.intp),
+        )
+        for lang in data["languages"]
+    )
+    return World(
+        languages=languages,
+        d_in=int(data["d_in"]),
+        separation=float(data["separation"]),
+        noise_sigma=float(data["noise_sigma"]),
+        vocab_per_lang=int(data["vocab_per_lang"]),
+        token_margin=float(data["token_margin"]),
+        seed=int(data["seed"]),
+    )
+
+
+def read_metrics(path) -> list:
+    return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]

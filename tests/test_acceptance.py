@@ -36,7 +36,6 @@ from csmoe.projector import (
     init_mlp,
     mlp_forward,
     moe_forward,
-    route,
 )
 from csmoe.stages import (
     StagePlan,
@@ -46,6 +45,7 @@ from csmoe.stages import (
     routing_probe,
     run_pipeline,
 )
+from oracles import route
 
 SEEDS = (0, 1, 2)
 

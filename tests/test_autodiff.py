@@ -2,7 +2,8 @@
 
 Oracles: hand-differentiated closed forms, naive reimplementations of
 softmax/cross-entropy, the per-expert col/scale_rows/add chain that ``mix``
-fuses, and central finite differences.
+fuses, and central finite differences. The reduction and subset-softmax ops
+the tests compose come from ``oracles``.
 """
 
 import gc
@@ -21,23 +22,16 @@ from csmoe.autodiff import (
     add,
     _record,
     backward,
-    concat,
     cross_entropy,
-    div,
-    exp,
     fd_gradient,
-    log,
+    masked_softmax,
     matmul,
     mix,
     mul,
     relu,
-    reshape,
-    softmax,
-    sub,
     take,
-    tmean,
-    tsum,
 )
+from oracles import log, softmax, sub, tsum
 
 
 def test_matmul_identity():
@@ -74,19 +68,6 @@ def test_matmul_gradient_vs_finite_differences():
 
 def test_relu_sign_cases():
     assert_allclose(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-
-
-def test_concat_is_sequence_concatenation():
-    out = concat([Tensor([1.0, 2.0]), Tensor([3.0])], axis=0)
-    assert_allclose(out.data, [1.0, 2.0, 3.0])
-
-
-def test_grad_of_mean_relu():
-    # d/dx mean(relu(x)) at [-1, 2] is [0, 0.5] by hand differentiation.
-    w = Parameter("x", Tensor([-1.0, 2.0]))
-    with Tape():
-        backward(tmean(relu(w.value)))
-    assert_allclose(w.grad, [0.0, 0.5])
 
 
 def test_elementwise_shape_mismatch_rejected():
@@ -283,21 +264,20 @@ def test_cross_entropy_backward_matches_fd():
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_backward_matches_fd_on_random_compositions(seed):
-    """Composite forward touching every differentiable op family."""
+def test_backward_matches_fd_on_random_library_op_compositions(seed):
+    """Composite forward through every differentiable op the library keeps."""
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(3, 4))
     y0 = rng.normal(size=(4, 3))
+    mask = rng.random((3, 3)) < 0.6
+    mask[:, 0] = True
+    targets = rng.integers(0, 3, size=2)
 
     def forward(t):
-        h = matmul(t, Tensor(y0))
-        h = relu(h)
-        h = add(h, 0.5)
-        h = mul(h, h)
-        h = div(h, add(tsum(exp(mul(t, 0.1))), 1.0))
-        a = log(add(mul(h, h), 1.0))
-        b = concat([reshape(a, (9,)), take(reshape(h, (9,)), np.array([0, 4]))], axis=0)
-        return tmean(b)
+        z = matmul(t, Tensor(y0))
+        h = add(mul(relu(z), 0.5), 1.0)
+        mixed = mix(masked_softmax(z, mask), [h, mul(h, h), z])
+        return cross_entropy(take(mixed, np.array([2, 0])), targets)
 
     w = Parameter("x", Tensor(x0))
     with Tape():

@@ -18,8 +18,8 @@ import csmoe.stages
 from csmoe.checkpoint import load_checkpoint
 from csmoe.cli import main
 from csmoe.config import config_from_dict
-from csmoe.dataio import read_metrics
 from csmoe.stages import evaluate_dataset, generate_datasets, routing_probe
+from oracles import read_metrics
 
 TINY = {
     "num_languages": 2,
@@ -102,17 +102,6 @@ def test_gen_data_seed_flag_sets_the_dataset_seed(tmp_path, cfg_path):
     assert _tree_bytes(base)["cs.val.jsonl"] != a["cs.val.jsonl"]
 
 
-def test_gen_data_worker_count_does_not_change_bytes(tmp_path, cfg_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    main(["gen-data", "--config", cfg_path, "--out", str(a)])
-    monkeypatch.setenv("CSMOE_THREADS", "3")
-    main(["gen-data", "--config", cfg_path, "--out", str(b)])
-    ta, tb = _tree_bytes(a), _tree_bytes(b)
-    for name in ta:
-        if name != "config.json":
-            assert ta[name] == tb[name], name
-
-
 # -------------------------------------------------------------------- train
 
 
@@ -121,6 +110,18 @@ def test_train_requires_datasets(tmp_path, cfg_path, capsys):
     rc = main(["train", "--config", cfg_path, "--out", str(out)])
     assert rc == 2
     assert "gen-data" in capsys.readouterr().err
+
+
+def test_train_refuses_datasets_drawn_from_other_data_fields(tmp_path, cfg_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path, "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "data_seed" in capsys.readouterr().err
+    assert not (out / "checkpoints").exists() and not (out / "metrics.jsonl").exists()
+    (out / "config.json").unlink()  # counts as missing gen-data output
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "config.json" in capsys.readouterr().err
 
 
 def test_train_full_run(tmp_path, cfg_path):
@@ -356,10 +357,17 @@ def test_unknown_command_is_usage_error(capsys):
     ({"stage1": {**TINY["stage1"], "extra": 1}}, "stage1.extra"),
     ({"d_in": "16"}, "d_in"),
     ({"stage2": {"total_batches": 5}}, "stage2.batch_size"),
-], ids=["unknown", "unknown-stage-field", "mistyped", "missing-stage-field"])
+    ([{"a": 1}], "bad.json"),
+    (3, "bad.json"),
+    (None, "bad.json"),
+], ids=["unknown", "unknown-stage-field", "mistyped", "missing-stage-field",
+        "list-top-level", "number-top-level", "directory"])
 def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    if data is None:
+        bad.mkdir()
+    else:
+        bad.write_text(json.dumps(data))
     rc = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert field in capsys.readouterr().err

@@ -11,13 +11,12 @@ import pytest
 from csmoe.dataio import (
     append_metrics,
     load_dataset,
-    load_world,
-    read_metrics,
     save_dataset,
     save_world,
     write_json,
 )
 from csmoe.world import TASK_ASR, TASK_CS_ST, TASK_ST, gen_dataset, gen_world
+from oracles import load_world, read_metrics
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csmoe.autodiff import Parameter, Tape, Tensor, backward, fd_gradient, tsum
+from csmoe.autodiff import Parameter, Tape, Tensor, backward, fd_gradient
 from csmoe.projector import (
     MoeProjector,
     ProjectorConfig,
@@ -16,9 +16,8 @@ from csmoe.projector import (
     init_mlp,
     mlp_forward,
     moe_forward,
-    moe_layer_forward,
-    route,
 )
+from oracles import moe_layer_forward, route, tsum
 
 
 def tiny_moe(seed=0, m=2, n=2, k=2, d_in=3, d_model=4, L=2):

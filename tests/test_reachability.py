@@ -1,0 +1,108 @@
+"""Every function in the library is reached by a command.
+
+A ``sys.setprofile`` hook records the code objects that one sweep of the
+commands calls on the tiny CLI config. A module- or class-level function
+that no command reaches is either a test oracle, which belongs in
+``oracles``, or dead code; the few exceptions are listed with their reason.
+"""
+
+import inspect
+import json
+import sys
+
+from csmoe import (
+    analysis,
+    autodiff,
+    checkpoint,
+    cli,
+    config,
+    dataio,
+    gradcheck,
+    losses,
+    projector,
+    stages,
+    world,
+)
+from test_cli import TINY
+
+MODULES = (analysis, autodiff, checkpoint, cli, config, dataio, gradcheck, losses,
+           projector, stages, world)
+
+ALLOWED = {
+    "autodiff.Tensor.__repr__": "readable tensors in assertion messages and debugging",
+    "autodiff.Parameter.__repr__": "readable parameters in assertion messages and debugging",
+    "autodiff.Tensor.__mul__": "the non-finite-loss tests scale a loss by inf with '*'",
+    "projector.MoeProjector.total_experts": "the expert count the projector tests assert",
+    "world.World.source_vocab_size": "the vocabulary layout the world tests assert",
+    "world.World.target_vocab_size": "the vocabulary layout the world tests assert",
+}
+
+
+def _library_functions():
+    """``(qualified name, code object)`` of every function defined in the library."""
+    for module in MODULES:
+        short = module.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{short}.{name}", obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = member.fget if isinstance(member, property) else member
+                    fn = getattr(fn, "__func__", fn)  # classmethod, staticmethod
+                    if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                        yield f"{short}.{name}.{attr}", fn.__code__
+
+
+def _sweep(tmp_path) -> set:
+    """Run every command once under a profile hook; the code objects called."""
+    def write(name, overrides):
+        path = tmp_path / name
+        path.write_text(json.dumps({**TINY, **overrides}))
+        return str(path)
+
+    cfg = write("tiny.json", {})
+    sampled = write("sampled.json", {"variant": "conventional-balance",
+                                      "transition_mode": "sampled", "normalize_aux": True,
+                                      "lang_weight": 0.5, "balance_weight": 2.0})
+    other = write("other.json", {"train_seed": 1})
+    run = tmp_path / "run"
+    stage4 = str(run / "checkpoints" / "stage4")
+    commands = [
+        (["gen-data", "--config", cfg], 0),
+        (["train", "--config", cfg, "--stages", "1-2"], 0),
+        (["train", "--config", cfg, "--resume", str(run / "checkpoints" / "stage2")], 0),
+        (["eval", "--config", cfg, "--checkpoint", stage4], 0),
+        (["routing-report", "--config", cfg, "--checkpoint", stage4], 0),
+        (["eval", "--config", other, "--checkpoint", stage4], 2),
+        (["train", "--config", sampled], 0),
+        (["grad-check", "--instances", "1"], 0),
+        (["ablate", "--config", cfg, "--seeds", "0"], 0),
+    ]
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for argv, _ in commands:
+            out = run if argv[0] in ("gen-data", "train") else tmp_path / argv[0]
+            codes.append(cli.main([*argv, "--out", str(out)]))
+    finally:
+        sys.setprofile(None)
+    assert codes == [code for _, code in commands]
+    return called
+
+
+def test_every_library_function_is_reached_by_a_command(tmp_path):
+    functions = dict(_library_functions())
+    assert set(ALLOWED) <= set(functions)
+    called = _sweep(tmp_path)
+    unreached = sorted(name for name, code in functions.items()
+                       if code not in called and name not in ALLOWED)
+    assert unreached == []
+    assert [name for name in ALLOWED if functions[name] in called] == []

@@ -24,13 +24,13 @@ from csmoe.stages import (
     TrainState,
     evaluate_dataset,
     generate_datasets,
-    generate_eval_splits,
     routing_probe,
     run_pipeline,
     run_stage1,
     run_stage2,
     run_stage3,
     run_stage4,
+    split_table,
 )
 from csmoe.world import TASK_ASR, TASK_CS_ST, TASK_ST, decode, gen_dataset, gen_world
 
@@ -401,7 +401,7 @@ def test_default_config_op_nodes_per_step(monkeypatch):
             return _run(*args, **kwargs)
 
         monkeypatch.setattr(stages, f"run_stage{s}", entered)
-    run_pipeline(config)
+    run_pipeline(config, generate_datasets(config)[1])
     assert counts == {1: {10}, 2: {39}, 3: {45}, 4: {40}}
 
 
@@ -462,11 +462,13 @@ def _same_utterances(a, b):
     ExperimentConfig(),
     tiny_config(num_languages=3, world_seed=3, data_seed=7, cs_switches=2),
 ], ids=["default", "three-languages"])
-def test_generate_eval_splits_equal_the_full_bundle(config):
+def test_generating_the_scored_splits_alone_equals_the_full_bundle(config):
     _, bundle = generate_datasets(config)
-    st_val, cs_val = generate_eval_splits(config, max_workers=2)
-    assert _same_utterances(st_val, bundle.st_val)
-    assert _same_utterances(cs_val, bundle.cs_val)
+    scored = [e for e in split_table(config) if e.split == "val" and e.task != TASK_ASR]
+    _, part = generate_datasets(config, scored)
+    assert _same_utterances(part.st_val, bundle.st_val)
+    assert _same_utterances(part.cs_val, bundle.cs_val)
+    assert part.asr_train == part.st_train == part.cs_train == part.asr_val == ()
 
 
 def test_evaluate_dataset_matches_manual_recomputation(setup, stage2_state):

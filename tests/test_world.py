@@ -242,16 +242,6 @@ def test_gen_dataset_count_and_determinism():
         assert np.array_equal(ua.targets, ub.targets)
 
 
-def test_gen_dataset_independent_of_worker_count():
-    w = default_world(seed=0)
-    serial = gen_dataset(w, TASK_CS_ST, None, count=9, length=8, seed=42, max_workers=1)
-    threaded = gen_dataset(w, TASK_CS_ST, None, count=9, length=8, seed=42, max_workers=4)
-    for ua, ub in zip(serial, threaded):
-        assert np.array_equal(ua.features, ub.features)
-        assert np.array_equal(ua.targets, ub.targets)
-        assert ua.segments == ub.segments
-
-
 def test_gen_dataset_streams_are_per_index():
     # dropping the first utterance does not shift the rest
     w = default_world(seed=0)
