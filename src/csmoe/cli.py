@@ -11,9 +11,11 @@ Exit codes: 0 success, 1 assertion/tolerance failure (a failed gradient
 check or a failed ablation run), 2 usage or configuration errors (bad
 flags, bad config files, missing inputs, checkpoint/config or
 dataset/config mismatches), 3 a training loss that turned infinite or NaN.
-All randomness flows from the seeds named in the config, so every command
-is deterministic; flags override config-file values and the effective
-merged config is written next to each command's outputs.
+All randomness flows from the seeds named in the config file (no flag sets
+one; ``grad-check`` takes no config and seeds its harness with ``--seed``),
+so every command is deterministic. ``--out`` and ``train --variant``
+override their config fields, and the effective merged config is written
+next to each command's outputs, ready to pass to the next command.
 """
 
 from __future__ import annotations
@@ -112,8 +114,6 @@ def _write_effective_config(out: Path, config: ExperimentConfig) -> None:
 
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
-    if args.seed is not None:
-        config = replace(config, data_seed=args.seed)
     out = _out_dir(config)
     world = build_world(config)
     _write_effective_config(out, config)
@@ -171,8 +171,6 @@ def _parse_stages(text: str) -> tuple:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    if args.seed is not None:
-        config = replace(config, train_seed=args.seed)
     out = _out_dir(config)
     bundle = _load_bundle(out, config)
 
@@ -247,7 +245,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    report = grad_check_report(seed=args.seed or 0, instances=args.instances)
+    report = grad_check_report(seed=args.seed, instances=args.instances)
     for name, entry in report["losses"].items():
         status = "pass" if entry["pass"] else "FAIL"
         print(f"{name:14s} max_rel_err={entry['max_rel_err']:.3e} {status}")
@@ -373,18 +371,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help=None):
+    def common(p):
         p.add_argument("--config", help="JSON config file (defaults apply otherwise)")
         p.add_argument("--out", help="output directory (overrides config out_dir)")
-        if seed_help:
-            p.add_argument("--seed", type=int, help=seed_help)
 
     p = sub.add_parser("gen-data", help="write the world and all dataset splits")
-    common(p, "override the dataset seed (data_seed)")
+    common(p)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run training stages on generated datasets")
-    common(p, "override the training seed")
+    common(p)
     p.add_argument("--variant", help="model variant tag (overrides config)")
     p.add_argument("--stages", help="stage subset, e.g. '1,2' or '3-4' (default: all remaining)")
     p.add_argument("--resume", help="checkpoint directory to resume from")
@@ -395,8 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="checkpoint directory")
     p.set_defaults(func=cmd_eval)
 
+    # the harness draws its own instances; no config field reaches it
     p = sub.add_parser("grad-check", help="finite-difference audit of every loss")
-    common(p, "harness seed (default 0)")
+    p.add_argument("--out", help="directory for report.json")
+    p.add_argument("--seed", type=int, default=0, help="harness seed (default 0)")
     p.add_argument("--instances", type=int, default=20,
                    help="random instances per loss (default 20)")
     p.set_defaults(func=cmd_grad_check)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping
 
@@ -91,6 +92,13 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
+        # JSON admits NaN and Infinity, which no field can use
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        values += [(f"{name}.learning_rate", value.learning_rate)
+                   for name, value in values if isinstance(value, StageSettings)]
+        for name, value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config field {name} must be finite, got {value!r}")
         if self.num_languages < 2:
             raise ValueError(f"num_languages must be >= 2, got {self.num_languages}")
         if self.d_in < self.num_languages:

@@ -8,9 +8,12 @@ blends monolingual translation into code-switched translation with the
 transition term alone (code-switched tokens carry no language label, so the
 routing penalties do not apply).
 
-Every stage derives its randomness from ``(seed, stage, ...)`` streams and
-resets optimizer moments at the stage boundary, so resuming from a stage
-checkpoint reproduces the remaining stages bit-exactly.
+The config is each stage's recipe: its budget (``stage_settings``), whether
+stages 2-3 add the routing penalties and in which balance form (the
+variant), the transition mode and the loss weights. Every stage derives its
+randomness from ``(train_seed, stage, ...)`` streams and resets optimizer
+moments at the stage boundary, so resuming from a stage checkpoint
+reproduces the remaining stages bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .analysis import expert_load, routing_accuracy
 from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take
-from .config import ROUTING_LOSS_VARIANTS, TRANSITION_MODES, ExperimentConfig, StageSettings
+from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig, StageSettings
 from .losses import (
     _STAGE_COMPONENTS,
     LossBundle,
@@ -45,7 +48,6 @@ from .projector import (
     moe_forward,
 )
 from .world import (
-    _TASKS,
     TASK_ASR,
     TASK_CS_ST,
     TASK_ST,
@@ -60,7 +62,6 @@ from .world import (
 
 __all__ = [
     "NonFiniteLossError",
-    "StagePlan",
     "TrainState",
     "SplitEntry",
     "DatasetBundle",
@@ -92,80 +93,6 @@ def _finite_row(row: dict) -> dict:
                 f"stage {row['stage']} step {row['step']}: {name} is {value}"
             )
     return row
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """Training recipe for one stage.
-
-    ``loss_set`` defaults to the stage's canonical composition — stage 1
-    {ce}, stage 2 {ce, lang, balance}, stage 3 {transition, lang, balance},
-    stage 4 {transition} — and may be reduced to the core term alone for
-    ablations; any other combination is rejected. Stages 1–2 train on a
-    single dataset, stages 3–4 transition between a source and a target
-    task and must name both.
-    """
-
-    stage_id: int
-    total_batches: int
-    batch_size: int
-    learning_rate: float
-    loss_set: Optional[tuple[str, ...]] = None
-    source_task: Optional[str] = None
-    target_task: Optional[str] = None
-    transition_mode: str = "mixed"
-    balance_mode: str = "intra"
-    normalize_aux: bool = False
-    lang_weight: float = 1.0
-    balance_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.stage_id not in _STAGE_COMPONENTS:
-            raise ValueError(f"stage_id must be 1..4, got {self.stage_id}")
-        StageSettings(self.total_batches, self.batch_size, self.learning_rate)
-        canonical = _STAGE_COMPONENTS[self.stage_id]
-        core_only = canonical[:1]
-        if self.loss_set is None:
-            object.__setattr__(self, "loss_set", canonical)
-        elif set(self.loss_set) == set(canonical):
-            object.__setattr__(self, "loss_set", canonical)
-        elif tuple(self.loss_set) == core_only:
-            object.__setattr__(self, "loss_set", core_only)
-        else:
-            raise ValueError(
-                f"stage {self.stage_id} admits loss sets {canonical} or "
-                f"{core_only}, got {tuple(self.loss_set)}"
-            )
-        if self.stage_id <= 2:
-            if self.source_task is not None or self.target_task is not None:
-                raise ValueError(
-                    f"stage {self.stage_id} trains on one dataset; source/target "
-                    f"tasks belong to the transition stages 3-4"
-                )
-        else:
-            if self.source_task is None or self.target_task is None:
-                raise ValueError(
-                    f"stage {self.stage_id} transitions between tasks and needs "
-                    f"both source_task and target_task"
-                )
-            for role, task in (("source_task", self.source_task),
-                               ("target_task", self.target_task)):
-                if task not in _TASKS:
-                    raise ValueError(f"{role} {task!r} is not one of {_TASKS}")
-            if self.source_task == self.target_task:
-                raise ValueError("source_task and target_task must differ")
-        if self.transition_mode not in TRANSITION_MODES:
-            raise ValueError(f"transition_mode must be one of {TRANSITION_MODES}, "
-                             f"got {self.transition_mode!r}")
-        if self.balance_mode not in ("intra", "conventional"):
-            raise ValueError(f"balance_mode must be 'intra' or 'conventional', "
-                             f"got {self.balance_mode!r}")
-        if not self.lang_weight > 0 or not self.balance_weight > 0:
-            raise ValueError("auxiliary loss weights must be positive")
-
-    @property
-    def uses_aux(self) -> bool:
-        return "lang" in self.loss_set or "balance" in self.loss_set
 
 
 @dataclass
@@ -304,85 +231,83 @@ def _forward(projector, decoder: ToyDecoder, feats: np.ndarray, labels):
     return decode(decoder, h), trace
 
 
-def _routing_groups(projector, plan: StagePlan):
+# transition stage -> (source task, target task); sampled-mode rows name the batch's task
+_TRANSITION_TASKS = {3: (TASK_ASR, TASK_ST), 4: (TASK_ST, TASK_CS_ST)}
+
+
+def _routing_losses(config: ExperimentConfig, stage: int) -> bool:
+    """Whether ``stage`` adds the language and balance penalties under the config's variant."""
+    return "lang" in _STAGE_COMPONENTS[stage] and config.variant in ROUTING_LOSS_VARIANTS
+
+
+def _routing_groups(projector, config: ExperimentConfig, stage: int):
     """The projector's expert-group map; routing losses without one are refused."""
     if isinstance(projector, MoeProjector):
         return projector.group_of
-    if plan.uses_aux:
+    if _routing_losses(config, stage):
         raise ValueError(
-            "plan includes routing losses but the projector produces no routing "
-            "trace; use a core-only loss set with plain MLP projectors"
+            f"variant {config.variant!r} adds routing losses in stage {stage} but the "
+            f"projector produces no routing trace; plain MLP projectors train without them"
         )
     return None
 
 
-def _aux_terms(plan: StagePlan, trace, group_of) -> dict:
-    out = {}
-    if "lang" in plan.loss_set:
-        out["lang"] = language_specific_loss(
-            trace, None, group_of, normalize=plan.normalize_aux
-        )
-    if "balance" in plan.loss_set:
-        if plan.balance_mode == "intra":
-            out["balance"] = intra_group_balance_loss(
-                trace, group_of, normalize=plan.normalize_aux
-            )
-        else:
-            out["balance"] = conventional_balance_loss(trace, normalize=plan.normalize_aux)
+def _aux_terms(config: ExperimentConfig, stage: int, trace, group_of) -> dict:
+    if not _routing_losses(config, stage):
+        return {}
+    normalize = config.normalize_aux
+    out = {"lang": language_specific_loss(trace, None, group_of, normalize=normalize)}
+    if config.variant == "conventional-balance":
+        out["balance"] = conventional_balance_loss(trace, normalize=normalize)
+    else:
+        out["balance"] = intra_group_balance_loss(trace, group_of, normalize=normalize)
     return out
 
 
-def _compose(plan: StagePlan, *, ce=None, transition=None, aux=None) -> LossBundle:
-    aux = aux or {}
-    if plan.loss_set == _STAGE_COMPONENTS[plan.stage_id]:
-        return compose_stage_loss(
-            plan.stage_id,
-            ce=ce,
-            transition=transition,
-            lang=aux.get("lang"),
-            balance=aux.get("balance"),
-            lang_weight=plan.lang_weight,
-            balance_weight=plan.balance_weight,
-        )
-    # ablation: the stage runs on its core term alone
-    core = ce if _STAGE_COMPONENTS[plan.stage_id][0] == "ce" else transition
-    if core is None:
-        raise ValueError(f"stage {plan.stage_id} core loss term missing")
-    return LossBundle(
-        stage=plan.stage_id,
-        total=core,
+def _compose(config: ExperimentConfig, stage: int, *, ce=None, transition=None,
+             aux: dict) -> LossBundle:
+    if "lang" in _STAGE_COMPONENTS[stage] and not aux:
+        # the variant drops the routing penalties: the stage runs on its core term alone
+        return LossBundle(stage=stage, total=ce if transition is None else transition,
+                          ce=ce, transition=transition)
+    return compose_stage_loss(
+        stage,
         ce=ce,
-        transition=transition if plan.stage_id >= 3 else None,
+        transition=transition,
+        lang=aux.get("lang"),
+        balance=aux.get("balance"),
+        lang_weight=config.lang_weight,
+        balance_weight=config.balance_weight,
     )
 
 
-def _train_ce_stage(projector, dataset, plan, config, stream, *, language=None):
+def _train_ce_stage(config: ExperimentConfig, stage: int, settings: StageSettings,
+                    projector, dataset, stream, *, language=None):
     """Train ``projector`` under a new decoder head; return the head and the step rows.
 
-    The loss is cross-entropy plus any planned routing penalties. The head is
-    drawn from seed stream ``[*stream, 1]`` and the batch order from
-    ``[*stream, 2]``.
+    The loss is cross-entropy plus the stage's routing penalties, if the
+    variant has them. The head is drawn from seed stream ``[*stream, 1]``
+    and the batch order from ``[*stream, 2]``.
     """
     dataset = tuple(dataset)
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
-    group_of = _routing_groups(projector, plan)
+    group_of = _routing_groups(projector, config, stage)
     decoder = init_decoder(config.d_model, config.target_vocab_size,
                            config.prompt_len, [*stream, 1])
     rng = np.random.default_rng([*stream, 2])
     opt = Adam(list(projector.parameters()) + list(decoder.parameters()),
-               lr=plan.learning_rate)
+               lr=settings.learning_rate)
     rows = []
-    for b in range(1, plan.total_batches + 1):
-        feats, targets, labels = _batch_arrays(_sample(dataset, rng, plan.batch_size))
+    for b in range(1, settings.total_batches + 1):
+        feats, targets, labels = _batch_arrays(_sample(dataset, rng, settings.batch_size))
         opt.zero_grad()
         with Tape():
             logits, trace = _forward(projector, decoder, feats, labels)
             ce = cross_entropy(logits, targets)
-            aux = _aux_terms(plan, trace, group_of)
-            bundle = _compose(plan, ce=ce, aux=aux)
-        row = {"stage": plan.stage_id, "step": b, "ce": ce.item(),
-               "total": bundle.total.item()}
+            aux = _aux_terms(config, stage, trace, group_of)
+            bundle = _compose(config, stage, ce=ce, aux=aux)
+        row = {"stage": stage, "step": b, "ce": ce.item(), "total": bundle.total.item()}
         if language is not None:
             row["language"] = language
         for name, term in aux.items():
@@ -393,40 +318,40 @@ def _train_ce_stage(projector, dataset, plan, config, stream, *, language=None):
     return decoder, rows
 
 
-def run_stage1(asr_datasets, plan: StagePlan, config: ExperimentConfig, seed: int):
+def run_stage1(asr_datasets, config: ExperimentConfig):
     """Pretrain one MLP projector per language on its own ASR-proxy data.
 
-    Each language trains independently with its own throwaway decoder head;
-    the heads are discarded and the projectors returned together with the
-    per-step metric rows. Under ``no-moe`` one shared MLP trains instead on
-    the pooled languages for m× the plan's batches (the grouped budget) and
-    is returned with its head as a stage-1 TrainState.
+    Each language trains independently with its own throwaway decoder head
+    for the config's stage-1 budget; the heads are discarded and the
+    projectors returned together with the per-step metric rows. Under
+    ``no-moe`` one shared MLP trains instead on the pooled languages for m×
+    the stage-1 batches (the grouped budget) and is returned with its head
+    as a stage-1 TrainState.
     """
-    if plan.stage_id != 1:
-        raise ValueError(f"expected a stage-1 plan, got stage {plan.stage_id}")
     datasets = [tuple(ds) for ds in asr_datasets]
     if len(datasets) < 2:
         raise ValueError(f"need one ASR dataset per language (>= 2), got {len(datasets)}")
     if any(not ds for ds in datasets):
         raise ValueError("every language's ASR dataset must be non-empty")
+    seed, settings = config.train_seed, config.stage_settings(1)
     shape = ProjectorConfig(config.d_in, config.d_model, config.num_layers)
     if config.variant == "no-moe":
         mlp = init_mlp(shape, [seed, 1, 0, 0])
-        pooled_plan = replace(plan, total_batches=len(datasets) * plan.total_batches)
-        head, rows = _train_ce_stage(mlp, _pooled(datasets), pooled_plan, config, [seed, 1, 0])
+        pooled = replace(settings, total_batches=len(datasets) * settings.total_batches)
+        head, rows = _train_ce_stage(config, 1, pooled, mlp, _pooled(datasets), [seed, 1, 0])
         return TrainState(mlp, head, 1, list(rows)), rows
     mlps, metrics = [], []
     for g, ds in enumerate(datasets):
         mlp = init_mlp(shape, [seed, 1, g, 0])
         for p in mlp.parameters():
             p.name = f"lang{g}.{p.name}"
-        metrics.extend(_train_ce_stage(mlp, ds, plan, config, [seed, 1, g], language=g)[1])
+        metrics.extend(_train_ce_stage(config, 1, settings, mlp, ds, [seed, 1, g],
+                                       language=g)[1])
         mlps.append(mlp)
     return tuple(mlps), metrics
 
 
-def run_stage2(stage1, asr_datasets, plan: StagePlan, config: ExperimentConfig,
-               seed: int) -> TrainState:
+def run_stage2(stage1, asr_datasets, config: ExperimentConfig) -> TrainState:
     """Assemble the grouped MoE from the pretrained MLPs and specialize it.
 
     Trains on pooled multilingual ASR batches whose tokens carry their
@@ -435,14 +360,13 @@ def run_stage2(stage1, asr_datasets, plan: StagePlan, config: ExperimentConfig,
     ``no-moe``, ``stage1`` is the stage-1 TrainState and its shared MLP
     trains on under a fresh head.
     """
-    if plan.stage_id != 2:
-        raise ValueError(f"expected a stage-2 plan, got stage {plan.stage_id}")
     datasets = [tuple(ds) for ds in asr_datasets]
     if any(not ds for ds in datasets):
         raise ValueError("every language's ASR dataset must be non-empty")
     if isinstance(stage1, TrainState) != (config.variant == "no-moe"):
         raise ValueError("stage 2 continues the stage-1 TrainState under no-moe "
                          "and the stage-1 projector list otherwise")
+    seed = config.train_seed
     if isinstance(stage1, TrainState):
         projector, metrics = stage1.projector, list(stage1.metrics)
     else:
@@ -455,29 +379,30 @@ def run_stage2(stage1, asr_datasets, plan: StagePlan, config: ExperimentConfig,
             mlps, config.experts_per_group, config.top_k, [seed, 2, 0]
         )
         metrics = []
-    decoder, rows = _train_ce_stage(projector, _pooled(datasets), plan, config, [seed, 2])
+    decoder, rows = _train_ce_stage(config, 2, config.stage_settings(2), projector,
+                                    _pooled(datasets), [seed, 2])
     return TrainState(projector=projector, decoder=decoder, stage=2, metrics=metrics + rows)
 
 
 def _run_transition_stage(state: TrainState, source_ds, target_ds,
-                          plan: StagePlan, seed: int) -> TrainState:
-    stage = plan.stage_id
+                          config: ExperimentConfig, stage: int) -> TrainState:
     if state.stage != stage - 1:
         raise ValueError(f"stage {stage} requires a stage-{stage - 1} state, "
                          f"got stage {state.stage}")
     source_ds, target_ds = tuple(source_ds), tuple(target_ds)
     if not source_ds or not target_ds:
         raise ValueError("transition stages need non-empty source and target datasets")
-    group_of = _routing_groups(state.projector, plan)
-    rng = np.random.default_rng([seed, stage])
-    opt = Adam(state.parameters(), lr=plan.learning_rate)
-    B = plan.total_batches
+    group_of = _routing_groups(state.projector, config, stage)
+    settings = config.stage_settings(stage)
+    rng = np.random.default_rng([config.train_seed, stage])
+    opt = Adam(state.parameters(), lr=settings.learning_rate)
+    B = settings.total_batches
     for b in range(1, B + 1):
         ts = TransitionState(b, B)
-        src_batch = _sample(source_ds, rng, plan.batch_size)
-        tgt_batch = _sample(target_ds, rng, plan.batch_size)
+        src_batch = _sample(source_ds, rng, settings.batch_size)
+        tgt_batch = _sample(target_ds, rng, settings.batch_size)
         opt.zero_grad()
-        if plan.transition_mode == "mixed":
+        if config.transition_mode == "mixed":
             feats_s, tg_s, lab_s = _batch_arrays(src_batch)
             feats_t, tg_t, lab_t = _batch_arrays(tgt_batch)
             feats = np.concatenate([feats_s, feats_t], axis=0)
@@ -490,8 +415,8 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
                     take(logits, np.arange(n_src, feats.shape[0])), tg_t
                 )
                 trans = transition_loss(ce_src, ce_tgt, ts)
-                aux = _aux_terms(plan, trace, group_of)
-                bundle = _compose(plan, transition=trans, aux=aux)
+                aux = _aux_terms(config, stage, trace, group_of)
+                bundle = _compose(config, stage, transition=trans, aux=aux)
             row = {"stage": stage, "step": b, "lam": ts.lam,
                    "ce_source": ce_src.item(), "ce_target": ce_tgt.item(),
                    "transition": trans.item(), "total": bundle.total.item()}
@@ -501,10 +426,10 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
             with Tape():
                 logits, trace = _forward(state.projector, state.decoder, feats, labels)
                 ce = cross_entropy(logits, targets)
-                aux = _aux_terms(plan, trace, group_of)
-                bundle = _compose(plan, transition=ce, aux=aux)
+                aux = _aux_terms(config, stage, trace, group_of)
+                bundle = _compose(config, stage, transition=ce, aux=aux)
             row = {"stage": stage, "step": b, "lam": ts.lam,
-                   "task": plan.target_task if use_target else plan.source_task,
+                   "task": _TRANSITION_TASKS[stage][use_target],
                    "transition": ce.item(), "total": bundle.total.item()}
         for name, term in aux.items():
             row[name] = term.item()
@@ -516,29 +441,25 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
 
 
 def run_stage3(state: TrainState, source_dataset, target_dataset,
-               plan: StagePlan, seed: int) -> TrainState:
+               config: ExperimentConfig) -> TrainState:
     """Carry the model from ASR to monolingual translation.
 
     Every step draws one mini-batch from each dataset; in mixed mode both
     run through a single forward pass, their cross-entropies are blended by
-    λ = b/B, and the routing penalties (when planned) cover all tokens of
-    both halves.
+    λ = b/B, and the routing penalties (under the routing-loss variants)
+    cover all tokens of both halves.
     """
-    if plan.stage_id != 3:
-        raise ValueError(f"expected a stage-3 plan, got stage {plan.stage_id}")
-    return _run_transition_stage(state, source_dataset, target_dataset, plan, seed)
+    return _run_transition_stage(state, source_dataset, target_dataset, config, 3)
 
 
 def run_stage4(state: TrainState, source_dataset, target_dataset,
-               plan: StagePlan, seed: int) -> TrainState:
+               config: ExperimentConfig) -> TrainState:
     """Carry the model from monolingual to code-switched translation.
 
-    Transition term only: code-switched tokens are unlabeled, so the
-    language-aware penalties are rejected at plan construction.
+    Transition term only: code-switched tokens are unlabeled, so no variant
+    adds the language-aware penalties here.
     """
-    if plan.stage_id != 4:
-        raise ValueError(f"expected a stage-4 plan, got stage {plan.stage_id}")
-    return _run_transition_stage(state, source_dataset, target_dataset, plan, seed)
+    return _run_transition_stage(state, source_dataset, target_dataset, config, 4)
 
 
 # ----------------------------------------------------------------- pipeline
@@ -549,26 +470,6 @@ class PipelineResult:
     state: Optional[TrainState]
     metrics: list
     variant: str
-
-
-def _stage_plans(config: ExperimentConfig):
-    strip = config.variant not in ROUTING_LOSS_VARIANTS
-    balance_mode = ("conventional" if config.variant == "conventional-balance"
-                    else "intra")
-    aux = dict(balance_mode=balance_mode, normalize_aux=config.normalize_aux,
-               lang_weight=config.lang_weight, balance_weight=config.balance_weight)
-    s1, s2, s3, s4 = (config.stage_settings(i) for i in (1, 2, 3, 4))
-    plan1 = StagePlan(1, s1.total_batches, s1.batch_size, s1.learning_rate)
-    plan2 = StagePlan(2, s2.total_batches, s2.batch_size, s2.learning_rate,
-                      loss_set=("ce",) if strip else None, **aux)
-    plan3 = StagePlan(3, s3.total_batches, s3.batch_size, s3.learning_rate,
-                      loss_set=("transition",) if strip else None,
-                      source_task=TASK_ASR, target_task=TASK_ST,
-                      transition_mode=config.transition_mode, **aux)
-    plan4 = StagePlan(4, s4.total_batches, s4.batch_size, s4.learning_rate,
-                      source_task=TASK_ST, target_task=TASK_CS_ST,
-                      transition_mode=config.transition_mode)
-    return plan1, plan2, plan3, plan4
 
 
 def _validate_stages(stages, initial):
@@ -615,29 +516,26 @@ def run_pipeline(
 
     Variants: ``no-moe`` keeps one shared MLP throughout — ``run_stage1`` and
     ``run_stage2`` never build the mixture and spend the same batch budget
-    (m× the stage-1 plan on pooled data, then the stage-2 plan) on plain
+    (m× the stage-1 batches on pooled data, then the stage-2 budget) on plain
     cross-entropy, so stagewise comparisons are compute-matched.
     ``no-aux-losses`` strips the routing penalties from stages 2–3.
     ``conventional-balance`` swaps the within-group balance penalty for the
     group-agnostic one.
     """
     stages = _validate_stages(stages, initial)
-    plan1, plan2, plan3, plan4 = _stage_plans(config)
-    seed = config.train_seed
-
     model = initial
     metrics: list = []
     for stage in stages:
         done = len(model.metrics) if isinstance(model, TrainState) else 0
         if stage == 1:
-            model, rows = run_stage1(bundle.asr_train, plan1, config, seed)
+            model, rows = run_stage1(bundle.asr_train, config)
         else:
             if stage == 2:
-                model = run_stage2(model, bundle.asr_train, plan2, config, seed)
+                model = run_stage2(model, bundle.asr_train, config)
             elif stage == 3:
-                model = run_stage3(model, bundle.asr_pooled, bundle.st_train, plan3, seed)
+                model = run_stage3(model, bundle.asr_pooled, bundle.st_train, config)
             else:
-                model = run_stage4(model, bundle.st_train, bundle.cs_train, plan4, seed)
+                model = run_stage4(model, bundle.st_train, bundle.cs_train, config)
             rows = model.metrics[done:]
         rows = list(rows)
         if probe is not None:

@@ -13,7 +13,6 @@ from csmoe.checkpoint import checkpoint_stage, load_checkpoint, save_checkpoint
 from csmoe.config import ExperimentConfig, StageSettings
 from csmoe.projector import MlpProjector, MoeProjector, ProjectorConfig
 from csmoe.stages import (
-    StagePlan,
     TrainState,
     generate_datasets,
     run_stage1,
@@ -48,8 +47,8 @@ def tiny_config(**overrides):
 def trained():
     config = tiny_config()
     world, bundle = generate_datasets(config)
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 6, 4, 3e-3), config, seed=0)
-    state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 6, 4, 3e-3), config, seed=0)
+    mlps, _ = run_stage1(bundle.asr_train, config)
+    state = run_stage2(mlps, bundle.asr_train, config)
     return config, world, bundle, mlps, state
 
 

@@ -88,20 +88,6 @@ def test_gen_data_byte_identical_regeneration(tmp_path, cfg_path):
         assert ta[name] == tb[name], name
 
 
-def test_gen_data_seed_flag_sets_the_dataset_seed(tmp_path, cfg_path):
-    flag, configured = tmp_path / "flag", tmp_path / "configured"
-    seeded = tmp_path / "seeded.json"
-    seeded.write_text(json.dumps({**TINY, "data_seed": 5}))
-    assert main(["gen-data", "--config", cfg_path, "--seed", "5", "--out", str(flag)]) == 0
-    assert main(["gen-data", "--config", str(seeded), "--out", str(configured)]) == 0
-    a, b = _tree_bytes(flag), _tree_bytes(configured)
-    del a["config.json"], b["config.json"]  # out_dir differs
-    assert a == b
-    base = tmp_path / "base"
-    main(["gen-data", "--config", cfg_path, "--out", str(base)])
-    assert _tree_bytes(base)["cs.val.jsonl"] != a["cs.val.jsonl"]
-
-
 # -------------------------------------------------------------------- train
 
 
@@ -114,7 +100,9 @@ def test_train_requires_datasets(tmp_path, cfg_path, capsys):
 
 def test_train_refuses_datasets_drawn_from_other_data_fields(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
-    assert main(["gen-data", "--config", cfg_path, "--seed", "5", "--out", str(out)]) == 0
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**TINY, "data_seed": 5}))
+    assert main(["gen-data", "--config", str(seeded), "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
     assert "data_seed" in capsys.readouterr().err
@@ -164,8 +152,9 @@ def test_train_resume_refuses_other_config(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
     main(["train", "--config", cfg_path, "--out", str(out), "--stages", "1,2"])
-    rc = main(["train", "--config", cfg_path, "--out", str(out),
-               "--stages", "3-4", "--seed", "7",
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**TINY, "train_seed": 7}))
+    rc = main(["train", "--config", str(seeded), "--out", str(out), "--stages", "3-4",
                "--resume", str(out / "checkpoints" / "stage2")])
     assert rc == 2
     assert "train_seed" in capsys.readouterr().err
@@ -284,6 +273,14 @@ def test_grad_check_command(tmp_path, capsys):
     assert "ce" in capsys.readouterr().out
 
 
+def test_grad_check_takes_no_config(tmp_path, capsys):
+    # the harness draws its own instances, so a config file would go unread
+    with pytest.raises(SystemExit) as err:
+        main(["grad-check", "--config", str(tmp_path / "missing.json"), "--instances", "1"])
+    assert err.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_ablate_two_variants(tmp_path, cfg_path, capsys):
     out = tmp_path / "ab"
     rc = main(["ablate", "--config", cfg_path, "--out", str(out),
@@ -376,20 +373,25 @@ def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
 @pytest.mark.parametrize("field, value", [
     ("d_model", 0), ("num_layers", 0), ("prompt_len", 0),
     ("lang_weight", 0), ("balance_weight", -1),
+    ("separation", float("nan")), ("separation", float("inf")),
+    ("noise_sigma", float("inf")), ("token_margin", float("nan")),
+    ("lang_weight", float("inf")), ("stage1.learning_rate", float("inf")),
 ])
 def test_bad_config_value_is_rejected_before_training(tmp_path, capsys, field, value):
+    stage, _, name = field.rpartition(".")
+    data = {**TINY, stage: {**TINY[stage], name: value}} if stage else {**TINY, field: value}
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**TINY, field: value}))
+    bad.write_text(json.dumps(data))  # non-finite floats as NaN / Infinity
     out = tmp_path / "o"
     assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
     assert not (out / "world.json").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "routing-report", "ablate"])
+@pytest.mark.parametrize("command", ["eval", "routing-report", "ablate", "gen-data", "train"])
 def test_seed_flag_is_rejected_where_nothing_reads_it(tmp_path, command, capsys):
     argv = [command, "--seed", "3", "--out", str(tmp_path / "o")]
-    if command != "ablate":
+    if command in ("eval", "routing-report"):
         argv += ["--checkpoint", str(tmp_path / "ck")]
     with pytest.raises(SystemExit) as err:
         main(argv)

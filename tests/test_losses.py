@@ -24,6 +24,7 @@ from csmoe.autodiff import (
     mul,
     take,
 )
+from csmoe.config import ExperimentConfig
 from csmoe.losses import (
     LossBundle,
     TransitionState,
@@ -523,14 +524,14 @@ def fused_setup(seed, m, absent):
     return moe, decoder, batches
 
 
-def composed_step(moe, decoder, plan, batches):
+def composed_step(moe, decoder, config, stage, batches):
     """The step's loss terms and every parameter's gradient, as the loops build them."""
     (f1, l1, t1), (f2, l2, t2) = batches
     params = moe.parameters() + decoder.parameters()
     for p in params:
         p.zero_grad()
     with Tape():
-        if plan.stage_id == 3 and plan.transition_mode == "mixed":
+        if stage == 3 and config.transition_mode == "mixed":
             feats, labels = np.concatenate([f1, f2]), np.concatenate([l1, l2])
             logits, trace = stages._forward(moe, decoder, feats, labels)
             core = transition_loss(cross_entropy(take(logits, np.arange(12)), t1),
@@ -539,9 +540,9 @@ def composed_step(moe, decoder, plan, batches):
         else:
             logits, trace = stages._forward(moe, decoder, f1, l1)
             core = cross_entropy(logits, t1)
-        aux = stages._aux_terms(plan, trace, moe.group_of)
-        core_name = "ce" if plan.stage_id == 2 else "transition"
-        bundle = stages._compose(plan, aux=aux, **{core_name: core})
+        aux = stages._aux_terms(config, stage, trace, moe.group_of)
+        core_name = "ce" if stage == 2 else "transition"
+        bundle = stages._compose(config, stage, aux=aux, **{core_name: core})
     backward(bundle.total)
     values = {name: term.item() for name, term in aux.items()}
     values["total"] = bundle.total.item()
@@ -564,14 +565,14 @@ def use_chain_losses(monkeypatch):
 @pytest.mark.parametrize("stage,mode", [(2, "mixed"), (3, "mixed"), (3, "sampled")])
 def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
         seed, m, absent, balance_mode, normalize, weights, stage, mode, monkeypatch):
-    tasks = {} if stage == 2 else {"source_task": "asr", "target_task": "st"}
-    plan = stages.StagePlan(stage, 1, 1, 1e-3, transition_mode=mode,
-                            balance_mode=balance_mode, normalize_aux=normalize,
-                            lang_weight=weights[0], balance_weight=weights[1], **tasks)
+    variant = "conventional-balance" if balance_mode == "conventional" else "full"
+    config = ExperimentConfig(num_languages=m, variant=variant, transition_mode=mode,
+                              normalize_aux=normalize, lang_weight=weights[0],
+                              balance_weight=weights[1])
     moe, decoder, batches = fused_setup(seed, m, absent)
-    fused, trace, fused_grads = composed_step(moe, decoder, plan, batches)
+    fused, trace, fused_grads = composed_step(moe, decoder, config, stage, batches)
     use_chain_losses(monkeypatch)
-    chain, _, chain_grads = composed_step(moe, decoder, plan, batches)
+    chain, _, chain_grads = composed_step(moe, decoder, config, stage, batches)
     assert fused == chain
     assert len(fused_grads) == len(chain_grads)
     for p, a, b in zip(moe.parameters() + decoder.parameters(), fused_grads, chain_grads):

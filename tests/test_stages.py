@@ -1,6 +1,6 @@
 """Tests for the four-stage training scheduler.
 
-Oracles: plan validation against the stage loss-set contracts, bit-exact
+Oracles: the stage loss-set contracts read off the metric rows, bit-exact
 determinism comparisons, λ-schedule recomputation, endpoint bit-equality of
 the transition blend, and training-run assertions (losses fall, validation
 improves) on a deliberately tiny world.
@@ -20,7 +20,6 @@ from csmoe.config import ExperimentConfig, StageSettings
 from csmoe.projector import MlpProjector, MoeProjector, moe_forward
 from csmoe.stages import (
     DatasetBundle,
-    StagePlan,
     TrainState,
     evaluate_dataset,
     generate_datasets,
@@ -59,6 +58,10 @@ def tiny_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def budget(batches):
+    return StageSettings(batches, 4, 3e-3)
+
+
 @pytest.fixture(scope="module")
 def setup():
     config = tiny_config()
@@ -66,76 +69,12 @@ def setup():
     return config, world, bundle
 
 
-# ------------------------------------------------------------------ StagePlan
-
-
-def test_stage_plan_canonical_loss_sets():
-    assert StagePlan(1, 10, 4, 1e-3).loss_set == ("ce",)
-    assert StagePlan(2, 10, 4, 1e-3).loss_set == ("ce", "lang", "balance")
-    p3 = StagePlan(3, 10, 4, 1e-3, source_task="asr", target_task="st")
-    assert p3.loss_set == ("transition", "lang", "balance")
-    p4 = StagePlan(4, 10, 4, 1e-3, source_task="st", target_task="cs-st")
-    assert p4.loss_set == ("transition",)
-
-
-def test_stage_plan_allows_aux_stripped_sets():
-    p2 = StagePlan(2, 10, 4, 1e-3, loss_set=("ce",))
-    assert p2.loss_set == ("ce",)
-    p3 = StagePlan(3, 10, 4, 1e-3, loss_set=("transition",), source_task="asr", target_task="st")
-    assert p3.loss_set == ("transition",)
-
-
-def test_stage_plan_rejects_wrong_loss_sets():
-    with pytest.raises(ValueError):
-        StagePlan(4, 10, 4, 1e-3, loss_set=("transition", "lang"),
-                  source_task="st", target_task="cs-st")
-    with pytest.raises(ValueError):
-        StagePlan(4, 10, 4, 1e-3, loss_set=("transition", "balance"),
-                  source_task="st", target_task="cs-st")
-    with pytest.raises(ValueError):
-        StagePlan(1, 10, 4, 1e-3, loss_set=("ce", "lang"))
-    with pytest.raises(ValueError):
-        StagePlan(2, 10, 4, 1e-3, loss_set=("ce", "lang"))  # partial aux
-    with pytest.raises(ValueError):
-        StagePlan(2, 10, 4, 1e-3, loss_set=("transition",))
-    with pytest.raises(ValueError):
-        StagePlan(3, 10, 4, 1e-3, loss_set=("ce",), source_task="asr", target_task="st")
-
-
-def test_stage_plan_dataset_roles():
-    with pytest.raises(ValueError):
-        StagePlan(1, 10, 4, 1e-3, source_task="asr")
-    with pytest.raises(ValueError):
-        StagePlan(2, 10, 4, 1e-3, target_task="st")
-    with pytest.raises(ValueError):
-        StagePlan(3, 10, 4, 1e-3)  # missing both roles
-    with pytest.raises(ValueError):
-        StagePlan(4, 10, 4, 1e-3, source_task="st")  # missing target
-
-
-def test_stage_plan_basic_validation():
-    with pytest.raises(ValueError):
-        StagePlan(5, 10, 4, 1e-3)
-    with pytest.raises(ValueError):
-        StagePlan(1, 0, 4, 1e-3)
-    with pytest.raises(ValueError):
-        StagePlan(1, 10, 0, 1e-3)
-    with pytest.raises(ValueError):
-        StagePlan(1, 10, 4, 0.0)
-    with pytest.raises(ValueError):
-        StagePlan(3, 10, 4, 1e-3, source_task="asr", target_task="st",
-                  transition_mode="jump")
-    with pytest.raises(ValueError):
-        StagePlan(2, 10, 4, 1e-3, balance_mode="global")
-
-
 # ------------------------------------------------------------------ run_stage1
 
 
 def test_stage1_returns_per_language_projectors(setup):
     config, world, bundle = setup
-    plan = StagePlan(1, 30, 4, 3e-3)
-    mlps, metrics = run_stage1(bundle.asr_train, plan, config, seed=0)
+    mlps, metrics = run_stage1(bundle.asr_train, config)
     assert len(mlps) == 2
     assert all(isinstance(m, MlpProjector) for m in mlps)
     assert len(metrics) == 2 * 30
@@ -146,34 +85,30 @@ def test_stage1_returns_per_language_projectors(setup):
 
 
 def test_stage1_deterministic(setup):
-    config, world, bundle = setup
-    plan = StagePlan(1, 10, 4, 3e-3)
-    a, _ = run_stage1(bundle.asr_train, plan, config, seed=3)
-    b, _ = run_stage1(bundle.asr_train, plan, config, seed=3)
+    _, _, bundle = setup
+    config = tiny_config(stage1=budget(10), train_seed=3)
+    a, _ = run_stage1(bundle.asr_train, config)
+    b, _ = run_stage1(bundle.asr_train, config)
     for ma, mb in zip(a, b):
         for la, lb in zip(ma.layers, mb.layers):
             assert np.array_equal(la.value.data, lb.value.data)
-    c, _ = run_stage1(bundle.asr_train, plan, config, seed=4)
+    c, _ = run_stage1(bundle.asr_train, replace(config, train_seed=4))
     assert not np.array_equal(a[0].layers[0].value.data, c[0].layers[0].value.data)
 
 
 def test_stage1_three_languages():
-    config = tiny_config(num_languages=3, top_k=2)
+    config = tiny_config(num_languages=3, top_k=2, stage1=budget(5))
     world, bundle = generate_datasets(config)
-    plan = StagePlan(1, 5, 4, 3e-3)
-    mlps, _ = run_stage1(bundle.asr_train, plan, config, seed=0)
+    mlps, _ = run_stage1(bundle.asr_train, config)
     assert len(mlps) == 3
 
 
 def test_stage1_rejects_bad_datasets(setup):
     config, world, bundle = setup
-    plan = StagePlan(1, 5, 4, 3e-3)
     with pytest.raises(ValueError):
-        run_stage1([bundle.asr_train[0]], plan, config, seed=0)  # m = 1
+        run_stage1([bundle.asr_train[0]], config)  # m = 1
     with pytest.raises(ValueError):
-        run_stage1([bundle.asr_train[0], ()], plan, config, seed=0)  # empty
-    with pytest.raises(ValueError):
-        run_stage1(bundle.asr_train, StagePlan(2, 5, 4, 3e-3), config, seed=0)
+        run_stage1([bundle.asr_train[0], ()], config)  # empty
 
 
 # ------------------------------------------------------------------ run_stage2
@@ -182,9 +117,8 @@ def test_stage1_rejects_bad_datasets(setup):
 @pytest.fixture(scope="module")
 def stage2_state(setup):
     config, world, bundle = setup
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 30, 4, 3e-3), config, seed=0)
-    state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 40, 4, 3e-3), config, seed=0)
-    return state
+    mlps, _ = run_stage1(bundle.asr_train, config)
+    return run_stage2(mlps, bundle.asr_train, config)
 
 
 def test_stage2_builds_and_trains_moe(stage2_state):
@@ -208,10 +142,11 @@ def test_stage2_experts_specialize_apart(stage2_state):
 
 
 def test_stage2_deterministic(setup):
-    config, world, bundle = setup
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 8, 4, 3e-3), config, seed=1)
-    a = run_stage2(mlps, bundle.asr_train, StagePlan(2, 8, 4, 3e-3), config, seed=1)
-    b = run_stage2(mlps, bundle.asr_train, StagePlan(2, 8, 4, 3e-3), config, seed=1)
+    _, _, bundle = setup
+    config = tiny_config(stage1=budget(8), stage2=budget(8), train_seed=1)
+    mlps, _ = run_stage1(bundle.asr_train, config)
+    a = run_stage2(mlps, bundle.asr_train, config)
+    b = run_stage2(mlps, bundle.asr_train, config)
     for la, lb in zip(a.projector.layers, b.projector.layers):
         assert np.array_equal(la.router_weights.value.data, lb.router_weights.value.data)
         for ea, eb in zip(la.expert_weights, lb.expert_weights):
@@ -220,19 +155,21 @@ def test_stage2_deterministic(setup):
 
 
 def test_stage2_no_aux_variant_omits_metric_fields(setup):
-    config, world, bundle = setup
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 5, 4, 3e-3), config, seed=2)
-    plan = StagePlan(2, 5, 4, 3e-3, loss_set=("ce",))
-    state = run_stage2(mlps, bundle.asr_train, plan, config, seed=2)
+    _, _, bundle = setup
+    config = tiny_config(stage1=budget(5), stage2=budget(5), train_seed=2,
+                         variant="no-aux-losses")
+    mlps, _ = run_stage1(bundle.asr_train, config)
+    state = run_stage2(mlps, bundle.asr_train, config)
     rows = [r for r in state.metrics if r.get("stage") == 2 and "step" in r]
     assert all("lang" not in r and "balance" not in r for r in rows)
 
 
 def test_stage2_conventional_balance_mode(setup):
-    config, world, bundle = setup
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 5, 4, 3e-3), config, seed=2)
-    plan = StagePlan(2, 5, 4, 3e-3, balance_mode="conventional")
-    state = run_stage2(mlps, bundle.asr_train, plan, config, seed=2)
+    _, _, bundle = setup
+    config = tiny_config(stage1=budget(5), stage2=budget(5), train_seed=2,
+                         variant="conventional-balance")
+    mlps, _ = run_stage1(bundle.asr_train, config)
+    state = run_stage2(mlps, bundle.asr_train, config)
     rows = [r for r in state.metrics if r.get("stage") == 2 and "step" in r]
     assert all("balance" in r for r in rows)
 
@@ -244,8 +181,7 @@ def test_stage3_lambda_schedule_and_endpoint(setup, stage2_state):
     config, world, bundle = setup
     state = copy.deepcopy(stage2_state)
     B = 12
-    plan = StagePlan(3, B, 4, 3e-3, source_task="asr", target_task="st")
-    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan, seed=0)
+    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, tiny_config(stage3=budget(B)))
     rows = [r for r in state.metrics if r.get("stage") == 3 and "step" in r]
     assert len(rows) == B
     lams = [r["lam"] for r in rows]
@@ -263,26 +199,37 @@ def test_stage3_improves_translation(setup, stage2_state):
     config, world, bundle = setup
     state = copy.deepcopy(stage2_state)
     before = evaluate_dataset(state, bundle.st_val)["ce"]
-    plan = StagePlan(3, 30, 4, 3e-3, source_task="asr", target_task="st")
-    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan, seed=0)
+    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
     after = evaluate_dataset(state, bundle.st_val)["ce"]
     assert after < before
     assert state.stage == 3
 
 
-def test_stage3_requires_stage3_plan(setup, stage2_state):
+def test_stages_refuse_inputs_they_cannot_continue(setup, stage2_state):
     config, world, bundle = setup
-    with pytest.raises(ValueError):
-        run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train,
-                   StagePlan(2, 5, 4, 3e-3), seed=0)
+    mlps, _ = run_stage1(bundle.asr_train, tiny_config(stage1=budget(1)))
+    with pytest.raises(ValueError, match="non-empty"):
+        run_stage2(mlps, [bundle.asr_train[0], ()], config)
+    with pytest.raises(ValueError, match="pretrained projectors"):
+        run_stage2(mlps[:1], bundle.asr_train, config)
+    with pytest.raises(ValueError, match="stage-1 TrainState"):
+        run_stage2(mlps, bundle.asr_train, tiny_config(variant="no-moe"))
+    with pytest.raises(ValueError, match="stage-3 state"):
+        run_stage4(copy.deepcopy(stage2_state), bundle.st_train, bundle.cs_train, config)
+    with pytest.raises(ValueError, match="non-empty"):
+        run_stage3(copy.deepcopy(stage2_state), (), bundle.st_train, config)
+    # a plain MLP has no routing trace for the full variant's stage-3 penalties
+    no_moe = tiny_config(variant="no-moe", stage1=budget(1), stage2=budget(1))
+    state = run_stage2(run_stage1(bundle.asr_train, no_moe)[0], bundle.asr_train, no_moe)
+    with pytest.raises(ValueError, match="routing trace"):
+        run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
 
 
 def test_stage3_sampled_mode_runs(setup, stage2_state):
     config, world, bundle = setup
     state = copy.deepcopy(stage2_state)
-    plan = StagePlan(3, 10, 4, 3e-3, source_task="asr", target_task="st",
-                     transition_mode="sampled")
-    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan, seed=0)
+    config = tiny_config(stage3=budget(10), transition_mode="sampled")
+    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
     rows = [r for r in state.metrics if r.get("stage") == 3 and "step" in r]
     assert len(rows) == 10
     assert rows[-1]["lam"] == 1.0
@@ -291,11 +238,9 @@ def test_stage3_sampled_mode_runs(setup, stage2_state):
 def test_stage4_transition_only_and_improves_cs(setup, stage2_state):
     config, world, bundle = setup
     state = copy.deepcopy(stage2_state)
-    plan3 = StagePlan(3, 30, 4, 3e-3, source_task="asr", target_task="st")
-    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, plan3, seed=0)
+    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
     before = evaluate_dataset(state, bundle.cs_val)["ce"]
-    plan4 = StagePlan(4, 30, 4, 3e-3, source_task="st", target_task="cs-st")
-    state = run_stage4(state, bundle.st_train, bundle.cs_train, plan4, seed=0)
+    state = run_stage4(state, bundle.st_train, bundle.cs_train, config)
     after = evaluate_dataset(state, bundle.cs_val)["ce"]
     assert after < before
     rows = [r for r in state.metrics if r.get("stage") == 4 and "step" in r]
@@ -308,10 +253,10 @@ def test_stage4_transition_only_and_improves_cs(setup, stage2_state):
 
 def test_stage_boundary_is_a_pure_function_of_state(setup, stage2_state):
     # running stage 3 twice from copies of the same state gives identical bits
-    config, world, bundle = setup
-    plan = StagePlan(3, 8, 4, 3e-3, source_task="asr", target_task="st")
-    a = run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train, plan, seed=7)
-    b = run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train, plan, seed=7)
+    _, _, bundle = setup
+    config = tiny_config(stage3=budget(8), train_seed=7)
+    a = run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train, config)
+    b = run_stage3(copy.deepcopy(stage2_state), bundle.asr_pooled, bundle.st_train, config)
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa.value.data, pb.value.data)
     ra = [r for r in a.metrics if r.get("stage") == 3]
@@ -366,6 +311,15 @@ def test_pipeline_conventional_balance_variant(setup):
     assert rows and all("balance" in r and "lang" in r for r in rows)
 
 
+def test_sampled_mode_rows_name_the_task_of_their_batch(setup):
+    config, world, bundle = setup
+    result = run_pipeline(replace(config, transition_mode="sampled"), bundle)
+    for stage, source, target in ((3, TASK_ASR, TASK_ST), (4, TASK_ST, TASK_CS_ST)):
+        rows = [r for r in result.metrics if r.get("stage") == stage and "step" in r]
+        assert {r["task"] for r in rows} == {source, target}
+        assert rows[-1]["task"] == target  # λ = 1 always draws the target
+
+
 def test_pipeline_callbacks(setup):
     config, world, bundle = setup
     probed, saved = [], []
@@ -408,13 +362,14 @@ def test_default_config_op_nodes_per_step(monkeypatch):
 def test_stage2_steps_leave_no_tape_for_the_cyclic_collector(setup):
     # Leaves carry no tape and op nodes no tensor, so every step's tape is
     # freed by refcount: with the collector off, none outlives the stage.
-    config, world, bundle = setup
-    mlps, _ = run_stage1(bundle.asr_train, StagePlan(1, 2, 4, 3e-3), config, seed=0)
+    _, _, bundle = setup
+    config = tiny_config(stage1=budget(2), stage2=budget(3))
+    mlps, _ = run_stage1(bundle.asr_train, config)
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, (Tape, _Node))}
     gc.disable()
     try:
-        state = run_stage2(mlps, bundle.asr_train, StagePlan(2, 3, 4, 3e-3), config, seed=0)
+        state = run_stage2(mlps, bundle.asr_train, config)
         left = [o for o in gc.get_objects()
                 if isinstance(o, (Tape, _Node)) and id(o) not in before]
     finally:
