@@ -403,14 +403,16 @@ class Adam:
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         g, m, v, a, b = self._grad, self._m, self._v, self._a, self._b
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
-        # value -= lr·(m / c1) / (√(v / c2) + ε)
-        update = np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
-        denom = np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
-        self._value -= np.divide(update, denom, out=a)
+        # an overflowed moment would freeze its parameters silently (g/√inf = 0)
+        with np.errstate(over="raise", invalid="raise"):
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            v *= self.beta2
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+            # value -= lr·(m / c1) / (√(v / c2) + ε)
+            update = np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
+            denom = np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+            self._value -= np.divide(update, denom, out=a)
 
     def zero_grad(self) -> None:
         self._grad[...] = 0.0

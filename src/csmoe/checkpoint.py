@@ -17,8 +17,6 @@ import json
 from pathlib import Path
 from typing import Sequence, Union
 
-import numpy as np
-
 from .autodiff import Parameter, Tensor
 from .config import (
     COSMETIC_FIELDS,
@@ -28,6 +26,7 @@ from .config import (
     config_hash,
     config_to_dict,
 )
+from .dataio import float64_array, float64_bytes
 from .projector import MlpProjector, MoeLayer, MoeProjector, ProjectorConfig
 from .stages import TrainState
 from .world import ToyDecoder
@@ -52,8 +51,7 @@ def _param_entries(params: Sequence[Parameter]) -> list[dict]:
 def _write_params(directory: Path, params: Sequence[Parameter]) -> None:
     (directory / _PARAMS_DIR).mkdir(parents=True, exist_ok=True)
     for p in params:
-        payload = np.ascontiguousarray(p.value.data, dtype="<f8").tobytes()
-        (directory / _PARAMS_DIR / f"{p.name}.bin").write_bytes(payload)
+        (directory / _PARAMS_DIR / f"{p.name}.bin").write_bytes(float64_bytes(p.value.data))
 
 
 def save_checkpoint(
@@ -119,13 +117,7 @@ def _load_param_data(directory: Path, manifest: dict) -> dict:
     for entry in manifest["params"]:
         shape = tuple(int(s) for s in entry["shape"])
         raw = (directory / entry["file"]).read_bytes()
-        expected = int(np.prod(shape)) * 8
-        if len(raw) != expected:
-            raise ValueError(
-                f"payload {entry['file']} holds {len(raw)} bytes but shape "
-                f"{shape} requires {expected}"
-            )
-        loaded[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        loaded[entry["name"]] = float64_array(raw, shape, f"payload {entry['file']}")
     return loaded
 
 

@@ -10,7 +10,9 @@ separation statistics for a checkpoint).
 Exit codes: 0 success, 1 assertion/tolerance failure (a failed gradient
 check or a failed ablation run), 2 usage or configuration errors (bad
 flags, bad config files, missing inputs, checkpoint/config or
-dataset/config mismatches), 3 a training loss that turned infinite or NaN.
+dataset/config mismatches, damaged dataset files), 3 a numerical failure
+(a training loss that turned infinite or NaN, a log outside its domain or
+an overflowed optimizer moment; the message names the stage and step).
 All randomness flows from the seeds named in the config file (no flag sets
 one; ``grad-check`` takes no config and seeds its harness with ``--seed``),
 so every command is deterministic. ``--out`` and ``train --variant``
@@ -51,7 +53,6 @@ from .gradcheck import grad_check_report
 from .projector import MoeProjector, mlp_forward, moe_forward
 from .stages import (
     DatasetBundle,
-    NonFiniteLossError,
     TrainState,
     build_world,
     evaluate_dataset,
@@ -421,7 +422,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except NonFiniteLossError as err:
+    except FloatingPointError as err:  # before ValueError: LogDomainError is both
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ValueError, FileNotFoundError) as err:

@@ -1,14 +1,24 @@
-"""On-disk formats: world/report JSON, dataset and metrics JSON-lines.
+"""On-disk formats: world/report JSON, dataset splits and metrics JSON-lines.
 
-Everything is plain JSON with sorted keys and fixed separators, so rewriting
-the same objects produces the same bytes. Python renders floats in
-shortest-round-trip form, so float64 arrays written as JSON numbers load
-back bit-exactly.
+JSON is written with sorted keys and fixed separators, so rewriting the same
+objects produces the same bytes; Python renders floats in shortest
+round-trip form, so the floats in the world, metrics and reports load back
+bit-exactly.
+
+A dataset split is one file: a compact JSON header line holding ``d_in``
+and, per utterance, its task, language, targets, source tokens and
+code-switch segments; then, after the newline, one raw little-endian
+float64 block ``[sum of T × d_in]`` holding every utterance's features in C
+order, utterances in header order. Loading reads the file once, checks the
+body length against the header's token counts and slices each utterance's
+features out of the block. Checkpoint tensors use the same raw float64
+encoding (``float64_bytes``/``float64_array``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -18,6 +28,8 @@ from .world import Segment, Utterance, World
 
 __all__ = [
     "save_world",
+    "float64_bytes",
+    "float64_array",
     "save_dataset",
     "load_dataset",
     "append_metrics",
@@ -63,47 +75,74 @@ def save_world(path, world: World) -> None:
     write_json(path, payload)
 
 
+# ---------------------------------------------------------- float64 blocks
+
+
+def float64_bytes(array) -> bytes:
+    """Raw little-endian float64 bytes of ``array`` in C order."""
+    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+
+
+def float64_array(raw, shape, what: str) -> np.ndarray:
+    """The writable array of ``shape`` that ``raw`` holds; ``what`` names it in errors."""
+    expected = math.prod(shape) * 8
+    if len(raw) != expected:
+        raise ValueError(
+            f"{what} holds {len(raw)} bytes but shape {shape} requires {expected}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
 # ----------------------------------------------------------------- datasets
 
 
 def save_dataset(path, utterances: Iterable[Utterance]) -> None:
+    """One split: a JSON header line, then every utterance's features as one block."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for u in utterances:
-        lines.append(_dump_line({
+    utts = tuple(utterances)
+    header = _dump_line({
+        "d_in": utts[0].features.shape[1] if utts else 0,
+        "utterances": [{
             "task": u.task,
             "language": int(u.language),
-            "features": u.features.tolist(),
             "targets": u.targets.tolist(),
             "source_tokens": u.source_tokens.tolist(),
             "segments": (None if u.segments is None
                          else [[s.start, s.end, s.language] for s in u.segments]),
-        }))
-    path.write_text("".join(line + "\n" for line in lines))
+        } for u in utts],
+    })
+    body = float64_bytes(np.concatenate([u.features for u in utts])) if utts else b""
+    path.write_bytes(header.encode() + b"\n" + body)
 
 
 def load_dataset(path) -> tuple:
-    utterances = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            segments = rec["segments"]
-            utterances.append(Utterance(
-                features=np.asarray(rec["features"], dtype=np.float64),
-                targets=np.asarray(rec["targets"], dtype=np.intp),
-                source_tokens=np.asarray(rec["source_tokens"], dtype=np.intp),
-                task=rec["task"],
-                language=int(rec["language"]),
-                segments=(None if segments is None else tuple(
-                    Segment(start=int(s), end=int(e), language=int(g))
-                    for s, e, g in segments
-                )),
-            ))
-    return tuple(utterances)
+    """The utterances ``save_dataset`` wrote; a damaged file is refused by name."""
+    path = Path(path)
+    raw = path.read_bytes()
+    cut = raw.find(b"\n")
+    try:
+        if cut < 0:
+            raise ValueError("no header line")
+        header = json.loads(raw[:cut])
+        d_in = int(header["d_in"])
+        records = [{
+            "targets": np.asarray(rec["targets"], dtype=np.intp),
+            "source_tokens": np.asarray(rec["source_tokens"], dtype=np.intp),
+            "task": str(rec["task"]),
+            "language": int(rec["language"]),
+            "segments": None if rec["segments"] is None else tuple(
+                Segment(start=int(s), end=int(e), language=int(g))
+                for s, e, g in rec["segments"]),
+        } for rec in header["utterances"]]
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
+        raise ValueError(f"dataset {path} has no valid header ({err!r}); "
+                         f"run gen-data to rewrite it") from None
+    bounds = np.cumsum([0] + [len(rec["targets"]) for rec in records]).tolist()
+    features = float64_array(memoryview(raw)[cut + 1:], (bounds[-1], d_in),
+                             f"dataset {path} body")
+    return tuple(Utterance(features=features[a:b], **rec)
+                 for a, b, rec in zip(bounds[:-1], bounds[1:], records))
 
 
 # ------------------------------------------------------------------ metrics

@@ -36,6 +36,7 @@ from .autodiff import Tensor, _record, add, mul
 from .projector import CS_UNLABELED, RoutingTrace
 
 __all__ = [
+    "LogDomainError",
     "TransitionState",
     "LossBundle",
     "language_specific_loss",
@@ -44,6 +45,10 @@ __all__ = [
     "transition_loss",
     "compose_stage_loss",
 ]
+
+
+class LogDomainError(FloatingPointError, ValueError):
+    """A routing probability saturated to 1, so ``log(1 - p)`` left its domain."""
 
 
 def _resolve_labels(trace: RoutingTrace, lang: Optional[int], num_groups: int) -> np.ndarray:
@@ -137,7 +142,7 @@ def language_specific_loss(
         # sum reduces to the out-group terms without a second masking pass.
         x = 1.0 - layer.probs.data * out_mask
         if not (x > 0.0).all():
-            raise ValueError("log requires strictly positive input")
+            raise LogDomainError("log requires strictly positive input")
         ones_minus.append(x)
         term = np.log(x).sum() * -1.0
         total = term if total is None else total + term

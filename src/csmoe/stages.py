@@ -82,16 +82,18 @@ __all__ = [
 ]
 
 class NonFiniteLossError(FloatingPointError):
-    """A training step produced an infinite or NaN loss value."""
+    """A training step left the finite floats, named by its stage and step.
+
+    A loss turned infinite or NaN, a log left its domain, or the optimizer's
+    arithmetic overflowed.
+    """
 
 
 def _finite_row(row: dict) -> dict:
     """``row`` itself, once every loss value in it is finite."""
     for name, value in row.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise NonFiniteLossError(
-                f"stage {row['stage']} step {row['step']}: {name} is {value}"
-            )
+            raise FloatingPointError(f"{name} is {value}")
     return row
 
 
@@ -131,13 +133,13 @@ def split_table(config: ExperimentConfig) -> tuple[SplitEntry, ...]:
     code-switched task has one of each over all languages.
     """
     per_language = tuple(
-        SplitEntry(f"{prefix}_lang{g}.{split}.jsonl", task, g, split)
+        SplitEntry(f"{prefix}_lang{g}.{split}.bin", task, g, split)
         for g in range(config.num_languages)
         for prefix, task in (("asr", TASK_ASR), ("st", TASK_ST))
         for split in _SPLIT_CODE
     )
     return per_language + tuple(
-        SplitEntry(f"cs.{split}.jsonl", TASK_CS_ST, None, split) for split in _SPLIT_CODE
+        SplitEntry(f"cs.{split}.bin", TASK_CS_ST, None, split) for split in _SPLIT_CODE
     )
 
 
@@ -299,22 +301,25 @@ def _train_ce_stage(config: ExperimentConfig, stage: int, settings: StageSetting
     opt = Adam(list(projector.parameters()) + list(decoder.parameters()),
                lr=settings.learning_rate)
     rows = []
-    for b in range(1, settings.total_batches + 1):
-        feats, targets, labels = _batch_arrays(_sample(dataset, rng, settings.batch_size))
-        opt.zero_grad()
-        with Tape():
-            logits, trace = _forward(projector, decoder, feats, labels)
-            ce = cross_entropy(logits, targets)
-            aux = _aux_terms(config, stage, trace, group_of)
-            bundle = _compose(config, stage, ce=ce, aux=aux)
-        row = {"stage": stage, "step": b, "ce": ce.item(), "total": bundle.total.item()}
-        if language is not None:
-            row["language"] = language
-        for name, term in aux.items():
-            row[name] = term.item()
-        rows.append(_finite_row(row))
-        backward(bundle.total)
-        opt.step()
+    try:
+        for b in range(1, settings.total_batches + 1):
+            feats, targets, labels = _batch_arrays(_sample(dataset, rng, settings.batch_size))
+            opt.zero_grad()
+            with Tape():
+                logits, trace = _forward(projector, decoder, feats, labels)
+                ce = cross_entropy(logits, targets)
+                aux = _aux_terms(config, stage, trace, group_of)
+                bundle = _compose(config, stage, ce=ce, aux=aux)
+            row = {"stage": stage, "step": b, "ce": ce.item(), "total": bundle.total.item()}
+            if language is not None:
+                row["language"] = language
+            for name, term in aux.items():
+                row[name] = term.item()
+            rows.append(_finite_row(row))
+            backward(bundle.total)
+            opt.step()
+    except FloatingPointError as err:
+        raise NonFiniteLossError(f"stage {stage} step {b}: {err}") from err
     return decoder, rows
 
 
@@ -397,45 +402,48 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
     rng = np.random.default_rng([config.train_seed, stage])
     opt = Adam(state.parameters(), lr=settings.learning_rate)
     B = settings.total_batches
-    for b in range(1, B + 1):
-        ts = TransitionState(b, B)
-        src_batch = _sample(source_ds, rng, settings.batch_size)
-        tgt_batch = _sample(target_ds, rng, settings.batch_size)
-        opt.zero_grad()
-        if config.transition_mode == "mixed":
-            feats_s, tg_s, lab_s = _batch_arrays(src_batch)
-            feats_t, tg_t, lab_t = _batch_arrays(tgt_batch)
-            feats = np.concatenate([feats_s, feats_t], axis=0)
-            labels = np.concatenate([lab_s, lab_t])
-            n_src = feats_s.shape[0]
-            with Tape():
-                logits, trace = _forward(state.projector, state.decoder, feats, labels)
-                ce_src = cross_entropy(take(logits, np.arange(n_src)), tg_s)
-                ce_tgt = cross_entropy(
-                    take(logits, np.arange(n_src, feats.shape[0])), tg_t
-                )
-                trans = transition_loss(ce_src, ce_tgt, ts)
-                aux = _aux_terms(config, stage, trace, group_of)
-                bundle = _compose(config, stage, transition=trans, aux=aux)
-            row = {"stage": stage, "step": b, "lam": ts.lam,
-                   "ce_source": ce_src.item(), "ce_target": ce_tgt.item(),
-                   "transition": trans.item(), "total": bundle.total.item()}
-        else:  # sampled: one batch from the target with probability λ
-            use_target = rng.random() < ts.lam
-            feats, targets, labels = _batch_arrays(tgt_batch if use_target else src_batch)
-            with Tape():
-                logits, trace = _forward(state.projector, state.decoder, feats, labels)
-                ce = cross_entropy(logits, targets)
-                aux = _aux_terms(config, stage, trace, group_of)
-                bundle = _compose(config, stage, transition=ce, aux=aux)
-            row = {"stage": stage, "step": b, "lam": ts.lam,
-                   "task": _TRANSITION_TASKS[stage][use_target],
-                   "transition": ce.item(), "total": bundle.total.item()}
-        for name, term in aux.items():
-            row[name] = term.item()
-        state.metrics.append(_finite_row(row))
-        backward(bundle.total)
-        opt.step()
+    try:
+        for b in range(1, B + 1):
+            ts = TransitionState(b, B)
+            src_batch = _sample(source_ds, rng, settings.batch_size)
+            tgt_batch = _sample(target_ds, rng, settings.batch_size)
+            opt.zero_grad()
+            if config.transition_mode == "mixed":
+                feats_s, tg_s, lab_s = _batch_arrays(src_batch)
+                feats_t, tg_t, lab_t = _batch_arrays(tgt_batch)
+                feats = np.concatenate([feats_s, feats_t], axis=0)
+                labels = np.concatenate([lab_s, lab_t])
+                n_src = feats_s.shape[0]
+                with Tape():
+                    logits, trace = _forward(state.projector, state.decoder, feats, labels)
+                    ce_src = cross_entropy(take(logits, np.arange(n_src)), tg_s)
+                    ce_tgt = cross_entropy(
+                        take(logits, np.arange(n_src, feats.shape[0])), tg_t
+                    )
+                    trans = transition_loss(ce_src, ce_tgt, ts)
+                    aux = _aux_terms(config, stage, trace, group_of)
+                    bundle = _compose(config, stage, transition=trans, aux=aux)
+                row = {"stage": stage, "step": b, "lam": ts.lam,
+                       "ce_source": ce_src.item(), "ce_target": ce_tgt.item(),
+                       "transition": trans.item(), "total": bundle.total.item()}
+            else:  # sampled: one batch from the target with probability λ
+                use_target = rng.random() < ts.lam
+                feats, targets, labels = _batch_arrays(tgt_batch if use_target else src_batch)
+                with Tape():
+                    logits, trace = _forward(state.projector, state.decoder, feats, labels)
+                    ce = cross_entropy(logits, targets)
+                    aux = _aux_terms(config, stage, trace, group_of)
+                    bundle = _compose(config, stage, transition=ce, aux=aux)
+                row = {"stage": stage, "step": b, "lam": ts.lam,
+                       "task": _TRANSITION_TASKS[stage][use_target],
+                       "transition": ce.item(), "total": bundle.total.item()}
+            for name, term in aux.items():
+                row[name] = term.item()
+            state.metrics.append(_finite_row(row))
+            backward(bundle.total)
+            opt.step()
+    except FloatingPointError as err:
+        raise NonFiniteLossError(f"stage {stage} step {b}: {err}") from err
     state.stage = stage
     return state
 

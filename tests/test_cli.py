@@ -8,6 +8,7 @@ from independently loaded checkpoints.
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ import csmoe.stages
 from csmoe.checkpoint import load_checkpoint
 from csmoe.cli import main
 from csmoe.config import config_from_dict
+from csmoe.dataio import load_dataset
+from csmoe.losses import LogDomainError
 from csmoe.stages import evaluate_dataset, generate_datasets, routing_probe
 from oracles import read_metrics
 
@@ -63,17 +66,15 @@ def test_gen_data_writes_all_splits(tmp_path, cfg_path):
     assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
     expected = {
         "config.json", "world.json",
-        "asr_lang0.train.jsonl", "asr_lang0.val.jsonl",
-        "asr_lang1.train.jsonl", "asr_lang1.val.jsonl",
-        "st_lang0.train.jsonl", "st_lang0.val.jsonl",
-        "st_lang1.train.jsonl", "st_lang1.val.jsonl",
-        "cs.train.jsonl", "cs.val.jsonl",
+        "asr_lang0.train.bin", "asr_lang0.val.bin",
+        "asr_lang1.train.bin", "asr_lang1.val.bin",
+        "st_lang0.train.bin", "st_lang0.val.bin",
+        "st_lang1.train.bin", "st_lang1.val.bin",
+        "cs.train.bin", "cs.val.bin",
     }
     assert {p.name for p in out.iterdir()} == expected
-    train_lines = (out / "asr_lang0.train.jsonl").read_text().strip().split("\n")
-    assert len(train_lines) == TINY["train_utterances"]
-    val_lines = (out / "cs.val.jsonl").read_text().strip().split("\n")
-    assert len(val_lines) == TINY["val_utterances"]
+    assert len(load_dataset(out / "asr_lang0.train.bin")) == TINY["train_utterances"]
+    assert len(load_dataset(out / "cs.val.bin")) == TINY["val_utterances"]
 
 
 def test_gen_data_byte_identical_regeneration(tmp_path, cfg_path):
@@ -197,6 +198,88 @@ def test_train_non_finite_loss_in_stage3_keeps_stage_1_2_rows_and_checkpoints(
     assert any("probe" in json.loads(line) for line in lines)
     assert lines == full_lines[:len(lines)]
     assert json.loads(full_lines[len(lines)])["stage"] == 3
+
+
+@pytest.mark.parametrize("field", ["token_margin", "separation", "lang_weight"])
+def test_train_numerical_failure_exits_3_and_keeps_no_later_checkpoint(
+        tmp_path, field, capsys):
+    # a finite but huge value passes the validator; its overflow must not
+    # pass for a usage error (2) or go unnoticed (0)
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({**TINY, field: 1e300}))
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    failed = re.search(r"stage (\d) step (\d+): ", err)
+    assert failed, err
+    checkpoints = out / "checkpoints"
+    written = sorted(p.name for p in checkpoints.iterdir()) if checkpoints.exists() else []
+    assert written == [f"stage{s}" for s in range(1, int(failed.group(1)))]
+
+
+def test_train_log_domain_error_exits_3_naming_stage_and_step(
+        tmp_path, cfg_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    main(["gen-data", "--config", cfg_path, "--out", str(out)])
+
+    def saturated(*args, **kwargs):
+        raise LogDomainError("log requires strictly positive input")
+
+    monkeypatch.setattr(csmoe.stages, "language_specific_loss", saturated)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 2 step 1: log requires strictly positive input" in err, err
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["stage1"]
+
+
+def _old_jsonl(raw: bytes, path: Path) -> bytes:
+    """The same split in the earlier one-JSON-object-per-line format."""
+    return "".join(json.dumps({
+        "task": u.task, "language": u.language, "features": u.features.tolist(),
+        "targets": u.targets.tolist(), "source_tokens": u.source_tokens.tolist(),
+        "segments": (None if u.segments is None
+                     else [[s.start, s.end, s.language] for s in u.segments]),
+    }, sort_keys=True) + "\n" for u in load_dataset(path)).encode()
+
+
+def _fewer_header_tokens(raw: bytes, path: Path) -> bytes:
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    header["utterances"][0]["targets"].pop()
+    return json.dumps(header).encode() + b"\n" + body
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw, path: raw[:-8],
+    lambda raw, path: raw + bytes(8),
+    _fewer_header_tokens,
+    lambda raw, path: b"{not json" + raw[raw.index(b"\n"):],
+    _old_jsonl,
+], ids=["truncated-body", "trailing-bytes", "header-token-count", "header-not-json",
+        "old-jsonl"])
+def test_train_refuses_damaged_dataset_by_name(tmp_path, cfg_path, damage, capsys):
+    out = tmp_path / "out"
+    main(["gen-data", "--config", cfg_path, "--out", str(out)])
+    path = out / "cs.train.bin"
+    path.write_bytes(damage(path.read_bytes(), path))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (out / "checkpoints").exists()
+
+
+def test_disk_round_trip_is_invisible_to_training(tmp_path, cfg_path, monkeypatch):
+    disk, memory = tmp_path / "disk", tmp_path / "memory"
+    main(["gen-data", "--config", cfg_path, "--out", str(disk)])
+    assert main(["train", "--config", cfg_path, "--out", str(disk)]) == 0
+    monkeypatch.setattr(csmoe.cli, "_load_bundle",
+                        lambda out, config: generate_datasets(config)[1])
+    assert main(["train", "--config", cfg_path, "--out", str(memory)]) == 0
+    assert (disk / "metrics.jsonl").read_bytes() == (memory / "metrics.jsonl").read_bytes()
+    assert _tree_bytes(disk / "checkpoints") == _tree_bytes(memory / "checkpoints")
 
 
 def test_train_variant_flag_reaches_config(tmp_path, cfg_path):

@@ -1,8 +1,9 @@
 """Serialization round-trip tests for worlds, datasets, metrics, and reports.
 
-Oracles: exact array equality after JSON round-trips (Python's float text is
-shortest-round-trip, so float64 survives exactly), byte-identical rewrites,
-and structural fidelity of segments and labels.
+Oracles: exact array equality after round-trips (JSON float text is
+shortest-round-trip and dataset features are stored as raw float64, so both
+survive bit for bit), byte-identical rewrites, and structural fidelity of
+segments and labels.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from csmoe.dataio import (
     save_world,
     write_json,
 )
+from csmoe.config import ExperimentConfig
+from csmoe.stages import build_world, generate_splits, split_table
 from csmoe.world import TASK_ASR, TASK_CS_ST, TASK_ST, gen_dataset, gen_world
 from oracles import load_world, read_metrics
 
@@ -53,11 +56,24 @@ def test_world_save_is_deterministic(tmp_path, world):
 def test_dataset_round_trip_exact(tmp_path, world, task, language, switches):
     data = gen_dataset(world, task, language, 5, 7, seed=[3, 1],
                        num_switches=switches)
-    save_dataset(tmp_path / "d.jsonl", data)
-    back = load_dataset(tmp_path / "d.jsonl")
-    assert len(back) == 5
+    _assert_round_trip_exact(tmp_path, data)
+
+
+def test_config_cs_split_round_trip_exact(tmp_path):
+    config = ExperimentConfig(num_languages=3, train_utterances=6, val_utterances=4)
+    (entry,) = [e for e in split_table(config) if e.task == TASK_CS_ST and e.split == "train"]
+    ((_, data),) = generate_splits(config, build_world(config), [entry])
+    assert all(u.segments for u in data)
+    _assert_round_trip_exact(tmp_path, data)
+
+
+def _assert_round_trip_exact(tmp_path, data):
+    save_dataset(tmp_path / "d.bin", data)
+    back = load_dataset(tmp_path / "d.bin")
+    assert len(back) == len(data)
     for a, b in zip(data, back):
         assert np.array_equal(a.features, b.features)
+        assert a.features.tobytes() == b.features.tobytes()
         assert np.array_equal(a.targets, b.targets)
         assert np.array_equal(a.source_tokens, b.source_tokens)
         assert a.task == b.task and a.language == b.language
