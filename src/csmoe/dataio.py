@@ -9,10 +9,12 @@ A dataset split is one file: a compact JSON header line holding ``d_in``
 and, per utterance, its task, language, targets, source tokens and
 code-switch segments; then, after the newline, one raw little-endian
 float64 block ``[sum of T × d_in]`` holding every utterance's features in C
-order, utterances in header order. Loading reads the file once, checks the
-body length against the header's token counts and slices each utterance's
-features out of the block. Checkpoint tensors use the same raw float64
-encoding (``float64_bytes``/``float64_array``).
+order, utterances in header order. Loading reads the file once, checks
+that each utterance's targets and source tokens agree in length and that
+its code-switch segments tile them, checks the body length against the
+header's token counts and slices each utterance's features out of the
+block. Checkpoint tensors use the same raw float64 encoding
+(``float64_bytes``/``float64_array``).
 """
 
 from __future__ import annotations
@@ -116,6 +118,19 @@ def save_dataset(path, utterances: Iterable[Utterance]) -> None:
     path.write_bytes(header.encode() + b"\n" + body)
 
 
+def _check_tokens(i: int, rec: dict) -> None:
+    """Refuse utterance ``i`` unless its token arrays agree and its segments tile them."""
+    length, segments = len(rec["targets"]), rec["segments"]
+    if len(rec["source_tokens"]) != length:
+        raise ValueError(f"utterance {i} has {length} targets but "
+                         f"{len(rec['source_tokens'])} source tokens")
+    ends = [s.end for s in segments or ()]
+    if segments is not None and ([s.start for s in segments] != [0, *ends[:-1]]
+                                 or ends[-1:] != [length]
+                                 or any(s.start >= s.end for s in segments)):
+        raise ValueError(f"utterance {i}'s segments do not tile its {length} tokens")
+
+
 def load_dataset(path) -> tuple:
     """The utterances ``save_dataset`` wrote; a damaged file is refused by name."""
     path = Path(path)
@@ -135,6 +150,8 @@ def load_dataset(path) -> tuple:
                 Segment(start=int(s), end=int(e), language=int(g))
                 for s, e, g in rec["segments"]),
         } for rec in header["utterances"]]
+        for i, rec in enumerate(records):
+            _check_tokens(i, rec)
     except (ValueError, KeyError, TypeError, OverflowError) as err:
         raise ValueError(f"dataset {path} has no valid header ({err!r}); "
                          f"run gen-data to rewrite it") from None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, relu, take
+from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, relu
 from .losses import (
     TransitionState,
     compose_stage_loss,
@@ -42,6 +42,7 @@ from .projector import (
     init_mlp,
     moe_forward,
 )
+from .stages import mixed_transition
 from .world import decode, init_decoder
 
 __all__ = ["GRAD_LOSSES", "grad_check_report"]
@@ -151,13 +152,7 @@ def _losses(routed, decoder, batches, ts, weights) -> tuple:
     lang_w, bal_w = weights
     ce = cross_entropy(decode(decoder, h1), t1)
     ce2 = cross_entropy(decode(decoder, h2), t2)
-    logits = decode(decoder, h_mix)
-    n_src = t1.shape[0]
-    mixed = transition_loss(
-        cross_entropy(take(logits, np.arange(n_src)), t1),
-        cross_entropy(take(logits, np.arange(n_src, logits.shape[0])), t2),
-        ts,
-    )
+    mixed, _, _ = mixed_transition(decode(decoder, h_mix), t1, t2, ts)
     aux = dict(lang_weight=lang_w, balance_weight=bal_w)
     return (
         ce,

@@ -10,10 +10,13 @@ routing penalties do not apply).
 
 The config is each stage's recipe: its budget (``stage_settings``), whether
 stages 2-3 add the routing penalties and in which balance form (the
-variant), the transition mode and the loss weights. Every stage derives its
-randomness from ``(train_seed, stage, ...)`` streams and resets optimizer
-moments at the stage boundary, so resuming from a stage checkpoint
-reproduces the remaining stages bit-exactly.
+variant), the transition mode and the loss weights. All four stages train
+through one step loop, ``_fit``: a stage supplies only how step b's batch is
+drawn and how its core loss (cross-entropy, or the transition blend) is read
+off the logits; ``_objective`` adds the routing penalties the stage and the
+variant call for. Every stage derives its randomness from ``(train_seed,
+stage, ...)`` streams and resets optimizer moments at the stage boundary, so
+resuming from a stage checkpoint reproduces the remaining stages bit-exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, ta
 from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig, StageSettings
 from .losses import (
     _STAGE_COMPONENTS,
-    LossBundle,
     TransitionState,
     compose_stage_loss,
     conventional_balance_loss,
@@ -75,6 +77,7 @@ __all__ = [
     "run_stage3",
     "run_stage4",
     "run_pipeline",
+    "mixed_transition",
     "evaluate_dataset",
     "token_report",
     "routing_probe",
@@ -87,14 +90,6 @@ class NonFiniteLossError(FloatingPointError):
     A loss turned infinite or NaN, a log left its domain, or the optimizer's
     arithmetic overflowed.
     """
-
-
-def _finite_row(row: dict) -> dict:
-    """``row`` itself, once every loss value in it is finite."""
-    for name, value in row.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise FloatingPointError(f"{name} is {value}")
-    return row
 
 
 @dataclass
@@ -242,84 +237,96 @@ def _routing_losses(config: ExperimentConfig, stage: int) -> bool:
     return "lang" in _STAGE_COMPONENTS[stage] and config.variant in ROUTING_LOSS_VARIANTS
 
 
-def _routing_groups(projector, config: ExperimentConfig, stage: int):
-    """The projector's expert-group map; routing losses without one are refused."""
-    if isinstance(projector, MoeProjector):
-        return projector.group_of
-    if _routing_losses(config, stage):
+def _objective(config: ExperimentConfig, stage: int, core: Tensor, trace,
+               group_of) -> tuple[Tensor, dict]:
+    """The stage's loss on its core term (``ce`` or ``transition``) and the routing terms.
+
+    The loss is ``core`` itself when the stage or the variant adds no routing penalties.
+    """
+    if not _routing_losses(config, stage):
+        return core, {}
+    normalize = config.normalize_aux
+    terms = {"lang": language_specific_loss(trace, None, group_of, normalize=normalize)}
+    if config.variant == "conventional-balance":
+        terms["balance"] = conventional_balance_loss(trace, normalize=normalize)
+    else:
+        terms["balance"] = intra_group_balance_loss(trace, group_of, normalize=normalize)
+    total = compose_stage_loss(stage, **{_STAGE_COMPONENTS[stage][0]: core}, **terms,
+                               lang_weight=config.lang_weight,
+                               balance_weight=config.balance_weight).total
+    return total, terms
+
+
+def mixed_transition(logits: Tensor, src_targets: np.ndarray, tgt_targets: np.ndarray,
+                     ts: TransitionState) -> tuple[Tensor, Tensor, Tensor]:
+    """``(transition, ce_source, ce_target)`` of logits whose first rows are the source batch."""
+    n_src = len(src_targets)
+    ce_src = cross_entropy(take(logits, np.arange(n_src)), src_targets)
+    ce_tgt = cross_entropy(take(logits, np.arange(n_src, logits.shape[0])), tgt_targets)
+    return transition_loss(ce_src, ce_tgt, ts), ce_src, ce_tgt
+
+
+def _ce_step(utts: Sequence[Utterance], name: str, **fixed):
+    """A step that scores ``utts`` by cross-entropy, logged as ``name`` next to ``fixed``."""
+    feats, targets, labels = _batch_arrays(utts)
+
+    def score(logits):
+        ce = cross_entropy(logits, targets)
+        return ce, {**fixed, name: ce.item()}
+
+    return feats, labels, score
+
+
+def _fit(config: ExperimentConfig, stage: int, settings: StageSettings, projector,
+         decoder: ToyDecoder, draw: Callable) -> list:
+    """Train ``projector`` and ``decoder`` for the stage's batches; return the step rows.
+
+    ``draw(b)`` gives step b's ``(features, labels, score)``; ``score(logits)``
+    gives the core loss and the row fields read from it. A non-finite loss or
+    update raises ``NonFiniteLossError`` naming the stage and step.
+    """
+    group_of = projector.group_of if isinstance(projector, MoeProjector) else None
+    if group_of is None and _routing_losses(config, stage):
         raise ValueError(
             f"variant {config.variant!r} adds routing losses in stage {stage} but the "
             f"projector produces no routing trace; plain MLP projectors train without them"
         )
-    return None
-
-
-def _aux_terms(config: ExperimentConfig, stage: int, trace, group_of) -> dict:
-    if not _routing_losses(config, stage):
-        return {}
-    normalize = config.normalize_aux
-    out = {"lang": language_specific_loss(trace, None, group_of, normalize=normalize)}
-    if config.variant == "conventional-balance":
-        out["balance"] = conventional_balance_loss(trace, normalize=normalize)
-    else:
-        out["balance"] = intra_group_balance_loss(trace, group_of, normalize=normalize)
-    return out
-
-
-def _compose(config: ExperimentConfig, stage: int, *, ce=None, transition=None,
-             aux: dict) -> LossBundle:
-    if "lang" in _STAGE_COMPONENTS[stage] and not aux:
-        # the variant drops the routing penalties: the stage runs on its core term alone
-        return LossBundle(stage=stage, total=ce if transition is None else transition,
-                          ce=ce, transition=transition)
-    return compose_stage_loss(
-        stage,
-        ce=ce,
-        transition=transition,
-        lang=aux.get("lang"),
-        balance=aux.get("balance"),
-        lang_weight=config.lang_weight,
-        balance_weight=config.balance_weight,
-    )
-
-
-def _train_ce_stage(config: ExperimentConfig, stage: int, settings: StageSettings,
-                    projector, dataset, stream, *, language=None):
-    """Train ``projector`` under a new decoder head; return the head and the step rows.
-
-    The loss is cross-entropy plus the stage's routing penalties, if the
-    variant has them. The head is drawn from seed stream ``[*stream, 1]``
-    and the batch order from ``[*stream, 2]``.
-    """
-    dataset = tuple(dataset)
-    if not dataset:
-        raise ValueError("cannot train on an empty dataset")
-    group_of = _routing_groups(projector, config, stage)
-    decoder = init_decoder(config.d_model, config.target_vocab_size,
-                           config.prompt_len, [*stream, 1])
-    rng = np.random.default_rng([*stream, 2])
     opt = Adam(list(projector.parameters()) + list(decoder.parameters()),
                lr=settings.learning_rate)
     rows = []
     try:
         for b in range(1, settings.total_batches + 1):
-            feats, targets, labels = _batch_arrays(_sample(dataset, rng, settings.batch_size))
+            feats, labels, score = draw(b)
             opt.zero_grad()
             with Tape():
                 logits, trace = _forward(projector, decoder, feats, labels)
-                ce = cross_entropy(logits, targets)
-                aux = _aux_terms(config, stage, trace, group_of)
-                bundle = _compose(config, stage, ce=ce, aux=aux)
-            row = {"stage": stage, "step": b, "ce": ce.item(), "total": bundle.total.item()}
-            if language is not None:
-                row["language"] = language
-            for name, term in aux.items():
-                row[name] = term.item()
-            rows.append(_finite_row(row))
-            backward(bundle.total)
+                core, fields = score(logits)
+                total, terms = _objective(config, stage, core, trace, group_of)
+            row = {"stage": stage, "step": b, **fields, "total": total.item(),
+                   **{name: term.item() for name, term in terms.items()}}
+            for name, value in row.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise FloatingPointError(f"{name} is {value}")
+            rows.append(row)
+            backward(total)
             opt.step()
     except FloatingPointError as err:
         raise NonFiniteLossError(f"stage {stage} step {b}: {err}") from err
+    return rows
+
+
+def _train_ce_stage(config: ExperimentConfig, stage: int, settings: StageSettings,
+                    projector, dataset, stream, **fixed):
+    """Train ``projector`` under a new decoder head; return the head and the step rows.
+
+    Each row carries ``fixed``. The head is drawn from seed stream
+    ``[*stream, 1]`` and the batch order from ``[*stream, 2]``.
+    """
+    decoder = init_decoder(config.d_model, config.target_vocab_size,
+                           config.prompt_len, [*stream, 1])
+    rng = np.random.default_rng([*stream, 2])
+    rows = _fit(config, stage, settings, projector, decoder,
+                lambda b: _ce_step(_sample(dataset, rng, settings.batch_size), "ce", **fixed))
     return decoder, rows
 
 
@@ -397,53 +404,29 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
     source_ds, target_ds = tuple(source_ds), tuple(target_ds)
     if not source_ds or not target_ds:
         raise ValueError("transition stages need non-empty source and target datasets")
-    group_of = _routing_groups(state.projector, config, stage)
     settings = config.stage_settings(stage)
     rng = np.random.default_rng([config.train_seed, stage])
-    opt = Adam(state.parameters(), lr=settings.learning_rate)
-    B = settings.total_batches
-    try:
-        for b in range(1, B + 1):
-            ts = TransitionState(b, B)
-            src_batch = _sample(source_ds, rng, settings.batch_size)
-            tgt_batch = _sample(target_ds, rng, settings.batch_size)
-            opt.zero_grad()
-            if config.transition_mode == "mixed":
-                feats_s, tg_s, lab_s = _batch_arrays(src_batch)
-                feats_t, tg_t, lab_t = _batch_arrays(tgt_batch)
-                feats = np.concatenate([feats_s, feats_t], axis=0)
-                labels = np.concatenate([lab_s, lab_t])
-                n_src = feats_s.shape[0]
-                with Tape():
-                    logits, trace = _forward(state.projector, state.decoder, feats, labels)
-                    ce_src = cross_entropy(take(logits, np.arange(n_src)), tg_s)
-                    ce_tgt = cross_entropy(
-                        take(logits, np.arange(n_src, feats.shape[0])), tg_t
-                    )
-                    trans = transition_loss(ce_src, ce_tgt, ts)
-                    aux = _aux_terms(config, stage, trace, group_of)
-                    bundle = _compose(config, stage, transition=trans, aux=aux)
-                row = {"stage": stage, "step": b, "lam": ts.lam,
-                       "ce_source": ce_src.item(), "ce_target": ce_tgt.item(),
-                       "transition": trans.item(), "total": bundle.total.item()}
-            else:  # sampled: one batch from the target with probability λ
-                use_target = rng.random() < ts.lam
-                feats, targets, labels = _batch_arrays(tgt_batch if use_target else src_batch)
-                with Tape():
-                    logits, trace = _forward(state.projector, state.decoder, feats, labels)
-                    ce = cross_entropy(logits, targets)
-                    aux = _aux_terms(config, stage, trace, group_of)
-                    bundle = _compose(config, stage, transition=ce, aux=aux)
-                row = {"stage": stage, "step": b, "lam": ts.lam,
-                       "task": _TRANSITION_TASKS[stage][use_target],
-                       "transition": ce.item(), "total": bundle.total.item()}
-            for name, term in aux.items():
-                row[name] = term.item()
-            state.metrics.append(_finite_row(row))
-            backward(bundle.total)
-            opt.step()
-    except FloatingPointError as err:
-        raise NonFiniteLossError(f"stage {stage} step {b}: {err}") from err
+
+    def draw(b):
+        ts = TransitionState(b, settings.total_batches)
+        source = _sample(source_ds, rng, settings.batch_size)
+        target = _sample(target_ds, rng, settings.batch_size)
+        if config.transition_mode == "sampled":  # one batch from the target with probability λ
+            use_target = rng.random() < ts.lam
+            return _ce_step(target if use_target else source, "transition", lam=ts.lam,
+                            task=_TRANSITION_TASKS[stage][use_target])
+        feats, targets, labels = _batch_arrays(source + target)  # one forward for both
+        n_src = sum(u.length for u in source)
+
+        def score(logits):
+            trans, ce_src, ce_tgt = mixed_transition(logits, targets[:n_src],
+                                                     targets[n_src:], ts)
+            return trans, {"lam": ts.lam, "ce_source": ce_src.item(),
+                           "ce_target": ce_tgt.item(), "transition": trans.item()}
+
+        return feats, labels, score
+
+    state.metrics.extend(_fit(config, stage, settings, state.projector, state.decoder, draw))
     state.stage = stage
     return state
 

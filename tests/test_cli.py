@@ -252,14 +252,26 @@ def _fewer_header_tokens(raw: bytes, path: Path) -> bytes:
     return json.dumps(header).encode() + b"\n" + body
 
 
+def _tokens_moved_to_next_utterance(raw: bytes, path: Path) -> bytes:
+    # the total token count still matches the body; utterance 0's segments
+    # now run past its tokens and utterance 1's stop short of them
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    first, second = header["utterances"][:2]
+    for key in ("targets", "source_tokens"):
+        second[key].insert(0, first[key].pop())
+    return json.dumps(header).encode() + b"\n" + body
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw, path: raw[:-8],
     lambda raw, path: raw + bytes(8),
     _fewer_header_tokens,
     lambda raw, path: b"{not json" + raw[raw.index(b"\n"):],
     _old_jsonl,
+    _tokens_moved_to_next_utterance,
 ], ids=["truncated-body", "trailing-bytes", "header-token-count", "header-not-json",
-        "old-jsonl"])
+        "old-jsonl", "tokens-moved"])
 def test_train_refuses_damaged_dataset_by_name(tmp_path, cfg_path, damage, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])

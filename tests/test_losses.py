@@ -540,12 +540,10 @@ def composed_step(moe, decoder, config, stage, batches):
         else:
             logits, trace = stages._forward(moe, decoder, f1, l1)
             core = cross_entropy(logits, t1)
-        aux = stages._aux_terms(config, stage, trace, moe.group_of)
-        core_name = "ce" if stage == 2 else "transition"
-        bundle = stages._compose(config, stage, aux=aux, **{core_name: core})
-    backward(bundle.total)
+        total, aux = stages._objective(config, stage, core, trace, moe.group_of)
+    backward(total)
     values = {name: term.item() for name, term in aux.items()}
-    values["total"] = bundle.total.item()
+    values["total"] = total.item()
     return values, trace, [p.grad.copy() for p in params]
 
 

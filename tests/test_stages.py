@@ -333,12 +333,23 @@ def test_pipeline_callbacks(setup):
     assert saved == [1, 2, 3, 4]
 
 
-def test_default_config_op_nodes_per_step(monkeypatch):
+@pytest.mark.parametrize("variant,mode,expected", [
+    ("full", "mixed", (10, 39, 45, 40)),
+    ("full", "sampled", (10, 39, 39, 34)),
+    ("no-aux-losses", "mixed", (10, 34, 40, 40)),
+    ("conventional-balance", "mixed", (10, 39, 45, 40)),
+    ("no-moe", "mixed", (10, 10, 16, 16)),
+], ids=["full-mixed", "full-sampled", "no-aux-losses-mixed", "conventional-balance-mixed",
+        "no-moe-mixed"])
+def test_default_config_op_nodes_per_step(monkeypatch, variant, mode, expected):
     # Each routing loss is one tape node: stages 2-3 add lang, balance, the
     # balance weight and two adds to the 34 and 40 nodes of no-aux-losses.
+    # Sampled mode scores one batch, dropping the mixed batch's two takes,
+    # one cross-entropy and the blend's mul, mul and add.
     budget = StageSettings(2, 8, 3e-3)
     config = replace(ExperimentConfig(), train_utterances=8, val_utterances=2,
-                     stage1=budget, stage2=budget, stage3=budget, stage4=budget)
+                     stage1=budget, stage2=budget, stage3=budget, stage4=budget,
+                     variant=variant, transition_mode=mode)
     counts, current = {}, {}
     real_backward = stages.backward
 
@@ -356,7 +367,33 @@ def test_default_config_op_nodes_per_step(monkeypatch):
 
         monkeypatch.setattr(stages, f"run_stage{s}", entered)
     run_pipeline(config, generate_datasets(config)[1])
-    assert counts == {1: {10}, 2: {39}, 3: {45}, 4: {40}}
+    assert counts == {s: {n} for s, n in zip((1, 2, 3, 4), expected)}
+
+
+@pytest.mark.parametrize("stage,variant,mode,patched,component", [
+    (1, "full", "mixed", "cross_entropy", "ce"),
+    (1, "no-moe", "mixed", "cross_entropy", "ce"),
+    (2, "full", "mixed", "cross_entropy", "ce"),
+    (3, "full", "mixed", "transition_loss", "transition"),
+    (3, "full", "sampled", "cross_entropy", "transition"),
+    (4, "full", "mixed", "transition_loss", "transition"),
+    (4, "full", "sampled", "cross_entropy", "transition"),
+], ids=["stage1-per-language", "stage1-no-moe", "stage2", "stage3-mixed", "stage3-sampled",
+        "stage4-mixed", "stage4-sampled"])
+def test_infinite_loss_raises_naming_stage_step_and_component(
+        setup, monkeypatch, stage, variant, mode, patched, component):
+    _, _, bundle = setup
+    config = tiny_config(variant=variant, transition_mode=mode, stage1=budget(2),
+                         stage2=budget(2), stage3=budget(2), stage4=budget(2))
+    earlier = []
+    if stage > 1:
+        run_pipeline(config, bundle, stages=range(1, stage),
+                     checkpoint_cb=lambda s, model: earlier.append(model))
+    real = getattr(stages, patched)
+    monkeypatch.setattr(stages, patched, lambda *args: real(*args) * np.inf)
+    with pytest.raises(stages.NonFiniteLossError) as caught:
+        run_pipeline(config, bundle, stages=(stage,), initial=earlier[-1] if earlier else None)
+    assert str(caught.value) == f"stage {stage} step 1: {component} is inf"
 
 
 def test_stage2_steps_leave_no_tape_for_the_cyclic_collector(setup):
