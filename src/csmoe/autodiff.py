@@ -41,9 +41,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __mul__(self, other):
-        return mul(self, other)
-
 
 class _Node:
     __slots__ = ("parents", "backward", "tensor")

@@ -8,7 +8,8 @@ the round-trip bit-exact by construction.
 
 Loading refuses a checkpoint whose config hash differs from the loading
 run's config (cosmetic fields excluded), and reports exactly which fields
-differ.
+differ. A manifest that is not a JSON object, lacks a key the loader reads
+or names a parameter file other than ``params/<name>.bin`` is refused by name.
 """
 
 from __future__ import annotations
@@ -101,10 +102,32 @@ def save_checkpoint(
 
 
 def _read_manifest(directory: Path) -> dict:
+    """The manifest, refused naming its file unless it holds every key the loader reads."""
     path = directory / _MANIFEST
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint manifest at {path}")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"checkpoint manifest {path} is not valid JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint manifest {path} must hold a JSON object")
+    keys = {"kind", "stage", "config", "config_hash", "params"}
+    if manifest.get("kind") == "projectors" or manifest.get("projector_type") == "moe":
+        keys.add("num_languages")
+    if manifest.get("kind") != "projectors":
+        keys.add("projector_type")
+    if keys - manifest.keys():
+        raise ValueError(f"checkpoint manifest {path} lacks {sorted(keys - manifest.keys())}")
+    if not isinstance(manifest["params"], list):
+        raise ValueError(f"checkpoint manifest {path} must list its params")
+    for entry in manifest["params"]:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not (isinstance(name, str) and "/" not in name
+                and isinstance(entry.get("shape"), list) and entry.get("file") == f"{_PARAMS_DIR}/{name}.bin"):
+            raise ValueError(f"checkpoint manifest {path} lists a parameter without a "
+                             f"name, shape and {_PARAMS_DIR}/<name>.bin file: {entry!r}")
+    return manifest
 
 
 def checkpoint_stage(directory) -> int:

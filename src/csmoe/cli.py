@@ -10,9 +10,10 @@ separation statistics for a checkpoint).
 Exit codes: 0 success, 1 assertion/tolerance failure (a failed gradient
 check or a failed ablation run), 2 usage or configuration errors (bad
 flags, bad config files, missing inputs, checkpoint/config or
-dataset/config mismatches, damaged dataset files), 3 a numerical failure
-(a training loss that turned infinite or NaN, a log outside its domain or
-an overflowed optimizer moment; the message names the stage and step).
+dataset/config mismatches, damaged dataset files or checkpoint manifests),
+3 a numerical failure (a training loss that turned infinite or NaN, a log
+outside its domain or an overflowed optimizer moment; the message names
+the stage and step).
 All randomness flows from the seeds named in the config file (no flag sets
 one; ``grad-check`` takes no config and seeds its harness with ``--seed``),
 so every command is deterministic. ``--out`` and ``train --variant``
@@ -49,7 +50,7 @@ from .dataio import (
     save_world,
     write_json,
 )
-from .gradcheck import grad_check_report
+from .gradcheck import GRAD_LOSSES, grad_check_report
 from .projector import MoeProjector, mlp_forward, moe_forward
 from .stages import (
     DatasetBundle,
@@ -247,10 +248,11 @@ def cmd_eval(args) -> int:
 
 def cmd_grad_check(args) -> int:
     report = grad_check_report(seed=args.seed, instances=args.instances)
+    width = max(map(len, GRAD_LOSSES))
     for name, entry in report["losses"].items():
         status = "pass" if entry["pass"] else "FAIL"
-        print(f"{name:14s} max_rel_err={entry['max_rel_err']:.3e} {status}")
-    print(f"{'overall':14s} {'pass' if report['pass'] else 'FAIL'} "
+        print(f"{name:{width}s} max_rel_err={entry['max_rel_err']:.3e} {status}")
+    print(f"{'overall':{width}s} {'pass' if report['pass'] else 'FAIL'} "
           f"({report['instances']} instances, "
           f"{report['skipped_candidates']} screened out)")
     if args.out:

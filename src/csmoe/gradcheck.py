@@ -2,14 +2,20 @@
 
 For each of a set of tiny random model instances, compares reverse-mode
 gradients against central finite differences for each loss and each stage
-composition, and reports the worst relative error per loss.
+objective, and reports the worst relative error per loss.
 
-All eight losses share one sweep. An instance runs three MoE forwards
-(batch 1, batch 2 and the mixed batch 1 + 2) and decodes them once into the
-eight values; the analytic gradients come from one tape, one ``backward``
-per loss. Each perturbed coordinate is evaluated once for all eight losses
-(``fd_gradient`` with a vector-valued function), and a decoder coordinate
-reuses the unperturbed forwards, since the MoE reads no decoder parameter.
+The stage objectives are built as training builds them, by
+``stages.routing_terms`` and ``losses.compose_stage_loss``, under an
+instance's config (intra-group balance) and its ``conventional-balance``
+copy. The ``normalize_aux`` objectives are not audited here.
+
+All ten losses share one sweep. An instance runs three MoE forwards
+(batch 1, batch 2 and the mixed batch 1 + 2), reads the routing terms off
+their traces once, and decodes them into the ten values; the analytic
+gradients come from one tape, one ``backward`` per loss. Each perturbed
+coordinate is evaluated once for all ten losses (``fd_gradient`` with a
+vector-valued function), and a decoder coordinate reuses the unperturbed
+forwards and routing terms, since the MoE reads no decoder parameter.
 An instance costs 3·(2·|MoE coordinates| + 1) MoE forwards (843 here).
 
 Finite differences are only meaningful where the objective is locally
@@ -24,17 +30,13 @@ above the probe step, so accepted instances are deterministic and safe.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, relu
-from .losses import (
-    TransitionState,
-    compose_stage_loss,
-    conventional_balance_loss,
-    intra_group_balance_loss,
-    language_specific_loss,
-    transition_loss,
-)
+from .config import ExperimentConfig
+from .losses import TransitionState, compose_stage_loss, transition_loss
 from .projector import (
     ProjectorConfig,
     _moe_layer_batch,
@@ -42,21 +44,16 @@ from .projector import (
     init_mlp,
     moe_forward,
 )
-from .stages import mixed_transition
+from .stages import mixed_transition, routing_terms
 from .world import decode, init_decoder
 
 __all__ = ["GRAD_LOSSES", "grad_check_report"]
 
-GRAD_LOSSES = (
-    "ce",
-    "lang",
-    "balance",
-    "conventional",
-    "transition",
-    "stage2_total",
-    "stage3_total",
-    "stage4_total",
-)
+# stage objective -> (index of the instance config, stage); stage 2 scores
+# batch 1 and stages 3-4 the mixed batch, as the stages train them
+_OBJECTIVES = {"stage2_total": (0, 2), "stage3_total": (0, 3), "stage4_total": (0, 4),
+               "stage2_total_conventional": (1, 2), "stage3_total_conventional": (1, 3)}
+GRAD_LOSSES = ("ce", "lang", "balance", "conventional", "transition", *_OBJECTIVES)
 _MOE_ONLY = frozenset({"lang", "balance", "conventional"})  # scored on MoE parameters only
 
 # tiny instance geometry: 2 languages x 2 experts, top-2 of 4, 2 layers
@@ -118,53 +115,43 @@ def _make_instance(seed: int, candidate: int):
         targets = rng.integers(0, _VOCAB, size=_TOKENS)
         batches.append((feats, labels, targets))
     ts = TransitionState(b=2, B=3)
-    # odd candidates exercise non-unit auxiliary weights
-    weights = (1.0, 1.0) if candidate % 2 == 0 else (0.5, 2.0)
-    return moe, decoder, batches, ts, weights
+    # odd candidates exercise non-unit auxiliary weights; the second config
+    # trains stages 2-3 with the conventional balance term
+    lang_w, bal_w = (1.0, 1.0) if candidate % 2 == 0 else (0.5, 2.0)
+    config = ExperimentConfig(lang_weight=lang_w, balance_weight=bal_w)
+    return moe, decoder, batches, ts, (config, replace(config, variant="conventional-balance"))
 
 
-def _routed(moe, batches):
+def _routed(moe, batches, configs):
     """The three MoE forwards of an instance and the routing terms read from them.
 
-    Runs batch 1, batch 2 and the mixed batch 1 + 2. Returns their outputs,
-    ``(lang, balance, conventional)`` on batch 1's trace and
-    ``(lang, balance)`` on the mixed trace. Nothing here reads a decoder
+    Runs batch 1, batch 2 and the mixed batch 1 + 2. Returns their outputs and
+    each stage objective's ``routing_terms``. Nothing here reads a decoder
     parameter.
     """
     (f1, l1, _), (f2, l2, _) = batches
-    g_of = moe.group_of
     h1, trace1 = moe_forward(moe, Tensor(f1), l1)
     h2, _ = moe_forward(moe, Tensor(f2), l2)
     h_mix, trace_mix = moe_forward(moe, Tensor(np.concatenate([f1, f2], axis=0)),
                                    np.concatenate([l1, l2]))
-    on_batch1 = (language_specific_loss(trace1, None, g_of),
-                 intra_group_balance_loss(trace1, g_of),
-                 conventional_balance_loss(trace1))
-    on_mixed = (language_specific_loss(trace_mix, None, g_of),
-                intra_group_balance_loss(trace_mix, g_of))
-    return (h1, h2, h_mix), on_batch1, on_mixed
+    terms = {name: routing_terms(configs[c], stage, trace1 if stage == 2 else trace_mix,
+                                 moe.group_of)
+             for name, (c, stage) in _OBJECTIVES.items()}
+    return (h1, h2, h_mix), terms
 
 
-def _losses(routed, decoder, batches, ts, weights) -> tuple:
-    """Decode the routed outputs; the eight losses in ``GRAD_LOSSES`` order."""
-    (h1, h2, h_mix), (lang, balance, conventional), (lang_mix, balance_mix) = routed
+def _losses(routed, decoder, batches, ts, configs) -> tuple:
+    """Decode the routed outputs; the losses in ``GRAD_LOSSES`` order."""
+    (h1, h2, h_mix), terms = routed
     (_, _, t1), (_, _, t2) = batches
-    lang_w, bal_w = weights
     ce = cross_entropy(decode(decoder, h1), t1)
     ce2 = cross_entropy(decode(decoder, h2), t2)
     mixed, _, _ = mixed_transition(decode(decoder, h_mix), t1, t2, ts)
-    aux = dict(lang_weight=lang_w, balance_weight=bal_w)
-    return (
-        ce,
-        lang,
-        balance,
-        conventional,
-        transition_loss(ce, ce2, ts),
-        compose_stage_loss(2, ce=ce, lang=lang, balance=balance, **aux).total,
-        compose_stage_loss(3, transition=mixed, lang=lang_mix, balance=balance_mix,
-                           **aux).total,
-        compose_stage_loss(4, transition=mixed).total,
-    )
+    on_batch1 = terms["stage2_total"]
+    return (ce, on_batch1["lang"], on_batch1["balance"],
+            terms["stage2_total_conventional"]["balance"], transition_loss(ce, ce2, ts),
+            *(compose_stage_loss(configs[c], ce if stage == 2 else mixed, terms[name])
+              for name, (c, stage) in _OBJECTIVES.items()))
 
 
 def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
@@ -176,13 +163,13 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
     return float(np.linalg.norm(fd - analytic) / denom)
 
 
-def _instance_errors(moe, decoder, batches, ts, weights, eps: float) -> dict:
+def _instance_errors(moe, decoder, batches, ts, configs, eps: float) -> dict:
     """Worst relative error of each loss over every coordinate of one instance."""
     moe_params = moe.parameters()
     params = moe_params + decoder.parameters()
     with Tape():
-        routed = _routed(moe, batches)
-        losses = _losses(routed, decoder, batches, ts, weights)
+        routed = _routed(moe, batches, configs)
+        losses = _losses(routed, decoder, batches, ts, configs)
     analytic = []  # [loss][param]
     for loss in losses:
         for p in params:
@@ -199,8 +186,8 @@ def _instance_errors(moe, decoder, batches, ts, weights, eps: float) -> dict:
             _p.value.data[...] = t.data
             try:
                 # the MoE forward reads no decoder parameter
-                r = _routed(moe, batches) if _on_moe else routed
-                return np.array([v.item() for v in _losses(r, decoder, batches, ts, weights)])
+                r = _routed(moe, batches, configs) if _on_moe else routed
+                return np.array([v.item() for v in _losses(r, decoder, batches, ts, configs)])
             finally:
                 _p.value.data[...] = old
 
@@ -231,14 +218,14 @@ def grad_check_report(*, seed: int = 0, instances: int = 20,
     skipped = 0
     candidate = 0
     while accepted < instances:
-        moe, decoder, batches, ts, weights = _make_instance(seed, candidate)
+        moe, decoder, batches, ts, configs = _make_instance(seed, candidate)
         candidate += 1
         if not all(_screen(moe, feats, labels, eps)
                    for feats, labels, _ in batches):
             skipped += 1
             continue
         try:
-            errors = _instance_errors(moe, decoder, batches, ts, weights, eps)
+            errors = _instance_errors(moe, decoder, batches, ts, configs, eps)
         except ValueError:
             # e.g. a draw where some language carries no in-group mass at all
             skipped += 1

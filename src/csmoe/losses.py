@@ -12,6 +12,10 @@ objective carries the model across task transitions:
 * ``transition_loss`` linearly anneals between a source-task and a
   target-task loss over the course of a stage.
 
+``compose_stage_loss`` adds the routing terms a stage uses (which ones is
+``stages.routing_terms``'s rule) to its core loss; training and the
+gradient audit both build every stage objective through it.
+
 All losses are sums (not means) over tokens and layers unless the
 ``normalize`` flag is set, and all are differentiable through the routing
 probabilities: assignment counts are treated as constants (gradients flow
@@ -21,8 +25,9 @@ Each routing loss records one tape node whose parents are the layers'
 ``probs``. Its forward evaluates the numpy expressions of the op-by-op
 chain (mul, sub, log, tsum, matmul, div, add; the tests keep it as their
 oracle) in the same order, and its hand-written backward repeats that
-chain's backward arithmetic, so values and gradients are bit-identical to it. The backward closures hold numpy
-arrays only, never a tensor or the trace.
+chain's backward arithmetic, so values and gradients are bit-identical to
+it. The backward closures hold numpy arrays only, never a tensor or the
+trace.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, _record, add, mul
+from .config import ExperimentConfig
 from .projector import CS_UNLABELED, RoutingTrace
 
 __all__ = [
     "LogDomainError",
     "TransitionState",
-    "LossBundle",
     "language_specific_loss",
     "intra_group_balance_loss",
     "conventional_balance_loss",
@@ -66,12 +71,13 @@ def _resolve_labels(trace: RoutingTrace, lang: Optional[int], num_groups: int) -
     if trace.token_language is None:
         raise ValueError("trace carries no token language labels; pass lang explicitly")
     labels = np.asarray(trace.token_language, dtype=np.intp)
-    if np.any(labels == CS_UNLABELED):
+    lowest = labels.min()
+    if lowest < 0 and (labels == CS_UNLABELED).any():
         raise ValueError(
             "trace contains unlabeled (code-switched) tokens; language-aware "
             "losses require a concrete label per token"
         )
-    if labels.min() < 0 or labels.max() >= num_groups:
+    if lowest < 0 or labels.max() >= num_groups:
         raise ValueError(f"token language labels out of range for {num_groups} groups")
     return labels
 
@@ -80,11 +86,10 @@ def _group_layout(group_of: np.ndarray) -> tuple[np.ndarray, int, int]:
     group_of = np.asarray(group_of, dtype=np.intp)
     if group_of.ndim != 1 or group_of.size == 0:
         raise ValueError("group_of must be a non-empty 1-D array")
-    m = int(group_of.max()) + 1
-    counts = np.bincount(group_of, minlength=m)
-    if group_of.min() < 0 or np.any(counts == 0) or len(set(counts)) != 1:
+    counts = np.bincount(group_of) if group_of.min() >= 0 else None
+    if counts is None or (counts != counts[0]).any():  # bincount's last entry is never 0
         raise ValueError("group_of must assign every expert to equally sized groups 0..m-1")
-    return group_of, m, int(counts[0])
+    return group_of, counts.size, int(counts[0])
 
 
 def _in_group_wins(probs: np.ndarray, labels: np.ndarray, group_of: np.ndarray,
@@ -300,69 +305,17 @@ def transition_loss(ce_source: Tensor, ce_target: Tensor, ts: TransitionState) -
     return add(mul(ce_source, 1.0 - lam), mul(ce_target, lam))
 
 
-@dataclass(frozen=True)
-class LossBundle:
-    """Composed stage objective with its constituent terms.
+def compose_stage_loss(config: ExperimentConfig, core: Tensor, terms: dict) -> Tensor:
+    """A stage's objective: ``core`` plus its routing ``terms``, weighted by the config.
 
-    ``total`` is always the exact sum of the non-None components (after any
-    weighting); components not used by the stage are None.
+    ``core`` is the task cross-entropy or the transition blend; ``terms`` is
+    what ``stages.routing_terms`` returns, so ``{}`` or ``lang`` and
+    ``balance``. A term whose weight is not 1.0 is scaled by one ``mul``.
+    With no terms the objective is ``core`` itself.
     """
-
-    stage: int
-    total: Tensor
-    ce: Optional[Tensor] = None
-    lang: Optional[Tensor] = None
-    balance: Optional[Tensor] = None
-    transition: Optional[Tensor] = None
-
-
-# stage -> loss terms; the first is the core term ablations keep alone
-_STAGE_COMPONENTS = {
-    1: ("ce",),
-    2: ("ce", "lang", "balance"),
-    3: ("transition", "lang", "balance"),
-    4: ("transition",),
-}
-
-
-def compose_stage_loss(
-    stage: int,
-    *,
-    ce: Optional[Tensor] = None,
-    lang: Optional[Tensor] = None,
-    balance: Optional[Tensor] = None,
-    transition: Optional[Tensor] = None,
-    lang_weight: float = 1.0,
-    balance_weight: float = 1.0,
-) -> LossBundle:
-    """Assemble the training objective for one stage.
-
-    Stage 1: task cross-entropy alone. Stage 2: cross-entropy plus the
-    language-specific and intra-group balance penalties. Stage 3: the
-    transition blend plus both penalties. Stage 4: the transition blend
-    alone. Components a stage does not use are ignored; components it
-    requires must be provided. Auxiliary weights scale the lang/balance
-    terms (1.0 leaves them untouched).
-    """
-    if stage not in _STAGE_COMPONENTS:
-        raise ValueError(f"stage must be 1..4, got {stage}")
-    provided = {"ce": ce, "lang": lang, "balance": balance, "transition": transition}
-    needed = _STAGE_COMPONENTS[stage]
-    missing = [name for name in needed if provided[name] is None]
-    if missing:
-        raise ValueError(f"stage {stage} loss requires {missing}")
-
-    def weighted(name: str) -> Tensor:
-        t = provided[name]
-        if name == "lang" and lang_weight != 1.0:
-            t = mul(t, lang_weight)
-        if name == "balance" and balance_weight != 1.0:
-            t = mul(t, balance_weight)
-        return t
-
-    parts = [weighted(name) for name in needed]
-    total = parts[0]
-    for part in parts[1:]:
-        total = add(total, part)
-    kept = {name: provided[name] for name in needed}
-    return LossBundle(stage=stage, total=total, **kept)
+    total = core
+    for name, weight in (("lang", config.lang_weight), ("balance", config.balance_weight)):
+        if name in terms:
+            term = terms[name]
+            total = add(total, term if weight == 1.0 else mul(term, weight))
+    return total

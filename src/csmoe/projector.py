@@ -106,10 +106,6 @@ class MoeProjector:
         self.layers = layers
         self.group_of = np.repeat(np.arange(num_languages), experts_per_group)
 
-    @property
-    def total_experts(self) -> int:
-        return self.num_languages * self.experts_per_group
-
     def group_mask(self, g: int) -> np.ndarray:
         return self.group_of == g
 
@@ -206,7 +202,7 @@ def _moe_layer_batch(layer: MoeLayer, h: Tensor, k: int):
     logits = matmul(h, layer.router_weights.value)  # [T × N]
     sel = _topk_rows(logits.data, k)
     mask = np.zeros(logits.shape, dtype=bool)
-    np.put_along_axis(mask, sel, True, axis=1)
+    mask[np.arange(sel.shape[0])[:, None], sel] = True
     probs = masked_softmax(logits, mask)
     out = mix(probs, [matmul(h, ew.value) for ew in layer.expert_weights])
     return out, sel, probs

@@ -13,8 +13,10 @@ stages 2-3 add the routing penalties and in which balance form (the
 variant), the transition mode and the loss weights. All four stages train
 through one step loop, ``_fit``: a stage supplies only how step b's batch is
 drawn and how its core loss (cross-entropy, or the transition blend) is read
-off the logits; ``_objective`` adds the routing penalties the stage and the
-variant call for. Every stage derives its randomness from ``(train_seed,
+off the logits. ``routing_terms`` gives the routing penalties the stage and
+the variant call for, and ``losses.compose_stage_loss`` adds them to the core
+loss; the gradient audit builds its stage objectives through the same two
+functions. Every stage derives its randomness from ``(train_seed,
 stage, ...)`` streams and resets optimizer moments at the stage boundary, so
 resuming from a stage checkpoint reproduces the remaining stages bit-exactly.
 """
@@ -31,7 +33,6 @@ from .analysis import expert_load, routing_accuracy
 from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take
 from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig, StageSettings
 from .losses import (
-    _STAGE_COMPONENTS,
     TransitionState,
     compose_stage_loss,
     conventional_balance_loss,
@@ -77,6 +78,7 @@ __all__ = [
     "run_stage3",
     "run_stage4",
     "run_pipeline",
+    "routing_terms",
     "mixed_transition",
     "evaluate_dataset",
     "token_report",
@@ -232,29 +234,28 @@ def _forward(projector, decoder: ToyDecoder, feats: np.ndarray, labels):
 _TRANSITION_TASKS = {3: (TASK_ASR, TASK_ST), 4: (TASK_ST, TASK_CS_ST)}
 
 
-def _routing_losses(config: ExperimentConfig, stage: int) -> bool:
-    """Whether ``stage`` adds the language and balance penalties under the config's variant."""
-    return "lang" in _STAGE_COMPONENTS[stage] and config.variant in ROUTING_LOSS_VARIANTS
+def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingTrace],
+                  group_of) -> dict:
+    """The routing penalties ``stage`` adds to its core loss under the config.
 
-
-def _objective(config: ExperimentConfig, stage: int, core: Tensor, trace,
-               group_of) -> tuple[Tensor, dict]:
-    """The stage's loss on its core term (``ce`` or ``transition``) and the routing terms.
-
-    The loss is ``core`` itself when the stage or the variant adds no routing penalties.
+    Stages 2-3 of the routing-loss variants add ``lang`` and ``balance`` (the
+    conventional term under ``conventional-balance``, else the intra-group
+    one), read off the MoE's trace; every other stage and variant adds ``{}``.
     """
-    if not _routing_losses(config, stage):
-        return core, {}
+    if stage not in (2, 3) or config.variant not in ROUTING_LOSS_VARIANTS:
+        return {}
+    if trace is None:
+        raise ValueError(
+            f"variant {config.variant!r} adds routing losses in stage {stage} but the "
+            f"projector produces no routing trace; plain MLP projectors train without them"
+        )
     normalize = config.normalize_aux
     terms = {"lang": language_specific_loss(trace, None, group_of, normalize=normalize)}
     if config.variant == "conventional-balance":
         terms["balance"] = conventional_balance_loss(trace, normalize=normalize)
     else:
         terms["balance"] = intra_group_balance_loss(trace, group_of, normalize=normalize)
-    total = compose_stage_loss(stage, **{_STAGE_COMPONENTS[stage][0]: core}, **terms,
-                               lang_weight=config.lang_weight,
-                               balance_weight=config.balance_weight).total
-    return total, terms
+    return terms
 
 
 def mixed_transition(logits: Tensor, src_targets: np.ndarray, tgt_targets: np.ndarray,
@@ -286,11 +287,6 @@ def _fit(config: ExperimentConfig, stage: int, settings: StageSettings, projecto
     update raises ``NonFiniteLossError`` naming the stage and step.
     """
     group_of = projector.group_of if isinstance(projector, MoeProjector) else None
-    if group_of is None and _routing_losses(config, stage):
-        raise ValueError(
-            f"variant {config.variant!r} adds routing losses in stage {stage} but the "
-            f"projector produces no routing trace; plain MLP projectors train without them"
-        )
     opt = Adam(list(projector.parameters()) + list(decoder.parameters()),
                lr=settings.learning_rate)
     rows = []
@@ -301,7 +297,8 @@ def _fit(config: ExperimentConfig, stage: int, settings: StageSettings, projecto
             with Tape():
                 logits, trace = _forward(projector, decoder, feats, labels)
                 core, fields = score(logits)
-                total, terms = _objective(config, stage, core, trace, group_of)
+                terms = routing_terms(config, stage, trace, group_of)
+                total = compose_stage_loss(config, core, terms)
             row = {"stage": stage, "step": b, **fields, "total": total.item(),
                    **{name: term.item() for name, term in terms.items()}}
             for name, value in row.items():

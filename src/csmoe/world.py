@@ -92,15 +92,6 @@ class World:
     def num_languages(self) -> int:
         return len(self.languages)
 
-    @property
-    def source_vocab_size(self) -> int:
-        return self.num_languages * self.vocab_per_lang
-
-    @property
-    def target_vocab_size(self) -> int:
-        # source ids (ASR targets) plus one shared translated range
-        return (self.num_languages + 1) * self.vocab_per_lang
-
 
 @dataclass(frozen=True)
 class Utterance:

@@ -9,6 +9,7 @@ from independently loaded checkpoints.
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,12 @@ import pytest
 
 import csmoe.cli
 import csmoe.stages
+from csmoe.autodiff import mul
 from csmoe.checkpoint import load_checkpoint
 from csmoe.cli import main
 from csmoe.config import config_from_dict
 from csmoe.dataio import load_dataset
+from csmoe.gradcheck import GRAD_LOSSES
 from csmoe.losses import LogDomainError
 from csmoe.stages import evaluate_dataset, generate_datasets, routing_probe
 from oracles import read_metrics
@@ -167,7 +170,7 @@ def test_train_non_finite_loss_exits_3_and_writes_no_checkpoint(
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
     real_ce = csmoe.stages.cross_entropy
     monkeypatch.setattr(csmoe.stages, "cross_entropy",
-                        lambda logits, targets: real_ce(logits, targets) * np.inf)
+                        lambda logits, targets: mul(real_ce(logits, targets), np.inf))
     capsys.readouterr()
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -186,7 +189,7 @@ def test_train_non_finite_loss_in_stage3_keeps_stage_1_2_rows_and_checkpoints(
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
     real_transition = csmoe.stages.transition_loss
     monkeypatch.setattr(csmoe.stages, "transition_loss",
-                        lambda *args: real_transition(*args) * np.inf)
+                        lambda *args: mul(real_transition(*args), np.inf))
     capsys.readouterr()
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -347,6 +350,53 @@ def test_eval_identical_report_bytes(tmp_path, cfg_path, trained_dir):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def _entry_file(manifest, index, file):
+    params = [dict(entry) for entry in manifest["params"]]
+    params[index]["file"] = file
+    return {**manifest, "params": params}
+
+
+@pytest.fixture(scope="module")
+def stage2_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("stage2")
+    (root / "config.json").write_text(json.dumps(TINY))
+    out = root / "run"
+    main(["gen-data", "--config", str(root / "config.json"), "--out", str(out)])
+    main(["train", "--config", str(root / "config.json"), "--out", str(out), "--stages", "1,2"])
+    return out
+
+
+@pytest.mark.parametrize("damage", [
+    lambda m: {k: v for k, v in m.items() if k != "stage"},
+    lambda m: {k: v for k, v in m.items() if k != "projector_type"},
+    lambda m: [1, 2],
+    lambda m: {**m, "params": {}},
+    lambda m: {**m, "params": [{**m["params"][0], "shape": 5}, *m["params"][1:]]},
+    # one layer's expert files have the same shape, so this one used to load silently
+    lambda m: _entry_file(m, 0, m["params"][1]["file"]),
+    lambda m: _entry_file(m, 0, "../stage1/params/lang0.mlp.layer0.bin"),
+], ids=["no-stage", "no-projector-type", "list", "params-not-list", "shape-not-list",
+        "other-param-file", "file-outside-params"])
+@pytest.mark.parametrize("command", ["eval", "train-resume"])
+def test_damaged_checkpoint_manifest_exits_2_naming_it(
+        tmp_path, cfg_path, stage2_dir, damage, command, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(stage2_dir, run)
+    checkpoint = run / "checkpoints" / "stage2"
+    manifest = checkpoint / "manifest.json"
+    manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
+    if command == "eval":
+        argv = ["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "eval")]
+    else:
+        argv = ["train", "--config", cfg_path, "--out", str(run), "--resume", str(checkpoint)]
+    before = _tree_bytes(run)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(manifest) in capsys.readouterr().err
+    assert _tree_bytes(run) == before
+
+
 def test_eval_rejects_stage1_checkpoint(tmp_path, cfg_path, trained_dir, capsys):
     rc = main(["eval", "--config", cfg_path,
                "--checkpoint", str(trained_dir / "checkpoints" / "stage1"),
@@ -365,7 +415,10 @@ def test_grad_check_command(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
     assert "stage3_total" in report["losses"]
-    assert "ce" in capsys.readouterr().out
+    rows = [line for line in capsys.readouterr().out.splitlines() if "max_rel_err=" in line]
+    assert [row.split()[0] for row in rows] == list(GRAD_LOSSES)
+    # one column for every name, the longest included
+    assert len({row.index(" max_rel_err=") for row in rows}) == 1
 
 
 def test_grad_check_takes_no_config(tmp_path, capsys):

@@ -13,6 +13,7 @@ import pytest
 
 import csmoe.gradcheck as gradcheck
 import csmoe.losses
+from csmoe import stages
 from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, take
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
 from csmoe.losses import (
@@ -29,6 +30,7 @@ from csmoe.world import decode
 EXPECTED = {
     "ce", "lang", "balance", "conventional", "transition",
     "stage2_total", "stage3_total", "stage4_total",
+    "stage2_total_conventional", "stage3_total_conventional",
 }
 
 
@@ -68,6 +70,26 @@ def test_corrupted_backward_is_caught(monkeypatch):
     assert report["losses"]["conventional"]["pass"]
 
 
+def test_corrupted_conventional_backward_is_caught(monkeypatch):
+    real_conventional = stages.conventional_balance_loss
+
+    def crooked_conventional(trace, **kwargs):
+        loss = real_conventional(trace, **kwargs)
+        if loss._tape is not None:  # its gradient is wrong by a factor of 1.5
+            node = loss._tape.nodes[loss.node_id]
+            real_backward = node.backward
+            node.backward = lambda g: tuple(d * 1.5 for d in real_backward(g))
+        return loss
+
+    monkeypatch.setattr(stages, "conventional_balance_loss", crooked_conventional)
+    losses = grad_check_report(seed=0, instances=3)["losses"]
+    for name in ("conventional", "stage2_total_conventional", "stage3_total_conventional"):
+        assert not losses[name]["pass"], name
+    # the intra-group objectives never touch the corrupted rule
+    for name in ("ce", "stage2_total", "stage3_total"):
+        assert losses[name]["pass"], name
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         grad_check_report(instances=0)
@@ -80,11 +102,11 @@ def test_rejects_bad_arguments():
 # ------------------------------------------------- per-loss sweep (oracle)
 
 
-def _oracle_builders(moe, decoder, batches, ts, weights):
+def _oracle_builders(moe, decoder, batches, ts, configs):
     """One closure per loss, each running its own MoE forwards."""
     (f1, l1, t1), (f2, l2, t2) = batches
     g_of = moe.group_of
-    lang_w, bal_w = weights
+    intra, conventional = configs
 
     def fwd(feats, labels):
         return moe_forward(moe, Tensor(feats), labels)
@@ -92,14 +114,6 @@ def _oracle_builders(moe, decoder, batches, ts, weights):
     def ce_of(feats, labels, targets):
         h, trace = fwd(feats, labels)
         return cross_entropy(decode(decoder, h), targets), trace
-
-    def b_stage2():
-        ce, trace = ce_of(f1, l1, t1)
-        return compose_stage_loss(
-            2, ce=ce, lang=language_specific_loss(trace, None, g_of),
-            balance=intra_group_balance_loss(trace, g_of),
-            lang_weight=lang_w, balance_weight=bal_w,
-        ).total
 
     def mixed():
         feats = np.concatenate([f1, f2], axis=0)
@@ -110,27 +124,31 @@ def _oracle_builders(moe, decoder, batches, ts, weights):
         ce_tgt = cross_entropy(take(logits, np.arange(n_src, feats.shape[0])), t2)
         return transition_loss(ce_src, ce_tgt, ts), trace
 
-    def b_stage3():
-        trans, trace = mixed()
-        return compose_stage_loss(
-            3, transition=trans, lang=language_specific_loss(trace, None, g_of),
-            balance=intra_group_balance_loss(trace, g_of),
-            lang_weight=lang_w, balance_weight=bal_w,
-        ).total
+    def intra_balance(trace):
+        return intra_group_balance_loss(trace, g_of)
+
+    def routed(config, balance, core_and_trace):
+        core, trace = core_and_trace
+        terms = {"lang": language_specific_loss(trace, None, g_of), "balance": balance(trace)}
+        return compose_stage_loss(config, core, terms)
 
     moe_params = moe.parameters()
     all_params = moe_params + decoder.parameters()
     return {
         "ce": (lambda: ce_of(f1, l1, t1)[0], all_params),
         "lang": (lambda: language_specific_loss(fwd(f1, l1)[1], None, g_of), moe_params),
-        "balance": (lambda: intra_group_balance_loss(fwd(f1, l1)[1], g_of), moe_params),
+        "balance": (lambda: intra_balance(fwd(f1, l1)[1]), moe_params),
         "conventional": (lambda: conventional_balance_loss(fwd(f1, l1)[1]), moe_params),
         "transition": (lambda: transition_loss(ce_of(f1, l1, t1)[0],
                                                ce_of(f2, l2, t2)[0], ts), all_params),
-        "stage2_total": (b_stage2, all_params),
-        "stage3_total": (b_stage3, all_params),
-        "stage4_total": (lambda: compose_stage_loss(4, transition=mixed()[0]).total,
-                         all_params),
+        "stage2_total": (lambda: routed(intra, intra_balance, ce_of(f1, l1, t1)), all_params),
+        "stage3_total": (lambda: routed(intra, intra_balance, mixed()), all_params),
+        "stage4_total": (lambda: mixed()[0], all_params),
+        "stage2_total_conventional": (
+            lambda: routed(conventional, conventional_balance_loss, ce_of(f1, l1, t1)),
+            all_params),
+        "stage3_total_conventional": (
+            lambda: routed(conventional, conventional_balance_loss, mixed()), all_params),
     }
 
 
@@ -157,8 +175,8 @@ def _oracle_max_rel_err(build_loss, params, eps):
     return worst
 
 
-def _oracle_instance_errors(moe, decoder, batches, ts, weights, eps):
-    builders = _oracle_builders(moe, decoder, batches, ts, weights)
+def _oracle_instance_errors(moe, decoder, batches, ts, configs, eps):
+    builders = _oracle_builders(moe, decoder, batches, ts, configs)
     return {name: _oracle_max_rel_err(build, params, eps)
             for name, (build, params) in builders.items()}
 
@@ -197,7 +215,7 @@ def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
     state = {"current": None, "bad": None, "conventional_calls": 0, "corrupted": False}
     real_make = gradcheck._make_instance
     real_lang_backward = csmoe.losses._lang_backward
-    real_conventional = gradcheck.conventional_balance_loss
+    real_conventional = stages.conventional_balance_loss
 
     def make(seed, candidate):
         state["current"] = candidate
@@ -218,15 +236,16 @@ def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
     def raising_conventional(trace, **kwargs):
         if on_bad_candidate():
             state["conventional_calls"] += 1
-            # one unperturbed call, then two per coordinate of the first
+            # each MoE evaluation calls it on batch 1 and on the mixed batch:
+            # two unperturbed calls, then four per coordinate of the first
             # parameter (a [d_in × d_model] expert); the next call raises
-            if state["conventional_calls"] > 1 + 2 * gradcheck._D_IN * gradcheck._D_MODEL:
+            if state["conventional_calls"] > 2 + 4 * gradcheck._D_IN * gradcheck._D_MODEL:
                 raise ValueError("conventional balance undefined on this draw")
         return real_conventional(trace, **kwargs)
 
     monkeypatch.setattr(gradcheck, "_make_instance", make)
     monkeypatch.setattr(csmoe.losses, "_lang_backward", crooked_lang_backward)
-    monkeypatch.setattr(gradcheck, "conventional_balance_loss", raising_conventional)
+    monkeypatch.setattr(stages, "conventional_balance_loss", raising_conventional)
     report = grad_check_report(seed=0, instances=2)
     assert state["bad"] is not None and state["corrupted"]
     assert report["pass"] is True, report["losses"]

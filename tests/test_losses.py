@@ -24,9 +24,8 @@ from csmoe.autodiff import (
     mul,
     take,
 )
-from csmoe.config import ExperimentConfig
+from csmoe.config import VARIANTS, ExperimentConfig
 from csmoe.losses import (
-    LossBundle,
     TransitionState,
     _group_layout,
     _in_group_wins,
@@ -112,6 +111,18 @@ def test_language_loss_explicit_label_overrides():
     loss = language_specific_loss(trace, 1, GROUPS_2x2)
     expected = -math.log(1 - 0.5) - math.log(1 - 0.3)
     assert abs(loss.item() - expected) < 1e-9
+
+
+def test_group_layout_reads_equal_groups():
+    group_of, m, n = _group_layout(np.array([0, 0, 0, 1, 1, 1]))
+    assert (group_of.tolist(), m, n) == ([0, 0, 0, 1, 1, 1], 2, 3)
+
+
+@pytest.mark.parametrize("group_of", [[], [[0, 1]], [-1, 0], [0, 0, 1], [0, 0, 2, 2]],
+                         ids=["empty", "2-d", "negative", "uneven", "empty-group"])
+def test_group_layout_refuses_bad_groupings(group_of):
+    with pytest.raises(ValueError, match="group_of"):
+        _group_layout(np.array(group_of))
 
 
 def test_language_loss_rejects_cs_unlabeled():
@@ -318,53 +329,30 @@ def test_transition_gradient_weights():
 # -------------------------------------------------------- compose_stage_loss
 
 
-def test_compose_stage1():
-    bundle = compose_stage_loss(1, ce=Tensor(0.9))
-    assert abs(bundle.total.item() - 0.9) < 1e-15
-    assert bundle.lang is None and bundle.balance is None
+UNIT_WEIGHTS = ExperimentConfig(balance_weight=1.0)
+
+
+def test_compose_without_terms_is_the_core_itself():
+    core = Tensor(0.9)
+    assert compose_stage_loss(UNIT_WEIGHTS, core, {}) is core
 
 
 def test_compose_stage2_sum():
-    bundle = compose_stage_loss(2, ce=Tensor(1.0), lang=Tensor(0.2), balance=Tensor(0.5))
-    assert abs(bundle.total.item() - 1.7) < 1e-15
+    total = compose_stage_loss(UNIT_WEIGHTS, Tensor(1.0),
+                               {"lang": Tensor(0.2), "balance": Tensor(0.5)})
+    assert abs(total.item() - 1.7) < 1e-15
 
 
 def test_compose_stage3_sum():
-    bundle = compose_stage_loss(
-        3, transition=Tensor(1.3), lang=Tensor(0.2), balance=Tensor(0.5)
-    )
-    assert abs(bundle.total.item() - 2.0) < 1e-15
-
-
-def test_compose_stage4_ignores_aux():
-    bundle = compose_stage_loss(4, transition=Tensor(1.3), lang=Tensor(9.9))
-    assert bundle.total.item() == 1.3
-    assert bundle.lang is None and bundle.balance is None
-
-
-def test_compose_missing_component_rejected():
-    with pytest.raises(ValueError):
-        compose_stage_loss(2, ce=Tensor(1.0), lang=Tensor(0.2))  # no balance
-    with pytest.raises(ValueError):
-        compose_stage_loss(1)
-    with pytest.raises(ValueError):
-        compose_stage_loss(3, transition=Tensor(1.0), lang=Tensor(0.1))
-    with pytest.raises(ValueError):
-        compose_stage_loss(4, ce=Tensor(1.0))
-    with pytest.raises(ValueError):
-        compose_stage_loss(5, ce=Tensor(1.0))
+    total = compose_stage_loss(UNIT_WEIGHTS, Tensor(1.3),
+                               {"lang": Tensor(0.2), "balance": Tensor(0.5)})
+    assert abs(total.item() - 2.0) < 1e-15
 
 
 def test_compose_stage2_weighted():
-    bundle = compose_stage_loss(
-        2,
-        ce=Tensor(1.0),
-        lang=Tensor(0.2),
-        balance=Tensor(0.5),
-        lang_weight=2.0,
-        balance_weight=0.0,
-    )
-    assert abs(bundle.total.item() - 1.4) < 1e-15
+    config = ExperimentConfig(lang_weight=2.0, balance_weight=0.5)
+    total = compose_stage_loss(config, Tensor(1.0), {"lang": Tensor(0.2), "balance": Tensor(0.5)})
+    assert abs(total.item() - 1.65) < 1e-15
 
 
 # ----------------------------------------- gradients through the router chain
@@ -540,11 +528,29 @@ def composed_step(moe, decoder, config, stage, batches):
         else:
             logits, trace = stages._forward(moe, decoder, f1, l1)
             core = cross_entropy(logits, t1)
-        total, aux = stages._objective(config, stage, core, trace, moe.group_of)
+        aux = stages.routing_terms(config, stage, trace, moe.group_of)
+        total = compose_stage_loss(config, core, aux)
     backward(total)
     values = {name: term.item() for name, term in aux.items()}
     values["total"] = total.item()
     return values, trace, [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_routing_terms_follow_stage_and_variant(variant, stage):
+    moe, _, batches = fused_setup(0, 2, absent=False)
+    feats, labels, _ = batches[0]
+    _, trace = moe_forward(moe, Tensor(feats), labels)
+    terms = stages.routing_terms(ExperimentConfig(variant=variant), stage, trace, moe.group_of)
+    if stage not in (2, 3) or variant not in ("full", "conventional-balance"):
+        assert terms == {}
+        return
+    assert set(terms) == {"lang", "balance"}
+    assert terms["lang"].item() == language_specific_loss(trace, None, moe.group_of).item()
+    balance = (conventional_balance_loss(trace) if variant == "conventional-balance"
+               else intra_group_balance_loss(trace, moe.group_of))
+    assert terms["balance"].item() == balance.item()
 
 
 def use_chain_losses(monkeypatch):

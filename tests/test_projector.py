@@ -106,7 +106,7 @@ def test_mlp_forward_width_mismatch():
 
 def test_build_moe_layout():
     moe = tiny_moe(m=2, n=3, k=3)
-    assert moe.total_experts == 6
+    assert moe.group_of.size == 6
     assert moe.group_of.tolist() == [0, 0, 0, 1, 1, 1]
 
 
@@ -131,7 +131,7 @@ def test_build_moe_copies_pretrained_layers():
 def test_build_moe_default_geometry():
     # m=2 languages, n=3 experts per group, top-3 routing.
     moe = tiny_moe(m=2, n=3, k=3)
-    assert (moe.total_experts, moe.top_k) == (6, 3)
+    assert (moe.num_languages * moe.experts_per_group, moe.top_k) == (6, 3)
 
 
 def test_build_moe_rejects_heterogeneous_configs():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from csmoe import stages
-from csmoe.autodiff import Tape, Tensor, _Node, cross_entropy
+from csmoe.autodiff import Tape, Tensor, _Node, cross_entropy, mul
 from csmoe.config import ExperimentConfig, StageSettings
 from csmoe.projector import MlpProjector, MoeProjector, moe_forward
 from csmoe.stages import (
@@ -390,7 +390,7 @@ def test_infinite_loss_raises_naming_stage_step_and_component(
         run_pipeline(config, bundle, stages=range(1, stage),
                      checkpoint_cb=lambda s, model: earlier.append(model))
     real = getattr(stages, patched)
-    monkeypatch.setattr(stages, patched, lambda *args: real(*args) * np.inf)
+    monkeypatch.setattr(stages, patched, lambda *args: mul(real(*args), np.inf))
     with pytest.raises(stages.NonFiniteLossError) as caught:
         run_pipeline(config, bundle, stages=(stage,), initial=earlier[-1] if earlier else None)
     assert str(caught.value) == f"stage {stage} step 1: {component} is inf"

@@ -31,6 +31,16 @@ def default_world(seed=0, m=2, separation=6.0):
     )
 
 
+def source_vocab_size(w):
+    """Source ids: one contiguous range per language."""
+    return w.num_languages * w.vocab_per_lang
+
+
+def target_vocab_size(w):
+    """Source ids (ASR targets) plus one shared translated range."""
+    return (w.num_languages + 1) * w.vocab_per_lang
+
+
 def pairwise_min_distance(points):
     diffs = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diffs**2).sum(-1))
@@ -71,14 +81,11 @@ def test_vocab_ranges_contiguous_and_disjoint():
     for g, lang in enumerate(w.languages):
         assert lang.vocab_start == g * V
         assert lang.vocab_size == V
-    assert w.source_vocab_size == 3 * V
-    assert w.target_vocab_size == 4 * V
 
 
 def test_st_bijections_cover_shared_range():
     w = default_world(seed=4, m=3)
-    lo = w.source_vocab_size
-    hi = w.target_vocab_size
+    lo, hi = source_vocab_size(w), target_vocab_size(w)
     for lang in w.languages:
         assert np.array_equal(np.sort(lang.st_bijection), np.arange(lo, hi))
     # distinct languages get distinct mappings (overwhelmingly likely per seed)
@@ -156,10 +163,10 @@ def test_st_targets_are_bijection_of_sources():
     assert np.array_equal(utt.targets, lang.st_bijection[local])
     # applying the inverse permutation recovers the sources
     inverse = np.empty(w.vocab_per_lang, dtype=np.intp)
-    inverse[lang.st_bijection - w.source_vocab_size] = np.arange(w.vocab_per_lang)
-    recovered = inverse[utt.targets - w.source_vocab_size] + lang.vocab_start
+    inverse[lang.st_bijection - source_vocab_size(w)] = np.arange(w.vocab_per_lang)
+    recovered = inverse[utt.targets - source_vocab_size(w)] + lang.vocab_start
     assert np.array_equal(recovered, utt.source_tokens)
-    assert utt.targets.min() >= w.source_vocab_size
+    assert utt.targets.min() >= source_vocab_size(w)
 
 
 def test_cs_utterance_structure_and_replay():
@@ -318,7 +325,7 @@ def test_oracle_projection_head_only_training_drives_ce_down():
     # a trained head reaches near-zero CE: the decoding task itself is easy.
     w = default_world(seed=0)
     d_model, V = 32, w.vocab_per_lang
-    dec = init_decoder(d_model=d_model, vocab_size=w.target_vocab_size, prompt_len=4, seed=5)
+    dec = init_decoder(d_model=d_model, vocab_size=target_vocab_size(w), prompt_len=4, seed=5)
     opt = Adam([dec.prompt_embedding, dec.output_head], lr=0.05)
     rng = np.random.default_rng(6)
     final = None
@@ -343,7 +350,7 @@ def test_st_task_learnable_with_plain_mlp():
     w = default_world(seed=0)
     cfg = ProjectorConfig(d_in=w.d_in, d_model=32, num_layers=3)
     mlp = init_mlp(cfg, seed=11)
-    dec = init_decoder(d_model=32, vocab_size=w.target_vocab_size, prompt_len=4, seed=12)
+    dec = init_decoder(d_model=32, vocab_size=target_vocab_size(w), prompt_len=4, seed=12)
     params = mlp.parameters() + [dec.prompt_embedding, dec.output_head]
     opt = Adam(params, lr=3e-3)
     rng = np.random.default_rng(13)
