@@ -38,14 +38,11 @@ class RoutingStats:
     """Per-language routing quality over all (token, layer) pairs.
 
     Entries are NaN for languages with no tokens in the trace.
-    ``group_expert_share`` rows sum to 1 over each language's own experts
-    (computed from in-group argmax assignments).
     """
 
     top1_in_group: np.ndarray  # [m] fraction of pairs whose argmax is in-group
     topk_mass_in_group: np.ndarray  # [m] mean in-group probability mass
     topk_count_in_group: np.ndarray  # [m] mean fraction of selected slots in-group
-    group_expert_share: np.ndarray  # [m × n]
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ class SeparationReport:
 
 def routing_accuracy(trace: RoutingTrace, group_of: np.ndarray) -> RoutingStats:
     """How faithfully tokens route to their own language's expert group."""
-    group_of, m, n = _group_layout(group_of)
+    group_of, m, _ = _group_layout(group_of)
     labels = _resolve_labels(trace, None, m)
 
     pairs = np.zeros(m)
@@ -88,20 +85,12 @@ def routing_accuracy(trace: RoutingTrace, group_of: np.ndarray) -> RoutingStats:
             mass_sum[j] += mass[rows].sum()
             count_sum[j] += count_frac[rows].sum()
 
-    share_counts = sum((_in_group_wins(layer.probs.data, labels, group_of, m, n)
-                        for layer in trace.layers), np.zeros((m, n)))
     with np.errstate(invalid="ignore", divide="ignore"):
         top1 = np.where(pairs > 0, top1_hits / pairs, np.nan)
         mass_frac = np.where(pairs > 0, mass_sum / pairs, np.nan)
         count = np.where(pairs > 0, count_sum / pairs, np.nan)
-        totals = share_counts.sum(axis=1, keepdims=True)
-        share = np.where(totals > 0, share_counts / np.maximum(totals, 1), np.nan)
-    return RoutingStats(
-        top1_in_group=top1,
-        topk_mass_in_group=mass_frac,
-        topk_count_in_group=count,
-        group_expert_share=share,
-    )
+    return RoutingStats(top1_in_group=top1, topk_mass_in_group=mass_frac,
+                        topk_count_in_group=count)
 
 
 def expert_load(trace: RoutingTrace, group_of: np.ndarray) -> ExpertLoad:

@@ -1,24 +1,27 @@
 """Checkpoint persistence: a JSON manifest plus raw float64 tensor payloads.
 
-A checkpoint directory holds ``manifest.json`` (config, config hash, stage,
-model geometry, and a shape-checked parameter listing) and one
-``params/<name>.bin`` file per named parameter containing the raw
-little-endian float64 bytes in C order. Raw bytes — not JSON floats — make
-the round-trip bit-exact by construction.
+A checkpoint directory holds ``manifest.json`` and one ``params/<name>.bin``
+file per parameter of a ``TrainState``, containing the raw little-endian
+float64 bytes in C order. Raw bytes — not JSON floats — make the round-trip
+bit-exact by construction. The manifest has four keys: ``stage``, ``config``
+(cosmetic fields dropped), ``config_hash`` and ``params``, the name, shape and
+file of every parameter in order.
 
-Loading refuses a checkpoint whose config hash differs from the loading
-run's config (cosmetic fields excluded), and reports exactly which fields
-differ. A manifest that is not a JSON object, lacks a key the loader reads
-or names a parameter file other than ``params/<name>.bin`` is refused by name.
+The config and the stage determine the parameter layout: loading starts from
+``stages.blank_state(config, stage)`` and reads each payload into it. Loading
+refuses a checkpoint whose config hash differs from the loading run's config
+(cosmetic fields excluded), and reports exactly which fields differ. A
+manifest that is not a JSON object, lacks one of its four keys, records a
+stage that is not an integer in 1..4 or does not list exactly that state's
+parameters is refused by name.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import zip_longest
 from pathlib import Path
-from typing import Sequence, Union
 
-from .autodiff import Parameter, Tensor
 from .config import (
     COSMETIC_FIELDS,
     ExperimentConfig,
@@ -28,82 +31,44 @@ from .config import (
     config_to_dict,
 )
 from .dataio import float64_array, float64_bytes
-from .projector import MlpProjector, MoeLayer, MoeProjector, ProjectorConfig
-from .stages import TrainState
-from .world import ToyDecoder
+from .stages import TrainState, blank_state
 
-__all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_stage"]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 _MANIFEST = "manifest.json"
 _PARAMS_DIR = "params"
 
 
-def _param_entries(params: Sequence[Parameter]) -> list[dict]:
-    entries = []
-    for p in params:
-        entries.append({
-            "name": p.name,
-            "shape": list(p.value.data.shape),
-            "file": f"{_PARAMS_DIR}/{p.name}.bin",
-        })
-    return entries
+def _param_entries(params) -> list[dict]:
+    return [{"name": p.name, "shape": list(p.value.data.shape),
+             "file": f"{_PARAMS_DIR}/{p.name}.bin"} for p in params]
 
 
-def _write_params(directory: Path, params: Sequence[Parameter]) -> None:
-    (directory / _PARAMS_DIR).mkdir(parents=True, exist_ok=True)
-    for p in params:
-        (directory / _PARAMS_DIR / f"{p.name}.bin").write_bytes(float64_bytes(p.value.data))
-
-
-def save_checkpoint(
-    directory,
-    config: ExperimentConfig,
-    stage: int,
-    model: Union[TrainState, Sequence[MlpProjector]],
-) -> Path:
-    """Persist a training state (or the stage-1 projector list) to a directory."""
+def save_checkpoint(directory, config: ExperimentConfig, state: TrainState) -> Path:
+    """Persist a training state to a directory."""
     directory = Path(directory)
-    if isinstance(model, TrainState):
-        kind = "state"
-        params = model.parameters()
-        projector_type = "moe" if isinstance(model.projector, MoeProjector) else "mlp"
-        extra = {"projector_type": projector_type}
-        if projector_type == "moe":
-            extra["num_languages"] = model.projector.num_languages
-    else:
-        mlps = list(model)
-        if not mlps or any(not isinstance(p, MlpProjector) for p in mlps):
-            raise ValueError("expected a TrainState or a non-empty list of MLP projectors")
-        kind = "projectors"
-        params = [p for mlp in mlps for p in mlp.parameters()]
-        extra = {"num_languages": len(mlps)}
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate parameter names cannot be checkpointed: {names}")
-
+    params = state.parameters()
     # cosmetic fields (output paths) are dropped so that runs differing only
     # in where they write produce byte-identical checkpoint directories
     saved_config = {
         k: v for k, v in config_to_dict(config).items() if k not in COSMETIC_FIELDS
     }
     manifest = {
-        "kind": kind,
-        "stage": int(stage),
+        "stage": state.stage,
         "config": saved_config,
         "config_hash": config_hash(config),
         "params": _param_entries(params),
-        **extra,
     }
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_params(directory, params)
+    (directory / _PARAMS_DIR).mkdir(parents=True, exist_ok=True)
+    for p in params:
+        (directory / _PARAMS_DIR / f"{p.name}.bin").write_bytes(float64_bytes(p.value.data))
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     (directory / _MANIFEST).write_text(text)
     return directory
 
 
-def _read_manifest(directory: Path) -> dict:
-    """The manifest, refused naming its file unless it holds every key the loader reads."""
-    path = directory / _MANIFEST
+def _read_manifest(path: Path) -> dict:
+    """The manifest, refused naming its file unless its keys and stage are sound."""
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint manifest at {path}")
     try:
@@ -112,50 +77,27 @@ def _read_manifest(directory: Path) -> dict:
         raise ValueError(f"checkpoint manifest {path} is not valid JSON: {err}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"checkpoint manifest {path} must hold a JSON object")
-    keys = {"kind", "stage", "config", "config_hash", "params"}
-    if manifest.get("kind") == "projectors" or manifest.get("projector_type") == "moe":
-        keys.add("num_languages")
-    if manifest.get("kind") != "projectors":
-        keys.add("projector_type")
-    if keys - manifest.keys():
-        raise ValueError(f"checkpoint manifest {path} lacks {sorted(keys - manifest.keys())}")
+    missing = {"stage", "config", "config_hash", "params"} - manifest.keys()
+    if missing:
+        raise ValueError(f"checkpoint manifest {path} lacks {sorted(missing)}")
+    stage = manifest["stage"]
+    if type(stage) is not int or not 1 <= stage <= 4:  # a bool is no stage
+        raise ValueError(f"checkpoint manifest {path} records stage {stage!r}, "
+                         f"not an integer in 1..4")
     if not isinstance(manifest["params"], list):
         raise ValueError(f"checkpoint manifest {path} must list its params")
-    for entry in manifest["params"]:
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not (isinstance(name, str) and "/" not in name
-                and isinstance(entry.get("shape"), list) and entry.get("file") == f"{_PARAMS_DIR}/{name}.bin"):
-            raise ValueError(f"checkpoint manifest {path} lists a parameter without a "
-                             f"name, shape and {_PARAMS_DIR}/<name>.bin file: {entry!r}")
     return manifest
 
 
-def checkpoint_stage(directory) -> int:
-    """Stage recorded in a checkpoint without loading its tensors."""
-    return int(_read_manifest(Path(directory))["stage"])
+def load_checkpoint(directory, config: ExperimentConfig) -> TrainState:
+    """Restore a checkpoint, refusing if it was written under a different config.
 
-
-def _load_param_data(directory: Path, manifest: dict) -> dict:
-    loaded = {}
-    for entry in manifest["params"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        raw = (directory / entry["file"]).read_bytes()
-        loaded[entry["name"]] = float64_array(raw, shape, f"payload {entry['file']}")
-    return loaded
-
-
-def _take(loaded: dict, name: str) -> Parameter:
-    if name not in loaded:
-        raise ValueError(f"checkpoint is missing parameter {name!r}")
-    return Parameter(name, Tensor(loaded.pop(name)))
-
-
-def load_checkpoint(
-    directory, config: ExperimentConfig
-) -> Union[TrainState, tuple]:
-    """Restore a checkpoint, refusing if it was written under a different config."""
+    The state takes its layout from ``blank_state(config, stage)``; the
+    manifest must list exactly that state's parameter names, shapes and files.
+    """
     directory = Path(directory)
-    manifest = _read_manifest(directory)
+    path = directory / _MANIFEST
+    manifest = _read_manifest(path)
     if manifest["config_hash"] != config_hash(config):
         saved = config_from_dict(manifest["config"])
         diff = config_diff(saved, config)
@@ -164,38 +106,15 @@ def load_checkpoint(
             f"checkpoint at {directory} was written under a different "
             f"configuration: {detail}"
         )
-    pcfg = ProjectorConfig(config.d_in, config.d_model, config.num_layers)
-    loaded = _load_param_data(directory, manifest)
-    stage = int(manifest["stage"])
-
-    if manifest["kind"] == "projectors":
-        m = int(manifest["num_languages"])
-        mlps = []
-        for g in range(m):
-            layers = [_take(loaded, f"lang{g}.mlp.layer{l}")
-                      for l in range(pcfg.num_layers)]
-            mlps.append(MlpProjector(pcfg, layers))
-        _check_consumed(loaded)
-        return tuple(mlps)
-
-    if manifest["projector_type"] == "moe":
-        m = int(manifest["num_languages"])
-        n = config.experts_per_group
-        layers = []
-        for l in range(pcfg.num_layers):
-            experts = [_take(loaded, f"moe.layer{l}.expert{i}") for i in range(m * n)]
-            router = _take(loaded, f"moe.layer{l}.router")
-            layers.append(MoeLayer(experts, router))
-        projector = MoeProjector(pcfg, m, n, config.top_k, layers)
-    else:
-        projector = MlpProjector(
-            pcfg, [_take(loaded, f"mlp.layer{l}") for l in range(pcfg.num_layers)]
-        )
-    decoder = ToyDecoder(_take(loaded, "decoder.prompt"), _take(loaded, "decoder.head"))
-    _check_consumed(loaded)
-    return TrainState(projector=projector, decoder=decoder, stage=stage, metrics=[])
-
-
-def _check_consumed(loaded: dict) -> None:
-    if loaded:
-        raise ValueError(f"checkpoint holds unexpected parameters: {sorted(loaded)}")
+    state = blank_state(config, manifest["stage"])
+    params = state.parameters()
+    for i, (got, want) in enumerate(zip_longest(manifest["params"], _param_entries(params))):
+        if got != want:
+            raise ValueError(f"checkpoint manifest {path} does not list the stage-{state.stage} "
+                             f"parameters of this config: entry {i} is {got!r}, "
+                             f"expected {want!r}")
+    for p in params:
+        file = f"{_PARAMS_DIR}/{p.name}.bin"
+        raw = (directory / file).read_bytes()
+        p.value.data[...] = float64_array(raw, p.value.data.shape, f"payload {file}")
+    return state

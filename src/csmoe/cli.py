@@ -34,7 +34,7 @@ import numpy as np
 
 from .analysis import ablation_report, separation_score
 from .autodiff import Tensor
-from .checkpoint import checkpoint_stage, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     DATA_FIELDS,
     VARIANTS,
@@ -54,7 +54,6 @@ from .gradcheck import GRAD_LOSSES, grad_check_report
 from .projector import MoeProjector, mlp_forward, moe_forward
 from .stages import (
     DatasetBundle,
-    TrainState,
     build_world,
     evaluate_dataset,
     generate_datasets,
@@ -179,23 +178,23 @@ def cmd_train(args) -> int:
     initial = None
     if args.resume:
         initial = load_checkpoint(args.resume, config)
-        default_stages = tuple(range(checkpoint_stage(args.resume) + 1, 5))
+        default_stages = tuple(range(initial.stage + 1, 5))
     else:
         default_stages = (1, 2, 3, 4)
     stages = _parse_stages(args.stages) if args.stages else default_stages
 
     probe_set = _probe_set(bundle)
 
-    def probe(model, stage):
-        if not isinstance(model, TrainState):
+    def probe(state, stage):
+        if state.decoder is None:
             return {}
-        row = dict(routing_probe(model, probe_set))
-        row["val_mono_ce"] = evaluate_dataset(model, bundle.st_val)["ce"]
-        row["val_cs_ce"] = evaluate_dataset(model, bundle.cs_val)["ce"]
+        row = dict(routing_probe(state, probe_set))
+        row["val_mono_ce"] = evaluate_dataset(state, bundle.st_val)["ce"]
+        row["val_cs_ce"] = evaluate_dataset(state, bundle.cs_val)["ce"]
         return row
 
-    def checkpoint_cb(stage, model):
-        save_checkpoint(out / "checkpoints" / f"stage{stage}", config, stage, model)
+    def checkpoint_cb(stage, state):
+        save_checkpoint(out / "checkpoints" / f"stage{stage}", config, state)
 
     def metrics_cb(rows):  # streamed, so a run that fails late keeps its rows
         append_metrics(out / "metrics.jsonl", rows)
@@ -212,7 +211,7 @@ def _checkpoint_and_val_splits(args):
     """Config, stage >= 2 state and the scored ``(st_val, cs_val)`` splits."""
     config = _load_config(args)
     state = load_checkpoint(args.checkpoint, config)
-    if not isinstance(state, TrainState):
+    if state.decoder is None:
         raise _UsageError(
             f"checkpoint {args.checkpoint} holds stage-1 per-language projectors; "
             f"this command needs a stage >= 2 checkpoint with a decoder"

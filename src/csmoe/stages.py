@@ -66,6 +66,7 @@ from .world import (
 __all__ = [
     "NonFiniteLossError",
     "TrainState",
+    "blank_state",
     "SplitEntry",
     "DatasetBundle",
     "PipelineResult",
@@ -96,15 +97,57 @@ class NonFiniteLossError(FloatingPointError):
 
 @dataclass
 class TrainState:
-    """Mutable model-plus-history carried across stages."""
+    """The model after ``stage`` plus the step rows of the stages run to reach it.
 
-    projector: Union[MlpProjector, MoeProjector]
-    decoder: ToyDecoder
+    After stage 1 of the grouped variants, ``projector`` is the tuple of
+    per-language MLPs that stage 2 assembles the MoE from, and ``decoder`` is
+    None (their heads are discarded). Otherwise the projector (the shared MLP
+    under ``no-moe``, else the MoE) trains on under ``decoder``.
+    """
+
+    projector: Union[MlpProjector, MoeProjector, tuple]
+    decoder: Optional[ToyDecoder]
     stage: int
     metrics: list = field(default_factory=list)
 
     def parameters(self) -> list[Parameter]:
-        return list(self.projector.parameters()) + list(self.decoder.parameters())
+        projectors = self.projector if isinstance(self.projector, tuple) else (self.projector,)
+        params = [p for projector in projectors for p in projector.parameters()]
+        return params + (self.decoder.parameters() if self.decoder is not None else [])
+
+
+def _stage1_projectors(config: ExperimentConfig):
+    """Stage 1's untrained projectors.
+
+    One shared MLP under ``no-moe``; otherwise a tuple of one MLP per language,
+    each parameter name prefixed ``lang{g}.``.
+    """
+    shape = ProjectorConfig(config.d_in, config.d_model, config.num_layers)
+    if config.variant == "no-moe":
+        return init_mlp(shape, [config.train_seed, 1, 0, 0])
+    mlps = tuple(init_mlp(shape, [config.train_seed, 1, g, 0])
+                 for g in range(config.num_languages))
+    for g, mlp in enumerate(mlps):
+        for p in mlp.parameters():
+            p.name = f"lang{g}.{p.name}"
+    return mlps
+
+
+def blank_state(config: ExperimentConfig, stage: int) -> TrainState:
+    """An untrained state with the parameters that ``stage`` leaves under the config.
+
+    Names, shapes and order are those training produces; the values are
+    placeholders drawn from the config's seeds, for a checkpoint to overwrite.
+    """
+    projector = _stage1_projectors(config)
+    if isinstance(projector, tuple):
+        if stage == 1:
+            return TrainState(projector, None, stage)
+        projector = build_moe_from_pretrained(projector, config.experts_per_group,
+                                              config.top_k, [config.train_seed, 2, 0])
+    decoder = init_decoder(config.d_model, config.target_vocab_size, config.prompt_len,
+                           [config.train_seed, stage, 1])
+    return TrainState(projector, decoder, stage)
 
 
 # --------------------------------------------------------------------- data
@@ -327,70 +370,61 @@ def _train_ce_stage(config: ExperimentConfig, stage: int, settings: StageSetting
     return decoder, rows
 
 
-def run_stage1(asr_datasets, config: ExperimentConfig):
+def run_stage1(asr_datasets, config: ExperimentConfig) -> TrainState:
     """Pretrain one MLP projector per language on its own ASR-proxy data.
 
     Each language trains independently with its own throwaway decoder head
-    for the config's stage-1 budget; the heads are discarded and the
-    projectors returned together with the per-step metric rows. Under
-    ``no-moe`` one shared MLP trains instead on the pooled languages for m×
-    the stage-1 batches (the grouped budget) and is returned with its head
-    as a stage-1 TrainState.
+    for the config's stage-1 budget; the heads are discarded, so the state
+    holds the tuple of projectors and no decoder. Under ``no-moe`` one shared
+    MLP trains instead on the pooled languages for m× the stage-1 batches (the
+    grouped budget), and the state keeps its head.
     """
     datasets = [tuple(ds) for ds in asr_datasets]
-    if len(datasets) < 2:
-        raise ValueError(f"need one ASR dataset per language (>= 2), got {len(datasets)}")
+    if len(datasets) != config.num_languages:
+        raise ValueError(f"need one ASR dataset per language ({config.num_languages}), "
+                         f"got {len(datasets)}")
     if any(not ds for ds in datasets):
         raise ValueError("every language's ASR dataset must be non-empty")
     seed, settings = config.train_seed, config.stage_settings(1)
-    shape = ProjectorConfig(config.d_in, config.d_model, config.num_layers)
+    projector = _stage1_projectors(config)
     if config.variant == "no-moe":
-        mlp = init_mlp(shape, [seed, 1, 0, 0])
         pooled = replace(settings, total_batches=len(datasets) * settings.total_batches)
-        head, rows = _train_ce_stage(config, 1, pooled, mlp, _pooled(datasets), [seed, 1, 0])
-        return TrainState(mlp, head, 1, list(rows)), rows
-    mlps, metrics = [], []
-    for g, ds in enumerate(datasets):
-        mlp = init_mlp(shape, [seed, 1, g, 0])
-        for p in mlp.parameters():
-            p.name = f"lang{g}.{p.name}"
-        metrics.extend(_train_ce_stage(config, 1, settings, mlp, ds, [seed, 1, g],
-                                       language=g)[1])
-        mlps.append(mlp)
-    return tuple(mlps), metrics
+        head, rows = _train_ce_stage(config, 1, pooled, projector, _pooled(datasets),
+                                     [seed, 1, 0])
+        return TrainState(projector, head, 1, rows)
+    rows = []
+    for g, (mlp, ds) in enumerate(zip(projector, datasets)):
+        rows.extend(_train_ce_stage(config, 1, settings, mlp, ds, [seed, 1, g], language=g)[1])
+    return TrainState(projector, None, 1, rows)
 
 
-def run_stage2(stage1, asr_datasets, config: ExperimentConfig) -> TrainState:
+def run_stage2(state: TrainState, asr_datasets, config: ExperimentConfig) -> TrainState:
     """Assemble the grouped MoE from the pretrained MLPs and specialize it.
 
     Trains on pooled multilingual ASR batches whose tokens carry their
     utterance's language label, with a fresh shared decoder head (the pooled
     target space differs from the per-language stage-1 setup). Under
-    ``no-moe``, ``stage1`` is the stage-1 TrainState and its shared MLP
-    trains on under a fresh head.
+    ``no-moe`` the stage-1 state's shared MLP trains on under a fresh head.
     """
     datasets = [tuple(ds) for ds in asr_datasets]
     if any(not ds for ds in datasets):
         raise ValueError("every language's ASR dataset must be non-empty")
-    if isinstance(stage1, TrainState) != (config.variant == "no-moe"):
-        raise ValueError("stage 2 continues the stage-1 TrainState under no-moe "
-                         "and the stage-1 projector list otherwise")
+    projector = state.projector
+    if state.stage != 1 or isinstance(projector, tuple) == (config.variant == "no-moe"):
+        raise ValueError("stage 2 continues the stage-1 TrainState: its shared MLP under "
+                         "no-moe and its per-language projectors otherwise")
     seed = config.train_seed
-    if isinstance(stage1, TrainState):
-        projector, metrics = stage1.projector, list(stage1.metrics)
-    else:
-        mlps = list(stage1)
-        if len(datasets) != len(mlps):
+    if isinstance(projector, tuple):
+        if len(datasets) != len(projector):
             raise ValueError(
-                f"got {len(mlps)} pretrained projectors but {len(datasets)} datasets"
+                f"got {len(projector)} pretrained projectors but {len(datasets)} datasets"
             )
         projector = build_moe_from_pretrained(
-            mlps, config.experts_per_group, config.top_k, [seed, 2, 0]
+            projector, config.experts_per_group, config.top_k, [seed, 2, 0]
         )
-        metrics = []
     decoder, rows = _train_ce_stage(config, 2, config.stage_settings(2), projector,
                                     _pooled(datasets), [seed, 2])
-    return TrainState(projector=projector, decoder=decoder, stage=2, metrics=metrics + rows)
+    return TrainState(projector, decoder, 2, state.metrics + rows)
 
 
 def _run_transition_stage(state: TrainState, source_ds, target_ds,
@@ -455,9 +489,8 @@ def run_stage4(state: TrainState, source_dataset, target_dataset,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    state: Optional[TrainState]
+    state: TrainState
     metrics: list
-    variant: str
 
 
 def _validate_stages(stages, initial):
@@ -473,11 +506,9 @@ def _validate_stages(stages, initial):
     if stages[0] > 1 and initial is None:
         raise ValueError(f"starting at stage {stages[0]} requires the "
                          f"stage-{stages[0] - 1} state to resume from")
-    if initial is not None:
-        resumed = initial.stage if isinstance(initial, TrainState) else 1
-        if resumed != stages[0] - 1:
-            raise ValueError(f"initial state is at stage {resumed}; "
-                             f"cannot resume at stage {stages[0]}")
+    if initial is not None and initial.stage != stages[0] - 1:
+        raise ValueError(f"initial state is at stage {initial.stage}; "
+                         f"cannot resume at stage {stages[0]}")
     return stages
 
 
@@ -494,13 +525,11 @@ def run_pipeline(
     """Run the staged curriculum for the config's variant.
 
     ``stages`` selects a contiguous run of 1..4 (default all); starting past
-    stage 1 requires ``initial`` — the stage-1 projector list when resuming
-    at stage 2 under the grouped variants, otherwise the previous stage's
-    TrainState. After each stage, ``probe(model, stage)`` may contribute a
-    metrics row, ``checkpoint_cb(stage, model)`` may persist the model, and
-    then ``metrics_cb(rows)`` receives the stage's metric rows (its probe row
-    last); ``model`` is the projector list after stage 1 of a grouped run and
-    the TrainState everywhere else.
+    stage 1 requires ``initial``, the previous stage's TrainState. After each
+    stage, ``probe(state, stage)`` may contribute a metrics row,
+    ``checkpoint_cb(stage, state)`` may persist the state, and then
+    ``metrics_cb(rows)`` receives the stage's metric rows (its probe row
+    last). The result holds the last stage's state and every row of this run.
 
     Variants: ``no-moe`` keeps one shared MLP throughout — ``run_stage1`` and
     ``run_stage2`` never build the mixture and spend the same batch budget
@@ -511,32 +540,29 @@ def run_pipeline(
     group-agnostic one.
     """
     stages = _validate_stages(stages, initial)
-    model = initial
+    state = initial
     metrics: list = []
     for stage in stages:
-        done = len(model.metrics) if isinstance(model, TrainState) else 0
+        done = len(state.metrics) if state is not None else 0
         if stage == 1:
-            model, rows = run_stage1(bundle.asr_train, config)
+            state = run_stage1(bundle.asr_train, config)
+        elif stage == 2:
+            state = run_stage2(state, bundle.asr_train, config)
+        elif stage == 3:
+            state = run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
         else:
-            if stage == 2:
-                model = run_stage2(model, bundle.asr_train, config)
-            elif stage == 3:
-                model = run_stage3(model, bundle.asr_pooled, bundle.st_train, config)
-            else:
-                model = run_stage4(model, bundle.st_train, bundle.cs_train, config)
-            rows = model.metrics[done:]
-        rows = list(rows)
+            state = run_stage4(state, bundle.st_train, bundle.cs_train, config)
+        rows = state.metrics[done:]
         if probe is not None:
-            probe_row = probe(model, stage)
+            probe_row = probe(state, stage)
             if probe_row:
                 rows.append({"stage": stage, "probe": dict(probe_row)})
         metrics.extend(rows)
         if checkpoint_cb is not None:
-            checkpoint_cb(stage, model)
+            checkpoint_cb(stage, state)
         if metrics_cb is not None:
             metrics_cb(rows)
-    state = model if isinstance(model, TrainState) else None
-    return PipelineResult(state=state, metrics=metrics, variant=config.variant)
+    return PipelineResult(state=state, metrics=metrics)
 
 
 # --------------------------------------------------------------- evaluation

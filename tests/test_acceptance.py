@@ -38,7 +38,6 @@ from csmoe.projector import (
     moe_forward,
 )
 from csmoe.stages import (
-    TrainState,
     evaluate_dataset,
     generate_datasets,
     routing_probe,
@@ -93,7 +92,7 @@ def stage12_probes():
             captured = {}
 
             def probe(model, stage, captured=captured, probe_set=probe_set):
-                if isinstance(model, TrainState) and stage == 2:
+                if stage == 2:
                     captured.update(routing_probe(model, probe_set))
                 return {}
 
@@ -463,7 +462,7 @@ def test_criterion_9_engineering_invariants(tmp_path, report):
     metrics_equal = a.metrics == b.metrics
 
     # checkpoint round-trip: restored state reproduces a probe batch exactly
-    save_checkpoint(tmp_path / "ckpt", config, a.state.stage, a.state)
+    save_checkpoint(tmp_path / "ckpt", config, a.state)
     restored = load_checkpoint(tmp_path / "ckpt", config)
     probe = tuple(bundle.cs_val[:8])
     before = evaluate_dataset(a.state, probe)

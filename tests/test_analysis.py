@@ -75,18 +75,6 @@ def test_routing_accuracy_mixed_case_hand_value():
     assert np.isnan(stats.top1_in_group[1])  # language 1 absent
 
 
-def test_routing_accuracy_group_share_sums_to_one():
-    rows = [
-        [0.9, 0.1, 0.0, 0.0],
-        [0.2, 0.8, 0.0, 0.0],
-        [0.7, 0.3, 0.0, 0.0],
-    ]
-    trace = make_trace([rows], labels=[0, 0, 0])
-    stats = routing_accuracy(trace, GROUPS_2x2)
-    assert abs(stats.group_expert_share[0].sum() - 1.0) < 1e-12
-    assert np.allclose(stats.group_expert_share[0], [2 / 3, 1 / 3])
-
-
 def test_routing_accuracy_rejects_unlabeled():
     trace = make_trace([[[1.0, 0.0, 0.0, 0.0]]], labels=[CS_UNLABELED])
     with pytest.raises(ValueError):
@@ -121,7 +109,6 @@ def test_routing_accuracy_invariant_under_in_group_relabeling():
     swapped = routing_accuracy(make_trace([rows[:, perm]], labels), GROUPS_2x2)
     assert np.allclose(base.top1_in_group, swapped.top1_in_group)
     assert np.allclose(base.topk_mass_in_group, swapped.topk_mass_in_group)
-    assert np.allclose(base.group_expert_share[:, ::-1], swapped.group_expert_share)
 
 
 # ----------------------------------------------------------------- expert_load

@@ -1,7 +1,8 @@
 """Checkpoint round-trip tests.
 
-Oracles: bit-exact parameter equality after save/load, forward-pass equality
-on a probe batch, and refusal semantics on config mismatch.
+Oracles: bit-exact parameter equality after save/load for every stage of
+every variant, forward-pass equality on a probe batch, and refusal semantics
+on config mismatch.
 """
 
 import json
@@ -9,12 +10,13 @@ import json
 import numpy as np
 import pytest
 
-from csmoe.checkpoint import checkpoint_stage, load_checkpoint, save_checkpoint
-from csmoe.config import ExperimentConfig, StageSettings
+from csmoe.checkpoint import load_checkpoint, save_checkpoint
+from csmoe.config import VARIANTS, ExperimentConfig, StageSettings
 from csmoe.projector import MlpProjector, MoeProjector, ProjectorConfig
 from csmoe.stages import (
     TrainState,
     generate_datasets,
+    run_pipeline,
     run_stage1,
     run_stage2,
 )
@@ -47,14 +49,14 @@ def tiny_config(**overrides):
 def trained():
     config = tiny_config()
     world, bundle = generate_datasets(config)
-    mlps, _ = run_stage1(bundle.asr_train, config)
-    state = run_stage2(mlps, bundle.asr_train, config)
-    return config, world, bundle, mlps, state
+    stage1 = run_stage1(bundle.asr_train, config)
+    state = run_stage2(stage1, bundle.asr_train, config)
+    return config, world, bundle, stage1, state
 
 
 def test_state_round_trip_bit_exact(tmp_path, trained):
-    config, world, bundle, mlps, state = trained
-    path = save_checkpoint(tmp_path / "ck", config, state.stage, state)
+    config, world, bundle, stage1, state = trained
+    path = save_checkpoint(tmp_path / "ck", config, state)
     assert (path / "manifest.json").exists()
     loaded = load_checkpoint(tmp_path / "ck", config)
     assert isinstance(loaded, TrainState)
@@ -70,37 +72,37 @@ def test_state_round_trip_bit_exact(tmp_path, trained):
 def test_forward_matches_after_round_trip(tmp_path, trained):
     from csmoe.stages import evaluate_dataset
 
-    config, world, bundle, mlps, state = trained
-    save_checkpoint(tmp_path / "ck", config, state.stage, state)
+    config, world, bundle, stage1, state = trained
+    save_checkpoint(tmp_path / "ck", config, state)
     loaded = load_checkpoint(tmp_path / "ck", config)
     probe = bundle.asr_val[:4]
     assert evaluate_dataset(state, probe) == evaluate_dataset(loaded, probe)
 
 
 def test_projector_list_round_trip(tmp_path, trained):
-    config, world, bundle, mlps, state = trained
-    save_checkpoint(tmp_path / "ck1", config, 1, mlps)
-    assert checkpoint_stage(tmp_path / "ck1") == 1
+    config, world, bundle, stage1, state = trained
+    save_checkpoint(tmp_path / "ck1", config, stage1)
     loaded = load_checkpoint(tmp_path / "ck1", config)
-    assert isinstance(loaded, tuple) and len(loaded) == 2
-    for orig, back in zip(mlps, loaded):
+    assert loaded.stage == 1 and loaded.decoder is None
+    assert isinstance(loaded.projector, tuple) and len(loaded.projector) == 2
+    for orig, back in zip(stage1.projector, loaded.projector):
         assert isinstance(back, MlpProjector)
         for a, b in zip(orig.parameters(), back.parameters()):
             assert a.name == b.name
             assert np.array_equal(a.value.data, b.value.data)
 
 
-def test_mlp_state_round_trip(tmp_path, trained):
-    config, world, bundle, mlps, state = trained
+def test_mlp_state_round_trip(tmp_path):
     from csmoe.projector import init_mlp
     from csmoe.world import init_decoder
 
+    config = tiny_config(variant="no-moe")
     mlp_state = TrainState(
         projector=init_mlp(ProjectorConfig(config.d_in, config.d_model, config.num_layers), 5),
         decoder=init_decoder(config.d_model, config.target_vocab_size, config.prompt_len, 6),
         stage=2,
     )
-    save_checkpoint(tmp_path / "ck", config, 2, mlp_state)
+    save_checkpoint(tmp_path / "ck", config, mlp_state)
     loaded = load_checkpoint(tmp_path / "ck", config)
     assert isinstance(loaded.projector, MlpProjector)
     for a, b in zip(mlp_state.parameters(), loaded.parameters()):
@@ -108,8 +110,8 @@ def test_mlp_state_round_trip(tmp_path, trained):
 
 
 def test_load_refuses_mismatched_config(tmp_path, trained):
-    config, world, bundle, mlps, state = trained
-    save_checkpoint(tmp_path / "ck", config, state.stage, state)
+    config, world, bundle, stage1, state = trained
+    save_checkpoint(tmp_path / "ck", config, state)
     other = tiny_config(train_seed=9, separation=4.0)
     with pytest.raises(ValueError) as err:
         load_checkpoint(tmp_path / "ck", other)
@@ -118,16 +120,16 @@ def test_load_refuses_mismatched_config(tmp_path, trained):
 
 
 def test_load_accepts_cosmetic_differences(tmp_path, trained):
-    config, world, bundle, mlps, state = trained
-    save_checkpoint(tmp_path / "ck", config, state.stage, state)
+    config, world, bundle, stage1, state = trained
+    save_checkpoint(tmp_path / "ck", config, state)
     moved = tiny_config(out_dir="elsewhere/and/deeper")
     loaded = load_checkpoint(tmp_path / "ck", moved)
     assert loaded.stage == 2
 
 
 def test_load_rejects_corrupted_payload(tmp_path, trained):
-    config, world, bundle, mlps, state = trained
-    save_checkpoint(tmp_path / "ck", config, state.stage, state)
+    config, world, bundle, stage1, state = trained
+    save_checkpoint(tmp_path / "ck", config, state)
     manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
     victim = tmp_path / "ck" / manifest["params"][0]["file"]
     victim.write_bytes(victim.read_bytes()[:-8])
@@ -136,9 +138,9 @@ def test_load_rejects_corrupted_payload(tmp_path, trained):
 
 
 def test_save_twice_identical_bytes(tmp_path, trained):
-    config, world, bundle, mlps, state = trained
-    save_checkpoint(tmp_path / "a", config, state.stage, state)
-    save_checkpoint(tmp_path / "b", config, state.stage, state)
+    config, world, bundle, stage1, state = trained
+    save_checkpoint(tmp_path / "a", config, state)
+    save_checkpoint(tmp_path / "b", config, state)
     ma = (tmp_path / "a" / "manifest.json").read_bytes()
     mb = (tmp_path / "b" / "manifest.json").read_bytes()
     assert ma == mb
@@ -147,3 +149,23 @@ def test_save_twice_identical_bytes(tmp_path, trained):
         assert (tmp_path / "a" / entry["file"]).read_bytes() == (
             tmp_path / "b" / entry["file"]
         ).read_bytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_stage_state_round_trips_in_its_layout(tmp_path, variant):
+    # pins blank_state to the layout each stage of each variant trains into
+    short = StageSettings(2, 4, 3e-3)
+    config = tiny_config(variant=variant, stage1=short, stage2=short, stage3=short, stage4=short)
+    _, bundle = generate_datasets(config)
+    saved = {}
+
+    def checkpoint_cb(stage, state):
+        save_checkpoint(tmp_path / f"stage{stage}", config, state)
+        saved[stage] = [(p.name, p.value.data.tobytes()) for p in state.parameters()]
+
+    run_pipeline(config, bundle, checkpoint_cb=checkpoint_cb)
+    assert sorted(saved) == [1, 2, 3, 4]
+    for stage, params in saved.items():
+        loaded = load_checkpoint(tmp_path / f"stage{stage}", config)
+        assert loaded.stage == stage
+        assert [(p.name, p.value.data.tobytes()) for p in loaded.parameters()] == params

@@ -368,15 +368,22 @@ def stage2_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("damage", [
     lambda m: {k: v for k, v in m.items() if k != "stage"},
-    lambda m: {k: v for k, v in m.items() if k != "projector_type"},
+    lambda m: {**m, "stage": [2]},
+    lambda m: {**m, "stage": 7},
+    lambda m: {**m, "stage": True},
+    # a stage the config gives another layout: the listed parameters are not stage 1's
+    lambda m: {**m, "stage": 1},
     lambda m: [1, 2],
     lambda m: {**m, "params": {}},
     lambda m: {**m, "params": [{**m["params"][0], "shape": 5}, *m["params"][1:]]},
+    lambda m: {**m, "params": [{**m["params"][0], "shape": ["x", *m["params"][0]["shape"][1:]]},
+                               *m["params"][1:]]},
     # one layer's expert files have the same shape, so this one used to load silently
     lambda m: _entry_file(m, 0, m["params"][1]["file"]),
     lambda m: _entry_file(m, 0, "../stage1/params/lang0.mlp.layer0.bin"),
-], ids=["no-stage", "no-projector-type", "list", "params-not-list", "shape-not-list",
-        "other-param-file", "file-outside-params"])
+], ids=["no-stage", "stage-list", "stage-7", "stage-bool", "stage-1-layout", "list",
+        "params-not-list", "shape-not-list", "shape-not-int", "other-param-file",
+        "file-outside-params"])
 @pytest.mark.parametrize("command", ["eval", "train-resume"])
 def test_damaged_checkpoint_manifest_exits_2_naming_it(
         tmp_path, cfg_path, stage2_dir, damage, command, capsys):

@@ -74,7 +74,9 @@ def setup():
 
 def test_stage1_returns_per_language_projectors(setup):
     config, world, bundle = setup
-    mlps, metrics = run_stage1(bundle.asr_train, config)
+    state = run_stage1(bundle.asr_train, config)
+    mlps, metrics = state.projector, state.metrics
+    assert state.stage == 1 and state.decoder is None
     assert len(mlps) == 2
     assert all(isinstance(m, MlpProjector) for m in mlps)
     assert len(metrics) == 2 * 30
@@ -87,20 +89,19 @@ def test_stage1_returns_per_language_projectors(setup):
 def test_stage1_deterministic(setup):
     _, _, bundle = setup
     config = tiny_config(stage1=budget(10), train_seed=3)
-    a, _ = run_stage1(bundle.asr_train, config)
-    b, _ = run_stage1(bundle.asr_train, config)
+    a = run_stage1(bundle.asr_train, config).projector
+    b = run_stage1(bundle.asr_train, config).projector
     for ma, mb in zip(a, b):
         for la, lb in zip(ma.layers, mb.layers):
             assert np.array_equal(la.value.data, lb.value.data)
-    c, _ = run_stage1(bundle.asr_train, replace(config, train_seed=4))
+    c = run_stage1(bundle.asr_train, replace(config, train_seed=4)).projector
     assert not np.array_equal(a[0].layers[0].value.data, c[0].layers[0].value.data)
 
 
 def test_stage1_three_languages():
     config = tiny_config(num_languages=3, top_k=2, stage1=budget(5))
     world, bundle = generate_datasets(config)
-    mlps, _ = run_stage1(bundle.asr_train, config)
-    assert len(mlps) == 3
+    assert len(run_stage1(bundle.asr_train, config).projector) == 3
 
 
 def test_stage1_rejects_bad_datasets(setup):
@@ -117,8 +118,7 @@ def test_stage1_rejects_bad_datasets(setup):
 @pytest.fixture(scope="module")
 def stage2_state(setup):
     config, world, bundle = setup
-    mlps, _ = run_stage1(bundle.asr_train, config)
-    return run_stage2(mlps, bundle.asr_train, config)
+    return run_stage2(run_stage1(bundle.asr_train, config), bundle.asr_train, config)
 
 
 def test_stage2_builds_and_trains_moe(stage2_state):
@@ -144,9 +144,9 @@ def test_stage2_experts_specialize_apart(stage2_state):
 def test_stage2_deterministic(setup):
     _, _, bundle = setup
     config = tiny_config(stage1=budget(8), stage2=budget(8), train_seed=1)
-    mlps, _ = run_stage1(bundle.asr_train, config)
-    a = run_stage2(mlps, bundle.asr_train, config)
-    b = run_stage2(mlps, bundle.asr_train, config)
+    stage1 = run_stage1(bundle.asr_train, config)
+    a = run_stage2(stage1, bundle.asr_train, config)
+    b = run_stage2(stage1, bundle.asr_train, config)
     for la, lb in zip(a.projector.layers, b.projector.layers):
         assert np.array_equal(la.router_weights.value.data, lb.router_weights.value.data)
         for ea, eb in zip(la.expert_weights, lb.expert_weights):
@@ -158,8 +158,7 @@ def test_stage2_no_aux_variant_omits_metric_fields(setup):
     _, _, bundle = setup
     config = tiny_config(stage1=budget(5), stage2=budget(5), train_seed=2,
                          variant="no-aux-losses")
-    mlps, _ = run_stage1(bundle.asr_train, config)
-    state = run_stage2(mlps, bundle.asr_train, config)
+    state = run_stage2(run_stage1(bundle.asr_train, config), bundle.asr_train, config)
     rows = [r for r in state.metrics if r.get("stage") == 2 and "step" in r]
     assert all("lang" not in r and "balance" not in r for r in rows)
 
@@ -168,8 +167,7 @@ def test_stage2_conventional_balance_mode(setup):
     _, _, bundle = setup
     config = tiny_config(stage1=budget(5), stage2=budget(5), train_seed=2,
                          variant="conventional-balance")
-    mlps, _ = run_stage1(bundle.asr_train, config)
-    state = run_stage2(mlps, bundle.asr_train, config)
+    state = run_stage2(run_stage1(bundle.asr_train, config), bundle.asr_train, config)
     rows = [r for r in state.metrics if r.get("stage") == 2 and "step" in r]
     assert all("balance" in r for r in rows)
 
@@ -207,20 +205,22 @@ def test_stage3_improves_translation(setup, stage2_state):
 
 def test_stages_refuse_inputs_they_cannot_continue(setup, stage2_state):
     config, world, bundle = setup
-    mlps, _ = run_stage1(bundle.asr_train, tiny_config(stage1=budget(1)))
+    stage1 = run_stage1(bundle.asr_train, tiny_config(stage1=budget(1)))
     with pytest.raises(ValueError, match="non-empty"):
-        run_stage2(mlps, [bundle.asr_train[0], ()], config)
+        run_stage2(stage1, [bundle.asr_train[0], ()], config)
     with pytest.raises(ValueError, match="pretrained projectors"):
-        run_stage2(mlps[:1], bundle.asr_train, config)
+        run_stage2(replace(stage1, projector=stage1.projector[:1]), bundle.asr_train, config)
     with pytest.raises(ValueError, match="stage-1 TrainState"):
-        run_stage2(mlps, bundle.asr_train, tiny_config(variant="no-moe"))
+        run_stage2(stage1, bundle.asr_train, tiny_config(variant="no-moe"))
+    with pytest.raises(ValueError, match="stage-1 TrainState"):
+        run_stage2(copy.deepcopy(stage2_state), bundle.asr_train, config)
     with pytest.raises(ValueError, match="stage-3 state"):
         run_stage4(copy.deepcopy(stage2_state), bundle.st_train, bundle.cs_train, config)
     with pytest.raises(ValueError, match="non-empty"):
         run_stage3(copy.deepcopy(stage2_state), (), bundle.st_train, config)
     # a plain MLP has no routing trace for the full variant's stage-3 penalties
     no_moe = tiny_config(variant="no-moe", stage1=budget(1), stage2=budget(1))
-    state = run_stage2(run_stage1(bundle.asr_train, no_moe)[0], bundle.asr_train, no_moe)
+    state = run_stage2(run_stage1(bundle.asr_train, no_moe), bundle.asr_train, no_moe)
     with pytest.raises(ValueError, match="routing trace"):
         run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
 
@@ -270,7 +270,6 @@ def test_stage_boundary_is_a_pure_function_of_state(setup, stage2_state):
 def test_pipeline_full_variant(setup):
     config, world, bundle = setup
     result = run_pipeline(config, bundle=bundle)
-    assert result.variant == "full"
     assert isinstance(result.state.projector, MoeProjector)
     stages_seen = {r["stage"] for r in result.metrics if "step" in r}
     assert stages_seen == {1, 2, 3, 4}
@@ -401,17 +400,17 @@ def test_stage2_steps_leave_no_tape_for_the_cyclic_collector(setup):
     # freed by refcount: with the collector off, none outlives the stage.
     _, _, bundle = setup
     config = tiny_config(stage1=budget(2), stage2=budget(3))
-    mlps, _ = run_stage1(bundle.asr_train, config)
+    stage1 = run_stage1(bundle.asr_train, config)
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, (Tape, _Node))}
     gc.disable()
     try:
-        state = run_stage2(mlps, bundle.asr_train, config)
+        state = run_stage2(stage1, bundle.asr_train, config)
         left = [o for o in gc.get_objects()
                 if isinstance(o, (Tape, _Node)) and id(o) not in before]
     finally:
         gc.enable()
-    assert len(state.metrics) == 3
+    assert len(state.metrics) == 2 * 2 + 3  # stage 1's rows, then stage 2's
     assert left == []
 
 
