@@ -3,7 +3,9 @@
 Pure functions over routing traces and labeled feature sets: how often tokens
 reach their own language's experts, how evenly load spreads inside each
 group, how separated the language clusters are, and how ablation variants
-compare. Every statistic is deterministic in its inputs.
+compare. Every statistic is deterministic in its inputs. The routing
+statistics read the expert groups and token labels off the trace, through
+the same ``RoutingTrace`` helpers the routing losses use.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import VARIANTS
-from .losses import _group_layout, _in_group_wins, _resolve_labels
 from .projector import CS_UNLABELED, RoutingTrace
 
 __all__ = [
@@ -59,10 +60,10 @@ class SeparationReport:
     excluded: tuple[int, ...]  # singleton labels dropped
 
 
-def routing_accuracy(trace: RoutingTrace, group_of: np.ndarray) -> RoutingStats:
+def routing_accuracy(trace: RoutingTrace) -> RoutingStats:
     """How faithfully tokens route to their own language's expert group."""
-    group_of, m, _ = _group_layout(group_of)
-    labels = _resolve_labels(trace, None, m)
+    group_of, m = trace.group_of, trace.num_groups
+    labels = trace.concrete_labels()
 
     pairs = np.zeros(m)
     top1_hits = np.zeros(m)
@@ -93,7 +94,7 @@ def routing_accuracy(trace: RoutingTrace, group_of: np.ndarray) -> RoutingStats:
                         topk_count_in_group=count)
 
 
-def expert_load(trace: RoutingTrace, group_of: np.ndarray) -> ExpertLoad:
+def expert_load(trace: RoutingTrace) -> ExpertLoad:
     """Global expert usage shares plus the within-group load imbalance ratio.
 
     Shares count global-argmax assignments over all (token, layer) pairs.
@@ -101,8 +102,7 @@ def expert_load(trace: RoutingTrace, group_of: np.ndarray) -> ExpertLoad:
     argmax count over that language's tokens; a dead expert yields ``inf``,
     and a language with no labeled tokens yields NaN.
     """
-    group_of, m, n = _group_layout(group_of)
-    num_experts = group_of.size
+    m, num_experts = trace.num_groups, trace.group_of.size
     if trace.num_tokens == 0 or trace.num_layers == 0:
         raise ValueError("expert_load requires a non-empty trace")
     labels = (
@@ -114,8 +114,7 @@ def expert_load(trace: RoutingTrace, group_of: np.ndarray) -> ExpertLoad:
     counts = np.zeros(num_experts)
     for layer in trace.layers:
         counts += np.bincount(layer.probs.data.argmax(axis=1), minlength=num_experts)
-    group_counts = sum((_in_group_wins(layer.probs.data, labels, group_of, m, n)
-                        for layer in trace.layers), np.zeros((m, n)))
+    group_counts = sum(trace.in_group_wins(layer.probs.data, labels) for layer in trace.layers)
 
     shares = counts / (counts.sum() if counts.sum() > 0 else 1.0)
     ratio = np.full(m, np.nan)
@@ -227,18 +226,15 @@ class AblationReport:
 def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> AblationReport:
     """Summarize per-variant runs into seed-median / min / max rows.
 
-    Rows follow the canonical variant order, then any extra variants
-    alphabetically. Canonical variants without runs are omitted with a
-    notice rather than silently dropped.
+    ``results`` is keyed by names from ``VARIANTS``, and rows follow that
+    order. Variants without runs are omitted with a notice rather than
+    silently dropped.
     """
     populated = {v: list(runs) for v, runs in results.items() if runs}
     if not populated:
         raise ValueError("ablation report requires at least one completed run")
-    ordered = [v for v in VARIANTS if v in populated] + sorted(
-        v for v in populated if v not in VARIANTS
-    )
     rows = []
-    for variant in ordered:
+    for variant in (v for v in VARIANTS if v in populated):
         runs = populated[variant]
         metric_names = sorted({name for run in runs for name in run})
         metrics = {}

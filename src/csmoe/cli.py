@@ -178,6 +178,9 @@ def cmd_train(args) -> int:
     initial = None
     if args.resume:
         initial = load_checkpoint(args.resume, config)
+        if initial.stage == 4:
+            raise _UsageError(f"checkpoint {args.resume} is already at stage 4, "
+                              f"so no stage is left to run")
         default_stages = tuple(range(initial.stage + 1, 5))
     else:
         default_stages = (1, 2, 3, 4)
@@ -269,9 +272,21 @@ def _parse_csv(text: str) -> list:
 def cmd_ablate(args) -> int:
     config = _load_config(args)
     variants = _parse_csv(args.variants) if args.variants else list(VARIANTS)
-    seeds = ([int(s) for s in _parse_csv(args.seeds)] if args.seeds else [0, 1, 2])
+    unknown = [v for v in variants if v not in VARIANTS]
+    if unknown:
+        raise _UsageError(f"--variants {args.variants!r}: unknown variant {unknown[0]!r}, "
+                          f"expected names from {', '.join(VARIANTS)}")
+    seeds = _parse_csv(args.seeds) if args.seeds else ["0", "1", "2"]
+    bad = [s for s in seeds if not s.isdecimal()]
+    if bad:
+        raise _UsageError(f"--seeds {args.seeds!r}: {bad[0]!r} is not a non-negative integer")
+    seeds = [int(s) for s in seeds]
     if not variants or not seeds:
         raise _UsageError("ablate needs at least one variant and one seed")
+    for flag, text, values in (("--variants", args.variants, variants),
+                               ("--seeds", args.seeds, seeds)):
+        if len(set(values)) != len(values):
+            raise _UsageError(f"{flag} {text!r} names a value twice")
     results = {v: [] for v in variants}
     probes = {v: [] for v in variants}
     failures = []
@@ -348,7 +363,7 @@ def cmd_routing_report(args) -> int:
     labels = np.concatenate([u.token_languages() for u in probe_set])
     if isinstance(state.projector, MoeProjector):
         h, trace = moe_forward(state.projector, Tensor(feats), labels)
-        routing = routing_summary(trace, state.projector.group_of)
+        routing = routing_summary(trace)
     else:
         h, routing = mlp_forward(state.projector, Tensor(feats)), None
     sep = {"input": separation_score(feats, labels), "projected": separation_score(h.data, labels)}

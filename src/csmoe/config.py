@@ -101,11 +101,19 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name} must be finite, got {value!r}")
         if self.num_languages < 2:
             raise ValueError(f"num_languages must be >= 2, got {self.num_languages}")
+        for name in ("train_utterances", "val_utterances", "d_in", "d_model", "num_layers",
+                     "experts_per_group", "top_k", "prompt_len", "vocab_per_lang", "cs_switches"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("separation", "noise_sigma", "token_margin", "lang_weight",
+                     "balance_weight"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_in < self.num_languages:
             raise ValueError(
                 f"d_in={self.d_in} must be >= num_languages={self.num_languages}"
             )
-        if self.top_k < 1 or self.top_k > self.total_experts:
+        if self.top_k > self.total_experts:
             raise ValueError(f"top_k={self.top_k} out of range for {self.total_experts} experts")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
@@ -128,13 +136,6 @@ class ExperimentConfig:
         for name in ("world_seed", "data_seed", "train_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("train_utterances", "val_utterances", "d_in", "d_model", "num_layers",
-                     "experts_per_group", "top_k", "prompt_len", "vocab_per_lang"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lang_weight", "balance_weight"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def total_experts(self) -> int:

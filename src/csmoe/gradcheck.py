@@ -83,7 +83,7 @@ def _screen(moe, feats: np.ndarray, labels: np.ndarray, eps: float) -> bool:
             rows = labels == g
             if not rows.any():
                 continue
-            in_group = p[rows][:, moe.group_mask(g)]
+            in_group = p[rows][:, moe.group_of == g]
             mass = in_group.sum(axis=1)
             if ((mass > 0.0) & (mass < _MASS_FLOOR)).any():
                 return False
@@ -134,8 +134,7 @@ def _routed(moe, batches, configs):
     h2, _ = moe_forward(moe, Tensor(f2), l2)
     h_mix, trace_mix = moe_forward(moe, Tensor(np.concatenate([f1, f2], axis=0)),
                                    np.concatenate([l1, l2]))
-    terms = {name: routing_terms(configs[c], stage, trace1 if stage == 2 else trace_mix,
-                                 moe.group_of)
+    terms = {name: routing_terms(configs[c], stage, trace1 if stage == 2 else trace_mix)
              for name, (c, stage) in _OBJECTIVES.items()}
     return (h1, h2, h_mix), terms
 

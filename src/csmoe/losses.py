@@ -12,6 +12,11 @@ objective carries the model across task transitions:
 * ``transition_loss`` linearly anneals between a source-task and a
   target-task loss over the course of a stage.
 
+The two group-aware losses read the expert groups and the per-token labels
+off the trace: ``RoutingTrace.group_of`` is the projector's layout, and
+``concrete_labels`` and ``in_group_wins`` are the definitions that
+``analysis`` shares.
+
 ``compose_stage_loss`` adds the routing terms a stage uses (which ones is
 ``stages.routing_terms``'s rule) to its core loss; training and the
 gradient audit both build every stage objective through it.
@@ -33,13 +38,12 @@ trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .autodiff import Tensor, _record, add, mul
 from .config import ExperimentConfig
-from .projector import CS_UNLABELED, RoutingTrace
+from .projector import RoutingTrace
 
 __all__ = [
     "LogDomainError",
@@ -56,59 +60,6 @@ class LogDomainError(FloatingPointError, ValueError):
     """A routing probability saturated to 1, so ``log(1 - p)`` left its domain."""
 
 
-def _resolve_labels(trace: RoutingTrace, lang: Optional[int], num_groups: int) -> np.ndarray:
-    """Per-token language labels, validated to be concrete and in range."""
-    if lang is not None:
-        lang = int(lang)
-        if lang == CS_UNLABELED:
-            raise ValueError(
-                "language must be a concrete label; unlabeled segments cannot "
-                "be scored by language-aware losses"
-            )
-        if not 0 <= lang < num_groups:
-            raise ValueError(f"language {lang} out of range for {num_groups} groups")
-        return np.full(trace.num_tokens, lang, dtype=np.intp)
-    if trace.token_language is None:
-        raise ValueError("trace carries no token language labels; pass lang explicitly")
-    labels = np.asarray(trace.token_language, dtype=np.intp)
-    lowest = labels.min()
-    if lowest < 0 and (labels == CS_UNLABELED).any():
-        raise ValueError(
-            "trace contains unlabeled (code-switched) tokens; language-aware "
-            "losses require a concrete label per token"
-        )
-    if lowest < 0 or labels.max() >= num_groups:
-        raise ValueError(f"token language labels out of range for {num_groups} groups")
-    return labels
-
-
-def _group_layout(group_of: np.ndarray) -> tuple[np.ndarray, int, int]:
-    group_of = np.asarray(group_of, dtype=np.intp)
-    if group_of.ndim != 1 or group_of.size == 0:
-        raise ValueError("group_of must be a non-empty 1-D array")
-    counts = np.bincount(group_of) if group_of.min() >= 0 else None
-    if counts is None or (counts != counts[0]).any():  # bincount's last entry is never 0
-        raise ValueError("group_of must assign every expert to equally sized groups 0..m-1")
-    return group_of, counts.size, int(counts[0])
-
-
-def _in_group_wins(probs: np.ndarray, labels: np.ndarray, group_of: np.ndarray,
-                   m: int, n: int) -> np.ndarray:
-    """[m × n] in-group argmax winners of one layer's probabilities.
-
-    Row j counts, over language j's tokens, which of group j's experts holds
-    the largest probability (ties to the lowest expert index, matching the
-    routing tie-break); tokens with no mass inside their group are skipped.
-    """
-    wins = np.zeros((m, n))
-    for j in range(m):
-        in_group = probs[labels == j][:, group_of == j]  # [T_j × n]
-        has_mass = in_group.sum(axis=1) > 0.0
-        if has_mass.any():
-            wins[j] = np.bincount(in_group[has_mass].argmax(axis=1), minlength=n)
-    return wins
-
-
 def _lang_backward(g: np.ndarray, ones_minus: list, out_mask: np.ndarray) -> tuple:
     """Per-layer ∂(lang)/∂probs for upstream ``g``: −(g·−1 / (1 − p⊙mask))⊙mask.
 
@@ -119,26 +70,17 @@ def _lang_backward(g: np.ndarray, ones_minus: list, out_mask: np.ndarray) -> tup
     return tuple(-(gs / x) * out_mask for x in ones_minus)
 
 
-def language_specific_loss(
-    trace: RoutingTrace,
-    lang: Optional[int],
-    group_of: np.ndarray,
-    *,
-    normalize: bool = False,
-) -> Tensor:
+def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
     """Penalty on routing mass assigned outside each token's language group.
 
     For token t with language l and per-expert probabilities p, the
     contribution is ``-sum_{i not in group l} log(1 - p_i)``, summed over all
     tokens and layers. Zero exactly when every token routes entirely within
-    its own group. ``lang`` overrides the trace's per-token labels with one
-    label for all tokens; when ``None`` the trace labels are used and must be
-    concrete for every token.
+    its own group. The trace's labels must be concrete for every token.
     """
-    group_of, m, _ = _group_layout(group_of)
-    labels = _resolve_labels(trace, lang, m)
+    labels = trace.concrete_labels()
     # out_mask[t, i] = 1.0 when expert i is outside token t's language group
-    out_mask = (group_of[None, :] != labels[:, None]).astype(float)
+    out_mask = (trace.group_of[None, :] != labels[:, None]).astype(float)
     num_tokens = float(trace.num_tokens)
     ones_minus = []
     total = None
@@ -163,13 +105,7 @@ def language_specific_loss(
     return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
 
 
-def intra_group_balance_loss(
-    trace: RoutingTrace,
-    group_of: np.ndarray,
-    *,
-    lang: Optional[int] = None,
-    normalize: bool = False,
-) -> Tensor:
+def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
     """Load-balance penalty applied within each language's expert group.
 
     For each layer and each language j present in the batch, over that
@@ -182,15 +118,15 @@ def intra_group_balance_loss(
     argmax and are excluded from f; languages with no tokens (or no tokens
     carrying in-group mass) contribute nothing.
     """
-    group_of, m, n = _group_layout(group_of)
-    labels = _resolve_labels(trace, lang, m)
+    group_of, m = trace.group_of, trace.num_groups
+    labels = trace.concrete_labels()
     num_experts = group_of.size
     scale = float(m * trace.num_layers)
     cells = []  # per layer: [(sel_row, f_row, gmask_row, numer, denom)] in j order
     total = None
     for layer in trace.layers:
         probs = layer.probs.data
-        wins = _in_group_wins(probs, labels, group_of, m, n)
+        wins = trace.in_group_wins(probs, labels)
         layer_cells = []
         for j in range(m):
             if wins[j].sum() == 0:

@@ -6,6 +6,9 @@ its top-k experts; probabilities are normalized over the selected set only and
 are exactly zero elsewhere. ``moe_forward`` processes whole batches of tokens
 at once: each layer multiplies the batch through every expert and combines
 the N products in one ``mix`` node weighted by the sparse probabilities.
+Its ``RoutingTrace`` carries the projector's expert groups (``group_of``)
+with the routing records, and owns the label check and the in-group winner
+count that the group-aware losses and routing statistics share.
 The tests hold a single-token reference path (``tests/oracles.py``) that
 routes and mixes one token at a time; the batched forward agrees with it.
 """
@@ -106,9 +109,6 @@ class MoeProjector:
         self.layers = layers
         self.group_of = np.repeat(np.arange(num_languages), experts_per_group)
 
-    def group_mask(self, g: int) -> np.ndarray:
-        return self.group_of == g
-
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []
         for layer in self.layers:
@@ -164,14 +164,19 @@ class LayerRouting:
 
 
 class RoutingTrace:
-    """Per-layer routing records for a batch of tokens, plus optional labels.
+    """Per-layer routing records for a batch of tokens, their expert groups and labels.
 
-    ``token_language[t]`` is the language index of token t, or CS_UNLABELED
-    for code-switched (unlabeled) tokens; None if no labels were supplied.
+    ``group_of[i]`` is the language group of expert i, the layout of the
+    projector that routed the batch: experts [g·n, (g+1)·n) belong to
+    language g. ``token_language[t]`` is the language index of token t, or
+    CS_UNLABELED for code-switched (unlabeled) tokens; None if no labels were
+    supplied. The group-aware losses and statistics read both from here.
     """
 
-    def __init__(self, layers: list[LayerRouting], token_language: np.ndarray | None):
+    def __init__(self, layers: list[LayerRouting], group_of: np.ndarray,
+                 token_language: np.ndarray | None):
         self.layers = layers
+        self.group_of = group_of
         self.token_language = token_language
 
     @property
@@ -181,6 +186,43 @@ class RoutingTrace:
     @property
     def num_tokens(self) -> int:
         return self.layers[0].selected.shape[0] if self.layers else 0
+
+    @property
+    def num_groups(self) -> int:
+        return int(self.group_of[-1]) + 1
+
+    def concrete_labels(self) -> np.ndarray:
+        """Per-token language labels, refused unless every token has one in range."""
+        if self.token_language is None:
+            raise ValueError("trace carries no token language labels")
+        labels = np.asarray(self.token_language, dtype=np.intp)
+        lowest = labels.min()
+        if lowest < 0 and (labels == CS_UNLABELED).any():
+            raise ValueError(
+                "trace contains unlabeled (code-switched) tokens; language-aware "
+                "losses require a concrete label per token"
+            )
+        if lowest < 0 or labels.max() >= self.num_groups:
+            raise ValueError(f"token language labels out of range for {self.num_groups} groups")
+        return labels
+
+    def in_group_wins(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """[m × n] in-group argmax winners of one layer's probabilities.
+
+        Row j counts, over language j's tokens, which of group j's experts holds
+        the largest probability (ties to the lowest expert index, matching the
+        routing tie-break); tokens with no mass inside their group, and tokens
+        labeled with no group, are skipped.
+        """
+        m = self.num_groups
+        n = self.group_of.size // m
+        wins = np.zeros((m, n))
+        for j in range(m):
+            in_group = probs[labels == j][:, self.group_of == j]  # [T_j × n]
+            has_mass = in_group.sum(axis=1) > 0.0
+            if has_mass.any():
+                wins[j] = np.bincount(in_group[has_mass].argmax(axis=1), minlength=n)
+        return wins
 
 
 def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:
@@ -231,4 +273,4 @@ def moe_forward(
         records.append(LayerRouting(sel, probs))
         if l < last:
             h = relu(h)
-    return h, RoutingTrace(records, token_language)
+    return h, RoutingTrace(records, proj.group_of, token_language)

@@ -277,13 +277,13 @@ def _forward(projector, decoder: ToyDecoder, feats: np.ndarray, labels):
 _TRANSITION_TASKS = {3: (TASK_ASR, TASK_ST), 4: (TASK_ST, TASK_CS_ST)}
 
 
-def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingTrace],
-                  group_of) -> dict:
+def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingTrace]) -> dict:
     """The routing penalties ``stage`` adds to its core loss under the config.
 
     Stages 2-3 of the routing-loss variants add ``lang`` and ``balance`` (the
     conventional term under ``conventional-balance``, else the intra-group
-    one), read off the MoE's trace; every other stage and variant adds ``{}``.
+    one), read off the MoE's trace, which carries the expert groups and the
+    token labels; every other stage and variant adds ``{}``.
     """
     if stage not in (2, 3) or config.variant not in ROUTING_LOSS_VARIANTS:
         return {}
@@ -293,11 +293,11 @@ def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingT
             f"projector produces no routing trace; plain MLP projectors train without them"
         )
     normalize = config.normalize_aux
-    terms = {"lang": language_specific_loss(trace, None, group_of, normalize=normalize)}
+    terms = {"lang": language_specific_loss(trace, normalize=normalize)}
     if config.variant == "conventional-balance":
         terms["balance"] = conventional_balance_loss(trace, normalize=normalize)
     else:
-        terms["balance"] = intra_group_balance_loss(trace, group_of, normalize=normalize)
+        terms["balance"] = intra_group_balance_loss(trace, normalize=normalize)
     return terms
 
 
@@ -329,7 +329,6 @@ def _fit(config: ExperimentConfig, stage: int, settings: StageSettings, projecto
     gives the core loss and the row fields read from it. A non-finite loss or
     update raises ``NonFiniteLossError`` naming the stage and step.
     """
-    group_of = projector.group_of if isinstance(projector, MoeProjector) else None
     opt = Adam(list(projector.parameters()) + list(decoder.parameters()),
                lr=settings.learning_rate)
     rows = []
@@ -340,7 +339,7 @@ def _fit(config: ExperimentConfig, stage: int, settings: StageSettings, projecto
             with Tape():
                 logits, trace = _forward(projector, decoder, feats, labels)
                 core, fields = score(logits)
-                terms = routing_terms(config, stage, trace, group_of)
+                terms = routing_terms(config, stage, trace)
                 total = compose_stage_loss(config, core, terms)
             row = {"stage": stage, "step": b, **fields, "total": total.item(),
                    **{name: term.item() for name, term in terms.items()}}
@@ -605,10 +604,10 @@ def evaluate_dataset(state: TrainState, utterances) -> dict:
     return token_report(ce_sum, correct, tokens)
 
 
-def routing_summary(trace: RoutingTrace, group_of: np.ndarray) -> dict:
+def routing_summary(trace: RoutingTrace) -> dict:
     """Routing accuracy and expert load of a labeled trace, as plain tuples."""
-    stats = routing_accuracy(trace, group_of)
-    load = expert_load(trace, group_of)
+    stats = routing_accuracy(trace)
+    load = expert_load(trace)
     return {
         "top1_in_group": tuple(float(x) for x in stats.top1_in_group),
         "topk_mass_in_group": tuple(float(x) for x in stats.topk_mass_in_group),
@@ -632,4 +631,4 @@ def routing_probe(state: TrainState, utterances) -> dict:
     feats = np.concatenate([u.features for u in utts], axis=0)
     labels = np.concatenate([u.token_languages() for u in utts])
     _, trace = moe_forward(state.projector, Tensor(feats), labels)
-    return routing_summary(trace, state.projector.group_of)
+    return routing_summary(trace)

@@ -5,7 +5,8 @@ Usage: ``python tests/digest_artifacts.py WORK_DIR``
 Runs ``gen-data``, ``train``, ``eval`` and ``routing-report`` for each of the
 four variants on the default config and on one alternate config (other
 seeds, sampled transition mode, normalized and reweighted routing losses),
-then ``grad-check --instances 3`` for harness seeds 0-3 and 7. The commands
+then ``grad-check --instances 3`` for harness seeds 0-3 and 7, then ``ablate
+--seeds 0`` (all four variants) on the default config. The commands
 run from the ``src`` next to this file, inside ``WORK_DIR`` with relative
 paths, so the written ``config.json`` files do not depend on where
 ``WORK_DIR`` is. Prints one sorted ``sha256  path`` line per file; a refactor
@@ -53,6 +54,7 @@ def main(work: Path) -> None:
     for seed in GRAD_CHECK_SEEDS:
         run(work, "grad-check", "--instances", "3", "--seed", str(seed),
             "--out", f"grad-check/seed{seed}")
+    run(work, "ablate", "--seeds", "0", "--out", "ablate")
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(work).as_posix()}")

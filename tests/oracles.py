@@ -3,8 +3,9 @@
 No command runs these, so they live with the tests: the tape ops that the
 op-by-op chains behind the fused routing losses are built from, the
 subset softmax of a single logit vector, the single-token routing and
-mixture path that the batched MoE forward must agree with, and readers of
-the world and metrics files the commands write.
+mixture path that the batched MoE forward must agree with, a routing trace
+built from explicit probabilities, and readers of the world and metrics
+files the commands write.
 """
 
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from csmoe.autodiff import Tensor, _binary, _coerce, _record, masked_softmax
-from csmoe.projector import _topk_rows
+from csmoe.projector import LayerRouting, RoutingTrace, _topk_rows
 from csmoe.world import LanguageSpec, World
 
 
@@ -86,6 +87,33 @@ def moe_layer_forward(layer, h_t: Tensor, k: int):
     stacked = np.concatenate([row @ layer.expert_weights[i].value.data for i in idx])
     mixed = probs.data[idx][None, :] @ stacked  # [1 × k] @ [k × d_out]
     return Tensor(mixed[0]), (idx, probs)
+
+
+def make_trace(prob_rows_per_layer, labels=None, *, groups=1) -> RoutingTrace:
+    """RoutingTrace from explicit per-layer [T × N] probability arrays.
+
+    The N experts form ``groups`` equal consecutive groups, laid out as
+    ``MoeProjector`` lays them out. Each token's selected experts are its
+    nonzero entries, padded (the losses never read the padding) to a
+    rectangular array.
+    """
+    layers = []
+    for rows in prob_rows_per_layer:
+        rows = np.asarray(rows, dtype=float)
+        sel_rows = []
+        for r in rows:
+            nz = np.flatnonzero(r > 0.0)
+            if nz.size == 0:
+                nz = np.array([0])
+            sel_rows.append(nz)
+        k = max(len(s) for s in sel_rows)
+        sel = np.stack(
+            [np.concatenate([s, np.full(k - len(s), s[-1], dtype=s.dtype)]) for s in sel_rows]
+        ).astype(np.intp)
+        layers.append(LayerRouting(sel, Tensor(rows)))
+    num_experts = layers[0].probs.shape[1]
+    group_of = np.repeat(np.arange(groups), num_experts // groups)
+    return RoutingTrace(layers, group_of, None if labels is None else np.asarray(labels))
 
 
 def load_world(path) -> World:

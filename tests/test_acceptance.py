@@ -29,9 +29,7 @@ from csmoe.losses import (
     transition_loss,
 )
 from csmoe.projector import (
-    LayerRouting,
     ProjectorConfig,
-    RoutingTrace,
     build_moe_from_pretrained,
     init_mlp,
     mlp_forward,
@@ -44,7 +42,7 @@ from csmoe.stages import (
     routing_terms,
     run_pipeline,
 )
-from oracles import route
+from oracles import make_trace, route
 
 SEEDS = (0, 1, 2)
 
@@ -127,26 +125,6 @@ def ablation_runs():
     return cs_ce, full_metrics, elapsed
 
 
-def _make_trace(prob_rows_per_layer, labels=None) -> RoutingTrace:
-    """RoutingTrace from explicit per-layer [T x N] probability arrays."""
-    layers = []
-    for rows in prob_rows_per_layer:
-        rows = np.asarray(rows, dtype=float)
-        sel_rows = []
-        for r in rows:
-            nz = np.flatnonzero(r > 0.0)
-            if nz.size == 0:
-                nz = np.array([0])
-            sel_rows.append(nz)
-        k = max(len(s) for s in sel_rows)
-        sel = np.stack(
-            [np.concatenate([s, np.full(k - len(s), s[-1], dtype=s.dtype)]) for s in sel_rows]
-        ).astype(np.intp)
-        layers.append(LayerRouting(sel, Tensor(rows)))
-    lab = None if labels is None else np.asarray(labels)
-    return RoutingTrace(layers, lab)
-
-
 def _tiny_moe(m=2, n=3, k=3, d_in=4, d_model=4, L=2, seed=0):
     cfg = ProjectorConfig(d_in=d_in, d_model=d_model, num_layers=L)
     mlps = [init_mlp(cfg, seed=seed + g) for g in range(m)]
@@ -224,11 +202,9 @@ def test_criterion_2_routing_matches_dense_softmax(report):
 
 
 def test_criterion_3_loss_closed_forms(report):
-    groups = np.array([0, 0, 1, 1])
-
     # language loss: one token with out-group mass 0.2 -> -log(0.8)
     lang = language_specific_loss(
-        _make_trace([[[0.5, 0.3, 0.2, 0.0]]], labels=[0]), None, groups
+        make_trace([[[0.5, 0.3, 0.2, 0.0]]], labels=[0], groups=2)
     ).item()
     lang_err = abs(lang - (-math.log(0.8)))
 
@@ -236,9 +212,8 @@ def test_criterion_3_loss_closed_forms(report):
     L, m, n = 3, 2, 2
     lang0 = [[0.5625, 0.4375, 0.0, 0.0], [0.4375, 0.5625, 0.0, 0.0]]
     lang1 = [[0.0, 0.0, 0.5625, 0.4375], [0.0, 0.0, 0.4375, 0.5625]]
-    intra = intra_group_balance_loss(
-        _make_trace([lang0 + lang1] * L, labels=[0, 0, 1, 1]), groups
-    ).item()
+    intra = intra_group_balance_loss(make_trace([lang0 + lang1] * L, labels=[0, 0, 1, 1],
+                                                groups=m)).item()
     intra_err = abs(intra - L * m / n)
 
     # conventional balance at the uniform point: 1/N per layer
@@ -248,8 +223,8 @@ def test_criterion_3_loss_closed_forms(report):
         [0.25, 0.1875, 0.3125, 0.25],
         [0.25, 0.25, 0.1875, 0.3125],
     ]
-    conv1 = conventional_balance_loss(_make_trace([rows])).item()
-    conv3 = conventional_balance_loss(_make_trace([rows] * 3)).item()
+    conv1 = conventional_balance_loss(make_trace([rows])).item()
+    conv3 = conventional_balance_loss(make_trace([rows] * 3)).item()
     conv_err = max(abs(conv1 - 0.25), abs(conv3 - 0.75))
 
     # transition schedule endpoint: final blend weight is exactly 1 and the
@@ -381,7 +356,7 @@ def test_criterion_8_schedule_and_stage_contracts(ablation_runs, report):
     # no routing terms, and an objective without them is its core
     tr = Tensor(0.625)
     config = ExperimentConfig()
-    compose_ok = (routing_terms(config, 4, None, None) == {}
+    compose_ok = (routing_terms(config, 4, None) == {}
                   and compose_stage_loss(config, tr, {}) is tr)
 
     # grouped-expert build: every same-group expert replicates its source

@@ -19,35 +19,13 @@ from csmoe.analysis import (
 from csmoe.autodiff import Tensor
 from csmoe.projector import (
     CS_UNLABELED,
-    LayerRouting,
     ProjectorConfig,
-    RoutingTrace,
     build_moe_from_pretrained,
     init_mlp,
     moe_forward,
 )
 from csmoe.world import TASK_ASR, gen_utterance, gen_world
-
-
-def make_trace(prob_rows_per_layer, labels):
-    layers = []
-    for rows in prob_rows_per_layer:
-        rows = np.asarray(rows, dtype=float)
-        sel_rows = []
-        for r in rows:
-            nz = np.flatnonzero(r > 0.0)
-            if nz.size == 0:
-                nz = np.array([0])
-            sel_rows.append(nz)
-        k = max(len(s) for s in sel_rows)
-        sel = np.stack(
-            [np.concatenate([s, np.full(k - len(s), s[-1], dtype=s.dtype)]) for s in sel_rows]
-        ).astype(np.intp)
-        layers.append(LayerRouting(sel, Tensor(rows)))
-    return RoutingTrace(layers, np.asarray(labels))
-
-
-GROUPS_2x2 = np.array([0, 0, 1, 1])
+from oracles import make_trace
 
 
 # ------------------------------------------------------------ routing_accuracy
@@ -55,8 +33,8 @@ GROUPS_2x2 = np.array([0, 0, 1, 1])
 
 def test_routing_accuracy_all_in_group():
     rows = [[0.6, 0.4, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7]]
-    trace = make_trace([rows, rows], labels=[0, 1])
-    stats = routing_accuracy(trace, GROUPS_2x2)
+    trace = make_trace([rows, rows], labels=[0, 1], groups=2)
+    stats = routing_accuracy(trace)
     assert np.array_equal(stats.top1_in_group, [1.0, 1.0])
     assert np.array_equal(stats.topk_mass_in_group, [1.0, 1.0])
     assert np.array_equal(stats.topk_count_in_group, [1.0, 1.0])
@@ -66,8 +44,8 @@ def test_routing_accuracy_mixed_case_hand_value():
     # language-0 token argmaxes out-of-group in layer 2 with mass 0.25 in-group
     layer1 = [[0.75, 0.25, 0.0, 0.0]]
     layer2 = [[0.25, 0.0, 0.75, 0.0]]
-    trace = make_trace([layer1, layer2], labels=[0])
-    stats = routing_accuracy(trace, GROUPS_2x2)
+    trace = make_trace([layer1, layer2], labels=[0], groups=2)
+    stats = routing_accuracy(trace)
     assert stats.top1_in_group[0] == 0.5  # 1 of 2 (token, layer) pairs
     assert abs(stats.topk_mass_in_group[0] - (1.0 + 0.25) / 2) < 1e-12
     # layer1 selects {0,1} (both in-group), layer2 selects {0,2} (half)
@@ -76,9 +54,9 @@ def test_routing_accuracy_mixed_case_hand_value():
 
 
 def test_routing_accuracy_rejects_unlabeled():
-    trace = make_trace([[[1.0, 0.0, 0.0, 0.0]]], labels=[CS_UNLABELED])
+    trace = make_trace([[[1.0, 0.0, 0.0, 0.0]]], labels=[CS_UNLABELED], groups=2)
     with pytest.raises(ValueError):
-        routing_accuracy(trace, GROUPS_2x2)
+        routing_accuracy(trace)
 
 
 def test_random_router_routes_in_group_at_chance():
@@ -94,7 +72,7 @@ def test_random_router_routes_in_group_at_chance():
         x = rng.normal(size=(300, 8))
         labels = rng.integers(0, 2, size=300)
         _, trace = moe_forward(moe, Tensor(x), token_language=labels)
-        stats = routing_accuracy(trace, moe.group_of)
+        stats = routing_accuracy(trace)
         fractions.extend(stats.top1_in_group[np.isfinite(stats.top1_in_group)])
     assert abs(np.mean(fractions) - 0.5) < 0.05
 
@@ -105,8 +83,8 @@ def test_routing_accuracy_invariant_under_in_group_relabeling():
     rows = raw / raw.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 2, size=8)
     perm = np.array([1, 0, 3, 2])  # swap within each group
-    base = routing_accuracy(make_trace([rows], labels), GROUPS_2x2)
-    swapped = routing_accuracy(make_trace([rows[:, perm]], labels), GROUPS_2x2)
+    base = routing_accuracy(make_trace([rows], labels, groups=2))
+    swapped = routing_accuracy(make_trace([rows[:, perm]], labels, groups=2))
     assert np.allclose(base.top1_in_group, swapped.top1_in_group)
     assert np.allclose(base.topk_mass_in_group, swapped.topk_mass_in_group)
 
@@ -121,7 +99,7 @@ def test_expert_load_uniform_three_experts():
         [0.0, 0.0, 1.0],
     ]
     trace = make_trace([rows], labels=[0, 0, 0])
-    load = expert_load(trace, np.array([0, 0, 0]))
+    load = expert_load(trace)
     assert np.allclose(load.shares, [1 / 3, 1 / 3, 1 / 3])
     assert load.group_ratio[0] == 1.0
 
@@ -132,7 +110,7 @@ def test_expert_load_dead_expert_reports_infinite_ratio():
         [0.1, 0.9, 0.0],
     ]
     trace = make_trace([rows], labels=[0, 0])
-    load = expert_load(trace, np.array([0, 0, 0]))
+    load = expert_load(trace)
     assert load.group_ratio[0] == np.inf
     assert abs(load.shares.sum() - 1.0) < 1e-12
 
@@ -141,8 +119,8 @@ def test_expert_load_shares_use_global_argmax():
     # language-0 token whose global argmax sits in group 1 still counts toward
     # the global share of that expert
     rows = [[0.2, 0.0, 0.8, 0.0]]
-    trace = make_trace([rows], labels=[0])
-    load = expert_load(trace, GROUPS_2x2)
+    trace = make_trace([rows], labels=[0], groups=2)
+    load = expert_load(trace)
     assert np.allclose(load.shares, [0, 0, 1.0, 0])
 
 

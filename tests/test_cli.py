@@ -164,6 +164,18 @@ def test_train_resume_refuses_other_config(tmp_path, cfg_path, capsys):
     assert "train_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stages", [None, "4"])
+def test_train_resume_past_the_last_stage_names_it(tmp_path, cfg_path, trained_dir,
+                                                    stages, capsys):
+    before = _tree_bytes(trained_dir)
+    argv = ["train", "--config", cfg_path, "--out", str(trained_dir),
+            "--resume", str(trained_dir / "checkpoints" / "stage4")]
+    capsys.readouterr()
+    assert main(argv + (["--stages", stages] if stages else [])) == 2
+    assert "already at stage 4, so no stage is left to run" in capsys.readouterr().err
+    assert _tree_bytes(trained_dir) == before
+
+
 def test_train_non_finite_loss_exits_3_and_writes_no_checkpoint(
         tmp_path, cfg_path, monkeypatch, capsys):
     out = tmp_path / "out"
@@ -451,6 +463,24 @@ def test_ablate_two_variants(tmp_path, cfg_path, capsys):
     assert "full" in stdout and "no-moe" in stdout
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--variants", "full,bogus", "--seeds", "0"],
+     "--variants 'full,bogus': unknown variant 'bogus'"),
+    (["--variants", "full", "--seeds", "x"], "--seeds 'x': 'x' is not"),
+    (["--variants", "full", "--seeds", "0,-1"], "--seeds '0,-1': '-1' is not"),
+    (["--variants", "full,full", "--seeds", "0"], "--variants 'full,full' names a value twice"),
+    (["--variants", "full", "--seeds", "0,00"], "--seeds '0,00' names a value twice"),
+], ids=["unknown-variant", "seed-not-int", "negative-seed", "repeated-variant",
+        "repeated-seed"])
+def test_ablate_refuses_bad_flags_before_training(tmp_path, cfg_path, flags, named, capsys):
+    out = tmp_path / "ab"
+    assert main(["ablate", "--config", cfg_path, "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert "variant full seed" not in captured.out
+    assert not (out / "report.json").exists()
+
+
 def test_routing_report_command(tmp_path, cfg_path, trained_dir):
     out = tmp_path / "rr"
     rc = main(["routing-report", "--config", cfg_path,
@@ -526,7 +556,8 @@ def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("d_model", 0), ("num_layers", 0), ("prompt_len", 0),
+    ("d_model", 0), ("num_layers", 0), ("prompt_len", 0), ("cs_switches", 0),
+    ("experts_per_group", 0),
     ("lang_weight", 0), ("balance_weight", -1),
     ("separation", float("nan")), ("separation", float("inf")),
     ("noise_sigma", float("inf")), ("token_margin", float("nan")),

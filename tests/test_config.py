@@ -84,3 +84,21 @@ def test_config_diff_lists_changed_fields():
 def test_top1_rejected_with_language_loss(variant):
     with pytest.raises(ValueError, match="top_k"):
         ExperimentConfig(top_k=1, variant=variant)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"cs_switches": 0}, "cs_switches"),
+    ({"cs_switches": -1, "utterance_length": 0}, "cs_switches"),
+    ({"separation": 0.0}, "separation"),
+    ({"separation": -6.0}, "separation"),
+    ({"noise_sigma": 0.0}, "noise_sigma"),
+    ({"noise_sigma": -0.1}, "noise_sigma"),
+    ({"token_margin": 0.0}, "token_margin"),
+    ({"token_margin": -3.0}, "token_margin"),
+    ({"experts_per_group": 0}, "experts_per_group"),
+], ids=["cs-switches-0", "cs-switches-negative-length-0", "separation-0",
+        "separation-negative", "noise-sigma-0", "noise-sigma-negative", "token-margin-0",
+        "token-margin-negative", "experts-per-group-0"])
+def test_config_refuses_a_bad_value_naming_its_field(overrides, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        ExperimentConfig(**overrides)

@@ -105,7 +105,6 @@ def test_rejects_bad_arguments():
 def _oracle_builders(moe, decoder, batches, ts, configs):
     """One closure per loss, each running its own MoE forwards."""
     (f1, l1, t1), (f2, l2, t2) = batches
-    g_of = moe.group_of
     intra, conventional = configs
 
     def fwd(feats, labels):
@@ -125,18 +124,18 @@ def _oracle_builders(moe, decoder, batches, ts, configs):
         return transition_loss(ce_src, ce_tgt, ts), trace
 
     def intra_balance(trace):
-        return intra_group_balance_loss(trace, g_of)
+        return intra_group_balance_loss(trace)
 
     def routed(config, balance, core_and_trace):
         core, trace = core_and_trace
-        terms = {"lang": language_specific_loss(trace, None, g_of), "balance": balance(trace)}
+        terms = {"lang": language_specific_loss(trace), "balance": balance(trace)}
         return compose_stage_loss(config, core, terms)
 
     moe_params = moe.parameters()
     all_params = moe_params + decoder.parameters()
     return {
         "ce": (lambda: ce_of(f1, l1, t1)[0], all_params),
-        "lang": (lambda: language_specific_loss(fwd(f1, l1)[1], None, g_of), moe_params),
+        "lang": (lambda: language_specific_loss(fwd(f1, l1)[1]), moe_params),
         "balance": (lambda: intra_balance(fwd(f1, l1)[1]), moe_params),
         "conventional": (lambda: conventional_balance_loss(fwd(f1, l1)[1]), moe_params),
         "transition": (lambda: transition_loss(ce_of(f1, l1, t1)[0],

@@ -27,9 +27,6 @@ from csmoe.autodiff import (
 from csmoe.config import VARIANTS, ExperimentConfig
 from csmoe.losses import (
     TransitionState,
-    _group_layout,
-    _in_group_wins,
-    _resolve_labels,
     compose_stage_loss,
     conventional_balance_loss,
     intra_group_balance_loss,
@@ -38,128 +35,86 @@ from csmoe.losses import (
 )
 from csmoe.projector import (
     CS_UNLABELED,
-    LayerRouting,
     ProjectorConfig,
-    RoutingTrace,
     build_moe_from_pretrained,
     init_mlp,
     moe_forward,
 )
 from csmoe.world import init_decoder
-from oracles import div, log, sub, tsum
-
-
-def make_trace(prob_rows_per_layer, labels=None):
-    """Build a RoutingTrace from explicit per-layer [T×N] probability arrays."""
-    layers = []
-    for rows in prob_rows_per_layer:
-        rows = np.asarray(rows, dtype=float)
-        sel_rows = []
-        for r in rows:
-            nz = np.flatnonzero(r > 0.0)
-            if nz.size == 0:
-                nz = np.array([0])
-            sel_rows.append(nz)
-        # pad ragged selections (unused by the losses) to a rectangular array
-        k = max(len(s) for s in sel_rows)
-        sel = np.stack(
-            [np.concatenate([s, np.full(k - len(s), s[-1], dtype=s.dtype)]) for s in sel_rows]
-        ).astype(np.intp)
-        layers.append(LayerRouting(sel, Tensor(rows)))
-    lab = None if labels is None else np.asarray(labels)
-    return RoutingTrace(layers, lab)
-
-
-GROUPS_2x2 = np.array([0, 0, 1, 1])  # m=2, n=2
+from oracles import div, log, make_trace, sub, tsum
 
 
 # -------------------------------------------------- language_specific_loss
 
 
 def test_language_loss_zero_when_all_in_group():
-    trace = make_trace([[[0.75, 0.25, 0.0, 0.0]]], labels=[0])
-    loss = language_specific_loss(trace, None, GROUPS_2x2)
+    trace = make_trace([[[0.75, 0.25, 0.0, 0.0]]], labels=[0], groups=2)
+    loss = language_specific_loss(trace)
     assert loss.item() == 0.0
 
 
 def test_language_loss_hand_value():
     # One token, one layer, one out-group expert holding p=0.2.
-    trace = make_trace([[[0.5, 0.3, 0.2, 0.0]]], labels=[0])
-    loss = language_specific_loss(trace, None, GROUPS_2x2)
+    trace = make_trace([[[0.5, 0.3, 0.2, 0.0]]], labels=[0], groups=2)
+    loss = language_specific_loss(trace)
     assert abs(loss.item() - (-math.log(0.8))) < 1e-9
     assert abs(loss.item() - 0.2231435513) < 1e-9
 
 
 def test_language_loss_additive_over_tokens():
     row = [0.5, 0.3, 0.2, 0.0]
-    trace = make_trace([[row, row]], labels=[0, 0])
-    loss = language_specific_loss(trace, None, GROUPS_2x2)
+    trace = make_trace([[row, row]], labels=[0, 0], groups=2)
+    loss = language_specific_loss(trace)
     assert abs(loss.item() - 2 * (-math.log(0.8))) < 1e-9
     assert abs(loss.item() - 0.4462871026) < 1e-9
 
 
 def test_language_loss_additive_over_layers():
     row = [0.5, 0.3, 0.2, 0.0]
-    trace = make_trace([[row], [row]], labels=[0])
-    loss = language_specific_loss(trace, None, GROUPS_2x2)
+    trace = make_trace([[row], [row]], labels=[0], groups=2)
+    loss = language_specific_loss(trace)
     assert abs(loss.item() - 2 * (-math.log(0.8))) < 1e-9
 
 
-def test_language_loss_explicit_label_overrides():
-    # Same probs, but evaluated as language 1: out-group experts are 0 and 1.
-    trace = make_trace([[[0.5, 0.3, 0.2, 0.0]]])
-    loss = language_specific_loss(trace, 1, GROUPS_2x2)
-    expected = -math.log(1 - 0.5) - math.log(1 - 0.3)
-    assert abs(loss.item() - expected) < 1e-9
-
-
-def test_group_layout_reads_equal_groups():
-    group_of, m, n = _group_layout(np.array([0, 0, 0, 1, 1, 1]))
-    assert (group_of.tolist(), m, n) == ([0, 0, 0, 1, 1, 1], 2, 3)
-
-
-@pytest.mark.parametrize("group_of", [[], [[0, 1]], [-1, 0], [0, 0, 1], [0, 0, 2, 2]],
-                         ids=["empty", "2-d", "negative", "uneven", "empty-group"])
-def test_group_layout_refuses_bad_groupings(group_of):
-    with pytest.raises(ValueError, match="group_of"):
-        _group_layout(np.array(group_of))
+def test_language_loss_rejects_a_trace_without_labels():
+    trace = make_trace([[[0.5, 0.3, 0.2, 0.0]]], groups=2)
+    with pytest.raises(ValueError, match="no token language labels"):
+        language_specific_loss(trace)
 
 
 def test_language_loss_rejects_cs_unlabeled():
-    trace = make_trace([[[1.0, 0.0, 0.0, 0.0]]], labels=[CS_UNLABELED])
-    with pytest.raises(ValueError):
-        language_specific_loss(trace, None, GROUPS_2x2)
-    with pytest.raises(ValueError):
-        language_specific_loss(trace, CS_UNLABELED, GROUPS_2x2)
+    trace = make_trace([[[1.0, 0.0, 0.0, 0.0]]], labels=[CS_UNLABELED], groups=2)
+    with pytest.raises(ValueError, match="unlabeled"):
+        language_specific_loss(trace)
 
 
 def test_language_loss_nonnegative_and_monotone():
     rng = np.random.default_rng(0)
     for _ in range(20):
         p_out = rng.uniform(0.0, 0.6)
-        trace = make_trace([[[1 - p_out - 0.1, 0.1, p_out, 0.0]]], labels=[0])
-        base = language_specific_loss(trace, None, GROUPS_2x2).item()
+        trace = make_trace([[[1 - p_out - 0.1, 0.1, p_out, 0.0]]], labels=[0], groups=2)
+        base = language_specific_loss(trace).item()
         assert base >= 0.0
-        bumped = make_trace([[[1 - p_out - 0.15, 0.1, p_out + 0.05, 0.0]]], labels=[0])
-        higher = language_specific_loss(bumped, None, GROUPS_2x2).item()
+        bumped = make_trace([[[1 - p_out - 0.15, 0.1, p_out + 0.05, 0.0]]], labels=[0],
+                            groups=2)
+        higher = language_specific_loss(bumped).item()
         assert higher > base
 
 
 def test_language_loss_sums_not_means():
     # Doubling the token count doubles the loss (no implicit averaging).
     row = [0.5, 0.3, 0.2, 0.0]
-    one = language_specific_loss(make_trace([[row]], labels=[0]), None, GROUPS_2x2)
-    four = language_specific_loss(
-        make_trace([[row, row, row, row]], labels=[0, 0, 0, 0]), None, GROUPS_2x2
-    )
+    one = language_specific_loss(make_trace([[row]], labels=[0], groups=2))
+    four = language_specific_loss(make_trace([[row, row, row, row]], labels=[0, 0, 0, 0],
+                                             groups=2))
     assert abs(four.item() - 4 * one.item()) < 1e-12
 
 
 def test_language_loss_normalize_flag():
     row = [0.5, 0.3, 0.2, 0.0]
-    trace = make_trace([[row, row]], labels=[0, 0])
-    raw = language_specific_loss(trace, None, GROUPS_2x2).item()
-    norm = language_specific_loss(trace, None, GROUPS_2x2, normalize=True).item()
+    trace = make_trace([[row, row]], labels=[0, 0], groups=2)
+    raw = language_specific_loss(trace).item()
+    norm = language_specific_loss(trace, normalize=True).item()
     assert abs(norm - raw / 2) < 1e-12
 
 
@@ -171,7 +126,7 @@ def test_intra_balance_hand_value_balanced():
     # Dyadic probabilities keep every intermediate exact.
     rows = [[0.5625, 0.4375], [0.4375, 0.5625]]
     trace = make_trace([rows], labels=[0, 0])
-    loss = intra_group_balance_loss(trace, np.array([0, 0]))
+    loss = intra_group_balance_loss(trace)
     assert abs(loss.item() - 0.5) < 1e-12
 
 
@@ -179,7 +134,7 @@ def test_intra_balance_hand_value_collapsed():
     # All tokens argmax to expert 0 with all mass there: f = P = [1, 0] → 1.0.
     rows = [[1.0, 0.0], [1.0, 0.0]]
     trace = make_trace([rows], labels=[0, 0])
-    loss = intra_group_balance_loss(trace, np.array([0, 0]))
+    loss = intra_group_balance_loss(trace)
     assert loss.item() == 1.0
 
 
@@ -191,8 +146,8 @@ def test_intra_balance_uniform_point_closed_form():
     lang0 = [[0.5625, 0.4375, 0.0, 0.0], [0.4375, 0.5625, 0.0, 0.0]]
     lang1 = [[0.0, 0.0, 0.5625, 0.4375], [0.0, 0.0, 0.4375, 0.5625]]
     rows = lang0 + lang1
-    trace = make_trace([rows] * L, labels=[0, 0, 1, 1])
-    loss = intra_group_balance_loss(trace, GROUPS_2x2)
+    trace = make_trace([rows] * L, labels=[0, 0, 1, 1], groups=m)
+    loss = intra_group_balance_loss(trace)
     assert abs(loss.item() - L * m / n) < 1e-9
 
 
@@ -209,15 +164,15 @@ def test_intra_balance_one_hot_at_least_uniform():
             row[1 - winner] = 1.0 - p_win
             rows.append(row)
         trace = make_trace([rows], labels=[0] * 4)
-        loss = intra_group_balance_loss(trace, np.array([0, 0]))
+        loss = intra_group_balance_loss(trace)
         assert loss.item() >= 0.5 - 1e-12
 
 
 def test_intra_balance_absent_language_contributes_zero():
     # Only language 0 present in an m=2 world: total is language 0's term.
     rows = [[0.5625, 0.4375, 0.0, 0.0], [0.4375, 0.5625, 0.0, 0.0]]
-    trace = make_trace([rows], labels=[0, 0])
-    loss = intra_group_balance_loss(trace, GROUPS_2x2)
+    trace = make_trace([rows], labels=[0, 0], groups=2)
+    loss = intra_group_balance_loss(trace)
     assert abs(loss.item() - 0.5) < 1e-12
 
 
@@ -229,17 +184,17 @@ def test_intra_balance_skips_tokens_without_in_group_mass():
         [0.4375, 0.5625, 0.0, 0.0],
         [0.0, 0.0, 1.0, 0.0],  # language-0 token, all mass in group 1
     ]
-    trace = make_trace([rows], labels=[0, 0, 0])
-    loss = intra_group_balance_loss(trace, GROUPS_2x2)
+    trace = make_trace([rows], labels=[0, 0, 0], groups=2)
+    loss = intra_group_balance_loss(trace)
     # language-0 cell: f = P = [1/2, 1/2] → 0.5; the stray token also creates
     # mass in group 1's columns, but language 1 has no tokens → no group-1 term.
     assert abs(loss.item() - 0.5) < 1e-12
 
 
 def test_intra_balance_requires_labels():
-    trace = make_trace([[[1.0, 0.0, 0.0, 0.0]]], labels=[CS_UNLABELED])
+    trace = make_trace([[[1.0, 0.0, 0.0, 0.0]]], labels=[CS_UNLABELED], groups=2)
     with pytest.raises(ValueError):
-        intra_group_balance_loss(trace, GROUPS_2x2)
+        intra_group_balance_loss(trace)
 
 
 # --------------------------------------------- conventional_balance_loss
@@ -275,9 +230,7 @@ def test_conventional_equals_intra_for_single_group():
         raw = rng.uniform(0.01, 1.0, size=(6, 3))
         rows = raw / raw.sum(axis=1, keepdims=True)
         conv = conventional_balance_loss(make_trace([rows])).item()
-        intra = intra_group_balance_loss(
-            make_trace([rows], labels=[0] * 6), np.array([0, 0, 0])
-        ).item()
+        intra = intra_group_balance_loss(make_trace([rows], labels=[0] * 6)).item()
         assert abs(conv - intra) < 1e-12
 
 
@@ -375,7 +328,7 @@ def test_language_loss_gradient_through_router(seed):
 
     def build_loss():
         _, trace = moe_forward(moe, Tensor(x), token_language=labels)
-        return language_specific_loss(trace, None, moe.group_of)
+        return language_specific_loss(trace)
 
     with Tape():
         backward(build_loss())
@@ -399,7 +352,7 @@ def test_balance_losses_gradient_through_router(seed):
     moe, x, labels = router_chain_setup(seed)
 
     for loss_fn in (
-        lambda tr: intra_group_balance_loss(tr, moe.group_of),
+        intra_group_balance_loss,
         conventional_balance_loss,
     ):
         def build_loss():
@@ -432,10 +385,9 @@ def test_balance_losses_gradient_through_router(seed):
 # reproduce their values and every parameter gradient bit for bit.
 
 
-def chain_language_specific_loss(trace, lang, group_of, *, normalize=False):
-    group_of, m, _ = _group_layout(group_of)
-    labels = _resolve_labels(trace, lang, m)
-    out_mask = (group_of[None, :] != labels[:, None]).astype(float)
+def chain_language_specific_loss(trace, *, normalize=False):
+    labels = trace.concrete_labels()
+    out_mask = (trace.group_of[None, :] != labels[:, None]).astype(float)
     total = None
     for layer in trace.layers:
         masked = mul(layer.probs, Tensor(out_mask))
@@ -446,12 +398,12 @@ def chain_language_specific_loss(trace, lang, group_of, *, normalize=False):
     return total
 
 
-def chain_intra_group_balance_loss(trace, group_of, *, lang=None, normalize=False):
-    group_of, m, n = _group_layout(group_of)
-    labels = _resolve_labels(trace, lang, m)
+def chain_intra_group_balance_loss(trace, *, normalize=False):
+    group_of, m = trace.group_of, trace.num_groups
+    labels = trace.concrete_labels()
     total = None
     for layer in trace.layers:
-        wins = _in_group_wins(layer.probs.data, labels, group_of, m, n)
+        wins = trace.in_group_wins(layer.probs.data, labels)
         for j in range(m):
             if wins[j].sum() == 0:
                 continue
@@ -528,7 +480,7 @@ def composed_step(moe, decoder, config, stage, batches):
         else:
             logits, trace = stages._forward(moe, decoder, f1, l1)
             core = cross_entropy(logits, t1)
-        aux = stages.routing_terms(config, stage, trace, moe.group_of)
+        aux = stages.routing_terms(config, stage, trace)
         total = compose_stage_loss(config, core, aux)
     backward(total)
     values = {name: term.item() for name, term in aux.items()}
@@ -542,14 +494,14 @@ def test_routing_terms_follow_stage_and_variant(variant, stage):
     moe, _, batches = fused_setup(0, 2, absent=False)
     feats, labels, _ = batches[0]
     _, trace = moe_forward(moe, Tensor(feats), labels)
-    terms = stages.routing_terms(ExperimentConfig(variant=variant), stage, trace, moe.group_of)
+    terms = stages.routing_terms(ExperimentConfig(variant=variant), stage, trace)
     if stage not in (2, 3) or variant not in ("full", "conventional-balance"):
         assert terms == {}
         return
     assert set(terms) == {"lang", "balance"}
-    assert terms["lang"].item() == language_specific_loss(trace, None, moe.group_of).item()
+    assert terms["lang"].item() == language_specific_loss(trace).item()
     balance = (conventional_balance_loss(trace) if variant == "conventional-balance"
-               else intra_group_balance_loss(trace, moe.group_of))
+               else intra_group_balance_loss(trace))
     assert terms["balance"].item() == balance.item()
 
 
@@ -594,8 +546,8 @@ def test_routing_loss_call_adds_one_tape_node(loss_name):
     moe, _, batches = fused_setup(0, 2, absent=False)
     feats, labels, _ = batches[0]
     calls = {
-        "lang": lambda tr: language_specific_loss(tr, None, moe.group_of, normalize=True),
-        "balance": lambda tr: intra_group_balance_loss(tr, moe.group_of, normalize=True),
+        "lang": lambda tr: language_specific_loss(tr, normalize=True),
+        "balance": lambda tr: intra_group_balance_loss(tr, normalize=True),
         "conventional": lambda tr: conventional_balance_loss(tr, normalize=True),
     }
     with Tape() as tape:
@@ -607,6 +559,6 @@ def test_routing_loss_call_adds_one_tape_node(loss_name):
 
 def test_language_loss_keeps_log_domain_error():
     # an out-of-group probability of exactly 1 makes log(1 - p) undefined
-    trace = make_trace([[[0.0, 0.0, 1.0, 0.0]]], labels=[0])
+    trace = make_trace([[[0.0, 0.0, 1.0, 0.0]]], labels=[0], groups=2)
     with pytest.raises(ValueError, match="strictly positive"):
-        language_specific_loss(trace, None, GROUPS_2x2)
+        language_specific_loss(trace)

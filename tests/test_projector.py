@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from csmoe.autodiff import Parameter, Tape, Tensor, backward, fd_gradient
 from csmoe.projector import (
+    CS_UNLABELED,
     MoeProjector,
     ProjectorConfig,
     build_moe_from_pretrained,
@@ -17,7 +18,7 @@ from csmoe.projector import (
     mlp_forward,
     moe_forward,
 )
-from oracles import moe_layer_forward, route, tsum
+from oracles import make_trace, moe_layer_forward, route, tsum
 
 
 def tiny_moe(seed=0, m=2, n=2, k=2, d_in=3, d_model=4, L=2):
@@ -262,6 +263,9 @@ def test_moe_forward_trace_contract():
     _, trace = moe_forward(moe, Tensor(x))
     assert trace.num_layers == 2
     assert trace.num_tokens == 5
+    assert trace.group_of is moe.group_of
+    assert trace.num_groups == 2
+    assert trace.token_language is None
     for lr in trace.layers:
         assert lr.selected.shape == (5, 3)
         p = lr.probs.data
@@ -273,6 +277,17 @@ def test_moe_forward_trace_contract():
             assert (p[t, sel] > 0.0).all()
             off = np.setdiff1d(np.arange(6), sel)
             assert (p[t, off] == 0.0).all()
+
+
+def test_trace_in_group_wins_count_each_languages_winners():
+    # experts 0-1 form group 0 and experts 2-3 group 1; the third token has
+    # no mass in its own group and the fourth no label, so neither counts
+    rows = [[0.5, 0.25, 0.25, 0.0], [0.0, 0.5, 0.5, 0.0],
+            [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75]]
+    labels = np.array([0, 0, 1, CS_UNLABELED])
+    trace = make_trace([rows], labels, groups=2)
+    wins = trace.in_group_wins(trace.layers[0].probs.data, labels)
+    assert wins.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
 
 def test_moe_forward_matches_per_token_replay():
