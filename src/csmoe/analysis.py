@@ -151,17 +151,20 @@ def separation_score(features: np.ndarray, labels: np.ndarray) -> SeparationRepo
     # O(block · n). Gram distances |a|² + |b|² − 2·a·b lose all precision
     # when d² is at rounding level against |a|² + |b|² (the diagonal, exact
     # duplicates), so those entries are recomputed from the differences.
+    # They are found by one flat scan of the block, whose indices divmod
+    # maps back to (row, column) in the row-major order of a 2-D nonzero.
     code = np.searchsorted(kept, y)
     onehot = (code[:, None] == np.arange(len(kept))).astype(float)
     xc = x - x.mean(axis=0)
+    n = len(xc)
     sq = (xc**2).sum(axis=1)
-    sums = np.empty((len(xc), len(kept)))
-    for start in range(0, len(xc), _BLOCK):
+    sums = np.empty((n, len(kept)))
+    for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
         norms = sq[rows, None] + sq
         d2 = (-2.0 * xc[rows]) @ xc.T
         d2 += norms
-        near_r, near_c = np.nonzero(d2 <= 1e-12 * norms)
+        near_r, near_c = np.divmod(np.flatnonzero(d2 <= 1e-12 * norms), n)
         d2[near_r, near_c] = ((xc[start + near_r] - xc[near_c]) ** 2).sum(axis=1)
         sums[rows] = np.sqrt(d2, out=d2) @ onehot
     sizes = onehot.sum(axis=0)

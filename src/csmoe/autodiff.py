@@ -293,12 +293,15 @@ def masked_softmax(logits, mask: np.ndarray) -> Tensor:
     return _record(out, (z,), bw)
 
 
-def cross_entropy(logits, targets) -> Tensor:
-    """Mean over positions of −log softmax(logits_t)[target_t]."""
-    z = _coerce(logits)
-    if z.data.ndim != 2:
-        raise ValueError(f"cross_entropy expects [T, V] logits, got shape {z.shape}")
-    t_count, vocab = z.shape
+def token_nll(zd: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-position −log softmax(zd_t)[target_t] of [T, V] logits, and the row maxima.
+
+    The targets must be T integer ids in [0, V). Row t's loss depends on row
+    t alone, so a row block's losses equal the same rows of the whole array's.
+    """
+    if zd.ndim != 2:
+        raise ValueError(f"cross_entropy expects [T, V] logits, got shape {zd.shape}")
+    t_count, vocab = zd.shape
     tg = np.asarray(targets)
     if tg.ndim != 1 or tg.shape[0] != t_count:
         raise ValueError(f"targets length {tg.shape} does not match {t_count} positions")
@@ -306,10 +309,18 @@ def cross_entropy(logits, targets) -> Tensor:
         raise ValueError("targets must be integer token ids")
     if tg.size and (tg.min() < 0 or tg.max() >= vocab):
         raise ValueError(f"target id out of range [0, {vocab})")
-    zd = z.data
     m = zd.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(zd - m).sum(axis=1))
-    losses = lse - zd[np.arange(t_count), tg]
+    e = zd - m
+    lse = m[:, 0] + np.log(np.exp(e, out=e).sum(axis=1))
+    return lse - zd[np.arange(t_count), tg], m
+
+
+def cross_entropy(logits, targets) -> Tensor:
+    """Mean over positions of −log softmax(logits_t)[target_t]."""
+    z = _coerce(logits)
+    zd, tg = z.data, np.asarray(targets)
+    losses, m = token_nll(zd, tg)
+    t_count = zd.shape[0]
     out = Tensor(losses.mean())
 
     def bw(g):

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .analysis import expert_load, routing_accuracy
-from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take
+from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take, token_nll
 from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig, StageSettings
 from .losses import (
     TransitionState,
@@ -566,6 +566,8 @@ def run_pipeline(
 
 # --------------------------------------------------------------- evaluation
 
+_EVAL_BLOCK = 256  # logit rows whose softmax evaluate_dataset holds at once
+
 
 def token_report(ce_sum: float, correct: int, tokens: int) -> dict:
     """Token-weighted cross-entropy and accuracy from summed per-token counts."""
@@ -582,25 +584,32 @@ def evaluate_dataset(state: TrainState, utterances) -> dict:
     """Token cross-entropy and accuracy over a dataset, assembled exactly.
 
     All utterances go through one batched forward pass (every op is
-    row-wise, so each utterance's logits equal those of its own pass).
-    ``ce`` is the token-weighted mean: per-utterance cross-entropy sums are
-    accumulated and divided by the total token count, so a report over a
+    row-wise, so each utterance's logits equal those of its own pass). The
+    per-token losses come from ``token_nll``, the definition and target
+    checks ``cross_entropy`` uses, over ``_EVAL_BLOCK`` rows at a time, so
+    the softmax temporaries stay at one block. ``ce`` is the token-weighted
+    mean: each utterance's mean loss times its length is accumulated in
+    utterance order and divided by the total token count, so a report over a
     concatenation of datasets equals the record-weighted combination of the
-    parts' reports.
+    parts' reports, and the sums equal those of one ``cross_entropy`` call
+    per utterance bit for bit.
     """
     utts = tuple(utterances)
     if not utts:
         raise ValueError("cannot evaluate an empty dataset")
-    feats, _, labels = _batch_arrays(utts)
+    feats, targets, labels = _batch_arrays(utts)
     logits, _ = _forward(state.projector, state.decoder, feats, labels)
+    zd = logits.data
+    nll = np.empty(len(zd))
+    for start in range(0, len(zd), _EVAL_BLOCK):
+        rows = slice(start, start + _EVAL_BLOCK)
+        nll[rows] = token_nll(zd[rows], targets[rows])[0]
     ce_sum = 0.0
-    correct = 0
     tokens = 0
     for u in utts:
-        z = logits.data[tokens:tokens + u.length]
-        ce_sum += cross_entropy(z, u.targets).item() * u.length
-        correct += int((z.argmax(axis=1) == u.targets).sum())
+        ce_sum += float(nll[tokens:tokens + u.length].mean()) * u.length
         tokens += u.length
+    correct = int((zd.argmax(axis=1) == targets).sum())
     return token_report(ce_sum, correct, tokens)
 
 

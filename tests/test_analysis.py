@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from csmoe.analysis import (
+    _BLOCK,
     ablation_report,
     expert_load,
     routing_accuracy,
@@ -259,6 +260,19 @@ def test_separation_memory_is_bounded_at_report_size():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_separation_of_exact_duplicates_across_blocks_is_perfect():
+    # Two labels, each all copies of one point, shuffled over rows that end
+    # in a partial block: every within-label Gram entry is a near entry that
+    # must be recomputed at its own (row, column) for the distance to be 0.
+    # Dyadic coordinates keep the centroids exact, so the spreads are 0 too.
+    n = 2 * _BLOCK + 37
+    y = np.random.default_rng(4).permutation(np.arange(n) % 2)
+    x = np.array([[0.5, -1.75, 3.0], [-0.625, 0.25, 1.5]])[y]
+    report = separation_score(x, y)
+    assert report.silhouette == 1.0
+    assert np.array_equal(report.pair_ratios, [[0.0, np.inf], [np.inf, 0.0]])
 
 
 def test_separated_worlds_score_higher_than_overlapping_ones():

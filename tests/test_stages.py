@@ -31,7 +31,15 @@ from csmoe.stages import (
     run_stage4,
     split_table,
 )
-from csmoe.world import TASK_ASR, TASK_CS_ST, TASK_ST, decode, gen_dataset, gen_world
+from csmoe.world import (
+    TASK_ASR,
+    TASK_CS_ST,
+    TASK_ST,
+    decode,
+    gen_dataset,
+    gen_utterance,
+    gen_world,
+)
 
 
 def tiny_config(**overrides):
@@ -474,21 +482,69 @@ def test_evaluate_dataset_matches_manual_recomputation(setup, stage2_state):
     assert report == again
 
 
-def test_evaluate_dataset_batched_equals_per_utterance_loop(setup, stage2_state):
-    config, world, bundle = setup
-    utts = bundle.cs_val + bundle.st_val
-    # oracle: one forward pass per utterance
+def _per_utterance_report(state, utts):
+    """Oracle: ``(ce_sum, correct, tokens)`` from one forward pass and one
+    ``cross_entropy`` call per utterance."""
     ce_sum, correct, tokens = 0.0, 0, 0
     for u in utts:
-        h, _ = moe_forward(stage2_state.projector, Tensor(u.features), u.training_labels())
-        logits = decode(stage2_state.decoder, h)
+        h, _ = moe_forward(state.projector, Tensor(u.features), u.training_labels())
+        logits = decode(state.decoder, h)
         ce_sum += cross_entropy(logits, u.targets).item() * u.length
         correct += int((logits.data.argmax(axis=1) == u.targets).sum())
         tokens += u.length
+    return ce_sum, correct, tokens
+
+
+def test_evaluate_dataset_batched_equals_per_utterance_loop(setup, stage2_state):
+    config, world, bundle = setup
+    utts = bundle.cs_val + bundle.st_val
     report = evaluate_dataset(stage2_state, utts)
-    assert report["ce_sum"] == ce_sum
-    assert report["correct"] == correct
-    assert report["tokens"] == tokens
+    assert (report["ce_sum"], report["correct"], report["tokens"]) == \
+        _per_utterance_report(stage2_state, utts)
+
+
+def test_evaluate_dataset_equals_the_loop_across_row_blocks(setup, stage2_state):
+    _, world, _ = setup
+    lengths = [1, 5, 12, 7, 30, 2, 19] * 8
+    rng = np.random.default_rng(21)
+    utts = [gen_utterance(world, i % 2, TASK_ST, length=n, rng=rng)
+            for i, n in enumerate(lengths)]
+    edges = np.cumsum([0] + lengths)
+    block = stages._EVAL_BLOCK
+    assert edges[-1] > 2 * block
+    assert any(lo < block < hi for lo, hi in zip(edges, edges[1:]))  # straddles an edge
+    report = evaluate_dataset(stage2_state, utts)
+    assert (report["ce_sum"], report["correct"], report["tokens"]) == \
+        _per_utterance_report(stage2_state, utts)
+
+
+@pytest.mark.parametrize("low", [True, False], ids=["minus-one", "vocab-size"])
+def test_evaluate_dataset_refuses_out_of_range_targets(setup, stage2_state, low):
+    config, _, bundle = setup
+    bad = bundle.st_val[1]
+    targets = bad.targets.copy()
+    targets[2] = -1 if low else config.target_vocab_size
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate_dataset(stage2_state, (bundle.st_val[0], replace(bad, targets=targets)))
+
+
+def test_evaluate_dataset_memory_is_bounded_at_default_size():
+    import tracemalloc
+
+    config = ExperimentConfig()
+    scored = [e for e in split_table(config) if e.split == "val" and e.task == TASK_ST]
+    _, bundle = generate_datasets(config, scored)
+    assert sum(u.length for u in bundle.st_val) == 1536
+    state = stages.blank_state(config, 4)
+    tracemalloc.start()
+    try:
+        evaluate_dataset(state, bundle.st_val)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The batched forward peaks at 4.2 MB; the softmax of all 1,536 × 192
+    # logits at once would take the peak to 7.4 MB.
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("variant", ["no-aux-losses", "no-moe"])
