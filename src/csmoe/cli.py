@@ -249,6 +249,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed {args.seed}: the harness seed must be a non-negative integer")
     report = grad_check_report(seed=args.seed, instances=args.instances)
     width = max(map(len, GRAD_LOSSES))
     for name, entry in report["losses"].items():

@@ -36,6 +36,14 @@ DATA_FIELDS = ("num_languages", "d_in", "separation", "noise_sigma", "vocab_per_
                "token_margin", "utterance_length", "cs_switches", "train_utterances",
                "val_utterances", "world_seed", "data_seed")
 
+# the largest accepted value of each positive float field: at least 10x below
+# the lowest value at which training failed (a saturated router, or for the
+# weights an overflow near 1e153) in a one-field-at-a-time sweep on the
+# default and a tiny config; the weights stay far lower, since the gradients
+# they scale can themselves reach 1e16
+UPPER_BOUNDS = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
+                "lang_weight": 1e6, "balance_weight": 1e6}
+
 
 @dataclass(frozen=True)
 class StageSettings:
@@ -105,10 +113,11 @@ class ExperimentConfig:
                      "experts_per_group", "top_k", "prompt_len", "vocab_per_lang", "cs_switches"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("separation", "noise_sigma", "token_margin", "lang_weight",
-                     "balance_weight"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, upper in UPPER_BOUNDS.items():
+            if not 0 < getattr(self, name) <= upper:
+                raise ValueError(
+                    f"{name} must be positive and at most {upper:g}, got {getattr(self, name)}"
+                )
         if self.d_in < self.num_languages:
             raise ValueError(
                 f"d_in={self.d_in} must be >= num_languages={self.num_languages}"

@@ -14,9 +14,15 @@ All ten losses share one sweep. An instance runs three MoE forwards
 their traces once, and decodes them into the ten values; the analytic
 gradients come from one tape, one ``backward`` per loss. Each perturbed
 coordinate is evaluated once for all ten losses (``fd_gradient`` with a
-vector-valued function), and a decoder coordinate reuses the unperturbed
-forwards and routing terms, since the MoE reads no decoder parameter.
-An instance costs 3·(2·|MoE coordinates| + 1) MoE forwards (843 here).
+vector-valued function), and each evaluation recomputes only what the
+coordinate can change. The MoE reads no decoder parameter, so a decoder
+coordinate reuses the unperturbed forwards and routing terms. A parameter
+of MoE layer l changes nothing below layer l, so the forwards restart at
+layer l from the unperturbed layer inputs and routing records. No router
+reads a last-layer expert's output, so such an expert reuses the
+unperturbed routing terms. The sweep of an instance (60 coordinates in
+layer 0, 80 in layer 1, 64 of them in last-layer experts) evaluates 1,200
+MoE layers, and the instance reads the routing terms 153 times.
 
 Finite differences are only meaningful where the objective is locally
 smooth, so candidate instances are screened: any instance whose routing
@@ -39,10 +45,11 @@ from .config import ExperimentConfig
 from .losses import TransitionState, compose_stage_loss, transition_loss
 from .projector import (
     ProjectorConfig,
+    RoutingTrace,
     _moe_layer_batch,
     build_moe_from_pretrained,
     init_mlp,
-    moe_forward,
+    moe_layer,
 )
 from .stages import mixed_transition, routing_terms
 from .world import decode, init_decoder
@@ -122,26 +129,44 @@ def _make_instance(seed: int, candidate: int):
     return moe, decoder, batches, ts, (config, replace(config, variant="conventional-balance"))
 
 
-def _routed(moe, batches, configs):
-    """The three MoE forwards of an instance and the routing terms read from them.
-
-    Runs batch 1, batch 2 and the mixed batch 1 + 2. Returns their outputs and
-    each stage objective's ``routing_terms``. Nothing here reads a decoder
-    parameter.
-    """
+def _inputs(moe, batches):
+    """Batch 1, batch 2 and the mixed batch 1 + 2 as ``(layer inputs, trace)`` before layer 0."""
     (f1, l1, _), (f2, l2, _) = batches
-    h1, trace1 = moe_forward(moe, Tensor(f1), l1)
-    h2, _ = moe_forward(moe, Tensor(f2), l2)
-    h_mix, trace_mix = moe_forward(moe, Tensor(np.concatenate([f1, f2], axis=0)),
-                                   np.concatenate([l1, l2]))
-    terms = {name: routing_terms(configs[c], stage, trace1 if stage == 2 else trace_mix)
-             for name, (c, stage) in _OBJECTIVES.items()}
-    return (h1, h2, h_mix), terms
+    return [([Tensor(feats)], RoutingTrace([], moe.group_of, labels))
+            for feats, labels in ((f1, l1), (f2, l2),
+                                  (np.concatenate([f1, f2], axis=0), np.concatenate([l1, l2])))]
 
 
-def _losses(routed, decoder, batches, ts, configs) -> tuple:
-    """Decode the routed outputs; the losses in ``GRAD_LOSSES`` order."""
-    (h1, h2, h_mix), terms = routed
+def _rerun(moe, forwards, start: int):
+    """Run MoE layers ``start``.. of each forward from its kept layer input.
+
+    Each forward is ``(layer inputs, trace)``; its inputs of layers up to
+    ``start`` and its routing records below ``start`` are kept as they are.
+    Returns the outputs and the forwards with every layer's input and record.
+    Nothing here reads a decoder parameter.
+    """
+    outs, rerun = [], []
+    for inputs, trace in forwards:
+        inputs, records = inputs[:start + 1], trace.layers[:start]
+        for l in range(start, moe.config.num_layers):
+            h, record = moe_layer(moe, l, inputs[l])
+            inputs.append(h)
+            records.append(record)
+        outs.append(inputs.pop())
+        rerun.append((inputs, RoutingTrace(records, trace.group_of, trace.token_language)))
+    return outs, rerun
+
+
+def _routing_terms(forwards, configs) -> dict:
+    """Each stage objective's ``routing_terms``, read off batch 1 (stage 2) or the mixed batch."""
+    (_, trace1), _, (_, trace_mix) = forwards
+    return {name: routing_terms(configs[c], stage, trace1 if stage == 2 else trace_mix)
+            for name, (c, stage) in _OBJECTIVES.items()}
+
+
+def _losses(outs, terms, decoder, batches, ts, configs) -> tuple:
+    """Decode the MoE outputs; the losses in ``GRAD_LOSSES`` order."""
+    h1, h2, h_mix = outs
     (_, _, t1), (_, _, t2) = batches
     ce = cross_entropy(decode(decoder, h1), t1)
     ce2 = cross_entropy(decode(decoder, h2), t2)
@@ -164,11 +189,11 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
 
 def _instance_errors(moe, decoder, batches, ts, configs, eps: float) -> dict:
     """Worst relative error of each loss over every coordinate of one instance."""
-    moe_params = moe.parameters()
-    params = moe_params + decoder.parameters()
+    params = moe.parameters() + decoder.parameters()
     with Tape():
-        routed = _routed(moe, batches, configs)
-        losses = _losses(routed, decoder, batches, ts, configs)
+        outs, forwards = _rerun(moe, _inputs(moe, batches), 0)
+        terms = _routing_terms(forwards, configs)
+        losses = _losses(outs, terms, decoder, batches, ts, configs)
     analytic = []  # [loss][param]
     for loss in losses:
         for p in params:
@@ -176,23 +201,33 @@ def _instance_errors(moe, decoder, batches, ts, configs, eps: float) -> dict:
         backward(loss)
         analytic.append([p.grad.copy() for p in params])
 
+    # MoE parameter -> (its layer, whether it reaches a router): a layer-l
+    # parameter changes nothing below layer l, and no router reads the output
+    # of a last-layer expert
+    last = moe.config.num_layers - 1
+    reach = {id(p): (l, p is layer.router_weights or l < last)
+             for l, layer in enumerate(moe.layers)
+             for p in (*layer.expert_weights, layer.router_weights)}
     worst = dict.fromkeys(GRAD_LOSSES, 0.0)
     for j, p in enumerate(params):
-        on_moe = j < len(moe_params)
+        start, routes = reach.get(id(p), (None, False))
 
-        def f(t, _p=p, _on_moe=on_moe):
+        def f(t, _p=p, _start=start, _routes=routes):
             old = _p.value.data.copy()
             _p.value.data[...] = t.data
             try:
-                # the MoE forward reads no decoder parameter
-                r = _routed(moe, batches, configs) if _on_moe else routed
-                return np.array([v.item() for v in _losses(r, decoder, batches, ts, configs)])
+                if _start is None:  # the MoE forward reads no decoder parameter
+                    o, r = outs, terms
+                else:
+                    o, rerun = _rerun(moe, forwards, _start)
+                    r = _routing_terms(rerun, configs) if _routes else terms
+                return np.array([v.item() for v in _losses(o, r, decoder, batches, ts, configs)])
             finally:
                 _p.value.data[...] = old
 
         fd = fd_gradient(f, Tensor(p.value.data.copy()), eps=eps).data
         for i, name in enumerate(GRAD_LOSSES):
-            if on_moe or name not in _MOE_ONLY:
+            if start is not None or name not in _MOE_ONLY:
                 worst[name] = max(worst[name], _rel_err(fd[..., i], analytic[i][j]))
     return worst
 

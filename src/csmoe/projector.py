@@ -250,6 +250,18 @@ def _moe_layer_batch(layer: MoeLayer, h: Tensor, k: int):
     return out, sel, probs
 
 
+def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouting]:
+    """Apply MoE layer ``l`` to its input ``h`` (ReLU after every layer but the last).
+
+    Layer ``l`` reads only ``h`` and its own parameters, so a forward can
+    restart here from a kept layer input.
+    """
+    out, sel, probs = _moe_layer_batch(proj.layers[l], h, proj.top_k)
+    if l < proj.config.num_layers - 1:
+        out = relu(out)
+    return out, LayerRouting(sel, probs)
+
+
 def moe_forward(
     proj: MoeProjector, features: Tensor, token_language: np.ndarray | None = None
 ) -> tuple[Tensor, RoutingTrace]:
@@ -266,11 +278,8 @@ def moe_forward(
                 f"{features.shape[0]} tokens"
             )
     h = features
-    last = proj.config.num_layers - 1
     records = []
-    for l, layer in enumerate(proj.layers):
-        h, sel, probs = _moe_layer_batch(layer, h, proj.top_k)
-        records.append(LayerRouting(sel, probs))
-        if l < last:
-            h = relu(h)
+    for l in range(proj.config.num_layers):
+        h, record = moe_layer(proj, l, h)
+        records.append(record)
     return h, RoutingTrace(records, proj.group_of, token_language)

@@ -7,6 +7,7 @@ from independently loaded checkpoints.
 """
 
 import json
+import math
 import os
 import re
 import shutil
@@ -16,11 +17,13 @@ import numpy as np
 import pytest
 
 import csmoe.cli
+import csmoe.config
+import csmoe.gradcheck
 import csmoe.stages
 from csmoe.autodiff import mul
 from csmoe.checkpoint import load_checkpoint
 from csmoe.cli import main
-from csmoe.config import config_from_dict
+from csmoe.config import UPPER_BOUNDS, config_from_dict
 from csmoe.dataio import load_dataset
 from csmoe.gradcheck import GRAD_LOSSES
 from csmoe.losses import LogDomainError
@@ -217,9 +220,11 @@ def test_train_non_finite_loss_in_stage3_keeps_stage_1_2_rows_and_checkpoints(
 
 @pytest.mark.parametrize("field", ["token_margin", "separation", "lang_weight"])
 def test_train_numerical_failure_exits_3_and_keeps_no_later_checkpoint(
-        tmp_path, field, capsys):
-    # a finite but huge value passes the validator; its overflow must not
-    # pass for a usage error (2) or go unnoticed (0)
+        tmp_path, field, monkeypatch, capsys):
+    # with the field's upper bound lifted, a finite but huge value passes the
+    # validator; its overflow must not pass for a usage error (2) or go
+    # unnoticed (0)
+    monkeypatch.setitem(csmoe.config.UPPER_BOUNDS, field, math.inf)
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({**TINY, field: 1e300}))
     out = tmp_path / "out"
@@ -448,6 +453,15 @@ def test_grad_check_takes_no_config(tmp_path, capsys):
     assert "--config" in capsys.readouterr().err
 
 
+def test_grad_check_refuses_negative_seed_by_flag(monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(csmoe.gradcheck, "_make_instance",
+                        lambda *args: drawn.append(args))
+    assert main(["grad-check", "--seed", "-1", "--instances", "1"]) == 2
+    assert "--seed -1" in capsys.readouterr().err
+    assert drawn == []
+
+
 def test_ablate_two_variants(tmp_path, cfg_path, capsys):
     out = tmp_path / "ab"
     rc = main(["ablate", "--config", cfg_path, "--out", str(out),
@@ -562,6 +576,8 @@ def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
     ("separation", float("nan")), ("separation", float("inf")),
     ("noise_sigma", float("inf")), ("token_margin", float("nan")),
     ("lang_weight", float("inf")), ("stage1.learning_rate", float("inf")),
+    # finite but past the field's upper bound: gen-data used to exit 0, then train 3
+    *((field, 1e300) for field in sorted(UPPER_BOUNDS)),
 ])
 def test_bad_config_value_is_rejected_before_training(tmp_path, capsys, field, value):
     stage, _, name = field.rpartition(".")

@@ -1,8 +1,11 @@
 """Tests for experiment configuration, hashing, and serialization."""
 
+import re
+
 import pytest
 
 from csmoe.config import (
+    UPPER_BOUNDS,
     ExperimentConfig,
     StageSettings,
     config_diff,
@@ -102,3 +105,11 @@ def test_top1_rejected_with_language_loss(variant):
 def test_config_refuses_a_bad_value_naming_its_field(overrides, field):
     with pytest.raises(ValueError, match=rf"^{field} must be"):
         ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("field, upper", sorted(UPPER_BOUNDS.items()))
+def test_config_bounds_each_positive_float_field(field, upper):
+    ExperimentConfig(**{field: upper})
+    with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be positive and at most {upper:g},")):
+        ExperimentConfig(**{field: upper * 1.5})
+

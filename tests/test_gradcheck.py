@@ -13,6 +13,7 @@ import pytest
 
 import csmoe.gradcheck as gradcheck
 import csmoe.losses
+import csmoe.projector
 from csmoe import stages
 from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, take
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
@@ -23,7 +24,7 @@ from csmoe.losses import (
     language_specific_loss,
     transition_loss,
 )
-from csmoe.projector import moe_forward
+from csmoe.projector import moe_forward, moe_layer
 from csmoe.world import decode
 
 
@@ -189,19 +190,88 @@ def test_shared_sweep_equals_per_loss_sweep_exactly(seed, monkeypatch):
 
 
 def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
-    calls = []
-    real = gradcheck.moe_forward
+    # An instance has 60 coordinates in MoE layer 0 and 80 in layer 1, 64 of
+    # them in layer-1 experts. A coordinate of layer l reruns the three
+    # forwards from layer l, on both sides of its step:
+    # (60·2 + 80·1)·2·3 = 1,200 layer evaluations in the sweep.
+    # The routing terms are read once unperturbed and on both sides of every
+    # coordinate that reaches a router: 1 + 2·(140 − 64) = 153 times, each
+    # time for five objectives, four of which add the language-specific loss
+    # and two the intra-group balance loss.
+    counts = dict.fromkeys(("layers", "routing_terms", "lang", "balance"), 0)
+    in_sweep = [False]
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(module, name, key, sweep_only=False):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(gradcheck, "moe_forward", counted)
+        def wrapper(*args, **kwargs):
+            if in_sweep[0] or not sweep_only:
+                counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def sweep(*args, **kwargs):
+        in_sweep[0] = True
+        try:
+            return fd_gradient(*args, **kwargs)
+        finally:
+            in_sweep[0] = False
+
+    counted(csmoe.projector, "_moe_layer_batch", "layers", sweep_only=True)
+    counted(gradcheck, "routing_terms", "routing_terms")
+    counted(stages, "language_specific_loss", "lang")
+    counted(stages, "intra_group_balance_loss", "balance")
+    monkeypatch.setattr(gradcheck, "fd_gradient", sweep)
+    moe = gradcheck._make_instance(0, 0)[0]
+    assert [sum(p.value.data.size for p in (*layer.expert_weights, layer.router_weights))
+            for layer in moe.layers] == [60, 80]
+    assert sum(p.value.data.size for p in moe.layers[-1].expert_weights) == 64
     instances = 2
     grad_check_report(seed=0, instances=instances)
-    moe = gradcheck._make_instance(0, 0)[0]
-    moe_coords = sum(p.value.data.size for p in moe.parameters())  # 140
-    assert len(calls) <= instances * 3 * (2 * moe_coords + 2)
+    assert counts == {"layers": instances * 1200, "routing_terms": instances * 5 * 153,
+                      "lang": instances * 612, "balance": instances * 306}
+
+
+def _layer_states(moe, feats):
+    """The input and the routing record of every MoE layer of one forward."""
+    h, states = Tensor(feats), []
+    for l in range(moe.config.num_layers):
+        h_in = h.data.copy()
+        h, record = moe_layer(moe, l, h)
+        states.append((h_in, record.selected.copy(), record.probs.data.copy()))
+    return states
+
+
+@pytest.mark.parametrize("candidate", range(4))
+def test_a_perturbation_changes_no_layer_below_its_own(candidate):
+    # the two facts the sweep's reuse rests on: a layer-l parameter leaves the
+    # inputs and records below layer l as they are, and a last-layer expert
+    # changes no routing record; a router does change its layer's records
+    moe, _, ((f1, _, _), (f2, _, _)), _, _ = gradcheck._make_instance(0, candidate)
+    feats = np.concatenate([f1, f2], axis=0)
+    base = _layer_states(moe, feats)
+    last = moe.config.num_layers - 1
+    rng = np.random.default_rng(candidate)
+    for l, layer in enumerate(moe.layers):
+        for p in (*layer.expert_weights, layer.router_weights):
+            old = p.value.data.copy()
+            p.value.data += 1e-3 * rng.normal(size=old.shape)
+            try:
+                states = _layer_states(moe, feats)
+            finally:
+                p.value.data[...] = old
+            for below in range(l):
+                for a, b in zip(states[below], base[below]):
+                    assert np.array_equal(a, b), (p.name, below)
+            assert np.array_equal(states[l][0], base[l][0]), p.name
+            if p is layer.router_weights:
+                assert not (np.array_equal(states[l][1], base[l][1])
+                            and np.array_equal(states[l][2], base[l][2])), p.name
+            elif l == last:
+                for state, kept in zip(states, base):
+                    assert np.array_equal(state[1], kept[1]), p.name
+                    assert np.array_equal(state[2], kept[2]), p.name
 
 
 def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
