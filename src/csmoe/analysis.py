@@ -6,12 +6,14 @@ group, how separated the language clusters are, and how ablation variants
 compare. Every statistic is deterministic in its inputs. The routing
 statistics read the expert groups and token labels off the trace, through
 the same ``RoutingTrace`` helpers the routing losses use.
+
+Each function returns the record that the commands write, in plain Python
+values, so the layout of every report is written here and nowhere else.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,48 +22,27 @@ from .config import VARIANTS
 from .projector import CS_UNLABELED, RoutingTrace
 
 __all__ = [
-    "RoutingStats",
-    "ExpertLoad",
-    "SeparationReport",
-    "AblationRow",
-    "AblationReport",
     "routing_accuracy",
     "expert_load",
     "separation_score",
     "ablation_report",
+    "ablation_table",
 ]
 
 _BLOCK = 128  # distance-matrix rows held at once by separation_score
 
 
-@dataclass(frozen=True)
-class RoutingStats:
-    """Per-language routing quality over all (token, layer) pairs.
+def _floats(values) -> tuple:
+    return tuple(float(x) for x in values)
 
-    Entries are NaN for languages with no tokens in the trace.
+
+def routing_accuracy(trace: RoutingTrace) -> dict:
+    """How faithfully tokens route to their own language's expert group.
+
+    Per language over its (token, layer) pairs: the share whose argmax is
+    in-group, the mean in-group mass and the mean in-group share of the
+    selected slots; NaN for a language absent from the trace.
     """
-
-    top1_in_group: np.ndarray  # [m] fraction of pairs whose argmax is in-group
-    topk_mass_in_group: np.ndarray  # [m] mean in-group probability mass
-    topk_count_in_group: np.ndarray  # [m] mean fraction of selected slots in-group
-
-
-@dataclass(frozen=True)
-class ExpertLoad:
-    shares: np.ndarray  # [N] fraction of global-argmax assignments per expert
-    group_ratio: np.ndarray  # [m] within-group max/min load (inf when an expert is dead)
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    silhouette: float  # mean silhouette over samples, in [-1, 1]
-    pair_ratios: np.ndarray  # [K × K] centroid distance over mean intra-cluster spread
-    labels: tuple[int, ...]  # labels retained, in pair_ratios order
-    excluded: tuple[int, ...]  # singleton labels dropped
-
-
-def routing_accuracy(trace: RoutingTrace) -> RoutingStats:
-    """How faithfully tokens route to their own language's expert group."""
     group_of, m = trace.group_of, trace.num_groups
     labels = trace.concrete_labels()
 
@@ -90,17 +71,17 @@ def routing_accuracy(trace: RoutingTrace) -> RoutingStats:
         top1 = np.where(pairs > 0, top1_hits / pairs, np.nan)
         mass_frac = np.where(pairs > 0, mass_sum / pairs, np.nan)
         count = np.where(pairs > 0, count_sum / pairs, np.nan)
-    return RoutingStats(top1_in_group=top1, topk_mass_in_group=mass_frac,
-                        topk_count_in_group=count)
+    return {"top1_in_group": _floats(top1), "topk_mass_in_group": _floats(mass_frac),
+            "topk_count_in_group": _floats(count)}
 
 
-def expert_load(trace: RoutingTrace) -> ExpertLoad:
+def expert_load(trace: RoutingTrace) -> dict:
     """Global expert usage shares plus the within-group load imbalance ratio.
 
-    Shares count global-argmax assignments over all (token, layer) pairs.
-    The per-group ratio divides the busiest by the quietest expert's in-group
-    argmax count over that language's tokens; a dead expert yields ``inf``,
-    and a language with no labeled tokens yields NaN.
+    ``expert_shares`` counts global-argmax assignments over all (token,
+    layer) pairs. ``group_ratio`` divides, per language, the busiest by the
+    quietest expert's in-group argmax count over that language's tokens; a
+    dead expert yields ``inf``, and a language with no labeled tokens NaN.
     """
     m, num_experts = trace.num_groups, trace.group_of.size
     if trace.num_tokens == 0 or trace.num_layers == 0:
@@ -123,25 +104,26 @@ def expert_load(trace: RoutingTrace) -> ExpertLoad:
             continue
         low = group_counts[j].min()
         ratio[j] = np.inf if low == 0 else float(group_counts[j].max() / low)
-    return ExpertLoad(shares=shares, group_ratio=ratio)
+    return {"expert_shares": _floats(shares), "group_ratio": _floats(ratio)}
 
 
-def separation_score(features: np.ndarray, labels: np.ndarray) -> SeparationReport:
+def separation_score(features: np.ndarray, labels: np.ndarray) -> dict:
     """Cluster-separation report: mean silhouette plus pairwise gap ratios.
 
-    Labels with a single sample are excluded (with a warning); at least two
-    populated labels must remain. Distances are Euclidean, making the score
-    invariant under translation, rotation, and uniform scaling.
+    ``pair_ratios[i][j]`` divides the i-th and j-th retained labels' centroid
+    gap by their mean spread. Labels with a single sample are excluded (with
+    a warning); at least two populated labels must remain. Distances are
+    Euclidean, making the score invariant under translation, rotation, and
+    uniform scaling.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     if features.ndim != 2 or len(features) != len(labels):
         raise ValueError("features must be [num_samples × dim] aligned with labels")
     unique, counts = np.unique(labels, return_counts=True)
-    excluded = tuple(int(u) for u, c in zip(unique, counts) if c < 2)
-    for u in excluded:
-        warnings.warn(f"label {u} has a single sample; excluded from separation score")
-    kept = [int(u) for u, c in zip(unique, counts) if c >= 2]
+    for u in unique[counts < 2]:
+        warnings.warn(f"label {int(u)} has a single sample; excluded from separation score")
+    kept = [int(u) for u in unique[counts >= 2]]
     if len(kept) < 2:
         raise ValueError("separation score requires at least 2 labels with >= 2 samples")
     mask = np.isin(labels, kept)
@@ -185,53 +167,16 @@ def separation_score(features: np.ndarray, labels: np.ndarray) -> SeparationRepo
             gap = np.linalg.norm(centroids[i] - centroids[j])
             spread = (spreads[i] + spreads[j]) / 2.0
             ratios[i, j] = ratios[j, i] = np.inf if spread == 0.0 else gap / spread
-    return SeparationReport(
-        silhouette=float(sil.mean()),
-        pair_ratios=ratios,
-        labels=tuple(kept),
-        excluded=excluded,
-    )
+    return {"silhouette": float(sil.mean()), "pair_ratios": ratios.tolist()}
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    variant: str
-    num_runs: int
-    metrics: dict  # metric name → {"median": ..., "min": ..., "max": ...}
-
-
-@dataclass(frozen=True)
-class AblationReport:
-    rows: tuple[AblationRow, ...]
-    notices: tuple[str, ...]
-
-    def as_table(self) -> str:
-        metric_names = sorted({name for row in self.rows for name in row.metrics})
-        header = ["variant", "runs"] + [
-            f"{name} (median / min / max)" for name in metric_names
-        ]
-        lines = ["\t".join(header)]
-        for row in self.rows:
-            cells = [row.variant, str(row.num_runs)]
-            for name in metric_names:
-                stats = row.metrics.get(name)
-                cells.append(
-                    "-"
-                    if stats is None
-                    else f"{stats['median']:.6g} / {stats['min']:.6g} / {stats['max']:.6g}"
-                )
-            lines.append("\t".join(cells))
-        for notice in self.notices:
-            lines.append(f"# {notice}")
-        return "\n".join(lines)
-
-
-def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> AblationReport:
+def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> dict:
     """Summarize per-variant runs into seed-median / min / max rows.
 
-    ``results`` is keyed by names from ``VARIANTS``, and rows follow that
-    order. Variants without runs are omitted with a notice rather than
-    silently dropped.
+    ``results`` is keyed by names from ``VARIANTS``, and ``rows`` follow that
+    order, each ``{variant, num_runs, metrics}`` with ``metrics`` mapping a
+    metric name to its ``{median, min, max}``. Variants without runs are
+    omitted with one line in ``notices`` rather than silently dropped.
     """
     populated = {v: list(runs) for v, runs in results.items() if runs}
     if not populated:
@@ -239,17 +184,27 @@ def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> Abl
     rows = []
     for variant in (v for v in VARIANTS if v in populated):
         runs = populated[variant]
-        metric_names = sorted({name for run in runs for name in run})
         metrics = {}
-        for name in metric_names:
+        for name in sorted({name for run in runs for name in run}):
             values = [float(run[name]) for run in runs if name in run]
-            metrics[name] = {
-                "median": float(np.median(values)),
-                "min": float(min(values)),
-                "max": float(max(values)),
-            }
-        rows.append(AblationRow(variant=variant, num_runs=len(runs), metrics=metrics))
-    notices = tuple(
-        f"variant '{v}' missing — row omitted" for v in VARIANTS if v not in populated
-    )
-    return AblationReport(rows=tuple(rows), notices=notices)
+            metrics[name] = {"median": float(np.median(values)), "min": min(values),
+                             "max": max(values)}
+        rows.append({"variant": variant, "num_runs": len(runs), "metrics": metrics})
+    notices = [f"variant '{v}' missing — row omitted" for v in VARIANTS if v not in populated]
+    return {"rows": rows, "notices": notices}
+
+
+def ablation_table(report: Mapping) -> str:
+    """``ablation_report``'s record as a tab-separated table, notices as comments."""
+    metric_names = sorted({name for row in report["rows"] for name in row["metrics"]})
+    header = ["variant", "runs"] + [f"{name} (median / min / max)" for name in metric_names]
+    lines = ["\t".join(header)]
+    for row in report["rows"]:
+        cells = [row["variant"], str(row["num_runs"])]
+        for name in metric_names:
+            stats = row["metrics"].get(name)
+            cells.append("-" if stats is None else
+                         f"{stats['median']:.6g} / {stats['min']:.6g} / {stats['max']:.6g}")
+        lines.append("\t".join(cells))
+    lines.extend(f"# {notice}" for notice in report["notices"])
+    return "\n".join(lines)

@@ -5,7 +5,8 @@ file per parameter of a ``TrainState``, containing the raw little-endian
 float64 bytes in C order. Raw bytes — not JSON floats — make the round-trip
 bit-exact by construction. The manifest has four keys: ``stage``, ``config``
 (cosmetic fields dropped), ``config_hash`` and ``params``, the name, shape and
-file of every parameter in order.
+file of every parameter in order. Saving removes any earlier manifest first
+and writes the new one last, so loading refuses an interrupted save.
 
 The config and the stage determine the parameter layout: loading starts from
 ``stages.blank_state(config, stage)`` and reads each payload into it. Loading
@@ -60,6 +61,8 @@ def save_checkpoint(directory, config: ExperimentConfig, state: TrainState) -> P
         "params": _param_entries(params),
     }
     (directory / _PARAMS_DIR).mkdir(parents=True, exist_ok=True)
+    # removed before any payload, rewritten after all: a cut-off overwrite has no manifest
+    (directory / _MANIFEST).unlink(missing_ok=True)
     for p in params:
         (directory / _PARAMS_DIR / f"{p.name}.bin").write_bytes(float64_bytes(p.value.data))
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ablation_report, separation_score
+from .analysis import ablation_report, ablation_table, separation_score
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
@@ -153,6 +153,8 @@ def _probe_set(bundle: DatasetBundle) -> tuple:
 
 
 def _parse_stages(text: str) -> tuple:
+    if not text.strip():
+        raise _UsageError(f"--stages {text!r} names no stage")
     stages = []
     for part in text.split(","):
         part = part.strip()
@@ -184,7 +186,7 @@ def cmd_train(args) -> int:
         default_stages = tuple(range(initial.stage + 1, 5))
     else:
         default_stages = (1, 2, 3, 4)
-    stages = _parse_stages(args.stages) if args.stages else default_stages
+    stages = _parse_stages(args.stages) if args.stages is not None else default_stages
 
     probe_set = _probe_set(bundle)
 
@@ -273,20 +275,20 @@ def _parse_csv(text: str) -> list:
 
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    variants = _parse_csv(args.variants) if args.variants else list(VARIANTS)
+    variants = _parse_csv(args.variants) if args.variants is not None else list(VARIANTS)
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
         raise _UsageError(f"--variants {args.variants!r}: unknown variant {unknown[0]!r}, "
                           f"expected names from {', '.join(VARIANTS)}")
-    seeds = _parse_csv(args.seeds) if args.seeds else ["0", "1", "2"]
+    seeds = _parse_csv(args.seeds) if args.seeds is not None else ["0", "1", "2"]
     bad = [s for s in seeds if not s.isdecimal()]
     if bad:
         raise _UsageError(f"--seeds {args.seeds!r}: {bad[0]!r} is not a non-negative integer")
     seeds = [int(s) for s in seeds]
-    if not variants or not seeds:
-        raise _UsageError("ablate needs at least one variant and one seed")
     for flag, text, values in (("--variants", args.variants, variants),
                                ("--seeds", args.seeds, seeds)):
+        if not values:
+            raise _UsageError(f"{flag} {text!r} names no value")
         if len(set(values)) != len(values):
             raise _UsageError(f"{flag} {text!r} names a value twice")
     results = {v: [] for v in variants}
@@ -323,34 +325,26 @@ def cmd_ablate(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out = _out_dir(config)
-    write_json(out / "report.json", {
-        "rows": [
-            {"variant": row.variant, "num_runs": row.num_runs, "metrics": row.metrics}
-            for row in report.rows
-        ],
-        "notices": list(report.notices),
-        "failures": failures,
-        "routing": probes,
-        "seeds": seeds,
-    })
+    write_json(out / "report.json",
+               {**report, "failures": failures, "routing": probes, "seeds": seeds})
     _write_report_csv(out / "report.csv", report)
-    print(report.as_table())
+    print(ablation_table(report))
     print(f"wrote {out / 'report.json'} and {out / 'report.csv'}")
     return 1 if failures else 0
 
 
 def _write_report_csv(path, report) -> None:
-    metric_names = sorted({name for row in report.rows for name in row.metrics})
+    metric_names = sorted({name for row in report["rows"] for name in row["metrics"]})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["variant", "runs"]
         for name in metric_names:
             header += [f"{name}_median", f"{name}_min", f"{name}_max"]
         writer.writerow(header)
-        for row in report.rows:
-            cells = [row.variant, row.num_runs]
+        for row in report["rows"]:
+            cells = [row["variant"], row["num_runs"]]
             for name in metric_names:
-                stats = row.metrics.get(name)
+                stats = row["metrics"].get(name)
                 if stats is None:
                     cells += ["", "", ""]
                 else:
@@ -368,14 +362,13 @@ def cmd_routing_report(args) -> int:
         routing = routing_summary(trace)
     else:
         h, routing = mlp_forward(state.projector, Tensor(feats)), None
-    sep = {"input": separation_score(feats, labels), "projected": separation_score(h.data, labels)}
-    report = {"checkpoint_stage": state.stage, "routing": routing}
-    for name, score in sep.items():
-        report[name] = {"silhouette": score.silhouette, "pair_ratios": score.pair_ratios.tolist()}
+    report = {"checkpoint_stage": state.stage, "routing": routing,
+              "input": separation_score(feats, labels),
+              "projected": separation_score(h.data, labels)}
     out = _out_dir(config)
     write_json(out / "report.json", report)
-    print(f"input silhouette {sep['input'].silhouette:.4f} -> "
-          f"projected {sep['projected'].silhouette:.4f}")
+    print(f"input silhouette {report['input']['silhouette']:.4f} -> "
+          f"projected {report['projected']['silhouette']:.4f}")
     if routing:
         frames = ", ".join(f"{x:.4f}" for x in routing["top1_in_group"])
         print(f"top-1 in-group routing per language: {frames}")

@@ -1,5 +1,7 @@
 """On-disk formats: world/report JSON, dataset splits and metrics JSON-lines.
 
+``world.json`` is the ``World`` dataclass's own fields, its languages' too,
+with arrays as nested lists; reports are the records ``analysis`` returns.
 JSON is written with sorted keys and fixed separators, so rewriting the same
 objects produces the same bytes; Python renders floats in shortest
 round-trip form, so the floats in the world, metrics and reports load back
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -53,28 +56,13 @@ def _dump_line(record: Mapping) -> str:
 # -------------------------------------------------------------------- world
 
 
+def _plain(items) -> dict:
+    """An ``asdict`` field dict with its arrays as nested lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
+
+
 def save_world(path, world: World) -> None:
-    payload = {
-        "d_in": world.d_in,
-        "separation": world.separation,
-        "noise_sigma": world.noise_sigma,
-        "vocab_per_lang": world.vocab_per_lang,
-        "token_margin": world.token_margin,
-        "seed": world.seed,
-        "languages": [
-            {
-                "language_index": lang.language_index,
-                "centroid": lang.centroid.tolist(),
-                "noise_sigma": lang.noise_sigma,
-                "vocab_start": lang.vocab_start,
-                "vocab_size": lang.vocab_size,
-                "token_embeddings": lang.token_embeddings.tolist(),
-                "st_bijection": lang.st_bijection.tolist(),
-            }
-            for lang in world.languages
-        ],
-    }
-    write_json(path, payload)
+    write_json(path, asdict(world, dict_factory=_plain))
 
 
 # ---------------------------------------------------------- float64 blocks

@@ -614,16 +614,8 @@ def evaluate_dataset(state: TrainState, utterances) -> dict:
 
 
 def routing_summary(trace: RoutingTrace) -> dict:
-    """Routing accuracy and expert load of a labeled trace, as plain tuples."""
-    stats = routing_accuracy(trace)
-    load = expert_load(trace)
-    return {
-        "top1_in_group": tuple(float(x) for x in stats.top1_in_group),
-        "topk_mass_in_group": tuple(float(x) for x in stats.topk_mass_in_group),
-        "topk_count_in_group": tuple(float(x) for x in stats.topk_count_in_group),
-        "expert_shares": tuple(float(x) for x in load.shares),
-        "group_ratio": tuple(float(x) for x in load.group_ratio),
-    }
+    """Routing accuracy and expert load of a labeled trace, in one record."""
+    return {**routing_accuracy(trace), **expert_load(trace)}
 
 
 def routing_probe(state: TrainState, utterances) -> dict:

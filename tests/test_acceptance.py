@@ -73,56 +73,44 @@ def _seeded_config(seed: int, **overrides) -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def stage12_probes():
-    """Stage-2 routing probes after stages 1-2, per variant and seed.
-
-    Returns ({(variant, seed): probe dict}, wall seconds for the full-variant
-    runs). The probe evaluates routing on the entire validation set.
-    """
-    probes = {}
-    full_elapsed = 0.0
-    for variant in ("full", "no-aux-losses"):
-        t0 = time.perf_counter()
-        for seed in SEEDS:
-            cfg = _seeded_config(seed, variant=variant)
-            _, bundle = generate_datasets(cfg)
-            probe_set = tuple(bundle.st_val) + tuple(bundle.cs_val)
-            captured = {}
-
-            def probe(model, stage, captured=captured, probe_set=probe_set):
-                if stage == 2:
-                    captured.update(routing_probe(model, probe_set))
-                return {}
-
-            run_pipeline(cfg, bundle, stages=(1, 2), probe=probe)
-            assert captured, "stage-2 probe did not run"
-            probes[(variant, seed)] = captured
-        if variant == "full":
-            full_elapsed = time.perf_counter() - t0
-    return probes, full_elapsed
-
-
-@pytest.fixture(scope="session")
 def ablation_runs():
-    """CS-validation CE for every variant and seed, plus one metrics trace.
+    """Every variant and seed through all four stages, probed after stage 2.
 
     Returns ({(variant, seed): cs_ce}, metrics rows of the full-variant
-    seed-0 run, total wall seconds for all twelve pipelines).
+    seed-0 run, total wall seconds for all twelve pipelines, {(variant,
+    seed): stage-2 probe dict}, wall seconds of the full-variant runs up to
+    their stage-2 probe, each with its seed's dataset generation). The probe
+    evaluates routing on the entire validation set.
     """
     t0 = time.perf_counter()
-    cs_ce = {}
+    cs_ce, probes = {}, {}
     full_metrics = None
+    full_elapsed = 0.0
     for seed in SEEDS:
+        t_gen = time.perf_counter()
         base = _seeded_config(seed)
         _, bundle = generate_datasets(base)
+        gen_elapsed = time.perf_counter() - t_gen
+        probe_set = tuple(bundle.st_val) + tuple(bundle.cs_val)
         for variant in VARIANTS:
             cfg = replace(base, variant=variant)
-            result = run_pipeline(cfg, bundle)
+            t_run = time.perf_counter()
+
+            def probe(state, stage):
+                nonlocal full_elapsed
+                if stage == 2:
+                    probes[(variant, seed)] = routing_probe(state, probe_set)
+                    if variant == "full":
+                        full_elapsed += gen_elapsed + time.perf_counter() - t_run
+                return {}
+
+            result = run_pipeline(cfg, bundle, probe=probe)
+            assert (variant, seed) in probes, "stage-2 probe did not run"
             cs_ce[(variant, seed)] = evaluate_dataset(result.state, bundle.cs_val)["ce"]
             if variant == "full" and seed == 0:
                 full_metrics = result.metrics
     elapsed = time.perf_counter() - t0
-    return cs_ce, full_metrics, elapsed
+    return cs_ce, full_metrics, elapsed, probes, full_elapsed
 
 
 def _tiny_moe(m=2, n=3, k=3, d_in=4, d_model=4, L=2, seed=0):
@@ -253,8 +241,8 @@ def test_criterion_3_loss_closed_forms(report):
     assert endpoint_ok
 
 
-def test_criterion_4_stage2_routing_specialization(stage12_probes, report):
-    probes, elapsed = stage12_probes
+def test_criterion_4_stage2_routing_specialization(ablation_runs, report):
+    _, _, _, probes, elapsed = ablation_runs
     m = ExperimentConfig().num_languages
     per_lang_medians = [
         _median([probes[("full", s)]["top1_in_group"][g] for s in SEEDS])
@@ -273,7 +261,7 @@ def test_criterion_4_stage2_routing_specialization(stage12_probes, report):
 
 
 def test_criterion_5_grouped_experts_beat_shared_mlp(ablation_runs, report):
-    cs_ce, _, _ = ablation_runs
+    cs_ce, _, _, _, _ = ablation_runs
     med_full = _median([cs_ce[("full", s)] for s in SEEDS])
     med_shared = _median([cs_ce[("no-moe", s)] for s in SEEDS])
     ok = med_full <= med_shared
@@ -287,7 +275,7 @@ def test_criterion_5_grouped_experts_beat_shared_mlp(ablation_runs, report):
 
 
 def test_criterion_6_ablation_directions(ablation_runs, report):
-    cs_ce, _, elapsed = ablation_runs
+    cs_ce, _, elapsed, _, _ = ablation_runs
     med = {v: _median([cs_ce[(v, s)] for s in SEEDS]) for v in VARIANTS}
     ok = (
         med["full"] < med["no-moe"]
@@ -309,8 +297,8 @@ def test_criterion_6_ablation_directions(ablation_runs, report):
     assert elapsed < 1800.0
 
 
-def test_criterion_7_balance_restrains_within_group_load(stage12_probes, report):
-    probes, _ = stage12_probes
+def test_criterion_7_balance_restrains_within_group_load(ablation_runs, report):
+    _, _, _, probes, _ = ablation_runs
     with_ratio = _median(
         [max(probes[("full", s)]["group_ratio"]) for s in SEEDS]
     )
@@ -329,7 +317,7 @@ def test_criterion_7_balance_restrains_within_group_load(stage12_probes, report)
 
 
 def test_criterion_8_schedule_and_stage_contracts(ablation_runs, report):
-    _, full_metrics, _ = ablation_runs
+    _, full_metrics, _, _, _ = ablation_runs
 
     # blend weight strictly increasing to exactly 1 in both transition stages
     schedule_ok = True

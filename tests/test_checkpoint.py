@@ -5,7 +5,9 @@ every variant, forward-pass equality on a probe batch, and refusal semantics
 on config mismatch.
 """
 
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,38 @@ def test_save_twice_identical_bytes(tmp_path, trained):
         assert (tmp_path / "a" / entry["file"]).read_bytes() == (
             tmp_path / "b" / entry["file"]
         ).read_bytes()
+
+
+def test_interrupted_overwrite_is_refused(tmp_path, trained, monkeypatch):
+    # a second save into the same directory fails on its third payload: the
+    # directory then holds old and new payloads, and loading must refuse it
+    config, world, bundle, stage1, state = trained
+    path = save_checkpoint(tmp_path / "ck", config, state)
+    changed = load_checkpoint(path, config)
+    for p in changed.parameters():
+        p.value.data += 1.0
+    write_bytes, written = Path.write_bytes, []
+
+    def failing_write_bytes(self, data):
+        written.append(self.name)
+        if len(written) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+    with pytest.raises(OSError):
+        save_checkpoint(path, config, changed)
+    monkeypatch.undo()
+    with pytest.raises(FileNotFoundError, match="no checkpoint manifest"):
+        load_checkpoint(path, config)
+    # a save that completes over the debris writes the bytes of a fresh one
+    save_checkpoint(path, config, state)
+    save_checkpoint(tmp_path / "fresh", config, state)
+    assert _tree_bytes(path) == _tree_bytes(tmp_path / "fresh")
+
+
+def _tree_bytes(root):
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

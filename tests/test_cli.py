@@ -119,6 +119,15 @@ def test_train_refuses_datasets_drawn_from_other_data_fields(tmp_path, cfg_path,
     assert "config.json" in capsys.readouterr().err
 
 
+def test_train_refuses_empty_stages_flag(tmp_path, cfg_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--stages", ""]) == 2
+    assert "--stages '' names no stage" in capsys.readouterr().err
+    assert not (out / "checkpoints").exists() and not (out / "metrics.jsonl").exists()
+
+
 def test_train_full_run(tmp_path, cfg_path):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
@@ -468,6 +477,8 @@ def test_ablate_two_variants(tmp_path, cfg_path, capsys):
                "--variants", "full,no-moe", "--seeds", "0"])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"rows", "notices", "failures", "routing", "seeds"}
+    assert all(set(row) == {"variant", "num_runs", "metrics"} for row in report["rows"])
     assert [row["variant"] for row in report["rows"]] == ["full", "no-moe"]
     assert report["failures"] == []
     csv_text = (out / "report.csv").read_text()
@@ -484,8 +495,11 @@ def test_ablate_two_variants(tmp_path, cfg_path, capsys):
     (["--variants", "full", "--seeds", "0,-1"], "--seeds '0,-1': '-1' is not"),
     (["--variants", "full,full", "--seeds", "0"], "--variants 'full,full' names a value twice"),
     (["--variants", "full", "--seeds", "0,00"], "--seeds '0,00' names a value twice"),
+    (["--variants", "", "--seeds", "0"], "--variants '' names no value"),
+    (["--variants", "full", "--seeds", ""], "--seeds '' names no value"),
+    (["--variants", " , ", "--seeds", "0"], "--variants ' , ' names no value"),
 ], ids=["unknown-variant", "seed-not-int", "negative-seed", "repeated-variant",
-        "repeated-seed"])
+        "repeated-seed", "empty-variants", "empty-seeds", "blank-variants"])
 def test_ablate_refuses_bad_flags_before_training(tmp_path, cfg_path, flags, named, capsys):
     out = tmp_path / "ab"
     assert main(["ablate", "--config", cfg_path, "--out", str(out), *flags]) == 2
@@ -502,6 +516,8 @@ def test_routing_report_command(tmp_path, cfg_path, trained_dir):
                "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"checkpoint_stage", "routing", "input", "projected"}
+    assert set(report["input"]) == set(report["projected"]) == {"silhouette", "pair_ratios"}
     assert len(report["routing"]["top1_in_group"]) == 2
     assert -1.0 <= report["projected"]["silhouette"] <= 1.0
     assert -1.0 <= report["input"]["silhouette"] <= 1.0
