@@ -31,7 +31,7 @@ from .config import (
     config_hash,
     config_to_dict,
 )
-from .dataio import float64_array, float64_bytes
+from .dataio import float64_array, float64_bytes, write_json
 from .stages import TrainState, blank_state
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -65,8 +65,7 @@ def save_checkpoint(directory, config: ExperimentConfig, state: TrainState) -> P
     (directory / _MANIFEST).unlink(missing_ok=True)
     for p in params:
         (directory / _PARAMS_DIR / f"{p.name}.bin").write_bytes(float64_bytes(p.value.data))
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    (directory / _MANIFEST).write_text(text)
+    write_json(directory / _MANIFEST, manifest)
     return directory
 
 

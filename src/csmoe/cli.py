@@ -69,6 +69,7 @@ from .world import TASK_CS_ST, TASK_ST
 __all__ = ["main"]
 
 _PROBE_UTTERANCES = 16  # per split, for the fixed routing probe
+_NAMED_FLAGS = ("config", "out", "variant", "resume", "checkpoint")  # a file, directory or name
 
 
 class _UsageError(Exception):
@@ -89,14 +90,14 @@ def _json_object(path: Path) -> dict:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         config = config_from_dict(_json_object(Path(args.config)))
     else:
         config = ExperimentConfig()
     overrides = {}
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "variant", None):
+    if getattr(args, "variant", None) is not None:
         overrides["variant"] = args.variant
     if overrides:
         config = replace(config, **overrides)
@@ -178,7 +179,7 @@ def cmd_train(args) -> int:
     bundle = _load_bundle(out, config)
 
     initial = None
-    if args.resume:
+    if args.resume is not None:
         initial = load_checkpoint(args.resume, config)
         if initial.stage == 4:
             raise _UsageError(f"checkpoint {args.resume} is already at stage 4, "
@@ -261,7 +262,7 @@ def cmd_grad_check(args) -> int:
     print(f"{'overall':{width}s} {'pass' if report['pass'] else 'FAIL'} "
           f"({report['instances']} instances, "
           f"{report['skipped_candidates']} screened out)")
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "report.json", report)
@@ -429,6 +430,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        empty = [name for name in _NAMED_FLAGS if getattr(args, name, None) == ""]
+        if empty:  # not a silent fall-back to the default
+            raise _UsageError(f"--{empty[0]} is empty; give a value or leave the flag out")
         return args.func(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -30,8 +30,11 @@ logits sit near a top-k tie, whose argmax assignments sit near a flip,
 whose in-group probability mass sits near the exclusion threshold, or whose
 pre-ReLU activations sit near a kink is replaced by the next candidate (the
 losses treat assignment counts as constants, but a finite-difference probe
-re-evaluates them on both sides of the step). Screening thresholds are far
-above the probe step, so accepted instances are deterministic and safe.
+re-evaluates them on both sides of the step). The screen reads the forwards
+of batch 1 and batch 2 that ``moe_layer`` keeps: each layer's record holds
+its router logits and probabilities, and the kept input of layer l + 1 is
+the pre-activation of layer l. Screening thresholds are far above the probe
+step, so accepted instances are deterministic and safe.
 """
 
 from __future__ import annotations
@@ -40,17 +43,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, relu
+from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient
 from .config import ExperimentConfig
 from .losses import TransitionState, compose_stage_loss, transition_loss
-from .projector import (
-    ProjectorConfig,
-    RoutingTrace,
-    _moe_layer_batch,
-    build_moe_from_pretrained,
-    init_mlp,
-    moe_layer,
-)
+from .projector import (ProjectorConfig, RoutingTrace, build_moe_from_pretrained, init_mlp,
+                        moe_layer)
 from .stages import mixed_transition, routing_terms
 from .world import decode, init_decoder
 
@@ -71,23 +68,20 @@ _MARGIN = 1e-3  # clearance required around every selection/argmax boundary
 _MASS_FLOOR = 1e-3  # in-group probability mass must be 0 or above this
 
 
-def _screen(moe, feats: np.ndarray, labels: np.ndarray, eps: float) -> bool:
-    """True when every discrete choice has clearance around this input."""
-    h = Tensor(feats)
+def _screen(moe, forward, eps: float) -> bool:
+    """True when every discrete choice of a kept ``(layer inputs, trace)`` has clearance."""
+    inputs, trace = forward
     k = moe.top_k
-    last = moe.config.num_layers - 1
-    for l, layer in enumerate(moe.layers):
-        logits = h.data @ layer.router_weights.value.data
-        s = np.sort(logits, axis=1)[:, ::-1]
-        if k < logits.shape[1] and (s[:, k - 1] - s[:, k]).min() < _MARGIN:
+    for l, record in enumerate(trace.layers):
+        s = np.sort(record.logits.data, axis=1)[:, ::-1]
+        if k < s.shape[1] and (s[:, k - 1] - s[:, k]).min() < _MARGIN:
             return False
-        out, _, probs = _moe_layer_batch(layer, h, k)
-        p = probs.data
+        p = record.probs.data
         ps = np.sort(p, axis=1)[:, ::-1]
         if (ps[:, 0] - ps[:, 1]).min() < _MARGIN:
             return False
         for g in range(moe.num_languages):
-            rows = labels == g
+            rows = trace.token_language == g
             if not rows.any():
                 continue
             in_group = p[rows][:, moe.group_of == g]
@@ -99,12 +93,9 @@ def _screen(moe, feats: np.ndarray, labels: np.ndarray, eps: float) -> bool:
                 si = np.sort(active, axis=1)[:, ::-1]
                 if (si[:, 0] - si[:, 1]).min() < _MARGIN:
                     return False
-        if l < last:
-            if np.abs(out.data).min() < 10.0 * eps:
-                return False
-            h = relu(out)
-        else:
-            h = out
+        # the kept input of layer l + 1 is layer l's pre-activation
+        if l + 1 < len(inputs) and np.abs(inputs[l + 1].data).min() < 10.0 * eps:
+            return False
     return True
 
 
@@ -254,8 +245,8 @@ def grad_check_report(*, seed: int = 0, instances: int = 20,
     while accepted < instances:
         moe, decoder, batches, ts, configs = _make_instance(seed, candidate)
         candidate += 1
-        if not all(_screen(moe, feats, labels, eps)
-                   for feats, labels, _ in batches):
+        _, forwards = _rerun(moe, _inputs(moe, batches)[:2], 0)  # batch 1 and batch 2
+        if not all(_screen(moe, forward, eps) for forward in forwards):
             skipped += 1
             continue
         try:

@@ -4,11 +4,14 @@ The MoE projector keeps N = n·m expert linear maps per layer — n experts per
 language group — plus one linear router per layer. Each token is dispatched to
 its top-k experts; probabilities are normalized over the selected set only and
 are exactly zero elsewhere. ``moe_forward`` processes whole batches of tokens
-at once: each layer multiplies the batch through every expert and combines
-the N products in one ``mix`` node weighted by the sparse probabilities.
-Its ``RoutingTrace`` carries the projector's expert groups (``group_of``)
-with the routing records, and owns the label check and the in-group winner
-count that the group-aware losses and routing statistics share.
+at once through ``moe_layer``, the one MoE layer evaluation: each layer
+applies the ReLU to the previous layer's output, multiplies the batch
+through every expert and combines the N products in one ``mix`` node
+weighted by the sparse probabilities. Each layer's record keeps its router
+logits, selection and probabilities. The forward's ``RoutingTrace`` carries
+the projector's expert groups (``group_of``) with the routing records, and
+owns the label check and the in-group winner count that the group-aware
+losses and routing statistics share.
 The tests hold a single-token reference path (``tests/oracles.py``) that
 routes and mixes one token at a time; the batched forward agrees with it.
 """
@@ -69,11 +72,13 @@ def init_mlp(config: ProjectorConfig, seed: int) -> MlpProjector:
     return MlpProjector(config, layers)
 
 
+def _check_features(config: ProjectorConfig, features: Tensor) -> None:
+    if features.data.ndim != 2 or features.shape[1] != config.d_in:
+        raise ValueError(f"features shape {features.shape} does not match d_in={config.d_in}")
+
+
 def mlp_forward(proj: MlpProjector, features: Tensor) -> Tensor:
-    if features.data.ndim != 2 or features.shape[1] != proj.config.d_in:
-        raise ValueError(
-            f"features shape {features.shape} does not match d_in={proj.config.d_in}"
-        )
+    _check_features(proj.config, features)
     h = features
     last = proj.config.num_layers - 1
     for l, w in enumerate(proj.layers):
@@ -154,11 +159,12 @@ def build_moe_from_pretrained(
 
 
 class LayerRouting:
-    """Routing record of one layer: selected expert indices and sparse probs."""
+    """Routing record of one layer: router logits, selected expert indices and sparse probs."""
 
-    __slots__ = ("selected", "probs")
+    __slots__ = ("logits", "selected", "probs")
 
-    def __init__(self, selected: np.ndarray, probs: Tensor):
+    def __init__(self, logits: Tensor, selected: np.ndarray, probs: Tensor):
+        self.logits = logits  # [T × N] Tensor, the router matmul
         self.selected = selected  # [T × k] int, ascending per row
         self.probs = probs  # [T × N] Tensor, exact zeros off the selected set
 
@@ -233,43 +239,33 @@ def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:
     return sel
 
 
-def _moe_layer_batch(layer: MoeLayer, h: Tensor, k: int):
-    """Batched mixture over all tokens at once; equals routing each token alone.
+def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouting]:
+    """Apply MoE layer ``l`` to the output ``h`` of layer ``l − 1`` (or the features).
 
-    Every expert multiplies the whole batch (one ``matmul`` each), and a
-    single ``mix`` node weights the N products by their (possibly exactly
-    zero) probabilities. That preserves exact values and exact gradient
-    sparsity for non-selected experts.
+    Past layer 0 the ReLU applies to the input, so the output is the layer's
+    pre-activation mixture. Every expert multiplies the whole batch, and one
+    ``mix`` node weights the N products by their (possibly exactly zero)
+    probabilities: exact values, and exactly zero gradients for non-selected
+    experts. The record keeps the router logits. Layer ``l`` reads only ``h``
+    and its own parameters, so a forward can restart here from a kept input.
     """
+    if l > 0:
+        h = relu(h)
+    layer = proj.layers[l]
     logits = matmul(h, layer.router_weights.value)  # [T × N]
-    sel = _topk_rows(logits.data, k)
+    sel = _topk_rows(logits.data, proj.top_k)
     mask = np.zeros(logits.shape, dtype=bool)
     mask[np.arange(sel.shape[0])[:, None], sel] = True
     probs = masked_softmax(logits, mask)
     out = mix(probs, [matmul(h, ew.value) for ew in layer.expert_weights])
-    return out, sel, probs
-
-
-def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouting]:
-    """Apply MoE layer ``l`` to its input ``h`` (ReLU after every layer but the last).
-
-    Layer ``l`` reads only ``h`` and its own parameters, so a forward can
-    restart here from a kept layer input.
-    """
-    out, sel, probs = _moe_layer_batch(proj.layers[l], h, proj.top_k)
-    if l < proj.config.num_layers - 1:
-        out = relu(out)
-    return out, LayerRouting(sel, probs)
+    return out, LayerRouting(logits, sel, probs)
 
 
 def moe_forward(
     proj: MoeProjector, features: Tensor, token_language: np.ndarray | None = None
 ) -> tuple[Tensor, RoutingTrace]:
     """Apply all MoE layers (ReLU between, none after the last); record routing."""
-    if features.data.ndim != 2 or features.shape[1] != proj.config.d_in:
-        raise ValueError(
-            f"features shape {features.shape} does not match d_in={proj.config.d_in}"
-        )
+    _check_features(proj.config, features)
     if token_language is not None:
         token_language = np.asarray(token_language)
         if token_language.shape != (features.shape[0],):
@@ -277,8 +273,7 @@ def moe_forward(
                 f"token_language shape {token_language.shape} does not match "
                 f"{features.shape[0]} tokens"
             )
-    h = features
-    records = []
+    h, records = features, []
     for l in range(proj.config.num_layers):
         h, record = moe_layer(proj, l, h)
         records.append(record)

@@ -205,12 +205,12 @@ def gen_world(
 def _draw_span(
     world: World, language: int, length: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Features, global source ids, and local token ids for one language span."""
+    """Features, global source ids, and ST target ids for one language span."""
     lang = world.languages[language]
     local = rng.integers(0, lang.vocab_size, size=length)
     noise = rng.normal(0.0, lang.noise_sigma, size=(length, world.d_in))
     features = lang.centroid[None, :] + lang.token_embeddings[local] + noise
-    return features, (lang.vocab_start + local).astype(np.intp), local
+    return features, (lang.vocab_start + local).astype(np.intp), lang.st_bijection[local]
 
 
 def gen_utterance(
@@ -222,67 +222,50 @@ def gen_utterance(
     *,
     num_switches: int = 1,
 ) -> Utterance:
-    """Draw one utterance for the given proxy task.
+    """Draw one utterance for the given proxy task, one language span at a time.
 
-    ASR/ST require a concrete ``language``; the CS task requires
-    ``language=None`` and draws two distinct languages plus ``num_switches``
-    uniform switch points (each resulting segment is non-empty).
+    ASR/ST require a concrete ``language`` and draw one span of it; the CS
+    task requires ``language=None``, draws two distinct languages plus
+    ``num_switches`` uniform switch points, then one non-empty span per
+    segment. ASR targets are the source ids, ST and CS targets the spans' ST ids.
     """
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {_TASKS}")
     if length < 1:
         raise ValueError(f"utterance length must be >= 1, got {length}")
 
-    if task in (TASK_ASR, TASK_ST):
-        if language is None or not 0 <= language < world.num_languages:
+    code_switched = task == TASK_CS_ST
+    if code_switched:
+        if language is not None and language != CS_UNLABELED:
+            raise ValueError("code-switched utterances draw their own languages; "
+                             "pass language=None")
+        if num_switches < 1:
+            raise ValueError(f"num_switches must be >= 1, got {num_switches}")
+        if length < num_switches + 1:
             raise ValueError(
-                f"task {task!r} requires a concrete language in 0..{world.num_languages - 1}, "
-                f"got {language}"
+                f"length {length} too short for {num_switches} switch point(s); "
+                f"need at least {num_switches + 1} tokens"
             )
-        features, source, local = _draw_span(world, language, length, rng)
-        if task == TASK_ASR:
-            targets = source.copy()
-        else:
-            targets = world.languages[language].st_bijection[local]
-        return Utterance(
-            features=features,
-            targets=targets.astype(np.intp),
-            source_tokens=source,
-            task=task,
-            language=language,
-            segments=None,
-        )
-
-    # code-switched translation
-    if language is not None and language != CS_UNLABELED:
-        raise ValueError("code-switched utterances draw their own languages; pass language=None")
-    if num_switches < 1:
-        raise ValueError(f"num_switches must be >= 1, got {num_switches}")
-    if length < num_switches + 1:
+        pair = rng.choice(world.num_languages, size=2, replace=False)
+        cuts = np.sort(rng.choice(np.arange(1, length), size=num_switches, replace=False))
+        bounds = [0, *cuts.tolist(), length]
+        spans = [(a, b, int(pair[i % 2])) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    elif language is None or not 0 <= language < world.num_languages:
         raise ValueError(
-            f"length {length} too short for {num_switches} switch point(s); "
-            f"need at least {num_switches + 1} tokens"
+            f"task {task!r} requires a concrete language in 0..{world.num_languages - 1}, "
+            f"got {language}"
         )
-    pair = rng.choice(world.num_languages, size=2, replace=False)
-    cuts = np.sort(rng.choice(np.arange(1, length), size=num_switches, replace=False))
-    bounds = [0, *cuts.tolist(), length]
-    segments = []
-    feature_parts, target_parts, source_parts = [], [], []
-    for i in range(len(bounds) - 1):
-        start, end = bounds[i], bounds[i + 1]
-        seg_lang = int(pair[i % 2])
-        feats, source, local = _draw_span(world, seg_lang, end - start, rng)
-        feature_parts.append(feats)
-        source_parts.append(source)
-        target_parts.append(world.languages[seg_lang].st_bijection[local])
-        segments.append(Segment(start=start, end=end, language=seg_lang))
+    else:
+        spans = [(0, length, language)]
+    drawn = zip(*(_draw_span(world, lang, end - start, rng) for start, end, lang in spans))
+    features, source, translated = (np.concatenate(p) if len(p) > 1 else p[0] for p in drawn)
     return Utterance(
-        features=np.concatenate(feature_parts),
-        targets=np.concatenate(target_parts).astype(np.intp),
-        source_tokens=np.concatenate(source_parts),
-        task=TASK_CS_ST,
-        language=CS_UNLABELED,
-        segments=tuple(segments),
+        features=features,
+        targets=(source if task == TASK_ASR else translated).astype(np.intp),
+        source_tokens=source,
+        task=task,
+        language=CS_UNLABELED if code_switched else language,
+        segments=tuple(Segment(*span) for span in spans) if code_switched else None,
     )
 
 

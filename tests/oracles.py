@@ -95,7 +95,8 @@ def make_trace(prob_rows_per_layer, labels=None, *, groups=1) -> RoutingTrace:
     The N experts form ``groups`` equal consecutive groups, laid out as
     ``MoeProjector`` lays them out. Each token's selected experts are its
     nonzero entries, padded (the losses never read the padding) to a
-    rectangular array.
+    rectangular array. The logits are ``log p``, whose softmax over the
+    selected entries gives back p.
     """
     layers = []
     for rows in prob_rows_per_layer:
@@ -110,7 +111,9 @@ def make_trace(prob_rows_per_layer, labels=None, *, groups=1) -> RoutingTrace:
         sel = np.stack(
             [np.concatenate([s, np.full(k - len(s), s[-1], dtype=s.dtype)]) for s in sel_rows]
         ).astype(np.intp)
-        layers.append(LayerRouting(sel, Tensor(rows)))
+        with np.errstate(divide="ignore"):  # log 0 = -inf off the selected entries
+            logits = np.log(rows)
+        layers.append(LayerRouting(Tensor(logits), sel, Tensor(rows)))
     num_experts = layers[0].probs.shape[1]
     group_of = np.repeat(np.arange(groups), num_experts // groups)
     return RoutingTrace(layers, group_of, None if labels is None else np.asarray(labels))

@@ -564,6 +564,27 @@ def test_unknown_command_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["gen-data", "--config", ""], "--config"),
+    (["gen-data", "--out", ""], "--out"),
+    (["train", "--variant", ""], "--variant"),
+    (["train", "--resume", ""], "--resume"),
+    (["eval", "--checkpoint", ""], "--checkpoint"),
+    (["grad-check", "--out", "", "--instances", "1"], "--out"),
+], ids=["gen-data-config", "gen-data-out", "train-variant", "train-resume", "eval-checkpoint",
+        "grad-check-out"])
+def test_empty_flag_value_is_refused_before_any_work(tmp_path, cfg_path, monkeypatch, capsys,
+                                                     argv, flag):
+    # refused, not read as the flag left out (the default world, variant
+    # full, out_dir runs/default, a fresh run); nothing is written
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "grad-check":  # the case's empty value comes last, so it wins
+        argv = [argv[0], "--config", cfg_path, "--out", "o", *argv[1:]]
+    assert main(argv) == 2
+    assert f"{flag} is empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("data, field", [
     ({"num_langs": 3}, "num_langs"),
     ({"stage1": {**TINY["stage1"], "extra": 1}}, "stage1.extra"),

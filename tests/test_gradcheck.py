@@ -13,7 +13,6 @@ import pytest
 
 import csmoe.gradcheck as gradcheck
 import csmoe.losses
-import csmoe.projector
 from csmoe import stages
 from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, take
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
@@ -218,7 +217,7 @@ def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
         finally:
             in_sweep[0] = False
 
-    counted(csmoe.projector, "_moe_layer_batch", "layers", sweep_only=True)
+    counted(gradcheck, "moe_layer", "layers", sweep_only=True)
     counted(gradcheck, "routing_terms", "routing_terms")
     counted(stages, "language_specific_loss", "lang")
     counted(stages, "intra_group_balance_loss", "balance")
@@ -319,3 +318,34 @@ def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
     assert state["bad"] is not None and state["corrupted"]
     assert report["pass"] is True, report["losses"]
     assert report["skipped_candidates"] == base["skipped_candidates"] + 1
+
+
+# candidates among 0-59 that the screen turns away, at harness seeds 0 and 7
+SCREENED_OUT = {
+    0: [0, 1, 3, 4, 5, 7, 8, 9, 11, 16, 19, 21, 22, 24, 25, 26, 27, 28, 31, 32, 33, 35, 38,
+        40, 43, 45, 46, 48, 51, 53, 54, 55, 58],
+    7: [1, 4, 8, 11, 13, 14, 16, 19, 20, 27, 28, 31, 36, 37, 38, 40, 42, 44, 45, 46, 47, 49,
+        52, 53, 54, 55, 56, 58, 59],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCREENED_OUT))
+def test_screen_turns_away_the_known_candidates(seed, monkeypatch):
+    # only a candidate that passes the report's screen reaches _instance_errors,
+    # here a stub that accepts it without a sweep
+    state = {"current": None, "accepted": []}
+    real_make = gradcheck._make_instance
+
+    def make(seed, candidate):
+        state["current"] = candidate
+        return real_make(seed, candidate)
+
+    def accept(*args):
+        state["accepted"].append(state["current"])
+        return dict.fromkeys(GRAD_LOSSES, 0.0)
+
+    monkeypatch.setattr(gradcheck, "_make_instance", make)
+    monkeypatch.setattr(gradcheck, "_instance_errors", accept)
+    screened = SCREENED_OUT[seed]
+    grad_check_report(seed=seed, instances=60 - len(screened) + 1)  # one past candidate 59
+    assert [c for c in range(60) if c not in state["accepted"]] == screened

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csmoe.autodiff import Parameter, Tape, Tensor, backward, fd_gradient
+from csmoe.autodiff import Parameter, Tape, Tensor, backward, fd_gradient, masked_softmax
 from csmoe.projector import (
     CS_UNLABELED,
     MoeProjector,
@@ -17,6 +17,7 @@ from csmoe.projector import (
     init_mlp,
     mlp_forward,
     moe_forward,
+    moe_layer,
 )
 from oracles import make_trace, moe_layer_forward, route, tsum
 
@@ -261,6 +262,15 @@ def test_moe_forward_trace_contract():
     moe = tiny_moe(m=2, n=3, k=3, d_in=3, d_model=4, L=2)
     x = np.random.default_rng(0).normal(size=(5, 3))
     _, trace = moe_forward(moe, Tensor(x))
+    h = Tensor(x)
+    for l, (layer, lr) in enumerate(zip(moe.layers, trace.layers)):
+        # the record keeps the router logits of the layer's ReLU'd input
+        h_in = np.maximum(h.data, 0.0) if l else h.data
+        assert np.array_equal(lr.logits.data, h_in @ layer.router_weights.value.data)
+        mask = np.zeros(lr.probs.shape, dtype=bool)
+        np.put_along_axis(mask, lr.selected, True, axis=1)
+        assert np.array_equal(masked_softmax(lr.logits, mask).data, lr.probs.data)
+        h, _ = moe_layer(moe, l, h)
     assert trace.num_layers == 2
     assert trace.num_tokens == 5
     assert trace.group_of is moe.group_of

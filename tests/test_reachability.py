@@ -4,8 +4,11 @@ A ``sys.setprofile`` hook records the code objects that one sweep of the
 commands calls on the tiny CLI config. A module- or class-level function
 that no command reaches is either a test oracle, which belongs in
 ``oracles``, or dead code; the few exceptions are listed with their reason.
+No library module imports another module's private name, apart from the
+one hook listed in ``PRIVATE_IMPORTS``.
 """
 
+import ast
 import inspect
 import json
 import sys
@@ -102,3 +105,25 @@ def test_every_library_function_is_reached_by_a_command(tmp_path):
                        if code not in called and name not in ALLOWED)
     assert unreached == []
     assert [name for name in ALLOWED if functions[name] in called] == []
+
+
+PRIVATE_IMPORTS = {
+    ("losses", "autodiff", "_record"): "the hook the fused routing losses record their nodes on",
+}
+
+
+def test_no_library_module_imports_a_private_name():
+    found = set()
+    for module in MODULES:
+        short = module.__name__.rsplit(".", 1)[1]
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("csmoe"):
+                continue  # not a library module
+            source = (node.module or "").rsplit(".", 1)[-1]
+            found.update((short, source, alias.name) for alias in node.names
+                         if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert found == set(PRIVATE_IMPORTS)
