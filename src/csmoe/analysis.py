@@ -26,6 +26,7 @@ __all__ = [
     "expert_load",
     "separation_score",
     "ablation_report",
+    "ablation_cells",
     "ablation_table",
 ]
 
@@ -194,17 +195,24 @@ def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> dic
     return {"rows": rows, "notices": notices}
 
 
+def ablation_cells(report: Mapping) -> tuple:
+    """An ablation report's sorted metric names, and per row ``(variant, num_runs, cells)``."""
+    names = sorted({name for row in report["rows"] for name in row["metrics"]})
+    rows = [(row["variant"], row["num_runs"], [row["metrics"].get(name) for name in names])
+            for row in report["rows"]]
+    return names, rows
+
+
 def ablation_table(report: Mapping) -> str:
     """``ablation_report``'s record as a tab-separated table, notices as comments."""
-    metric_names = sorted({name for row in report["rows"] for name in row["metrics"]})
-    header = ["variant", "runs"] + [f"{name} (median / min / max)" for name in metric_names]
+    names, rows = ablation_cells(report)
+    header = ["variant", "runs"] + [f"{name} (median / min / max)" for name in names]
     lines = ["\t".join(header)]
-    for row in report["rows"]:
-        cells = [row["variant"], str(row["num_runs"])]
-        for name in metric_names:
-            stats = row["metrics"].get(name)
-            cells.append("-" if stats is None else
-                         f"{stats['median']:.6g} / {stats['min']:.6g} / {stats['max']:.6g}")
-        lines.append("\t".join(cells))
+    for variant, runs, cells in rows:
+        line = [variant, str(runs)]
+        for stats in cells:
+            line.append("-" if stats is None else
+                        f"{stats['median']:.6g} / {stats['min']:.6g} / {stats['max']:.6g}")
+        lines.append("\t".join(line))
     lines.extend(f"# {notice}" for notice in report["notices"])
     return "\n".join(lines)

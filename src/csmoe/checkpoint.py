@@ -12,14 +12,14 @@ The config and the stage determine the parameter layout: loading starts from
 ``stages.blank_state(config, stage)`` and reads each payload into it. Loading
 refuses a checkpoint whose config hash differs from the loading run's config
 (cosmetic fields excluded), and reports exactly which fields differ. A
-manifest that is not a JSON object, lacks one of its four keys, records a
-stage that is not an integer in 1..4 or does not list exactly that state's
-parameters is refused by name.
+manifest that cannot be read, is not a JSON object, lacks one of its four
+keys, records a stage that is not an integer in 1..4, records a config that
+is not an object (or, when the hashes differ, not a valid config) or does
+not list exactly that state's parameters is refused by name.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import zip_longest
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .config import (
     config_hash,
     config_to_dict,
 )
-from .dataio import float64_array, float64_bytes, write_json
+from .dataio import float64_array, float64_bytes, read_json_object, write_json
 from .stages import TrainState, blank_state
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -70,15 +70,10 @@ def save_checkpoint(directory, config: ExperimentConfig, state: TrainState) -> P
 
 
 def _read_manifest(path: Path) -> dict:
-    """The manifest, refused naming its file unless its keys and stage are sound."""
+    """The manifest, refused naming its file unless its keys and their values are sound."""
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint manifest at {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"checkpoint manifest {path} is not valid JSON: {err}") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"checkpoint manifest {path} must hold a JSON object")
+    manifest = read_json_object(path, "checkpoint manifest")
     missing = {"stage", "config", "config_hash", "params"} - manifest.keys()
     if missing:
         raise ValueError(f"checkpoint manifest {path} lacks {sorted(missing)}")
@@ -88,6 +83,8 @@ def _read_manifest(path: Path) -> dict:
                          f"not an integer in 1..4")
     if not isinstance(manifest["params"], list):
         raise ValueError(f"checkpoint manifest {path} must list its params")
+    if not isinstance(manifest["config"], dict):
+        raise ValueError(f"checkpoint manifest {path} must hold its config as an object")
     return manifest
 
 
@@ -101,7 +98,11 @@ def load_checkpoint(directory, config: ExperimentConfig) -> TrainState:
     path = directory / _MANIFEST
     manifest = _read_manifest(path)
     if manifest["config_hash"] != config_hash(config):
-        saved = config_from_dict(manifest["config"])
+        try:
+            saved = config_from_dict(manifest["config"])
+        except ValueError as err:
+            raise ValueError(f"checkpoint manifest {path} records no valid config: "
+                             f"{err}") from None
         diff = config_diff(saved, config)
         detail = "; ".join(diff) if diff else "hash mismatch"
         raise ValueError(

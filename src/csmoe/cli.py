@@ -10,8 +10,9 @@ separation statistics for a checkpoint).
 Exit codes: 0 success, 1 assertion/tolerance failure (a failed gradient
 check or a failed ablation run), 2 usage or configuration errors (bad
 flags, bad config files, missing inputs, checkpoint/config or
-dataset/config mismatches, damaged dataset files or checkpoint manifests),
-3 a numerical failure (a training loss that turned infinite or NaN, a log
+dataset/config mismatches, damaged dataset files or checkpoint manifests;
+each raised as a ``ValueError``) and any ``OSError`` (an ``--out`` that
+names a file, say), 3 a numerical failure (a training loss that turned infinite or NaN, a log
 outside its domain or an overflowed optimizer moment; the message names
 the stage and step).
 All randomness flows from the seeds named in the config file (no flag sets
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import ablation_report, ablation_table, separation_score
+from .analysis import ablation_cells, ablation_report, ablation_table, separation_score
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
@@ -46,6 +46,7 @@ from .config import (
 from .dataio import (
     append_metrics,
     load_dataset,
+    read_json_object,
     save_dataset,
     save_world,
     write_json,
@@ -72,26 +73,9 @@ _PROBE_UTTERANCES = 16  # per split, for the fixed routing probe
 _NAMED_FLAGS = ("config", "out", "variant", "resume", "checkpoint")  # a file, directory or name
 
 
-class _UsageError(Exception):
-    """Bad flags, bad config, missing inputs — exit code 2."""
-
-
-def _json_object(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except OSError as err:
-        raise _UsageError(f"config file {path} cannot be read: {err.strerror}")
-    except json.JSONDecodeError as err:
-        raise _UsageError(f"config file {path} is not valid JSON: {err}")
-    if not isinstance(data, dict):
-        raise _UsageError(f"config file {path} must hold a JSON object, "
-                          f"not a {type(data).__name__}")
-    return data
-
-
 def _load_config(args) -> ExperimentConfig:
     if getattr(args, "config", None) is not None:
-        config = config_from_dict(_json_object(Path(args.config)))
+        config = config_from_dict(read_json_object(args.config, "config file"))
     else:
         config = ExperimentConfig()
     overrides = {}
@@ -134,14 +118,14 @@ def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
     if not (out / "config.json").exists():
         missing.insert(0, "config.json")
     if missing:
-        raise _UsageError(
+        raise ValueError(
             f"datasets not found under {out} (missing {missing[0]} and "
             f"{len(missing) - 1} more); run gen-data first"
         )
-    written = _json_object(out / "config.json")
+    written = read_json_object(out / "config.json", "config file")
     differing = [name for name in DATA_FIELDS if written.get(name) != getattr(config, name)]
     if differing:
-        raise _UsageError(
+        raise ValueError(
             f"datasets under {out} were generated with different {', '.join(differing)}; "
             f"run gen-data with this config first"
         )
@@ -155,7 +139,7 @@ def _probe_set(bundle: DatasetBundle) -> tuple:
 
 def _parse_stages(text: str) -> tuple:
     if not text.strip():
-        raise _UsageError(f"--stages {text!r} names no stage")
+        raise ValueError(f"--stages {text!r} names no stage")
     stages = []
     for part in text.split(","):
         part = part.strip()
@@ -164,12 +148,12 @@ def _parse_stages(text: str) -> tuple:
             try:
                 stages.extend(range(int(lo), int(hi) + 1))
             except ValueError:
-                raise _UsageError(f"bad stage range {part!r}")
+                raise ValueError(f"bad stage range {part!r}")
         else:
             try:
                 stages.append(int(part))
             except ValueError:
-                raise _UsageError(f"bad stage number {part!r}")
+                raise ValueError(f"bad stage number {part!r}")
     return tuple(stages)
 
 
@@ -182,8 +166,8 @@ def cmd_train(args) -> int:
     if args.resume is not None:
         initial = load_checkpoint(args.resume, config)
         if initial.stage == 4:
-            raise _UsageError(f"checkpoint {args.resume} is already at stage 4, "
-                              f"so no stage is left to run")
+            raise ValueError(f"checkpoint {args.resume} is already at stage 4, "
+                             f"so no stage is left to run")
         default_stages = tuple(range(initial.stage + 1, 5))
     else:
         default_stages = (1, 2, 3, 4)
@@ -191,22 +175,17 @@ def cmd_train(args) -> int:
 
     probe_set = _probe_set(bundle)
 
-    def probe(state, stage):
-        if state.decoder is None:
-            return {}
-        row = dict(routing_probe(state, probe_set))
-        row["val_mono_ce"] = evaluate_dataset(state, bundle.st_val)["ce"]
-        row["val_cs_ce"] = evaluate_dataset(state, bundle.cs_val)["ce"]
-        return row
-
-    def checkpoint_cb(stage, state):
+    def after_stage(stage, state, rows):
+        if state.decoder is not None:
+            probe = {**routing_probe(state, probe_set),
+                     "val_mono_ce": evaluate_dataset(state, bundle.st_val)["ce"],
+                     "val_cs_ce": evaluate_dataset(state, bundle.cs_val)["ce"]}
+            rows.append({"stage": stage, "probe": probe})
         save_checkpoint(out / "checkpoints" / f"stage{stage}", config, state)
-
-    def metrics_cb(rows):  # streamed, so a run that fails late keeps its rows
+        # streamed after the checkpoint, so a run that fails late keeps both
         append_metrics(out / "metrics.jsonl", rows)
 
-    run_pipeline(config, bundle, stages=stages, initial=initial,
-                 probe=probe, checkpoint_cb=checkpoint_cb, metrics_cb=metrics_cb)
+    run_pipeline(config, bundle, stages=stages, initial=initial, after_stage=after_stage)
     _write_effective_config(out, config)
     print(f"ran stages {','.join(str(s) for s in stages)} "
           f"(variant {config.variant}); metrics in {out / 'metrics.jsonl'}")
@@ -218,7 +197,7 @@ def _checkpoint_and_val_splits(args):
     config = _load_config(args)
     state = load_checkpoint(args.checkpoint, config)
     if state.decoder is None:
-        raise _UsageError(
+        raise ValueError(
             f"checkpoint {args.checkpoint} holds stage-1 per-language projectors; "
             f"this command needs a stage >= 2 checkpoint with a decoder"
         )
@@ -253,7 +232,9 @@ def cmd_eval(args) -> int:
 
 def cmd_grad_check(args) -> int:
     if args.seed < 0:
-        raise _UsageError(f"--seed {args.seed}: the harness seed must be a non-negative integer")
+        raise ValueError(f"--seed {args.seed}: the harness seed must be a non-negative integer")
+    if args.out is not None:  # before the sweep, so a bad --out costs nothing
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     report = grad_check_report(seed=args.seed, instances=args.instances)
     width = max(map(len, GRAD_LOSSES))
     for name, entry in report["losses"].items():
@@ -263,10 +244,8 @@ def cmd_grad_check(args) -> int:
           f"({report['instances']} instances, "
           f"{report['skipped_candidates']} screened out)")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "report.json", report)
-        print(f"wrote {out / 'report.json'}")
+        write_json(Path(args.out) / "report.json", report)
+        print(f"wrote {Path(args.out) / 'report.json'}")
     return 0 if report["pass"] else 1
 
 
@@ -279,19 +258,19 @@ def cmd_ablate(args) -> int:
     variants = _parse_csv(args.variants) if args.variants is not None else list(VARIANTS)
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
-        raise _UsageError(f"--variants {args.variants!r}: unknown variant {unknown[0]!r}, "
-                          f"expected names from {', '.join(VARIANTS)}")
+        raise ValueError(f"--variants {args.variants!r}: unknown variant {unknown[0]!r}, "
+                         f"expected names from {', '.join(VARIANTS)}")
     seeds = _parse_csv(args.seeds) if args.seeds is not None else ["0", "1", "2"]
     bad = [s for s in seeds if not s.isdecimal()]
     if bad:
-        raise _UsageError(f"--seeds {args.seeds!r}: {bad[0]!r} is not a non-negative integer")
+        raise ValueError(f"--seeds {args.seeds!r}: {bad[0]!r} is not a non-negative integer")
     seeds = [int(s) for s in seeds]
     for flag, text, values in (("--variants", args.variants, variants),
                                ("--seeds", args.seeds, seeds)):
         if not values:
-            raise _UsageError(f"{flag} {text!r} names no value")
+            raise ValueError(f"{flag} {text!r} names no value")
         if len(set(values)) != len(values):
-            raise _UsageError(f"{flag} {text!r} names a value twice")
+            raise ValueError(f"{flag} {text!r} names a value twice")
     results = {v: [] for v in variants}
     probes = {v: [] for v in variants}
     failures = []
@@ -335,22 +314,19 @@ def cmd_ablate(args) -> int:
 
 
 def _write_report_csv(path, report) -> None:
-    metric_names = sorted({name for row in report["rows"] for name in row["metrics"]})
+    names, rows = ablation_cells(report)
+    header = ["variant", "runs"]
+    for name in names:
+        header += [f"{name}_median", f"{name}_min", f"{name}_max"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["variant", "runs"]
-        for name in metric_names:
-            header += [f"{name}_median", f"{name}_min", f"{name}_max"]
         writer.writerow(header)
-        for row in report["rows"]:
-            cells = [row["variant"], row["num_runs"]]
-            for name in metric_names:
-                stats = row["metrics"].get(name)
-                if stats is None:
-                    cells += ["", "", ""]
-                else:
-                    cells += [stats["median"], stats["min"], stats["max"]]
-            writer.writerow(cells)
+        for variant, runs, cells in rows:
+            line = [variant, runs]
+            for stats in cells:
+                line += (["", "", ""] if stats is None
+                         else [stats["median"], stats["min"], stats["max"]])
+            writer.writerow(line)
 
 
 def cmd_routing_report(args) -> int:
@@ -432,15 +408,12 @@ def main(argv=None) -> int:
     try:
         empty = [name for name in _NAMED_FLAGS if getattr(args, name, None) == ""]
         if empty:  # not a silent fall-back to the default
-            raise _UsageError(f"--{empty[0]} is empty; give a value or leave the flag out")
+            raise ValueError(f"--{empty[0]} is empty; give a value or leave the flag out")
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except FloatingPointError as err:  # before ValueError: LogDomainError is both
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

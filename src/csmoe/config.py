@@ -145,6 +145,8 @@ class ExperimentConfig:
         for name in ("world_seed", "data_seed", "train_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if not self.out_dir:  # "" would put every output in the working directory
+            raise ValueError("out_dir must name a directory, got ''")
 
     @property
     def total_experts(self) -> int:

@@ -1,4 +1,4 @@
-"""On-disk formats: world/report JSON, dataset splits and metrics JSON-lines.
+"""On-disk formats: world/report/config JSON, dataset splits and metrics JSON-lines.
 
 ``world.json`` is the ``World`` dataclass's own fields, its languages' too,
 with arrays as nested lists; reports are the records ``analysis`` returns.
@@ -39,6 +39,7 @@ __all__ = [
     "load_dataset",
     "append_metrics",
     "write_json",
+    "read_json_object",
 ]
 
 
@@ -47,6 +48,19 @@ def write_json(path, payload) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``; ``what`` names the file in the ``ValueError`` refusing it."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise ValueError(f"{what} {path} cannot be read: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object, not a {type(data).__name__}")
+    return data
 
 
 def _dump_line(record: Mapping) -> str:

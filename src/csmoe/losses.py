@@ -27,12 +27,13 @@ probabilities: assignment counts are treated as constants (gradients flow
 only through the probability factors).
 
 Each routing loss records one tape node whose parents are the layers'
-``probs``. Its forward evaluates the numpy expressions of the op-by-op
-chain (mul, sub, log, tsum, matmul, div, add; the tests keep it as their
-oracle) in the same order, and its hand-written backward repeats that
-chain's backward arithmetic, so values and gradients are bit-identical to
-it. The backward closures hold numpy arrays only, never a tensor or the
-trace.
+``probs`` through one recorder, ``_routing_node``, which also applies the
+``normalize`` division to the value and to the upstream gradient. Its
+forward evaluates the numpy expressions of the op-by-op chain (mul, sub,
+log, tsum, matmul, div, add; the tests keep it as their oracle) in the same
+order, and its hand-written backward repeats that chain's backward
+arithmetic, so values and gradients are bit-identical to it. The backward
+closures hold numpy arrays and floats only, never a tensor or the trace.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ def _lang_backward(g: np.ndarray, ones_minus: list, out_mask: np.ndarray) -> tup
     return tuple(-(gs / x) * out_mask for x in ones_minus)
 
 
+def _routing_node(trace: RoutingTrace, total: float, backward, scale) -> Tensor:
+    """The node of a routing loss whose value is ``total`` and whose backward is
+    ``backward(g)``, both divided by ``scale`` unless it is None (not normalized)."""
+    return _record(Tensor(total if scale is None else total / scale),
+                   tuple(layer.probs for layer in trace.layers),
+                   lambda g: backward(g if scale is None else g / scale))
+
+
 def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
     """Penalty on routing mass assigned outside each token's language group.
 
@@ -81,7 +90,6 @@ def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> T
     labels = trace.concrete_labels()
     # out_mask[t, i] = 1.0 when expert i is outside token t's language group
     out_mask = (trace.group_of[None, :] != labels[:, None]).astype(float)
-    num_tokens = float(trace.num_tokens)
     ones_minus = []
     total = None
     for layer in trace.layers:
@@ -94,15 +102,8 @@ def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> T
         term = np.log(x).sum() * -1.0
         total = term if total is None else total + term
     assert total is not None
-    if normalize:
-        total = total / num_tokens
-
-    def bw(g):
-        if normalize:
-            g = g / num_tokens
-        return _lang_backward(g, ones_minus, out_mask)
-
-    return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
+    return _routing_node(trace, total, lambda g: _lang_backward(g, ones_minus, out_mask),
+                         float(trace.num_tokens) if normalize else None)
 
 
 def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
@@ -121,7 +122,6 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
     group_of, m = trace.group_of, trace.num_groups
     labels = trace.concrete_labels()
     num_experts = group_of.size
-    scale = float(m * trace.num_layers)
     cells = []  # per layer: [(sel_row, f_row, gmask_row, numer, denom)] in j order
     total = None
     for layer in trace.layers:
@@ -150,12 +150,8 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
         cells.append(layer_cells)
     if total is None:
         raise ValueError("no token carries in-group probability mass; balance undefined")
-    if normalize:
-        total = total / scale
 
     def bw(g):
-        if normalize:
-            g = g / scale
         grads = []
         # each cell the div → tsum → mul → matmul chain, summed in the order
         # the tape visits them (descending j); a cell's rows are its own
@@ -175,7 +171,7 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
             grads.append(acc)
         return tuple(grads)
 
-    return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
+    return _routing_node(trace, total, bw, float(m * trace.num_layers) if normalize else None)
 
 
 def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
@@ -186,7 +182,6 @@ def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -
     (differentiable). Each layer contributes ``sum_i f'_i * P'_i``; layers are
     summed. Language labels and grouping play no role.
     """
-    num_layers = float(trace.num_layers)
     rows = []  # per layer: (ones_row, f_row)
     total = None
     for layer in trace.layers:
@@ -201,15 +196,9 @@ def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -
         total = term if total is None else total + term
         rows.append((ones_row, f_row))
     assert total is not None
-    if normalize:
-        total = total / num_layers
-
-    def bw(g):
-        if normalize:
-            g = g / num_layers
-        return tuple(ones_row.T @ (g * f_row) for ones_row, f_row in rows)
-
-    return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
+    return _routing_node(trace, total,
+                         lambda g: tuple(ones_row.T @ (g * f_row) for ones_row, f_row in rows),
+                         float(trace.num_layers) if normalize else None)
 
 
 @dataclass(frozen=True)

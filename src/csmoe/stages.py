@@ -517,18 +517,17 @@ def run_pipeline(
     *,
     stages=None,
     initial=None,
-    probe: Optional[Callable] = None,
-    checkpoint_cb: Optional[Callable] = None,
-    metrics_cb: Optional[Callable] = None,
+    after_stage: Optional[Callable] = None,
 ) -> PipelineResult:
     """Run the staged curriculum for the config's variant.
 
     ``stages`` selects a contiguous run of 1..4 (default all); starting past
     stage 1 requires ``initial``, the previous stage's TrainState. After each
-    stage, ``probe(state, stage)`` may contribute a metrics row,
-    ``checkpoint_cb(stage, state)`` may persist the state, and then
-    ``metrics_cb(rows)`` receives the stage's metric rows (its probe row
-    last). The result holds the last stage's state and every row of this run.
+    stage, ``after_stage(stage, state, rows)`` receives the state and a list
+    of the stage's step rows; rows it appends (a probe, say) join the run's
+    metrics after that stage's steps, and it may persist the state or stream
+    the rows. The result holds the last stage's state and every row of this
+    run, appended ones included.
 
     Variants: ``no-moe`` keeps one shared MLP throughout — ``run_stage1`` and
     ``run_stage2`` never build the mixture and spend the same batch budget
@@ -552,15 +551,9 @@ def run_pipeline(
         else:
             state = run_stage4(state, bundle.st_train, bundle.cs_train, config)
         rows = state.metrics[done:]
-        if probe is not None:
-            probe_row = probe(state, stage)
-            if probe_row:
-                rows.append({"stage": stage, "probe": dict(probe_row)})
+        if after_stage is not None:
+            after_stage(stage, state, rows)
         metrics.extend(rows)
-        if checkpoint_cb is not None:
-            checkpoint_cb(stage, state)
-        if metrics_cb is not None:
-            metrics_cb(rows)
     return PipelineResult(state=state, metrics=metrics)
 
 

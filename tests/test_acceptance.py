@@ -96,15 +96,14 @@ def ablation_runs():
             cfg = replace(base, variant=variant)
             t_run = time.perf_counter()
 
-            def probe(state, stage):
+            def probe(stage, state, rows):
                 nonlocal full_elapsed
                 if stage == 2:
                     probes[(variant, seed)] = routing_probe(state, probe_set)
                     if variant == "full":
                         full_elapsed += gen_elapsed + time.perf_counter() - t_run
-                return {}
 
-            result = run_pipeline(cfg, bundle, probe=probe)
+            result = run_pipeline(cfg, bundle, after_stage=probe)
             assert (variant, seed) in probes, "stage-2 probe did not run"
             cs_ce[(variant, seed)] = evaluate_dataset(result.state, bundle.cs_val)["ce"]
             if variant == "full" and seed == 0:

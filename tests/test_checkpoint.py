@@ -193,11 +193,11 @@ def test_every_stage_state_round_trips_in_its_layout(tmp_path, variant):
     _, bundle = generate_datasets(config)
     saved = {}
 
-    def checkpoint_cb(stage, state):
+    def after_stage(stage, state, rows):
         save_checkpoint(tmp_path / f"stage{stage}", config, state)
         saved[stage] = [(p.name, p.value.data.tobytes()) for p in state.parameters()]
 
-    run_pipeline(config, bundle, checkpoint_cb=checkpoint_cb)
+    run_pipeline(config, bundle, after_stage=after_stage)
     assert sorted(saved) == [1, 2, 3, 4]
     for stage, params in saved.items():
         loaded = load_checkpoint(tmp_path / f"stage{stage}", config)

@@ -407,9 +407,15 @@ def stage2_dir(tmp_path_factory):
     # one layer's expert files have the same shape, so this one used to load silently
     lambda m: _entry_file(m, 0, m["params"][1]["file"]),
     lambda m: _entry_file(m, 0, "../stage1/params/lang0.mlp.layer0.bin"),
+    # a config is read only when the hashes differ, so these change the hash too
+    lambda m: {**m, "config": 5, "config_hash": "0"},
+    lambda m: {**m, "config": None, "config_hash": "0"},
+    lambda m: {**m, "config": {"variant": "bogus"}, "config_hash": "0"},
+    None,  # manifest.json is a directory
 ], ids=["no-stage", "stage-list", "stage-7", "stage-bool", "stage-1-layout", "list",
         "params-not-list", "shape-not-list", "shape-not-int", "other-param-file",
-        "file-outside-params"])
+        "file-outside-params", "config-number", "config-null", "config-bad-variant",
+        "directory"])
 @pytest.mark.parametrize("command", ["eval", "train-resume"])
 def test_damaged_checkpoint_manifest_exits_2_naming_it(
         tmp_path, cfg_path, stage2_dir, damage, command, capsys):
@@ -417,7 +423,11 @@ def test_damaged_checkpoint_manifest_exits_2_naming_it(
     shutil.copytree(stage2_dir, run)
     checkpoint = run / "checkpoints" / "stage2"
     manifest = checkpoint / "manifest.json"
-    manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
+    if damage is None:
+        manifest.unlink()
+        manifest.mkdir()
+    else:
+        manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
     if command == "eval":
         argv = ["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
                 "--out", str(tmp_path / "eval")]
@@ -469,6 +479,21 @@ def test_grad_check_refuses_negative_seed_by_flag(monkeypatch, capsys):
     assert main(["grad-check", "--seed", "-1", "--instances", "1"]) == 2
     assert "--seed -1" in capsys.readouterr().err
     assert drawn == []
+
+
+@pytest.mark.parametrize("command", ["gen-data", "grad-check"])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, cfg_path, monkeypatch, capsys,
+                                                   command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    drawn = []
+    monkeypatch.setattr(csmoe.gradcheck, "_make_instance", lambda *args: drawn.append(args))
+    argv = (["gen-data", "--config", cfg_path] if command == "gen-data"
+            else ["grad-check", "--instances", "1"])
+    assert main([*argv, "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+    assert drawn == []  # grad-check refused --out before its sweep
 
 
 def test_ablate_two_variants(tmp_path, cfg_path, capsys):
@@ -615,6 +640,8 @@ def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
     ("lang_weight", float("inf")), ("stage1.learning_rate", float("inf")),
     # finite but past the field's upper bound: gen-data used to exit 0, then train 3
     *((field, 1e300) for field in sorted(UPPER_BOUNDS)),
+    # gen-data used to write every output into the working directory
+    ("out_dir", ""),
 ])
 def test_bad_config_value_is_rejected_before_training(tmp_path, capsys, field, value):
     stage, _, name = field.rpartition(".")

@@ -8,15 +8,18 @@ improves) on a deliberately tiny world.
 
 import copy
 import gc
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import csmoe.cli
 from csmoe import stages
 from csmoe.autodiff import Tape, Tensor, _Node, cross_entropy, mul
-from csmoe.config import ExperimentConfig, StageSettings
+from csmoe.cli import main
+from csmoe.config import ExperimentConfig, StageSettings, config_to_dict
 from csmoe.projector import MlpProjector, MoeProjector, moe_forward
 from csmoe.stages import (
     DatasetBundle,
@@ -327,17 +330,47 @@ def test_sampled_mode_rows_name_the_task_of_their_batch(setup):
         assert rows[-1]["task"] == target  # λ = 1 always draws the target
 
 
-def test_pipeline_callbacks(setup):
+def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     config, world, bundle = setup
-    probed, saved = [], []
-    run_pipeline(
-        config,
-        bundle=bundle,
-        probe=lambda state, stage: probed.append(stage) or {"probe_ok": 1.0},
-        checkpoint_cb=lambda stage, state: saved.append(stage),
-    )
-    assert probed == [1, 2, 3, 4]
-    assert saved == [1, 2, 3, 4]
+    seen = []
+
+    def after_stage(stage, state, rows):
+        seen.append((stage, list(rows)))
+        rows.append({"stage": stage, "appended": True})
+
+    result = run_pipeline(config, bundle, after_stage=after_stage)
+    assert [stage for stage, _ in seen] == [1, 2, 3, 4]
+    expected = []
+    for stage, rows in seen:  # exactly the stage's step rows, then what the hook appended
+        assert rows and all(r["stage"] == stage and "step" in r for r in rows)
+        assert rows == [r for r in result.state.metrics if r["stage"] == stage]
+        expected += rows + [{"stage": stage, "appended": True}]
+    assert result.metrics == expected
+
+    # under train, a stage's checkpoint is written before its rows are
+    # streamed, so a stage-3 failure keeps the rows and checkpoints of 1-2
+    short = tiny_config(stage1=budget(2), stage2=budget(2), stage3=budget(2), stage4=budget(2))
+    cfg_path, out = tmp_path / "config.json", tmp_path / "run"
+    cfg_path.write_text(json.dumps(config_to_dict(short)))
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+    streamed, real_append = [], csmoe.cli.append_metrics
+
+    def append_metrics(path, rows):
+        stage = rows[0]["stage"]
+        manifest = out / "checkpoints" / f"stage{stage}" / "manifest.json"
+        streamed.append((stage, [r["stage"] for r in rows], manifest.exists()))
+        real_append(path, rows)
+
+    monkeypatch.setattr(csmoe.cli, "append_metrics", append_metrics)
+    real_transition = stages.transition_loss
+    monkeypatch.setattr(stages, "transition_loss", lambda *a: mul(real_transition(*a), np.inf))
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert [(stage, set(row_stages), saved) for stage, row_stages, saved in streamed] == [
+        (1, {1}, True), (2, {2}, True)]
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["stage1", "stage2"]
+    lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert [r["stage"] for r in lines] == [s for _, row_stages, _ in streamed for s in row_stages]
+    assert "probe" in lines[-1]
 
 
 @pytest.mark.parametrize("variant,mode,expected", [
@@ -395,7 +428,7 @@ def test_infinite_loss_raises_naming_stage_step_and_component(
     earlier = []
     if stage > 1:
         run_pipeline(config, bundle, stages=range(1, stage),
-                     checkpoint_cb=lambda s, model: earlier.append(model))
+                     after_stage=lambda s, model, rows: earlier.append(model))
     real = getattr(stages, patched)
     monkeypatch.setattr(stages, patched, lambda *args: mul(real(*args), np.inf))
     with pytest.raises(stages.NonFiniteLossError) as caught:
