@@ -5,7 +5,8 @@ reach their own language's experts, how evenly load spreads inside each
 group, how separated the language clusters are, and how ablation variants
 compare. Every statistic is deterministic in its inputs. The routing
 statistics read the expert groups and token labels off the trace, through
-the same ``RoutingTrace`` helpers the routing losses use.
+the same ``RoutingTrace`` helpers the routing losses use; the global
+expert counts are the in-group winner count of the one-group view.
 
 Each function returns the record that the commands write, in plain Python
 values, so the layout of every report is written here and nowhere else.
@@ -84,7 +85,7 @@ def expert_load(trace: RoutingTrace) -> dict:
     quietest expert's in-group argmax count over that language's tokens; a
     dead expert yields ``inf``, and a language with no labeled tokens NaN.
     """
-    m, num_experts = trace.num_groups, trace.group_of.size
+    m = trace.num_groups
     if trace.num_tokens == 0 or trace.num_layers == 0:
         raise ValueError("expert_load requires a non-empty trace")
     labels = (
@@ -93,9 +94,9 @@ def expert_load(trace: RoutingTrace) -> dict:
         else np.asarray(trace.token_language, dtype=np.intp)
     )
 
-    counts = np.zeros(num_experts)
-    for layer in trace.layers:
-        counts += np.bincount(layer.probs.data.argmax(axis=1), minlength=num_experts)
+    one = trace.one_group()
+    counts = sum(one.in_group_wins(layer.probs.data, one.token_language)[0]
+                 for layer in one.layers)
     group_counts = sum(trace.in_group_wins(layer.probs.data, labels) for layer in trace.layers)
 
     shares = counts / (counts.sum() if counts.sum() > 0 else 1.0)

@@ -376,11 +376,11 @@ class Adam:
     per-element operations a loop over the parameters would apply.
     """
 
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the usual moment decays and ε
+
+    def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         seen = set()
         for p in self.params:

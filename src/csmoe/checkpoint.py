@@ -23,14 +23,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from pathlib import Path
 
-from .config import (
-    COSMETIC_FIELDS,
-    ExperimentConfig,
-    config_diff,
-    config_from_dict,
-    config_hash,
-    config_to_dict,
-)
+from .config import ExperimentConfig, config_diff, config_from_dict, config_hash, numeric_fields
 from .dataio import float64_array, float64_bytes, read_json_object, write_json
 from .stages import TrainState, blank_state
 
@@ -51,12 +44,9 @@ def save_checkpoint(directory, config: ExperimentConfig, state: TrainState) -> P
     params = state.parameters()
     # cosmetic fields (output paths) are dropped so that runs differing only
     # in where they write produce byte-identical checkpoint directories
-    saved_config = {
-        k: v for k, v in config_to_dict(config).items() if k not in COSMETIC_FIELDS
-    }
     manifest = {
         "stage": state.stage,
-        "config": saved_config,
+        "config": numeric_fields(config),
         "config_hash": config_hash(config),
         "params": _param_entries(params),
     }

@@ -45,6 +45,7 @@ from .config import (
 )
 from .dataio import (
     append_metrics,
+    drop_metrics_from,
     load_dataset,
     read_json_object,
     save_dataset,
@@ -182,7 +183,9 @@ def cmd_train(args) -> int:
                      "val_cs_ce": evaluate_dataset(state, bundle.cs_val)["ce"]}
             rows.append({"stage": stage, "probe": probe})
         save_checkpoint(out / "checkpoints" / f"stage{stage}", config, state)
-        # streamed after the checkpoint, so a run that fails late keeps both
+        # streamed after the checkpoint, so a run that fails late keeps both;
+        # they replace the rows of this stage and later an earlier run left
+        drop_metrics_from(out / "metrics.jsonl", stage)
         append_metrics(out / "metrics.jsonl", rows)
 
     run_pipeline(config, bundle, stages=stages, initial=initial, after_stage=after_stage)

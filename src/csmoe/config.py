@@ -20,6 +20,7 @@ __all__ = [
     "ExperimentConfig",
     "config_to_dict",
     "config_from_dict",
+    "numeric_fields",
     "config_hash",
     "config_diff",
 ]
@@ -194,22 +195,22 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     return _from_mapping(ExperimentConfig, data)
 
 
+def numeric_fields(config: ExperimentConfig) -> dict:
+    """``config_to_dict`` without the cosmetic fields: what the hash, diff and checkpoints see."""
+    return {k: v for k, v in config_to_dict(config).items() if k not in COSMETIC_FIELDS}
+
+
 def config_hash(config: ExperimentConfig) -> str:
     """Hex digest over every numerics-affecting field, in canonical order."""
-    payload = config_to_dict(config)
-    for name in COSMETIC_FIELDS:
-        payload.pop(name, None)
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(numeric_fields(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list[str]:
     """Human-readable list of non-cosmetic fields on which two configs differ."""
-    da, db = config_to_dict(a), config_to_dict(b)
+    da, db = numeric_fields(a), numeric_fields(b)
     lines = []
     for name in sorted(da):
-        if name in COSMETIC_FIELDS:
-            continue
         if da[name] != db[name]:
             lines.append(f"{name}: {da[name]!r} != {db[name]!r}")
     return lines

@@ -38,6 +38,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "append_metrics",
+    "drop_metrics_from",
     "write_json",
     "read_json_object",
 ]
@@ -53,9 +54,11 @@ def write_json(path, payload) -> None:
 def read_json_object(path, what: str) -> dict:
     """The JSON object in ``path``; ``what`` names the file in the ``ValueError`` refusing it."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise ValueError(f"{what} {path} cannot be read: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{what} {path} is not UTF-8 text") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
@@ -173,3 +176,16 @@ def append_metrics(path, rows: Iterable[Mapping]) -> None:
     with open(path, "a") as fh:
         for row in rows:
             fh.write(_dump_line(row) + "\n")
+
+
+def drop_metrics_from(path, stage: int) -> None:
+    """Remove a metrics file's rows of stage ``stage`` and later, if the file exists."""
+    path = Path(path)
+    if not path.exists():
+        return
+    try:
+        kept = [line for line in path.read_text().splitlines(keepends=True)
+                if json.loads(line)["stage"] < stage]
+    except (ValueError, TypeError, KeyError):
+        raise ValueError(f"metrics file {path} holds a line that is not a metrics row") from None
+    path.write_text("".join(kept))

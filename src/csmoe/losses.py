@@ -8,14 +8,15 @@ objective carries the model across task transitions:
 * ``intra_group_balance_loss`` spreads load evenly *within* each language's
   expert group, one term per (layer, language) cell.
 * ``conventional_balance_loss`` is the classic differentiable load-balancing
-  penalty over all experts jointly, kept as an ablation baseline.
+  penalty over all experts jointly, kept as an ablation baseline: the
+  intra-group loss over the trace's one-group view.
 * ``transition_loss`` linearly anneals between a source-task and a
   target-task loss over the course of a stage.
 
 The two group-aware losses read the expert groups and the per-token labels
 off the trace: ``RoutingTrace.group_of`` is the projector's layout, and
-``concrete_labels`` and ``in_group_wins`` are the definitions that
-``analysis`` shares.
+``concrete_labels`` and ``in_group_wins`` (all groups in one pass) are the
+definitions that ``analysis`` shares.
 
 ``compose_stage_loss`` adds the routing terms a stage uses (which ones is
 ``stages.routing_terms``'s rule) to its core loss; training and the
@@ -121,27 +122,27 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
     """
     group_of, m = trace.group_of, trace.num_groups
     labels = trace.concrete_labels()
-    num_experts = group_of.size
+    # per language: its tokens as a [1 × T] row and its experts as a [1 × N] row
+    langs = [((labels == j).astype(float)[None, :], (group_of == j).astype(float)[None, :])
+             for j in range(m)]
     cells = []  # per layer: [(sel_row, f_row, gmask_row, numer, denom)] in j order
     total = None
     for layer in trace.layers:
         probs = layer.probs.data
         wins = trace.in_group_wins(probs, labels)
+        counts = wins.sum(axis=1)
         layer_cells = []
-        for j in range(m):
-            if wins[j].sum() == 0:
+        for j, (sel_row, gmask_row) in enumerate(langs):
+            if counts[j] == 0:
                 continue
-            gmask = group_of == j
-            # f: constant assignment fractions from in-group argmax
-            f = wins[j] / wins[j].sum()
+            # f: constant assignment fractions from in-group argmax, laid out
+            # [m × n] as the experts are
+            f_row = np.zeros_like(wins)
+            f_row[j] = wins[j] / counts[j]
+            f_row = f_row.reshape(1, -1)
             # P: language-mean probabilities renormalized over the group,
             # from column sums so gradients reach the denominator too
-            sel_row = (labels == j).astype(float)[None, :]  # [1 × T]
             colsums = sel_row @ probs  # [1 × N]
-            f_row = np.zeros(num_experts)
-            f_row[gmask] = f
-            f_row = f_row[None, :]
-            gmask_row = gmask.astype(float)[None, :]
             numer = (colsums * f_row).sum()
             denom = (colsums * gmask_row).sum()
             term = numer / denom
@@ -164,10 +165,7 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
                 g_cols = g_denom * gmask_row
                 g_cols += g_numer * f_row
                 cell = sel_row.T @ g_cols
-                if acc is None:
-                    acc = cell
-                else:
-                    acc += cell
+                acc = cell if acc is None else acc + cell
             grads.append(acc)
         return tuple(grads)
 
@@ -177,28 +175,12 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
 def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
     """Classic load-balance penalty over all experts jointly, per layer.
 
-    f'_i is the fraction of tokens whose global argmax falls on expert i
-    (constant); P'_i is the token-mean probability of expert i
-    (differentiable). Each layer contributes ``sum_i f'_i * P'_i``; layers are
-    summed. Language labels and grouping play no role.
+    The intra-group loss over ``trace.one_group()``: each layer contributes
+    ``sum_i f'_i * P'_i`` with f'_i the share of tokens whose argmax is
+    expert i and P'_i its token-mean probability; labels play no role, and
+    with one group the ``normalize`` divisor m·L is L.
     """
-    rows = []  # per layer: (ones_row, f_row)
-    total = None
-    for layer in trace.layers:
-        pdata = layer.probs.data
-        num_tokens, num_experts = pdata.shape
-        winners = pdata.argmax(axis=1)
-        counts = np.bincount(winners, minlength=num_experts).astype(float)
-        f_row = (counts / num_tokens)[None, :]
-        ones_row = np.full((1, num_tokens), 1.0 / num_tokens)
-        colmeans = ones_row @ pdata  # [1 × N]
-        term = (colmeans * f_row).sum()
-        total = term if total is None else total + term
-        rows.append((ones_row, f_row))
-    assert total is not None
-    return _routing_node(trace, total,
-                         lambda g: tuple(ones_row.T @ (g * f_row) for ones_row, f_row in rows),
-                         float(trace.num_layers) if normalize else None)
+    return intra_group_balance_loss(trace.one_group(), normalize=normalize)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ through every expert and combines the N products in one ``mix`` node
 weighted by the sparse probabilities. Each layer's record keeps its router
 logits, selection and probabilities. The forward's ``RoutingTrace`` carries
 the projector's expert groups (``group_of``) with the routing records, and
-owns the label check and the in-group winner count that the group-aware
-losses and routing statistics share.
+owns what the group-aware losses and statistics share: the label check, the
+own-group slice, the one-pass in-group winner count and the one-group view.
 The tests hold a single-token reference path (``tests/oracles.py``) that
 routes and mixes one token at a time; the batched forward agrees with it.
 """
@@ -212,23 +212,28 @@ class RoutingTrace:
             raise ValueError(f"token language labels out of range for {self.num_groups} groups")
         return labels
 
+    def one_group(self) -> "RoutingTrace":
+        """The same layer records with every expert in group 0 and every token labeled 0."""
+        return RoutingTrace(self.layers, 0 * self.group_of, np.zeros(self.num_tokens, np.intp))
+
+    def own_group_probs(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """[T × n] each token's probabilities over its group's experts; zeros if it has none."""
+        m = self.num_groups
+        own, rows = np.zeros((len(labels), self.group_of.size // m)), (labels >= 0) & (labels < m)
+        own[rows] = probs.reshape(len(labels), m, -1)[rows, labels[rows]]  # [T × m × n] layout
+        return own
+
     def in_group_wins(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """[m × n] in-group argmax winners of one layer's probabilities.
+        """[m × n] in-group argmax winners of one layer's probabilities, in one pass.
 
         Row j counts, over language j's tokens, which of group j's experts holds
-        the largest probability (ties to the lowest expert index, matching the
-        routing tie-break); tokens with no mass inside their group, and tokens
-        labeled with no group, are skipped.
+        the largest probability (ties to the lowest index, as routing breaks
+        them); tokens without mass in their group, or with no group, are skipped.
         """
-        m = self.num_groups
-        n = self.group_of.size // m
-        wins = np.zeros((m, n))
-        for j in range(m):
-            in_group = probs[labels == j][:, self.group_of == j]  # [T_j × n]
-            has_mass = in_group.sum(axis=1) > 0.0
-            if has_mass.any():
-                wins[j] = np.bincount(in_group[has_mass].argmax(axis=1), minlength=n)
-        return wins
+        own = self.own_group_probs(probs, labels)
+        m, n = self.num_groups, own.shape[1]
+        cells = (labels * n + own.argmax(axis=1))[own.sum(axis=1) > 0.0]
+        return np.bincount(cells, minlength=m * n).reshape(m, n).astype(float)
 
 
 def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:

@@ -123,13 +123,14 @@ def _tiny_moe(m=2, n=3, k=3, d_in=4, d_model=4, L=2, seed=0):
 
 def test_criterion_1_gradients_match_finite_differences(report):
     t0 = time.perf_counter()
-    result = grad_check_report(seed=0, instances=20, eps=1e-5, tol=1e-4)
+    result = grad_check_report(seed=0, instances=20)
     elapsed = time.perf_counter() - t0
     worst = max(entry["max_rel_err"] for entry in result["losses"].values())
     ok = (
         result["pass"]
         and set(result["losses"]) == set(GRAD_LOSSES)
         and result["instances"] == 20
+        and (result["eps"], result["tol"]) == (1e-5, 1e-4)
         and elapsed < 60.0
     )
     report(

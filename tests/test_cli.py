@@ -164,6 +164,25 @@ def test_train_split_and_resume_matches_full_run(tmp_path, cfg_path, after, vari
     assert fa == fb
 
 
+def test_train_again_replaces_the_rows_of_the_stages_it_runs(tmp_path, cfg_path):
+    # a fresh run empties metrics.jsonl, a resume at stage s drops the rows of
+    # stages >= s, so training twice or resuming twice leaves one run's rows
+    once, again, resumed = tmp_path / "once", tmp_path / "again", tmp_path / "resumed"
+    for out in (once, again, resumed):
+        main(["gen-data", "--config", cfg_path, "--out", str(out)])
+    train = ["train", "--config", cfg_path, "--out"]
+    assert main([*train, str(once)]) == 0
+    for _ in range(2):
+        assert main([*train, str(again)]) == 0
+    assert main([*train, str(resumed), "--stages", "1-2"]) == 0
+    for _ in range(2):
+        assert main([*train, str(resumed), "--resume",
+                     str(resumed / "checkpoints" / "stage2")]) == 0
+    expected = (once / "metrics.jsonl").read_bytes()
+    assert (again / "metrics.jsonl").read_bytes() == expected
+    assert (resumed / "metrics.jsonl").read_bytes() == expected
+
+
 def test_train_resume_refuses_other_config(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
@@ -440,6 +459,28 @@ def test_damaged_checkpoint_manifest_exits_2_naming_it(
     assert _tree_bytes(run) == before
 
 
+@pytest.mark.parametrize("damaged", ["config-file", "manifest", "data-config"])
+def test_json_input_that_is_not_utf8_exits_2_naming_it(
+        tmp_path, cfg_path, stage2_dir, damaged, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(stage2_dir, run)
+    checkpoint = run / "checkpoints" / "stage2"
+    if damaged == "config-file":
+        path = tmp_path / "bad.json"
+        argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]
+    elif damaged == "manifest":
+        path = checkpoint / "manifest.json"
+        argv = ["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
+                "--out", str(tmp_path / "eval")]
+    else:
+        path = run / "config.json"
+        argv = ["train", "--config", cfg_path, "--out", str(run), "--resume", str(checkpoint)]
+    path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark before "{}"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_eval_rejects_stage1_checkpoint(tmp_path, cfg_path, trained_dir, capsys):
     rc = main(["eval", "--config", cfg_path,
                "--checkpoint", str(trained_dir / "checkpoints" / "stage1"),
@@ -546,6 +587,22 @@ def test_routing_report_command(tmp_path, cfg_path, trained_dir):
     assert len(report["routing"]["top1_in_group"]) == 2
     assert -1.0 <= report["projected"]["silhouette"] <= 1.0
     assert -1.0 <= report["input"]["silhouette"] <= 1.0
+
+
+def test_routing_report_on_a_no_moe_checkpoint_has_no_routing(tmp_path, capsys):
+    cfg = tmp_path / "no-moe.json"
+    cfg.write_text(json.dumps({**TINY, "variant": "no-moe"}))
+    run, out = tmp_path / "run", tmp_path / "rr"
+    main(["gen-data", "--config", str(cfg), "--out", str(run)])
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--stages", "1,2"]) == 0
+    capsys.readouterr()
+    assert main(["routing-report", "--config", str(cfg),
+                 "--checkpoint", str(run / "checkpoints" / "stage2"), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["routing"] is None
+    assert '"routing": null' in (out / "report.json").read_text()
+    stdout = capsys.readouterr().out
+    assert "silhouette" in stdout and "in-group routing" not in stdout
 
 
 def test_routing_report_runs_one_forward_over_the_scored_splits(

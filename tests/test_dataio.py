@@ -6,11 +6,14 @@ survive bit for bit), byte-identical rewrites, and structural fidelity of
 segments and labels.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from csmoe.dataio import (
     append_metrics,
+    drop_metrics_from,
     load_dataset,
     save_dataset,
     save_world,
@@ -100,6 +103,22 @@ def test_metrics_append_and_read(tmp_path):
         {"stage": 1, "step": 2, "ce": 3.0},
         {"stage": 2, "probe": {"x": 1.5}},
     ]
+
+
+def test_drop_metrics_keeps_the_earlier_stages_lines_as_they_are(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    drop_metrics_from(path, 1)  # no file yet: nothing to drop, nothing written
+    assert not path.exists()
+    append_metrics(path, [{"stage": 1, "step": 1, "ce": 0.1}, {"stage": 2, "step": 1},
+                          {"stage": 2, "probe": {"x": 1.5}}, {"stage": 3, "step": 1}])
+    lines = path.read_text().splitlines(keepends=True)
+    drop_metrics_from(path, 2)
+    assert path.read_text() == lines[0]
+    drop_metrics_from(path, 1)
+    assert path.read_text() == ""
+    path.write_text(lines[0] + "not json\n")
+    with pytest.raises(ValueError, match=re.escape(f"metrics file {path} holds a line")):
+        drop_metrics_from(path, 2)
 
 
 def test_write_json_stable_and_readable(tmp_path):

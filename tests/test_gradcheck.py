@@ -93,10 +93,6 @@ def test_corrupted_conventional_backward_is_caught(monkeypatch):
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         grad_check_report(instances=0)
-    with pytest.raises(ValueError):
-        grad_check_report(eps=0.0)
-    with pytest.raises(ValueError):
-        grad_check_report(tol=0.0)
 
 
 # ------------------------------------------------- per-loss sweep (oracle)

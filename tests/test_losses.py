@@ -231,7 +231,34 @@ def test_conventional_equals_intra_for_single_group():
         rows = raw / raw.sum(axis=1, keepdims=True)
         conv = conventional_balance_loss(make_trace([rows])).item()
         intra = intra_group_balance_loss(make_trace([rows], labels=[0] * 6)).item()
-        assert abs(conv - intra) < 1e-12
+        assert conv == intra
+
+
+@pytest.mark.parametrize("labels", ["languages", "code-switched", "none"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_conventional_is_intra_over_the_one_group_view(labels, normalize):
+    # value and every router gradient bit-equal; the trace's own groups and
+    # labels (concrete, partly unlabeled or absent) play no role
+    moe, _, batches = fused_setup(1, 3, absent=False)
+    feats, langs, _ = batches[0]
+    langs = {"languages": langs, "none": None,
+             "code-switched": np.where(np.arange(12) % 3 == 0, CS_UNLABELED, langs)}[labels]
+    routers = [layer.router_weights for layer in moe.layers]
+    results = []
+    for loss_fn in (conventional_balance_loss,
+                    lambda tr, **kw: intra_group_balance_loss(tr.one_group(), **kw)):
+        for p in moe.parameters():
+            p.zero_grad()
+        with Tape():
+            _, trace = moe_forward(moe, Tensor(feats), langs)
+            loss = loss_fn(trace, normalize=normalize)
+            backward(loss)
+        results.append((loss.item(), [p.grad.copy() for p in routers]))
+    (conv, conv_grads), (intra, intra_grads) = results
+    assert conv == intra
+    for p, a, b in zip(routers, conv_grads, intra_grads):
+        assert np.array_equal(a, b), p.name
+        assert np.abs(a).max() > 0.0, p.name
 
 
 # ----------------------------------------------------------- transition_loss
@@ -382,7 +409,9 @@ def test_balance_losses_gradient_through_router(seed):
 # ------------------------------------- fused routing losses vs the tape chain
 # Each routing loss is one tape node with a hand-written backward. The
 # op-by-op tape chains below are what those nodes replace; the fused ops must
-# reproduce their values and every parameter gradient bit for bit.
+# reproduce their values and every parameter gradient bit for bit. The
+# conventional term is checked against the intra-group chain on the
+# one-group view of the trace.
 
 
 def chain_language_specific_loss(trace, *, normalize=False):
@@ -420,20 +449,6 @@ def chain_intra_group_balance_loss(trace, *, normalize=False):
         raise ValueError("no token carries in-group probability mass; balance undefined")
     if normalize:
         total = div(total, float(m * trace.num_layers))
-    return total
-
-
-def chain_conventional_balance_loss(trace, *, normalize=False):
-    total = None
-    for layer in trace.layers:
-        num_tokens, num_experts = layer.probs.shape
-        counts = np.bincount(layer.probs.data.argmax(axis=1), minlength=num_experts)
-        f = counts.astype(float) / num_tokens
-        ones_row = Tensor(np.full((1, num_tokens), 1.0 / num_tokens))
-        term = tsum(mul(matmul(ones_row, layer.probs), Tensor(f[None, :])))
-        total = term if total is None else add(total, term)
-    if normalize:
-        total = div(total, float(trace.num_layers))
     return total
 
 
@@ -508,7 +523,9 @@ def test_routing_terms_follow_stage_and_variant(variant, stage):
 def use_chain_losses(monkeypatch):
     monkeypatch.setattr(stages, "language_specific_loss", chain_language_specific_loss)
     monkeypatch.setattr(stages, "intra_group_balance_loss", chain_intra_group_balance_loss)
-    monkeypatch.setattr(stages, "conventional_balance_loss", chain_conventional_balance_loss)
+    monkeypatch.setattr(stages, "conventional_balance_loss",
+                        lambda trace, *, normalize=False:
+                        chain_intra_group_balance_loss(trace.one_group(), normalize=normalize))
 
 
 # seed, languages, one language absent from the first batch; with three

@@ -2,33 +2,41 @@
 
 ``csmoe grad-check`` audits stage objectives that it assembles from the
 shared pieces on its own tiny MoE. This test audits the step itself:
-``run_stage3`` or ``run_stage4`` runs from a deep copy of the previous
-stage's state, under every variant, transition mode and ``normalize_aux``,
-so the stage's batch draw, its score closure, the split of the mixed batch,
-the routing terms with their normalization and the optimizer's parameter
-arena are all inside the audit.
+``run_stage2``, ``run_stage3`` or ``run_stage4`` runs from a deep copy of
+the previous stage's state, under every variant and ``normalize_aux`` (and
+for the transition stages every transition mode), so the stage's batch
+draw, its score closure, the split of the mixed batch, the routing terms
+with their normalization and the optimizer's parameter arena are all inside
+the audit.
 
 Oracles: the analytic gradient is Adam's grad arena at the stage's first
-``step``, which lists ``TrainState.parameters()`` in order; the loss is the
-first step row's ``total``, recomputed by running the stage from perturbed
-parameters. Along three seeded random unit directions, central differences
-at two step sizes must agree with each other, or the direction crosses a
-ReLU kink or a top-k flip and is refused (deterministically: the refusal
-reads only loss values); an accepted direction must match the analytic
-directional derivative within grad-check's 1e-4 relative tolerance. In mixed
-mode the row's ``ce_source`` and ``ce_target`` must also equal
-``evaluate_dataset`` on the drawn source and target batches, which pins
-where the mixed batch is split.
+``step``, which lists the new state's ``TrainState.parameters()`` in order;
+the loss is the first step row's ``total``, recomputed by running the stage
+from perturbed parameters. Stage 2 builds its MoE from the stage-1 MLPs, so
+it perturbs those, and an MLP layer's analytic gradient is the sum of its
+expert copies' arena gradients. Along three seeded random unit directions,
+central differences at two step sizes must agree with each other, or the
+direction crosses a ReLU kink or a top-k flip and is refused
+(deterministically: the refusal reads only loss values); an accepted
+direction must match the analytic directional derivative within
+grad-check's 1e-4 relative tolerance. In mixed mode the row's ``ce_source``
+and ``ce_target`` must also equal ``evaluate_dataset`` on the drawn source
+and target batches, which pins where the mixed batch is split. Central
+differences cannot see a scale applied to a term's value and gradient
+alike, so from the same state and draws each normalized routing term must
+equal the unnormalized one divided by its scale.
 """
 
 import copy
+import re
 
 import numpy as np
 import pytest
 
 from csmoe import autodiff, stages
 from csmoe.config import TRANSITION_MODES, VARIANTS, ExperimentConfig, StageSettings
-from csmoe.stages import evaluate_dataset, generate_datasets, run_pipeline, run_stage3, run_stage4
+from csmoe.stages import (evaluate_dataset, generate_datasets, run_pipeline, run_stage2,
+                          run_stage3, run_stage4)
 
 TOL = 1e-4  # grad-check's tolerance
 STEP = 1e-5  # central-difference step; each direction is also probed at 2 * STEP
@@ -42,8 +50,10 @@ TINY = dict(num_languages=2, d_in=4, vocab_per_lang=4, utterance_length=4,
             train_utterances=6, val_utterances=2, d_model=6, num_layers=2,
             experts_per_group=2, top_k=3, prompt_len=1,
             stage1=_TWO, stage2=_TWO, stage3=_TWO, stage4=_TWO)
-CASES = [(stage, variant, mode, normalize) for stage in (3, 4) for variant in VARIANTS
-         for mode in TRANSITION_MODES for normalize in (False, True)]
+# stage 2 reads no transition mode
+CASES = [(stage, variant, mode, normalize) for stage in (2, 3, 4) for variant in VARIANTS
+         for mode in TRANSITION_MODES for normalize in (False, True)
+         if stage > 2 or mode == "mixed"]
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +93,40 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-5)  # grad-check's floor
 
 
+def _stage1_gradient(prev, after, arena: np.ndarray, config) -> np.ndarray:
+    """Stage 2's arena gradient on the stage-1 parameters, in ``prev``'s order.
+
+    A grouped variant's MLP layer gets the sum over its expert copies, the
+    shared MLP under ``no-moe`` its own, and the discarded stage-1 head none.
+    """
+    slices, start = {}, 0
+    for p in after.parameters():
+        slices[p.name] = arena[start:start + p.value.data.size]
+        start += p.value.data.size
+    projectors = prev.projector if isinstance(prev.projector, tuple) else (prev.projector,)
+    copied = {p.name for projector in projectors for p in projector.parameters()}
+    n = config.experts_per_group
+    grad = []
+    for p in prev.parameters():
+        if p.name not in copied:
+            grad.append(np.zeros(p.value.data.size))
+        elif config.variant == "no-moe":
+            grad.append(slices[p.name])
+        else:
+            g, l = map(int, re.fullmatch(r"lang(\d+)\.mlp\.layer(\d+)", p.name).groups())
+            grad.append(sum(slices[f"moe.layer{l}.expert{g * n + j}"] for j in range(n)))
+    return np.concatenate(grad)
+
+
+def _stage_run(bundle, stage):
+    """The stage's function, bound to the datasets the pipeline passes it."""
+    if stage == 2:
+        return lambda state, config: run_stage2(state, bundle.asr_train, config)
+    if stage == 3:
+        return lambda state, config: run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
+    return lambda state, config: run_stage4(state, bundle.st_train, bundle.cs_train, config)
+
+
 @pytest.mark.parametrize("stage, variant, mode, normalize", CASES,
                          ids=["-".join(map(str, case)) for case in CASES])
 def test_first_step_gradient_matches_central_differences(
@@ -90,9 +134,7 @@ def test_first_step_gradient_matches_central_differences(
     config = ExperimentConfig(**TINY, variant=variant, transition_mode=mode,
                               normalize_aux=normalize)
     prev = trained(config)[stage - 1]
-    datasets = ((bundle.asr_pooled, bundle.st_train) if stage == 3
-                else (bundle.st_train, bundle.cs_train))
-    run = run_stage3 if stage == 3 else run_stage4
+    run = _stage_run(bundle, stage)
 
     arenas, drawn = [], []
     real_step, real_sample = autodiff.Adam.step, stages._sample
@@ -109,18 +151,22 @@ def test_first_step_gradient_matches_central_differences(
     monkeypatch.setattr(autodiff.Adam, "step", step)
     monkeypatch.setattr(stages, "_sample", sample)
 
-    def first_row(theta):
-        """The stage's first step row, run from ``prev`` with its parameters set to ``theta``."""
+    def first_run(theta):
+        """The stage run from ``prev`` with its parameters set to ``theta``."""
         state = copy.deepcopy(prev)
         _assign(state, theta)
         arenas.clear()
         drawn.clear()
-        return run(state, *datasets, config).metrics[len(prev.metrics)]
+        return run(state, config)
+
+    def first_row(theta):
+        return first_run(theta).metrics[len(prev.metrics)]
 
     theta = _flat(prev)
-    row = first_row(theta)
-    grad = arenas[0]
-    if mode == "mixed":  # the first two draws are step 1's source and target batches
+    after = first_run(theta)
+    row = after.metrics[len(prev.metrics)]
+    grad = arenas[0] if stage > 2 else _stage1_gradient(prev, after, arenas[0], config)
+    if stage > 2 and mode == "mixed":  # the first two draws are step 1's source and target
         assert row["ce_source"] == pytest.approx(evaluate_dataset(prev, drawn[0])["ce"],
                                                  rel=1e-12, abs=0.0)
         assert row["ce_target"] == pytest.approx(evaluate_dataset(prev, drawn[1])["ce"],
@@ -141,3 +187,37 @@ def test_first_step_gradient_matches_central_differences(
     assert errors, f"all {DIRECTIONS} directions refused"
     assert max(errors) < TOL, (f"worst relative error {max(errors):.3e} over "
                                f"{len(errors)} directions ({refused} refused)")
+
+
+# the stages and variants that add routing terms; the balance term's scale is
+# m·L for the intra-group term and L for the conventional one, its one-group case
+SCALED = [(stage, variant, mode) for stage in (2, 3) for variant in ("full", "conventional-balance")
+          for mode in TRANSITION_MODES if stage > 2 or mode == "mixed"]
+
+
+@pytest.mark.parametrize("stage, variant, mode", SCALED,
+                         ids=["-".join(map(str, case)) for case in SCALED])
+def test_normalized_routing_terms_are_the_raw_ones_over_their_scales(
+        monkeypatch, bundle, trained, stage, variant, mode):
+    raw = ExperimentConfig(**TINY, variant=variant, transition_mode=mode)
+    normalized = ExperimentConfig(**TINY, variant=variant, transition_mode=mode,
+                                  normalize_aux=True)
+    prev = trained(raw)[stage - 1]
+    run = _stage_run(bundle, stage)
+    tokens = []
+    real_forward = stages._forward
+
+    def forward(projector, decoder, feats, labels):
+        tokens.append(feats.shape[0])
+        return real_forward(projector, decoder, feats, labels)
+
+    monkeypatch.setattr(stages, "_forward", forward)
+    rows = []
+    for config in (raw, normalized):  # the same state and seeds, so the same draws
+        tokens.clear()
+        rows.append(run(copy.deepcopy(prev), config).metrics[len(prev.metrics)])
+    row, scaled = rows
+    balance_scale = raw.num_layers * (raw.num_languages if variant == "full" else 1)
+    assert row["lang"] > 0.0 and row["balance"] > 0.0
+    assert scaled["lang"] == row["lang"] / tokens[0]  # step 1's batch
+    assert scaled["balance"] == row["balance"] / balance_scale
