@@ -12,9 +12,9 @@ check or a failed ablation run), 2 usage or configuration errors (bad
 flags, bad config files, missing inputs, checkpoint/config or
 dataset/config mismatches, damaged dataset files or checkpoint manifests;
 each raised as a ``ValueError``) and any ``OSError`` (an ``--out`` that
-names a file, say), 3 a numerical failure (a training loss that turned infinite or NaN, a log
-outside its domain or an overflowed optimizer moment; the message names
-the stage and step).
+names a file, say), 3 a numerical failure (a training loss that turned
+infinite or NaN or an overflowed optimizer moment; the message names the
+stage and step).
 All randomness flows from the seeds named in the config file (no flag sets
 one; ``grad-check`` takes no config and seeds its harness with ``--seed``),
 so every command is deterministic. ``--out`` and ``train --variant``
@@ -196,8 +196,9 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_and_val_splits(args):
-    """Config, stage >= 2 state and the scored ``(st_val, cs_val)`` splits."""
+    """Config, output directory, stage >= 2 state and the scored ``(st_val, cs_val)`` splits."""
     config = _load_config(args)
+    out = _out_dir(config)
     state = load_checkpoint(args.checkpoint, config)
     if state.decoder is None:
         raise ValueError(
@@ -207,11 +208,11 @@ def _checkpoint_and_val_splits(args):
     scored = [e for e in split_table(config)
               if e.split == "val" and e.task in (TASK_ST, TASK_CS_ST)]
     _, bundle = generate_datasets(config, scored)
-    return config, state, bundle.st_val, bundle.cs_val
+    return config, out, state, bundle.st_val, bundle.cs_val
 
 
 def cmd_eval(args) -> int:
-    config, state, st_val, cs_val = _checkpoint_and_val_splits(args)
+    config, out, state, st_val, cs_val = _checkpoint_and_val_splits(args)
     cs = evaluate_dataset(state, cs_val)
     mono = evaluate_dataset(state, st_val)
     both = token_report(cs["ce_sum"] + mono["ce_sum"], cs["correct"] + mono["correct"],
@@ -223,7 +224,6 @@ def cmd_eval(args) -> int:
         "mono": mono,
         "both": both,
     }
-    out = _out_dir(config)
     write_json(out / "report.json", report)
     for name in ("cs", "mono", "both"):
         entry = report[name]
@@ -274,6 +274,7 @@ def cmd_ablate(args) -> int:
             raise ValueError(f"{flag} {text!r} names no value")
         if len(set(values)) != len(values):
             raise ValueError(f"{flag} {text!r} names a value twice")
+    out = _out_dir(config)
     results = {v: [] for v in variants}
     probes = {v: [] for v in variants}
     failures = []
@@ -307,7 +308,6 @@ def cmd_ablate(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    out = _out_dir(config)
     write_json(out / "report.json",
                {**report, "failures": failures, "routing": probes, "seeds": seeds})
     _write_report_csv(out / "report.csv", report)
@@ -333,7 +333,7 @@ def _write_report_csv(path, report) -> None:
 
 
 def cmd_routing_report(args) -> int:
-    config, state, st_val, cs_val = _checkpoint_and_val_splits(args)
+    _, out, state, st_val, cs_val = _checkpoint_and_val_splits(args)
     probe_set = st_val + cs_val
     feats = np.concatenate([u.features for u in probe_set], axis=0)
     labels = np.concatenate([u.token_languages() for u in probe_set])
@@ -345,7 +345,6 @@ def cmd_routing_report(args) -> int:
     report = {"checkpoint_stage": state.stage, "routing": routing,
               "input": separation_score(feats, labels),
               "projected": separation_score(h.data, labels)}
-    out = _out_dir(config)
     write_json(out / "report.json", report)
     print(f"input silhouette {report['input']['silhouette']:.4f} -> "
           f"projected {report['projected']['silhouette']:.4f}")
@@ -413,7 +412,7 @@ def main(argv=None) -> int:
         if empty:  # not a silent fall-back to the default
             raise ValueError(f"--{empty[0]} is empty; give a value or leave the flag out")
         return args.func(args)
-    except FloatingPointError as err:  # before ValueError: LogDomainError is both
+    except FloatingPointError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

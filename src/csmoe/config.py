@@ -38,10 +38,10 @@ DATA_FIELDS = ("num_languages", "d_in", "separation", "noise_sigma", "vocab_per_
                "val_utterances", "world_seed", "data_seed")
 
 # the largest accepted value of each positive float field: at least 10x below
-# the lowest value at which training failed (a saturated router, or for the
-# weights an overflow near 1e153) in a one-field-at-a-time sweep on the
-# default and a tiny config; the weights stay far lower, since the gradients
-# they scale can themselves reach 1e16
+# the lowest value at which training failed (a router saturated under the old
+# probability-space language loss, or for the weights an overflow near 1e153)
+# in a one-field-at-a-time sweep on the default and a tiny config; the weights
+# were capped lower while the language gradient could reach 1e16
 UPPER_BOUNDS = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
                 "lang_weight": 1e6, "balance_weight": 1e6}
 
@@ -128,8 +128,8 @@ class ExperimentConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.top_k == 1 and self.variant in ROUTING_LOSS_VARIANTS:
-            # the lone selected expert has p = 1 exactly, so the language loss
-            # would take log(1 - 1) whenever it lies outside the token's group
+            # with one selected expert S∖i is empty, so the language loss
+            # lse(z_S) − lse(z_S∖i) is infinite when i is outside the group
             raise ValueError(
                 f"top_k=1 is incompatible with variant {self.variant!r}: its "
                 f"language-specific loss needs top_k >= 2"
@@ -171,7 +171,8 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (s
 
 
 def _from_mapping(cls, data: Mapping, prefix: str = ""):
-    """``cls(**data)``, refusing unknown, missing and mistyped fields by name."""
+    """``cls(**data)`` with every float field a float, refusing unknown, missing and
+    mistyped fields by name."""
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
@@ -183,6 +184,12 @@ def _from_mapping(cls, data: Mapping, prefix: str = ""):
             value = _from_mapping(StageSettings, value, f"{name}.")
         if not isinstance(value, _FIELD_TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
             raise ValueError(f"config field {prefix}{name} must be {kind}, got {value!r}")
+        if kind == "float":  # 1 and 1.0 compare equal, so they must hash equal too
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"config field {prefix}{name} must be finite, got an "
+                                 f"integer too large for a float") from None
         kwargs[name] = value
     missing = [f.name for f in fields(cls)
                if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING]

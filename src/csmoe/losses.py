@@ -23,18 +23,19 @@ definitions that ``analysis`` shares.
 gradient audit both build every stage objective through it.
 
 All losses are sums (not means) over tokens and layers unless the
-``normalize`` flag is set, and all are differentiable through the routing
-probabilities: assignment counts are treated as constants (gradients flow
-only through the probability factors).
+``normalize`` flag is set. The language loss is differentiable through the
+router logits, the balance losses through the routing probabilities, with
+assignment counts treated as constants.
 
-Each routing loss records one tape node whose parents are the layers'
-``probs`` through one recorder, ``_routing_node``, which also applies the
-``normalize`` division to the value and to the upstream gradient. Its
-forward evaluates the numpy expressions of the op-by-op chain (mul, sub,
-log, tsum, matmul, div, add; the tests keep it as their oracle) in the same
-order, and its hand-written backward repeats that chain's backward
-arithmetic, so values and gradients are bit-identical to it. The backward
-closures hold numpy arrays and floats only, never a tensor or the trace.
+Each routing loss records one tape node, whose parents are the layers'
+``logits`` (language) or ``probs`` (balance), through one recorder,
+``_routing_node``, which also applies the ``normalize`` division to the
+value and to the upstream gradient. Its forward evaluates the numpy
+expressions of an op-by-op tape chain (the tests keep it as their oracle)
+and adds in the chain's order, and its hand-written backward repeats that
+chain's backward arithmetic, so values and gradients are bit-identical to
+it. The backward closures hold numpy arrays and floats only, never a tensor
+or the trace.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .config import ExperimentConfig
 from .projector import RoutingTrace
 
 __all__ = [
-    "LogDomainError",
     "TransitionState",
     "language_specific_loss",
     "intra_group_balance_loss",
@@ -58,53 +58,53 @@ __all__ = [
 ]
 
 
-class LogDomainError(FloatingPointError, ValueError):
-    """A routing probability saturated to 1, so ``log(1 - p)`` left its domain."""
-
-
-def _lang_backward(g: np.ndarray, ones_minus: list, out_mask: np.ndarray) -> tuple:
-    """Per-layer ∂(lang)/∂probs for upstream ``g``: −(g·−1 / (1 − p⊙mask))⊙mask.
-
-    ``ones_minus`` holds each layer's 1 − p⊙mask; the operations are those
-    of the mul → sub → log → tsum → scale chain this op stands for.
-    """
-    gs = g * -1.0
-    return tuple(-(gs / x) * out_mask for x in ones_minus)
-
-
-def _routing_node(trace: RoutingTrace, total: float, backward, scale) -> Tensor:
-    """The node of a routing loss whose value is ``total`` and whose backward is
-    ``backward(g)``, both divided by ``scale`` unless it is None (not normalized)."""
-    return _record(Tensor(total if scale is None else total / scale),
-                   tuple(layer.probs for layer in trace.layers),
+def _routing_node(parents: tuple, total: float, backward, scale) -> Tensor:
+    """The node of a routing loss over ``parents`` whose value is ``total`` and whose
+    backward is ``backward(g)``, both divided by ``scale`` unless it is None (not normalized)."""
+    return _record(Tensor(total if scale is None else total / scale), parents,
                    lambda g: backward(g if scale is None else g / scale))
 
 
 def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
     """Penalty on routing mass assigned outside each token's language group.
 
-    For token t with language l and per-expert probabilities p, the
-    contribution is ``-sum_{i not in group l} log(1 - p_i)``, summed over all
-    tokens and layers. Zero exactly when every token routes entirely within
-    its own group. The trace's labels must be concrete for every token.
+    For token t with language l, router logits z and selected experts S, each
+    selected expert i outside group l contributes ``lse(z_S) − lse(z_S∖i)``
+    = ``−log(1 − p_i)``, summed over all tokens and layers; it stays finite
+    however far the router saturates. Zero exactly when every token routes
+    entirely within its own group. The trace's labels must be concrete for
+    every token, and S∖i must not be empty (top-k ≥ 2).
     """
     labels = trace.concrete_labels()
-    # out_mask[t, i] = 1.0 when expert i is outside token t's language group
-    out_mask = (trace.group_of[None, :] != labels[:, None]).astype(float)
-    ones_minus = []
-    total = None
-    for layer in trace.layers:
-        # p ⊙ mask zeroes in-group entries, so log(1 - ·) is 0 there and the
-        # sum reduces to the out-group terms without a second masking pass.
-        x = 1.0 - layer.probs.data * out_mask
-        if not (x > 0.0).all():
-            raise LogDomainError("log requires strictly positive input")
-        ones_minus.append(x)
-        term = np.log(x).sum() * -1.0
-        total = term if total is None else total + term
-    assert total is not None
-    return _routing_node(trace, total, lambda g: _lang_backward(g, ones_minus, out_mask),
-                         float(trace.num_tokens) if normalize else None)
+    # slots first, all layers at once: z[a, l, t] is the logit of token t's
+    # slot-a expert at layer l, and out[a, l, t] marks it outside t's group;
+    # laid out so in memory too, the slot sums add in sequence, as the chain's do
+    sel = np.array([layer.selected for layer in trace.layers]).transpose(2, 0, 1).copy()
+    k, L, T = sel.shape
+    at = (np.arange(L)[:, None], np.arange(T), sel)
+    z = np.array([layer.logits.data for layer in trace.layers])[at]
+    out = (trace.group_of[sel] != labels).astype(float)
+    # row a < k of sets is S without slot a, row k is S; lse over the slot axis
+    sets = np.where((np.arange(k + 1)[:, None] != np.arange(k))[..., None, None], z, -np.inf)
+    top = sets.max(axis=1)
+    e = np.exp(sets - top[:, None])
+    s = e.sum(axis=1)
+    lse = top + np.log(s)
+    # token sums, added layer by layer in slot order (cumsum adds in sequence)
+    total = ((lse[k] - lse[:k]) * out).sum(axis=2).T.cumsum()[-1]
+    shape = (L, T, trace.group_of.size)
+
+    def bw(g):
+        # g·Σ_a out_a (p − q⁽ᵃ⁾), the slots summed in descending order as in the
+        # chain; row a < k of soft is q⁽ᵃ⁾, the softmax over S∖a, and row k is p
+        rev, soft = np.arange(k)[::-1], e / s[:, None]
+        g_out = g * out[rev]
+        g_z = np.zeros(shape)
+        g_z[at] = (-g_out[:, None] * soft[rev]).sum(axis=0) + g_out.sum(axis=0) * soft[k]
+        return tuple(g_z)
+
+    return _routing_node(tuple(layer.logits for layer in trace.layers), total, bw,
+                         float(T) if normalize else None)
 
 
 def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
@@ -169,7 +169,8 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
             grads.append(acc)
         return tuple(grads)
 
-    return _routing_node(trace, total, bw, float(m * trace.num_layers) if normalize else None)
+    return _routing_node(tuple(layer.probs for layer in trace.layers), total, bw,
+                         float(m * trace.num_layers) if normalize else None)
 
 
 def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:

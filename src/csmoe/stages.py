@@ -90,8 +90,7 @@ __all__ = [
 class NonFiniteLossError(FloatingPointError):
     """A training step left the finite floats, named by its stage and step.
 
-    A loss turned infinite or NaN, a log left its domain, or the optimizer's
-    arithmetic overflowed.
+    A loss turned infinite or NaN, or the optimizer's arithmetic overflowed.
     """
 
 

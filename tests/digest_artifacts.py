@@ -5,7 +5,9 @@ Usage: ``python tests/digest_artifacts.py WORK_DIR``
 Runs ``gen-data``, ``train``, ``eval`` and ``routing-report`` for each of the
 four variants on the default config and on one alternate config (other
 seeds, sampled transition mode, normalized and reweighted routing losses),
-then ``grad-check --instances 3`` for harness seeds 0-3 and 7, then ``ablate
+and for ``full`` on one config whose router saturates (the three input-scale
+fields at their upper bounds, small data and stage budgets), then
+``grad-check --instances 3`` for harness seeds 0-3 and 7, then ``ablate
 --seeds 0`` (all four variants) on the default config. The commands
 run from the ``src`` next to this file, inside ``WORK_DIR`` with relative
 paths, so the written ``config.json`` files do not depend on where
@@ -24,6 +26,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 VARIANTS = ("full", "no-aux-losses", "conventional-balance", "no-moe")
 ALTERNATE = {"data_seed": 5, "train_seed": 5, "transition_mode": "sampled",
              "normalize_aux": True, "lang_weight": 0.5, "balance_weight": 2.0}
+SATURATING = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
+              "train_utterances": 40, "val_utterances": 12,
+              **{f"stage{s}": {"total_batches": b, "batch_size": 8, "learning_rate": 0.003}
+                 for s, b in ((1, 1), (2, 2), (3, 2), (4, 2))}}
 GRAD_CHECK_SEEDS = (0, 1, 2, 3, 7)
 
 
@@ -38,8 +44,9 @@ def main(work: Path) -> None:
     # the effective config gen-data writes holds every field at its default
     run(work, "gen-data", "--out", "defaults")
     default = json.loads((work / "defaults" / "config.json").read_text())
-    for name, overrides in (("default", {}), ("alternate", ALTERNATE)):
-        for variant in VARIANTS:
+    for name, overrides, variants in (("default", {}, VARIANTS), ("alternate", ALTERNATE, VARIANTS),
+                                      ("saturating", SATURATING, ("full",))):
+        for variant in variants:
             run_dir = f"{name}/{variant}"
             cfg = work / f"{name}-{variant}.json"
             cfg.write_text(json.dumps({**default, **overrides, "variant": variant,

@@ -1,11 +1,12 @@
 """Reference paths the tests compare the library against.
 
-No command runs these, so they live with the tests: the tape ops that the
-op-by-op chains behind the fused routing losses are built from, the
-subset softmax of a single logit vector, the single-token routing and
-mixture path that the batched MoE forward must agree with, a routing trace
-built from explicit probabilities, and readers of the world and metrics
-files the commands write.
+No command runs these, so they live with the tests: the op-by-op tape
+chain behind the fused language loss and the tape ops that it and the
+balance chains are built from, the subset softmax of a single logit
+vector, the single-token routing and mixture path that the batched MoE
+forward must agree with, a routing trace built from explicit
+probabilities, and readers of the world and metrics files the commands
+write.
 """
 
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from csmoe.autodiff import Tensor, _binary, _coerce, _record, masked_softmax
+from csmoe.autodiff import Tensor, _binary, _coerce, _record, add, masked_softmax, mul
 from csmoe.projector import LayerRouting, RoutingTrace, _topk_rows
 from csmoe.world import LanguageSpec, World
 
@@ -41,6 +42,53 @@ def tsum(x) -> Tensor:
     x = _coerce(x)
     shape = x.data.shape
     return _record(Tensor(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
+
+
+def slot_logits(z, selected) -> Tensor:
+    """[k × T]: row a holds each token's [T × N] logit ``z`` at its slot-a expert."""
+    z = _coerce(z)
+    rows, shape = np.arange(selected.shape[0])[:, None], z.shape
+
+    def bw(g):
+        buf = np.zeros(shape)
+        buf[rows, selected] = g.T
+        return (buf,)
+
+    return _record(Tensor(z.data[rows, selected].T), (z,), bw)
+
+
+def logsumexp(x, keep) -> Tensor:
+    """Per column of [k × T] ``x``: log Σ exp over the rows that ``keep`` marks."""
+    x = _coerce(x)
+    xm = np.where(np.asarray(keep, dtype=bool)[:, None], x.data, -np.inf)
+    top = xm.max(axis=0)
+    e = np.exp(xm - top)
+    s = e.sum(axis=0)
+    soft = e / s
+    return _record(Tensor(top + np.log(s)), (x,), lambda g: (g * soft,))
+
+
+def chain_language_specific_loss(trace, *, normalize=False) -> Tensor:
+    """The language loss as a tape chain over the router logits.
+
+    Per layer and slot a: Σ_t out_a · (lse(z_S) − lse(z_S∖a)), where S is
+    token t's selected set and out_a marks its slot-a expert outside t's
+    group; the terms add layer by layer in slot order.
+    """
+    labels = trace.concrete_labels()
+    total = None
+    for layer in trace.layers:
+        k = layer.selected.shape[1]
+        z = slot_logits(layer.logits, layer.selected)
+        out = (trace.group_of[layer.selected] != labels[:, None]).astype(float)
+        whole = logsumexp(z, np.ones(k))
+        for a in range(k):
+            rest = logsumexp(z, np.arange(k) != a)
+            term = tsum(mul(sub(whole, rest), Tensor(out[:, a])))
+            total = term if total is None else add(total, term)
+    if normalize:
+        total = div(total, float(trace.num_tokens))
+    return total
 
 
 def softmax(logits, subset=None) -> Tensor:
@@ -94,9 +142,11 @@ def make_trace(prob_rows_per_layer, labels=None, *, groups=1) -> RoutingTrace:
 
     The N experts form ``groups`` equal consecutive groups, laid out as
     ``MoeProjector`` lays them out. Each token's selected experts are its
-    nonzero entries, padded (the losses never read the padding) to a
-    rectangular array. The logits are ``log p``, whose softmax over the
-    selected entries gives back p.
+    nonzero entries, padded to a rectangular array with its lowest-index
+    zero-probability experts, so no row selects an expert twice. The logits
+    are ``log p``, whose softmax over the selected entries gives back p; a
+    padded expert's logit is −inf, so it adds nothing to either loss. The
+    language loss needs two finite selected logits per row.
     """
     layers = []
     for rows in prob_rows_per_layer:
@@ -104,14 +154,13 @@ def make_trace(prob_rows_per_layer, labels=None, *, groups=1) -> RoutingTrace:
         sel_rows = []
         for r in rows:
             nz = np.flatnonzero(r > 0.0)
-            if nz.size == 0:
-                nz = np.array([0])
-            sel_rows.append(nz)
+            sel_rows.append(nz if nz.size else np.array([0]))
         k = max(len(s) for s in sel_rows)
-        sel = np.stack(
-            [np.concatenate([s, np.full(k - len(s), s[-1], dtype=s.dtype)]) for s in sel_rows]
-        ).astype(np.intp)
-        with np.errstate(divide="ignore"):  # log 0 = -inf off the selected entries
+        sel = np.stack([
+            np.sort(np.concatenate([s, np.setdiff1d(np.arange(rows.shape[1]), s)[:k - len(s)]]))
+            for s in sel_rows
+        ]).astype(np.intp)
+        with np.errstate(divide="ignore"):  # log 0 = -inf off the nonzero entries
             logits = np.log(rows)
         layers.append(LayerRouting(Tensor(logits), sel, Tensor(rows)))
     num_experts = layers[0].probs.shape[1]

@@ -23,10 +23,9 @@ import csmoe.stages
 from csmoe.autodiff import mul
 from csmoe.checkpoint import load_checkpoint
 from csmoe.cli import main
-from csmoe.config import UPPER_BOUNDS, config_from_dict
+from csmoe.config import UPPER_BOUNDS, config_from_dict, config_hash
 from csmoe.dataio import load_dataset
 from csmoe.gradcheck import GRAD_LOSSES
-from csmoe.losses import LogDomainError
 from csmoe.stages import evaluate_dataset, generate_datasets, routing_probe
 from oracles import read_metrics
 
@@ -267,20 +266,28 @@ def test_train_numerical_failure_exits_3_and_keeps_no_later_checkpoint(
     assert written == [f"stage{s}" for s in range(1, int(failed.group(1)))]
 
 
-def test_train_log_domain_error_exits_3_naming_stage_and_step(
-        tmp_path, cfg_path, monkeypatch, capsys):
+# the default geometry with the three input-scale fields at their bounds:
+# the router saturates at the first MoE step, so routing probabilities round
+# to 1 (the language loss once took log(1 − p) of them and exited 3 there)
+SATURATING = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
+              "train_utterances": 40, "val_utterances": 12,
+              **{f"stage{s}": {"total_batches": b, "batch_size": 8, "learning_rate": 3e-3}
+                 for s, b in ((1, 1), (2, 2), (3, 2), (4, 2))}}
+
+
+@pytest.mark.parametrize("weights", [{}, {"lang_weight": 1e6, "balance_weight": 1e6}],
+                         ids=["default-weights", "weights-at-bounds"])
+def test_train_with_a_saturated_router_exits_0_with_finite_losses(tmp_path, weights):
+    cfg = tmp_path / "saturating.json"
+    cfg.write_text(json.dumps({**SATURATING, **weights}))
     out = tmp_path / "out"
-    main(["gen-data", "--config", cfg_path, "--out", str(out)])
-
-    def saturated(*args, **kwargs):
-        raise LogDomainError("log requires strictly positive input")
-
-    monkeypatch.setattr(csmoe.stages, "language_specific_loss", saturated)
-    capsys.readouterr()
-    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "stage 2 step 1: log requires strictly positive input" in err, err
-    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["stage1"]
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    steps = [row for row in read_metrics(out / "metrics.jsonl") if "step" in row]
+    assert [row["stage"] for row in steps] == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert all("lang" in row for row in steps if row["stage"] in (2, 3))
+    for row in steps:
+        assert all(math.isfinite(v) for v in row.values()), row
 
 
 def _old_jsonl(raw: bytes, path: Path) -> bytes:
@@ -384,6 +391,18 @@ def test_eval_reports_all_three_splits(tmp_path, cfg_path, trained_dir):
     again = evaluate_dataset(state, tuple(bundle.cs_val) + tuple(bundle.st_val))
     assert abs(again["ce"] - both["ce"]) < 1e-12
     assert again["correct"] == both["correct"]
+
+
+def test_eval_loads_a_checkpoint_under_integer_spelled_float_fields(tmp_path, trained_dir):
+    # 3 and 3.0 give the same config, so they must give the same hash
+    def rate(value):
+        return config_from_dict({**TINY, "stage1": {**TINY["stage1"], "learning_rate": value}})
+
+    assert config_hash(rate(3)) == config_hash(rate(3.0))
+    cfg = tmp_path / "spelled.json"
+    cfg.write_text(json.dumps({**TINY, "lang_weight": 1, "balance_weight": 10}))
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "eval"),
+                 "--checkpoint", str(trained_dir / "checkpoints" / "stage4")]) == 0
 
 
 def test_eval_identical_report_bytes(tmp_path, cfg_path, trained_dir):
@@ -522,19 +541,24 @@ def test_grad_check_refuses_negative_seed_by_flag(monkeypatch, capsys):
     assert drawn == []
 
 
-@pytest.mark.parametrize("command", ["gen-data", "grad-check"])
+@pytest.mark.parametrize("command", ["gen-data", "grad-check", "ablate", "eval", "routing-report"])
 def test_out_naming_a_file_exits_2_before_any_work(tmp_path, cfg_path, monkeypatch, capsys,
                                                    command):
     taken = tmp_path / "taken"
     taken.write_text("kept")
-    drawn = []
-    monkeypatch.setattr(csmoe.gradcheck, "_make_instance", lambda *args: drawn.append(args))
-    argv = (["gen-data", "--config", cfg_path] if command == "gen-data"
-            else ["grad-check", "--instances", "1"])
-    assert main([*argv, "--out", str(taken)]) == 2
+    work = []
+    monkeypatch.setattr(csmoe.gradcheck, "_make_instance", lambda *args: work.append(args))
+    monkeypatch.setattr(csmoe.cli, "run_pipeline", lambda *args, **kw: work.append(args))
+    monkeypatch.setattr(csmoe.cli, "load_checkpoint", lambda *args: work.append(args))
+    checkpoint = ["--checkpoint", str(tmp_path / "checkpoint")]
+    argv = {"gen-data": ["--config", cfg_path], "grad-check": ["--instances", "1"],
+            "ablate": ["--config", cfg_path, "--seeds", "0,1"],
+            "eval": ["--config", cfg_path, *checkpoint],
+            "routing-report": ["--config", cfg_path, *checkpoint]}[command]
+    assert main([command, *argv, "--out", str(taken)]) == 2
     assert str(taken) in capsys.readouterr().err
     assert taken.read_text() == "kept"
-    assert drawn == []  # grad-check refused --out before its sweep
+    assert work == []  # no sweep, pipeline or checkpoint load ran before the refusal
 
 
 def test_ablate_two_variants(tmp_path, cfg_path, capsys):
@@ -695,6 +719,9 @@ def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
     ("separation", float("nan")), ("separation", float("inf")),
     ("noise_sigma", float("inf")), ("token_margin", float("nan")),
     ("lang_weight", float("inf")), ("stage1.learning_rate", float("inf")),
+    # an integer past the float range
+    *(pytest.param(field, 10**400, id=f"{field}-10**400")
+      for field in ("lang_weight", "stage1.learning_rate")),
     # finite but past the field's upper bound: gen-data used to exit 0, then train 3
     *((field, 1e300) for field in sorted(UPPER_BOUNDS)),
     # gen-data used to write every output into the working directory

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import csmoe.gradcheck as gradcheck
-import csmoe.losses
 from csmoe import stages
 from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, take
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
@@ -54,14 +53,19 @@ def test_deterministic():
     assert a == b
 
 
+def crooked(loss):
+    """``loss``, whose tape node's backward is made wrong by a factor of 1.5."""
+    if loss._tape is not None:
+        node = loss._tape.nodes[loss.node_id]
+        real_backward = node.backward
+        node.backward = lambda g: tuple(d * 1.5 for d in real_backward(g))
+    return loss
+
+
 def test_corrupted_backward_is_caught(monkeypatch):
-    real_lang_backward = csmoe.losses._lang_backward
-
-    def crooked_lang_backward(*args):
-        # wrong by a factor of 1.5
-        return tuple(g * 1.5 for g in real_lang_backward(*args))
-
-    monkeypatch.setattr(csmoe.losses, "_lang_backward", crooked_lang_backward)
+    real_language = stages.language_specific_loss
+    monkeypatch.setattr(stages, "language_specific_loss",
+                        lambda trace, **kwargs: crooked(real_language(trace, **kwargs)))
     report = grad_check_report(seed=0, instances=3)
     assert report["pass"] is False
     assert not report["losses"]["lang"]["pass"]
@@ -73,15 +77,8 @@ def test_corrupted_backward_is_caught(monkeypatch):
 def test_corrupted_conventional_backward_is_caught(monkeypatch):
     real_conventional = stages.conventional_balance_loss
 
-    def crooked_conventional(trace, **kwargs):
-        loss = real_conventional(trace, **kwargs)
-        if loss._tape is not None:  # its gradient is wrong by a factor of 1.5
-            node = loss._tape.nodes[loss.node_id]
-            real_backward = node.backward
-            node.backward = lambda g: tuple(d * 1.5 for d in real_backward(g))
-        return loss
-
-    monkeypatch.setattr(stages, "conventional_balance_loss", crooked_conventional)
+    monkeypatch.setattr(stages, "conventional_balance_loss",
+                        lambda trace, **kwargs: crooked(real_conventional(trace, **kwargs)))
     losses = grad_check_report(seed=0, instances=3)["losses"]
     for name in ("conventional", "stage2_total_conventional", "stage3_total_conventional"):
         assert not losses[name]["pass"], name
@@ -278,7 +275,7 @@ def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
     base = grad_check_report(seed=0, instances=3)
     state = {"current": None, "bad": None, "conventional_calls": 0, "corrupted": False}
     real_make = gradcheck._make_instance
-    real_lang_backward = csmoe.losses._lang_backward
+    real_language = stages.language_specific_loss
     real_conventional = stages.conventional_balance_loss
 
     def make(seed, candidate):
@@ -290,12 +287,12 @@ def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
             state["bad"] = state["current"]
         return state["current"] == state["bad"]
 
-    def crooked_lang_backward(*args):
-        grads = real_lang_backward(*args)
-        if not on_bad_candidate():
-            return grads
+    def crooked_language(trace, **kwargs):
+        loss = real_language(trace, **kwargs)
+        if not on_bad_candidate() or loss._tape is None:
+            return loss
         state["corrupted"] = True
-        return tuple(g * 1.5 for g in grads)
+        return crooked(loss)
 
     def raising_conventional(trace, **kwargs):
         if on_bad_candidate():
@@ -308,7 +305,7 @@ def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
         return real_conventional(trace, **kwargs)
 
     monkeypatch.setattr(gradcheck, "_make_instance", make)
-    monkeypatch.setattr(csmoe.losses, "_lang_backward", crooked_lang_backward)
+    monkeypatch.setattr(stages, "language_specific_loss", crooked_language)
     monkeypatch.setattr(stages, "conventional_balance_loss", raising_conventional)
     report = grad_check_report(seed=0, instances=2)
     assert state["bad"] is not None and state["corrupted"]

@@ -20,6 +20,7 @@ from csmoe.autodiff import (
     backward,
     cross_entropy,
     fd_gradient,
+    masked_softmax,
     matmul,
     mul,
     take,
@@ -35,13 +36,15 @@ from csmoe.losses import (
 )
 from csmoe.projector import (
     CS_UNLABELED,
+    LayerRouting,
     ProjectorConfig,
+    RoutingTrace,
     build_moe_from_pretrained,
     init_mlp,
     moe_forward,
 )
 from csmoe.world import init_decoder
-from oracles import div, log, make_trace, sub, tsum
+from oracles import chain_language_specific_loss, div, make_trace, tsum
 
 
 # -------------------------------------------------- language_specific_loss
@@ -116,6 +119,37 @@ def test_language_loss_normalize_flag():
     raw = language_specific_loss(trace).item()
     norm = language_specific_loss(trace, normalize=True).item()
     assert abs(norm - raw / 2) < 1e-12
+
+
+def test_language_loss_reads_a_padded_slot_as_nothing():
+    # the second token has two nonzero entries, so make_trace pads it with
+    # expert 2 (out of group 0, logit −inf): that slot adds no penalty
+    trace = make_trace([[[0.5, 0.3, 0.2, 0.0], [0.8, 0.2, 0.0, 0.0]]], labels=[0, 0], groups=2)
+    assert trace.layers[0].selected.tolist() == [[0, 1, 2], [0, 1, 2]]
+    assert abs(language_specific_loss(trace).item() - (-math.log(0.8))) < 1e-9
+
+
+def test_language_loss_is_finite_with_an_fd_exact_gradient_at_a_saturated_router():
+    # out-of-group expert 2 leads the selected logits by a gap of 45, so its
+    # routing probability rounds to 1 and log(1 − p) would be log 0
+    z0 = np.random.default_rng(0).normal(size=(3, 4))
+    z0[:, 2] += 45.0
+    sel = np.tile([0, 1, 2], (3, 1))
+    mask = np.tile(np.arange(4) < 3, (3, 1))
+
+    def loss_of(z):
+        layer = LayerRouting(z, sel, masked_softmax(z, mask))
+        trace = RoutingTrace([layer], np.array([0, 0, 1, 1]), np.zeros(3, dtype=np.intp))
+        return language_specific_loss(trace)
+
+    z = Parameter("z", Tensor(z0))
+    with Tape():
+        loss = loss_of(z.value)
+        backward(loss)
+    assert (masked_softmax(Tensor(z0), mask).data[:, 2] == 1.0).all()
+    assert math.isfinite(loss.item()) and loss.item() > 3 * 40.0
+    fd = fd_gradient(loss_of, Tensor(z0)).data
+    assert np.linalg.norm(z.grad - fd) / np.linalg.norm(fd) < 1e-4
 
 
 # ----------------------------------------------- intra_group_balance_loss
@@ -414,19 +448,6 @@ def test_balance_losses_gradient_through_router(seed):
 # one-group view of the trace.
 
 
-def chain_language_specific_loss(trace, *, normalize=False):
-    labels = trace.concrete_labels()
-    out_mask = (trace.group_of[None, :] != labels[:, None]).astype(float)
-    total = None
-    for layer in trace.layers:
-        masked = mul(layer.probs, Tensor(out_mask))
-        term = mul(tsum(log(sub(1.0, masked))), -1.0)
-        total = term if total is None else add(total, term)
-    if normalize:
-        total = div(total, float(trace.num_tokens))
-    return total
-
-
 def chain_intra_group_balance_loss(trace, *, normalize=False):
     group_of, m = trace.group_of, trace.num_groups
     labels = trace.concrete_labels()
@@ -558,6 +579,31 @@ def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
     assert ((trace.layers[0].probs.data * in_group).sum(axis=1) == 0.0).any()
 
 
+def test_language_loss_equals_its_chain_bit_for_bit_at_top_8():
+    # the composed-step cases route top-2, where two-term slot sums commute;
+    # at top-8 the order of the slot sums shows, and so does a slot axis
+    # that numpy would sum pairwise
+    cfg = ProjectorConfig(d_in=3, d_model=4, num_layers=2)
+    moe = build_moe_from_pretrained([init_mlp(cfg, seed=[5, g]) for g in range(3)],
+                                    n=3, k=8, seed=[5, 9])
+    rng = np.random.default_rng(5)
+    feats, labels = rng.normal(size=(24, 3)), rng.integers(0, 3, size=24)
+    routers = [layer.router_weights for layer in moe.layers]
+    results = []
+    for loss_fn in (language_specific_loss, chain_language_specific_loss):
+        for p in routers:
+            p.zero_grad()
+        with Tape():
+            _, trace = moe_forward(moe, Tensor(feats), labels)
+            loss = loss_fn(trace, normalize=True)
+            backward(loss)
+        results.append((loss.item(), [p.grad.copy() for p in routers]))
+    (fused, fused_grads), (chain, chain_grads) = results
+    assert fused == chain
+    for p, a, b in zip(routers, fused_grads, chain_grads):
+        assert np.array_equal(a, b), p.name
+
+
 @pytest.mark.parametrize("loss_name", ["lang", "balance", "conventional"])
 def test_routing_loss_call_adds_one_tape_node(loss_name):
     moe, _, batches = fused_setup(0, 2, absent=False)
@@ -572,10 +618,3 @@ def test_routing_loss_call_adds_one_tape_node(loss_name):
         before = len(tape.nodes)
         calls[loss_name](trace)
         assert len(tape.nodes) == before + 1
-
-
-def test_language_loss_keeps_log_domain_error():
-    # an out-of-group probability of exactly 1 makes log(1 - p) undefined
-    trace = make_trace([[[0.0, 0.0, 1.0, 0.0]]], labels=[0], groups=2)
-    with pytest.raises(ValueError, match="strictly positive"):
-        language_specific_loss(trace)
