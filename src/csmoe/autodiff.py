@@ -407,6 +407,11 @@ class Adam:
         self._b = np.empty(size)
 
     def step(self) -> None:
+        # a NaN or inf gradient would be written into the parameters; it is
+        # refused before anything is updated
+        if not np.isfinite(self._grad).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise FloatingPointError(f"non-finite gradient of {bad.name}")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Mapping
 
@@ -37,13 +38,30 @@ DATA_FIELDS = ("num_languages", "d_in", "separation", "noise_sigma", "vocab_per_
                "token_margin", "utterance_length", "cs_switches", "train_utterances",
                "val_utterances", "world_seed", "data_seed")
 
-# the largest accepted value of each positive float field: at least 10x below
-# the lowest value at which training failed (a router saturated under the old
-# probability-space language loss, or for the weights an overflow near 1e153)
-# in a one-field-at-a-time sweep on the default and a tiny config; the weights
-# were capped lower while the language gradient could reach 1e16
+# the largest accepted value of each positive float field, at least 10x below
+# the lowest value at which training failed in a one-field-at-a-time sweep.
+# Under the logit-space language loss, `separation` 1e4 alone fails (the
+# balance backward's `denom * denom` underflows to 0 and its gradient turns
+# NaN) while 1e3 trains, and `noise_sigma` up to 1e3, `token_margin` up to 1e5
+# and each weight up to 1e15 train clean; the bounds stay as they are until
+# they are re-derived with that underflow mended
 UPPER_BOUNDS = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
                 "lang_weight": 1e6, "balance_weight": 1e6}
+
+
+def _store_floats(config) -> None:
+    """Store each integer given to a float field of ``config`` as a float.
+
+    1 and 1.0 compare equal, so they must hash and serialize equal too.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            try:
+                object.__setattr__(config, f.name, float(value))
+            except OverflowError:
+                raise ValueError(f"config field {f.name} must be finite, got an integer too "
+                                 f"large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -53,6 +71,7 @@ class StageSettings:
     learning_rate: float
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         if self.total_batches < 1:
             raise ValueError(f"total_batches must be >= 1, got {self.total_batches}")
         if self.batch_size < 1:
@@ -101,6 +120,7 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
+        _store_floats(self)
         # JSON admits NaN and Infinity, which no field can use
         values = [(f.name, getattr(self, f.name)) for f in fields(self)]
         values += [(f"{name}.learning_rate", value.learning_rate)
@@ -184,7 +204,7 @@ def _from_mapping(cls, data: Mapping, prefix: str = ""):
             value = _from_mapping(StageSettings, value, f"{name}.")
         if not isinstance(value, _FIELD_TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
             raise ValueError(f"config field {prefix}{name} must be {kind}, got {value!r}")
-        if kind == "float":  # 1 and 1.0 compare equal, so they must hash equal too
+        if kind == "float":  # as _store_floats does, but naming a stage field by its path
             try:
                 value = float(value)
             except OverflowError:

@@ -18,11 +18,17 @@ vector-valued function), and each evaluation recomputes only what the
 coordinate can change. The MoE reads no decoder parameter, so a decoder
 coordinate reuses the unperturbed forwards and routing terms. A parameter
 of MoE layer l changes nothing below layer l, so the forwards restart at
-layer l from the unperturbed layer inputs and routing records. No router
-reads a last-layer expert's output, so such an expert reuses the
-unperturbed routing terms. The sweep of an instance (60 coordinates in
-layer 0, 80 in layer 1, 64 of them in last-layer experts) evaluates 1,200
-MoE layers, and the instance reads the routing terms 153 times.
+layer l from the unperturbed layer inputs and routing records. The router
+of layer l reads only the layer's input, never an expert's output, so an
+expert of layer l also keeps its layer's routing record and the other
+experts' products: it recomputes its own product and the one ``mix``, and
+the layers above run through ``moe_layer``. No router reads a last-layer
+expert's output, so such an expert reuses the unperturbed routing terms.
+The sweep of an instance (60 coordinates in layer 0, 48 of them in
+experts; 80 in layer 1, 64 of them in experts) evaluates 528 MoE layers
+and 672 single-expert re-mixes, and the instance reads the routing terms
+153 times; each read computes the language term once per trace, and the
+two objectives that score that trace share it.
 
 Finite differences are only meaningful where the objective is locally
 smooth, so candidate instances are screened: any instance whose routing
@@ -43,7 +49,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient
+from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, matmul, mix, relu
 from .config import ExperimentConfig
 from .losses import TransitionState, compose_stage_loss, transition_loss
 from .projector import (ProjectorConfig, RoutingTrace, build_moe_from_pretrained, init_mlp,
@@ -124,18 +130,30 @@ def _inputs(moe, batches):
                                   (np.concatenate([f1, f2], axis=0), np.concatenate([l1, l2])))]
 
 
-def _rerun(moe, forwards, start: int):
+def _rerun(moe, forwards, start: int, expert: int | None = None, kept=None):
     """Run MoE layers ``start``.. of each forward from its kept layer input.
 
     Each forward is ``(layer inputs, trace)``; its inputs of layers up to
     ``start`` and its routing records below ``start`` are kept as they are.
-    Returns the outputs and the forwards with every layer's input and record.
-    Nothing here reads a decoder parameter.
+    With ``expert`` set, layer ``start`` also keeps its routing record and
+    the other experts' products, read from ``kept`` (``_kept_products`` of
+    the same forwards), and recomputes only that expert's product and the
+    mixture. Returns the outputs and the forwards with every layer's input
+    and record. Nothing here reads a decoder parameter.
     """
     outs, rerun = [], []
-    for inputs, trace in forwards:
+    for f, (inputs, trace) in enumerate(forwards):
         inputs, records = inputs[:start + 1], trace.layers[:start]
-        for l in range(start, moe.config.num_layers):
+        first = start
+        if expert is not None:
+            x, ys = kept[f][start]
+            ys = list(ys)
+            ys[expert] = matmul(x, moe.layers[start].expert_weights[expert].value)
+            record = trace.layers[start]
+            inputs.append(mix(record.probs, ys))
+            records.append(record)
+            first += 1
+        for l in range(first, moe.config.num_layers):
             h, record = moe_layer(moe, l, inputs[l])
             inputs.append(h)
             records.append(record)
@@ -144,11 +162,32 @@ def _rerun(moe, forwards, start: int):
     return outs, rerun
 
 
+def _kept_products(moe, forwards) -> list:
+    """Per forward and layer, the expert input and the N expert products ``moe_layer`` mixes."""
+    kept = []
+    for inputs, _ in forwards:
+        layers = []
+        for l, (h, layer) in enumerate(zip(inputs, moe.layers)):
+            x = relu(h) if l > 0 else h  # moe_layer's ReLU on the previous layer's output
+            layers.append((x, [matmul(x, ew.value) for ew in layer.expert_weights]))
+        kept.append(layers)
+    return kept
+
+
 def _routing_terms(forwards, configs) -> dict:
-    """Each stage objective's ``routing_terms``, read off batch 1 (stage 2) or the mixed batch."""
+    """Each stage objective's ``routing_terms``, read off batch 1 (stage 2) or the mixed batch.
+
+    The objectives that read one trace share its language term: it is
+    computed once per trace.
+    """
     (_, trace1), _, (_, trace_mix) = forwards
-    return {name: routing_terms(configs[c], stage, trace1 if stage == 2 else trace_mix)
-            for name, (c, stage) in _OBJECTIVES.items()}
+    terms, lang = {}, {}  # id(trace) -> its language term
+    for name, (c, stage) in _OBJECTIVES.items():
+        trace = trace1 if stage == 2 else trace_mix
+        terms[name] = routing_terms(configs[c], stage, trace, lang=lang.get(id(trace)))
+        if "lang" in terms[name]:
+            lang.setdefault(id(trace), terms[name]["lang"])
+    return terms
 
 
 def _losses(outs, terms, decoder, batches, ts, configs) -> tuple:
@@ -188,25 +227,29 @@ def _instance_errors(moe, decoder, batches, ts, configs, eps: float) -> dict:
         backward(loss)
         analytic.append([p.grad.copy() for p in params])
 
-    # MoE parameter -> (its layer, whether it reaches a router): a layer-l
-    # parameter changes nothing below layer l, and no router reads the output
-    # of a last-layer expert
+    # MoE parameter -> (its layer, its expert index or None for the router,
+    # whether it reaches a router): a layer-l parameter changes nothing below
+    # layer l, an expert leaves its layer's routing record as it is, and no
+    # router reads the output of a last-layer expert
     last = moe.config.num_layers - 1
-    reach = {id(p): (l, p is layer.router_weights or l < last)
-             for l, layer in enumerate(moe.layers)
-             for p in (*layer.expert_weights, layer.router_weights)}
+    reach = {}
+    for l, layer in enumerate(moe.layers):
+        for i, ew in enumerate(layer.expert_weights):
+            reach[id(ew)] = (l, i, l < last)
+        reach[id(layer.router_weights)] = (l, None, True)
+    kept = _kept_products(moe, forwards)
     worst = dict.fromkeys(GRAD_LOSSES, 0.0)
     for j, p in enumerate(params):
-        start, routes = reach.get(id(p), (None, False))
+        start, expert, routes = reach.get(id(p), (None, None, False))
 
-        def f(t, _p=p, _start=start, _routes=routes):
+        def f(t, _p=p, _start=start, _expert=expert, _routes=routes):
             old = _p.value.data.copy()
             _p.value.data[...] = t.data
             try:
                 if _start is None:  # the MoE forward reads no decoder parameter
                     o, r = outs, terms
                 else:
-                    o, rerun = _rerun(moe, forwards, _start)
+                    o, rerun = _rerun(moe, forwards, _start, _expert, kept)
                     r = _routing_terms(rerun, configs) if _routes else terms
                 return np.array([v.item() for v in _losses(o, r, decoder, batches, ts, configs)])
             finally:

@@ -276,13 +276,16 @@ def _forward(projector, decoder: ToyDecoder, feats: np.ndarray, labels):
 _TRANSITION_TASKS = {3: (TASK_ASR, TASK_ST), 4: (TASK_ST, TASK_CS_ST)}
 
 
-def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingTrace]) -> dict:
+def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingTrace],
+                  lang: Optional[Tensor] = None) -> dict:
     """The routing penalties ``stage`` adds to its core loss under the config.
 
     Stages 2-3 of the routing-loss variants add ``lang`` and ``balance`` (the
     conventional term under ``conventional-balance``, else the intra-group
     one), read off the MoE's trace, which carries the expert groups and the
-    token labels; every other stage and variant adds ``{}``.
+    token labels; every other stage and variant adds ``{}``. A given
+    ``lang`` is the language term already computed on this trace under the
+    same ``normalize_aux``, and is used in place of computing it again.
     """
     if stage not in (2, 3) or config.variant not in ROUTING_LOSS_VARIANTS:
         return {}
@@ -292,7 +295,9 @@ def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingT
             f"projector produces no routing trace; plain MLP projectors train without them"
         )
     normalize = config.normalize_aux
-    terms = {"lang": language_specific_loss(trace, normalize=normalize)}
+    if lang is None:
+        lang = language_specific_loss(trace, normalize=normalize)
+    terms = {"lang": lang}
     if config.variant == "conventional-balance":
         terms["balance"] = conventional_balance_loss(trace, normalize=normalize)
     else:

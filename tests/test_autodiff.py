@@ -495,6 +495,24 @@ def test_adam_arena_equals_per_parameter_loop_bit_for_bit():
         assert np.array_equal(p.value.data, want), p.name
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_refuses_a_non_finite_gradient_before_updating(bad):
+    rng = np.random.default_rng(4)
+    w = Parameter("w", Tensor(rng.normal(size=(2, 3))))
+    b = Parameter("b", Tensor(rng.normal(size=3)))
+    opt = Adam([w, b], lr=1e-2)
+    w.grad[...] = rng.normal(size=(2, 3))
+    b.grad[...] = rng.normal(size=3)
+    opt.step()
+    values = [w.value.data.copy(), b.value.data.copy()]
+    b.grad[1] = bad
+    with pytest.raises(FloatingPointError, match="non-finite gradient of b"):
+        opt.step()
+    assert opt.t == 1
+    assert np.array_equal(w.value.data, values[0])
+    assert np.array_equal(b.value.data, values[1])
+
+
 def test_adam_rejects_a_parameter_listed_twice():
     w = Parameter("w", Tensor(np.ones((2, 2))))
     b = Parameter("b", Tensor(np.ones(2)))

@@ -74,6 +74,21 @@ def test_config_hash_ignores_cosmetic_fields():
     assert config_diff(a, b) == []
 
 
+def test_equal_configs_hash_equal_whether_floats_are_given_as_ints():
+    a = ExperimentConfig(lang_weight=1, separation=6, stage1=StageSettings(200, 8, 3e-3))
+    b = ExperimentConfig(stage3=StageSettings(100, 8, 1), noise_sigma=0.1)
+    for given, want in ((a, ExperimentConfig()),
+                        (b, ExperimentConfig(stage3=StageSettings(100, 8, 1.0)))):
+        assert given == want
+        assert config_hash(given) == config_hash(want)
+        assert config_diff(given, want) == []
+        assert config_to_dict(given) == config_to_dict(want)
+    assert type(a.lang_weight) is float and type(b.stage3.learning_rate) is float
+    assert config_from_dict(config_to_dict(a)) == a
+    with pytest.raises(ValueError, match="lang_weight"):
+        ExperimentConfig(lang_weight=10**400)
+
+
 def test_config_diff_lists_changed_fields():
     a = ExperimentConfig()
     b = ExperimentConfig(train_seed=9, separation=2.0)

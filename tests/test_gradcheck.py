@@ -182,14 +182,17 @@ def test_shared_sweep_equals_per_loss_sweep_exactly(seed, monkeypatch):
 
 
 def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
-    # An instance has 60 coordinates in MoE layer 0 and 80 in layer 1, 64 of
-    # them in layer-1 experts. A coordinate of layer l reruns the three
-    # forwards from layer l, on both sides of its step:
-    # (60·2 + 80·1)·2·3 = 1,200 layer evaluations in the sweep.
+    # An instance has 60 coordinates in MoE layer 0, 48 of them in experts,
+    # and 80 in layer 1, 64 of them in experts. On both sides of its step, a
+    # router coordinate of layer l reruns the three forwards from layer l,
+    # and an expert coordinate of layer l re-mixes layer l and reruns the
+    # layers above it: 48·2·3·1 + 12·2·3·2 + 16·2·3·1 + 64·0 = 528 layer
+    # evaluations in the sweep.
     # The routing terms are read once unperturbed and on both sides of every
     # coordinate that reaches a router: 1 + 2·(140 − 64) = 153 times, each
-    # time for five objectives, four of which add the language-specific loss
-    # and two the intra-group balance loss.
+    # time for five objectives. Four of them add the language-specific loss,
+    # computed once for each of the two traces they read (153·2 = 306), and
+    # two the intra-group balance loss.
     counts = dict.fromkeys(("layers", "routing_terms", "lang", "balance"), 0)
     in_sweep = [False]
 
@@ -221,8 +224,8 @@ def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
     assert sum(p.value.data.size for p in moe.layers[-1].expert_weights) == 64
     instances = 2
     grad_check_report(seed=0, instances=instances)
-    assert counts == {"layers": instances * 1200, "routing_terms": instances * 5 * 153,
-                      "lang": instances * 612, "balance": instances * 306}
+    assert counts == {"layers": instances * 528, "routing_terms": instances * 5 * 153,
+                      "lang": instances * 306, "balance": instances * 306}
 
 
 def _layer_states(moe, feats):
@@ -237,13 +240,13 @@ def _layer_states(moe, feats):
 
 @pytest.mark.parametrize("candidate", range(4))
 def test_a_perturbation_changes_no_layer_below_its_own(candidate):
-    # the two facts the sweep's reuse rests on: a layer-l parameter leaves the
-    # inputs and records below layer l as they are, and a last-layer expert
-    # changes no routing record; a router does change its layer's records
+    # the facts the sweep's reuse rests on: a layer-l parameter leaves the
+    # inputs and records below layer l as they are, and an expert of any
+    # layer l leaves layer l's record as it is (so a last-layer expert
+    # changes no routing record); a router does change its layer's records
     moe, _, ((f1, _, _), (f2, _, _)), _, _ = gradcheck._make_instance(0, candidate)
     feats = np.concatenate([f1, f2], axis=0)
     base = _layer_states(moe, feats)
-    last = moe.config.num_layers - 1
     rng = np.random.default_rng(candidate)
     for l, layer in enumerate(moe.layers):
         for p in (*layer.expert_weights, layer.router_weights):
@@ -260,10 +263,40 @@ def test_a_perturbation_changes_no_layer_below_its_own(candidate):
             if p is layer.router_weights:
                 assert not (np.array_equal(states[l][1], base[l][1])
                             and np.array_equal(states[l][2], base[l][2])), p.name
-            elif l == last:
-                for state, kept in zip(states, base):
-                    assert np.array_equal(state[1], kept[1]), p.name
-                    assert np.array_equal(state[2], kept[2]), p.name
+            else:
+                assert np.array_equal(states[l][1], base[l][1]), p.name
+                assert np.array_equal(states[l][2], base[l][2]), p.name
+
+
+@pytest.mark.parametrize("candidate", range(4))
+def test_expert_remix_equals_rerunning_its_layer(candidate):
+    # the restart at (layer l, expert i) keeps layer l's routing record and
+    # the other experts' products; it must give what rerunning layer l gives
+    moe, _, batches, _, _ = gradcheck._make_instance(0, candidate)
+    base, forwards = gradcheck._rerun(moe, gradcheck._inputs(moe, batches), 0)
+    kept = gradcheck._kept_products(moe, forwards)
+    rng = np.random.default_rng(candidate)
+    moved = 0
+    for l, layer in enumerate(moe.layers):
+        for i, p in enumerate(layer.expert_weights):
+            old = p.value.data.copy()
+            p.value.data.reshape(-1)[rng.integers(old.size)] += 1e-3
+            try:
+                remixed = gradcheck._rerun(moe, forwards, l, i, kept)
+                rerun = gradcheck._rerun(moe, forwards, l)
+            finally:
+                p.value.data[...] = old
+            for a, b, unperturbed in zip(remixed[0], rerun[0], base):
+                assert np.array_equal(a.data, b.data), p.name
+                moved += not np.array_equal(a.data, unperturbed.data)
+            for (inputs_a, trace_a), (inputs_b, trace_b) in zip(remixed[1], rerun[1]):
+                for a, b in zip(inputs_a, inputs_b, strict=True):
+                    assert np.array_equal(a.data, b.data), p.name
+                for a, b in zip(trace_a.layers, trace_b.layers, strict=True):
+                    assert np.array_equal(a.logits.data, b.logits.data), p.name
+                    assert np.array_equal(a.selected, b.selected), p.name
+                    assert np.array_equal(a.probs.data, b.probs.data), p.name
+    assert moved  # the perturbations reach the outputs
 
 
 def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
