@@ -109,6 +109,46 @@ def expert_load(trace: RoutingTrace) -> dict:
     return {"expert_shares": _floats(shares), "group_ratio": _floats(ratio)}
 
 
+def _label_distance_sums(xc: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """[n × labels]: each row's summed Euclidean distance to every label's rows.
+
+    One block of ``_BLOCK`` rows at a time, so memory is O(block · n), and
+    the three ``[block × n]`` buffers (norms, distances, near mask) are made
+    once and rewritten by each block. Gram distances |a|² + |b|² − 2·a·b
+    lose all precision when d² is at rounding level against |a|² + |b|²
+    (the diagonal, exact duplicates), so those entries, d² ≤ 1e-12·norms
+    (negative Gram values among them), are recomputed from the differences
+    before the square root. One compare against a scalar bound, 1e-12 ·
+    (the block's largest |a|² + the largest |b|²), finds the candidates as
+    flat indices into the block, and only they take the exact per-entry
+    test. Rounding is monotone, so no entry that passes the exact test lies
+    above the bound. The norms are added one row at a time; the sum is
+    commutative, so they equal the broadcast |a|² + |b|² bit for bit, at
+    half its cost.
+    """
+    n = len(xc)
+    sq = (xc**2).sum(axis=1)
+    top = sq.max()
+    sums = np.empty((n, onehot.shape[1]))
+    norms_buf, d2_buf = np.empty((2, min(_BLOCK, n), n))
+    near_buf = np.empty(d2_buf.shape, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = sq[rows]
+        norms, d2, near = norms_buf[:len(block)], d2_buf[:len(block)], near_buf[:len(block)]
+        for i, s in enumerate(block):
+            np.add(sq, s, out=norms[i])
+        np.matmul(-2.0 * xc[rows], xc.T, out=d2)
+        d2 += norms
+        np.less_equal(d2, 1e-12 * (block.max() + top), out=near)
+        cand = np.flatnonzero(near)
+        cand = cand[d2.ravel()[cand] <= 1e-12 * norms.ravel()[cand]]
+        near_r, near_c = np.divmod(cand, n)
+        d2[near_r, near_c] = ((xc[start + near_r] - xc[near_c]) ** 2).sum(axis=1)
+        sums[rows] = np.sqrt(d2, out=d2) @ onehot
+    return sums
+
+
 def separation_score(features: np.ndarray, labels: np.ndarray) -> dict:
     """Cluster-separation report: mean silhouette plus pairwise gap ratios.
 
@@ -116,7 +156,9 @@ def separation_score(features: np.ndarray, labels: np.ndarray) -> dict:
     gap by their mean spread. Labels with a single sample are excluded (with
     a warning); at least two populated labels must remain. Distances are
     Euclidean, making the score invariant under translation, rotation, and
-    uniform scaling.
+    uniform scaling. The distance sums behind the silhouette come from
+    ``_label_distance_sums``, one block of rows at a time in O(block ·
+    samples) memory, with near-zero distances recomputed exactly.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
@@ -131,26 +173,10 @@ def separation_score(features: np.ndarray, labels: np.ndarray) -> dict:
     mask = np.isin(labels, kept)
     x, y = features[mask], labels[mask]
 
-    # Per-label distance sums, one block of rows at a time: memory is
-    # O(block · n). Gram distances |a|² + |b|² − 2·a·b lose all precision
-    # when d² is at rounding level against |a|² + |b|² (the diagonal, exact
-    # duplicates), so those entries are recomputed from the differences.
-    # They are found by one flat scan of the block, whose indices divmod
-    # maps back to (row, column) in the row-major order of a 2-D nonzero.
     code = np.searchsorted(kept, y)
     onehot = (code[:, None] == np.arange(len(kept))).astype(float)
     xc = x - x.mean(axis=0)
-    n = len(xc)
-    sq = (xc**2).sum(axis=1)
-    sums = np.empty((n, len(kept)))
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        norms = sq[rows, None] + sq
-        d2 = (-2.0 * xc[rows]) @ xc.T
-        d2 += norms
-        near_r, near_c = np.divmod(np.flatnonzero(d2 <= 1e-12 * norms), n)
-        d2[near_r, near_c] = ((xc[start + near_r] - xc[near_c]) ** 2).sum(axis=1)
-        sums[rows] = np.sqrt(d2, out=d2) @ onehot
+    sums = _label_distance_sums(xc, onehot)
     sizes = onehot.sum(axis=0)
     own = np.arange(len(xc)), code
     a = sums[own] / (sizes[code] - 1)

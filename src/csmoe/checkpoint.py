@@ -109,5 +109,6 @@ def load_checkpoint(directory, config: ExperimentConfig) -> TrainState:
     for p in params:
         file = f"{_PARAMS_DIR}/{p.name}.bin"
         raw = (directory / file).read_bytes()
-        p.value.data[...] = float64_array(raw, p.value.data.shape, f"payload {file}")
+        p.value.data[...] = float64_array(raw, p.value.data.shape,
+                                         f"checkpoint payload {directory / file}")
     return state

@@ -16,7 +16,7 @@ that each utterance's targets and source tokens agree in length and that
 its code-switch segments tile them, checks the body length against the
 header's token counts and slices each utterance's features out of the
 block. Checkpoint tensors use the same raw float64 encoding
-(``float64_bytes``/``float64_array``).
+(``float64_bytes``/``float64_array``), and both refuse a non-finite value.
 """
 
 from __future__ import annotations
@@ -91,13 +91,22 @@ def float64_bytes(array) -> bytes:
 
 
 def float64_array(raw, shape, what: str) -> np.ndarray:
-    """The writable array of ``shape`` that ``raw`` holds; ``what`` names it in errors."""
+    """The writable finite array of ``shape`` that ``raw`` holds; ``what`` names it in errors.
+
+    No writer stores a NaN or an infinity, so one is damage, and is refused
+    here rather than carried into a report as a NaN metric.
+    """
     expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise ValueError(
             f"{what} holds {len(raw)} bytes but shape {shape} requires {expected}"
         )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    array = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    bad = np.flatnonzero(~np.isfinite(array))
+    if bad.size:
+        raise ValueError(f"{what} holds {bad.size} non-finite value(s), "
+                         f"the first {array.flat[bad[0]]} at element {bad[0]}")
+    return array
 
 
 # ----------------------------------------------------------------- datasets

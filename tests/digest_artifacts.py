@@ -1,6 +1,6 @@
 """Print the sha256 of every artifact the commands write, for a byte-identity check.
 
-Usage: ``python tests/digest_artifacts.py WORK_DIR``
+Usage: ``python tests/digest_artifacts.py WORK_DIR [--check LISTING]``
 
 Runs ``gen-data``, ``train``, ``eval`` and ``routing-report`` for each of the
 four variants on the default config and on one alternate config (other
@@ -11,10 +11,13 @@ fields at their upper bounds, small data and stage budgets), then
 --seeds 0`` (all four variants) on the default config. The commands
 run from the ``src`` next to this file, inside ``WORK_DIR`` with relative
 paths, so the written ``config.json`` files do not depend on where
-``WORK_DIR`` is. Prints one sorted ``sha256  path`` line per file; a refactor
-that claims byte identity compares two such listings with ``diff``.
+``WORK_DIR`` is. Prints one sorted ``sha256  path`` line per file. With ``--check``,
+it compares that listing with the one saved in ``LISTING`` instead: it
+prints each path that differs, is missing or is extra, and exits 1 if
+there is any.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -39,7 +42,7 @@ def run(work: Path, *args: str) -> None:
                    check=True, stdout=subprocess.DEVNULL)
 
 
-def main(work: Path) -> None:
+def write_artifacts(work: Path) -> None:
     work.mkdir(parents=True, exist_ok=True)
     # the effective config gen-data writes holds every field at its default
     run(work, "gen-data", "--out", "defaults")
@@ -62,12 +65,53 @@ def main(work: Path) -> None:
         run(work, "grad-check", "--instances", "3", "--seed", str(seed),
             "--out", f"grad-check/seed{seed}")
     run(work, "ablate", "--seeds", "0", "--out", "ablate")
-    for path in sorted(p for p in work.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(work).as_posix()}")
+
+
+def listing(work: Path) -> dict:
+    """``{path: sha256}`` of every file under ``work``, paths relative and sorted."""
+    return {path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(p for p in work.rglob("*") if p.is_file())}
+
+
+def read_listing(path: Path) -> dict:
+    """The ``{path: sha256}`` of a listing this script printed."""
+    want = {}
+    for line in path.read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        want[name] = digest
+    return want
+
+
+def differences(got: dict, want: dict) -> list:
+    """One ``differs``/``missing``/``extra`` line per path on which the listings disagree."""
+    lines = []
+    for path in sorted(got.keys() | want.keys()):
+        if path not in got:
+            lines.append(f"missing  {path}")
+        elif path not in want:
+            lines.append(f"extra    {path}")
+        elif got[path] != want[path]:
+            lines.append(f"differs  {path}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("work", type=Path, metavar="WORK_DIR")
+    parser.add_argument("--check", type=Path, metavar="LISTING",
+                        help="compare with this saved listing instead of printing one")
+    args = parser.parse_args(argv)
+    want = None if args.check is None else read_listing(args.check)  # unreadable: fail first
+    write_artifacts(args.work)
+    got = listing(args.work)
+    if want is None:
+        for path, digest in got.items():
+            print(f"{digest}  {path}")
+        return 0
+    lines = differences(got, want)
+    print("\n".join(lines) if lines else f"{len(got)} files match {args.check}")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__.strip().splitlines()[2])
-    main(Path(sys.argv[1]))
+    sys.exit(main())

@@ -5,8 +5,8 @@ chain behind the fused language loss and the tape ops that it and the
 balance chains are built from, the subset softmax of a single logit
 vector, the single-token routing and mixture path that the batched MoE
 forward must agree with, a routing trace built from explicit
-probabilities, and readers of the world and metrics files the commands
-write.
+probabilities, the plain block loop behind the silhouette's distance
+sums, and readers of the world and metrics files the commands write.
 """
 
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from csmoe.analysis import _BLOCK
 from csmoe.autodiff import Tensor, _binary, _coerce, _record, add, masked_softmax, mul
 from csmoe.projector import LayerRouting, RoutingTrace, _topk_rows
 from csmoe.world import LanguageSpec, World
@@ -166,6 +167,27 @@ def make_trace(prob_rows_per_layer, labels=None, *, groups=1) -> RoutingTrace:
     num_experts = layers[0].probs.shape[1]
     group_of = np.repeat(np.arange(groups), num_experts // groups)
     return RoutingTrace(layers, group_of, None if labels is None else np.asarray(labels))
+
+
+def block_distance_sums(xc, onehot) -> np.ndarray:
+    """``analysis._label_distance_sums`` as a fresh-array loop over each block.
+
+    Per block: the broadcast norms |a|² + |b|², the Gram distances, and a
+    scan of every entry for d² ≤ 1e-12·norms; those entries are recomputed
+    from the differences before the square root.
+    """
+    n = len(xc)
+    sq = (xc**2).sum(axis=1)
+    sums = np.empty((n, onehot.shape[1]))
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        norms = sq[rows, None] + sq
+        d2 = (-2.0 * xc[rows]) @ xc.T
+        d2 += norms
+        near_r, near_c = np.divmod(np.flatnonzero(d2 <= 1e-12 * norms), n)
+        d2[near_r, near_c] = ((xc[start + near_r] - xc[near_c]) ** 2).sum(axis=1)
+        sums[rows] = np.sqrt(d2, out=d2) @ onehot
+    return sums
 
 
 def load_world(path) -> World:

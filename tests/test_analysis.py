@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
+import csmoe.analysis
+
 from csmoe.analysis import (
     _BLOCK,
     ablation_report,
@@ -27,7 +29,7 @@ from csmoe.projector import (
     moe_forward,
 )
 from csmoe.world import TASK_ASR, gen_utterance, gen_world
-from oracles import make_trace
+from oracles import block_distance_sums, make_trace
 
 
 # ------------------------------------------------------------ routing_accuracy
@@ -276,6 +278,51 @@ def test_separation_of_exact_duplicates_across_blocks_is_perfect():
     report = separation_score(x, y)
     assert report["silhouette"] == 1.0
     assert np.array_equal(report["pair_ratios"], [[0.0, np.inf], [np.inf, 0.0]])
+
+
+def _straddling_near_duplicates(seed):
+    """Squared norms spread over 16 decades, mirrored so that centring keeps
+    them, and near-duplicate rows shuffled into other blocks at relative
+    offsets around the 1.4e-6 where d² meets 1e-12·norms; a fifth of them
+    copy the largest row, whose pairs meet the scan's scalar bound."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(150, 4)) * 10.0 ** rng.uniform(-4, 4, size=(150, 1))
+    largest = np.argmax((base**2).sum(axis=1))
+    src = base[np.append(rng.integers(0, 150, size=80), np.full(20, largest))]
+    near = src * (1 + 10.0 ** rng.uniform(-6.5, -5.5, size=(100, 1)) * rng.normal(size=(100, 4)))
+    x = np.vstack([base, near, -base, -near])
+    order = rng.permutation(len(x))
+    return x[order], rng.integers(0, 3, size=len(x))
+
+
+def _kernel_case(kind, seed):
+    if kind == "pairwise":
+        return _separation_case(seed)
+    if kind == "report-size":
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(2304, 32)), rng.integers(0, 4, size=2304)
+    return _straddling_near_duplicates(seed)
+
+
+@pytest.mark.parametrize("kind, seed", [("pairwise", s) for s in range(120)]
+                         + [("report-size", 0)] + [("straddling", s) for s in range(4)])
+def test_separation_equals_the_plain_block_loop_bit_for_bit(kind, seed, monkeypatch):
+    x, y = _kernel_case(kind, seed)
+    kernel, sums_equal = csmoe.analysis._label_distance_sums, []
+
+    def checked(xc, onehot):
+        sums = kernel(xc, onehot)
+        sums_equal.append(np.array_equal(sums, block_distance_sums(xc, onehot)))
+        return sums
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singleton label
+        monkeypatch.setattr(csmoe.analysis, "_label_distance_sums", checked)
+        report = separation_score(x, y)
+        monkeypatch.setattr(csmoe.analysis, "_label_distance_sums", block_distance_sums)
+        reference = separation_score(x, y)
+    assert sums_equal == [True]
+    assert report == reference
 
 
 def test_separated_worlds_score_higher_than_overlapping_ones():

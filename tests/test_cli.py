@@ -338,6 +338,19 @@ def test_train_refuses_damaged_dataset_by_name(tmp_path, cfg_path, damage, capsy
     assert not (out / "checkpoints").exists()
 
 
+def test_train_refuses_a_non_finite_feature_by_name(tmp_path, cfg_path, capsys):
+    out = tmp_path / "out"
+    main(["gen-data", "--config", cfg_path, "--out", str(out)])
+    path = out / "cs.train.bin"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + np.float64(np.inf).tobytes())  # the last feature
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "non-finite" in err
+    assert not (out / "checkpoints").exists()
+
+
 def test_disk_round_trip_is_invisible_to_training(tmp_path, cfg_path, monkeypatch):
     disk, memory = tmp_path / "disk", tmp_path / "memory"
     main(["gen-data", "--config", cfg_path, "--out", str(disk)])
@@ -476,6 +489,22 @@ def test_damaged_checkpoint_manifest_exits_2_naming_it(
     assert main(argv) == 2
     assert str(manifest) in capsys.readouterr().err
     assert _tree_bytes(run) == before
+
+
+def test_eval_refuses_a_non_finite_checkpoint_payload_by_name(
+        tmp_path, cfg_path, stage2_dir, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(stage2_dir, run)
+    checkpoint = run / "checkpoints" / "stage2"
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    payload = checkpoint / manifest["params"][0]["file"]
+    payload.write_bytes(np.float64(np.nan).tobytes() + payload.read_bytes()[8:])
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert str(payload) in err and "non-finite" in err
+    assert not (tmp_path / "eval" / "report.json").exists()
 
 
 @pytest.mark.parametrize("damaged", ["config-file", "manifest", "data-config"])
