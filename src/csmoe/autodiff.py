@@ -3,7 +3,8 @@
 Define-by-run: a ``Tape`` records every differentiable operation executed
 inside its ``with`` block, and ``backward`` replays the records in reverse to
 accumulate gradients into leaf tensors. Outside a tape, the same operations
-run as plain numpy evaluation. Everything is 64-bit; there is no broadcasting
+run as plain numpy evaluation: they record nothing and pay only for their
+arithmetic and their input checks. Everything is 64-bit; there is no broadcasting
 beyond scalar operands, so shape mistakes surface as errors.
 """
 
@@ -23,7 +24,13 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "node_id", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        # a float64, C-contiguous, at-least-1-D array is kept as it is: the
+        # conversion below would return that same object
+        if (type(data) is np.ndarray and data.dtype == np.float64 and data.ndim
+                and data.flags.c_contiguous):
+            self.data = data
+        else:
+            self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self.node_id: int | None = None
         self.grad: np.ndarray | None = None
@@ -36,7 +43,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -86,9 +93,14 @@ class Tape:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out.requires_grad = any(p.requires_grad for p in parents)
+    for p in parents:
+        if p.requires_grad:
+            break
+    else:
+        return out  # nothing to differentiate: out.requires_grad stays False
+    out.requires_grad = True
     tape = _ACTIVE_TAPE
-    if tape is None or not out.requires_grad:
+    if tape is None:
         return out
     pids = tuple(tape._node_id(p) if p.requires_grad else None for p in parents)
     out._tape = tape
@@ -169,13 +181,15 @@ def _fit(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(a, b, name, fwd, bwd) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.shape != b.shape and a.data.size != 1 and b.data.size != 1:
+    a = a if isinstance(a, Tensor) else _coerce(a)
+    b = b if isinstance(b, Tensor) else _coerce(b)
+    ad, bd = a.data, b.data
+    ash, bsh = ad.shape, bd.shape
+    if ash != bsh and ad.size != 1 and bd.size != 1:
         raise ValueError(
-            f"{name}: shapes {a.shape} and {b.shape} differ (only scalar operands broadcast)"
+            f"{name}: shapes {ash} and {bsh} differ (only scalar operands broadcast)"
         )
-    out = Tensor(fwd(a.data, b.data))
-    ad, bd, ash, bsh = a.data, b.data, a.shape, b.shape
+    out = Tensor(fwd(ad, bd))
 
     def bw(g):
         ga, gb = bwd(g, ad, bd)
@@ -194,14 +208,14 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    x = _coerce(x)
+    x = x if isinstance(x, Tensor) else _coerce(x)
     xd = x.data
     return _record(Tensor(np.maximum(xd, 0.0)), (x,), lambda g: (g * (xd > 0.0),))
 
 
 def take(x, indices) -> Tensor:
     """Select rows (2-D) or elements (1-D) by index along the first axis."""
-    x = _coerce(x)
+    x = x if isinstance(x, Tensor) else _coerce(x)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError(f"take indices must be 1-D, got shape {idx.shape}")
@@ -210,11 +224,10 @@ def take(x, indices) -> Tensor:
         raise ValueError(f"take index out of range for first axis of size {n}")
     out = Tensor(x.data[idx])
     shape = x.data.shape
-    unique = np.bincount(idx).max(initial=0) <= 1
 
     def bw(g):
         buf = np.zeros(shape)
-        if unique:
+        if np.bincount(idx).max(initial=0) <= 1:  # unique indices
             buf[idx] += g
         else:
             np.add.at(buf, idx, g)
@@ -224,11 +237,12 @@ def take(x, indices) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
+    a = a if isinstance(a, Tensor) else _coerce(a)
+    b = b if isinstance(b, Tensor) else _coerce(b)
     ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ValueError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
+    out = Tensor(ad @ bd)
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
@@ -244,16 +258,16 @@ def mix(probs, outputs: Sequence) -> Tensor:
     so an exactly-zero probability drops its term bit for bit, and the
     gradient into outputs[i] is exactly zero on those rows.
     """
-    p = _coerce(probs)
-    ys = [_coerce(y) for y in outputs]
-    if p.data.ndim != 2 or p.shape[1] != len(ys) or not ys:
-        raise ValueError(f"mix: probs shape {p.shape} does not match {len(ys)} outputs")
-    rows = p.shape[0]
-    if any(y.data.ndim != 2 or y.shape != ys[0].shape or y.shape[0] != rows for y in ys):
-        raise ValueError(
-            f"mix: outputs {[y.shape for y in ys]} must share one [{rows} × d] shape"
-        )
+    p = probs if isinstance(probs, Tensor) else _coerce(probs)
+    ys = [y if isinstance(y, Tensor) else _coerce(y) for y in outputs]
     pd, yds = p.data, [y.data for y in ys]
+    if pd.ndim != 2 or pd.shape[1] != len(yds) or not yds:
+        raise ValueError(f"mix: probs shape {pd.shape} does not match {len(yds)} outputs")
+    shape = yds[0].shape
+    if len(shape) != 2 or shape[0] != pd.shape[0] or len({yd.shape for yd in yds}) != 1:
+        raise ValueError(
+            f"mix: outputs {[yd.shape for yd in yds]} must share one [{pd.shape[0]} × d] shape"
+        )
     acc = yds[0] * pd[:, 0, None]
     for i in range(1, len(yds)):
         acc = acc + yds[i] * pd[:, i, None]
@@ -274,16 +288,16 @@ def masked_softmax(logits, mask: np.ndarray) -> Tensor:
     Entries outside the mask are exactly zero; each row of the mask must
     select at least one entry. Stabilized by max-subtraction.
     """
-    z = _coerce(logits)
+    z = logits if isinstance(logits, Tensor) else _coerce(logits)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != z.shape:
         raise ValueError(f"mask shape {mask.shape} does not match logits shape {z.shape}")
     if not mask.any(axis=-1).all():
         raise ValueError("every row must have a non-empty subset")
     zm = np.where(mask, z.data, -np.inf)
-    zm = zm - zm.max(axis=-1, keepdims=True)
-    e = np.exp(zm)
-    p = e / e.sum(axis=-1, keepdims=True)
+    zm -= zm.max(axis=-1, keepdims=True)
+    p = np.exp(zm, out=zm)
+    p /= p.sum(axis=-1, keepdims=True)
     out = Tensor(p)
 
     def bw(g):
@@ -305,7 +319,7 @@ def token_nll(zd: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     tg = np.asarray(targets)
     if tg.ndim != 1 or tg.shape[0] != t_count:
         raise ValueError(f"targets length {tg.shape} does not match {t_count} positions")
-    if not np.issubdtype(tg.dtype, np.integer):
+    if tg.dtype.kind not in "iu":
         raise ValueError("targets must be integer token ids")
     if tg.size and (tg.min() < 0 or tg.max() >= vocab):
         raise ValueError(f"target id out of range [0, {vocab})")
@@ -317,11 +331,11 @@ def token_nll(zd: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
 
 def cross_entropy(logits, targets) -> Tensor:
     """Mean over positions of −log softmax(logits_t)[target_t]."""
-    z = _coerce(logits)
+    z = logits if isinstance(logits, Tensor) else _coerce(logits)
     zd, tg = z.data, np.asarray(targets)
     losses, m = token_nll(zd, tg)
     t_count = zd.shape[0]
-    out = Tensor(losses.mean())
+    out = Tensor(losses.sum() / t_count)  # the reduction and division of mean()
 
     def bw(g):
         p = np.exp(zd - m)

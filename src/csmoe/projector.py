@@ -218,9 +218,12 @@ class RoutingTrace:
 
     def own_group_probs(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """[T × n] each token's probabilities over its group's experts; zeros if it has none."""
-        m = self.num_groups
-        own, rows = np.zeros((len(labels), self.group_of.size // m)), (labels >= 0) & (labels < m)
-        own[rows] = probs.reshape(len(labels), m, -1)[rows, labels[rows]]  # [T × m × n] layout
+        m, t = self.num_groups, len(labels)
+        grouped, rows = probs.reshape(t, m, -1), (labels >= 0) & (labels < m)  # [T × m × n]
+        if rows.all():  # every token has a group: gather, no zero-fill
+            return grouped[np.arange(t), labels]
+        own = np.zeros((t, grouped.shape[2]))
+        own[rows] = grouped[rows, labels[rows]]
         return own
 
     def in_group_wins(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from csmoe.autodiff import (
     mul,
     relu,
     take,
+    token_nll,
 )
 from oracles import log, softmax, sub, tsum
 
@@ -564,3 +565,84 @@ def test_finished_tape_is_freed_by_refcount():
         assert [t() is None for t in tapes] == [True, True, True]
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------- ops outside a tape
+
+
+def _no_tape_cases():
+    """(name, op over leaf tensors, leaf arrays) for every op the library keeps."""
+    rng = np.random.default_rng(9)
+    x, y = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    mask = rng.random((4, 4)) < 0.5
+    mask[:, 1] = True
+    probs = rng.random((4, 3))
+    probs[0, 1] = 0.0
+    ys = [rng.normal(size=(4, 2)) for _ in range(3)]
+    return [
+        ("add", add, [x, y]),
+        ("mul", mul, [x, y]),
+        ("mul_scalar", lambda a: mul(a, 0.5), [x]),
+        ("relu", relu, [x]),
+        ("take_unique", lambda a: take(a, np.array([3, 0, 2])), [x]),
+        ("take_repeated", lambda a: take(a, np.array([1, 1, 0, 1])), [x]),
+        ("matmul", matmul, [rng.normal(size=(6, 4)), y]),
+        ("mix", lambda p, *os: mix(p, list(os)), [probs, *ys]),
+        ("masked_softmax", lambda a: masked_softmax(a, mask), [x]),
+        ("cross_entropy", lambda a: cross_entropy(a, np.array([0, 3, 3, 1])), [x]),
+    ]
+
+
+@pytest.mark.parametrize("needs_grad", [True, False])
+@pytest.mark.parametrize("case", _no_tape_cases(), ids=lambda c: c[0])
+def test_op_outside_a_tape_records_nothing_and_equals_the_taped_op(case, needs_grad):
+    _, op, arrays = case
+
+    def leaves():
+        return [Tensor(a.copy(), requires_grad=needs_grad) for a in arrays]
+
+    free = op(*leaves())
+    with Tape() as tape:
+        taped = op(*leaves())
+    assert np.array_equal(free.data, taped.data)
+    assert free.node_id is None and free._tape is None
+    assert free.requires_grad is needs_grad
+    assert (taped._tape is tape) is needs_grad
+
+
+def test_tensor_keeps_a_float64_c_contiguous_array_and_converts_the_rest():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Tensor(a).data is a
+    for other in (a.T, a.astype(np.float32), a[:, ::2]):
+        t = Tensor(other)
+        assert t.data is not other
+        assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
+        assert np.array_equal(t.data, other)
+    for scalar in (2.5, np.array(2.5), np.float64(2.5)):
+        t = Tensor(scalar)
+        assert t.data.shape == (1,) and t.data[0] == 2.5
+        assert t.item() == 2.5 and type(t.item()) is float
+    t = Tensor([[1, 2], [3, 4]])
+    assert t.data.dtype == np.float64 and t.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_take_refuses_an_out_of_range_index_outside_a_tape():
+    for bad in ([0, 3], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            take(Tensor(np.ones((3, 2))), np.array(bad))
+
+
+def test_take_repeated_rows_accumulate_in_backward():
+    w = Parameter("x", Tensor(np.arange(6.0).reshape(3, 2)))
+    g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    with Tape():
+        backward(tsum(mul(take(w.value, np.array([2, 0, 2])), Tensor(g))))
+    assert np.array_equal(w.grad, [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]])
+
+
+def test_cross_entropy_is_the_mean_of_token_nll_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for t_count in (1, 5, 96):
+        z = rng.normal(scale=3.0, size=(t_count, 7))
+        targets = rng.integers(0, 7, size=t_count)
+        assert cross_entropy(Tensor(z), targets).data[0] == token_nll(z, targets)[0].mean()

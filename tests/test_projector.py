@@ -300,6 +300,29 @@ def test_trace_in_group_wins_count_each_languages_winners():
     assert wins.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
 
+def _zero_filled_own_group_probs(trace, probs, labels):
+    """The zero-fill-then-scatter form of ``own_group_probs``, for every label set."""
+    m = trace.num_groups
+    own, rows = np.zeros((len(labels), trace.group_of.size // m)), (labels >= 0) & (labels < m)
+    own[rows] = probs.reshape(len(labels), m, -1)[rows, labels[rows]]
+    return own
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1, 1, 0, 2], [0, CS_UNLABELED, 2, 1, 3, CS_UNLABELED]],
+                         ids=["labeled", "mixed"])
+def test_own_group_probs_equals_the_zero_filled_form_bit_for_bit(labels):
+    rng = np.random.default_rng(13)
+    rows = rng.random((6, 6)) * (rng.random((6, 6)) < 0.6)
+    labels = np.array(labels)
+    trace = make_trace([rows], labels, groups=3)
+    probs = trace.layers[0].probs.data
+    for view in (trace, trace.one_group()):
+        got = view.own_group_probs(probs, view.token_language)
+        want = _zero_filled_own_group_probs(view, probs, view.token_language)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_moe_forward_matches_per_token_replay():
     from csmoe.autodiff import relu
 
