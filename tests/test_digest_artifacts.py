@@ -47,7 +47,7 @@ def test_check_names_each_differing_missing_and_extra_path(tmp_path, monkeypatch
 
 
 def test_committed_digest_subset_regenerates_byte_for_byte(tmp_path, monkeypatch):
-    # grad-check seed 0 and the default config's full run, about 3 s
+    # grad-check seed 0 and the default config's full run, about 2.5 s
     children = []
 
     def run(work, *args):
