@@ -4,9 +4,10 @@ Pure functions over routing traces and labeled feature sets: how often tokens
 reach their own language's experts, how evenly load spreads inside each
 group, how separated the language clusters are, and how ablation variants
 compare. Every statistic is deterministic in its inputs. The routing
-statistics read the expert groups and token labels off the trace, through
-the same ``RoutingTrace`` helpers the routing losses use; the global
-expert counts are the in-group winner count of the one-group view.
+statistics read the expert groups and the checked token labels off the
+trace, through the same ``RoutingTrace`` helpers the routing losses use, so
+they refuse an unlabeled token as the losses do; the global expert counts
+are the in-group winner count of the one-group view.
 
 Each function returns the record that the commands write, in plain Python
 values, so the layout of every report is written here and nowhere else.
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import VARIANTS
-from .projector import CS_UNLABELED, RoutingTrace
+from .projector import RoutingTrace
 
 __all__ = [
     "routing_accuracy",
@@ -46,7 +47,7 @@ def routing_accuracy(trace: RoutingTrace) -> dict:
     selected slots; NaN for a language absent from the trace.
     """
     group_of, m = trace.group_of, trace.num_groups
-    labels = trace.concrete_labels()
+    labels = trace.labels
 
     pairs = np.zeros(m)
     top1_hits = np.zeros(m)
@@ -83,21 +84,13 @@ def expert_load(trace: RoutingTrace) -> dict:
     ``expert_shares`` counts global-argmax assignments over all (token,
     layer) pairs. ``group_ratio`` divides, per language, the busiest by the
     quietest expert's in-group argmax count over that language's tokens; a
-    dead expert yields ``inf``, and a language with no labeled tokens NaN.
+    dead expert yields ``inf``, and a language without an in-group winner NaN.
     """
     m = trace.num_groups
     if trace.num_tokens == 0 or trace.num_layers == 0:
         raise ValueError("expert_load requires a non-empty trace")
-    labels = (
-        np.full(trace.num_tokens, CS_UNLABELED, dtype=np.intp)
-        if trace.token_language is None
-        else np.asarray(trace.token_language, dtype=np.intp)
-    )
-
-    one = trace.one_group()
-    counts = sum(one.in_group_wins(layer.probs.data, one.token_language)[0]
-                 for layer in one.layers)
-    group_counts = sum(trace.in_group_wins(layer.probs.data, labels) for layer in trace.layers)
+    counts = sum(trace.one_group.in_group_wins(l)[0] for l in range(trace.num_layers))
+    group_counts = sum(trace.in_group_wins(l) for l in range(trace.num_layers))
 
     shares = counts / (counts.sum() if counts.sum() > 0 else 1.0)
     ratio = np.full(m, np.nan)

@@ -4,8 +4,9 @@ Define-by-run: a ``Tape`` records every differentiable operation executed
 inside its ``with`` block, and ``backward`` replays the records in reverse to
 accumulate gradients into leaf tensors. Outside a tape, the same operations
 run as plain numpy evaluation: they record nothing and pay only for their
-arithmetic and their input checks. Everything is 64-bit; there is no broadcasting
-beyond scalar operands, so shape mistakes surface as errors.
+arithmetic and their input checks, and ``backward`` refuses a loss that
+requires grad but that no tape recorded. Everything is 64-bit; there is no
+broadcasting beyond scalar operands, so shape mistakes surface as errors.
 """
 
 from __future__ import annotations
@@ -113,15 +114,14 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``."""
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``; refuse an untaped loss."""
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
     if tape is None:
         if loss.requires_grad:
-            if loss.grad is None:
-                loss.grad = np.zeros_like(loss.data)
-            loss.grad += 1.0
+            raise ValueError("backward needs a loss computed inside `with Tape():` from "
+                             "tensors that require grad; no tape recorded this one")
         return
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for nid in range(loss.node_id, -1, -1):

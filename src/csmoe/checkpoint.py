@@ -53,8 +53,8 @@ def save_checkpoint(directory, config: ExperimentConfig, state: TrainState) -> P
     (directory / _PARAMS_DIR).mkdir(parents=True, exist_ok=True)
     # removed before any payload, rewritten after all: a cut-off overwrite has no manifest
     (directory / _MANIFEST).unlink(missing_ok=True)
-    for p in params:
-        (directory / _PARAMS_DIR / f"{p.name}.bin").write_bytes(float64_bytes(p.value.data))
+    for p, entry in zip(params, manifest["params"]):
+        (directory / entry["file"]).write_bytes(float64_bytes(p.value.data))
     write_json(directory / _MANIFEST, manifest)
     return directory
 
@@ -106,9 +106,8 @@ def load_checkpoint(directory, config: ExperimentConfig) -> TrainState:
             raise ValueError(f"checkpoint manifest {path} does not list the stage-{state.stage} "
                              f"parameters of this config: entry {i} is {got!r}, "
                              f"expected {want!r}")
-    for p in params:
-        file = f"{_PARAMS_DIR}/{p.name}.bin"
-        raw = (directory / file).read_bytes()
-        p.value.data[...] = float64_array(raw, p.value.data.shape,
-                                         f"checkpoint payload {directory / file}")
+    for p, entry in zip(params, manifest["params"]):  # each entry as checked above
+        file = directory / entry["file"]
+        p.value.data[...] = float64_array(file.read_bytes(), p.value.data.shape,
+                                         f"checkpoint payload {file}")
     return state

@@ -85,8 +85,8 @@ def _screen(moe, forward) -> bool:
         if k < s.shape[1] and (s[:, k - 1] - s[:, k]).min() < _MARGIN:
             return False
         # the argmax over all experts is the in-group argmax of the one-group view
-        for view in (trace.one_group(), trace):
-            in_group = view.own_group_probs(record.probs.data, view.token_language)
+        for view in (trace.one_group, trace):
+            in_group = view.own_group_probs(l)
             mass = in_group.sum(axis=1)
             if ((mass > 0.0) & (mass < _MASS_FLOOR)).any():
                 return False

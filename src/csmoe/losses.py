@@ -14,9 +14,9 @@ objective carries the model across task transitions:
   target-task loss over the course of a stage.
 
 The two group-aware losses read the expert groups and the per-token labels
-off the trace: ``RoutingTrace.group_of`` is the projector's layout, and
-``concrete_labels`` and ``in_group_wins`` (all groups in one pass) are the
-definitions that ``analysis`` shares.
+off the trace: ``RoutingTrace.group_of`` is the projector's layout, the
+trace checks its ``labels`` once, and ``in_group_wins`` (all groups in one
+pass) is the definition that ``analysis`` shares.
 
 ``compose_stage_loss`` adds the routing terms a stage uses (which ones is
 ``stages.routing_terms``'s rule) to its core loss; training and the
@@ -75,7 +75,7 @@ def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> T
     entirely within its own group. The trace's labels must be concrete for
     every token, and S∖i must not be empty (top-k ≥ 2).
     """
-    labels = trace.concrete_labels()
+    labels = trace.labels
     # slots first, all layers at once: z[a, l, t] is the logit of token t's
     # slot-a expert at layer l, and out[a, l, t] marks it outside t's group;
     # laid out so in memory too, the slot sums add in sequence, as the chain's do
@@ -121,15 +121,15 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
     carrying in-group mass) contribute nothing.
     """
     group_of, m = trace.group_of, trace.num_groups
-    labels = trace.concrete_labels()
+    labels = trace.labels
     # per language: its tokens as a [1 × T] row and its experts as a [1 × N] row
     langs = [((labels == j).astype(float)[None, :], (group_of == j).astype(float)[None, :])
              for j in range(m)]
     cells = []  # per layer: [(sel_row, f_row, gmask_row, numer, denom)] in j order
     total = None
-    for layer in trace.layers:
+    for l, layer in enumerate(trace.layers):
         probs = layer.probs.data
-        wins = trace.in_group_wins(probs, labels)
+        wins = trace.in_group_wins(l)
         counts = wins.sum(axis=1)
         layer_cells = []
         for j, (sel_row, gmask_row) in enumerate(langs):
@@ -176,12 +176,12 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
 def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
     """Classic load-balance penalty over all experts jointly, per layer.
 
-    The intra-group loss over ``trace.one_group()``: each layer contributes
+    The intra-group loss over ``trace.one_group``: each layer contributes
     ``sum_i f'_i * P'_i`` with f'_i the share of tokens whose argmax is
     expert i and P'_i its token-mean probability; labels play no role, and
     with one group the ``normalize`` divisor m·L is L.
     """
-    return intra_group_balance_loss(trace.one_group(), normalize=normalize)
+    return intra_group_balance_loss(trace.one_group, normalize=normalize)
 
 
 @dataclass(frozen=True)

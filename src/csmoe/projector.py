@@ -10,8 +10,9 @@ through every expert and combines the N products in one ``mix`` node
 weighted by the sparse probabilities. Each layer's record keeps its router
 logits, selection and probabilities. The forward's ``RoutingTrace`` carries
 the projector's expert groups (``group_of``) with the routing records, and
-owns what the group-aware losses and statistics share: the label check, the
-own-group slice, the one-pass in-group winner count and the one-group view.
+owns what the group-aware losses and statistics share: the checked labels
+and the one-group view, each made once per trace, and per layer the
+own-group slice and the one-pass in-group winner count.
 The tests hold a single-token reference path (``tests/oracles.py``) that
 routes and mixes one token at a time; the batched forward agrees with it.
 """
@@ -19,6 +20,7 @@ routes and mixes one token at a time; the batched forward agrees with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,7 +178,8 @@ class RoutingTrace:
     projector that routed the batch: experts [g·n, (g+1)·n) belong to
     language g. ``token_language[t]`` is the language index of token t, or
     CS_UNLABELED for code-switched (unlabeled) tokens; None if no labels were
-    supplied. The group-aware losses and statistics read both from here.
+    supplied. The losses and statistics read both from here. ``labels`` and
+    ``one_group`` are made on first read and kept, so the records must not change.
     """
 
     def __init__(self, layers: list[LayerRouting], group_of: np.ndarray,
@@ -197,7 +200,8 @@ class RoutingTrace:
     def num_groups(self) -> int:
         return int(self.group_of[-1]) + 1
 
-    def concrete_labels(self) -> np.ndarray:
+    @cached_property
+    def labels(self) -> np.ndarray:
         """Per-token language labels, refused unless every token has one in range."""
         if self.token_language is None:
             raise ValueError("trace carries no token language labels")
@@ -212,30 +216,27 @@ class RoutingTrace:
             raise ValueError(f"token language labels out of range for {self.num_groups} groups")
         return labels
 
+    @cached_property
     def one_group(self) -> "RoutingTrace":
         """The same layer records with every expert in group 0 and every token labeled 0."""
         return RoutingTrace(self.layers, 0 * self.group_of, np.zeros(self.num_tokens, np.intp))
 
-    def own_group_probs(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """[T × n] each token's probabilities over its group's experts; zeros if it has none."""
-        m, t = self.num_groups, len(labels)
-        grouped, rows = probs.reshape(t, m, -1), (labels >= 0) & (labels < m)  # [T × m × n]
-        if rows.all():  # every token has a group: gather, no zero-fill
-            return grouped[np.arange(t), labels]
-        own = np.zeros((t, grouped.shape[2]))
-        own[rows] = grouped[rows, labels[rows]]
-        return own
+    def own_group_probs(self, l: int) -> np.ndarray:
+        """[T × n] each token's probabilities over its own group's experts at layer ``l``."""
+        t = self.num_tokens
+        grouped = self.layers[l].probs.data.reshape(t, self.num_groups, -1)  # [T × m × n]
+        return grouped[np.arange(t), self.labels]
 
-    def in_group_wins(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """[m × n] in-group argmax winners of one layer's probabilities, in one pass.
+    def in_group_wins(self, l: int) -> np.ndarray:
+        """[m × n] in-group argmax winners of layer ``l``'s probabilities, in one pass.
 
         Row j counts, over language j's tokens, which of group j's experts holds
         the largest probability (ties to the lowest index, as routing breaks
-        them); tokens without mass in their group, or with no group, are skipped.
+        them); tokens without mass in their group are skipped.
         """
-        own = self.own_group_probs(probs, labels)
+        own = self.own_group_probs(l)
         m, n = self.num_groups, own.shape[1]
-        cells = (labels * n + own.argmax(axis=1))[own.sum(axis=1) > 0.0]
+        cells = (self.labels * n + own.argmax(axis=1))[own.sum(axis=1) > 0.0]
         return np.bincount(cells, minlength=m * n).reshape(m, n).astype(float)
 
 

@@ -76,7 +76,7 @@ def chain_language_specific_loss(trace, *, normalize=False) -> Tensor:
     token t's selected set and out_a marks its slot-a expert outside t's
     group; the terms add layer by layer in slot order.
     """
-    labels = trace.concrete_labels()
+    labels = trace.labels
     total = None
     for layer in trace.layers:
         k = layer.selected.shape[1]

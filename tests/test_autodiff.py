@@ -185,6 +185,17 @@ def test_backward_twice_accumulates_exactly_double():
     assert_allclose(w.grad, 2.0 * once, rtol=0, atol=0)
 
 
+def test_backward_refuses_a_loss_no_tape_recorded():
+    # built outside a tape, the loss requires grad but has no record to replay;
+    # dropping w's gradient silently would train nothing
+    w = Parameter("w", Tensor([[0.5], [-1.0]]))
+    loss = matmul(add(matmul(Tensor([[1.0, 1.0]]), w.value), 0.0), Tensor([[1.0]]))
+    assert loss.requires_grad
+    with pytest.raises(ValueError, match="inside `with Tape\\(\\):`"):
+        backward(loss)
+    assert (w.grad == 0.0).all()
+
+
 def test_empty_tape_backward_is_noop():
     # A loss that is just a constant leaf: nothing to propagate.
     with Tape():

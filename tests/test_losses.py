@@ -280,7 +280,7 @@ def test_conventional_is_intra_over_the_one_group_view(labels, normalize):
     routers = [layer.router_weights for layer in moe.layers]
     results = []
     for loss_fn in (conventional_balance_loss,
-                    lambda tr, **kw: intra_group_balance_loss(tr.one_group(), **kw)):
+                    lambda tr, **kw: intra_group_balance_loss(tr.one_group, **kw)):
         for p in moe.parameters():
             p.zero_grad()
         with Tape():
@@ -450,10 +450,10 @@ def test_balance_losses_gradient_through_router(seed):
 
 def chain_intra_group_balance_loss(trace, *, normalize=False):
     group_of, m = trace.group_of, trace.num_groups
-    labels = trace.concrete_labels()
+    labels = trace.labels
     total = None
-    for layer in trace.layers:
-        wins = trace.in_group_wins(layer.probs.data, labels)
+    for l, layer in enumerate(trace.layers):
+        wins = trace.in_group_wins(l)
         for j in range(m):
             if wins[j].sum() == 0:
                 continue
@@ -546,7 +546,7 @@ def use_chain_losses(monkeypatch):
     monkeypatch.setattr(stages, "intra_group_balance_loss", chain_intra_group_balance_loss)
     monkeypatch.setattr(stages, "conventional_balance_loss",
                         lambda trace, *, normalize=False:
-                        chain_intra_group_balance_loss(trace.one_group(), normalize=normalize))
+                        chain_intra_group_balance_loss(trace.one_group, normalize=normalize))
 
 
 # seed, languages, one language absent from the first batch; with three

@@ -291,13 +291,14 @@ def test_moe_forward_trace_contract():
 
 def test_trace_in_group_wins_count_each_languages_winners():
     # experts 0-1 form group 0 and experts 2-3 group 1; the third token has
-    # no mass in its own group and the fourth no label, so neither counts
+    # no mass in its own group, so it does not count, and the fourth has no
+    # label, so the trace is refused
     rows = [[0.5, 0.25, 0.25, 0.0], [0.0, 0.5, 0.5, 0.0],
             [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75]]
-    labels = np.array([0, 0, 1, CS_UNLABELED])
-    trace = make_trace([rows], labels, groups=2)
-    wins = trace.in_group_wins(trace.layers[0].probs.data, labels)
+    wins = make_trace([rows[:3]], [0, 0, 1], groups=2).in_group_wins(0)
     assert wins.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="unlabeled"):
+        make_trace([rows], [0, 0, 1, CS_UNLABELED], groups=2).in_group_wins(0)
 
 
 def _zero_filled_own_group_probs(trace, probs, labels):
@@ -308,16 +309,15 @@ def _zero_filled_own_group_probs(trace, probs, labels):
     return own
 
 
-@pytest.mark.parametrize("labels", [[0, 2, 1, 1, 0, 2], [0, CS_UNLABELED, 2, 1, 3, CS_UNLABELED]],
-                         ids=["labeled", "mixed"])
+@pytest.mark.parametrize("labels", [[0, 2, 1, 1, 0, 2]], ids=["labeled"])
 def test_own_group_probs_equals_the_zero_filled_form_bit_for_bit(labels):
     rng = np.random.default_rng(13)
     rows = rng.random((6, 6)) * (rng.random((6, 6)) < 0.6)
     labels = np.array(labels)
     trace = make_trace([rows], labels, groups=3)
     probs = trace.layers[0].probs.data
-    for view in (trace, trace.one_group()):
-        got = view.own_group_probs(probs, view.token_language)
+    for view in (trace, trace.one_group):
+        got = view.own_group_probs(0)
         want = _zero_filled_own_group_probs(view, probs, view.token_language)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
