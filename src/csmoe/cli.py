@@ -147,9 +147,12 @@ def _parse_stages(text: str) -> tuple:
         if "-" in part:
             lo, _, hi = part.partition("-")
             try:
-                stages.extend(range(int(lo), int(hi) + 1))
+                span = range(int(lo), int(hi) + 1)
             except ValueError:
+                span = ()
+            if not span:  # not two numbers, or a descending range
                 raise ValueError(f"bad stage range {part!r}")
+            stages.extend(span)
         else:
             try:
                 stages.append(int(part))

@@ -109,7 +109,6 @@ class ExperimentConfig:
     # behavior
     variant: str = "full"
     transition_mode: str = "mixed"
-    normalize_aux: bool = False
     lang_weight: float = 1.0
     balance_weight: float = 10.0
     # seeds (world geometry, dataset draws, initialization + batch order)

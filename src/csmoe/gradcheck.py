@@ -7,7 +7,7 @@ objective, and reports the worst relative error per loss.
 The stage objectives are built as training builds them, by
 ``stages.routing_terms`` and ``losses.compose_stage_loss``, under an
 instance's config (intra-group balance) and its ``conventional-balance``
-copy. The ``normalize_aux`` objectives are not audited here.
+copy.
 
 All ten losses share one sweep. An instance runs three MoE forwards
 (batch 1, batch 2 and the mixed batch 1 + 2), reads the routing terms off

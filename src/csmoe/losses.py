@@ -22,20 +22,18 @@ pass) is the definition that ``analysis`` shares.
 ``stages.routing_terms``'s rule) to its core loss; training and the
 gradient audit both build every stage objective through it.
 
-All losses are sums (not means) over tokens and layers unless the
-``normalize`` flag is set. The language loss is differentiable through the
+All losses are sums (not means) over tokens and layers; the config's
+weights set their scale. The language loss is differentiable through the
 router logits, the balance losses through the routing probabilities, with
 assignment counts treated as constants.
 
 Each routing loss records one tape node, whose parents are the layers'
-``logits`` (language) or ``probs`` (balance), through one recorder,
-``_routing_node``, which also applies the ``normalize`` division to the
-value and to the upstream gradient. Its forward evaluates the numpy
-expressions of an op-by-op tape chain (the tests keep it as their oracle)
-and adds in the chain's order, and its hand-written backward repeats that
-chain's backward arithmetic, so values and gradients are bit-identical to
-it. The backward closures hold numpy arrays and floats only, never a tensor
-or the trace.
+``logits`` (language) or ``probs`` (balance). Its forward evaluates the
+numpy expressions of an op-by-op tape chain (the tests keep it as their
+oracle) and adds in the chain's order, and its hand-written backward
+repeats that chain's backward arithmetic, so values and gradients are
+bit-identical to it. The backward closures hold numpy arrays and floats
+only, never a tensor or the trace.
 """
 
 from __future__ import annotations
@@ -58,14 +56,7 @@ __all__ = [
 ]
 
 
-def _routing_node(parents: tuple, total: float, backward, scale) -> Tensor:
-    """The node of a routing loss over ``parents`` whose value is ``total`` and whose
-    backward is ``backward(g)``, both divided by ``scale`` unless it is None (not normalized)."""
-    return _record(Tensor(total if scale is None else total / scale), parents,
-                   lambda g: backward(g if scale is None else g / scale))
-
-
-def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
+def language_specific_loss(trace: RoutingTrace) -> Tensor:
     """Penalty on routing mass assigned outside each token's language group.
 
     For token t with language l, router logits z and selected experts S, each
@@ -103,11 +94,10 @@ def language_specific_loss(trace: RoutingTrace, *, normalize: bool = False) -> T
         g_z[at] = (-g_out[:, None] * soft[rev]).sum(axis=0) + g_out.sum(axis=0) * soft[k]
         return tuple(g_z)
 
-    return _routing_node(tuple(layer.logits for layer in trace.layers), total, bw,
-                         float(T) if normalize else None)
+    return _record(Tensor(total), tuple(layer.logits for layer in trace.layers), bw)
 
 
-def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
+def intra_group_balance_loss(trace: RoutingTrace) -> Tensor:
     """Load-balance penalty applied within each language's expert group.
 
     For each layer and each language j present in the batch, over that
@@ -169,19 +159,17 @@ def intra_group_balance_loss(trace: RoutingTrace, *, normalize: bool = False) ->
             grads.append(acc)
         return tuple(grads)
 
-    return _routing_node(tuple(layer.probs for layer in trace.layers), total, bw,
-                         float(m * trace.num_layers) if normalize else None)
+    return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)
 
 
-def conventional_balance_loss(trace: RoutingTrace, *, normalize: bool = False) -> Tensor:
+def conventional_balance_loss(trace: RoutingTrace) -> Tensor:
     """Classic load-balance penalty over all experts jointly, per layer.
 
     The intra-group loss over ``trace.one_group``: each layer contributes
     ``sum_i f'_i * P'_i`` with f'_i the share of tokens whose argmax is
-    expert i and P'_i its token-mean probability; labels play no role, and
-    with one group the ``normalize`` divisor m·L is L.
+    expert i and P'_i its token-mean probability; labels play no role.
     """
-    return intra_group_balance_loss(trace.one_group, normalize=normalize)
+    return intra_group_balance_loss(trace.one_group)
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,8 @@ def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingT
     conventional term under ``conventional-balance``, else the intra-group
     one), read off the MoE's trace, which carries the expert groups and the
     token labels; every other stage and variant adds ``{}``. A given
-    ``lang`` is the language term already computed on this trace under the
-    same ``normalize_aux``, and is used in place of computing it again.
+    ``lang`` is the language term already computed on this trace, used in
+    place of computing it again.
     """
     if stage not in (2, 3) or config.variant not in ROUTING_LOSS_VARIANTS:
         return {}
@@ -294,15 +294,10 @@ def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingT
             f"variant {config.variant!r} adds routing losses in stage {stage} but the "
             f"projector produces no routing trace; plain MLP projectors train without them"
         )
-    normalize = config.normalize_aux
-    if lang is None:
-        lang = language_specific_loss(trace, normalize=normalize)
-    terms = {"lang": lang}
-    if config.variant == "conventional-balance":
-        terms["balance"] = conventional_balance_loss(trace, normalize=normalize)
-    else:
-        terms["balance"] = intra_group_balance_loss(trace, normalize=normalize)
-    return terms
+    balance = (conventional_balance_loss if config.variant == "conventional-balance"
+               else intra_group_balance_loss)
+    return {"lang": language_specific_loss(trace) if lang is None else lang,
+            "balance": balance(trace)}
 
 
 def mixed_transition(logits: Tensor, src_targets: np.ndarray, tgt_targets: np.ndarray,

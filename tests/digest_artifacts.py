@@ -4,7 +4,7 @@ Usage: ``python tests/digest_artifacts.py WORK_DIR [--check [LISTING] | --write 
 
 Runs ``gen-data``, ``train``, ``eval`` and ``routing-report`` for each of the
 four variants on the default config and on one alternate config (other
-seeds, sampled transition mode, normalized and reweighted routing losses),
+seeds, sampled transition mode, reweighted routing losses),
 and for ``full`` on one config whose router saturates (the three input-scale
 fields at their upper bounds, small data and stage budgets), then
 ``grad-check --instances 3`` for harness seeds 0-3 and 7, then ``ablate
@@ -37,7 +37,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DIGEST = Path(__file__).resolve().parent / "digest.txt"
 VARIANTS = ("full", "no-aux-losses", "conventional-balance", "no-moe")
 ALTERNATE = {"data_seed": 5, "train_seed": 5, "transition_mode": "sampled",
-             "normalize_aux": True, "lang_weight": 0.5, "balance_weight": 2.0}
+             "lang_weight": 0.5, "balance_weight": 2.0}
 SATURATING = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
               "train_utterances": 40, "val_utterances": 12,
               **{f"stage{s}": {"total_batches": b, "batch_size": 8, "learning_rate": 0.003}

@@ -69,7 +69,7 @@ def logsumexp(x, keep) -> Tensor:
     return _record(Tensor(top + np.log(s)), (x,), lambda g: (g * soft,))
 
 
-def chain_language_specific_loss(trace, *, normalize=False) -> Tensor:
+def chain_language_specific_loss(trace) -> Tensor:
     """The language loss as a tape chain over the router logits.
 
     Per layer and slot a: Σ_t out_a · (lse(z_S) − lse(z_S∖a)), where S is
@@ -87,8 +87,6 @@ def chain_language_specific_loss(trace, *, normalize=False) -> Tensor:
             rest = logsumexp(z, np.arange(k) != a)
             term = tsum(mul(sub(whole, rest), Tensor(out[:, a])))
             total = term if total is None else add(total, term)
-    if normalize:
-        total = div(total, float(trace.num_tokens))
     return total
 
 

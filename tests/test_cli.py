@@ -118,12 +118,15 @@ def test_train_refuses_datasets_drawn_from_other_data_fields(tmp_path, cfg_path,
     assert "config.json" in capsys.readouterr().err
 
 
-def test_train_refuses_empty_stages_flag(tmp_path, cfg_path, capsys):
+@pytest.mark.parametrize("flag, message", [("", "--stages '' names no stage"),
+                                           ("4-3", "bad stage range '4-3'")],
+                         ids=["empty", "descending"])
+def test_train_refuses_empty_stages_flag(tmp_path, cfg_path, capsys, flag, message):
     out = tmp_path / "out"
     assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert main(["train", "--config", cfg_path, "--out", str(out), "--stages", ""]) == 2
-    assert "--stages '' names no stage" in capsys.readouterr().err
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--stages", flag]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "checkpoints").exists() and not (out / "metrics.jsonl").exists()
 
 
@@ -728,8 +731,9 @@ def test_empty_flag_value_is_refused_before_any_work(tmp_path, cfg_path, monkeyp
     ([{"a": 1}], "bad.json"),
     (3, "bad.json"),
     (None, "bad.json"),
+    ({"normalize_aux": True}, "normalize_aux"),
 ], ids=["unknown", "unknown-stage-field", "mistyped", "missing-stage-field",
-        "list-top-level", "number-top-level", "directory"])
+        "list-top-level", "number-top-level", "directory", "retired-normalize-aux"])
 def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
     bad = tmp_path / "bad.json"
     if data is None:

@@ -113,14 +113,6 @@ def test_language_loss_sums_not_means():
     assert abs(four.item() - 4 * one.item()) < 1e-12
 
 
-def test_language_loss_normalize_flag():
-    row = [0.5, 0.3, 0.2, 0.0]
-    trace = make_trace([[row, row]], labels=[0, 0], groups=2)
-    raw = language_specific_loss(trace).item()
-    norm = language_specific_loss(trace, normalize=True).item()
-    assert abs(norm - raw / 2) < 1e-12
-
-
 def test_language_loss_reads_a_padded_slot_as_nothing():
     # the second token has two nonzero entries, so make_trace pads it with
     # expert 2 (out of group 0, logit −inf): that slot adds no penalty
@@ -269,8 +261,7 @@ def test_conventional_equals_intra_for_single_group():
 
 
 @pytest.mark.parametrize("labels", ["languages", "code-switched", "none"])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_conventional_is_intra_over_the_one_group_view(labels, normalize):
+def test_conventional_is_intra_over_the_one_group_view(labels):
     # value and every router gradient bit-equal; the trace's own groups and
     # labels (concrete, partly unlabeled or absent) play no role
     moe, _, batches = fused_setup(1, 3, absent=False)
@@ -280,12 +271,12 @@ def test_conventional_is_intra_over_the_one_group_view(labels, normalize):
     routers = [layer.router_weights for layer in moe.layers]
     results = []
     for loss_fn in (conventional_balance_loss,
-                    lambda tr, **kw: intra_group_balance_loss(tr.one_group, **kw)):
+                    lambda tr: intra_group_balance_loss(tr.one_group)):
         for p in moe.parameters():
             p.zero_grad()
         with Tape():
             _, trace = moe_forward(moe, Tensor(feats), langs)
-            loss = loss_fn(trace, normalize=normalize)
+            loss = loss_fn(trace)
             backward(loss)
         results.append((loss.item(), [p.grad.copy() for p in routers]))
     (conv, conv_grads), (intra, intra_grads) = results
@@ -448,7 +439,7 @@ def test_balance_losses_gradient_through_router(seed):
 # one-group view of the trace.
 
 
-def chain_intra_group_balance_loss(trace, *, normalize=False):
+def chain_intra_group_balance_loss(trace):
     group_of, m = trace.group_of, trace.num_groups
     labels = trace.labels
     total = None
@@ -468,8 +459,6 @@ def chain_intra_group_balance_loss(trace, *, normalize=False):
             total = term if total is None else add(total, term)
     if total is None:
         raise ValueError("no token carries in-group probability mass; balance undefined")
-    if normalize:
-        total = div(total, float(m * trace.num_layers))
     return total
 
 
@@ -545,8 +534,7 @@ def use_chain_losses(monkeypatch):
     monkeypatch.setattr(stages, "language_specific_loss", chain_language_specific_loss)
     monkeypatch.setattr(stages, "intra_group_balance_loss", chain_intra_group_balance_loss)
     monkeypatch.setattr(stages, "conventional_balance_loss",
-                        lambda trace, *, normalize=False:
-                        chain_intra_group_balance_loss(trace.one_group, normalize=normalize))
+                        lambda trace: chain_intra_group_balance_loss(trace.one_group))
 
 
 # seed, languages, one language absent from the first batch; with three
@@ -554,15 +542,13 @@ def use_chain_losses(monkeypatch):
 @pytest.mark.parametrize("seed,m,absent", [(0, 2, False), (1, 3, False),
                                            (3, 2, True), (4, 3, True)])
 @pytest.mark.parametrize("balance_mode", ["intra", "conventional"])
-@pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 2.0)])
 @pytest.mark.parametrize("stage,mode", [(2, "mixed"), (3, "mixed"), (3, "sampled")])
 def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
-        seed, m, absent, balance_mode, normalize, weights, stage, mode, monkeypatch):
+        seed, m, absent, balance_mode, weights, stage, mode, monkeypatch):
     variant = "conventional-balance" if balance_mode == "conventional" else "full"
     config = ExperimentConfig(num_languages=m, variant=variant, transition_mode=mode,
-                              normalize_aux=normalize, lang_weight=weights[0],
-                              balance_weight=weights[1])
+                              lang_weight=weights[0], balance_weight=weights[1])
     moe, decoder, batches = fused_setup(seed, m, absent)
     fused, trace, fused_grads = composed_step(moe, decoder, config, stage, batches)
     use_chain_losses(monkeypatch)
@@ -595,7 +581,7 @@ def test_language_loss_equals_its_chain_bit_for_bit_at_top_8():
             p.zero_grad()
         with Tape():
             _, trace = moe_forward(moe, Tensor(feats), labels)
-            loss = loss_fn(trace, normalize=True)
+            loss = loss_fn(trace)
             backward(loss)
         results.append((loss.item(), [p.grad.copy() for p in routers]))
     (fused, fused_grads), (chain, chain_grads) = results
@@ -608,11 +594,8 @@ def test_language_loss_equals_its_chain_bit_for_bit_at_top_8():
 def test_routing_loss_call_adds_one_tape_node(loss_name):
     moe, _, batches = fused_setup(0, 2, absent=False)
     feats, labels, _ = batches[0]
-    calls = {
-        "lang": lambda tr: language_specific_loss(tr, normalize=True),
-        "balance": lambda tr: intra_group_balance_loss(tr, normalize=True),
-        "conventional": lambda tr: conventional_balance_loss(tr, normalize=True),
-    }
+    calls = {"lang": language_specific_loss, "balance": intra_group_balance_loss,
+             "conventional": conventional_balance_loss}
     with Tape() as tape:
         _, trace = moe_forward(moe, Tensor(feats), labels)
         before = len(tape.nodes)

@@ -9,6 +9,7 @@ one hook listed in ``PRIVATE_IMPORTS``.
 """
 
 import ast
+import functools
 import inspect
 import json
 import sys
@@ -48,7 +49,8 @@ def _library_functions():
                 yield f"{short}.{name}", obj.__code__
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
-                    fn = member.fget if isinstance(member, property) else member
+                    fn = (member.fget if isinstance(member, property) else
+                          member.func if isinstance(member, functools.cached_property) else member)
                     fn = getattr(fn, "__func__", fn)  # classmethod, staticmethod
                     if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
                         yield f"{short}.{name}.{attr}", fn.__code__
@@ -63,8 +65,8 @@ def _sweep(tmp_path) -> set:
 
     cfg = write("tiny.json", {})
     sampled = write("sampled.json", {"variant": "conventional-balance",
-                                      "transition_mode": "sampled", "normalize_aux": True,
-                                      "lang_weight": 0.5, "balance_weight": 2.0})
+                                      "transition_mode": "sampled", "lang_weight": 0.5,
+                                      "balance_weight": 2.0})
     other = write("other.json", {"train_seed": 1})
     run = tmp_path / "run"
     stage4 = str(run / "checkpoints" / "stage4")
