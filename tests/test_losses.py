@@ -260,11 +260,13 @@ def test_conventional_equals_intra_for_single_group():
         assert conv == intra
 
 
-@pytest.mark.parametrize("labels", ["languages", "code-switched", "none"])
-def test_conventional_is_intra_over_the_one_group_view(labels):
+@pytest.mark.parametrize("labels, seed, k", [
+    pytest.param(labels, seed, k, id=labels + ("" if k == 2 else "-top3"))
+    for seed, k in ((1, 2), (5, 3)) for labels in ("languages", "code-switched", "none")])
+def test_conventional_is_intra_over_the_one_group_view(labels, seed, k):
     # value and every router gradient bit-equal; the trace's own groups and
     # labels (concrete, partly unlabeled or absent) play no role
-    moe, _, batches = fused_setup(1, 3, absent=False)
+    moe, _, batches = fused_setup(seed, 3, absent=False, k=k)
     feats, langs, _ = batches[0]
     langs = {"languages": langs, "none": None,
              "code-switched": np.where(np.arange(12) % 3 == 0, CS_UNLABELED, langs)}[labels]
@@ -462,17 +464,17 @@ def chain_intra_group_balance_loss(trace):
     return total
 
 
-def fused_setup(seed, m, absent):
-    """An m × 3-expert top-2 MoE, a decoder and two 12-token batches.
+def fused_setup(seed, m, absent, k=2):
+    """An m × 3-expert top-k MoE, a decoder and two 12-token batches.
 
-    In the first batch one token routes both layer-0 picks into one group g
+    In the first batch one token routes all k layer-0 picks into one group g
     and is labelled with the next language, so it carries no in-group mass
     there. With ``absent`` that batch's language-g tokens are relabelled the
     same way, so language g has no cell.
     """
     cfg = ProjectorConfig(d_in=3, d_model=4, num_layers=2)
     mlps = [init_mlp(cfg, seed=[seed, g]) for g in range(m)]
-    moe = build_moe_from_pretrained(mlps, n=3, k=2, seed=[seed, 9])
+    moe = build_moe_from_pretrained(mlps, n=3, k=k, seed=[seed, 9])
     decoder = init_decoder(4, 7, 2, [seed, 10])
     rng = np.random.default_rng([seed, 11])
     batches = []
@@ -480,8 +482,8 @@ def fused_setup(seed, m, absent):
         feats = rng.normal(size=(12, 3))
         batches.append((feats, rng.integers(0, m, size=12), rng.integers(0, 7, size=12)))
     feats, labels, _ = batches[0]
-    picked = moe.group_of[moe_forward(moe, Tensor(feats))[1].layers[0].selected]  # [T × 2]
-    t = int(np.flatnonzero(picked[:, 0] == picked[:, 1])[0])
+    picked = moe.group_of[moe_forward(moe, Tensor(feats))[1].layers[0].selected]  # [T × k]
+    t = int(np.flatnonzero((picked == picked[:, :1]).all(axis=1))[0])
     g = picked[t, 0]
     labels[t] = (g + 1) % m
     if absent:
@@ -537,19 +539,27 @@ def use_chain_losses(monkeypatch):
                         lambda trace: chain_intra_group_balance_loss(trace.one_group))
 
 
-# seed, languages, one language absent from the first batch; with three
-# languages a layer sums up to three balance cells, so their order shows
-@pytest.mark.parametrize("seed,m,absent", [(0, 2, False), (1, 3, False),
-                                           (3, 2, True), (4, 3, True)])
+# seed, languages, one language absent from the first batch, top-k; with
+# three languages a layer sums up to three balance cells, so their order
+# shows, and at top-3 so does the order of each token's three slot terms.
+# At top-3 with three languages, seeds 1 and 4 route no token's three picks
+# into one group, which fused_setup needs, so those cases draw seeds 5 and 7
+SETUPS = [pytest.param(seed, m, absent, k, id=f"{seed}-{m}-{absent}" + ("" if k == 2 else "-top3"))
+          for k, seeds in ((2, (0, 1, 3, 4)), (3, (0, 5, 3, 7)))
+          for seed, m, absent in zip(seeds, (2, 3, 2, 3), (False, False, True, True))]
+
+
+# weights: both terms unscaled, both scaled, and the config's own (1.0, 10.0)
+@pytest.mark.parametrize("seed,m,absent,k", SETUPS)
 @pytest.mark.parametrize("balance_mode", ["intra", "conventional"])
-@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 2.0), (1.0, 10.0)])
 @pytest.mark.parametrize("stage,mode", [(2, "mixed"), (3, "mixed"), (3, "sampled")])
 def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
-        seed, m, absent, balance_mode, weights, stage, mode, monkeypatch):
+        seed, m, absent, k, balance_mode, weights, stage, mode, monkeypatch):
     variant = "conventional-balance" if balance_mode == "conventional" else "full"
     config = ExperimentConfig(num_languages=m, variant=variant, transition_mode=mode,
                               lang_weight=weights[0], balance_weight=weights[1])
-    moe, decoder, batches = fused_setup(seed, m, absent)
+    moe, decoder, batches = fused_setup(seed, m, absent, k)
     fused, trace, fused_grads = composed_step(moe, decoder, config, stage, batches)
     use_chain_losses(monkeypatch)
     chain, _, chain_grads = composed_step(moe, decoder, config, stage, batches)
@@ -566,9 +576,9 @@ def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
 
 
 def test_language_loss_equals_its_chain_bit_for_bit_at_top_8():
-    # the composed-step cases route top-2, where two-term slot sums commute;
-    # at top-8 the order of the slot sums shows, and so does a slot axis
-    # that numpy would sum pairwise
+    # the composed-step cases route top-2 or top-3; at top-8 the order of
+    # the slot sums shows the more, and so does a slot axis that numpy
+    # would sum pairwise
     cfg = ProjectorConfig(d_in=3, d_model=4, num_layers=2)
     moe = build_moe_from_pretrained([init_mlp(cfg, seed=[5, g]) for g in range(3)],
                                     n=3, k=8, seed=[5, 9])

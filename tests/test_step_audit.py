@@ -20,7 +20,11 @@ direction crosses a ReLU kink or a top-k flip and is refused
 direction must match the analytic directional derivative within
 grad-check's 1e-4 relative tolerance. In mixed mode the row's ``ce_source``
 and ``ce_target`` must also equal ``evaluate_dataset`` on the drawn source
-and target batches, which pins where the mixed batch is split.
+and target batches, which pins where the mixed batch is split. Central
+differences cannot see a scale applied to a term's value and gradient
+alike, so from the same state and draws each step row's ``total`` must be
+its core loss plus each routing term times its config weight, and the
+terms themselves must not move with the weights.
 """
 
 import copy
@@ -30,7 +34,8 @@ import numpy as np
 import pytest
 
 from csmoe import autodiff, stages
-from csmoe.config import TRANSITION_MODES, VARIANTS, ExperimentConfig, StageSettings
+from csmoe.config import (ROUTING_LOSS_VARIANTS, TRANSITION_MODES, VARIANTS, ExperimentConfig,
+                          StageSettings)
 from csmoe.stages import (evaluate_dataset, generate_datasets, run_pipeline, run_stage2,
                           run_stage3, run_stage4)
 
@@ -182,3 +187,28 @@ def test_first_step_gradient_matches_central_differences(
     assert errors, f"all {DIRECTIONS} directions refused"
     assert max(errors) < TOL, (f"worst relative error {max(errors):.3e} over "
                                f"{len(errors)} directions ({refused} refused)")
+
+
+# the stages and variants that add routing terms
+WEIGHTED = [(stage, variant, mode) for stage in (2, 3) for variant in ROUTING_LOSS_VARIANTS
+            for mode in TRANSITION_MODES if stage > 2 or mode == "mixed"]
+
+
+@pytest.mark.parametrize("stage, variant, mode", WEIGHTED,
+                         ids=["-".join(map(str, case)) for case in WEIGHTED])
+def test_routing_weights_scale_only_their_terms_in_the_total(bundle, trained, stage, variant, mode):
+    default = ExperimentConfig(**TINY, variant=variant, transition_mode=mode)  # weights 1 and 10
+    weighted = ExperimentConfig(**TINY, variant=variant, transition_mode=mode,
+                                lang_weight=0.5, balance_weight=2.0)
+    prev = trained(default)[stage - 1]
+    run = _stage_run(bundle, stage)
+    # the same state and seeds, so the same draws; step 1 runs before any update
+    rows = [run(copy.deepcopy(prev), config).metrics[len(prev.metrics)]
+            for config in (default, weighted)]
+    core = "ce" if stage == 2 else "transition"
+    assert rows[0]["lang"] > 0.0 and rows[0]["balance"] > 0.0
+    for name in (core, "lang", "balance"):
+        assert rows[1][name] == rows[0][name], name
+    for row, config in zip(rows, (default, weighted)):
+        assert row["total"] == (row[core] + config.lang_weight * row["lang"]
+                                + config.balance_weight * row["balance"])
