@@ -53,7 +53,7 @@ from .dataio import (
     write_json,
 )
 from .gradcheck import GRAD_LOSSES, grad_check_report
-from .projector import MoeProjector, mlp_forward, moe_forward
+from .projector import CS_UNLABELED, MoeProjector, mlp_forward, moe_forward
 from .stages import (
     DatasetBundle,
     build_world,
@@ -95,15 +95,11 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _write_effective_config(out: Path, config: ExperimentConfig) -> None:
-    write_json(out / "config.json", config_to_dict(config))
-
-
 def cmd_gen_data(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     world = build_world(config)
-    _write_effective_config(out, config)
+    write_json(out / "config.json", config_to_dict(config))
     save_world(out / "world.json", world)
     for entry, data in generate_splits(config, world, split_table(config)):
         save_dataset(out / entry.filename, data)
@@ -113,7 +109,8 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
-    """The gen-data splits under ``out``, refused unless drawn from ``config``'s data fields."""
+    """The gen-data splits under ``out``, refused unless drawn from ``config``'s data fields
+    and unless each utterance has the task and language of the split it is pooled as."""
     entries = split_table(config)
     missing = [e.filename for e in entries if not (out / e.filename).exists()]
     if not (out / "config.json").exists():
@@ -130,7 +127,15 @@ def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
             f"datasets under {out} were generated with different {', '.join(differing)}; "
             f"run gen-data with this config first"
         )
-    return DatasetBundle.from_splits((e, load_dataset(out / e.filename)) for e in entries)
+    splits = [(e, load_dataset(out / e.filename)) for e in entries]
+    for entry, utts in splits:
+        want = (entry.task, CS_UNLABELED if entry.language is None else entry.language)
+        bad = [(i, u.task, u.language) for i, u in enumerate(utts) if (u.task, u.language) != want]
+        if bad:
+            raise ValueError(f"dataset {out / entry.filename} utterance {bad[0][0]} has task and "
+                             f"language {bad[0][1:]}, not the split's {want}; "
+                             f"run gen-data to rewrite it")
+    return DatasetBundle.from_splits(splits)
 
 
 def _probe_set(bundle: DatasetBundle) -> tuple:
@@ -192,7 +197,7 @@ def cmd_train(args) -> int:
         append_metrics(out / "metrics.jsonl", rows)
 
     run_pipeline(config, bundle, stages=stages, initial=initial, after_stage=after_stage)
-    _write_effective_config(out, config)
+    write_json(out / "config.json", config_to_dict(config))
     print(f"ran stages {','.join(str(s) for s in stages)} "
           f"(variant {config.variant}); metrics in {out / 'metrics.jsonl'}")
     return 0

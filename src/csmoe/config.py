@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 VARIANTS = ("full", "no-moe", "no-aux-losses", "conventional-balance")
-TRANSITION_MODES = ("mixed", "sampled")
 # variants whose stages 2-3 add the language and balance routing penalties
 ROUTING_LOSS_VARIANTS = ("full", "conventional-balance")
 
@@ -108,6 +107,7 @@ class ExperimentConfig:
     stage4: StageSettings = field(default_factory=lambda: StageSettings(60, 8, 3e-3))
     # behavior
     variant: str = "full"
+    # "mixed" only; kept while perfbench/workloads.py reads it (ROADMAP item 1 drops that read)
     transition_mode: str = "mixed"
     lang_weight: float = 1.0
     balance_weight: float = 10.0
@@ -153,10 +153,8 @@ class ExperimentConfig:
                 f"top_k=1 is incompatible with variant {self.variant!r}: its "
                 f"language-specific loss needs top_k >= 2"
             )
-        if self.transition_mode not in TRANSITION_MODES:
-            raise ValueError(
-                f"transition_mode must be one of {TRANSITION_MODES}, got {self.transition_mode!r}"
-            )
+        if self.transition_mode != "mixed":
+            raise ValueError(f"transition_mode accepts only 'mixed', got {self.transition_mode!r}")
         if self.utterance_length < self.cs_switches + 1:
             raise ValueError(
                 f"utterance_length={self.utterance_length} too short for "

@@ -12,10 +12,10 @@ and, per utterance, its task, language, targets, source tokens and
 code-switch segments; then, after the newline, one raw little-endian
 float64 block ``[sum of T × d_in]`` holding every utterance's features in C
 order, utterances in header order. Loading reads the file once, checks
-that each utterance's targets and source tokens agree in length and that
-its code-switch segments tile them, checks the body length against the
-header's token counts and slices each utterance's features out of the
-block. Checkpoint tensors use the same raw float64 encoding
+that each utterance has tokens, that its targets and source tokens agree
+in length and that its code-switch segments tile them, checks the body
+length against the header's token counts and slices each utterance's
+features out of the block. Checkpoint tensors use the same raw float64 encoding
 (``float64_bytes``/``float64_array``), and both refuse a non-finite value.
 """
 
@@ -133,8 +133,10 @@ def save_dataset(path, utterances: Iterable[Utterance]) -> None:
 
 
 def _check_tokens(i: int, rec: dict) -> None:
-    """Refuse utterance ``i`` unless its token arrays agree and its segments tile them."""
+    """Refuse utterance ``i`` unless it has tokens, they agree and its segments tile them."""
     length, segments = len(rec["targets"]), rec["segments"]
+    if not length:  # its mean loss would be NaN
+        raise ValueError(f"utterance {i} has no tokens")
     if len(rec["source_tokens"]) != length:
         raise ValueError(f"utterance {i} has {length} targets but "
                          f"{len(rec['source_tokens'])} source tokens")

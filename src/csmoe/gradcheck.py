@@ -51,7 +51,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, matmul, mix, relu
 from .config import ExperimentConfig
-from .losses import TransitionState, compose_stage_loss, transition_loss
+from .losses import compose_stage_loss, transition_loss
 from .projector import (ProjectorConfig, RoutingTrace, build_moe_from_pretrained, init_mlp,
                         moe_layer)
 from .stages import mixed_transition, routing_terms
@@ -114,12 +114,12 @@ def _make_instance(seed: int, candidate: int):
         labels = rng.integers(0, _M, size=_TOKENS)
         targets = rng.integers(0, _VOCAB, size=_TOKENS)
         batches.append((feats, labels, targets))
-    ts = TransitionState(b=2, B=3)
+    lam = 2 / 3  # batch 2 of 3
     # odd candidates exercise non-unit auxiliary weights; the second config
     # trains stages 2-3 with the conventional balance term
     lang_w, bal_w = (1.0, 1.0) if candidate % 2 == 0 else (0.5, 2.0)
     config = ExperimentConfig(lang_weight=lang_w, balance_weight=bal_w)
-    return moe, decoder, batches, ts, (config, replace(config, variant="conventional-balance"))
+    return moe, decoder, batches, lam, (config, replace(config, variant="conventional-balance"))
 
 
 def _inputs(moe, batches):
@@ -190,16 +190,16 @@ def _routing_terms(forwards, configs) -> dict:
     return terms
 
 
-def _losses(outs, terms, decoder, batches, ts, configs) -> tuple:
+def _losses(outs, terms, decoder, batches, lam, configs) -> tuple:
     """Decode the MoE outputs; the losses in ``GRAD_LOSSES`` order."""
     h1, h2, h_mix = outs
     (_, _, t1), (_, _, t2) = batches
     ce = cross_entropy(decode(decoder, h1), t1)
     ce2 = cross_entropy(decode(decoder, h2), t2)
-    mixed, _, _ = mixed_transition(decode(decoder, h_mix), t1, t2, ts)
+    mixed, _, _ = mixed_transition(decode(decoder, h_mix), t1, t2, lam)
     on_batch1 = terms["stage2_total"]
     return (ce, on_batch1["lang"], on_batch1["balance"],
-            terms["stage2_total_conventional"]["balance"], transition_loss(ce, ce2, ts),
+            terms["stage2_total_conventional"]["balance"], transition_loss(ce, ce2, lam),
             *(compose_stage_loss(configs[c], ce if stage == 2 else mixed, terms[name])
               for name, (c, stage) in _OBJECTIVES.items()))
 
@@ -213,13 +213,13 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
     return float(np.linalg.norm(fd - analytic) / denom)
 
 
-def _instance_errors(moe, decoder, batches, ts, configs, eps: float) -> dict:
+def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
     """Worst relative error of each loss over every coordinate of one instance."""
     params = moe.parameters() + decoder.parameters()
     with Tape():
         outs, forwards = _rerun(moe, _inputs(moe, batches), 0)
         terms = _routing_terms(forwards, configs)
-        losses = _losses(outs, terms, decoder, batches, ts, configs)
+        losses = _losses(outs, terms, decoder, batches, lam, configs)
     analytic = []  # [loss][param]
     for loss in losses:
         for p in params:
@@ -251,7 +251,7 @@ def _instance_errors(moe, decoder, batches, ts, configs, eps: float) -> dict:
                 else:
                     o, rerun = _rerun(moe, forwards, _start, _expert, kept)
                     r = _routing_terms(rerun, configs) if _routes else terms
-                return np.array([v.item() for v in _losses(o, r, decoder, batches, ts, configs)])
+                return np.array([v.item() for v in _losses(o, r, decoder, batches, lam, configs)])
             finally:
                 _p.value.data[...] = old
 
@@ -277,14 +277,14 @@ def grad_check_report(*, seed: int = 0, instances: int = 20) -> dict:
     skipped = 0
     candidate = 0
     while accepted < instances:
-        moe, decoder, batches, ts, configs = _make_instance(seed, candidate)
+        moe, decoder, batches, lam, configs = _make_instance(seed, candidate)
         candidate += 1
         _, forwards = _rerun(moe, _inputs(moe, batches)[:2], 0)  # batch 1 and batch 2
         if not all(_screen(moe, forward) for forward in forwards):
             skipped += 1
             continue
         try:
-            errors = _instance_errors(moe, decoder, batches, ts, configs, _EPS)
+            errors = _instance_errors(moe, decoder, batches, lam, configs, _EPS)
         except ValueError:
             # e.g. a draw where some language carries no in-group mass at all
             skipped += 1

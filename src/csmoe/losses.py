@@ -38,8 +38,6 @@ only, never a tensor or the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor, _record, add, mul
@@ -47,7 +45,6 @@ from .config import ExperimentConfig
 from .projector import RoutingTrace
 
 __all__ = [
-    "TransitionState",
     "language_specific_loss",
     "intra_group_balance_loss",
     "conventional_balance_loss",
@@ -172,32 +169,12 @@ def conventional_balance_loss(trace: RoutingTrace) -> Tensor:
     return intra_group_balance_loss(trace.one_group)
 
 
-@dataclass(frozen=True)
-class TransitionState:
-    """Position within a transition stage: batch ``b`` of ``B`` (1-based)."""
+def transition_loss(ce_source: Tensor, ce_target: Tensor, lam: float) -> Tensor:
+    """Linear blend ``(1-λ)·source + λ·target``; a stage passes λ = b/B at batch b of B.
 
-    b: int
-    B: int
-
-    def __post_init__(self) -> None:
-        if self.B < 1:
-            raise ValueError("total batch count B must be >= 1")
-        if not 1 <= self.b <= self.B:
-            raise ValueError(f"batch index b={self.b} outside 1..{self.B}")
-
-    @property
-    def lam(self) -> float:
-        """Blend weight λ = b/B, reaching exactly 1.0 on the final batch."""
-        return self.b / self.B
-
-
-def transition_loss(ce_source: Tensor, ce_target: Tensor, ts: TransitionState) -> Tensor:
-    """Linear blend ``(1-λ)·source + λ·target`` with λ = b/B.
-
-    At b = B the source weight is exactly 0.0, so the result equals the
-    target loss bit-for-bit (0·x + y = y in IEEE arithmetic for finite x).
+    At λ = 1.0 (b = B) the source weight is exactly 0.0, so the result equals
+    the target loss bit-for-bit (0·x + y = y in IEEE arithmetic for finite x).
     """
-    lam = ts.lam
     return add(mul(ce_source, 1.0 - lam), mul(ce_target, lam))
 
 

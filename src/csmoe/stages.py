@@ -10,7 +10,8 @@ routing penalties do not apply).
 
 The config is each stage's recipe: its budget (``stage_settings``), whether
 stages 2-3 add the routing penalties and in which balance form (the
-variant), the transition mode and the loss weights. All four stages train
+variant) and the loss weights; stages 3-4 blend the source and target
+cross-entropies of one forward by λ = b/B. All four stages train
 through one step loop, ``_fit``: a stage supplies only how step b's batch is
 drawn and how its core loss (cross-entropy, or the transition blend) is read
 off the logits. ``routing_terms`` gives the routing penalties the stage and
@@ -33,7 +34,6 @@ from .analysis import expert_load, routing_accuracy
 from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take, token_nll
 from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig, StageSettings
 from .losses import (
-    TransitionState,
     compose_stage_loss,
     conventional_balance_loss,
     intra_group_balance_loss,
@@ -272,10 +272,6 @@ def _forward(projector, decoder: ToyDecoder, feats: np.ndarray, labels):
     return decode(decoder, h), trace
 
 
-# transition stage -> (source task, target task); sampled-mode rows name the batch's task
-_TRANSITION_TASKS = {3: (TASK_ASR, TASK_ST), 4: (TASK_ST, TASK_CS_ST)}
-
-
 def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingTrace],
                   lang: Optional[Tensor] = None) -> dict:
     """The routing penalties ``stage`` adds to its core loss under the config.
@@ -301,21 +297,21 @@ def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingT
 
 
 def mixed_transition(logits: Tensor, src_targets: np.ndarray, tgt_targets: np.ndarray,
-                     ts: TransitionState) -> tuple[Tensor, Tensor, Tensor]:
+                     lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """``(transition, ce_source, ce_target)`` of logits whose first rows are the source batch."""
     n_src = len(src_targets)
     ce_src = cross_entropy(take(logits, np.arange(n_src)), src_targets)
     ce_tgt = cross_entropy(take(logits, np.arange(n_src, logits.shape[0])), tgt_targets)
-    return transition_loss(ce_src, ce_tgt, ts), ce_src, ce_tgt
+    return transition_loss(ce_src, ce_tgt, lam), ce_src, ce_tgt
 
 
-def _ce_step(utts: Sequence[Utterance], name: str, **fixed):
-    """A step that scores ``utts`` by cross-entropy, logged as ``name`` next to ``fixed``."""
+def _ce_step(utts: Sequence[Utterance], **fixed):
+    """A step that scores ``utts`` by cross-entropy, logged as ``ce`` next to ``fixed``."""
     feats, targets, labels = _batch_arrays(utts)
 
     def score(logits):
         ce = cross_entropy(logits, targets)
-        return ce, {**fixed, name: ce.item()}
+        return ce, {**fixed, "ce": ce.item()}
 
     return feats, labels, score
 
@@ -364,7 +360,7 @@ def _train_ce_stage(config: ExperimentConfig, stage: int, settings: StageSetting
                            config.prompt_len, [*stream, 1])
     rng = np.random.default_rng([*stream, 2])
     rows = _fit(config, stage, settings, projector, decoder,
-                lambda b: _ce_step(_sample(dataset, rng, settings.batch_size), "ce", **fixed))
+                lambda b: _ce_step(_sample(dataset, rng, settings.batch_size), **fixed))
     return decoder, rows
 
 
@@ -437,20 +433,16 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
     rng = np.random.default_rng([config.train_seed, stage])
 
     def draw(b):
-        ts = TransitionState(b, settings.total_batches)
+        lam = b / settings.total_batches
         source = _sample(source_ds, rng, settings.batch_size)
         target = _sample(target_ds, rng, settings.batch_size)
-        if config.transition_mode == "sampled":  # one batch from the target with probability λ
-            use_target = rng.random() < ts.lam
-            return _ce_step(target if use_target else source, "transition", lam=ts.lam,
-                            task=_TRANSITION_TASKS[stage][use_target])
         feats, targets, labels = _batch_arrays(source + target)  # one forward for both
         n_src = sum(u.length for u in source)
 
         def score(logits):
             trans, ce_src, ce_tgt = mixed_transition(logits, targets[:n_src],
-                                                     targets[n_src:], ts)
-            return trans, {"lam": ts.lam, "ce_source": ce_src.item(),
+                                                     targets[n_src:], lam)
+            return trans, {"lam": lam, "ce_source": ce_src.item(),
                            "ce_target": ce_tgt.item(), "transition": trans.item()}
 
         return feats, labels, score
@@ -464,10 +456,10 @@ def run_stage3(state: TrainState, source_dataset, target_dataset,
                config: ExperimentConfig) -> TrainState:
     """Carry the model from ASR to monolingual translation.
 
-    Every step draws one mini-batch from each dataset; in mixed mode both
-    run through a single forward pass, their cross-entropies are blended by
-    λ = b/B, and the routing penalties (under the routing-loss variants)
-    cover all tokens of both halves.
+    Every step draws one mini-batch from each dataset; both run through a
+    single forward pass, their cross-entropies are blended by λ = b/B, and
+    the routing penalties (under the routing-loss variants) cover all tokens
+    of both halves.
     """
     return _run_transition_stage(state, source_dataset, target_dataset, config, 3)
 

@@ -4,9 +4,9 @@ Usage: ``python tests/digest_artifacts.py WORK_DIR [--check [LISTING] | --write 
 
 Runs ``gen-data``, ``train``, ``eval`` and ``routing-report`` for each of the
 four variants on the default config and on one alternate config (other
-seeds, sampled transition mode, reweighted routing losses),
-and for ``full`` on one config whose router saturates (the three input-scale
-fields at their upper bounds, small data and stage budgets), then
+seeds, reweighted routing losses), and for ``full`` on one config whose
+router saturates (the three input-scale fields at their upper bounds,
+small data and stage budgets), then
 ``grad-check --instances 3`` for harness seeds 0-3 and 7, then ``ablate
 --seeds 0`` (all four variants) on the default config. The commands
 run from the ``src`` next to this file, inside ``WORK_DIR`` with relative
@@ -16,7 +16,8 @@ paths, so the written ``config.json`` files do not depend on where
 ``tests/digest.txt``) under a ``#`` header that names numpy and its BLAS.
 With ``--check``, it compares the listing with the one saved in
 ``LISTING`` (the same default) instead: it prints each path that differs,
-is missing or is extra, and exits 1 if there is any.
+is missing or is extra, then how many of them lie under each top-level
+directory (``.`` for the files at the top), and exits 1 if there is any.
 
 ``write_subset`` writes the cheap part of the listing (the default
 config's ``full`` run and grad-check seed 0, the paths under ``SUBSET``)
@@ -29,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +38,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 DIGEST = Path(__file__).resolve().parent / "digest.txt"
 VARIANTS = ("full", "no-aux-losses", "conventional-balance", "no-moe")
-ALTERNATE = {"data_seed": 5, "train_seed": 5, "transition_mode": "sampled",
-             "lang_weight": 0.5, "balance_weight": 2.0}
+ALTERNATE = {"data_seed": 5, "train_seed": 5, "lang_weight": 0.5, "balance_weight": 2.0}
 SATURATING = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
               "train_utterances": 40, "val_utterances": 12,
               **{f"stage{s}": {"total_batches": b, "batch_size": 8, "learning_rate": 0.003}
@@ -135,6 +136,15 @@ def differences(got: dict, want: dict) -> list:
     return lines
 
 
+def per_directory(lines: list) -> list:
+    """One ``N differ under DIR`` line per top-level directory of the ``differences`` lines."""
+    tops = Counter()
+    for line in lines:
+        top, sep, _ = line.split(maxsplit=1)[1].partition("/")
+        tops[top if sep else "."] += 1
+    return [f"{n} differ under {top}" for top, n in sorted(tops.items())]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("work", type=Path, metavar="WORK_DIR")
@@ -163,7 +173,8 @@ def main(argv=None) -> int:
     if lines and header not in (None, fingerprint()):
         print(f"note: {args.check} was written under {header}, this run under "
               f"{fingerprint()}: a different BLAS may move the last bits", file=sys.stderr)
-    print("\n".join(lines) if lines else f"{len(got)} files match {args.check}")
+    print("\n".join(lines + per_directory(lines)) if lines else
+          f"{len(got)} files match {args.check}")
     return 1 if lines else 0
 
 

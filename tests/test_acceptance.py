@@ -21,7 +21,6 @@ from csmoe.config import VARIANTS, ExperimentConfig
 from csmoe.dataio import save_dataset, save_world
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
 from csmoe.losses import (
-    TransitionState,
     compose_stage_loss,
     conventional_balance_loss,
     intra_group_balance_loss,
@@ -218,9 +217,9 @@ def test_criterion_3_loss_closed_forms(report):
     # transition schedule endpoint: final blend weight is exactly 1 and the
     # blend then equals the target term bit-for-bit
     B = 7
-    lams = [TransitionState(b, B).lam for b in range(1, B + 1)]
+    lams = [b / B for b in range(1, B + 1)]
     src, tgt = Tensor(1.7), Tensor(0.3)
-    final = transition_loss(src, tgt, TransitionState(B, B)).item()
+    final = transition_loss(src, tgt, 1.0).item()
     endpoint_ok = (
         lams[-1] == 1.0
         and all(b < a for b, a in zip(lams, lams[1:]))

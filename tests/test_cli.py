@@ -321,6 +321,24 @@ def _tokens_moved_to_next_utterance(raw: bytes, path: Path) -> bytes:
     return json.dumps(header).encode() + b"\n" + body
 
 
+def _first_utterance_emptied(raw: bytes, path: Path) -> bytes:
+    # header and body agree, but utterance 0 has no tokens: its mean loss is NaN
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    first = header["utterances"][0]
+    cut = len(first["targets"]) * header["d_in"] * 8
+    first.update(targets=[], source_tokens=[], segments=None)
+    return json.dumps(header).encode() + b"\n" + body[cut:]
+
+
+def _first_utterance_labelled_language_0(raw: bytes, path: Path) -> bytes:
+    # a well-formed split whose utterance 0 disagrees with the code-switched entry
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    header["utterances"][0]["language"] = 0
+    return json.dumps(header).encode() + b"\n" + body
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw, path: raw[:-8],
     lambda raw, path: raw + bytes(8),
@@ -328,8 +346,10 @@ def _tokens_moved_to_next_utterance(raw: bytes, path: Path) -> bytes:
     lambda raw, path: b"{not json" + raw[raw.index(b"\n"):],
     _old_jsonl,
     _tokens_moved_to_next_utterance,
+    _first_utterance_emptied,
+    _first_utterance_labelled_language_0,
 ], ids=["truncated-body", "trailing-bytes", "header-token-count", "header-not-json",
-        "old-jsonl", "tokens-moved"])
+        "old-jsonl", "tokens-moved", "zero-token-utterance", "label-not-the-entrys"])
 def test_train_refuses_damaged_dataset_by_name(tmp_path, cfg_path, damage, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
@@ -780,6 +800,18 @@ def test_seed_flag_is_rejected_where_nothing_reads_it(tmp_path, command, capsys)
         main(argv)
     assert err.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_train_refuses_the_retired_sampled_transition_mode(tmp_path, cfg_path, capsys):
+    out = tmp_path / "out"
+    main(["gen-data", "--config", cfg_path, "--out", str(out)])
+    sampled = tmp_path / "sampled.json"
+    sampled.write_text(json.dumps({**TINY, "transition_mode": "sampled"}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(sampled), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "transition_mode" in err and "only 'mixed'" in err
+    assert not (out / "checkpoints").exists()
 
 
 def test_bad_variant_is_usage_error(tmp_path, cfg_path, capsys):

@@ -29,8 +29,9 @@ def test_config_validation():
         ExperimentConfig(top_k=7)  # 2 groups x 3 experts = 6
     with pytest.raises(ValueError):
         ExperimentConfig(variant="fancy")
-    with pytest.raises(ValueError):
-        ExperimentConfig(transition_mode="linear")
+    for mode in ("linear", "sampled"):
+        with pytest.raises(ValueError, match="transition_mode accepts only 'mixed'"):
+            ExperimentConfig(transition_mode=mode)
     with pytest.raises(ValueError):
         ExperimentConfig(train_seed=-1)
     with pytest.raises(ValueError):

@@ -43,7 +43,8 @@ def test_check_names_each_differing_missing_and_extra_path(tmp_path, monkeypatch
     (work / "gone").unlink()
     assert digest_artifacts.main([str(work), "--check", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "differs  changed", "missing  gone", "extra    new/file"]
+        "differs  changed", "missing  gone", "extra    new/file",
+        "2 differ under .", "1 differ under new"]
 
 
 def test_committed_digest_subset_regenerates_byte_for_byte(tmp_path, monkeypatch):

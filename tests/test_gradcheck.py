@@ -95,7 +95,7 @@ def test_rejects_bad_arguments():
 # ------------------------------------------------- per-loss sweep (oracle)
 
 
-def _oracle_builders(moe, decoder, batches, ts, configs):
+def _oracle_builders(moe, decoder, batches, lam, configs):
     """One closure per loss, each running its own MoE forwards."""
     (f1, l1, t1), (f2, l2, t2) = batches
     intra, conventional = configs
@@ -114,7 +114,7 @@ def _oracle_builders(moe, decoder, batches, ts, configs):
         n_src = f1.shape[0]
         ce_src = cross_entropy(take(logits, np.arange(n_src)), t1)
         ce_tgt = cross_entropy(take(logits, np.arange(n_src, feats.shape[0])), t2)
-        return transition_loss(ce_src, ce_tgt, ts), trace
+        return transition_loss(ce_src, ce_tgt, lam), trace
 
     def intra_balance(trace):
         return intra_group_balance_loss(trace)
@@ -132,7 +132,7 @@ def _oracle_builders(moe, decoder, batches, ts, configs):
         "balance": (lambda: intra_balance(fwd(f1, l1)[1]), moe_params),
         "conventional": (lambda: conventional_balance_loss(fwd(f1, l1)[1]), moe_params),
         "transition": (lambda: transition_loss(ce_of(f1, l1, t1)[0],
-                                               ce_of(f2, l2, t2)[0], ts), all_params),
+                                               ce_of(f2, l2, t2)[0], lam), all_params),
         "stage2_total": (lambda: routed(intra, intra_balance, ce_of(f1, l1, t1)), all_params),
         "stage3_total": (lambda: routed(intra, intra_balance, mixed()), all_params),
         "stage4_total": (lambda: mixed()[0], all_params),
@@ -167,8 +167,8 @@ def _oracle_max_rel_err(build_loss, params, eps):
     return worst
 
 
-def _oracle_instance_errors(moe, decoder, batches, ts, configs, eps):
-    builders = _oracle_builders(moe, decoder, batches, ts, configs)
+def _oracle_instance_errors(moe, decoder, batches, lam, configs, eps):
+    builders = _oracle_builders(moe, decoder, batches, lam, configs)
     return {name: _oracle_max_rel_err(build, params, eps)
             for name, (build, params) in builders.items()}
 

@@ -27,7 +27,6 @@ from csmoe.autodiff import (
 )
 from csmoe.config import VARIANTS, ExperimentConfig
 from csmoe.losses import (
-    TransitionState,
     compose_stage_loss,
     conventional_balance_loss,
     intra_group_balance_loss,
@@ -293,41 +292,25 @@ def test_conventional_is_intra_over_the_one_group_view(labels, seed, k):
 
 def test_transition_endpoint_is_exactly_target():
     src, tgt = Tensor(2.0), Tensor(4.0)
-    out = transition_loss(src, tgt, TransitionState(b=4, B=4))
+    out = transition_loss(src, tgt, 4 / 4)
     assert out.item() == 4.0  # bit-exact endpoint
 
 
 def test_transition_midpoint():
-    out = transition_loss(Tensor(2.0), Tensor(4.0), TransitionState(b=2, B=4))
+    out = transition_loss(Tensor(2.0), Tensor(4.0), 2 / 4)
     assert abs(out.item() - 3.0) < 1e-15
 
 
 def test_transition_hand_value():
-    out = transition_loss(Tensor(2.0), Tensor(4.0), TransitionState(b=1, B=4))
+    out = transition_loss(Tensor(2.0), Tensor(4.0), 1 / 4)
     assert abs(out.item() - 2.5) < 1e-15
-
-
-def test_transition_state_validation():
-    with pytest.raises(ValueError):
-        TransitionState(b=0, B=4)
-    with pytest.raises(ValueError):
-        TransitionState(b=5, B=4)
-    with pytest.raises(ValueError):
-        TransitionState(b=1, B=0)
-
-
-def test_lambda_schedule_monotone_and_complete():
-    B = 7
-    lams = [TransitionState(b=b, B=B).lam for b in range(1, B + 1)]
-    assert all(b > a for a, b in zip(lams, lams[1:]))
-    assert lams[-1] == 1.0
 
 
 def test_transition_gradient_weights():
     src = Parameter("s", Tensor(2.0))
     tgt = Parameter("t", Tensor(4.0))
     with Tape():
-        out = transition_loss(src.value, tgt.value, TransitionState(b=1, B=4))
+        out = transition_loss(src.value, tgt.value, 1 / 4)
         backward(out)
     assert abs(src.grad - 0.75) < 1e-15
     assert abs(tgt.grad - 0.25) < 1e-15
@@ -464,13 +447,14 @@ def chain_intra_group_balance_loss(trace):
     return total
 
 
-def fused_setup(seed, m, absent, k=2):
+def fused_setup(seed, m, absent, k=2, both=False):
     """An m × 3-expert top-k MoE, a decoder and two 12-token batches.
 
     In the first batch one token routes all k layer-0 picks into one group g
     and is labelled with the next language, so it carries no in-group mass
     there. With ``absent`` that batch's language-g tokens are relabelled the
-    same way, so language g has no cell.
+    same way, so language g has no cell. With ``both`` the language-g tokens
+    of both batches are, so g has no cell in the mixed batch 1 + 2 either.
     """
     cfg = ProjectorConfig(d_in=3, d_model=4, num_layers=2)
     mlps = [init_mlp(cfg, seed=[seed, g]) for g in range(m)]
@@ -486,8 +470,11 @@ def fused_setup(seed, m, absent, k=2):
     t = int(np.flatnonzero((picked == picked[:, :1]).all(axis=1))[0])
     g = picked[t, 0]
     labels[t] = (g + 1) % m
-    if absent:
+    if absent or both:
         labels[labels == g] = (g + 1) % m
+    if both:
+        second = batches[1][1]
+        second[second == g] = (g + 1) % m
     return moe, decoder, batches
 
 
@@ -498,12 +485,12 @@ def composed_step(moe, decoder, config, stage, batches):
     for p in params:
         p.zero_grad()
     with Tape():
-        if stage == 3 and config.transition_mode == "mixed":
+        if stage == 3:
             feats, labels = np.concatenate([f1, f2]), np.concatenate([l1, l2])
             logits, trace = stages._forward(moe, decoder, feats, labels)
             core = transition_loss(cross_entropy(take(logits, np.arange(12)), t1),
                                    cross_entropy(take(logits, np.arange(12, 24)), t2),
-                                   TransitionState(1, 3))
+                                   1 / 3)
         else:
             logits, trace = stages._forward(moe, decoder, f1, l1)
             core = cross_entropy(logits, t1)
@@ -553,13 +540,17 @@ SETUPS = [pytest.param(seed, m, absent, k, id=f"{seed}-{m}-{absent}" + ("" if k 
 @pytest.mark.parametrize("seed,m,absent,k", SETUPS)
 @pytest.mark.parametrize("balance_mode", ["intra", "conventional"])
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 2.0), (1.0, 10.0)])
-@pytest.mark.parametrize("stage,mode", [(2, "mixed"), (3, "mixed"), (3, "sampled")])
+# stage 2 scores the first batch and stage 3 the mixed batch 1 + 2; the last
+# case drops one language from both halves, so the stage-3 objective skips its
+# balance cells
+@pytest.mark.parametrize("stage,both", [(2, False), (3, False), (3, True)],
+                         ids=["stage2", "stage3", "stage3-absent-in-both"])
 def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
-        seed, m, absent, k, balance_mode, weights, stage, mode, monkeypatch):
+        seed, m, absent, k, balance_mode, weights, stage, both, monkeypatch):
     variant = "conventional-balance" if balance_mode == "conventional" else "full"
-    config = ExperimentConfig(num_languages=m, variant=variant, transition_mode=mode,
+    config = ExperimentConfig(num_languages=m, variant=variant,
                               lang_weight=weights[0], balance_weight=weights[1])
-    moe, decoder, batches = fused_setup(seed, m, absent, k)
+    moe, decoder, batches = fused_setup(seed, m, absent, k, both)
     fused, trace, fused_grads = composed_step(moe, decoder, config, stage, batches)
     use_chain_losses(monkeypatch)
     chain, _, chain_grads = composed_step(moe, decoder, config, stage, batches)
@@ -568,7 +559,7 @@ def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
     for p, a, b in zip(moe.parameters() + decoder.parameters(), fused_grads, chain_grads):
         assert np.array_equal(a, b), p.name
     labels = trace.token_language
-    if absent and (stage, mode) != (3, "mixed"):
+    if (absent and stage == 2) or both:
         assert np.unique(labels).size == m - 1
     # some token routes no mass into its own group (balance skips it)
     in_group = moe.group_of[None, :] == labels[:, None]

@@ -64,9 +64,8 @@ def _sweep(tmp_path) -> set:
         return str(path)
 
     cfg = write("tiny.json", {})
-    sampled = write("sampled.json", {"variant": "conventional-balance",
-                                      "transition_mode": "sampled", "lang_weight": 0.5,
-                                      "balance_weight": 2.0})
+    conventional = write("conventional.json", {"variant": "conventional-balance",
+                                               "lang_weight": 0.5, "balance_weight": 2.0})
     other = write("other.json", {"train_seed": 1})
     run = tmp_path / "run"
     stage4 = str(run / "checkpoints" / "stage4")
@@ -77,7 +76,7 @@ def _sweep(tmp_path) -> set:
         (["eval", "--config", cfg, "--checkpoint", stage4], 0),
         (["routing-report", "--config", cfg, "--checkpoint", stage4], 0),
         (["eval", "--config", other, "--checkpoint", stage4], 2),
-        (["train", "--config", sampled], 0),
+        (["train", "--config", conventional], 0),
         (["grad-check", "--instances", "1"], 0),
         (["ablate", "--config", cfg, "--seeds", "0"], 0),
     ]

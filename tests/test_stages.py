@@ -236,16 +236,6 @@ def test_stages_refuse_inputs_they_cannot_continue(setup, stage2_state):
         run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
 
 
-def test_stage3_sampled_mode_runs(setup, stage2_state):
-    config, world, bundle = setup
-    state = copy.deepcopy(stage2_state)
-    config = tiny_config(stage3=budget(10), transition_mode="sampled")
-    state = run_stage3(state, bundle.asr_pooled, bundle.st_train, config)
-    rows = [r for r in state.metrics if r.get("stage") == 3 and "step" in r]
-    assert len(rows) == 10
-    assert rows[-1]["lam"] == 1.0
-
-
 def test_stage4_transition_only_and_improves_cs(setup, stage2_state):
     config, world, bundle = setup
     state = copy.deepcopy(stage2_state)
@@ -321,15 +311,6 @@ def test_pipeline_conventional_balance_variant(setup):
     assert rows and all("balance" in r and "lang" in r for r in rows)
 
 
-def test_sampled_mode_rows_name_the_task_of_their_batch(setup):
-    config, world, bundle = setup
-    result = run_pipeline(replace(config, transition_mode="sampled"), bundle)
-    for stage, source, target in ((3, TASK_ASR, TASK_ST), (4, TASK_ST, TASK_CS_ST)):
-        rows = [r for r in result.metrics if r.get("stage") == stage and "step" in r]
-        assert {r["task"] for r in rows} == {source, target}
-        assert rows[-1]["task"] == target  # λ = 1 always draws the target
-
-
 def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     config, world, bundle = setup
     seen = []
@@ -373,23 +354,22 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     assert "probe" in lines[-1]
 
 
-@pytest.mark.parametrize("variant,mode,expected", [
-    ("full", "mixed", (10, 39, 45, 40)),
-    ("full", "sampled", (10, 39, 39, 34)),
-    ("no-aux-losses", "mixed", (10, 34, 40, 40)),
-    ("conventional-balance", "mixed", (10, 39, 45, 40)),
-    ("no-moe", "mixed", (10, 10, 16, 16)),
-], ids=["full-mixed", "full-sampled", "no-aux-losses-mixed", "conventional-balance-mixed",
-        "no-moe-mixed"])
-def test_default_config_op_nodes_per_step(monkeypatch, variant, mode, expected):
+@pytest.mark.parametrize("variant,expected", [
+    ("full", (10, 39, 45, 40)),
+    ("no-aux-losses", (10, 34, 40, 40)),
+    ("conventional-balance", (10, 39, 45, 40)),
+    ("no-moe", (10, 10, 16, 16)),
+])
+def test_default_config_op_nodes_per_step(monkeypatch, variant, expected):
     # Each routing loss is one tape node: stages 2-3 add lang, balance, the
     # balance weight and two adds to the 34 and 40 nodes of no-aux-losses.
-    # Sampled mode scores one batch, dropping the mixed batch's two takes,
-    # one cross-entropy and the blend's mul, mul and add.
+    # A transition step scores the mixed batch: its two takes, a second
+    # cross-entropy and the blend's mul, mul and add, six nodes more than a
+    # step that scores one batch.
     budget = StageSettings(2, 8, 3e-3)
     config = replace(ExperimentConfig(), train_utterances=8, val_utterances=2,
                      stage1=budget, stage2=budget, stage3=budget, stage4=budget,
-                     variant=variant, transition_mode=mode)
+                     variant=variant)
     counts, current = {}, {}
     real_backward = stages.backward
 
@@ -410,20 +390,17 @@ def test_default_config_op_nodes_per_step(monkeypatch, variant, mode, expected):
     assert counts == {s: {n} for s, n in zip((1, 2, 3, 4), expected)}
 
 
-@pytest.mark.parametrize("stage,variant,mode,patched,component", [
-    (1, "full", "mixed", "cross_entropy", "ce"),
-    (1, "no-moe", "mixed", "cross_entropy", "ce"),
-    (2, "full", "mixed", "cross_entropy", "ce"),
-    (3, "full", "mixed", "transition_loss", "transition"),
-    (3, "full", "sampled", "cross_entropy", "transition"),
-    (4, "full", "mixed", "transition_loss", "transition"),
-    (4, "full", "sampled", "cross_entropy", "transition"),
-], ids=["stage1-per-language", "stage1-no-moe", "stage2", "stage3-mixed", "stage3-sampled",
-        "stage4-mixed", "stage4-sampled"])
+@pytest.mark.parametrize("stage,variant,patched,component", [
+    (1, "full", "cross_entropy", "ce"),
+    (1, "no-moe", "cross_entropy", "ce"),
+    (2, "full", "cross_entropy", "ce"),
+    (3, "full", "transition_loss", "transition"),
+    (4, "full", "transition_loss", "transition"),
+], ids=["stage1-per-language", "stage1-no-moe", "stage2", "stage3", "stage4"])
 def test_infinite_loss_raises_naming_stage_step_and_component(
-        setup, monkeypatch, stage, variant, mode, patched, component):
+        setup, monkeypatch, stage, variant, patched, component):
     _, _, bundle = setup
-    config = tiny_config(variant=variant, transition_mode=mode, stage1=budget(2),
+    config = tiny_config(variant=variant, stage1=budget(2),
                          stage2=budget(2), stage3=budget(2), stage4=budget(2))
     earlier = []
     if stage > 1:

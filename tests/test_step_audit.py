@@ -3,10 +3,9 @@
 ``csmoe grad-check`` audits stage objectives that it assembles from the
 shared pieces on its own tiny MoE. This test audits the step itself:
 ``run_stage2``, ``run_stage3`` or ``run_stage4`` runs from a deep copy of
-the previous stage's state, under every variant (and for the transition
-stages every transition mode), so the stage's batch draw, its score
-closure, the split of the mixed batch, the routing terms and the
-optimizer's parameter arena are all inside the audit.
+the previous stage's state, under every variant, so the stage's batch
+draw, its score closure, the split of the mixed batch, the routing terms
+and the optimizer's parameter arena are all inside the audit.
 
 Oracles: the analytic gradient is Adam's grad arena at the stage's first
 ``step``, which lists the new state's ``TrainState.parameters()`` in order;
@@ -18,9 +17,10 @@ central differences at two step sizes must agree with each other, or the
 direction crosses a ReLU kink or a top-k flip and is refused
 (deterministically: the refusal reads only loss values); an accepted
 direction must match the analytic directional derivative within
-grad-check's 1e-4 relative tolerance. In mixed mode the row's ``ce_source``
-and ``ce_target`` must also equal ``evaluate_dataset`` on the drawn source
-and target batches, which pins where the mixed batch is split. Central
+grad-check's 1e-4 relative tolerance. In a transition stage the row's
+``ce_source`` and ``ce_target`` must also equal ``evaluate_dataset`` on the
+drawn source and target batches, which pins where the mixed batch is
+split. Central
 differences cannot see a scale applied to a term's value and gradient
 alike, so from the same state and draws each step row's ``total`` must be
 its core loss plus each routing term times its config weight, and the
@@ -34,8 +34,7 @@ import numpy as np
 import pytest
 
 from csmoe import autodiff, stages
-from csmoe.config import (ROUTING_LOSS_VARIANTS, TRANSITION_MODES, VARIANTS, ExperimentConfig,
-                          StageSettings)
+from csmoe.config import ROUTING_LOSS_VARIANTS, VARIANTS, ExperimentConfig, StageSettings
 from csmoe.stages import (evaluate_dataset, generate_datasets, run_pipeline, run_stage2,
                           run_stage3, run_stage4)
 
@@ -51,9 +50,7 @@ TINY = dict(num_languages=2, d_in=4, vocab_per_lang=4, utterance_length=4,
             train_utterances=6, val_utterances=2, d_model=6, num_layers=2,
             experts_per_group=2, top_k=3, prompt_len=1,
             stage1=_TWO, stage2=_TWO, stage3=_TWO, stage4=_TWO)
-# stage 2 reads no transition mode
-CASES = [(stage, variant, mode) for stage in (2, 3, 4) for variant in VARIANTS
-         for mode in TRANSITION_MODES if stage > 2 or mode == "mixed"]
+CASES = [(stage, variant) for stage in (2, 3, 4) for variant in VARIANTS]
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +124,11 @@ def _stage_run(bundle, stage):
     return lambda state, config: run_stage4(state, bundle.st_train, bundle.cs_train, config)
 
 
-@pytest.mark.parametrize("stage, variant, mode", CASES,
+@pytest.mark.parametrize("stage, variant", CASES,
                          ids=["-".join(map(str, case)) for case in CASES])
 def test_first_step_gradient_matches_central_differences(
-        monkeypatch, bundle, trained, stage, variant, mode):
-    config = ExperimentConfig(**TINY, variant=variant, transition_mode=mode)
+        monkeypatch, bundle, trained, stage, variant):
+    config = ExperimentConfig(**TINY, variant=variant)
     prev = trained(config)[stage - 1]
     run = _stage_run(bundle, stage)
 
@@ -165,15 +162,16 @@ def test_first_step_gradient_matches_central_differences(
     after = first_run(theta)
     row = after.metrics[len(prev.metrics)]
     grad = arenas[0] if stage > 2 else _stage1_gradient(prev, after, arenas[0], config)
-    if stage > 2 and mode == "mixed":  # the first two draws are step 1's source and target
+    if stage > 2:  # the first two draws are step 1's source and target
         assert row["ce_source"] == pytest.approx(evaluate_dataset(prev, drawn[0])["ce"],
                                                  rel=1e-12, abs=0.0)
         assert row["ce_target"] == pytest.approx(evaluate_dataset(prev, drawn[1])["ce"],
                                                  rel=1e-12, abs=0.0)
 
-    # the trailing 0 keeps the directions each case has always probed: the
-    # seed's fourth entry was a loss-normalization flag, and 0 was its off case
-    rng = np.random.default_rng([stage, VARIANTS.index(variant), TRANSITION_MODES.index(mode), 0])
+    # the two 0s keep the directions each case has always probed: the seed's
+    # third entry was the transition mode's index, 0 for the mixed blend, and
+    # its fourth a loss-normalization flag, 0 for its off case
+    rng = np.random.default_rng([stage, VARIANTS.index(variant), 0, 0])
     errors, refused = [], 0
     for _ in range(DIRECTIONS):
         u = rng.normal(size=theta.size)
@@ -190,16 +188,14 @@ def test_first_step_gradient_matches_central_differences(
 
 
 # the stages and variants that add routing terms
-WEIGHTED = [(stage, variant, mode) for stage in (2, 3) for variant in ROUTING_LOSS_VARIANTS
-            for mode in TRANSITION_MODES if stage > 2 or mode == "mixed"]
+WEIGHTED = [(stage, variant) for stage in (2, 3) for variant in ROUTING_LOSS_VARIANTS]
 
 
-@pytest.mark.parametrize("stage, variant, mode", WEIGHTED,
+@pytest.mark.parametrize("stage, variant", WEIGHTED,
                          ids=["-".join(map(str, case)) for case in WEIGHTED])
-def test_routing_weights_scale_only_their_terms_in_the_total(bundle, trained, stage, variant, mode):
-    default = ExperimentConfig(**TINY, variant=variant, transition_mode=mode)  # weights 1 and 10
-    weighted = ExperimentConfig(**TINY, variant=variant, transition_mode=mode,
-                                lang_weight=0.5, balance_weight=2.0)
+def test_routing_weights_scale_only_their_terms_in_the_total(bundle, trained, stage, variant):
+    default = ExperimentConfig(**TINY, variant=variant)  # weights 1 and 10
+    weighted = ExperimentConfig(**TINY, variant=variant, lang_weight=0.5, balance_weight=2.0)
     prev = trained(default)[stage - 1]
     run = _stage_run(bundle, stage)
     # the same state and seeds, so the same draws; step 1 runs before any update
