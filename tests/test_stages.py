@@ -19,7 +19,8 @@ import csmoe.cli
 from csmoe import stages
 from csmoe.autodiff import Tape, Tensor, _Node, cross_entropy, mul
 from csmoe.cli import main
-from csmoe.config import ExperimentConfig, StageSettings, config_to_dict
+from csmoe.config import (ROUTING_LOSS_VARIANTS, VARIANTS, ExperimentConfig, StageSettings,
+                          config_to_dict)
 from csmoe.projector import MlpProjector, MoeProjector, moe_forward
 from csmoe.stages import (
     DatasetBundle,
@@ -252,6 +253,30 @@ def test_stage4_transition_only_and_improves_cs(setup, stage2_state):
     assert lams4 == lams3  # same schedule shape for equal B
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transition_rows_blend_their_two_cross_entropies(setup, variant):
+    # every step row of stages 3-4 holds the blend of that step's two
+    # cross-entropies by λ = b/B, names no task, and adds the routing terms
+    # only at stage 3 under the routing-loss variants
+    _, _, bundle = setup
+    B = 5
+    config = tiny_config(variant=variant, stage1=budget(3), stage2=budget(3),
+                         stage3=budget(B), stage4=budget(B))
+    metrics = run_pipeline(config, bundle).metrics
+    blend = {"stage", "step", "lam", "ce_source", "ce_target", "transition", "total"}
+    for stage in (3, 4):
+        rows = [r for r in metrics if r.get("stage") == stage and "step" in r]
+        routed = stage == 3 and variant in ROUTING_LOSS_VARIANTS
+        assert [set(r) for r in rows] == [blend | ({"lang", "balance"} if routed else set())] * B
+        assert [r["lam"] for r in rows] == [b / B for b in range(1, B + 1)]
+        for r in rows:
+            expected = (1 - r["lam"]) * r["ce_source"] + r["lam"] * r["ce_target"]
+            assert abs(r["transition"] - expected) < 1e-12
+        assert rows[-1]["transition"] == rows[-1]["ce_target"]  # λ = 1 drops the source
+        if not routed:
+            assert all(r["total"] == r["transition"] for r in rows)
+
+
 def test_stage_boundary_is_a_pure_function_of_state(setup, stage2_state):
     # running stage 3 twice from copies of the same state gives identical bits
     _, _, bundle = setup
@@ -396,7 +421,11 @@ def test_default_config_op_nodes_per_step(monkeypatch, variant, expected):
     (2, "full", "cross_entropy", "ce"),
     (3, "full", "transition_loss", "transition"),
     (4, "full", "transition_loss", "transition"),
-], ids=["stage1-per-language", "stage1-no-moe", "stage2", "stage3", "stage4"])
+    # a non-finite cross-entropy inside the blend is named by its first field
+    (3, "full", "cross_entropy", "ce_source"),
+    (4, "full", "cross_entropy", "ce_source"),
+], ids=["stage1-per-language", "stage1-no-moe", "stage2", "stage3", "stage4",
+        "stage3-cross-entropy", "stage4-cross-entropy"])
 def test_infinite_loss_raises_naming_stage_step_and_component(
         setup, monkeypatch, stage, variant, patched, component):
     _, _, bundle = setup

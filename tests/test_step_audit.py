@@ -5,7 +5,9 @@ shared pieces on its own tiny MoE. This test audits the step itself:
 ``run_stage2``, ``run_stage3`` or ``run_stage4`` runs from a deep copy of
 the previous stage's state, under every variant, so the stage's batch
 draw, its score closure, the split of the mixed batch, the routing terms
-and the optimizer's parameter arena are all inside the audit.
+and the optimizer's parameter arena are all inside the audit. The
+transition stages are audited at λ = 1/2 and, run for one step, at the
+endpoint λ = 1, where the blend must equal the target cross-entropy.
 
 Oracles: the analytic gradient is Adam's grad arena at the stage's first
 ``step``, which lists the new state's ``TrainState.parameters()`` in order;
@@ -50,7 +52,22 @@ TINY = dict(num_languages=2, d_in=4, vocab_per_lang=4, utterance_length=4,
             train_utterances=6, val_utterances=2, d_model=6, num_layers=2,
             experts_per_group=2, top_k=3, prompt_len=1,
             stage1=_TWO, stage2=_TWO, stage3=_TWO, stage4=_TWO)
-CASES = [(stage, variant) for stage in (2, 3, 4) for variant in VARIANTS]
+# a one-step transition stage audits its first step at λ = 1, where the
+# source cross-entropy's weight is exactly 0
+_ONE = StageSettings(1, 2, 3e-3)
+CASES = ([(stage, variant, False) for stage in (2, 3, 4) for variant in VARIANTS]
+         + [(stage, variant, True) for stage in (3, 4) for variant in VARIANTS])
+
+
+def _case_id(case) -> str:
+    stage, variant, endpoint = case
+    return f"{stage}-{variant}" + ("-endpoint" if endpoint else "")
+
+
+def _config(stage: int, variant: str, endpoint: bool, **weights) -> ExperimentConfig:
+    """The audited config; at the endpoint the audited stage runs one step."""
+    budget = {f"stage{stage}": _ONE} if endpoint else {}
+    return ExperimentConfig(**{**TINY, **budget}, variant=variant, **weights)
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +141,10 @@ def _stage_run(bundle, stage):
     return lambda state, config: run_stage4(state, bundle.st_train, bundle.cs_train, config)
 
 
-@pytest.mark.parametrize("stage, variant", CASES,
-                         ids=["-".join(map(str, case)) for case in CASES])
+@pytest.mark.parametrize("stage, variant, endpoint", CASES, ids=map(_case_id, CASES))
 def test_first_step_gradient_matches_central_differences(
-        monkeypatch, bundle, trained, stage, variant):
-    config = ExperimentConfig(**TINY, variant=variant)
+        monkeypatch, bundle, trained, stage, variant, endpoint):
+    config = _config(stage, variant, endpoint)
     prev = trained(config)[stage - 1]
     run = _stage_run(bundle, stage)
 
@@ -167,6 +183,9 @@ def test_first_step_gradient_matches_central_differences(
                                                  rel=1e-12, abs=0.0)
         assert row["ce_target"] == pytest.approx(evaluate_dataset(prev, drawn[1])["ce"],
                                                  rel=1e-12, abs=0.0)
+        assert row["lam"] == (1.0 if endpoint else 0.5)
+    if endpoint:
+        assert row["transition"] == row["ce_target"]
 
     # the two 0s keep the directions each case has always probed: the seed's
     # third entry was the transition mode's index, 0 for the mixed blend, and
@@ -188,14 +207,14 @@ def test_first_step_gradient_matches_central_differences(
 
 
 # the stages and variants that add routing terms
-WEIGHTED = [(stage, variant) for stage in (2, 3) for variant in ROUTING_LOSS_VARIANTS]
+WEIGHTED = [case for case in CASES if case[0] < 4 and case[1] in ROUTING_LOSS_VARIANTS]
 
 
-@pytest.mark.parametrize("stage, variant", WEIGHTED,
-                         ids=["-".join(map(str, case)) for case in WEIGHTED])
-def test_routing_weights_scale_only_their_terms_in_the_total(bundle, trained, stage, variant):
-    default = ExperimentConfig(**TINY, variant=variant)  # weights 1 and 10
-    weighted = ExperimentConfig(**TINY, variant=variant, lang_weight=0.5, balance_weight=2.0)
+@pytest.mark.parametrize("stage, variant, endpoint", WEIGHTED, ids=map(_case_id, WEIGHTED))
+def test_routing_weights_scale_only_their_terms_in_the_total(bundle, trained, stage, variant,
+                                                             endpoint):
+    default = _config(stage, variant, endpoint)  # weights 1 and 10
+    weighted = _config(stage, variant, endpoint, lang_weight=0.5, balance_weight=2.0)
     prev = trained(default)[stage - 1]
     run = _stage_run(bundle, stage)
     # the same state and seeds, so the same draws; step 1 runs before any update
