@@ -18,8 +18,9 @@ stage and step).
 All randomness flows from the seeds named in the config file (no flag sets
 one; ``grad-check`` takes no config and seeds its harness with ``--seed``),
 so every command is deterministic. ``--out`` and ``train --variant``
-override their config fields, and the effective merged config is written
-next to each command's outputs, ready to pass to the next command.
+override their config fields. ``gen-data`` and ``train`` write the
+effective merged config as ``config.json`` next to their outputs, ready to
+pass to the next command; the other commands write their reports only.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
-    """The gen-data splits under ``out``, refused unless drawn from ``config``'s data fields
-    and unless each utterance has the task and language of the split it is pooled as."""
+    """The gen-data splits under ``out``, refused unless drawn from ``config``'s data fields,
+    unless each utterance has the task and language of the split it is pooled as, and
+    unless each code-switch segment's language is one of the config's languages."""
     entries = split_table(config)
     missing = [e.filename for e in entries if not (out / e.filename).exists()]
     if not (out / "config.json").exists():
@@ -135,6 +137,12 @@ def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
             raise ValueError(f"dataset {out / entry.filename} utterance {bad[0][0]} has task and "
                              f"language {bad[0][1:]}, not the split's {want}; "
                              f"run gen-data to rewrite it")
+        bad = [(i, s.language) for i, u in enumerate(utts) for s in u.segments or ()
+               if not 0 <= s.language < config.num_languages]
+        if bad:
+            raise ValueError(f"dataset {out / entry.filename} utterance {bad[0][0]} has a segment "
+                             f"of language {bad[0][1]}, not one of the config's "
+                             f"{config.num_languages} languages; run gen-data to rewrite it")
     return DatasetBundle.from_splits(splits)
 
 

@@ -4,6 +4,10 @@ All randomness in a run flows from the named seeds here; the configuration
 hash covers exactly the fields that affect numerics, so two configs with the
 same hash produce bit-identical runs. ``out_dir`` is cosmetic (where results
 land) and is excluded from the hash.
+
+``ExperimentConfig`` is the one gate: it checks every scalar field in one
+pass, a stage's by its path ``stage<N>.<field>``, and each refusal names the
+path; ``config_from_dict`` also refuses unknown, missing and mistyped fields.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Mapping
 
 __all__ = [
@@ -46,21 +50,34 @@ DATA_FIELDS = ("num_languages", "d_in", "separation", "noise_sigma", "vocab_per_
 # they are re-derived with that underflow mended
 UPPER_BOUNDS = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
                 "lang_weight": 1e6, "balance_weight": 1e6}
+# the smallest accepted value of each integer field, a stage's by its own name
+LOWER_BOUNDS = {"num_languages": 2,
+                **dict.fromkeys(("d_in", "vocab_per_lang", "cs_switches", "train_utterances",
+                                 "val_utterances", "d_model", "num_layers", "experts_per_group",
+                                 "top_k", "prompt_len", "total_batches", "batch_size"), 1),
+                **dict.fromkeys(("world_seed", "data_seed", "train_seed"), 0)}
 
 
-def _store_floats(config) -> None:
-    """Store each integer given to a float field of ``config`` as a float.
-
-    1 and 1.0 compare equal, so they must hash and serialize equal too.
-    """
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "float" and isinstance(value, numbers.Integral) and not isinstance(value, bool):
-            try:
-                object.__setattr__(config, f.name, float(value))
-            except OverflowError:
-                raise ValueError(f"config field {f.name} must be finite, got an integer too "
-                                 f"large for a float") from None
+def _checked(path: str, kind: str, value):
+    """``value`` of the field at ``path`` (annotated ``kind``), refused by its path unless in
+    range; an integer given to a float field comes back as the float, to hash like it."""
+    if kind == "float" and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{path} must be finite, got an integer too large for a "
+                             f"float") from None
+    if isinstance(value, float) and not math.isfinite(value):  # JSON admits NaN and Infinity
+        raise ValueError(f"{path} must be finite, got {value!r}")
+    name = path.rpartition(".")[2]
+    if name in LOWER_BOUNDS and value < LOWER_BOUNDS[name]:
+        raise ValueError(f"{path} must be >= {LOWER_BOUNDS[name]}, got {value}")
+    if name in UPPER_BOUNDS and not 0 < value <= UPPER_BOUNDS[name]:
+        raise ValueError(f"{path} must be positive and at most {UPPER_BOUNDS[name]:g}, "
+                         f"got {value}")
+    if name == "learning_rate" and value <= 0:
+        raise ValueError(f"{path} must be positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,15 +85,6 @@ class StageSettings:
     total_batches: int
     batch_size: int
     learning_rate: float
-
-    def __post_init__(self) -> None:
-        _store_floats(self)
-        if self.total_batches < 1:
-            raise ValueError(f"total_batches must be >= 1, got {self.total_batches}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -119,25 +127,16 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
-        _store_floats(self)
-        # JSON admits NaN and Infinity, which no field can use
-        values = [(f.name, getattr(self, f.name)) for f in fields(self)]
-        values += [(f"{name}.learning_rate", value.learning_rate)
-                   for name, value in values if isinstance(value, StageSettings)]
-        for name, value in values:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"config field {name} must be finite, got {value!r}")
-        if self.num_languages < 2:
-            raise ValueError(f"num_languages must be >= 2, got {self.num_languages}")
-        for name in ("train_utterances", "val_utterances", "d_in", "d_model", "num_layers",
-                     "experts_per_group", "top_k", "prompt_len", "vocab_per_lang", "cs_switches"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name, upper in UPPER_BOUNDS.items():
-            if not 0 < getattr(self, name) <= upper:
-                raise ValueError(
-                    f"{name} must be positive and at most {upper:g}, got {getattr(self, name)}"
-                )
+        # the one pass over every scalar field, a stage's by its path stage<N>.<field>
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, StageSettings):
+                value = replace(value, **{g.name: _checked(f"{f.name}.{g.name}", g.type,
+                                                           getattr(value, g.name))
+                                          for g in fields(value)})
+            else:
+                value = _checked(f.name, f.type, value)
+            object.__setattr__(self, f.name, value)
         if self.d_in < self.num_languages:
             raise ValueError(
                 f"d_in={self.d_in} must be >= num_languages={self.num_languages}"
@@ -160,9 +159,6 @@ class ExperimentConfig:
                 f"utterance_length={self.utterance_length} too short for "
                 f"cs_switches={self.cs_switches}"
             )
-        for name in ("world_seed", "data_seed", "train_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
         if not self.out_dir:  # "" would put every output in the working directory
             raise ValueError("out_dir must name a directory, got ''")
 
@@ -188,8 +184,8 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (s
 
 
 def _from_mapping(cls, data: Mapping, prefix: str = ""):
-    """``cls(**data)`` with every float field a float, refusing unknown, missing and
-    mistyped fields by name."""
+    """``cls(**data)``, refusing unknown, missing and mistyped fields by name; the values
+    themselves are checked by ``ExperimentConfig``."""
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
@@ -201,12 +197,6 @@ def _from_mapping(cls, data: Mapping, prefix: str = ""):
             value = _from_mapping(StageSettings, value, f"{name}.")
         if not isinstance(value, _FIELD_TYPES[kind]) or isinstance(value, bool) != (kind == "bool"):
             raise ValueError(f"config field {prefix}{name} must be {kind}, got {value!r}")
-        if kind == "float":  # as _store_floats does, but naming a stage field by its path
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ValueError(f"config field {prefix}{name} must be finite, got an "
-                                 f"integer too large for a float") from None
         kwargs[name] = value
     missing = [f.name for f in fields(cls)
                if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING]

@@ -339,6 +339,14 @@ def _first_utterance_labelled_language_0(raw: bytes, path: Path) -> bytes:
     return json.dumps(header).encode() + b"\n" + body
 
 
+def _segment_language_out_of_range(raw: bytes, path: Path) -> bytes:
+    # a well-formed code-switched utterance whose first segment names language 7 of 2
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    header["utterances"][0]["segments"][0][2] = 7
+    return json.dumps(header).encode() + b"\n" + body
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw, path: raw[:-8],
     lambda raw, path: raw + bytes(8),
@@ -348,8 +356,10 @@ def _first_utterance_labelled_language_0(raw: bytes, path: Path) -> bytes:
     _tokens_moved_to_next_utterance,
     _first_utterance_emptied,
     _first_utterance_labelled_language_0,
+    _segment_language_out_of_range,
 ], ids=["truncated-body", "trailing-bytes", "header-token-count", "header-not-json",
-        "old-jsonl", "tokens-moved", "zero-token-utterance", "label-not-the-entrys"])
+        "old-jsonl", "tokens-moved", "zero-token-utterance", "label-not-the-entrys",
+        "segment-language-out-of-range"])
 def test_train_refuses_damaged_dataset_by_name(tmp_path, cfg_path, damage, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
@@ -464,6 +474,14 @@ def stage2_dir(tmp_path_factory):
     main(["gen-data", "--config", str(root / "config.json"), "--out", str(out)])
     main(["train", "--config", str(root / "config.json"), "--out", str(out), "--stages", "1,2"])
     return out
+
+
+def _segment_language_out_of_range(raw: bytes, path: Path) -> bytes:
+    # a well-formed code-switched utterance whose first segment names language 7 of 2
+    head, _, body = raw.partition(b"\n")
+    header = json.loads(head)
+    header["utterances"][0]["segments"][0][2] = 7
+    return json.dumps(header).encode() + b"\n" + body
 
 
 @pytest.mark.parametrize("damage", [
@@ -772,6 +790,8 @@ def test_bad_config_field_is_usage_error(tmp_path, capsys, data, field):
     ("separation", float("nan")), ("separation", float("inf")),
     ("noise_sigma", float("inf")), ("token_margin", float("nan")),
     ("lang_weight", float("inf")), ("stage1.learning_rate", float("inf")),
+    # a stage's integer fields and learning rate, named by their path
+    ("stage3.total_batches", 0), ("stage2.batch_size", 0), ("stage4.learning_rate", 0),
     # an integer past the float range
     *(pytest.param(field, 10**400, id=f"{field}-10**400")
       for field in ("lang_weight", "stage1.learning_rate")),

@@ -38,10 +38,11 @@ def test_config_validation():
         ExperimentConfig(utterance_length=1)
     with pytest.raises(ValueError):
         ExperimentConfig(num_languages=17, d_in=16)
-    with pytest.raises(ValueError):
-        StageSettings(0, 8, 1e-3)
-    with pytest.raises(ValueError):
-        StageSettings(10, 8, 0.0)
+    # a stage's settings are plain data, checked once placed in a config
+    with pytest.raises(ValueError, match=r"^stage1\.total_batches must be >= 1, got 0$"):
+        ExperimentConfig(stage1=StageSettings(0, 8, 1e-3))
+    with pytest.raises(ValueError, match=r"^stage2\.learning_rate must be positive, got 0.0$"):
+        ExperimentConfig(stage2=StageSettings(10, 8, 0.0))
 
 
 def test_config_round_trips_through_dict():
@@ -115,11 +116,16 @@ def test_top1_rejected_with_language_loss(variant):
     ({"token_margin": 0.0}, "token_margin"),
     ({"token_margin": -3.0}, "token_margin"),
     ({"experts_per_group": 0}, "experts_per_group"),
+    ({"train_seed": -1}, "train_seed"),
+    ({"stage3": StageSettings(0, 8, 3e-3)}, "stage3.total_batches"),
+    ({"stage2": StageSettings(150, 0, 3e-3)}, "stage2.batch_size"),
+    ({"stage4": StageSettings(60, 8, 0)}, "stage4.learning_rate"),
 ], ids=["cs-switches-0", "cs-switches-negative-length-0", "separation-0",
         "separation-negative", "noise-sigma-0", "noise-sigma-negative", "token-margin-0",
-        "token-margin-negative", "experts-per-group-0"])
+        "token-margin-negative", "experts-per-group-0", "train-seed-negative",
+        "stage3-total-batches-0", "stage2-batch-size-0", "stage4-learning-rate-0"])
 def test_config_refuses_a_bad_value_naming_its_field(overrides, field):
-    with pytest.raises(ValueError, match=rf"^{field} must be"):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be")):
         ExperimentConfig(**overrides)
 
 

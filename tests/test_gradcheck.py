@@ -8,6 +8,8 @@ per-loss sweep that builds each loss on its own tape and perturbs each
 coordinate once per loss.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from csmoe.losses import (
     language_specific_loss,
     transition_loss,
 )
-from csmoe.projector import moe_forward, moe_layer
+from csmoe.projector import LayerRouting, RoutingTrace, moe_forward, moe_layer
 from csmoe.world import decode
 
 
@@ -299,51 +301,82 @@ def test_expert_remix_equals_rerunning_its_layer(candidate):
     assert moved  # the perturbations reach the outputs
 
 
-def test_skipped_candidate_leaves_no_partial_errors(monkeypatch):
-    # The first candidate whose losses run gets a corrupted lang backward (breaks
-    # lang) and a conventional balance that raises ValueError once the sweep has
-    # finished the first parameter: it must count as skipped, and none of its
-    # errors may reach the report. Losing that instance, the run walks the
-    # candidates of a clean run one instance longer.
-    base = grad_check_report(seed=0, instances=3)
-    state = {"current": None, "bad": None, "conventional_calls": 0, "corrupted": False}
-    real_make = gradcheck._make_instance
-    real_language = stages.language_specific_loss
-    real_conventional = stages.conventional_balance_loss
+def test_an_instance_that_raises_fails_the_report(monkeypatch):
+    # an error inside an accepted instance's sweep is a fault, not a skip: the
+    # report raises it at once rather than drawing candidates without end
+    calls = []
+
+    def raising(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise AssertionError("the first instance's ValueError was swallowed")
+        raise ValueError("sweep fault")
+
+    monkeypatch.setattr(gradcheck, "_instance_errors", raising)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="sweep fault"):
+        grad_check_report(seed=0, instances=3)
+    assert len(calls) == 1
+    assert time.perf_counter() - start < 5.0
+
+
+def _out_of_group(trace):
+    """``trace`` with each token's two picks moved to the experts outside its own group.
+
+    Every token of the 2 x 2 layout gets logits 7 and 5 on the other group's
+    experts and 1 and 0 on its own, so the top-k gap, the one-group argmax
+    gap and every in-group mass clear the screen's thresholds, and no token
+    has in-group mass at any layer.
+    """
+    labels = trace.labels
+    other = 1 - labels
+    logits = np.zeros((trace.num_tokens, 4))
+    logits[np.arange(trace.num_tokens), 2 * other + 1] = 7.0
+    logits[np.arange(trace.num_tokens), 2 * other] = 5.0
+    logits[np.arange(trace.num_tokens), 2 * labels] = 1.0
+    selected = np.sort(np.stack([2 * other, 2 * other + 1], axis=1), axis=1)
+    probs = np.zeros_like(logits)
+    picked = np.exp([5.0, 7.0])
+    probs[np.arange(trace.num_tokens)[:, None], selected] = picked / picked.sum()
+    records = [LayerRouting(Tensor(logits), selected, Tensor(probs)) for _ in trace.layers]
+    return RoutingTrace(records, trace.group_of, trace.token_language)
+
+
+def test_screen_skips_a_batch_one_with_no_in_group_mass(monkeypatch):
+    # seed 0's first accepted candidate is 2; with batch 1's trace made to put
+    # no mass in any token's own group, _screen still passes it, the intra-group
+    # balance refuses it, and the report skips it instead of sweeping it
+    assert (gradcheck._M, gradcheck._N, gradcheck._K) == (2, 2, 2)  # _out_of_group's layout
+    state = {"current": None, "accepted": [], "crafted": None}
+    real_make, real_rerun = gradcheck._make_instance, gradcheck._rerun
 
     def make(seed, candidate):
         state["current"] = candidate
         return real_make(seed, candidate)
 
-    def on_bad_candidate():
-        if state["bad"] is None:
-            state["bad"] = state["current"]
-        return state["current"] == state["bad"]
+    def rerun(moe, forwards, start, *args):
+        outs, rerun_forwards = real_rerun(moe, forwards, start, *args)
+        if state["current"] == 2 and len(forwards) == 2:  # the screening forwards
+            inputs, trace = rerun_forwards[0]
+            state["crafted"] = (moe, (inputs, _out_of_group(trace)))
+            rerun_forwards[0] = state["crafted"][1]
+        return outs, rerun_forwards
 
-    def crooked_language(trace, **kwargs):
-        loss = real_language(trace, **kwargs)
-        if not on_bad_candidate() or loss._tape is None:
-            return loss
-        state["corrupted"] = True
-        return crooked(loss)
-
-    def raising_conventional(trace, **kwargs):
-        if on_bad_candidate():
-            state["conventional_calls"] += 1
-            # each MoE evaluation calls it on batch 1 and on the mixed batch:
-            # two unperturbed calls, then four per coordinate of the first
-            # parameter (a [d_in × d_model] expert); the next call raises
-            if state["conventional_calls"] > 2 + 4 * gradcheck._D_IN * gradcheck._D_MODEL:
-                raise ValueError("conventional balance undefined on this draw")
-        return real_conventional(trace, **kwargs)
+    def accept(*args):
+        state["accepted"].append(state["current"])
+        return dict.fromkeys(GRAD_LOSSES, 0.0)
 
     monkeypatch.setattr(gradcheck, "_make_instance", make)
-    monkeypatch.setattr(stages, "language_specific_loss", crooked_language)
-    monkeypatch.setattr(stages, "conventional_balance_loss", raising_conventional)
+    monkeypatch.setattr(gradcheck, "_rerun", rerun)
+    monkeypatch.setattr(gradcheck, "_instance_errors", accept)
     report = grad_check_report(seed=0, instances=2)
-    assert state["bad"] is not None and state["corrupted"]
-    assert report["pass"] is True, report["losses"]
-    assert report["skipped_candidates"] == base["skipped_candidates"] + 1
+    moe, crafted = state["crafted"]
+    assert gradcheck._screen(moe, crafted)
+    assert not gradcheck._balance_defined(crafted[1])
+    with pytest.raises(ValueError, match="no token carries in-group probability mass"):
+        intra_group_balance_loss(crafted[1])
+    assert 2 not in state["accepted"] and len(state["accepted"]) == 2
+    assert report["skipped_candidates"] == state["current"] + 1 - 2
 
 
 # candidates among 0-59 that the screen turns away, at harness seeds 0 and 7
