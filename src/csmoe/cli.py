@@ -17,10 +17,10 @@ infinite or NaN or an overflowed optimizer moment; the message names the
 stage and step).
 All randomness flows from the seeds named in the config file (no flag sets
 one; ``grad-check`` takes no config and seeds its harness with ``--seed``),
-so every command is deterministic. ``--out`` and ``train --variant``
-override their config fields. ``gen-data`` and ``train`` write the
-effective merged config as ``config.json`` next to their outputs, ready to
-pass to the next command; the other commands write their reports only.
+so every command is deterministic. ``--out`` overrides the config's
+``out_dir``. ``gen-data`` and ``train`` write the effective merged config
+as ``config.json`` next to their outputs, ready to pass to the next
+command; the other commands write their reports only.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .world import TASK_CS_ST, TASK_ST
 __all__ = ["main"]
 
 _PROBE_UTTERANCES = 16  # per split, for the fixed routing probe
-_NAMED_FLAGS = ("config", "out", "variant", "resume", "checkpoint")  # a file, directory or name
+_NAMED_FLAGS = ("config", "out", "resume", "checkpoint")  # each names a file or directory
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -80,13 +80,8 @@ def _load_config(args) -> ExperimentConfig:
         config = config_from_dict(read_json_object(args.config, "config file"))
     else:
         config = ExperimentConfig()
-    overrides = {}
     if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "variant", None) is not None:
-        overrides["variant"] = args.variant
-    if overrides:
-        config = replace(config, **overrides)
+        config = replace(config, out_dir=args.out)
     return config
 
 
@@ -388,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run training stages on generated datasets")
     common(p)
-    p.add_argument("--variant", help="model variant tag (overrides config)")
     p.add_argument("--stages", help="stage subset, e.g. '1,2' or '3-4' (default: all remaining)")
     p.add_argument("--resume", help="checkpoint directory to resume from")
     p.set_defaults(func=cmd_train)

@@ -8,6 +8,7 @@ land) and is excluded from the hash.
 ``ExperimentConfig`` is the one gate: it checks every scalar field in one
 pass, a stage's by its path ``stage<N>.<field>``, and each refusal names the
 path; ``config_from_dict`` also refuses unknown, missing and mistyped fields.
+It is the only place a range is decided: the library takes its sizes as given.
 """
 
 from __future__ import annotations
@@ -137,6 +138,8 @@ class ExperimentConfig:
             else:
                 value = _checked(f.name, f.type, value)
             object.__setattr__(self, f.name, value)
+        # token content lives orthogonal to the m - 1 language directions, so
+        # the world needs a content subspace: at least m feature dimensions
         if self.d_in < self.num_languages:
             raise ValueError(
                 f"d_in={self.d_in} must be >= num_languages={self.num_languages}"

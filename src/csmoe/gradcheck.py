@@ -40,8 +40,7 @@ re-evaluates them on both sides of the step). The screen reads the forwards
 of batch 1 and batch 2 that ``moe_layer`` keeps: each layer's record holds
 its router logits and probabilities, and the kept input of layer l + 1 is
 the pre-activation of layer l. Screening thresholds are far above the probe
-step, so accepted instances are deterministic and safe. A candidate whose
-batch 1 leaves the intra-group balance undefined is replaced too.
+step, so accepted instances are deterministic and safe.
 """
 
 from __future__ import annotations
@@ -100,12 +99,6 @@ def _screen(moe, forward) -> bool:
         if l + 1 < len(inputs) and np.abs(inputs[l + 1].data).min() < 10.0 * _EPS:
             return False
     return True
-
-
-def _balance_defined(trace) -> bool:
-    """True when some token of ``trace`` has in-group mass at some layer, so that
-    ``intra_group_balance_loss`` is defined on it and on any batch holding its tokens."""
-    return any(trace.in_group_wins(l).any() for l in range(trace.num_layers))
 
 
 def _make_instance(seed: int, candidate: int):
@@ -286,8 +279,7 @@ def grad_check_report(*, seed: int = 0, instances: int = 20) -> dict:
         moe, decoder, batches, lam, configs = _make_instance(seed, candidate)
         candidate += 1
         _, forwards = _rerun(moe, _inputs(moe, batches)[:2], 0)  # batch 1 and batch 2
-        if not (all(_screen(moe, forward) for forward in forwards)
-                and _balance_defined(forwards[0][1])):
+        if not all(_screen(moe, forward) for forward in forwards):
             continue
         errors = _instance_errors(moe, decoder, batches, lam, configs, _EPS)
         for name in GRAD_LOSSES:

@@ -105,7 +105,8 @@ def intra_group_balance_loss(trace: RoutingTrace) -> Tensor:
 
     Tokens with zero probability mass inside their own group have no in-group
     argmax and are excluded from f; languages with no tokens (or no tokens
-    carrying in-group mass) contribute nothing.
+    carrying in-group mass) contribute nothing. A trace with no cell at all
+    scores 0 with no gradient.
     """
     group_of, m = trace.group_of, trace.num_groups
     labels = trace.labels
@@ -113,7 +114,7 @@ def intra_group_balance_loss(trace: RoutingTrace) -> Tensor:
     langs = [((labels == j).astype(float)[None, :], (group_of == j).astype(float)[None, :])
              for j in range(m)]
     cells = []  # per layer: [(sel_row, f_row, gmask_row, numer, denom)] in j order
-    total = None
+    total = 0.0  # 0.0 + term is term bit for bit
     for l, layer in enumerate(trace.layers):
         probs = layer.probs.data
         wins = trace.in_group_wins(l)
@@ -133,11 +134,9 @@ def intra_group_balance_loss(trace: RoutingTrace) -> Tensor:
             numer = (colsums * f_row).sum()
             denom = (colsums * gmask_row).sum()
             term = numer / denom
-            total = term if total is None else total + term
+            total = total + term
             layer_cells.append((sel_row, f_row, gmask_row, numer, denom))
         cells.append(layer_cells)
-    if total is None:
-        raise ValueError("no token carries in-group probability mass; balance undefined")
 
     def bw(g):
         grads = []

@@ -149,13 +149,15 @@ def test_train_full_run(tmp_path, cfg_path):
 
 @pytest.mark.parametrize("variant", ["full", "no-moe"])
 @pytest.mark.parametrize("after", [1, 2])
-def test_train_split_and_resume_matches_full_run(tmp_path, cfg_path, after, variant):
+def test_train_split_and_resume_matches_full_run(tmp_path, after, variant):
     # splitting after stage 1 resumes a grouped run from the projector list
     # and a no-moe run from its stage-1 TrainState
     full, split = tmp_path / "full", tmp_path / "split"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY, "variant": variant}))
     for out in (full, split):
-        main(["gen-data", "--config", cfg_path, "--out", str(out)])
-    train = ["train", "--config", cfg_path, "--variant", variant, "--out"]
+        main(["gen-data", "--config", str(cfg), "--out", str(out)])
+    train = ["train", "--config", str(cfg), "--out"]
     assert main([*train, str(full)]) == 0
     assert main([*train, str(split), "--stages", f"1-{after}"]) == 0
     assert main([*train, str(split), "--stages", f"{after + 1}-4",
@@ -393,17 +395,6 @@ def test_disk_round_trip_is_invisible_to_training(tmp_path, cfg_path, monkeypatc
     assert main(["train", "--config", cfg_path, "--out", str(memory)]) == 0
     assert (disk / "metrics.jsonl").read_bytes() == (memory / "metrics.jsonl").read_bytes()
     assert _tree_bytes(disk / "checkpoints") == _tree_bytes(memory / "checkpoints")
-
-
-def test_train_variant_flag_reaches_config(tmp_path, cfg_path):
-    out = tmp_path / "out"
-    main(["gen-data", "--config", cfg_path, "--out", str(out)])
-    assert main(["train", "--config", cfg_path, "--out", str(out),
-                 "--variant", "no-moe"]) == 0
-    effective = json.loads((out / "config.json").read_text())
-    assert effective["variant"] == "no-moe"
-    rows = [r for r in read_metrics(out / "metrics.jsonl") if "step" in r]
-    assert all("lang" not in r and "balance" not in r for r in rows)
 
 
 # --------------------------------------------------------------------- eval
@@ -743,16 +734,14 @@ def test_unknown_command_is_usage_error(capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["gen-data", "--config", ""], "--config"),
     (["gen-data", "--out", ""], "--out"),
-    (["train", "--variant", ""], "--variant"),
     (["train", "--resume", ""], "--resume"),
     (["eval", "--checkpoint", ""], "--checkpoint"),
     (["grad-check", "--out", "", "--instances", "1"], "--out"),
-], ids=["gen-data-config", "gen-data-out", "train-variant", "train-resume", "eval-checkpoint",
-        "grad-check-out"])
+], ids=["gen-data-config", "gen-data-out", "train-resume", "eval-checkpoint", "grad-check-out"])
 def test_empty_flag_value_is_refused_before_any_work(tmp_path, cfg_path, monkeypatch, capsys,
                                                      argv, flag):
-    # refused, not read as the flag left out (the default world, variant
-    # full, out_dir runs/default, a fresh run); nothing is written
+    # refused, not read as the flag left out (the default world, out_dir
+    # runs/default, a fresh run); nothing is written
     monkeypatch.chdir(tmp_path)
     if argv[0] != "grad-check":  # the case's empty value comes last, so it wins
         argv = [argv[0], "--config", cfg_path, "--out", "o", *argv[1:]]
@@ -811,15 +800,21 @@ def test_bad_config_value_is_rejected_before_training(tmp_path, capsys, field, v
     assert not (out / "world.json").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "routing-report", "ablate", "gen-data", "train"])
-def test_seed_flag_is_rejected_where_nothing_reads_it(tmp_path, command, capsys):
-    argv = [command, "--seed", "3", "--out", str(tmp_path / "o")]
+# the last case: the variant is a config field, set in the config file only
+@pytest.mark.parametrize("command, flag", [
+    *((command, ["--seed", "3"]) for command in
+      ("eval", "routing-report", "ablate", "gen-data", "train")),
+    ("train", ["--variant", "no-moe"]),
+], ids=["eval", "routing-report", "ablate", "gen-data", "train", "train-variant"])
+def test_seed_flag_is_rejected_where_nothing_reads_it(tmp_path, command, flag, capsys):
+    argv = [command, *flag, "--out", str(tmp_path / "o")]
     if command in ("eval", "routing-report"):
         argv += ["--checkpoint", str(tmp_path / "ck")]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_refuses_the_retired_sampled_transition_mode(tmp_path, cfg_path, capsys):
@@ -837,6 +832,8 @@ def test_train_refuses_the_retired_sampled_transition_mode(tmp_path, cfg_path, c
 def test_bad_variant_is_usage_error(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
-    rc = main(["train", "--config", cfg_path, "--out", str(out),
-               "--variant", "fancy"])
-    assert rc == 2
+    fancy = tmp_path / "fancy.json"
+    fancy.write_text(json.dumps({**TINY, "variant": "fancy"}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(fancy), "--out", str(out)]) == 2
+    assert "variant" in capsys.readouterr().err

@@ -120,10 +120,21 @@ def test_top1_rejected_with_language_loss(variant):
     ({"stage3": StageSettings(0, 8, 3e-3)}, "stage3.total_batches"),
     ({"stage2": StageSettings(150, 0, 3e-3)}, "stage2.batch_size"),
     ({"stage4": StageSettings(60, 8, 0)}, "stage4.learning_rate"),
+    # the sizes the world, projector and decoder builders take as given
+    ({"num_languages": 1}, "num_languages"),
+    ({"d_in": 0}, "d_in"),
+    ({"d_model": 0}, "d_model"),
+    ({"num_layers": 0}, "num_layers"),
+    ({"prompt_len": 0}, "prompt_len"),
+    ({"vocab_per_lang": 0}, "vocab_per_lang"),
+    ({"top_k": 0}, "top_k"),
+    ({"train_utterances": 0}, "train_utterances"),
 ], ids=["cs-switches-0", "cs-switches-negative-length-0", "separation-0",
         "separation-negative", "noise-sigma-0", "noise-sigma-negative", "token-margin-0",
         "token-margin-negative", "experts-per-group-0", "train-seed-negative",
-        "stage3-total-batches-0", "stage2-batch-size-0", "stage4-learning-rate-0"])
+        "stage3-total-batches-0", "stage2-batch-size-0", "stage4-learning-rate-0",
+        "num-languages-1", "d-in-0", "d-model-0", "num-layers-0", "prompt-len-0",
+        "vocab-per-lang-0", "top-k-0", "train-utterances-0"])
 def test_config_refuses_a_bad_value_naming_its_field(overrides, field):
     with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be")):
         ExperimentConfig(**overrides)

@@ -102,6 +102,16 @@ MODEL = {name: getattr(DEFAULTS, name)
          for name in ("d_in", "vocab_per_lang", "d_model", "num_layers", "experts_per_group",
                       "top_k", "prompt_len")}
 SATURATING = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0}
+# a stage-2 batch in which no token routes into its own group, so the
+# intra-group balance sums no cell and reads 0
+NO_BALANCE_CELL = {"num_languages": 3, "d_in": 6, "vocab_per_lang": 2, "utterance_length": 5,
+                   "cs_switches": 2, "train_utterances": 2, "val_utterances": 1, "d_model": 2,
+                   "num_layers": 1, "experts_per_group": 2, "top_k": 2, "prompt_len": 2,
+                   "variant": "full", "world_seed": 2, "data_seed": 0, "train_seed": 3,
+                   "stage1": {"total_batches": 1, "batch_size": 1, "learning_rate": 3e-3},
+                   "stage2": {"total_batches": 2, "batch_size": 1, "learning_rate": 3e-3},
+                   **{stage: {"total_batches": 1, "batch_size": 2, "learning_rate": 3e-3}
+                      for stage in ("stage3", "stage4")}}
 
 
 @FUZZ
@@ -110,6 +120,7 @@ SATURATING = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0}
 # the all-five corner: the saturating triple and both weights at 1e6
 @example(({**TINY, **UPPER_BOUNDS}, False))
 @example(({**TINY, **MODEL, **UPPER_BOUNDS}, False))
+@example((NO_BALANCE_CELL, False))
 def test_a_config_is_refused_by_a_field_path_or_trains(drawn):
     data, faulted = drawn
     try:

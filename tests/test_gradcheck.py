@@ -324,9 +324,7 @@ def _out_of_group(trace):
     """``trace`` with each token's two picks moved to the experts outside its own group.
 
     Every token of the 2 x 2 layout gets logits 7 and 5 on the other group's
-    experts and 1 and 0 on its own, so the top-k gap, the one-group argmax
-    gap and every in-group mass clear the screen's thresholds, and no token
-    has in-group mass at any layer.
+    experts and 1 and 0 on its own, so no token has in-group mass at any layer.
     """
     labels = trace.labels
     other = 1 - labels
@@ -342,41 +340,24 @@ def _out_of_group(trace):
     return RoutingTrace(records, trace.group_of, trace.token_language)
 
 
-def test_screen_skips_a_batch_one_with_no_in_group_mass(monkeypatch):
+def test_a_batch_one_with_no_in_group_mass_scores_within_tolerance(monkeypatch):
     # seed 0's first accepted candidate is 2; with batch 1's trace made to put
-    # no mass in any token's own group, _screen still passes it, the intra-group
-    # balance refuses it, and the report skips it instead of sweeping it
+    # no mass in any token's own group, the routing terms read a balance of 0
+    # with no gradient, and the sweep agrees with it: no screen is needed
     assert (gradcheck._M, gradcheck._N, gradcheck._K) == (2, 2, 2)  # _out_of_group's layout
-    state = {"current": None, "accepted": [], "crafted": None}
-    real_make, real_rerun = gradcheck._make_instance, gradcheck._rerun
+    real_terms, balances = gradcheck._routing_terms, []
 
-    def make(seed, candidate):
-        state["current"] = candidate
-        return real_make(seed, candidate)
+    def crafted_terms(forwards, configs):
+        (inputs, trace), *rest = forwards
+        terms = real_terms([(inputs, _out_of_group(trace)), *rest], configs)
+        balances.append(terms["stage2_total"]["balance"].item())
+        return terms
 
-    def rerun(moe, forwards, start, *args):
-        outs, rerun_forwards = real_rerun(moe, forwards, start, *args)
-        if state["current"] == 2 and len(forwards) == 2:  # the screening forwards
-            inputs, trace = rerun_forwards[0]
-            state["crafted"] = (moe, (inputs, _out_of_group(trace)))
-            rerun_forwards[0] = state["crafted"][1]
-        return outs, rerun_forwards
-
-    def accept(*args):
-        state["accepted"].append(state["current"])
-        return dict.fromkeys(GRAD_LOSSES, 0.0)
-
-    monkeypatch.setattr(gradcheck, "_make_instance", make)
-    monkeypatch.setattr(gradcheck, "_rerun", rerun)
-    monkeypatch.setattr(gradcheck, "_instance_errors", accept)
-    report = grad_check_report(seed=0, instances=2)
-    moe, crafted = state["crafted"]
-    assert gradcheck._screen(moe, crafted)
-    assert not gradcheck._balance_defined(crafted[1])
-    with pytest.raises(ValueError, match="no token carries in-group probability mass"):
-        intra_group_balance_loss(crafted[1])
-    assert 2 not in state["accepted"] and len(state["accepted"]) == 2
-    assert report["skipped_candidates"] == state["current"] + 1 - 2
+    monkeypatch.setattr(gradcheck, "_routing_terms", crafted_terms)
+    errors = gradcheck._instance_errors(*gradcheck._make_instance(0, 2), gradcheck._EPS)
+    assert balances and set(balances) == {0.0}
+    assert errors["balance"] < gradcheck._TOL
+    assert all(err < gradcheck._TOL for err in errors.values()), errors
 
 
 # candidates among 0-59 that the screen turns away, at harness seeds 0 and 7

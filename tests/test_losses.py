@@ -427,7 +427,7 @@ def test_balance_losses_gradient_through_router(seed):
 def chain_intra_group_balance_loss(trace):
     group_of, m = trace.group_of, trace.num_groups
     labels = trace.labels
-    total = None
+    total = Tensor(0.0)  # a trace with no cell scores 0
     for l, layer in enumerate(trace.layers):
         wins = trace.in_group_wins(l)
         for j in range(m):
@@ -441,9 +441,7 @@ def chain_intra_group_balance_loss(trace):
             numer = tsum(mul(colsums, Tensor(f_row[None, :])))
             denom = tsum(mul(colsums, Tensor(gmask.astype(float)[None, :])))
             term = div(numer, denom)
-            total = term if total is None else add(total, term)
-    if total is None:
-        raise ValueError("no token carries in-group probability mass; balance undefined")
+            total = add(total, term)
     return total
 
 
@@ -455,6 +453,10 @@ def fused_setup(seed, m, absent, k=2, both=False):
     there. With ``absent`` that batch's language-g tokens are relabelled the
     same way, so language g has no cell. With ``both`` the language-g tokens
     of both batches are, so g has no cell in the mixed batch 1 + 2 either.
+    With ``absent="all"`` no token of the first batch (of either batch, with
+    ``both``) selects an expert of its own language at any layer, so no
+    language has a cell: the batch is drawn from a pool of tokens that leave
+    some group unselected, each labelled with the lowest such group.
     """
     cfg = ProjectorConfig(d_in=3, d_model=4, num_layers=2)
     mlps = [init_mlp(cfg, seed=[seed, g]) for g in range(m)]
@@ -465,6 +467,17 @@ def fused_setup(seed, m, absent, k=2, both=False):
     for _ in range(2):
         feats = rng.normal(size=(12, 3))
         batches.append((feats, rng.integers(0, m, size=12), rng.integers(0, 7, size=12)))
+    if absent == "all":
+        pool = rng.normal(size=(240, 3))
+        chosen = np.zeros((240, m), dtype=bool)
+        for layer in moe_forward(moe, Tensor(pool))[1].layers:
+            chosen[np.arange(240)[:, None], moe.group_of[layer.selected]] = True
+        keep = np.flatnonzero(~chosen.all(axis=1))
+        assert keep.size >= 24
+        for b in range(1 + both):
+            rows = keep[12 * b:12 * (b + 1)]
+            batches[b] = (pool[rows], (~chosen[rows]).argmax(axis=1), batches[b][2])
+        return moe, decoder, batches
     feats, labels, _ = batches[0]
     picked = moe.group_of[moe_forward(moe, Tensor(feats))[1].layers[0].selected]  # [T × k]
     t = int(np.flatnonzero((picked == picked[:, :1]).all(axis=1))[0])
@@ -534,6 +547,9 @@ def use_chain_losses(monkeypatch):
 SETUPS = [pytest.param(seed, m, absent, k, id=f"{seed}-{m}-{absent}" + ("" if k == 2 else "-top3"))
           for k, seeds in ((2, (0, 1, 3, 4)), (3, (0, 5, 3, 7)))
           for seed, m, absent in zip(seeds, (2, 3, 2, 3), (False, False, True, True))]
+# no token routes into its own group, so the balance sums no cell
+SETUPS += [pytest.param(1, 3, "all", 2, id="1-3-no-cell"),
+           pytest.param(5, 3, "all", 3, id="5-3-no-cell-top3")]
 
 
 # weights: both terms unscaled, both scaled, and the config's own (1.0, 10.0)
@@ -558,6 +574,20 @@ def test_fused_routing_losses_equal_tape_chain_bit_for_bit(
     assert len(fused_grads) == len(chain_grads)
     for p, a, b in zip(moe.parameters() + decoder.parameters(), fused_grads, chain_grads):
         assert np.array_equal(a, b), p.name
+    if absent == "all":
+        if balance_mode == "intra" and (stage == 2 or both):
+            # the scored batch has no cell: the term is 0.0 and moves no parameter
+            (f1, l1, _), (f2, l2, _) = batches
+            feats, labels = (f1, l1) if stage == 2 else (np.concatenate([f1, f2]),
+                                                         np.concatenate([l1, l2]))
+            for p in moe.parameters():
+                p.zero_grad()
+            with Tape():
+                balance = intra_group_balance_loss(moe_forward(moe, Tensor(feats), labels)[1])
+            backward(balance)
+            assert fused["balance"] == balance.item() == 0.0
+            assert not any(p.grad.any() for p in moe.parameters())
+        return
     labels = trace.token_language
     if (absent and stage == 2) or both:
         assert np.unique(labels).size == m - 1

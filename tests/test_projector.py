@@ -60,13 +60,6 @@ def test_init_mlp_glorot_bound():
     assert np.abs(w).max() <= bound
 
 
-def test_projector_config_validation():
-    with pytest.raises(ValueError):
-        ProjectorConfig(d_in=0, d_model=8, num_layers=3)
-    with pytest.raises(ValueError):
-        ProjectorConfig(d_in=4, d_model=8, num_layers=0)
-
-
 # ------------------------------------------------------------- mlp_forward
 
 

@@ -111,21 +111,6 @@ def test_token_embeddings_orthogonal_to_language_directions():
         assert np.abs(proj).max() < 1e-9
 
 
-def test_gen_world_argument_errors():
-    with pytest.raises(ValueError):
-        gen_world(m=1, d_in=8, separation=6.0, noise_sigma=0.1, vocab_per_lang=4, seed=0)
-    with pytest.raises(ValueError):
-        gen_world(m=2, d_in=8, separation=0.0, noise_sigma=0.1, vocab_per_lang=4, seed=0)
-    with pytest.raises(ValueError):
-        gen_world(m=2, d_in=8, separation=6.0, noise_sigma=0.0, vocab_per_lang=4, seed=0)
-    with pytest.raises(ValueError):
-        gen_world(m=2, d_in=8, separation=6.0, noise_sigma=0.1, vocab_per_lang=0, seed=0)
-    with pytest.raises(ValueError):
-        # fewer feature dimensions than languages: language directions
-        # cannot be made orthogonal to content
-        gen_world(m=9, d_in=8, separation=6.0, noise_sigma=0.1, vocab_per_lang=4, seed=0)
-
-
 # -------------------------------------------------------------- gen_utterance
 
 
@@ -221,8 +206,6 @@ def test_gen_utterance_argument_errors():
         gen_utterance(w, language=5, task=TASK_ST, length=5, rng=rng)
     with pytest.raises(ValueError):
         gen_utterance(w, language=0, task=TASK_CS_ST, length=5, rng=rng)
-    with pytest.raises(ValueError):
-        gen_utterance(w, language=None, task=TASK_CS_ST, length=1, rng=rng)
     with pytest.raises(ValueError):
         gen_utterance(w, language=0, task="translate", length=5, rng=rng)
 
