@@ -247,6 +247,8 @@ def cmd_eval(args) -> int:
 def cmd_grad_check(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed {args.seed}: the harness seed must be a non-negative integer")
+    if args.instances < 1:
+        raise ValueError(f"--instances {args.instances}: the audit needs at least one instance")
     if args.out is not None:  # before the sweep, so a bad --out costs nothing
         Path(args.out).mkdir(parents=True, exist_ok=True)
     report = grad_check_report(seed=args.seed, instances=args.instances)

@@ -9,26 +9,27 @@ The stage objectives are built as training builds them, by
 instance's config (intra-group balance) and its ``conventional-balance``
 copy.
 
-All ten losses share one sweep. An instance runs three MoE forwards
-(batch 1, batch 2 and the mixed batch 1 + 2), reads the routing terms off
-their traces once, and decodes them into the ten values; the analytic
-gradients come from one tape, one ``backward`` per loss. Each perturbed
-coordinate is evaluated once for all ten losses (``fd_gradient`` with a
-vector-valued function), and each evaluation recomputes only what the
-coordinate can change. The MoE reads no decoder parameter, so a decoder
-coordinate reuses the unperturbed forwards and routing terms. A parameter
-of MoE layer l changes nothing below layer l, so the forwards restart at
-layer l from the unperturbed layer inputs and routing records. The router
-of layer l reads only the layer's input, never an expert's output, so an
-expert of layer l also keeps its layer's routing record and the other
-experts' products: it recomputes its own product and the one ``mix``, and
-the layers above run through ``moe_layer``. No router reads a last-layer
-expert's output, so such an expert reuses the unperturbed routing terms.
-The sweep of an instance (60 coordinates in layer 0, 48 of them in
-experts; 80 in layer 1, 64 of them in experts) evaluates 528 MoE layers
-and 672 single-expert re-mixes, and the instance reads the routing terms
-153 times; each read computes the language term once per trace, and the
-two objectives that score that trace share it.
+All ten losses share one sweep. The analytic gradients come from one tape
+holding the three MoE forwards as training builds them (batch 1, batch 2
+and the mixed batch 1 + 2), one ``backward`` per loss. Each perturbed
+coordinate is evaluated once for all ten losses by one MoE forward and one
+decode of the mixed batch, whose row halves are batch 1 and batch 2
+(outputs, logits and the stage-2 routing trace): every op of the MoE and
+the decoder is row-wise, which a test and the artifact digest check bit for
+bit. An evaluation recomputes only what its coordinate can change. The MoE
+reads no decoder parameter, so a decoder coordinate reuses the unperturbed
+forward and routing terms. A parameter of MoE layer l changes nothing below
+layer l, so the forward restarts there from the unperturbed layer inputs
+and routing records. The router of layer l reads only the layer's input,
+never an expert's output, so an expert of layer l also keeps its layer's
+routing record and the other experts' products: it recomputes its own
+product and the one ``mix``, and the layers above run through
+``moe_layer``. No router reads a last-layer expert's output, so such an
+expert reuses the unperturbed routing terms. Per instance, the sweep (60
+coordinates in layer 0, 48 in experts; 80 in layer 1, 64 in experts; 36 in
+the decoder) evaluates 176 MoE layers, 224 expert re-mixes and 352 decodes,
+and reads the routing terms 153 times, each read computing a trace's
+language term once for the two objectives that score it.
 
 Finite differences are only meaningful where the objective is locally
 smooth, so candidate instances are screened: any instance whose routing
@@ -36,11 +37,11 @@ logits sit near a top-k tie, whose argmax assignments sit near a flip,
 whose in-group probability mass sits near the exclusion threshold, or whose
 pre-ReLU activations sit near a kink is replaced by the next candidate (the
 losses treat assignment counts as constants, but a finite-difference probe
-re-evaluates them on both sides of the step). The screen reads the forwards
-of batch 1 and batch 2 that ``moe_layer`` keeps: each layer's record holds
-its router logits and probabilities, and the kept input of layer l + 1 is
-the pre-activation of layer l. Screening thresholds are far above the probe
-step, so accepted instances are deterministic and safe.
+re-evaluates them on both sides of the step). The screen tests each token
+alone, so it reads the untaped mixed forward as ``moe_layer`` keeps it: a
+layer's record holds its router logits and probabilities, and the kept
+input of layer l + 1 is layer l's pre-activation. Screening thresholds are
+far above the probe step, so accepted instances are deterministic and safe.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, matmul, mix, relu
 from .config import ExperimentConfig
 from .losses import compose_stage_loss, transition_loss
-from .projector import (ProjectorConfig, RoutingTrace, build_moe_from_pretrained, init_mlp,
-                        moe_layer)
+from .projector import (LayerRouting, ProjectorConfig, RoutingTrace, build_moe_from_pretrained,
+                        init_mlp, moe_layer)
 from .stages import mixed_transition, routing_terms
 from .world import decode, init_decoder
 
@@ -174,6 +175,15 @@ def _kept_products(moe, forwards) -> list:
     return kept
 
 
+def _halves(forward, n: int) -> list:
+    """Rows ``:n`` and ``n:`` of a ``(layer inputs, trace)``, each as its own forward."""
+    inputs, trace = forward
+    return [([Tensor(h.data[rows]) for h in inputs], RoutingTrace(
+        [LayerRouting(Tensor(r.logits.data[rows]), r.selected[rows], Tensor(r.probs.data[rows]))
+         for r in trace.layers], trace.group_of, trace.token_language[rows]))
+        for rows in (slice(None, n), slice(n, None))]
+
+
 def _routing_terms(forwards, configs) -> dict:
     """Each stage objective's ``routing_terms``, read off batch 1 (stage 2) or the mixed batch.
 
@@ -190,13 +200,13 @@ def _routing_terms(forwards, configs) -> dict:
     return terms
 
 
-def _losses(outs, terms, decoder, batches, lam, configs) -> tuple:
-    """Decode the MoE outputs; the losses in ``GRAD_LOSSES`` order."""
-    h1, h2, h_mix = outs
+def _losses(logits, terms, batches, lam, configs) -> tuple:
+    """The losses in ``GRAD_LOSSES`` order from the decoded batch 1, batch 2 and mixed batch."""
+    logits1, logits2, logits_mix = logits
     (_, _, t1), (_, _, t2) = batches
-    ce = cross_entropy(decode(decoder, h1), t1)
-    ce2 = cross_entropy(decode(decoder, h2), t2)
-    mixed, _, _ = mixed_transition(decode(decoder, h_mix), t1, t2, lam)
+    ce = cross_entropy(logits1, t1)
+    ce2 = cross_entropy(logits2, t2)
+    mixed, _, _ = mixed_transition(logits_mix, t1, t2, lam)
     on_batch1 = terms["stage2_total"]
     return (ce, on_batch1["lang"], on_batch1["balance"],
             terms["stage2_total_conventional"]["balance"], transition_loss(ce, ce2, lam),
@@ -219,7 +229,7 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
     with Tape():
         outs, forwards = _rerun(moe, _inputs(moe, batches), 0)
         terms = _routing_terms(forwards, configs)
-        losses = _losses(outs, terms, decoder, batches, lam, configs)
+        losses = _losses([decode(decoder, h) for h in outs], terms, batches, lam, configs)
     analytic = []  # [loss][param]
     for loss in losses:
         for p in params:
@@ -237,7 +247,8 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
         for i, ew in enumerate(layer.expert_weights):
             reach[id(ew)] = (l, i, l < last)
         reach[id(layer.router_weights)] = (l, None, True)
-    kept = _kept_products(moe, forwards)
+    n1, mixed = len(batches[0][2]), forwards[2]  # its rows :n1 and n1: are batch 1 and 2
+    kept = _kept_products(moe, [mixed])
     worst = dict.fromkeys(GRAD_LOSSES, 0.0)
     for j, p in enumerate(params):
         start, expert, routes = reach.get(id(p), (None, None, False))
@@ -247,11 +258,13 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
             _p.value.data[...] = t.data
             try:
                 if _start is None:  # the MoE forward reads no decoder parameter
-                    o, r = outs, terms
+                    h, r = outs[2], terms
                 else:
-                    o, rerun = _rerun(moe, forwards, _start, _expert, kept)
-                    r = _routing_terms(rerun, configs) if _routes else terms
-                return np.array([v.item() for v in _losses(o, r, decoder, batches, lam, configs)])
+                    (h,), (rerun,) = _rerun(moe, [mixed], _start, _expert, kept)
+                    r = _routing_terms([*_halves(rerun, n1), rerun], configs) if _routes else terms
+                logits = decode(decoder, h)
+                logits = (Tensor(logits.data[:n1]), Tensor(logits.data[n1:]), logits)
+                return np.array([v.item() for v in _losses(logits, r, batches, lam, configs)])
             finally:
                 _p.value.data[...] = old
 
@@ -278,8 +291,8 @@ def grad_check_report(*, seed: int = 0, instances: int = 20) -> dict:
     while accepted < instances:
         moe, decoder, batches, lam, configs = _make_instance(seed, candidate)
         candidate += 1
-        _, forwards = _rerun(moe, _inputs(moe, batches)[:2], 0)  # batch 1 and batch 2
-        if not all(_screen(moe, forward) for forward in forwards):
+        _, (mixed,) = _rerun(moe, _inputs(moe, batches)[2:], 0)  # the mixed batch 1 + 2
+        if not _screen(moe, mixed):
             continue
         errors = _instance_errors(moe, decoder, batches, lam, configs, _EPS)
         for name in GRAD_LOSSES:

@@ -602,6 +602,13 @@ def test_grad_check_refuses_negative_seed_by_flag(monkeypatch, capsys):
     assert drawn == []
 
 
+def test_grad_check_refuses_zero_instances_by_flag_before_out(tmp_path, capsys):
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--instances", "0", "--out", str(out)]) == 2
+    assert "--instances 0:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen-data", "grad-check", "ablate", "eval", "routing-report"])
 def test_out_naming_a_file_exits_2_before_any_work(tmp_path, cfg_path, monkeypatch, capsys,
                                                    command):

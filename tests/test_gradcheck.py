@@ -183,19 +183,23 @@ def test_shared_sweep_equals_per_loss_sweep_exactly(seed, monkeypatch):
     assert shared == oracle  # floats compared exactly
 
 
-def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
+def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
     # An instance has 60 coordinates in MoE layer 0, 48 of them in experts,
-    # and 80 in layer 1, 64 of them in experts. On both sides of its step, a
-    # router coordinate of layer l reruns the three forwards from layer l,
-    # and an expert coordinate of layer l re-mixes layer l and reruns the
-    # layers above it: 48·2·3·1 + 12·2·3·2 + 16·2·3·1 + 64·0 = 528 layer
-    # evaluations in the sweep.
+    # and 80 in layer 1, 64 of them in experts, and 36 decoder coordinates.
+    # On both sides of its step, a coordinate reruns the mixed forward only:
+    # a router coordinate of layer l from layer l, and an expert coordinate
+    # of layer l re-mixes layer l and reruns the layers above it:
+    # 48·2·1 + 12·2·2 + 16·2·1 + 64·0 = 176 layer evaluations and
+    # (48 + 64)·2 = 224 re-mixes in the sweep. Each of its 2·(140 + 36) = 352
+    # evaluations decodes the mixed output once and reads batch 1 and batch 2
+    # as its rows.
     # The routing terms are read once unperturbed and on both sides of every
     # coordinate that reaches a router: 1 + 2·(140 − 64) = 153 times, each
     # time for five objectives. Four of them add the language-specific loss,
     # computed once for each of the two traces they read (153·2 = 306), and
     # two the intra-group balance loss.
-    counts = dict.fromkeys(("layers", "routing_terms", "lang", "balance"), 0)
+    counts = dict.fromkeys(("layers", "remixes", "decodes", "routing_terms", "lang",
+                            "balance"), 0)
     in_sweep = [False]
 
     def counted(module, name, key, sweep_only=False):
@@ -216,18 +220,47 @@ def test_sweep_runs_three_moe_forwards_per_perturbation(monkeypatch):
             in_sweep[0] = False
 
     counted(gradcheck, "moe_layer", "layers", sweep_only=True)
+    counted(gradcheck, "mix", "remixes", sweep_only=True)
+    counted(gradcheck, "decode", "decodes", sweep_only=True)
     counted(gradcheck, "routing_terms", "routing_terms")
     counted(stages, "language_specific_loss", "lang")
     counted(stages, "intra_group_balance_loss", "balance")
     monkeypatch.setattr(gradcheck, "fd_gradient", sweep)
-    moe = gradcheck._make_instance(0, 0)[0]
+    moe, decoder = gradcheck._make_instance(0, 0)[:2]
     assert [sum(p.value.data.size for p in (*layer.expert_weights, layer.router_weights))
             for layer in moe.layers] == [60, 80]
     assert sum(p.value.data.size for p in moe.layers[-1].expert_weights) == 64
+    assert sum(p.value.data.size for p in decoder.parameters()) == 36
     instances = 2
     grad_check_report(seed=0, instances=instances)
-    assert counts == {"layers": instances * 528, "routing_terms": instances * 5 * 153,
+    assert counts == {"layers": instances * 176, "remixes": instances * 224,
+                      "decodes": instances * 352, "routing_terms": instances * 5 * 153,
                       "lang": instances * 306, "balance": instances * 306}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+def test_batches_are_the_row_halves_of_the_mixed_forward(seed):
+    # the sweep runs and screens the mixed forward only and reads batch 1 and
+    # batch 2 as its row halves; that holds bit for bit while every op of the
+    # MoE and the decoder works row by row, screened-out candidates included
+    for candidate in range(10):
+        moe, decoder, batches, _, _ = gradcheck._make_instance(seed, candidate)
+        outs, forwards = gradcheck._rerun(moe, gradcheck._inputs(moe, batches), 0)
+        n1 = len(batches[0][0])
+        (_, mixed_trace), mixed_logits = forwards[2], decode(decoder, outs[2]).data
+        for rows, out, (inputs, trace) in zip((slice(None, n1), slice(n1, None)),
+                                              outs[:2], forwards[:2], strict=True):
+            where = (seed, candidate, rows)
+            assert np.array_equal(outs[2].data[rows], out.data), where
+            assert np.array_equal(mixed_logits[rows], decode(decoder, out).data), where
+            for a, b in zip(forwards[2][0], inputs, strict=True):
+                assert np.array_equal(a.data[rows], b.data), where
+            for a, b in zip(mixed_trace.layers, trace.layers, strict=True):
+                assert np.array_equal(a.logits.data[rows], b.logits.data), where
+                assert np.array_equal(a.selected[rows], b.selected), where
+                assert np.array_equal(a.probs.data[rows], b.probs.data), where
+        assert gradcheck._screen(moe, forwards[2]) == (
+            gradcheck._screen(moe, forwards[0]) and gradcheck._screen(moe, forwards[1]))
 
 
 def _layer_states(moe, feats):
