@@ -44,11 +44,11 @@ DATA_FIELDS = ("num_languages", "d_in", "separation", "noise_sigma", "vocab_per_
 
 # the largest accepted value of each positive float field, at least 10x below
 # the lowest value at which training failed in a one-field-at-a-time sweep.
-# Under the logit-space language loss, `separation` 1e4 alone fails (the
-# balance backward's `denom * denom` underflows to 0 and its gradient turns
-# NaN) while 1e3 trains, and `noise_sigma` up to 1e3, `token_margin` up to 1e5
-# and each weight up to 1e15 train clean; the bounds stay as they are until
-# they are re-derived with that underflow mended
+# Under the logit-space language loss, `separation` 1e3 trains and 1e4 failed
+# only while the balance backward squared its denominator (it underflowed to 0
+# and the gradient turned NaN); `noise_sigma` up to 1e3, `token_margin` up to
+# 1e5 and each weight up to 1e15 train clean; the bounds stay as they are until
+# a new sweep re-derives them
 UPPER_BOUNDS = {"separation": 100.0, "noise_sigma": 0.5, "token_margin": 20.0,
                 "lang_weight": 1e6, "balance_weight": 1e6}
 # the smallest accepted value of each integer field, a stage's by its own name

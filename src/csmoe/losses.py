@@ -147,7 +147,7 @@ def intra_group_balance_loss(trace: RoutingTrace) -> Tensor:
             acc = None
             for sel_row, f_row, gmask_row, numer, denom in reversed(layer_cells):
                 g_numer = g / denom
-                g_denom = -g * numer / (denom * denom)
+                g_denom = -(g / denom) * (numer / denom)
                 g_cols = g_denom * gmask_row
                 g_cols += g_numer * f_row
                 cell = sel_row.T @ g_cols

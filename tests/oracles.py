@@ -26,7 +26,7 @@ def sub(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     return _binary(
-        a, b, "div", lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y))
+        a, b, "div", lambda x, y: x / y, lambda g, x, y: (g / y, -(g / y) * (x / y))
     )
 
 
