@@ -89,8 +89,8 @@ def expert_load(trace: RoutingTrace) -> dict:
     m = trace.num_groups
     if trace.num_tokens == 0 or trace.num_layers == 0:
         raise ValueError("expert_load requires a non-empty trace")
-    counts = sum(trace.one_group.in_group_wins(l)[0] for l in range(trace.num_layers))
-    group_counts = sum(trace.in_group_wins(l) for l in range(trace.num_layers))
+    counts = trace.one_group.in_group_wins()[:, 0].sum(axis=0)
+    group_counts = trace.in_group_wins().sum(axis=0)
 
     shares = counts / (counts.sum() if counts.sum() > 0 else 1.0)
     ratio = np.full(m, np.nan)

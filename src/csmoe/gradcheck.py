@@ -16,7 +16,10 @@ coordinate is evaluated once for all ten losses by one MoE forward and one
 decode of the mixed batch, whose row halves are batch 1 and batch 2
 (outputs, logits and the stage-2 routing trace): every op of the MoE and
 the decoder is row-wise, which a test and the artifact digest check bit for
-bit. An evaluation recomputes only what its coordinate can change. The MoE
+bit. So one ``mixed_transition`` of the decoded logits gives every core
+value: its source and target cross-entropies are batch 1's and batch 2's,
+and its blend is both the transition loss and the stage 3-4 core. An
+evaluation recomputes only what its coordinate can change. The MoE
 reads no decoder parameter, so a decoder coordinate reuses the unperturbed
 forward and routing terms. A parameter of MoE layer l changes nothing below
 layer l, so the forward restarts there from the unperturbed layer inputs
@@ -27,9 +30,10 @@ product and the one ``mix``, and the layers above run through
 ``moe_layer``. No router reads a last-layer expert's output, so such an
 expert reuses the unperturbed routing terms. Per instance, the sweep (60
 coordinates in layer 0, 48 in experts; 80 in layer 1, 64 in experts; 36 in
-the decoder) evaluates 176 MoE layers, 224 expert re-mixes and 352 decodes,
-and reads the routing terms 153 times, each read computing a trace's
-language term once for the two objectives that score it.
+the decoder) evaluates 176 MoE layers, 224 expert re-mixes, 352 decodes,
+704 cross-entropies and 352 blends, and reads the routing terms 153 times,
+each read computing a trace's language term once for the two objectives
+that score it.
 
 Finite differences are only meaningful where the objective is locally
 smooth, so candidate instances are screened: any instance whose routing
@@ -87,7 +91,7 @@ def _screen(moe, forward) -> bool:
             return False
         # the argmax over all experts is the in-group argmax of the one-group view
         for view in (trace.one_group, trace):
-            in_group = view.own_group_probs(l)
+            in_group = view.own_group_probs()[l]
             mass = in_group.sum(axis=1)
             if ((mass > 0.0) & (mass < _MASS_FLOOR)).any():
                 return False
@@ -200,16 +204,12 @@ def _routing_terms(forwards, configs) -> dict:
     return terms
 
 
-def _losses(logits, terms, batches, lam, configs) -> tuple:
-    """The losses in ``GRAD_LOSSES`` order from the decoded batch 1, batch 2 and mixed batch."""
-    logits1, logits2, logits_mix = logits
-    (_, _, t1), (_, _, t2) = batches
-    ce = cross_entropy(logits1, t1)
-    ce2 = cross_entropy(logits2, t2)
-    mixed, _, _ = mixed_transition(logits_mix, t1, t2, lam)
+def _losses(ce, transition, mixed, terms, configs) -> tuple:
+    """The losses in ``GRAD_LOSSES`` order from batch 1's cross-entropy ``ce``, the
+    ``transition`` from batch 1 to batch 2 and the ``mixed`` batch's transition."""
     on_batch1 = terms["stage2_total"]
     return (ce, on_batch1["lang"], on_batch1["balance"],
-            terms["stage2_total_conventional"]["balance"], transition_loss(ce, ce2, lam),
+            terms["stage2_total_conventional"]["balance"], transition,
             *(compose_stage_loss(configs[c], ce if stage == 2 else mixed, terms[name])
               for name, (c, stage) in _OBJECTIVES.items()))
 
@@ -226,10 +226,14 @@ def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
 def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
     """Worst relative error of each loss over every coordinate of one instance."""
     params = moe.parameters() + decoder.parameters()
+    (_, _, t1), (_, _, t2) = batches
     with Tape():
         outs, forwards = _rerun(moe, _inputs(moe, batches), 0)
         terms = _routing_terms(forwards, configs)
-        losses = _losses([decode(decoder, h) for h in outs], terms, batches, lam, configs)
+        logits1, logits2, logits_mix = (decode(decoder, h) for h in outs)
+        ce = cross_entropy(logits1, t1)
+        losses = _losses(ce, transition_loss(ce, cross_entropy(logits2, t2), lam),
+                         mixed_transition(logits_mix, t1, t2, lam)[0], terms, configs)
     analytic = []  # [loss][param]
     for loss in losses:
         for p in params:
@@ -247,7 +251,7 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
         for i, ew in enumerate(layer.expert_weights):
             reach[id(ew)] = (l, i, l < last)
         reach[id(layer.router_weights)] = (l, None, True)
-    n1, mixed = len(batches[0][2]), forwards[2]  # its rows :n1 and n1: are batch 1 and 2
+    n1, mixed = len(t1), forwards[2]  # its rows :n1 and n1: are batch 1 and 2
     kept = _kept_products(moe, [mixed])
     worst = dict.fromkeys(GRAD_LOSSES, 0.0)
     for j, p in enumerate(params):
@@ -262,9 +266,10 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
                 else:
                     (h,), (rerun,) = _rerun(moe, [mixed], _start, _expert, kept)
                     r = _routing_terms([*_halves(rerun, n1), rerun], configs) if _routes else terms
-                logits = decode(decoder, h)
-                logits = (Tensor(logits.data[:n1]), Tensor(logits.data[n1:]), logits)
-                return np.array([v.item() for v in _losses(logits, r, batches, lam, configs)])
+                # batch 1's and batch 2's cross-entropies and their blend are
+                # the mixed batch's halves and its transition, bit for bit
+                blend, ce1, _ = mixed_transition(decode(decoder, h), t1, t2, lam)
+                return np.array([v.item() for v in _losses(ce1, blend, blend, r, configs)])
             finally:
                 _p.value.data[...] = old
 

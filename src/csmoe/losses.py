@@ -15,8 +15,14 @@ objective carries the model across task transitions:
 
 The two group-aware losses read the expert groups and the per-token labels
 off the trace: ``RoutingTrace.group_of`` is the projector's layout, the
-trace checks its ``labels`` once, and ``in_group_wins`` (all groups in one
-pass) is the definition that ``analysis`` shares.
+trace checks its ``labels`` once, and ``in_group_wins`` (every layer and
+group in one pass) is the definition that ``analysis`` shares.
+
+Each of them is one array program over all its cells: (layer, slot) for the
+language loss, (layer, language) for the balance. The balance keeps one
+``[1 × T] @ [T × N]`` gemv per cell for its column sums, as the chain
+computes them, on purpose: a single ``[m × T] @ [T × N]`` product per layer
+is one call, but BLAS rounds it differently in the last bits.
 
 ``compose_stage_loss`` adds the routing terms a stage uses (which ones is
 ``stages.routing_terms``'s rule) to its core loss; training and the
@@ -108,51 +114,40 @@ def intra_group_balance_loss(trace: RoutingTrace) -> Tensor:
     carrying in-group mass) contribute nothing. A trace with no cell at all
     scores 0 with no gradient.
     """
-    group_of, m = trace.group_of, trace.num_groups
-    labels = trace.labels
-    # per language: its tokens as a [1 × T] row and its experts as a [1 × N] row
-    langs = [((labels == j).astype(float)[None, :], (group_of == j).astype(float)[None, :])
-             for j in range(m)]
-    cells = []  # per layer: [(sel_row, f_row, gmask_row, numer, denom)] in j order
-    total = 0.0  # 0.0 + term is term bit for bit
-    for l, layer in enumerate(trace.layers):
-        probs = layer.probs.data
-        wins = trace.in_group_wins(l)
-        counts = wins.sum(axis=1)
-        layer_cells = []
-        for j, (sel_row, gmask_row) in enumerate(langs):
-            if counts[j] == 0:
-                continue
-            # f: constant assignment fractions from in-group argmax, laid out
-            # [m × n] as the experts are
-            f_row = np.zeros_like(wins)
-            f_row[j] = wins[j] / counts[j]
-            f_row = f_row.reshape(1, -1)
-            # P: language-mean probabilities renormalized over the group,
-            # from column sums so gradients reach the denominator too
-            colsums = sel_row @ probs  # [1 × N]
-            numer = (colsums * f_row).sum()
-            denom = (colsums * gmask_row).sum()
-            term = numer / denom
-            total = total + term
-            layer_cells.append((sel_row, f_row, gmask_row, numer, denom))
-        cells.append(layer_cells)
+    m, probs = trace.num_groups, trace.probs
+    langs = np.arange(m)[:, None]
+    # per language: its tokens as a [1 × T] row, and its experts as a [1 × N] row
+    sel = (trace.labels == langs).astype(float)[:, None, :]
+    gmask = (trace.group_of == langs).astype(float)
+    wins = trace.in_group_wins()  # [L × m × n]
+    counts = wins.sum(axis=2)
+    live = counts > 0  # the (layer, language) cells that score
+    # f: constant assignment fractions from in-group argmax, laid out [1 × N]
+    # per cell as the experts are, zero outside group j's block
+    share = wins / np.maximum(counts, 1.0)[..., None]
+    f = (share[:, :, None] * gmask.reshape(m, m, -1)).reshape(*live.shape, -1)
+    # P: language-mean probabilities renormalized over the group, from column
+    # sums so gradients reach the denominator too; one gemv per cell
+    colsums = (sel[None] @ probs[:, None])[:, :, 0]  # [L × m × N]
+    numer = (colsums * f).sum(axis=2)
+    denom = (colsums * gmask).sum(axis=2)
+    # the cell terms added in (l, j) order, as the chain adds them after its
+    # 0.0 start; a cell that does not score holds 0.0, which adds nothing
+    total = np.divide(numer, denom, out=np.zeros_like(numer), where=live).cumsum()[-1]
 
     def bw(g):
-        grads = []
         # each cell the div → tsum → mul → matmul chain, summed in the order
         # the tape visits them (descending j); a cell's rows are its own
         # language's tokens, so the sum is exact in any order
-        for layer_cells in cells:
-            acc = None
-            for sel_row, f_row, gmask_row, numer, denom in reversed(layer_cells):
-                g_numer = g / denom
-                g_denom = -(g / denom) * (numer / denom)
-                g_cols = g_denom * gmask_row
-                g_cols += g_numer * f_row
-                cell = sel_row.T @ g_cols
-                acc = cell if acc is None else acc + cell
-            grads.append(acc)
+        cells = np.argwhere(live)
+        g_numer = (g / denom[live])[:, None]
+        g_cols = -g_numer * (numer[live] / denom[live])[:, None] * gmask[cells[:, 1]]
+        g_cols += g_numer * f[live]
+        grads = [None] * len(probs)
+        for c in range(len(cells) - 1, -1, -1):
+            l, j = cells[c]
+            cell = sel[j].T @ g_cols[c:c + 1]
+            grads[l] = cell if grads[l] is None else grads[l] + cell
         return tuple(grads)
 
     return _record(Tensor(total), tuple(layer.probs for layer in trace.layers), bw)

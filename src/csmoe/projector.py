@@ -172,8 +172,9 @@ class RoutingTrace:
     projector that routed the batch: experts [g·n, (g+1)·n) belong to
     language g. ``token_language[t]`` is the language index of token t, or
     CS_UNLABELED for code-switched (unlabeled) tokens; None if no labels were
-    supplied. The losses and statistics read both from here. ``labels`` and
-    ``one_group`` are made on first read and kept, so the records must not change.
+    supplied. The losses and statistics read both from here. ``labels``,
+    ``one_group`` and ``probs`` are made on first read and kept, so the records
+    must not change.
     """
 
     def __init__(self, layers: list[LayerRouting], group_of: np.ndarray,
@@ -215,23 +216,29 @@ class RoutingTrace:
         """The same layer records with every expert in group 0 and every token labeled 0."""
         return RoutingTrace(self.layers, 0 * self.group_of, np.zeros(self.num_tokens, np.intp))
 
-    def own_group_probs(self, l: int) -> np.ndarray:
-        """[T × n] each token's probabilities over its own group's experts at layer ``l``."""
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """[L × T × N] every layer's routing probabilities."""
+        return np.array([layer.probs.data for layer in self.layers])
+
+    def own_group_probs(self) -> np.ndarray:
+        """[L × T × n] each token's probabilities over its own group's experts, per layer."""
         t = self.num_tokens
-        grouped = self.layers[l].probs.data.reshape(t, self.num_groups, -1)  # [T × m × n]
-        return grouped[np.arange(t), self.labels]
+        grouped = self.probs.reshape(self.num_layers, t, self.num_groups, -1)  # [L × T × m × n]
+        return grouped[:, np.arange(t), self.labels]
 
-    def in_group_wins(self, l: int) -> np.ndarray:
-        """[m × n] in-group argmax winners of layer ``l``'s probabilities, in one pass.
+    def in_group_wins(self) -> np.ndarray:
+        """[L × m × n] in-group argmax winners of every layer's probabilities, in one pass.
 
-        Row j counts, over language j's tokens, which of group j's experts holds
-        the largest probability (ties to the lowest index, as routing breaks
-        them); tokens without mass in their group are skipped.
+        Row j of layer l counts, over language j's tokens, which of group j's
+        experts holds the largest probability (ties to the lowest index, as
+        routing breaks them); tokens without mass in their group are skipped.
         """
-        own = self.own_group_probs(l)
-        m, n = self.num_groups, own.shape[1]
-        cells = (self.labels * n + own.argmax(axis=1))[own.sum(axis=1) > 0.0]
-        return np.bincount(cells, minlength=m * n).reshape(m, n).astype(float)
+        own = self.own_group_probs()
+        (layers, _, n), m = own.shape, self.num_groups
+        cells = (np.arange(layers)[:, None] * m + self.labels) * n + own.argmax(axis=2)
+        wins = np.bincount(cells[own.sum(axis=2) > 0.0], minlength=layers * m * n)
+        return wins.reshape(layers, m, n).astype(float)
 
 
 def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:

@@ -197,9 +197,11 @@ def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
     # coordinate that reaches a router: 1 + 2·(140 − 64) = 153 times, each
     # time for five objectives. Four of them add the language-specific loss,
     # computed once for each of the two traces they read (153·2 = 306), and
-    # two the intra-group balance loss.
+    # two the intra-group balance loss. Each evaluation scores its decoded
+    # logits by one mixed transition: two cross-entropies, whose blend is
+    # also the batches' transition, 2·352 = 704 and 352 in the sweep.
     counts = dict.fromkeys(("layers", "remixes", "decodes", "routing_terms", "lang",
-                            "balance"), 0)
+                            "balance", "cross_entropy", "transition"), 0)
     in_sweep = [False]
 
     def counted(module, name, key, sweep_only=False):
@@ -225,6 +227,9 @@ def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
     counted(gradcheck, "routing_terms", "routing_terms")
     counted(stages, "language_specific_loss", "lang")
     counted(stages, "intra_group_balance_loss", "balance")
+    for module in (gradcheck, stages):
+        counted(module, "cross_entropy", "cross_entropy", sweep_only=True)
+        counted(module, "transition_loss", "transition", sweep_only=True)
     monkeypatch.setattr(gradcheck, "fd_gradient", sweep)
     moe, decoder = gradcheck._make_instance(0, 0)[:2]
     assert [sum(p.value.data.size for p in (*layer.expert_weights, layer.router_weights))
@@ -235,19 +240,29 @@ def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
     grad_check_report(seed=0, instances=instances)
     assert counts == {"layers": instances * 176, "remixes": instances * 224,
                       "decodes": instances * 352, "routing_terms": instances * 5 * 153,
-                      "lang": instances * 306, "balance": instances * 306}
+                      "lang": instances * 306, "balance": instances * 306,
+                      "cross_entropy": instances * 704, "transition": instances * 352}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
 def test_batches_are_the_row_halves_of_the_mixed_forward(seed):
     # the sweep runs and screens the mixed forward only and reads batch 1 and
     # batch 2 as its row halves; that holds bit for bit while every op of the
-    # MoE and the decoder works row by row, screened-out candidates included
+    # MoE and the decoder works row by row, screened-out candidates included.
+    # So the mixed transition's cross-entropies are the batches' own, and its
+    # blend is their transition
     for candidate in range(10):
-        moe, decoder, batches, _, _ = gradcheck._make_instance(seed, candidate)
+        moe, decoder, batches, lam, _ = gradcheck._make_instance(seed, candidate)
         outs, forwards = gradcheck._rerun(moe, gradcheck._inputs(moe, batches), 0)
         n1 = len(batches[0][0])
         (_, mixed_trace), mixed_logits = forwards[2], decode(decoder, outs[2]).data
+        (_, _, t1), (_, _, t2) = batches
+        blend, ce_source, ce_target = stages.mixed_transition(Tensor(mixed_logits), t1, t2, lam)
+        ce = cross_entropy(decode(decoder, outs[0]), t1)
+        ce2 = cross_entropy(decode(decoder, outs[1]), t2)
+        assert ce.item() == ce_source.item(), (seed, candidate)
+        assert ce2.item() == ce_target.item(), (seed, candidate)
+        assert transition_loss(ce, ce2, lam).item() == blend.item(), (seed, candidate)
         for rows, out, (inputs, trace) in zip((slice(None, n1), slice(n1, None)),
                                               outs[:2], forwards[:2], strict=True):
             where = (seed, candidate, rows)

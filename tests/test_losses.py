@@ -429,7 +429,7 @@ def chain_intra_group_balance_loss(trace):
     labels = trace.labels
     total = Tensor(0.0)  # a trace with no cell scores 0
     for l, layer in enumerate(trace.layers):
-        wins = trace.in_group_wins(l)
+        wins = trace.in_group_wins()[l]
         for j in range(m):
             if wins[j].sum() == 0:
                 continue
@@ -619,6 +619,38 @@ def test_language_loss_equals_its_chain_bit_for_bit_at_top_8():
     assert fused == chain
     for p, a, b in zip(routers, fused_grads, chain_grads):
         assert np.array_equal(a, b), p.name
+
+
+# the composed-step cases score 12- and 24-token batches; training scores 96
+# tokens a batch (192 mixed) at the default geometry, m = 2, n = 3, three
+# layers, top-3, and with three languages one [m × T] @ [T × N] gemm was seen
+# to round a column sum differently from the chain's per-cell product from
+# T = 24 on
+@pytest.mark.parametrize("m,tokens", [(2, 96), (2, 192), (3, 24), (3, 48), (3, 96)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("view", ["intra", "one-group"])
+def test_balance_equals_its_chain_bit_for_bit_at_training_size(m, tokens, seed, view):
+    cfg = ProjectorConfig(d_in=16, d_model=32, num_layers=3)
+    moe = build_moe_from_pretrained([init_mlp(cfg, seed=[seed, g]) for g in range(m)],
+                                    n=3, k=3, seed=[seed, 9])
+    rng = np.random.default_rng([seed, m, tokens])
+    feats, labels = rng.normal(size=(tokens, 16)), rng.integers(0, m, size=tokens)
+    _, trace = moe_forward(moe, Tensor(feats), labels)
+    results = []
+    for loss_fn in (intra_group_balance_loss, chain_intra_group_balance_loss):
+        # each loss on its own leaf copy of the probabilities, so their
+        # gradients land in .grad
+        leaves = RoutingTrace([LayerRouting(r.logits, r.selected,
+                                            Tensor(r.probs.data.copy(), requires_grad=True))
+                               for r in trace.layers], trace.group_of, labels)
+        with Tape():
+            loss = loss_fn(leaves if view == "intra" else leaves.one_group)
+            backward(loss)
+        results.append((loss.item(), [r.probs.grad for r in leaves.layers]))
+    (fused, fused_grads), (chain, chain_grads) = results
+    assert fused == chain
+    for l, (a, b) in enumerate(zip(fused_grads, chain_grads, strict=True)):
+        assert a is not None and a.tobytes() == b.tobytes(), l  # signed zeros included
 
 
 @pytest.mark.parametrize("loss_name", ["lang", "balance", "conventional"])

@@ -288,10 +288,10 @@ def test_trace_in_group_wins_count_each_languages_winners():
     # label, so the trace is refused
     rows = [[0.5, 0.25, 0.25, 0.0], [0.0, 0.5, 0.5, 0.0],
             [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75]]
-    wins = make_trace([rows[:3]], [0, 0, 1], groups=2).in_group_wins(0)
+    wins = make_trace([rows[:3]], [0, 0, 1], groups=2).in_group_wins()[0]
     assert wins.tolist() == [[1.0, 1.0], [0.0, 0.0]]
     with pytest.raises(ValueError, match="unlabeled"):
-        make_trace([rows], [0, 0, 1, CS_UNLABELED], groups=2).in_group_wins(0)
+        make_trace([rows], [0, 0, 1, CS_UNLABELED], groups=2).in_group_wins()
 
 
 def _zero_filled_own_group_probs(trace, probs, labels):
@@ -310,7 +310,7 @@ def test_own_group_probs_equals_the_zero_filled_form_bit_for_bit(labels):
     trace = make_trace([rows], labels, groups=3)
     probs = trace.layers[0].probs.data
     for view in (trace, trace.one_group):
-        got = view.own_group_probs(0)
+        got = view.own_group_probs()[0]
         want = _zero_filled_own_group_probs(view, probs, view.token_language)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)

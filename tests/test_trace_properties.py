@@ -63,10 +63,10 @@ def test_trace_readers_agree_with_their_references(layout):
     assert trace.labels is trace.labels
     assert trace.one_group is trace.one_group
     for l, layer in enumerate(trace.layers):
-        own = trace.own_group_probs(l)
+        own = trace.own_group_probs()[l]
         want = zero_filled_own_group_probs(layer.probs.data, labels, m)
         assert own.dtype == want.dtype and np.array_equal(own, want)
-        wins = trace.in_group_wins(l)
+        wins = trace.in_group_wins()[l]
         for j in range(m):
             counted = (labels == j) & (own.sum(axis=1) > 0.0)
             assert wins[j].sum() == counted.sum()
@@ -78,7 +78,7 @@ def test_trace_readers_agree_with_their_references(layout):
     unlabeled[rng.integers(len(labels))] = CS_UNLABELED
     with pytest.raises(ValueError, match="unlabeled"):
         make_trace([layer.probs.data for layer in trace.layers], unlabeled,
-                   groups=m).in_group_wins(0)
+                   groups=m).in_group_wins()
 
 
 @PROPERTIES
