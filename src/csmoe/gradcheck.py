@@ -85,13 +85,13 @@ def _screen(moe, forward) -> bool:
     """True when every discrete choice of a kept ``(layer inputs, trace)`` has clearance."""
     inputs, trace = forward
     k = moe.top_k
+    # the argmax over all experts is the in-group argmax of the one-group view
+    owns = [view.own_group_probs() for view in (trace.one_group, trace)]
     for l, record in enumerate(trace.layers):
         s = np.sort(record.logits.data, axis=1)[:, ::-1]
         if k < s.shape[1] and (s[:, k - 1] - s[:, k]).min() < _MARGIN:
             return False
-        # the argmax over all experts is the in-group argmax of the one-group view
-        for view in (trace.one_group, trace):
-            in_group = view.own_group_probs()[l]
+        for in_group in (own[l] for own in owns):
             mass = in_group.sum(axis=1)
             if ((mass > 0.0) & (mass < _MASS_FLOOR)).any():
                 return False
