@@ -213,29 +213,6 @@ def relu(x) -> Tensor:
     return _record(Tensor(np.maximum(xd, 0.0)), (x,), lambda g: (g * (xd > 0.0),))
 
 
-def take(x, indices) -> Tensor:
-    """Select rows (2-D) or elements (1-D) by index along the first axis."""
-    x = x if isinstance(x, Tensor) else _coerce(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError(f"take indices must be 1-D, got shape {idx.shape}")
-    n = x.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"take index out of range for first axis of size {n}")
-    out = Tensor(x.data[idx])
-    shape = x.data.shape
-
-    def bw(g):
-        buf = np.zeros(shape)
-        if np.bincount(idx).max(initial=0) <= 1:  # unique indices
-            buf[idx] += g
-        else:
-            np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _record(out, (x,), bw)
-
-
 def matmul(a, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _coerce(a)
     b = b if isinstance(b, Tensor) else _coerce(b)
@@ -307,11 +284,13 @@ def masked_softmax(logits, mask: np.ndarray) -> Tensor:
     return _record(out, (z,), bw)
 
 
-def token_nll(zd: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position −log softmax(zd_t)[target_t] of [T, V] logits, and the row maxima.
+def token_nll(zd: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-position −log softmax(zd_t)[target_t] of [T, V] logits, ``e`` and ``s``.
 
-    The targets must be T integer ids in [0, V). Row t's loss depends on row
-    t alone, so a row block's losses equal the same rows of the whole array's.
+    ``e / s[:, None]`` is the softmax: ``e`` holds exp(zd_t − max zd_t) and
+    ``s`` its row sums. The targets must be T integer ids in [0, V). Row t's
+    values depend on row t alone, so a row block's values equal the same
+    rows of the whole array's.
     """
     if zd.ndim != 2:
         raise ValueError(f"cross_entropy expects [T, V] logits, got shape {zd.shape}")
@@ -325,21 +304,20 @@ def token_nll(zd: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"target id out of range [0, {vocab})")
     m = zd.max(axis=1, keepdims=True)
     e = zd - m
-    lse = m[:, 0] + np.log(np.exp(e, out=e).sum(axis=1))
-    return lse - zd[np.arange(t_count), tg], m
+    s = np.exp(e, out=e).sum(axis=1)
+    return m[:, 0] + np.log(s) - zd[np.arange(t_count), tg], e, s
 
 
 def cross_entropy(logits, targets) -> Tensor:
     """Mean over positions of −log softmax(logits_t)[target_t]."""
     z = logits if isinstance(logits, Tensor) else _coerce(logits)
     zd, tg = z.data, np.asarray(targets)
-    losses, m = token_nll(zd, tg)
+    losses, e, s = token_nll(zd, tg)
     t_count = zd.shape[0]
     out = Tensor(losses.sum() / t_count)  # the reduction and division of mean()
 
     def bw(g):
-        p = np.exp(zd - m)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / s[:, None]  # the forward's softmax
         p[np.arange(t_count), tg] -= 1.0
         return (p * (g / t_count),)
 

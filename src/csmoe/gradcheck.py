@@ -30,8 +30,8 @@ product and the one ``mix``, and the layers above run through
 ``moe_layer``. No router reads a last-layer expert's output, so such an
 expert reuses the unperturbed routing terms. Per instance, the sweep (60
 coordinates in layer 0, 48 in experts; 80 in layer 1, 64 in experts; 36 in
-the decoder) evaluates 176 MoE layers, 224 expert re-mixes, 352 decodes,
-704 cross-entropies and 352 blends, and reads the routing terms 153 times,
+the decoder) evaluates 176 MoE layers, 224 expert re-mixes, 352 decodes
+and 352 ``mixed_transition`` nodes, and reads the routing terms 153 times,
 each read computing a trace's language term once for the two objectives
 that score it.
 
@@ -56,10 +56,10 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, matmul, mix, relu
 from .config import ExperimentConfig
-from .losses import compose_stage_loss, transition_loss
+from .losses import compose_stage_loss, mixed_transition, transition_loss
 from .projector import (LayerRouting, ProjectorConfig, RoutingTrace, build_moe_from_pretrained,
                         init_mlp, moe_layer)
-from .stages import mixed_transition, routing_terms
+from .stages import routing_terms
 from .world import decode, init_decoder
 
 __all__ = ["GRAD_LOSSES", "grad_check_report"]
@@ -269,7 +269,7 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
                 # batch 1's and batch 2's cross-entropies and their blend are
                 # the mixed batch's halves and its transition, bit for bit
                 blend, ce1, _ = mixed_transition(decode(decoder, h), t1, t2, lam)
-                return np.array([v.item() for v in _losses(ce1, blend, blend, r, configs)])
+                return np.array([v.item() for v in _losses(Tensor(ce1), blend, blend, r, configs)])
             finally:
                 _p.value.data[...] = old
 

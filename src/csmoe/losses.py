@@ -11,7 +11,8 @@ objective carries the model across task transitions:
   penalty over all experts jointly, kept as an ablation baseline: the
   intra-group loss over the trace's one-group view.
 * ``transition_loss`` linearly anneals between a source-task and a
-  target-task loss over the course of a stage.
+  target-task loss over a stage; ``mixed_transition`` is the same blend as
+  one tape node over the logits of a stage 3-4 step.
 
 The two group-aware losses read the expert groups and the per-token labels
 off the trace: ``RoutingTrace.group_of`` is the projector's layout, the
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, _record, add, mul
+from .autodiff import Tensor, _record, add, mul, token_nll
 from .config import ExperimentConfig
 from .projector import RoutingTrace
 
@@ -55,6 +56,7 @@ __all__ = [
     "intra_group_balance_loss",
     "conventional_balance_loss",
     "transition_loss",
+    "mixed_transition",
     "compose_stage_loss",
 ]
 
@@ -170,6 +172,33 @@ def transition_loss(ce_source: Tensor, ce_target: Tensor, lam: float) -> Tensor:
     the target loss bit-for-bit (0·x + y = y in IEEE arithmetic for finite x).
     """
     return add(mul(ce_source, 1.0 - lam), mul(ce_target, lam))
+
+
+def mixed_transition(logits: Tensor, src_targets: np.ndarray, tgt_targets: np.ndarray,
+                     lam: float) -> tuple[Tensor, float, float]:
+    """``(transition, ce_source, ce_target)`` of logits whose first rows are the source batch.
+
+    One node over one ``token_nll`` pass: each half's cross-entropy is its
+    row slice's mean, blended as ``transition_loss`` blends them, and comes
+    back as a float; the backward reuses the forward's softmax.
+    """
+    n, n_tgt = len(src_targets), len(tgt_targets)
+    for half, rows in (("source", n), ("target", n_tgt)):
+        if not rows:
+            raise ValueError(f"mixed_transition: the {half} half has no rows")
+    targets = np.concatenate([src_targets, tgt_targets])
+    nll, e, s = token_nll(logits.data, targets)
+    ce_src, ce_tgt = nll[:n].sum() / n, nll[n:].sum() / n_tgt
+
+    def bw(g):
+        # each half's (softmax − onehot) · (g·w / rows), w its blend weight
+        p = e / s[:, None]
+        p[np.arange(n + n_tgt), targets] -= 1.0
+        p[:n] *= g * (1.0 - lam) / n
+        p[n:] *= g * lam / n_tgt
+        return (p,)
+
+    return _record(Tensor(ce_src * (1.0 - lam) + ce_tgt * lam), (logits,), bw), ce_src, ce_tgt
 
 
 def compose_stage_loss(config: ExperimentConfig, core: Tensor, terms: dict) -> Tensor:

@@ -214,7 +214,10 @@ class RoutingTrace:
     @cached_property
     def one_group(self) -> "RoutingTrace":
         """The same layer records with every expert in group 0 and every token labeled 0."""
-        return RoutingTrace(self.layers, 0 * self.group_of, np.zeros(self.num_tokens, np.intp))
+        view = RoutingTrace(self.layers, 0 * self.group_of, np.zeros(self.num_tokens, np.intp))
+        # the same records, so the same stack; all-zero labels need no check
+        view.probs, view.labels = self.probs, view.token_language
+        return view
 
     @cached_property
     def probs(self) -> np.ndarray:

@@ -31,14 +31,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 import numpy as np
 
 from .analysis import expert_load, routing_accuracy
-from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, take, token_nll
+from .autodiff import Adam, Parameter, Tape, Tensor, backward, cross_entropy, token_nll
 from .config import ROUTING_LOSS_VARIANTS, ExperimentConfig, StageSettings
 from .losses import (
     compose_stage_loss,
     conventional_balance_loss,
     intra_group_balance_loss,
     language_specific_loss,
-    transition_loss,
+    mixed_transition,
 )
 from .projector import (
     MlpProjector,
@@ -80,7 +80,6 @@ __all__ = [
     "run_stage4",
     "run_pipeline",
     "routing_terms",
-    "mixed_transition",
     "evaluate_dataset",
     "token_report",
     "routing_probe",
@@ -296,15 +295,6 @@ def routing_terms(config: ExperimentConfig, stage: int, trace: Optional[RoutingT
             "balance": balance(trace)}
 
 
-def mixed_transition(logits: Tensor, src_targets: np.ndarray, tgt_targets: np.ndarray,
-                     lam: float) -> tuple[Tensor, Tensor, Tensor]:
-    """``(transition, ce_source, ce_target)`` of logits whose first rows are the source batch."""
-    n_src = len(src_targets)
-    ce_src = cross_entropy(take(logits, np.arange(n_src)), src_targets)
-    ce_tgt = cross_entropy(take(logits, np.arange(n_src, logits.shape[0])), tgt_targets)
-    return transition_loss(ce_src, ce_tgt, lam), ce_src, ce_tgt
-
-
 def _ce_step(utts: Sequence[Utterance], **fixed):
     """A step that scores ``utts`` by cross-entropy, logged as ``ce`` next to ``fixed``."""
     feats, targets, labels = _batch_arrays(utts)
@@ -442,8 +432,8 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
         def score(logits):
             trans, ce_src, ce_tgt = mixed_transition(logits, targets[:n_src],
                                                      targets[n_src:], lam)
-            return trans, {"lam": lam, "ce_source": ce_src.item(),
-                           "ce_target": ce_tgt.item(), "transition": trans.item()}
+            return trans, {"lam": lam, "ce_source": float(ce_src),
+                           "ce_target": float(ce_tgt), "transition": trans.item()}
 
         return feats, labels, score
 

@@ -2,7 +2,8 @@
 
 No command runs these, so they live with the tests: the op-by-op tape
 chain behind the fused language loss and the tape ops that it and the
-balance chains are built from, the subset softmax of a single logit
+balance chains are built from, the row-take and cross-entropy chain behind
+the fused mixed transition, the subset softmax of a single logit
 vector, the single-token routing and mixture path that the batched MoE
 forward must agree with, a routing trace built from explicit
 probabilities, the plain block loop behind the silhouette's distance
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from csmoe.analysis import _BLOCK
-from csmoe.autodiff import Tensor, _binary, _coerce, _record, add, masked_softmax, mul
+from csmoe.autodiff import Tensor, _binary, _coerce, _record, add, masked_softmax, mul, token_nll
+from csmoe.losses import transition_loss
 from csmoe.projector import LayerRouting, RoutingTrace, _topk_rows
 from csmoe.world import LanguageSpec, World
 
@@ -43,6 +45,53 @@ def tsum(x) -> Tensor:
     x = _coerce(x)
     shape = x.data.shape
     return _record(Tensor(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
+
+
+def take(x, indices) -> Tensor:
+    """Select rows (2-D) or elements (1-D) by index along the first axis."""
+    x = _coerce(x)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ValueError(f"take indices must be 1-D, got shape {idx.shape}")
+    n = x.data.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"take index out of range for first axis of size {n}")
+    shape = x.data.shape
+
+    def bw(g):
+        buf = np.zeros(shape)
+        if np.bincount(idx).max(initial=0) <= 1:  # unique indices
+            buf[idx] += g
+        else:
+            np.add.at(buf, idx, g)
+        return (buf,)
+
+    return _record(Tensor(x.data[idx]), (x,), bw)
+
+
+def recompute_cross_entropy(logits, targets) -> Tensor:
+    """``cross_entropy`` whose backward computes the softmax again from the logits."""
+    z = _coerce(logits)
+    zd, tg = z.data, np.asarray(targets)
+    t_count = zd.shape[0]
+
+    def bw(g):
+        p = np.exp(zd - zd.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(t_count), tg] -= 1.0
+        return (p * (g / t_count),)
+
+    return _record(Tensor(token_nll(zd, tg)[0].sum() / t_count), (z,), bw)
+
+
+def chain_mixed_transition(logits, src_targets, tgt_targets, lam: float):
+    """The fused mixed transition as a tape chain: each half's rows taken out,
+    scored by ``recompute_cross_entropy`` and blended by ``transition_loss``."""
+    n_src = len(src_targets)
+    ce_src = recompute_cross_entropy(take(logits, np.arange(n_src)), src_targets)
+    ce_tgt = recompute_cross_entropy(take(logits, np.arange(n_src, logits.shape[0])),
+                                     tgt_targets)
+    return transition_loss(ce_src, ce_tgt, lam), ce_src, ce_tgt
 
 
 def slot_logits(z, selected) -> Tensor:

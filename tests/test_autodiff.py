@@ -29,10 +29,9 @@ from csmoe.autodiff import (
     mix,
     mul,
     relu,
-    take,
     token_nll,
 )
-from oracles import log, softmax, sub, tsum
+from oracles import log, recompute_cross_entropy, softmax, sub, take, tsum
 
 
 def test_matmul_identity():
@@ -277,7 +276,7 @@ def test_cross_entropy_backward_matches_fd():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_backward_matches_fd_on_random_library_op_compositions(seed):
-    """Composite forward through every differentiable op the library keeps."""
+    """Composite forward through every differentiable op the library keeps, and ``take``."""
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(3, 4))
     y0 = rng.normal(size=(4, 3))
@@ -582,7 +581,7 @@ def test_finished_tape_is_freed_by_refcount():
 
 
 def _no_tape_cases():
-    """(name, op over leaf tensors, leaf arrays) for every op the library keeps."""
+    """(name, op over leaf tensors, leaf arrays) for every op the library keeps, and ``take``."""
     rng = np.random.default_rng(9)
     x, y = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
     mask = rng.random((4, 4)) < 0.5
@@ -649,6 +648,30 @@ def test_take_repeated_rows_accumulate_in_backward():
     with Tape():
         backward(tsum(mul(take(w.value, np.array([2, 0, 2])), Tensor(g))))
     assert np.array_equal(w.grad, [[3.0, 4.0], [0.0, 0.0], [6.0, 8.0]])
+
+
+@pytest.mark.parametrize("t_count", [1, 5, 96])
+def test_cross_entropy_gradient_equals_the_recomputing_backward(t_count):
+    # the backward reads the forward's softmax instead of computing it again:
+    # the same bytes, on each of repeated backward calls through a scaled loss
+    rng = np.random.default_rng(t_count)
+    z0 = rng.normal(scale=4.0, size=(t_count, 192))
+    targets = rng.integers(0, 192, size=t_count)
+    values, grads = [], []
+    for op in (cross_entropy, recompute_cross_entropy):
+        z = Tensor(z0.copy(), requires_grad=True)
+        with Tape():
+            loss = mul(op(z, targets), 0.75)
+        values.append(loss.item())
+        grads.append([])
+        for _ in range(3):
+            z.grad = None
+            backward(loss)
+            grads[-1].append(z.grad)
+    assert values[0] == values[1]
+    for fused, oracle in zip(*grads):
+        assert np.array_equal(fused, oracle)
+        assert np.array_equal(fused, grads[0][0])
 
 
 def test_cross_entropy_is_the_mean_of_token_nll_bit_for_bit():

@@ -234,9 +234,13 @@ def test_train_non_finite_loss_in_stage3_keeps_stage_1_2_rows_and_checkpoints(
     full_lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
-    real_transition = csmoe.stages.transition_loss
-    monkeypatch.setattr(csmoe.stages, "transition_loss",
-                        lambda *args: mul(real_transition(*args), np.inf))
+    real_transition = csmoe.stages.mixed_transition
+
+    def inf_transition(*args):
+        transition, *halves = real_transition(*args)
+        return (mul(transition, np.inf), *halves)
+
+    monkeypatch.setattr(csmoe.stages, "mixed_transition", inf_transition)
     capsys.readouterr()
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
     err = capsys.readouterr().err

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import csmoe.gradcheck as gradcheck
-from csmoe import stages
-from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, take
+from csmoe import losses, stages
+from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
 from csmoe.losses import (
     compose_stage_loss,
@@ -26,6 +26,7 @@ from csmoe.losses import (
 )
 from csmoe.projector import LayerRouting, RoutingTrace, moe_forward, moe_layer
 from csmoe.world import decode
+from oracles import chain_mixed_transition
 
 
 EXPECTED = {
@@ -112,11 +113,7 @@ def _oracle_builders(moe, decoder, batches, lam, configs):
     def mixed():
         feats = np.concatenate([f1, f2], axis=0)
         h, trace = fwd(feats, np.concatenate([l1, l2]))
-        logits = decode(decoder, h)
-        n_src = f1.shape[0]
-        ce_src = cross_entropy(take(logits, np.arange(n_src)), t1)
-        ce_tgt = cross_entropy(take(logits, np.arange(n_src, feats.shape[0])), t2)
-        return transition_loss(ce_src, ce_tgt, lam), trace
+        return chain_mixed_transition(decode(decoder, h), t1, t2, lam)[0], trace
 
     def intra_balance(trace):
         return intra_group_balance_loss(trace)
@@ -198,10 +195,12 @@ def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
     # time for five objectives. Four of them add the language-specific loss,
     # computed once for each of the two traces they read (153·2 = 306), and
     # two the intra-group balance loss. Each evaluation scores its decoded
-    # logits by one mixed transition: two cross-entropies, whose blend is
-    # also the batches' transition, 2·352 = 704 and 352 in the sweep.
+    # logits by one fused mixed transition, 352 in the sweep, whose one
+    # token_nll pass gives both cross-entropies, and whose blend is also the
+    # batches' transition: no cross_entropy or transition_loss call is left.
     counts = dict.fromkeys(("layers", "remixes", "decodes", "routing_terms", "lang",
-                            "balance", "cross_entropy", "transition"), 0)
+                            "balance", "cross_entropy", "transition", "mixed_transition",
+                            "token_nll"), 0)
     in_sweep = [False]
 
     def counted(module, name, key, sweep_only=False):
@@ -229,7 +228,10 @@ def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
     counted(stages, "intra_group_balance_loss", "balance")
     for module in (gradcheck, stages):
         counted(module, "cross_entropy", "cross_entropy", sweep_only=True)
+    for module in (gradcheck, losses):
         counted(module, "transition_loss", "transition", sweep_only=True)
+    counted(gradcheck, "mixed_transition", "mixed_transition", sweep_only=True)
+    counted(losses, "token_nll", "token_nll", sweep_only=True)
     monkeypatch.setattr(gradcheck, "fd_gradient", sweep)
     moe, decoder = gradcheck._make_instance(0, 0)[:2]
     assert [sum(p.value.data.size for p in (*layer.expert_weights, layer.router_weights))
@@ -241,7 +243,8 @@ def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
     assert counts == {"layers": instances * 176, "remixes": instances * 224,
                       "decodes": instances * 352, "routing_terms": instances * 5 * 153,
                       "lang": instances * 306, "balance": instances * 306,
-                      "cross_entropy": instances * 704, "transition": instances * 352}
+                      "cross_entropy": 0, "transition": 0,
+                      "mixed_transition": instances * 352, "token_nll": instances * 352}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])

@@ -23,7 +23,6 @@ from csmoe.autodiff import (
     masked_softmax,
     matmul,
     mul,
-    take,
 )
 from csmoe.config import VARIANTS, ExperimentConfig
 from csmoe.losses import (
@@ -31,6 +30,7 @@ from csmoe.losses import (
     conventional_balance_loss,
     intra_group_balance_loss,
     language_specific_loss,
+    mixed_transition,
     transition_loss,
 )
 from csmoe.projector import (
@@ -43,7 +43,14 @@ from csmoe.projector import (
     moe_forward,
 )
 from csmoe.world import init_decoder
-from oracles import chain_language_specific_loss, div, make_trace, tsum
+from oracles import (
+    chain_language_specific_loss,
+    chain_mixed_transition,
+    div,
+    make_trace,
+    take,
+    tsum,
+)
 
 
 # -------------------------------------------------- language_specific_loss
@@ -314,6 +321,61 @@ def test_transition_gradient_weights():
         backward(out)
     assert abs(src.grad - 0.75) < 1e-15
     assert abs(tgt.grad - 0.25) < 1e-15
+
+
+# ------------------------------------------ mixed_transition vs the tape chain
+
+
+def _mixed_logits(n_src: int, n_tgt: int):
+    """Logits of one mixed forward at the default vocabulary, and each half's targets."""
+    rng = np.random.default_rng([n_src, n_tgt])
+    vocab = ExperimentConfig().target_vocab_size
+    logits = rng.normal(scale=4.0, size=(n_src + n_tgt, vocab))
+    return logits, rng.integers(0, vocab, size=n_src), rng.integers(0, vocab, size=n_tgt)
+
+
+# λ = 1/B at a default stage 3's first step, the midpoint, and the last step
+FIRST_LAM = 1 / ExperimentConfig().stage_settings(3).total_batches
+
+
+@pytest.mark.parametrize("lam", [FIRST_LAM, 1 / 2, 1.0], ids=["first", "half", "last"])
+@pytest.mark.parametrize("halves", [(96, 96), (4, 4), (12, 36)], ids="{0[0]}-{0[1]}".format)
+def test_mixed_transition_equals_its_chain_bit_for_bit(halves, lam):
+    # one node for two row takes, two cross-entropies and the blend's mul,
+    # mul and add: the same value and halves, and over repeated backward
+    # calls on one tape, as grad-check makes them, the same logits gradient,
+    # also where a stage objective's weight reaches the node as g != 1
+    data, t1, t2 = _mixed_logits(*halves)
+    values, grads = [], []
+    for op in (mixed_transition, chain_mixed_transition):
+        z = Tensor(data.copy(), requires_grad=True)
+        with Tape():
+            out, ce_src, ce_tgt = op(z, t1, t2, lam)
+            weighted = mul(out, 0.75)
+        values.append((out.item(), ce_src.item(), ce_tgt.item()))
+        grads.append([])
+        for loss in (out, weighted, out, weighted):
+            z.grad = None
+            backward(loss)
+            grads[-1].append(z.grad)
+    assert values[0] == values[1]
+    for fused, chain in zip(*grads):
+        assert np.array_equal(fused, chain)
+    fused = grads[0]
+    assert np.array_equal(fused[0], fused[2]) and np.array_equal(fused[1], fused[3])
+    free, ce_src, ce_tgt = mixed_transition(Tensor(data), t1, t2, lam)
+    assert (free.item(), ce_src, ce_tgt) == values[0]
+    assert free._tape is None and not free.requires_grad
+    assert not isinstance(ce_src, Tensor) and isinstance(ce_src, float)
+
+
+@pytest.mark.parametrize("half", ["source", "target"])
+def test_mixed_transition_refuses_an_empty_half(half):
+    data, t1, t2 = _mixed_logits(4, 4)
+    both = np.concatenate([t1, t2])
+    src, tgt = (both[:0], both) if half == "source" else (both, both[:0])
+    with pytest.raises(ValueError, match=f"the {half} half has no rows"):
+        mixed_transition(Tensor(data), src, tgt, 0.5)
 
 
 # -------------------------------------------------------- compose_stage_loss

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import csmoe.cli
-from csmoe import stages
+from csmoe import losses, stages
 from csmoe.autodiff import Tape, Tensor, _Node, cross_entropy, mul
 from csmoe.cli import main
 from csmoe.config import (ROUTING_LOSS_VARIANTS, VARIANTS, ExperimentConfig, StageSettings,
@@ -336,6 +336,13 @@ def test_pipeline_conventional_balance_variant(setup):
     assert rows and all("balance" in r and "lang" in r for r in rows)
 
 
+def _inf(result):
+    """``result`` with its first value, or its own value, scaled by inf."""
+    if isinstance(result, tuple):
+        return (_inf(result[0]), *result[1:])
+    return mul(result, np.inf) if isinstance(result, Tensor) else result * np.inf
+
+
 def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     config, world, bundle = setup
     seen = []
@@ -368,8 +375,8 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
         real_append(path, rows)
 
     monkeypatch.setattr(csmoe.cli, "append_metrics", append_metrics)
-    real_transition = stages.transition_loss
-    monkeypatch.setattr(stages, "transition_loss", lambda *a: mul(real_transition(*a), np.inf))
+    real_transition = stages.mixed_transition
+    monkeypatch.setattr(stages, "mixed_transition", lambda *a: _inf(real_transition(*a)))
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
     assert [(stage, set(row_stages), saved) for stage, row_stages, saved in streamed] == [
         (1, {1}, True), (2, {2}, True)]
@@ -380,17 +387,16 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("variant,expected", [
-    ("full", (10, 39, 45, 40)),
-    ("no-aux-losses", (10, 34, 40, 40)),
-    ("conventional-balance", (10, 39, 45, 40)),
-    ("no-moe", (10, 10, 16, 16)),
+    ("full", (10, 39, 39, 34)),
+    ("no-aux-losses", (10, 34, 34, 34)),
+    ("conventional-balance", (10, 39, 39, 34)),
+    ("no-moe", (10, 10, 10, 10)),
 ])
 def test_default_config_op_nodes_per_step(monkeypatch, variant, expected):
     # Each routing loss is one tape node: stages 2-3 add lang, balance, the
-    # balance weight and two adds to the 34 and 40 nodes of no-aux-losses.
-    # A transition step scores the mixed batch: its two takes, a second
-    # cross-entropy and the blend's mul, mul and add, six nodes more than a
-    # step that scores one batch.
+    # balance weight and two adds to the 34 nodes of no-aux-losses. A
+    # transition step scores the mixed batch by one fused node, as many as
+    # the cross-entropy of a step that scores one batch.
     budget = StageSettings(2, 8, 3e-3)
     config = replace(ExperimentConfig(), train_utterances=8, val_utterances=2,
                      stage1=budget, stage2=budget, stage3=budget, stage4=budget,
@@ -415,19 +421,19 @@ def test_default_config_op_nodes_per_step(monkeypatch, variant, expected):
     assert counts == {s: {n} for s, n in zip((1, 2, 3, 4), expected)}
 
 
-@pytest.mark.parametrize("stage,variant,patched,component", [
-    (1, "full", "cross_entropy", "ce"),
-    (1, "no-moe", "cross_entropy", "ce"),
-    (2, "full", "cross_entropy", "ce"),
-    (3, "full", "transition_loss", "transition"),
-    (4, "full", "transition_loss", "transition"),
+@pytest.mark.parametrize("stage,variant,module,patched,component", [
+    (1, "full", stages, "cross_entropy", "ce"),
+    (1, "no-moe", stages, "cross_entropy", "ce"),
+    (2, "full", stages, "cross_entropy", "ce"),
+    (3, "full", stages, "mixed_transition", "transition"),
+    (4, "full", stages, "mixed_transition", "transition"),
     # a non-finite cross-entropy inside the blend is named by its first field
-    (3, "full", "cross_entropy", "ce_source"),
-    (4, "full", "cross_entropy", "ce_source"),
+    (3, "full", losses, "token_nll", "ce_source"),
+    (4, "full", losses, "token_nll", "ce_source"),
 ], ids=["stage1-per-language", "stage1-no-moe", "stage2", "stage3", "stage4",
         "stage3-cross-entropy", "stage4-cross-entropy"])
 def test_infinite_loss_raises_naming_stage_step_and_component(
-        setup, monkeypatch, stage, variant, patched, component):
+        setup, monkeypatch, stage, variant, module, patched, component):
     _, _, bundle = setup
     config = tiny_config(variant=variant, stage1=budget(2),
                          stage2=budget(2), stage3=budget(2), stage4=budget(2))
@@ -435,8 +441,8 @@ def test_infinite_loss_raises_naming_stage_step_and_component(
     if stage > 1:
         run_pipeline(config, bundle, stages=range(1, stage),
                      after_stage=lambda s, model, rows: earlier.append(model))
-    real = getattr(stages, patched)
-    monkeypatch.setattr(stages, patched, lambda *args: mul(real(*args), np.inf))
+    real = getattr(module, patched)
+    monkeypatch.setattr(module, patched, lambda *args: _inf(real(*args)))
     with pytest.raises(stages.NonFiniteLossError) as caught:
         run_pipeline(config, bundle, stages=(stage,), initial=earlier[-1] if earlier else None)
     assert str(caught.value) == f"stage {stage} step 1: {component} is inf"

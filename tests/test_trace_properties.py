@@ -62,6 +62,9 @@ def test_trace_readers_agree_with_their_references(layout):
                        labels.astype(np.int32), groups=m)
     assert trace.labels is trace.labels
     assert trace.one_group is trace.one_group
+    # the view shares the trace's stack, and its all-zero labels are read unchecked
+    assert trace.one_group.probs is trace.probs
+    assert trace.one_group.labels.dtype == np.intp and not trace.one_group.labels.any()
     for l, layer in enumerate(trace.layers):
         own = trace.own_group_probs()[l]
         want = zero_filled_own_group_probs(layer.probs.data, labels, m)
