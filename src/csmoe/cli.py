@@ -8,13 +8,13 @@ comparison table over seeds), and ``routing-report`` (routing and
 separation statistics for a checkpoint).
 
 Exit codes: 0 success, 1 assertion/tolerance failure (a failed gradient
-check or a failed ablation run), 2 usage or configuration errors (bad
-flags, bad config files, missing inputs, checkpoint/config or
-dataset/config mismatches, damaged dataset files or checkpoint manifests;
-each raised as a ``ValueError``) and any ``OSError`` (an ``--out`` that
-names a file, say), 3 a numerical failure (a training loss that turned
-infinite or NaN or an overflowed optimizer moment; the message names the
-stage and step).
+check or a failed ablation run), 2 usage or configuration errors (bad flags,
+bad config files, missing inputs, checkpoint/config or dataset/config
+mismatches, damaged or unreadable dataset and checkpoint files, a sha256
+mismatch included; each raised as a ``ValueError``) and any ``OSError`` (an
+``--out`` that names a file, say), 3 a numerical failure (a training loss that
+turned infinite or NaN or an overflowed optimizer moment; the message names
+the stage and step).
 All randomness flows from the seeds named in the config file (no flag sets
 one; ``grad-check`` takes no config and seeds its harness with ``--seed``),
 so every command is deterministic. ``--out`` overrides the config's

@@ -1,4 +1,4 @@
-"""On-disk formats: world/report/config JSON, dataset splits and metrics JSON-lines.
+"""On-disk formats: world/report/config JSON, float containers and metrics JSON-lines.
 
 ``world.json`` is the ``World`` dataclass's own fields, its languages' too,
 with arrays as nested lists; reports are the records ``analysis`` returns.
@@ -7,22 +7,29 @@ objects produces the same bytes; Python renders floats in shortest
 round-trip form, so the floats in the world, metrics and reports load back
 bit-exactly.
 
-A dataset split is one file: a compact JSON header line holding ``d_in``
-and, per utterance, its task, language, targets, source tokens and
-code-switch segments; then, after the newline, one raw little-endian
-float64 block ``[sum of T × d_in]`` holding every utterance's features in C
-order, utterances in header order. Loading reads the file once, checks
-that each utterance has tokens, that its targets and source tokens agree
-in length and that its code-switch segments tile them, checks the body
-length against the header's token counts and slices each utterance's
-features out of the block. Checkpoint tensors use the same raw float64 encoding
-(``float64_bytes``/``float64_array``), and both refuse a non-finite value.
+Every float artifact (a dataset split, a checkpoint) is one container:
+line 1 is the sha256 hex digest of every byte after it; line 2 is a
+compact JSON header naming the file's ``kind`` and listing its ``arrays``
+as ``[name, shape]`` pairs; then the arrays' raw little-endian float64
+bytes in C order. The digest is checked before the header is parsed, so a
+changed byte anywhere is refused naming the file. Every file is written to
+a temporary file beside it and moved into place with ``os.replace``, so a
+cut-off write leaves the earlier file as it was (no ``fsync``: the target
+is an interrupted process, not power loss).
+
+A dataset split's header adds ``d_in`` and each utterance's task, language,
+targets, source tokens and code-switch segments; its one array, ``features``
+``[sum of T × d_in]``, holds their features in header order. Loading checks
+that each utterance has tokens, that its targets and source tokens agree in
+length, that its segments tile them and that ``features`` has one row per token.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -33,8 +40,8 @@ from .world import Segment, Utterance, World
 
 __all__ = [
     "save_world",
-    "float64_bytes",
-    "float64_array",
+    "save_container",
+    "load_container",
     "save_dataset",
     "load_dataset",
     "append_metrics",
@@ -44,11 +51,21 @@ __all__ = [
 ]
 
 
-def write_json(path, payload) -> None:
-    """Write one JSON document: sorted keys, indented, trailing newline."""
+def _write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then move it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:  # after an error, no temporary file is left behind
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, payload) -> None:
+    """Write one JSON document: sorted keys, indented, trailing newline."""
+    _write_atomically(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def read_json_object(path, what: str) -> dict:
@@ -82,43 +99,66 @@ def save_world(path, world: World) -> None:
     write_json(path, asdict(world, dict_factory=_plain))
 
 
-# ---------------------------------------------------------- float64 blocks
+# --------------------------------------------------------------- containers
 
 
-def float64_bytes(array) -> bytes:
-    """Raw little-endian float64 bytes of ``array`` in C order."""
-    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+def save_container(path, kind: str, fields: Mapping, arrays: Mapping) -> None:
+    """One container of ``kind``: ``fields`` and the listing of ``arrays`` (name -> array)."""
+    blocks = {name: np.ascontiguousarray(a, dtype="<f8") for name, a in arrays.items()}
+    head = _dump_line({**fields, "kind": kind,
+                       "arrays": [[name, list(b.shape)] for name, b in blocks.items()]})
+    sealed = head.encode() + b"\n" + b"".join(b.tobytes() for b in blocks.values())
+    _write_atomically(path, hashlib.sha256(sealed).hexdigest().encode() + b"\n" + sealed)
 
 
-def float64_array(raw, shape, what: str) -> np.ndarray:
-    """The writable finite array of ``shape`` that ``raw`` holds; ``what`` names it in errors.
+def load_container(path, kind: str) -> tuple[dict, list]:
+    """The header and arrays, in listing order, of the ``kind`` container at ``path``.
 
-    No writer stores a NaN or an infinity, so one is damage, and is refused
-    here rather than carried into a report as a NaN metric.
+    No writer stores a NaN or an infinity, so one is damage, refused here
+    rather than carried into a report as a NaN metric.
     """
-    expected = math.prod(shape) * 8
-    if len(raw) != expected:
-        raise ValueError(
-            f"{what} holds {len(raw)} bytes but shape {shape} requires {expected}"
-        )
-    array = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    bad = np.flatnonzero(~np.isfinite(array))
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as err:
+        raise ValueError(f"{kind} {path} cannot be read: {err.strerror}") from None
+    start = raw.find(b"\n") + 1
+    if raw[:start] != hashlib.sha256(memoryview(raw)[start:]).hexdigest().encode() + b"\n":
+        raise ValueError(f"{kind} {path} does not match its sha256 digest line: "
+                         f"it is damaged or not a {kind} file")
+    try:
+        stop = raw.index(b"\n", start)
+        header = json.loads(raw[start:stop].decode())
+        found = header["kind"]
+        shapes = [tuple(shape) for _, shape in header["arrays"]]
+        if not all(type(n) is int and n >= 0 for shape in shapes for n in shape):
+            raise ValueError("an array shape is not a list of sizes")
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValueError(f"{kind} {path} has no valid header ({err!r})") from None
+    if found != kind:
+        raise ValueError(f"{kind} {path} holds a {found!r}, not a {kind}")
+    body = memoryview(raw)[stop + 1:]
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    if len(body) != 8 * ends[-1]:
+        raise ValueError(f"{kind} {path} has a body of {len(body)} bytes, "
+                         f"but its listed arrays require {8 * ends[-1]}")
+    values = np.frombuffer(body, dtype="<f8").copy()
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ValueError(f"{what} holds {bad.size} non-finite value(s), "
-                         f"the first {array.flat[bad[0]]} at element {bad[0]}")
-    return array
+        raise ValueError(f"{kind} {path} holds {bad.size} non-finite value(s), "
+                         f"the first {values[bad[0]]} at body element {bad[0]}")
+    return header, [values[a:b].reshape(shape)
+                    for a, b, shape in zip(ends[:-1], ends[1:], shapes)]
 
 
 # ----------------------------------------------------------------- datasets
 
 
 def save_dataset(path, utterances: Iterable[Utterance]) -> None:
-    """One split: a JSON header line, then every utterance's features as one block."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """One split: a ``dataset`` container whose one array holds every utterance's features."""
     utts = tuple(utterances)
-    header = _dump_line({
-        "d_in": utts[0].features.shape[1] if utts else 0,
+    features = np.concatenate([u.features for u in utts])
+    save_container(path, "dataset", {
+        "d_in": features.shape[1],
         "utterances": [{
             "task": u.task,
             "language": int(u.language),
@@ -127,9 +167,7 @@ def save_dataset(path, utterances: Iterable[Utterance]) -> None:
             "segments": (None if u.segments is None
                          else [[s.start, s.end, s.language] for s in u.segments]),
         } for u in utts],
-    })
-    body = float64_bytes(np.concatenate([u.features for u in utts])) if utts else b""
-    path.write_bytes(header.encode() + b"\n" + body)
+    }, {"features": features})
 
 
 def _check_tokens(i: int, rec: dict) -> None:
@@ -149,14 +187,8 @@ def _check_tokens(i: int, rec: dict) -> None:
 
 def load_dataset(path) -> tuple:
     """The utterances ``save_dataset`` wrote; a damaged file is refused by name."""
-    path = Path(path)
-    raw = path.read_bytes()
-    cut = raw.find(b"\n")
+    header, arrays = load_container(path, "dataset")
     try:
-        if cut < 0:
-            raise ValueError("no header line")
-        header = json.loads(raw[:cut])
-        d_in = int(header["d_in"])
         records = [{
             "targets": np.asarray(rec["targets"], dtype=np.intp),
             "source_tokens": np.asarray(rec["source_tokens"], dtype=np.intp),
@@ -168,12 +200,14 @@ def load_dataset(path) -> tuple:
         } for rec in header["utterances"]]
         for i, rec in enumerate(records):
             _check_tokens(i, rec)
+        bounds = np.cumsum([0] + [len(rec["targets"]) for rec in records]).tolist()
+        listing = [["features", [bounds[-1], header["d_in"]]]]
+        if header["arrays"] != listing:
+            raise ValueError(f"it lists {header['arrays']}, but its utterances need {listing}")
     except (ValueError, KeyError, TypeError, OverflowError) as err:
         raise ValueError(f"dataset {path} has no valid header ({err!r}); "
                          f"run gen-data to rewrite it") from None
-    bounds = np.cumsum([0] + [len(rec["targets"]) for rec in records]).tolist()
-    features = float64_array(memoryview(raw)[cut + 1:], (bounds[-1], d_in),
-                             f"dataset {path} body")
+    (features,) = arrays
     return tuple(Utterance(features=features[a:b], **rec)
                  for a, b, rec in zip(bounds[:-1], bounds[1:], records))
 
@@ -199,4 +233,4 @@ def drop_metrics_from(path, stage: int) -> None:
                 if json.loads(line)["stage"] < stage]
     except (ValueError, TypeError, KeyError):
         raise ValueError(f"metrics file {path} holds a line that is not a metrics row") from None
-    path.write_text("".join(kept))
+    _write_atomically(path, "".join(kept).encode())

@@ -7,9 +7,11 @@ the fused mixed transition, the subset softmax of a single logit
 vector, the single-token routing and mixture path that the batched MoE
 forward must agree with, a routing trace built from explicit
 probabilities, the plain block loop behind the silhouette's distance
-sums, and readers of the world and metrics files the commands write.
+sums, readers of the world and metrics files the commands write, and the
+digest line a container writer would give damaged bytes.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -264,3 +266,17 @@ def load_world(path) -> World:
 
 def read_metrics(path) -> list:
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+
+
+def reseal(sealed: bytes) -> bytes:
+    """A container holding ``sealed`` (its header line and body) under a matching digest line.
+
+    Damage to a container's header or body, once resealed, passes the digest
+    and so reaches the checks behind it.
+    """
+    return hashlib.sha256(sealed).hexdigest().encode() + b"\n" + sealed
+
+
+def unseal(raw: bytes) -> bytes:
+    """The header line and body of a container: every byte after its digest line."""
+    return raw[raw.index(b"\n") + 1:]

@@ -6,7 +6,6 @@ on config mismatch.
 """
 
 import errno
-import json
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,7 @@ from csmoe.stages import (
     run_stage2,
 )
 from csmoe.world import TASK_ASR, gen_dataset
+from oracles import reseal, unseal
 
 
 def tiny_config(**overrides):
@@ -59,7 +59,7 @@ def trained():
 def test_state_round_trip_bit_exact(tmp_path, trained):
     config, world, bundle, stage1, state = trained
     path = save_checkpoint(tmp_path / "ck", config, state)
-    assert (path / "manifest.json").exists()
+    assert [f.name for f in path.iterdir()] == ["checkpoint.bin"]
     loaded = load_checkpoint(tmp_path / "ck", config)
     assert isinstance(loaded, TrainState)
     assert loaded.stage == 2
@@ -129,13 +129,13 @@ def test_load_accepts_cosmetic_differences(tmp_path, trained):
     assert loaded.stage == 2
 
 
-def test_load_rejects_corrupted_payload(tmp_path, trained):
+@pytest.mark.parametrize("sealed,message", [(False, "sha256"), (True, "body of")])
+def test_load_rejects_a_truncated_body(tmp_path, trained, sealed, message):
     config, world, bundle, stage1, state = trained
-    save_checkpoint(tmp_path / "ck", config, state)
-    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    victim = tmp_path / "ck" / manifest["params"][0]["file"]
-    victim.write_bytes(victim.read_bytes()[:-8])
-    with pytest.raises(ValueError):
+    path = save_checkpoint(tmp_path / "ck", config, state) / "checkpoint.bin"
+    raw = path.read_bytes()[:-8]
+    path.write_bytes(reseal(unseal(raw)) if sealed else raw)
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(tmp_path / "ck", config)
 
 
@@ -143,42 +143,35 @@ def test_save_twice_identical_bytes(tmp_path, trained):
     config, world, bundle, stage1, state = trained
     save_checkpoint(tmp_path / "a", config, state)
     save_checkpoint(tmp_path / "b", config, state)
-    ma = (tmp_path / "a" / "manifest.json").read_bytes()
-    mb = (tmp_path / "b" / "manifest.json").read_bytes()
-    assert ma == mb
-    manifest = json.loads(ma)
-    for entry in manifest["params"]:
-        assert (tmp_path / "a" / entry["file"]).read_bytes() == (
-            tmp_path / "b" / entry["file"]
-        ).read_bytes()
+    raw = (tmp_path / "a" / "checkpoint.bin").read_bytes()
+    assert raw == (tmp_path / "b" / "checkpoint.bin").read_bytes()
+    # the body is every parameter's float64 bytes, in parameters() order
+    body = unseal(unseal(raw))
+    assert body == b"".join(p.value.data.astype("<f8").tobytes() for p in state.parameters())
 
 
-def test_interrupted_overwrite_is_refused(tmp_path, trained, monkeypatch):
-    # a second save into the same directory fails on its third payload: the
-    # directory then holds old and new payloads, and loading must refuse it
+def test_interrupted_save_leaves_the_previous_checkpoint(tmp_path, trained, monkeypatch):
+    # a second save into the same directory fails halfway through its write
     config, world, bundle, stage1, state = trained
     path = save_checkpoint(tmp_path / "ck", config, state)
+    before = _tree_bytes(path)
     changed = load_checkpoint(path, config)
     for p in changed.parameters():
         p.value.data += 1.0
-    write_bytes, written = Path.write_bytes, []
+    write_bytes = Path.write_bytes
 
     def failing_write_bytes(self, data):
-        written.append(self.name)
-        if len(written) == 3:
-            raise OSError(errno.ENOSPC, "No space left on device", str(self))
-        return write_bytes(self, data)
+        write_bytes(self, data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
 
     monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
     with pytest.raises(OSError):
         save_checkpoint(path, config, changed)
     monkeypatch.undo()
-    with pytest.raises(FileNotFoundError, match="no checkpoint manifest"):
-        load_checkpoint(path, config)
-    # a save that completes over the debris writes the bytes of a fresh one
-    save_checkpoint(path, config, state)
-    save_checkpoint(tmp_path / "fresh", config, state)
-    assert _tree_bytes(path) == _tree_bytes(tmp_path / "fresh")
+    assert _tree_bytes(path) == before
+    loaded = load_checkpoint(path, config)
+    assert [p.value.data.tobytes() for p in loaded.parameters()] == [
+        p.value.data.tobytes() for p in state.parameters()]
 
 
 def _tree_bytes(root):

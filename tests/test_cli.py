@@ -27,7 +27,7 @@ from csmoe.config import UPPER_BOUNDS, config_from_dict, config_hash
 from csmoe.dataio import load_dataset
 from csmoe.gradcheck import GRAD_LOSSES
 from csmoe.stages import evaluate_dataset, generate_datasets, routing_probe
-from oracles import read_metrics
+from oracles import read_metrics, reseal, unseal
 
 TINY = {
     "num_languages": 2,
@@ -142,7 +142,7 @@ def test_train_full_run(tmp_path, cfg_path):
     assert lams == [b / B for b in range(1, B + 1)]
     assert lams[-1] == 1.0
     for stage in (1, 2, 3, 4):
-        assert (out / "checkpoints" / f"stage{stage}" / "manifest.json").exists()
+        assert (out / "checkpoints" / f"stage{stage}" / "checkpoint.bin").exists()
     probes = [r for r in rows if "probe" in r]
     assert any(r["stage"] == 2 and "top1_in_group" in r["probe"] for r in probes)
 
@@ -367,13 +367,15 @@ def _segment_language_out_of_range(raw: bytes, path: Path) -> bytes:
         "old-jsonl", "tokens-moved", "zero-token-utterance", "label-not-the-entrys",
         "segment-language-out-of-range"])
 def test_train_refuses_damaged_dataset_by_name(tmp_path, cfg_path, damage, capsys):
+    # resealed, so each damage passes the digest and reaches its own check
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
     path = out / "cs.train.bin"
-    path.write_bytes(damage(path.read_bytes(), path))
+    path.write_bytes(reseal(damage(unseal(path.read_bytes()), path)))
     capsys.readouterr()
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err and "sha256" not in err
     assert not (out / "checkpoints").exists()
 
 
@@ -381,8 +383,8 @@ def test_train_refuses_a_non_finite_feature_by_name(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
     path = out / "cs.train.bin"
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8] + np.float64(np.inf).tobytes())  # the last feature
+    raw = unseal(path.read_bytes())
+    path.write_bytes(reseal(raw[:-8] + np.float64(np.inf).tobytes()))  # the last feature
     capsys.readouterr()
     assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -455,12 +457,6 @@ def test_eval_identical_report_bytes(tmp_path, cfg_path, trained_dir):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
-def _entry_file(manifest, index, file):
-    params = [dict(entry) for entry in manifest["params"]]
-    params[index]["file"] = file
-    return {**manifest, "params": params}
-
-
 @pytest.fixture(scope="module")
 def stage2_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("stage2")
@@ -471,98 +467,160 @@ def stage2_dir(tmp_path_factory):
     return out
 
 
-def _segment_language_out_of_range(raw: bytes, path: Path) -> bytes:
-    # a well-formed code-switched utterance whose first segment names language 7 of 2
-    head, _, body = raw.partition(b"\n")
-    header = json.loads(head)
-    header["utterances"][0]["segments"][0][2] = 7
-    return json.dumps(header).encode() + b"\n" + body
+def _checkpoint_argv(command, cfg_path, run, checkpoint, eval_out):
+    if command == "eval":
+        return ["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
+                "--out", str(eval_out)]
+    return ["train", "--config", cfg_path, "--out", str(run), "--resume", str(checkpoint)]
 
 
-@pytest.mark.parametrize("damage", [
-    lambda m: {k: v for k, v in m.items() if k != "stage"},
-    lambda m: {**m, "stage": [2]},
-    lambda m: {**m, "stage": 7},
-    lambda m: {**m, "stage": True},
-    # a stage the config gives another layout: the listed parameters are not stage 1's
-    lambda m: {**m, "stage": 1},
-    lambda m: [1, 2],
-    lambda m: {**m, "params": {}},
-    lambda m: {**m, "params": [{**m["params"][0], "shape": 5}, *m["params"][1:]]},
-    lambda m: {**m, "params": [{**m["params"][0], "shape": ["x", *m["params"][0]["shape"][1:]]},
-                               *m["params"][1:]]},
-    # one layer's expert files have the same shape, so this one used to load silently
-    lambda m: _entry_file(m, 0, m["params"][1]["file"]),
-    lambda m: _entry_file(m, 0, "../stage1/params/lang0.mlp.layer0.bin"),
-    # a config is read only when the hashes differ, so these change the hash too
-    lambda m: {**m, "config": 5, "config_hash": "0"},
-    lambda m: {**m, "config": None, "config_hash": "0"},
-    lambda m: {**m, "config": {"variant": "bogus"}, "config_hash": "0"},
-    None,  # manifest.json is a directory
-], ids=["no-stage", "stage-list", "stage-7", "stage-bool", "stage-1-layout", "list",
-        "params-not-list", "shape-not-list", "shape-not-int", "other-param-file",
-        "file-outside-params", "config-number", "config-null", "config-bad-variant",
-        "directory"])
-@pytest.mark.parametrize("command", ["eval", "train-resume"])
-def test_damaged_checkpoint_manifest_exits_2_naming_it(
-        tmp_path, cfg_path, stage2_dir, damage, command, capsys):
+def _flip_digit(raw: bytes, key: bytes) -> bytes:
+    # the last digit of the first number after key: the header stays valid JSON
+    at = raw.index(b",", raw.index(key)) - 1
+    return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+
+
+def _flip_low_bit(raw: bytes) -> bytes:
+    # the lowest mantissa bit of the body's last float: a finite value moved by one ulp
+    at = len(raw) - 8
+    return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+
+
+@pytest.mark.parametrize("artifact,flip,command", [
+    ("cs.train.bin", lambda raw: _flip_digit(raw, b'"targets":'), "train"),
+    ("cs.train.bin", _flip_low_bit, "train"),
+    ("cs.train.bin", _flip_low_bit, "train-resume"),
+    ("checkpoints/stage2/checkpoint.bin", lambda raw: _flip_digit(raw, b'"train_seed":'), "eval"),
+    ("checkpoints/stage2/checkpoint.bin", lambda raw: _flip_digit(raw, b'"train_seed":'),
+     "train-resume"),
+    ("checkpoints/stage2/checkpoint.bin", _flip_low_bit, "eval"),
+    ("checkpoints/stage2/checkpoint.bin", _flip_low_bit, "train-resume"),
+], ids=["dataset-target-id", "dataset-feature", "dataset-feature-resume", "checkpoint-header",
+        "checkpoint-header-resume", "checkpoint-weight", "checkpoint-weight-resume"])
+def test_one_flipped_byte_exits_2_naming_the_file(
+        tmp_path, cfg_path, stage2_dir, artifact, flip, command, capsys):
     run = tmp_path / "run"
     shutil.copytree(stage2_dir, run)
-    checkpoint = run / "checkpoints" / "stage2"
-    manifest = checkpoint / "manifest.json"
-    if damage is None:
-        manifest.unlink()
-        manifest.mkdir()
-    else:
-        manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
-    if command == "eval":
-        argv = ["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
-                "--out", str(tmp_path / "eval")]
-    else:
-        argv = ["train", "--config", cfg_path, "--out", str(run), "--resume", str(checkpoint)]
+    path = run / artifact
+    path.write_bytes(flip(path.read_bytes()))
     before = _tree_bytes(run)
     capsys.readouterr()
+    argv = _checkpoint_argv(command, cfg_path, run, run / "checkpoints" / "stage2",
+                            tmp_path / "eval")
     assert main(argv) == 2
-    assert str(manifest) in capsys.readouterr().err
+    assert f"{path} does not match its sha256 digest" in capsys.readouterr().err
     assert _tree_bytes(run) == before
 
 
-def test_eval_refuses_a_non_finite_checkpoint_payload_by_name(
+def _header(change):
+    """Damage that rewrites a checkpoint's header, then reseals it."""
+    def damage(path: Path) -> None:
+        head, _, body = unseal(path.read_bytes()).partition(b"\n")
+        path.write_bytes(reseal(json.dumps(change(json.loads(head))).encode() + b"\n" + body))
+    return damage
+
+
+def _directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def _old_layout(path: Path) -> None:
+    # the manifest and per-parameter payload files that checkpoints once were
+    path.unlink()
+    (path.parent / "manifest.json").write_text("{}")
+    (path.parent / "params").mkdir()
+
+
+def _a_dataset(path: Path) -> None:
+    shutil.copyfile(path.parents[2] / "cs.val.bin", path)
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_header(lambda m: {k: v for k, v in m.items() if k != "stage"}), "stage None"),
+    (_header(lambda m: {**m, "stage": [2]}), "stage [2]"),
+    (_header(lambda m: {**m, "stage": 7}), "stage 7"),
+    (_header(lambda m: {**m, "stage": True}), "stage True"),
+    # a stage the config gives another layout: the listed parameters are not stage 1's
+    (_header(lambda m: {**m, "stage": 1}), "stage-1 parameters"),
+    (_header(lambda m: [1, 2]), "no valid header"),
+    (_header(lambda m: {**m, "arrays": {}}), "body of"),
+    (_header(lambda m: {**m, "arrays": [[m["arrays"][0][0], 5], *m["arrays"][1:]]}),
+     "no valid header"),
+    (_header(lambda m: {**m, "arrays": [[m["arrays"][0][0], ["x", *m["arrays"][0][1][1:]]],
+                                        *m["arrays"][1:]]}), "no valid header"),
+    # one layer's experts have the same shape, so only their names tell them apart
+    (_header(lambda m: {**m, "arrays": [m["arrays"][1], m["arrays"][0], *m["arrays"][2:]]}),
+     "entry 0"),
+    # a config is read only when the hashes differ, so these change the hash too
+    (_header(lambda m: {**m, "config": 5, "config_hash": "0"}), "no valid config"),
+    (_header(lambda m: {**m, "config": None, "config_hash": "0"}), "no valid config"),
+    (_header(lambda m: {**m, "config": {"variant": "bogus"}, "config_hash": "0"}),
+     "no valid config"),
+    (_header(lambda m: {**m, "kind": "dataset"}), "holds a 'dataset'"),
+    (_a_dataset, "holds a 'dataset'"),
+    (_directory, "cannot be read"),
+    (_old_layout, "cannot be read: No such file"),
+], ids=["no-stage", "stage-list", "stage-7", "stage-bool", "stage-1-layout", "list",
+        "arrays-not-list", "shape-not-list", "shape-not-int", "experts-swapped",
+        "config-number", "config-null", "config-bad-variant", "kind", "a-dataset",
+        "directory", "old-layout"])
+@pytest.mark.parametrize("command", ["eval", "train-resume"])
+def test_damaged_checkpoint_header_exits_2_naming_it(
+        tmp_path, cfg_path, stage2_dir, damage, message, command, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(stage2_dir, run)
+    checkpoint = run / "checkpoints" / "stage2"
+    path = checkpoint / "checkpoint.bin"
+    damage(path)
+    before = _tree_bytes(run)
+    capsys.readouterr()
+    assert main(_checkpoint_argv(command, cfg_path, run, checkpoint, tmp_path / "eval")) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    assert _tree_bytes(run) == before
+
+
+def test_eval_refuses_a_non_finite_checkpoint_weight_by_name(
         tmp_path, cfg_path, stage2_dir, capsys):
     run = tmp_path / "run"
     shutil.copytree(stage2_dir, run)
     checkpoint = run / "checkpoints" / "stage2"
-    manifest = json.loads((checkpoint / "manifest.json").read_text())
-    payload = checkpoint / manifest["params"][0]["file"]
-    payload.write_bytes(np.float64(np.nan).tobytes() + payload.read_bytes()[8:])
+    path = checkpoint / "checkpoint.bin"
+    head, _, body = unseal(path.read_bytes()).partition(b"\n")
+    path.write_bytes(reseal(head + b"\n" + np.float64(np.nan).tobytes() + body[8:]))
     capsys.readouterr()
     assert main(["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
                  "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
-    assert str(payload) in err and "non-finite" in err
+    assert str(path) in err and "non-finite" in err
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
-@pytest.mark.parametrize("damaged", ["config-file", "manifest", "data-config"])
-def test_json_input_that_is_not_utf8_exits_2_naming_it(
+@pytest.mark.parametrize("damaged", ["config-file", "checkpoint-header", "data-config"])
+def test_input_that_is_not_utf8_exits_2_naming_it(
         tmp_path, cfg_path, stage2_dir, damaged, capsys):
     run = tmp_path / "run"
     shutil.copytree(stage2_dir, run)
     checkpoint = run / "checkpoints" / "stage2"
+    bad = b"\xff\xfe{}"  # a UTF-16 byte-order mark before "{}"
     if damaged == "config-file":
         path = tmp_path / "bad.json"
         argv = ["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]
-    elif damaged == "manifest":
-        path = checkpoint / "manifest.json"
+    elif damaged == "checkpoint-header":
+        path = checkpoint / "checkpoint.bin"
+        bad = reseal(bad + b"\n" + unseal(unseal(path.read_bytes())))
         argv = ["eval", "--config", cfg_path, "--checkpoint", str(checkpoint),
                 "--out", str(tmp_path / "eval")]
     else:
         path = run / "config.json"
         argv = ["train", "--config", cfg_path, "--out", str(run), "--resume", str(checkpoint)]
-    path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark before "{}"
+    path.write_bytes(bad)
     capsys.readouterr()
     assert main(argv) == 2
-    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert ("is not UTF-8 text" if path.suffix == ".json" else "UnicodeDecodeError('utf-8'") in err
 
 
 def test_eval_rejects_stage1_checkpoint(tmp_path, cfg_path, trained_dir, capsys):

@@ -2,11 +2,14 @@
 
 Oracles: exact array equality after round-trips (JSON float text is
 shortest-round-trip and dataset features are stored as raw float64, so both
-survive bit for bit), byte-identical rewrites, and structural fidelity of
-segments and labels.
+survive bit for bit), byte-identical rewrites, structural fidelity of
+segments and labels, containers that refuse a changed byte or another kind,
+and writes that, cut off, leave the earlier file as it was.
 """
 
+import errno
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ import pytest
 from csmoe.dataio import (
     append_metrics,
     drop_metrics_from,
+    load_container,
     load_dataset,
+    save_container,
     save_dataset,
     save_world,
     write_json,
@@ -22,7 +27,7 @@ from csmoe.dataio import (
 from csmoe.config import ExperimentConfig
 from csmoe.stages import build_world, generate_splits, split_table
 from csmoe.world import TASK_ASR, TASK_CS_ST, TASK_ST, gen_dataset, gen_world
-from oracles import load_world, read_metrics
+from oracles import load_world, read_metrics, reseal, unseal
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +136,60 @@ def test_write_json_stable_and_readable(tmp_path):
     import json
 
     assert json.loads(text) == payload
+
+
+def test_container_round_trip_and_layout(tmp_path):
+    path = tmp_path / "c.bin"
+    a, b = np.arange(6.0).reshape(2, 3), np.array([0.1, -2.5])
+    save_container(path, "thing", {"note": [1, "x"]}, {"a": a, "b": b})
+    digest, head, body = path.read_bytes().split(b"\n", 2)
+    assert head == b'{"arrays":[["a",[2,3]],["b",[2]]],"kind":"thing","note":[1,"x"]}'
+    assert body == a.tobytes() + b.tobytes()
+    assert reseal(unseal(path.read_bytes())) == path.read_bytes()
+    header, arrays = load_container(path, "thing")
+    assert header["note"] == [1, "x"]
+    assert [x.tobytes() for x in arrays] == [a.tobytes(), b.tobytes()]
+    assert all(x.flags.writeable for x in arrays)
+
+
+@pytest.mark.parametrize("at", [len(b"{"), -1], ids=["header", "body"])
+def test_container_refuses_a_changed_byte_by_name(tmp_path, at):
+    path = tmp_path / "c.bin"
+    save_container(path, "thing", {}, {"a": np.ones(3)})
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"\n") + 1 + at if at > 0 else at
+    raw[at] ^= 1
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=re.escape(f"thing {path} does not match its sha256")):
+        load_container(path, "thing")
+
+
+def test_container_refuses_another_kind_by_name(tmp_path):
+    path = tmp_path / "c.bin"
+    save_container(path, "dataset", {}, {"a": np.ones(3)})
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} holds a 'dataset'")):
+        load_container(path, "checkpoint")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"new": 1}),
+    lambda path: drop_metrics_from(path, 2),
+    lambda path: save_dataset(path, gen_dataset(gen_world(2, 4, 6.0, 0.1, 4, seed=1),
+                                                TASK_ASR, 0, 2, 3, seed=2)),
+    lambda path: save_container(path, "thing", {}, {"a": np.ones(4)}),
+], ids=["write_json", "drop_metrics_from", "save_dataset", "save_container"])
+def test_a_write_cut_off_leaves_the_old_bytes_and_no_temporary_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    old = b'{"stage":1,"step":1}\n{"stage":2,"step":1}\n'
+    path.write_bytes(old)
+    write_bytes = Path.write_bytes
+
+    def failing_write_bytes(self, data):
+        write_bytes(self, data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+    with pytest.raises(OSError, match="No space left"):
+        write(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

@@ -370,8 +370,8 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
 
     def append_metrics(path, rows):
         stage = rows[0]["stage"]
-        manifest = out / "checkpoints" / f"stage{stage}" / "manifest.json"
-        streamed.append((stage, [r["stage"] for r in rows], manifest.exists()))
+        saved = out / "checkpoints" / f"stage{stage}" / "checkpoint.bin"
+        streamed.append((stage, [r["stage"] for r in rows], saved.exists()))
         real_append(path, rows)
 
     monkeypatch.setattr(csmoe.cli, "append_metrics", append_metrics)
