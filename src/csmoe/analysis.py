@@ -28,7 +28,6 @@ __all__ = [
     "expert_load",
     "separation_score",
     "ablation_report",
-    "ablation_cells",
     "ablation_table",
 ]
 
@@ -215,22 +214,15 @@ def ablation_report(results: Mapping[str, Sequence[Mapping[str, float]]]) -> dic
     return {"rows": rows, "notices": notices}
 
 
-def ablation_cells(report: Mapping) -> tuple:
-    """An ablation report's sorted metric names, and per row ``(variant, num_runs, cells)``."""
-    names = sorted({name for row in report["rows"] for name in row["metrics"]})
-    rows = [(row["variant"], row["num_runs"], [row["metrics"].get(name) for name in names])
-            for row in report["rows"]]
-    return names, rows
-
-
 def ablation_table(report: Mapping) -> str:
     """``ablation_report``'s record as a tab-separated table, notices as comments."""
-    names, rows = ablation_cells(report)
+    names = sorted({name for row in report["rows"] for name in row["metrics"]})
     header = ["variant", "runs"] + [f"{name} (median / min / max)" for name in names]
     lines = ["\t".join(header)]
-    for variant, runs, cells in rows:
-        line = [variant, str(runs)]
-        for stats in cells:
+    for row in report["rows"]:
+        line = [row["variant"], str(row["num_runs"])]
+        for name in names:
+            stats = row["metrics"].get(name)
             line.append("-" if stats is None else
                         f"{stats['median']:.6g} / {stats['min']:.6g} / {stats['max']:.6g}")
         lines.append("\t".join(line))

@@ -26,14 +26,13 @@ command; the other commands write their reports only.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import ablation_cells, ablation_report, ablation_table, separation_score
+from .analysis import ablation_report, ablation_table, separation_score
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
@@ -46,7 +45,6 @@ from .config import (
 )
 from .dataio import (
     append_metrics,
-    drop_metrics_from,
     load_dataset,
     read_json_object,
     save_dataset,
@@ -63,6 +61,7 @@ from .stages import (
     generate_splits,
     routing_probe,
     routing_summary,
+    run_ablation,
     run_pipeline,
     split_table,
     token_report,
@@ -196,8 +195,7 @@ def cmd_train(args) -> int:
         save_checkpoint(out / "checkpoints" / f"stage{stage}", config, state)
         # streamed after the checkpoint, so a run that fails late keeps both;
         # they replace the rows of this stage and later an earlier run left
-        drop_metrics_from(out / "metrics.jsonl", stage)
-        append_metrics(out / "metrics.jsonl", rows)
+        append_metrics(out / "metrics.jsonl", stage, rows)
 
     run_pipeline(config, bundle, stages=stages, initial=initial, after_stage=after_stage)
     write_json(out / "config.json", config_to_dict(config))
@@ -290,32 +288,22 @@ def cmd_ablate(args) -> int:
     out = _out_dir(config)
     results = {v: [] for v in variants}
     probes = {v: [] for v in variants}
+    probed = {}  # a run's probe joins the report only once its record shows it completed
     failures = []
-    for seed in seeds:
-        cfg_seed = replace(config, world_seed=seed, data_seed=seed, train_seed=seed)
-        _, bundle = generate_datasets(cfg_seed)
-        probe_set = _probe_set(bundle)
-        for variant in variants:
-            cfg_run = replace(cfg_seed, variant=variant)
-            try:
-                result = run_pipeline(cfg_run, bundle)
-                cs = evaluate_dataset(result.state, bundle.cs_val)
-                mono = evaluate_dataset(result.state, bundle.st_val)
-                results[variant].append({
-                    "cs_ce": cs["ce"],
-                    "cs_accuracy": cs["accuracy"],
-                    "mono_ce": mono["ce"],
-                    "mono_accuracy": mono["accuracy"],
-                })
-                probes[variant].append(
-                    {"seed": seed, **routing_probe(result.state, probe_set)}
-                )
-                print(f"variant {variant} seed {seed}: "
-                      f"cs_ce={cs['ce']:.4f} mono_ce={mono['ce']:.4f}")
-            except Exception as err:  # report, never silently drop
-                failures.append({"variant": variant, "seed": seed, "error": str(err)})
-                print(f"variant {variant} seed {seed}: FAILED ({err})",
-                      file=sys.stderr)
+
+    def probe(variant, seed, bundle, stage, state, rows):
+        if stage == 4:
+            probed[variant, seed] = routing_probe(state, _probe_set(bundle))
+
+    for variant, seed, cs, mono, error in run_ablation(config, variants, seeds, probe):
+        if error is not None:  # report, never silently drop
+            failures.append({"variant": variant, "seed": seed, "error": error})
+            print(f"variant {variant} seed {seed}: FAILED ({error})", file=sys.stderr)
+            continue
+        results[variant].append({"cs_ce": cs["ce"], "cs_accuracy": cs["accuracy"],
+                                 "mono_ce": mono["ce"], "mono_accuracy": mono["accuracy"]})
+        probes[variant].append({"seed": seed, **probed[variant, seed]})
+        print(f"variant {variant} seed {seed}: cs_ce={cs['ce']:.4f} mono_ce={mono['ce']:.4f}")
     try:
         report = ablation_report(results)
     except ValueError as err:
@@ -323,26 +311,9 @@ def cmd_ablate(args) -> int:
         return 1
     write_json(out / "report.json",
                {**report, "failures": failures, "routing": probes, "seeds": seeds})
-    _write_report_csv(out / "report.csv", report)
     print(ablation_table(report))
-    print(f"wrote {out / 'report.json'} and {out / 'report.csv'}")
+    print(f"wrote {out / 'report.json'}")
     return 1 if failures else 0
-
-
-def _write_report_csv(path, report) -> None:
-    names, rows = ablation_cells(report)
-    header = ["variant", "runs"]
-    for name in names:
-        header += [f"{name}_median", f"{name}_min", f"{name}_max"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for variant, runs, cells in rows:
-            line = [variant, runs]
-            for stats in cells:
-                line += (["", "", ""] if stats is None
-                         else [stats["median"], stats["min"], stats["max"]])
-            writer.writerow(line)
 
 
 def cmd_routing_report(args) -> int:

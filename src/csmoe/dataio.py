@@ -45,7 +45,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "append_metrics",
-    "drop_metrics_from",
     "write_json",
     "read_json_object",
 ]
@@ -215,22 +214,12 @@ def load_dataset(path) -> tuple:
 # ------------------------------------------------------------------ metrics
 
 
-def append_metrics(path, rows: Iterable[Mapping]) -> None:
+def append_metrics(path, stage: int, rows: Iterable[Mapping]) -> None:
+    """Replace a metrics file's rows of stage ``stage`` and later with ``rows``, in one write."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
-        for row in rows:
-            fh.write(_dump_line(row) + "\n")
-
-
-def drop_metrics_from(path, stage: int) -> None:
-    """Remove a metrics file's rows of stage ``stage`` and later, if the file exists."""
-    path = Path(path)
-    if not path.exists():
-        return
+    lines = path.read_text().splitlines(keepends=True) if path.exists() else []
     try:
-        kept = [line for line in path.read_text().splitlines(keepends=True)
-                if json.loads(line)["stage"] < stage]
+        kept = [line for line in lines if json.loads(line)["stage"] < stage]
     except (ValueError, TypeError, KeyError):
         raise ValueError(f"metrics file {path} holds a line that is not a metrics row") from None
-    _write_atomically(path, "".join(kept).encode())
+    _write_atomically(path, "".join(kept + [_dump_line(row) + "\n" for row in rows]).encode())

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -79,6 +80,8 @@ __all__ = [
     "run_stage3",
     "run_stage4",
     "run_pipeline",
+    "AblationRun",
+    "run_ablation",
     "routing_terms",
     "evaluate_dataset",
     "token_report",
@@ -536,6 +539,42 @@ def run_pipeline(
             after_stage(stage, state, rows)
         metrics.extend(rows)
     return PipelineResult(state=state, metrics=metrics)
+
+
+class AblationRun(NamedTuple):
+    """One run of ``run_ablation``: its CS and mono eval records, or the message it raised."""
+
+    variant: str
+    seed: int
+    cs: Optional[dict]
+    mono: Optional[dict]
+    error: Optional[str] = None
+
+
+def run_ablation(config: ExperimentConfig, variants: Sequence[str], seeds: Iterable[int],
+                 after_stage: Optional[Callable] = None) -> Iterator[AblationRun]:
+    """Run every variant on every seed through the four stages, one record per run.
+
+    Per seed, ``world_seed``, ``data_seed`` and ``train_seed`` are set to it and the
+    world and datasets are drawn once, so the variants that then run on them, in the
+    given order, are paired. Each finished state is scored on ``cs_val`` and
+    ``st_val``. ``after_stage(variant, seed, bundle, stage, state, rows)`` is the
+    run's ``run_pipeline`` hook. A run that raises is recorded by its message and
+    the runs after it still run. The runs happen as the records are drawn.
+    """
+    for seed in seeds:
+        seeded = replace(config, world_seed=seed, data_seed=seed, train_seed=seed)
+        _, bundle = generate_datasets(seeded)
+        for variant in variants:
+            hook = None if after_stage is None else partial(after_stage, variant, seed, bundle)
+            try:
+                state = run_pipeline(replace(seeded, variant=variant), bundle,
+                                     after_stage=hook).state
+                run = AblationRun(variant, seed, evaluate_dataset(state, bundle.cs_val),
+                                  evaluate_dataset(state, bundle.st_val))
+            except Exception as err:  # recorded, never silently dropped
+                run = AblationRun(variant, seed, None, None, str(err))
+            yield run
 
 
 # --------------------------------------------------------------- evaluation

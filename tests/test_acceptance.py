@@ -9,7 +9,6 @@ shared through session-scoped fixtures.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +38,7 @@ from csmoe.stages import (
     generate_datasets,
     routing_probe,
     routing_terms,
+    run_ablation,
     run_pipeline,
 )
 from oracles import make_trace, route
@@ -62,12 +62,6 @@ def _median(values) -> float:
     return float(np.median(np.asarray(values, dtype=float)))
 
 
-def _seeded_config(seed: int, **overrides) -> ExperimentConfig:
-    return ExperimentConfig(
-        world_seed=seed, data_seed=seed, train_seed=seed, **overrides
-    )
-
-
 # --------------------------------------------------------- shared fixtures
 
 
@@ -81,32 +75,27 @@ def ablation_runs():
     their stage-2 probe, each with its seed's dataset generation). The probe
     evaluates routing on the entire validation set.
     """
-    t0 = time.perf_counter()
+    # full runs first in each seed, so its run starts with the seed's data generation
+    assert VARIANTS[0] == "full"
     cs_ce, probes = {}, {}
-    full_metrics = None
+    full_metrics = []
     full_elapsed = 0.0
-    for seed in SEEDS:
-        t_gen = time.perf_counter()
-        base = _seeded_config(seed)
-        _, bundle = generate_datasets(base)
-        gen_elapsed = time.perf_counter() - t_gen
-        probe_set = tuple(bundle.st_val) + tuple(bundle.cs_val)
-        for variant in VARIANTS:
-            cfg = replace(base, variant=variant)
-            t_run = time.perf_counter()
 
-            def probe(stage, state, rows):
-                nonlocal full_elapsed
-                if stage == 2:
-                    probes[(variant, seed)] = routing_probe(state, probe_set)
-                    if variant == "full":
-                        full_elapsed += gen_elapsed + time.perf_counter() - t_run
+    def probe(variant, seed, bundle, stage, state, rows):
+        nonlocal full_elapsed
+        if (variant, seed) == ("full", 0):
+            full_metrics.extend(rows)
+        if stage == 2:
+            probes[(variant, seed)] = routing_probe(state, bundle.st_val + bundle.cs_val)
+            if variant == "full":
+                full_elapsed += time.perf_counter() - t_run
 
-            result = run_pipeline(cfg, bundle, after_stage=probe)
-            assert (variant, seed) in probes, "stage-2 probe did not run"
-            cs_ce[(variant, seed)] = evaluate_dataset(result.state, bundle.cs_val)["ce"]
-            if variant == "full" and seed == 0:
-                full_metrics = result.metrics
+    t0 = t_run = time.perf_counter()
+    for run in run_ablation(ExperimentConfig(), VARIANTS, SEEDS, after_stage=probe):
+        assert run.error is None, f"{run.variant} seed {run.seed} failed: {run.error}"
+        assert (run.variant, run.seed) in probes, "stage-2 probe did not run"
+        cs_ce[(run.variant, run.seed)] = run.cs["ce"]
+        t_run = time.perf_counter()  # the next run, or the next seed's data generation
     elapsed = time.perf_counter() - t0
     return cs_ce, full_metrics, elapsed, probes, full_elapsed
 

@@ -678,7 +678,7 @@ def test_out_naming_a_file_exits_2_before_any_work(tmp_path, cfg_path, monkeypat
     taken.write_text("kept")
     work = []
     monkeypatch.setattr(csmoe.gradcheck, "_make_instance", lambda *args: work.append(args))
-    monkeypatch.setattr(csmoe.cli, "run_pipeline", lambda *args, **kw: work.append(args))
+    monkeypatch.setattr(csmoe.cli, "run_ablation", lambda *args, **kw: work.append(args) or ())
     monkeypatch.setattr(csmoe.cli, "load_checkpoint", lambda *args: work.append(args))
     checkpoint = ["--checkpoint", str(tmp_path / "checkpoint")]
     argv = {"gen-data": ["--config", cfg_path], "grad-check": ["--instances", "1"],
@@ -688,7 +688,7 @@ def test_out_naming_a_file_exits_2_before_any_work(tmp_path, cfg_path, monkeypat
     assert main([command, *argv, "--out", str(taken)]) == 2
     assert str(taken) in capsys.readouterr().err
     assert taken.read_text() == "kept"
-    assert work == []  # no sweep, pipeline or checkpoint load ran before the refusal
+    assert work == []  # no sweep, ablation or checkpoint load ran before the refusal
 
 
 def test_ablate_two_variants(tmp_path, cfg_path, capsys):
@@ -701,11 +701,64 @@ def test_ablate_two_variants(tmp_path, cfg_path, capsys):
     assert all(set(row) == {"variant", "num_runs", "metrics"} for row in report["rows"])
     assert [row["variant"] for row in report["rows"]] == ["full", "no-moe"]
     assert report["failures"] == []
-    csv_text = (out / "report.csv").read_text()
-    assert csv_text.startswith("variant,")
-    assert "no-moe" in csv_text
+    assert not (out / "report.csv").exists()
     stdout = capsys.readouterr().out
     assert "full" in stdout and "no-moe" in stdout
+
+
+def test_ablate_reports_a_failed_run_and_keeps_the_others(tmp_path, cfg_path, monkeypatch,
+                                                          capsys):
+    real_pipeline = csmoe.stages.run_pipeline
+
+    def run_pipeline(config, bundle, **kw):
+        if config.variant == "no-moe":
+            raise FloatingPointError("stage 2 step 3: loss is nan")
+        return real_pipeline(config, bundle, **kw)
+
+    monkeypatch.setattr(csmoe.stages, "run_pipeline", run_pipeline)
+    out = tmp_path / "ab"
+    rc = main(["ablate", "--config", cfg_path, "--out", str(out),
+               "--variants", "full,no-moe", "--seeds", "0"])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == [
+        {"variant": "no-moe", "seed": 0, "error": "stage 2 step 3: loss is nan"}]
+    assert [row["variant"] for row in report["rows"]] == ["full"]
+    assert [probe["seed"] for probe in report["routing"]["full"]] == [0]
+    assert report["routing"]["no-moe"] == []
+    err = capsys.readouterr().err
+    assert "variant no-moe seed 0: FAILED (stage 2 step 3: loss is nan)" in err
+
+
+def test_ablate_counts_a_run_whose_probe_raises_as_failed_only(tmp_path, cfg_path, monkeypatch,
+                                                               capsys):
+    def routing_probe(state, utterances):
+        raise ValueError("probe broke")
+
+    monkeypatch.setattr(csmoe.cli, "routing_probe", routing_probe)
+    out = tmp_path / "ab"
+    rc = main(["ablate", "--config", cfg_path, "--out", str(out),
+               "--variants", "full", "--seeds", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "variant full seed 0: FAILED (probe broke)" in err
+    assert not (out / "report.json").exists()  # no row for the run it failed
+
+
+def test_ablate_with_every_run_failed_exits_1_and_writes_no_report(tmp_path, cfg_path,
+                                                                   monkeypatch, capsys):
+    def run_pipeline(config, bundle, **kw):
+        raise ValueError(f"{config.variant} refused")
+
+    monkeypatch.setattr(csmoe.stages, "run_pipeline", run_pipeline)
+    out = tmp_path / "ab"
+    rc = main(["ablate", "--config", cfg_path, "--out", str(out),
+               "--variants", "full,no-moe", "--seeds", "0,1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("FAILED") == 4
+    assert "error: ablation report requires at least one completed run" in err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -16,7 +16,6 @@ import pytest
 
 from csmoe.dataio import (
     append_metrics,
-    drop_metrics_from,
     load_container,
     load_dataset,
     save_container,
@@ -99,9 +98,9 @@ def test_dataset_save_is_deterministic(tmp_path, world):
 
 def test_metrics_append_and_read(tmp_path):
     path = tmp_path / "metrics.jsonl"
-    append_metrics(path, [{"stage": 1, "step": 1, "ce": 3.25}])
-    append_metrics(path, [{"stage": 1, "step": 2, "ce": 3.0},
-                          {"stage": 2, "probe": {"x": 1.5}}])
+    append_metrics(path, 1, [{"stage": 1, "step": 1, "ce": 3.25},
+                             {"stage": 1, "step": 2, "ce": 3.0}])
+    append_metrics(path, 2, [{"stage": 2, "probe": {"x": 1.5}}])
     rows = read_metrics(path)
     assert rows == [
         {"stage": 1, "step": 1, "ce": 3.25},
@@ -110,20 +109,34 @@ def test_metrics_append_and_read(tmp_path):
     ]
 
 
-def test_drop_metrics_keeps_the_earlier_stages_lines_as_they_are(tmp_path):
+def test_append_metrics_replaces_its_stage_and_later_keeping_the_earlier_lines(tmp_path):
     path = tmp_path / "metrics.jsonl"
-    drop_metrics_from(path, 1)  # no file yet: nothing to drop, nothing written
-    assert not path.exists()
-    append_metrics(path, [{"stage": 1, "step": 1, "ce": 0.1}, {"stage": 2, "step": 1},
-                          {"stage": 2, "probe": {"x": 1.5}}, {"stage": 3, "step": 1}])
+    append_metrics(path, 1, [])  # no file yet: an empty one
+    assert path.read_text() == ""
+    append_metrics(path, 1, [{"stage": 1, "step": 1, "ce": 0.1}, {"stage": 2, "step": 1},
+                             {"stage": 2, "probe": {"x": 1.5}}, {"stage": 3, "step": 1}])
     lines = path.read_text().splitlines(keepends=True)
-    drop_metrics_from(path, 2)
+    append_metrics(path, 2, [])
     assert path.read_text() == lines[0]
-    drop_metrics_from(path, 1)
+    append_metrics(path, 2, [{"stage": 2, "step": 1}])
+    assert path.read_text() == lines[0] + lines[1]
+    append_metrics(path, 1, [])
     assert path.read_text() == ""
     path.write_text(lines[0] + "not json\n")
     with pytest.raises(ValueError, match=re.escape(f"metrics file {path} holds a line")):
-        drop_metrics_from(path, 2)
+        append_metrics(path, 2, [{"stage": 2, "step": 1}])
+    assert path.read_text() == lines[0] + "not json\n"
+
+
+def test_append_metrics_that_fails_mid_batch_keeps_the_earlier_bytes(tmp_path):
+    # a row that cannot be serialised stands for a write cut off after the first row
+    path = tmp_path / "metrics.jsonl"
+    append_metrics(path, 1, [{"stage": 1, "step": 1, "ce": 0.5}])
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        append_metrics(path, 2, [{"stage": 2, "step": 1}, {"stage": 2, "step": 2, "ce": object()}])
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
 
 
 def test_write_json_stable_and_readable(tmp_path):
@@ -173,11 +186,11 @@ def test_container_refuses_another_kind_by_name(tmp_path):
 
 @pytest.mark.parametrize("write", [
     lambda path: write_json(path, {"new": 1}),
-    lambda path: drop_metrics_from(path, 2),
+    lambda path: append_metrics(path, 2, [{"stage": 2, "step": 2}]),
     lambda path: save_dataset(path, gen_dataset(gen_world(2, 4, 6.0, 0.1, 4, seed=1),
                                                 TASK_ASR, 0, 2, 3, seed=2)),
     lambda path: save_container(path, "thing", {}, {"a": np.ones(4)}),
-], ids=["write_json", "drop_metrics_from", "save_dataset", "save_container"])
+], ids=["write_json", "append_metrics", "save_dataset", "save_container"])
 def test_a_write_cut_off_leaves_the_old_bytes_and_no_temporary_file(tmp_path, monkeypatch, write):
     path = tmp_path / "artifact"
     old = b'{"stage":1,"step":1}\n{"stage":2,"step":1}\n'

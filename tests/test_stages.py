@@ -368,11 +368,10 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
     streamed, real_append = [], csmoe.cli.append_metrics
 
-    def append_metrics(path, rows):
-        stage = rows[0]["stage"]
+    def append_metrics(path, stage, rows):
         saved = out / "checkpoints" / f"stage{stage}" / "checkpoint.bin"
         streamed.append((stage, [r["stage"] for r in rows], saved.exists()))
-        real_append(path, rows)
+        real_append(path, stage, rows)
 
     monkeypatch.setattr(csmoe.cli, "append_metrics", append_metrics)
     real_transition = stages.mixed_transition
@@ -384,6 +383,30 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
     assert [r["stage"] for r in lines] == [s for _, row_stages, _ in streamed for s in row_stages]
     assert "probe" in lines[-1]
+
+
+def test_run_ablation_equals_its_parts_and_hooks_in_seed_variant_stage_order():
+    config = tiny_config(stage1=budget(3), stage2=budget(3), stage3=budget(3), stage4=budget(3))
+    variants, seeds = ("no-aux-losses", "full"), (4, 1)
+    calls = []
+
+    def hook(variant, seed, bundle, stage, state, rows):
+        calls.append((seed, variant, stage, bundle.cs_val[0].features.tobytes()))
+        assert state.stage == stage and rows == state.metrics[-len(rows):]
+
+    runs = list(stages.run_ablation(config, variants, seeds, after_stage=hook))
+    assert [(run.variant, run.seed, run.error) for run in runs] == [
+        (v, s, None) for s in seeds for v in variants]
+    assert [call[:3] for call in calls] == [
+        (s, v, stage) for s in seeds for v in variants for stage in (1, 2, 3, 4)]
+    for run in runs:
+        seeded = replace(config, world_seed=run.seed, data_seed=run.seed, train_seed=run.seed)
+        _, bundle = generate_datasets(seeded)
+        state = run_pipeline(replace(seeded, variant=run.variant), bundle).state
+        assert run.cs == evaluate_dataset(state, bundle.cs_val)
+        assert run.mono == evaluate_dataset(state, bundle.st_val)
+        assert {call[3] for call in calls if call[0] == run.seed} == {
+            bundle.cs_val[0].features.tobytes()}
 
 
 @pytest.mark.parametrize("variant,expected", [
