@@ -5,9 +5,9 @@ reach their own language's experts, how evenly load spreads inside each
 group, how separated the language clusters are, and how ablation variants
 compare. Every statistic is deterministic in its inputs. The routing
 statistics read the expert groups and the checked token labels off the
-trace, through the same ``RoutingTrace`` helpers the routing losses use, so
-they refuse an unlabeled token as the losses do; the global expert counts
-are the in-group winner count of the one-group view.
+trace, through the same ``RoutingTrace`` layout and helpers the routing
+losses use, so they refuse an unlabeled token as the losses do; the global
+expert counts are the in-group winner count of the one-group view.
 
 Each function returns the record that the commands write, in plain Python
 values, so the layout of every report is written here and nowhere else.
@@ -45,34 +45,21 @@ def routing_accuracy(trace: RoutingTrace) -> dict:
     in-group, the mean in-group mass and the mean in-group share of the
     selected slots; NaN for a language absent from the trace.
     """
-    group_of, m = trace.group_of, trace.num_groups
-    labels = trace.labels
-
-    pairs = np.zeros(m)
-    top1_hits = np.zeros(m)
-    mass_sum = np.zeros(m)
-    count_sum = np.zeros(m)
-    own_mask = group_of[None, :] == labels[:, None]  # [T × N]
-
+    group_of, layout = trace.group_of, trace.layout
+    labels, members = layout.labels, layout.members  # [m × T] each language's tokens
+    own_mask = layout.columns[labels]  # [T × N] each token's own group's experts
+    sums = np.zeros((3, layout.num_groups))  # argmax hits, in-group mass, in-group slots
     for layer in trace.layers:
         p = layer.probs.data
         winners = p.argmax(axis=1)
         in_group_win = group_of[winners] == labels
         mass = (p * own_mask).sum(axis=1)
         count_frac = (group_of[layer.selected] == labels[:, None]).mean(axis=1)
-        for j in range(m):
-            rows = labels == j
-            if not rows.any():
-                continue
-            pairs[j] += rows.sum()
-            top1_hits[j] += in_group_win[rows].sum()
-            mass_sum[j] += mass[rows].sum()
-            count_sum[j] += count_frac[rows].sum()
-
+        for j, rows in enumerate(members):
+            sums[:, j] += (in_group_win[rows].sum(), mass[rows].sum(), count_frac[rows].sum())
+    pairs = members.sum(axis=1) * trace.num_layers
     with np.errstate(invalid="ignore", divide="ignore"):
-        top1 = np.where(pairs > 0, top1_hits / pairs, np.nan)
-        mass_frac = np.where(pairs > 0, mass_sum / pairs, np.nan)
-        count = np.where(pairs > 0, count_sum / pairs, np.nan)
+        top1, mass_frac, count = np.where(pairs > 0, sums / pairs, np.nan)
     return {"top1_in_group": _floats(top1), "topk_mass_in_group": _floats(mass_frac),
             "topk_count_in_group": _floats(count)}
 

@@ -28,9 +28,11 @@ never an expert's output, so an expert of layer l also keeps its layer's
 routing record and the other experts' products: it recomputes its own
 product and the one ``mix``, and the layers above run through
 ``moe_layer``. No router reads a last-layer expert's output, so such an
-expert reuses the unperturbed routing terms. Per instance, the sweep (60
-coordinates in layer 0, 48 in experts; 80 in layer 1, 64 in experts; 36 in
-the decoder) evaluates 176 MoE layers, 224 expert re-mixes, 352 decodes
+expert reuses the unperturbed routing terms. A perturbed trace is made
+``over`` the mixed trace, and its batch-1 rows (the only half read) over
+the batch-1 trace, so the sweep builds no token layout. Per instance, the
+sweep (60 coordinates in layer 0, 48 in experts; 80 in layer 1, 64 in
+experts; 36 in the decoder) evaluates 176 MoE layers, 224 expert re-mixes, 352 decodes
 and 352 ``mixed_transition`` nodes, and reads the routing terms 153 times,
 each read computing a trace's language term once for the two objectives
 that score it.
@@ -163,7 +165,7 @@ def _rerun(moe, forwards, start: int, expert: int | None = None, kept=None):
             inputs.append(h)
             records.append(record)
         outs.append(inputs.pop())
-        rerun.append((inputs, RoutingTrace(records, trace.group_of, trace.token_language)))
+        rerun.append((inputs, trace.over(records)))
     return outs, rerun
 
 
@@ -179,22 +181,20 @@ def _kept_products(moe, forwards) -> list:
     return kept
 
 
-def _halves(forward, n: int) -> list:
-    """Rows ``:n`` and ``n:`` of a ``(layer inputs, trace)``, each as its own forward."""
-    inputs, trace = forward
-    return [([Tensor(h.data[rows]) for h in inputs], RoutingTrace(
-        [LayerRouting(Tensor(r.logits.data[rows]), r.selected[rows], Tensor(r.probs.data[rows]))
-         for r in trace.layers], trace.group_of, trace.token_language[rows]))
-        for rows in (slice(None, n), slice(n, None))]
+def _batch1(trace: RoutingTrace, n: int, like: RoutingTrace) -> tuple:
+    """Rows ``:n`` of ``trace``'s records as the forward of ``like``'s tokens, with no inputs."""
+    return None, like.over([LayerRouting(Tensor(r.logits.data[:n]), r.selected[:n],
+                                         Tensor(r.probs.data[:n])) for r in trace.layers])
 
 
 def _routing_terms(forwards, configs) -> dict:
-    """Each stage objective's ``routing_terms``, read off batch 1 (stage 2) or the mixed batch.
+    """Each stage objective's ``routing_terms``, read off batch 1 (stage 2, the first of
+    ``forwards``) or the mixed batch (the last).
 
     The objectives that read one trace share its language term: it is
     computed once per trace.
     """
-    (_, trace1), _, (_, trace_mix) = forwards
+    (_, trace1), *_, (_, trace_mix) = forwards
     terms, lang = {}, {}  # id(trace) -> its language term
     for name, (c, stage) in _OBJECTIVES.items():
         trace = trace1 if stage == 2 else trace_mix
@@ -206,12 +206,21 @@ def _routing_terms(forwards, configs) -> dict:
 
 def _losses(ce, transition, mixed, terms, configs) -> tuple:
     """The losses in ``GRAD_LOSSES`` order from batch 1's cross-entropy ``ce``, the
-    ``transition`` from batch 1 to batch 2 and the ``mixed`` batch's transition."""
-    on_batch1 = terms["stage2_total"]
+    ``transition`` from batch 1 to batch 2 and the ``mixed`` batch's transition.
+
+    A stage's objectives under equal weights add their balance to one ``core + lang``.
+    """
+    on_batch1, partial, objectives = terms["stage2_total"], {}, []
+    for name, (c, stage) in _OBJECTIVES.items():
+        config, core, routing = configs[c], ce if stage == 2 else mixed, terms[name]
+        if routing:
+            key = (stage, config.lang_weight, config.balance_weight)
+            if key not in partial:
+                partial[key] = compose_stage_loss(config, core, {"lang": routing["lang"]})
+            core, routing = partial[key], {"balance": routing["balance"]}
+        objectives.append(compose_stage_loss(config, core, routing))
     return (ce, on_batch1["lang"], on_batch1["balance"],
-            terms["stage2_total_conventional"]["balance"], transition,
-            *(compose_stage_loss(configs[c], ce if stage == 2 else mixed, terms[name])
-              for name, (c, stage) in _OBJECTIVES.items()))
+            terms["stage2_total_conventional"]["balance"], transition, *objectives)
 
 
 def _rel_err(fd: np.ndarray, analytic: np.ndarray) -> float:
@@ -227,13 +236,14 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
     """Worst relative error of each loss over every coordinate of one instance."""
     params = moe.parameters() + decoder.parameters()
     (_, _, t1), (_, _, t2) = batches
+    targets, n1 = np.concatenate([t1, t2]), len(t1)  # the mixed batch's; rows :n1 are batch 1
     with Tape():
         outs, forwards = _rerun(moe, _inputs(moe, batches), 0)
         terms = _routing_terms(forwards, configs)
         logits1, logits2, logits_mix = (decode(decoder, h) for h in outs)
         ce = cross_entropy(logits1, t1)
         losses = _losses(ce, transition_loss(ce, cross_entropy(logits2, t2), lam),
-                         mixed_transition(logits_mix, t1, t2, lam)[0], terms, configs)
+                         mixed_transition(logits_mix, targets, n1, lam)[0], terms, configs)
     analytic = []  # [loss][param]
     for loss in losses:
         for p in params:
@@ -251,7 +261,7 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
         for i, ew in enumerate(layer.expert_weights):
             reach[id(ew)] = (l, i, l < last)
         reach[id(layer.router_weights)] = (l, None, True)
-    n1, mixed = len(t1), forwards[2]  # its rows :n1 and n1: are batch 1 and 2
+    trace1, mixed = forwards[0][1], forwards[2]
     kept = _kept_products(moe, [mixed])
     worst = dict.fromkeys(GRAD_LOSSES, 0.0)
     for j, p in enumerate(params):
@@ -265,10 +275,11 @@ def _instance_errors(moe, decoder, batches, lam, configs, eps: float) -> dict:
                     h, r = outs[2], terms
                 else:
                     (h,), (rerun,) = _rerun(moe, [mixed], _start, _expert, kept)
-                    r = _routing_terms([*_halves(rerun, n1), rerun], configs) if _routes else terms
+                    r = (_routing_terms([_batch1(rerun[1], n1, trace1), rerun], configs)
+                         if _routes else terms)
                 # batch 1's and batch 2's cross-entropies and their blend are
                 # the mixed batch's halves and its transition, bit for bit
-                blend, ce1, _ = mixed_transition(decode(decoder, h), t1, t2, lam)
+                blend, ce1, _ = mixed_transition(decode(decoder, h), targets, n1, lam)
                 return np.array([v.item() for v in _losses(Tensor(ce1), blend, blend, r, configs)])
             finally:
                 _p.value.data[...] = old

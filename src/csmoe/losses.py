@@ -12,11 +12,13 @@ objective carries the model across task transitions:
   intra-group loss over the trace's one-group view.
 * ``transition_loss`` linearly anneals between a source-task and a
   target-task loss over a stage; ``mixed_transition`` is the same blend as
-  one tape node over the logits of a stage 3-4 step.
+  one tape node over the logits of a stage 3-4 step, given the step's
+  targets and its source row count.
 
 The two group-aware losses read the expert groups and the per-token labels
 off the trace: ``RoutingTrace.group_of`` is the projector's layout, the
-trace checks its ``labels`` once, and ``in_group_wins`` (every layer and
+trace's ``layout`` (made once, shared by ``over``) holds its checked labels
+and what depends only on them, and ``in_group_wins`` (every layer and
 group in one pass) is the definition that ``analysis`` shares.
 
 Each of them is one array program over all its cells: (layer, slot) for the
@@ -71,15 +73,15 @@ def language_specific_loss(trace: RoutingTrace) -> Tensor:
     entirely within its own group. The trace's labels must be concrete for
     every token, and S∖i must not be empty (top-k ≥ 2).
     """
-    labels = trace.labels
+    layout = trace.layout
     # slots first, all layers at once: z[a, l, t] is the logit of token t's
     # slot-a expert at layer l, and out[a, l, t] marks it outside t's group;
     # laid out so in memory too, the slot sums add in sequence, as the chain's do
     sel = np.array([layer.selected for layer in trace.layers]).transpose(2, 0, 1).copy()
     k, L, T = sel.shape
-    at = (np.arange(L)[:, None], np.arange(T), sel)
+    at = (layout.layers, layout.tokens, sel)
     z = np.array([layer.logits.data for layer in trace.layers])[at]
-    out = (trace.group_of[sel] != labels).astype(float)
+    out = (trace.group_of[sel] != layout.labels).astype(float)
     # row a < k of sets is S without slot a, row k is S; lse over the slot axis
     sets = np.where((np.arange(k + 1)[:, None] != np.arange(k))[..., None, None], z, -np.inf)
     top = sets.max(axis=1)
@@ -116,11 +118,9 @@ def intra_group_balance_loss(trace: RoutingTrace) -> Tensor:
     carrying in-group mass) contribute nothing. A trace with no cell at all
     scores 0 with no gradient.
     """
-    m, probs = trace.num_groups, trace.probs
-    langs = np.arange(m)[:, None]
+    layout, probs = trace.layout, trace.probs
     # per language: its tokens as a [1 × T] row, and its experts as a [1 × N] row
-    sel = (trace.labels == langs).astype(float)[:, None, :]
-    gmask = (trace.group_of == langs).astype(float)
+    m, sel, gmask = layout.num_groups, layout.rows, layout.columns
     wins = trace.in_group_wins()  # [L × m × n]
     counts = wins.sum(axis=2)
     live = counts > 0  # the (layer, language) cells that score
@@ -174,19 +174,19 @@ def transition_loss(ce_source: Tensor, ce_target: Tensor, lam: float) -> Tensor:
     return add(mul(ce_source, 1.0 - lam), mul(ce_target, lam))
 
 
-def mixed_transition(logits: Tensor, src_targets: np.ndarray, tgt_targets: np.ndarray,
+def mixed_transition(logits: Tensor, targets: np.ndarray, n_source: int,
                      lam: float) -> tuple[Tensor, float, float]:
-    """``(transition, ce_source, ce_target)`` of logits whose first rows are the source batch.
+    """``(transition, ce_source, ce_target)`` of logits whose first ``n_source`` rows are
+    the source batch and the rest the target batch; ``targets`` covers both.
 
     One node over one ``token_nll`` pass: each half's cross-entropy is its
     row slice's mean, blended as ``transition_loss`` blends them, and comes
     back as a float; the backward reuses the forward's softmax.
     """
-    n, n_tgt = len(src_targets), len(tgt_targets)
+    n, n_tgt = n_source, len(targets) - n_source
     for half, rows in (("source", n), ("target", n_tgt)):
-        if not rows:
+        if rows <= 0:
             raise ValueError(f"mixed_transition: the {half} half has no rows")
-    targets = np.concatenate([src_targets, tgt_targets])
     nll, e, s = token_nll(logits.data, targets)
     ce_src, ce_tgt = nll[:n].sum() / n, nll[n:].sum() / n_tgt
 

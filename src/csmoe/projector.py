@@ -10,9 +10,11 @@ through every expert and combines the N products in one ``mix`` node
 weighted by the sparse probabilities. Each layer's record keeps its router
 logits, selection and probabilities. The forward's ``RoutingTrace`` carries
 the projector's expert groups (``group_of``) with the routing records, and
-owns what the group-aware losses and statistics share: the checked labels
-and the one-group view, each made once per trace, and per layer the
-own-group slice and the one-pass in-group winner count.
+owns what the group-aware losses and statistics share: the ``layout`` of
+its checked labels and the one-group view, each made once per trace, and
+per layer the own-group slice and the one-pass in-group winner count.
+``RoutingTrace.over`` gives the same tokens new layer records and shares
+the layouts already made, so a rerun forward builds none.
 The tests hold a single-token reference path (``tests/oracles.py``) that
 routes and mixes one token at a time; the batched forward agrees with it.
 
@@ -165,6 +167,25 @@ class LayerRouting:
         self.probs = probs  # [T × N] Tensor, exact zeros off the selected set
 
 
+class TokenLayout:
+    """What depends only on a trace's labels, expert groups and layer count: ``tokens``
+    and ``layers`` index an [L × T] stack, ``members`` [m × T] marks each language's
+    tokens (``rows``, as [m × 1 × T] floats), ``columns`` [m × N] each group's experts,
+    and ``cells`` [L × T] is each token's first in-group winner cell of an [L × m × n]
+    count."""
+
+    def __init__(self, labels: np.ndarray, group_of: np.ndarray, num_layers: int):
+        self.labels, self.group_of = labels, group_of
+        self.num_groups = int(group_of[-1]) + 1
+        langs = np.arange(self.num_groups)[:, None]
+        self.tokens = np.arange(len(labels))
+        self.members = labels == langs
+        self.rows = self.members.astype(float)[:, None, :]
+        self.columns = (group_of == langs).astype(float)
+        self.layers = np.arange(num_layers)[:, None]
+        self.cells = (self.layers * self.num_groups + labels) * (group_of.size // self.num_groups)
+
+
 class RoutingTrace:
     """Per-layer routing records for a batch of tokens, their expert groups and labels.
 
@@ -172,9 +193,10 @@ class RoutingTrace:
     projector that routed the batch: experts [g·n, (g+1)·n) belong to
     language g. ``token_language[t]`` is the language index of token t, or
     CS_UNLABELED for code-switched (unlabeled) tokens; None if no labels were
-    supplied. The losses and statistics read both from here. ``labels``,
+    supplied. The losses and statistics read both from here. ``layout``,
     ``one_group`` and ``probs`` are made on first read and kept, so the records
-    must not change.
+    must not change; ``over`` gives the same tokens new records and shares
+    what their labels and groups decide.
     """
 
     def __init__(self, layers: list[LayerRouting], group_of: np.ndarray,
@@ -182,6 +204,17 @@ class RoutingTrace:
         self.layers = layers
         self.group_of = group_of
         self.token_language = token_language
+
+    def over(self, layers: list[LayerRouting]) -> "RoutingTrace":
+        """A trace of the same tokens over the layer records ``layers``, sharing the
+        layouts this trace and its one-group view have made for as many layers; the
+        rest is made on first read, as a new trace makes it."""
+        trace = RoutingTrace(layers, self.group_of, self.token_language)
+        for name in ("layout", "_one_group_layout"):
+            made = vars(self).get(name)
+            if made is not None and len(made.layers) == len(layers):
+                setattr(trace, name, made)
+        return trace
 
     @property
     def num_layers(self) -> int:
@@ -196,8 +229,8 @@ class RoutingTrace:
         return int(self.group_of[-1]) + 1
 
     @cached_property
-    def labels(self) -> np.ndarray:
-        """Per-token language labels, refused unless every token has one in range."""
+    def layout(self) -> TokenLayout:
+        """The token layout of the checked labels, refused unless every token has one in range."""
         if self.token_language is None:
             raise ValueError("trace carries no token language labels")
         labels = np.asarray(self.token_language, dtype=np.intp)
@@ -209,14 +242,20 @@ class RoutingTrace:
             )
         if lowest < 0 or labels.max() >= self.num_groups:
             raise ValueError(f"token language labels out of range for {self.num_groups} groups")
-        return labels
+        return TokenLayout(labels, self.group_of, self.num_layers)
+
+    @cached_property
+    def _one_group_layout(self) -> TokenLayout:
+        return TokenLayout(np.zeros(self.num_tokens, np.intp), 0 * self.group_of,
+                           self.num_layers)
 
     @cached_property
     def one_group(self) -> "RoutingTrace":
         """The same layer records with every expert in group 0 and every token labeled 0."""
-        view = RoutingTrace(self.layers, 0 * self.group_of, np.zeros(self.num_tokens, np.intp))
+        layout = self._one_group_layout
+        view = RoutingTrace(self.layers, layout.group_of, layout.labels)
         # the same records, so the same stack; all-zero labels need no check
-        view.probs, view.labels = self.probs, view.token_language
+        view.probs, view.layout = self.probs, layout
         return view
 
     @cached_property
@@ -226,9 +265,11 @@ class RoutingTrace:
 
     def own_group_probs(self) -> np.ndarray:
         """[L × T × n] each token's probabilities over its own group's experts, per layer."""
-        t = self.num_tokens
-        grouped = self.probs.reshape(self.num_layers, t, self.num_groups, -1)  # [L × T × m × n]
-        return grouped[:, np.arange(t), self.labels]
+        layout = self.layout
+        if layout.num_groups == 1:  # one group's slice is the whole stack
+            return self.probs
+        grouped = self.probs.reshape(self.num_layers, self.num_tokens, layout.num_groups, -1)
+        return grouped[:, layout.tokens, layout.labels]  # [L × T × n] of [L × T × m × n]
 
     def in_group_wins(self) -> np.ndarray:
         """[L × m × n] in-group argmax winners of every layer's probabilities, in one pass.
@@ -237,11 +278,10 @@ class RoutingTrace:
         experts holds the largest probability (ties to the lowest index, as
         routing breaks them); tokens without mass in their group are skipped.
         """
-        own = self.own_group_probs()
-        (layers, _, n), m = own.shape, self.num_groups
-        cells = (np.arange(layers)[:, None] * m + self.labels) * n + own.argmax(axis=2)
-        wins = np.bincount(cells[own.sum(axis=2) > 0.0], minlength=layers * m * n)
-        return wins.reshape(layers, m, n).astype(float)
+        own, cells = self.own_group_probs(), self.layout.cells
+        wins = np.bincount((cells + own.argmax(axis=2))[own.sum(axis=2) > 0.0],
+                           minlength=own.shape[0] * self.group_of.size)
+        return wins.reshape(own.shape[0], self.layout.num_groups, -1).astype(float)
 
 
 def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:

@@ -433,8 +433,7 @@ def _run_transition_stage(state: TrainState, source_ds, target_ds,
         n_src = sum(u.length for u in source)
 
         def score(logits):
-            trans, ce_src, ce_tgt = mixed_transition(logits, targets[:n_src],
-                                                     targets[n_src:], lam)
+            trans, ce_src, ce_tgt = mixed_transition(logits, targets, n_src, lam)
             return trans, {"lam": lam, "ce_source": float(ce_src),
                            "ce_target": float(ce_tgt), "transition": trans.item()}
 

@@ -127,7 +127,7 @@ def chain_language_specific_loss(trace) -> Tensor:
     token t's selected set and out_a marks its slot-a expert outside t's
     group; the terms add layer by layer in slot order.
     """
-    labels = trace.labels
+    labels = trace.layout.labels
     total = None
     for layer in trace.layers:
         k = layer.selected.shape[1]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import csmoe.gradcheck as gradcheck
-from csmoe import losses, stages
+from csmoe import losses, projector, stages
 from csmoe.autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient
 from csmoe.gradcheck import GRAD_LOSSES, grad_check_report
 from csmoe.losses import (
@@ -247,6 +247,38 @@ def test_sweep_runs_one_moe_forward_per_perturbation(monkeypatch):
                       "mixed_transition": instances * 352, "token_nll": instances * 352}
 
 
+def test_an_instance_builds_its_token_layouts_once_per_read_trace(monkeypatch):
+    # the taped forward's batch-1 and mixed traces each build their layout
+    # and their one-group layout when the routing terms first read them;
+    # every perturbed trace of the sweep, batch 1's rows included, is made
+    # over one of them and shares both, so the sweep's 153 routing reads
+    # build none
+    builds, where = {"taped": 0, "sweep": 0}, [None]
+
+    class CountedLayout(projector.TokenLayout):
+        def __init__(self, *args):
+            if where[0]:
+                builds[where[0]] += 1
+            super().__init__(*args)
+
+    def within(name, real):
+        def wrapper(*args, **kwargs):
+            outer, where[0] = where[0], name
+            try:
+                return real(*args, **kwargs)
+            finally:
+                where[0] = outer
+        return wrapper
+
+    monkeypatch.setattr(projector, "TokenLayout", CountedLayout)
+    monkeypatch.setattr(gradcheck, "_instance_errors",
+                        within("taped", gradcheck._instance_errors))
+    monkeypatch.setattr(gradcheck, "fd_gradient", within("sweep", gradcheck.fd_gradient))
+    instances = 2
+    grad_check_report(seed=0, instances=instances)
+    assert builds == {"taped": instances * 4, "sweep": 0}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
 def test_batches_are_the_row_halves_of_the_mixed_forward(seed):
     # the sweep runs and screens the mixed forward only and reads batch 1 and
@@ -260,7 +292,8 @@ def test_batches_are_the_row_halves_of_the_mixed_forward(seed):
         n1 = len(batches[0][0])
         (_, mixed_trace), mixed_logits = forwards[2], decode(decoder, outs[2]).data
         (_, _, t1), (_, _, t2) = batches
-        blend, ce_source, ce_target = stages.mixed_transition(Tensor(mixed_logits), t1, t2, lam)
+        blend, ce_source, ce_target = stages.mixed_transition(
+            Tensor(mixed_logits), np.concatenate([t1, t2]), n1, lam)
         ce = cross_entropy(decode(decoder, outs[0]), t1)
         ce2 = cross_entropy(decode(decoder, outs[1]), t2)
         assert ce.item() == ce_source.item(), (seed, candidate)
@@ -377,7 +410,7 @@ def _out_of_group(trace):
     Every token of the 2 x 2 layout gets logits 7 and 5 on the other group's
     experts and 1 and 0 on its own, so no token has in-group mass at any layer.
     """
-    labels = trace.labels
+    labels = trace.layout.labels
     other = 1 - labels
     logits = np.zeros((trace.num_tokens, 4))
     logits[np.arange(trace.num_tokens), 2 * other + 1] = 7.0

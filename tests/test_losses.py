@@ -346,11 +346,12 @@ def test_mixed_transition_equals_its_chain_bit_for_bit(halves, lam):
     # calls on one tape, as grad-check makes them, the same logits gradient,
     # also where a stage objective's weight reaches the node as g != 1
     data, t1, t2 = _mixed_logits(*halves)
-    values, grads = [], []
-    for op in (mixed_transition, chain_mixed_transition):
+    targets, values, grads = np.concatenate([t1, t2]), [], []
+    for op in (lambda z: mixed_transition(z, targets, len(t1), lam),
+               lambda z: chain_mixed_transition(z, t1, t2, lam)):
         z = Tensor(data.copy(), requires_grad=True)
         with Tape():
-            out, ce_src, ce_tgt = op(z, t1, t2, lam)
+            out, ce_src, ce_tgt = op(z)
             weighted = mul(out, 0.75)
         values.append((out.item(), ce_src.item(), ce_tgt.item()))
         grads.append([])
@@ -363,7 +364,7 @@ def test_mixed_transition_equals_its_chain_bit_for_bit(halves, lam):
         assert np.array_equal(fused, chain)
     fused = grads[0]
     assert np.array_equal(fused[0], fused[2]) and np.array_equal(fused[1], fused[3])
-    free, ce_src, ce_tgt = mixed_transition(Tensor(data), t1, t2, lam)
+    free, ce_src, ce_tgt = mixed_transition(Tensor(data), targets, len(t1), lam)
     assert (free.item(), ce_src, ce_tgt) == values[0]
     assert free._tape is None and not free.requires_grad
     assert not isinstance(ce_src, Tensor) and isinstance(ce_src, float)
@@ -373,9 +374,8 @@ def test_mixed_transition_equals_its_chain_bit_for_bit(halves, lam):
 def test_mixed_transition_refuses_an_empty_half(half):
     data, t1, t2 = _mixed_logits(4, 4)
     both = np.concatenate([t1, t2])
-    src, tgt = (both[:0], both) if half == "source" else (both, both[:0])
     with pytest.raises(ValueError, match=f"the {half} half has no rows"):
-        mixed_transition(Tensor(data), src, tgt, 0.5)
+        mixed_transition(Tensor(data), both, 0 if half == "source" else len(both), 0.5)
 
 
 # -------------------------------------------------------- compose_stage_loss
@@ -488,7 +488,7 @@ def test_balance_losses_gradient_through_router(seed):
 
 def chain_intra_group_balance_loss(trace):
     group_of, m = trace.group_of, trace.num_groups
-    labels = trace.labels
+    labels = trace.layout.labels
     total = Tensor(0.0)  # a trace with no cell scores 0
     for l, layer in enumerate(trace.layers):
         wins = trace.in_group_wins()[l]
