@@ -5,13 +5,16 @@ inside its ``with`` block, and ``backward`` replays the records in reverse to
 accumulate gradients into leaf tensors. Outside a tape, the same operations
 run as plain numpy evaluation: they record nothing and pay only for their
 arithmetic and their input checks, and ``backward`` refuses a loss that
-requires grad but that no tape recorded. Everything is 64-bit; there is no
+requires grad but that no tape recorded. Inside ``untaped()`` ops record
+nothing even under a tape, so a fused node can make its forward from these
+ops and record one node of its own. Everything is 64-bit; there is no
 broadcasting beyond scalar operands, so shape mistakes surface as errors.
 """
 
 from __future__ import annotations
 
 import numbers
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +96,17 @@ class Tape:
         return nid
 
 
+@contextmanager
+def untaped():
+    """Run the ops inside without recording them; the active tape comes back on exit."""
+    global _ACTIVE_TAPE
+    outer, _ACTIVE_TAPE = _ACTIVE_TAPE, None
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPE = outer
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     for p in parents:
         if p.requires_grad:
@@ -114,7 +128,11 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``; refuse an untaped loss."""
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``; refuse an untaped loss.
+
+    Gradients are stored as returned and added out of place, so nodes may
+    share one array: a backward closure never writes into the ``g`` it is handed.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
@@ -139,9 +157,9 @@ def backward(loss: Tensor) -> None:
             if pid is None or pg is None:
                 continue
             if pid in grads:
-                grads[pid] += pg
+                grads[pid] = grads[pid] + pg
             else:
-                grads[pid] = np.array(pg)  # own the buffer; views may alias g
+                grads[pid] = pg
 
 
 class Parameter:

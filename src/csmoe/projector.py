@@ -6,11 +6,11 @@ its top-k experts; probabilities are normalized over the selected set only and
 are exactly zero elsewhere. ``moe_forward`` processes whole batches of tokens
 at once through ``moe_layer``, the one MoE layer evaluation: each layer
 applies the ReLU to the previous layer's output, multiplies the batch
-through every expert and combines the N products in one ``mix`` node
-weighted by the sparse probabilities. Each layer's record keeps its router
-logits, selection and probabilities. The forward's ``RoutingTrace`` carries
-the projector's expert groups (``group_of``) with the routing records, and
-owns what the group-aware losses and statistics share: the ``layout`` of
+through every expert and combines the N products by ``mix``, weighted by
+the sparse probabilities, all as one tape node. Each layer's record keeps
+its router logits, selection and probabilities. The forward's
+``RoutingTrace`` carries the projector's expert groups (``group_of``) with
+the routing records, and owns what the group-aware losses and statistics share: the ``layout`` of
 its checked labels and the one-group view, each made once per trace, and
 per layer the own-group slice and the one-pass in-group winner count.
 ``RoutingTrace.over`` gives the same tokens new layer records and shares
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, masked_softmax, matmul, mix, relu
+from .autodiff import Parameter, Tensor, _record, masked_softmax, matmul, mix, relu, untaped
 
 #: Per-token language value marking code-switched (unlabeled) tokens.
 CS_UNLABELED = -1
@@ -296,11 +296,14 @@ def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouti
     """Apply MoE layer ``l`` to the output ``h`` of layer ``l − 1`` (or the features).
 
     Past layer 0 the ReLU applies to the input, so the output is the layer's
-    pre-activation mixture. Every expert multiplies the whole batch, and one
-    ``mix`` node weights the N products by their (possibly exactly zero)
+    pre-activation mixture. Every expert multiplies the whole batch, and
+    ``mix`` weights the N products by their (possibly exactly zero)
     probabilities: exact values, and exactly zero gradients for non-selected
-    experts. The record keeps the router logits. Layer ``l`` reads only ``h``
-    and its own parameters, so a forward can restart here from a kept input.
+    experts. The products and the mix record one tape node over ``h``, the
+    probabilities and the expert weights; its backward closure holds arrays
+    and flags only. The record keeps the router logits. Layer ``l`` reads
+    only ``h`` and its own parameters, so a forward can restart here from a
+    kept input.
     """
     if l > 0:
         h = relu(h)
@@ -310,8 +313,26 @@ def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouti
     mask = np.zeros(logits.shape, dtype=bool)
     mask[np.arange(sel.shape[0])[:, None], sel] = True
     probs = masked_softmax(logits, mask)
-    out = mix(probs, [matmul(h, ew.value) for ew in layer.expert_weights])
-    return out, LayerRouting(logits, sel, probs)
+    weights = [ew.value for ew in layer.expert_weights]
+    with untaped():
+        ys = [matmul(h, w) for w in weights]
+        out = mix(probs, ys)
+    hd, pd, yds, wds = h.data, probs.data, [y.data for y in ys], [w.data for w in weights]
+    need_h = h.requires_grad
+
+    def bw(g):
+        # mix's backward, then each expert matmul's
+        gp = np.empty_like(pd)
+        for i, yd in enumerate(yds):
+            gp[:, i] = (g * yd).sum(axis=1)
+        gys = [g * pd[:, i, None] for i in range(len(yds))]
+        gh = None
+        if need_h:  # the experts from the last down, as the tape visits their nodes
+            for gy, wd in zip(gys[::-1], wds[::-1]):
+                gh = gy @ wd.T if gh is None else gh + gy @ wd.T
+        return (gh, gp, *(hd.T @ gy for gy in gys))
+
+    return _record(out, (h, probs, *weights), bw), LayerRouting(logits, sel, probs)
 
 
 def moe_forward(

@@ -23,7 +23,8 @@ Construction guarantees, all calibrated in units of the noise scale σ:
 
 The toy decoder is a per-position classifier: a learned prompt embedding is
 mean-pooled into a single vector, added to every projected speech position,
-and pushed through a bias-free linear head over the shared target vocabulary.
+and pushed through a bias-free linear head over the shared target vocabulary,
+all recorded as one tape node.
 
 Every size, scale and count passed here comes from a checked
 ``ExperimentConfig``, which decides their ranges; the functions below
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, add, matmul
+from .autodiff import Parameter, Tensor, _record
 from .projector import CS_UNLABELED
 
 __all__ = [
@@ -306,15 +307,23 @@ def decode(decoder: ToyDecoder, h_s: Tensor) -> Tensor:
 
     The prompt embedding is mean-pooled into one summary vector, added to
     every position of ``h_s``, and mapped through the bias-free output head.
+    One tape node; its backward repeats the arithmetic of the head matmul,
+    the add and the two pooling matmuls, so it is bit-identical to that chain.
     """
     d_model = decoder.d_model
     if h_s.data.ndim != 2 or h_s.data.shape[1] != d_model:
         raise ValueError(
             f"decoder expects features of width {d_model}, got shape {h_s.data.shape}"
         )
-    prompt = decoder.prompt_embedding.value
-    prompt_len = prompt.data.shape[0]
-    pool = Tensor(np.full((1, prompt_len), 1.0 / prompt_len))
-    prompt_mean = matmul(pool, prompt)  # [1 × d_model]
-    tiled = matmul(Tensor(np.ones((h_s.data.shape[0], 1))), prompt_mean)
-    return matmul(add(h_s, tiled), decoder.output_head.value)
+    prompt, head = decoder.prompt_embedding.value, decoder.output_head.value
+    pd, wd = prompt.data, head.data
+    pool = np.full((1, pd.shape[0]), 1.0 / pd.shape[0])
+    x = h_s.data + pool @ pd  # the [1 × d_model] prompt mean added to every row
+
+    def bw(g):
+        # the head matmul's backward, the add's, then the two pooling matmuls'
+        # (the tiling as a ones matmul, whose column sums BLAS rounds its own way)
+        gx = g @ wd.T
+        return (gx, pool.T @ (np.ones((len(g), 1)).T @ gx), x.T @ g)
+
+    return _record(Tensor(x @ wd), (h_s, prompt, head), bw)

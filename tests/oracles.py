@@ -3,7 +3,8 @@
 No command runs these, so they live with the tests: the op-by-op tape
 chain behind the fused language loss and the tape ops that it and the
 balance chains are built from, the row-take and cross-entropy chain behind
-the fused mixed transition, the subset softmax of a single logit
+the fused mixed transition, the expert matmuls and ``mix`` behind a MoE
+layer's mixture node and the four ops behind the decode node, the subset softmax of a single logit
 vector, the single-token routing and mixture path that the batched MoE
 forward must agree with, a routing trace built from explicit
 probabilities, the plain block loop behind the silhouette's distance
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from csmoe.analysis import _BLOCK
-from csmoe.autodiff import Tensor, _binary, _coerce, _record, add, masked_softmax, mul, token_nll
+from csmoe.autodiff import (Tensor, _binary, _coerce, _record, add, masked_softmax, matmul, mix,
+                            mul, token_nll)
 from csmoe.losses import transition_loss
 from csmoe.projector import LayerRouting, RoutingTrace, _topk_rows
 from csmoe.world import LanguageSpec, World
@@ -94,6 +96,22 @@ def chain_mixed_transition(logits, src_targets, tgt_targets, lam: float):
     ce_tgt = recompute_cross_entropy(take(logits, np.arange(n_src, logits.shape[0])),
                                      tgt_targets)
     return transition_loss(ce_src, ce_tgt, lam), ce_src, ce_tgt
+
+
+def chain_expert_mixture(h, probs, weights) -> Tensor:
+    """A MoE layer's mixture as a tape chain: one taped ``matmul`` per expert
+    weight, then one taped ``mix`` of the products by ``probs``."""
+    return mix(probs, [matmul(h, w) for w in weights])
+
+
+def chain_decode(decoder, h_s) -> Tensor:
+    """``world.decode`` as its four taped ops: the prompt mean-pooled by one matmul,
+    tiled over the rows by a ones matmul, added to ``h_s`` and mapped through the head."""
+    prompt = decoder.prompt_embedding.value
+    prompt_len = prompt.data.shape[0]
+    pool = Tensor(np.full((1, prompt_len), 1.0 / prompt_len))
+    tiled = matmul(Tensor(np.ones((h_s.data.shape[0], 1))), matmul(pool, prompt))
+    return matmul(add(h_s, tiled), decoder.output_head.value)
 
 
 def slot_logits(z, selected) -> Tensor:

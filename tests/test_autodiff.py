@@ -30,6 +30,7 @@ from csmoe.autodiff import (
     mul,
     relu,
     token_nll,
+    untaped,
 )
 from oracles import log, recompute_cross_entropy, softmax, sub, take, tsum
 
@@ -544,6 +545,20 @@ def test_no_tape_means_plain_evaluation():
     out = relu(add(Tensor([1.0, -1.0]), 1.0))
     assert_allclose(out.data, [2.0, 0.0])
     assert out.node_id is None
+
+
+def test_untaped_ops_record_nothing_and_the_tape_comes_back_after_an_error_too():
+    w = Parameter("w", Tensor([[1.0, -2.0]]))
+    with Tape() as tape:
+        with untaped():
+            inner = relu(w.value)
+        assert tape.nodes == [] and inner.node_id is None and inner.requires_grad
+        with pytest.raises(ValueError, match="matmul"):
+            with untaped():
+                matmul(w.value, w.value)
+        backward(tsum(relu(w.value)))
+    assert len(tape.nodes) == 3  # the leaf, relu and tsum, recorded after both blocks
+    assert_allclose(w.grad, [[1.0, 0.0]])
 
 
 def test_forward_values_finite_on_finite_inputs():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import csmoe.cli
-from csmoe import losses, stages
+from csmoe import autodiff, losses, projector, stages, world
 from csmoe.autodiff import Tape, Tensor, _Node, cross_entropy, mul
 from csmoe.cli import main
 from csmoe.config import (ROUTING_LOSS_VARIANTS, VARIANTS, ExperimentConfig, StageSettings,
@@ -410,14 +410,15 @@ def test_run_ablation_equals_its_parts_and_hooks_in_seed_variant_stage_order():
 
 
 @pytest.mark.parametrize("variant,expected", [
-    ("full", (10, 39, 39, 34)),
-    ("no-aux-losses", (10, 34, 34, 34)),
-    ("conventional-balance", (10, 39, 39, 34)),
-    ("no-moe", (10, 10, 10, 10)),
+    ("full", (7, 18, 18, 13)),
+    ("no-aux-losses", (7, 13, 13, 13)),
+    ("conventional-balance", (7, 18, 18, 13)),
+    ("no-moe", (7, 7, 7, 7)),
 ])
 def test_default_config_op_nodes_per_step(monkeypatch, variant, expected):
-    # Each routing loss is one tape node: stages 2-3 add lang, balance, the
-    # balance weight and two adds to the 34 nodes of no-aux-losses. A
+    # A MoE layer's expert products and their mix are one tape node, and so
+    # is the decoder. Each routing loss is one tape node: stages 2-3 add lang,
+    # balance, the balance weight and two adds to the 13 nodes of no-aux-losses. A
     # transition step scores the mixed batch by one fused node, as many as
     # the cross-entropy of a step that scores one batch.
     budget = StageSettings(2, 8, 3e-3)
@@ -471,23 +472,71 @@ def test_infinite_loss_raises_naming_stage_step_and_component(
     assert str(caught.value) == f"stage {stage} step 1: {component} is inf"
 
 
-def test_stage2_steps_leave_no_tape_for_the_cyclic_collector(setup):
-    # Leaves carry no tape and op nodes no tensor, so every step's tape is
-    # freed by refcount: with the collector off, none outlives the stage.
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_each_stage_leaves_no_tape_for_the_cyclic_collector(setup, stage):
+    # Leaves carry no tape, op nodes no tensor and backward closures no tensor
+    # either, so every step's tape is freed by refcount: with the collector
+    # off, none outlives the stage.
     _, _, bundle = setup
-    config = tiny_config(stage1=budget(2), stage2=budget(3))
-    stage1 = run_stage1(bundle.asr_train, config)
+    config = tiny_config(stage1=budget(2), stage2=budget(3), stage3=budget(3),
+                         stage4=budget(3))
+    earlier = []
+    if stage > 1:
+        run_pipeline(config, bundle, stages=range(1, stage),
+                     after_stage=lambda s, model, rows: earlier.append(model))
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, (Tape, _Node))}
     gc.disable()
     try:
-        state = run_stage2(stage1, bundle.asr_train, config)
+        result = run_pipeline(config, bundle, stages=(stage,),
+                              initial=earlier[-1] if earlier else None)
         left = [o for o in gc.get_objects()
                 if isinstance(o, (Tape, _Node)) and id(o) not in before]
     finally:
         gc.enable()
-    assert len(state.metrics) == 2 * 2 + 3  # stage 1's rows, then stage 2's
+    steps = 2 * 2 if stage == 1 else 3  # stage 1 trains each of the two languages
+    assert len(result.metrics) == steps
     assert left == []
+
+
+def test_no_backward_closure_writes_into_the_gradient_it_is_handed(monkeypatch):
+    # backward stores gradients as the closures return them and shares one
+    # array between nodes, so a closure that wrote into its g would change
+    # another node's gradient. One default-config step of each stage, with
+    # every closure handed a read-only g, gives the leaf gradients of an
+    # unguarded run bit for bit.
+    one = StageSettings(1, 8, 3e-3)
+    config = replace(ExperimentConfig(), train_utterances=8, val_utterances=2,
+                     stage1=one, stage2=one, stage3=one, stage4=one)
+    _, bundle = generate_datasets(config)
+    real_backward, real_record = stages.backward, autodiff._record
+
+    def run():
+        grads = []
+
+        def recording_backward(loss):
+            real_backward(loss)
+            grads.append([n.tensor.grad.tobytes() for n in loss._tape.nodes
+                          if n.backward is None])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stages, "backward", recording_backward)
+            run_pipeline(config, bundle)
+        return grads
+
+    def read_only(out, parents, backward_fn):
+        def guarded(g):
+            g.flags.writeable = False
+            return backward_fn(g)
+
+        return real_record(out, parents, guarded)
+
+    unguarded = run()
+    for module in (autodiff, losses, projector, world):
+        monkeypatch.setattr(module, "_record", read_only)
+    guarded = run()
+    assert len(guarded) == 2 + 1 + 1 + 1  # stage 1 steps each of its two languages
+    assert guarded == unguarded
 
 
 # ----------------------------------------------------- datasets and evaluation
