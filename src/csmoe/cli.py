@@ -173,9 +173,10 @@ def cmd_train(args) -> int:
     out = _out_dir(config)
     bundle = _load_bundle(out, config)
 
+    metrics = out / "metrics.jsonl"
     initial = None
     if args.resume is not None:
-        initial = load_checkpoint(args.resume, config)
+        initial = load_checkpoint(args.resume, config, metrics)
         if initial.stage == 4:
             raise ValueError(f"checkpoint {args.resume} is already at stage 4, "
                              f"so no stage is left to run")
@@ -192,15 +193,15 @@ def cmd_train(args) -> int:
                      "val_mono_ce": evaluate_dataset(state, bundle.st_val)["ce"],
                      "val_cs_ce": evaluate_dataset(state, bundle.cs_val)["ce"]}
             rows.append({"stage": stage, "probe": probe})
-        save_checkpoint(out / "checkpoints" / f"stage{stage}", config, state)
-        # streamed after the checkpoint, so a run that fails late keeps both;
-        # they replace the rows of this stage and later an earlier run left
-        append_metrics(out / "metrics.jsonl", stage, rows)
+        # the rows replace those of this stage and later an earlier run left;
+        # the checkpoint after them records their digest, which a resume checks
+        append_metrics(metrics, stage, rows)
+        save_checkpoint(out / "checkpoints" / f"stage{stage}", config, state, metrics)
 
     run_pipeline(config, bundle, stages=stages, initial=initial, after_stage=after_stage)
     write_json(out / "config.json", config_to_dict(config))
     print(f"ran stages {','.join(str(s) for s in stages)} "
-          f"(variant {config.variant}); metrics in {out / 'metrics.jsonl'}")
+          f"(variant {config.variant}); metrics in {metrics}")
     return 0
 
 

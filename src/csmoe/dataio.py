@@ -214,12 +214,22 @@ def load_dataset(path) -> tuple:
 # ------------------------------------------------------------------ metrics
 
 
+def _lines_before(path: Path, stage: int) -> list[str]:
+    """A metrics file's lines of the stages before ``stage``, as written; none if it is missing."""
+    lines = path.read_text().splitlines(keepends=True) if path.exists() else []
+    try:
+        return [line for line in lines if json.loads(line)["stage"] < stage]
+    except (ValueError, TypeError, KeyError):
+        raise ValueError(f"metrics file {path} holds a line that is not a metrics row") from None
+
+
 def append_metrics(path, stage: int, rows: Iterable[Mapping]) -> None:
     """Replace a metrics file's rows of stage ``stage`` and later with ``rows``, in one write."""
     path = Path(path)
-    lines = path.read_text().splitlines(keepends=True) if path.exists() else []
-    try:
-        kept = [line for line in lines if json.loads(line)["stage"] < stage]
-    except (ValueError, TypeError, KeyError):
-        raise ValueError(f"metrics file {path} holds a line that is not a metrics row") from None
-    _write_atomically(path, "".join(kept + [_dump_line(row) + "\n" for row in rows]).encode())
+    kept = _lines_before(path, stage) + [_dump_line(row) + "\n" for row in rows]
+    _write_atomically(path, "".join(kept).encode())
+
+
+def metrics_sha256(path, stage: int) -> str:
+    """The sha256 hex digest of a metrics file's lines of stage ``stage`` and earlier."""
+    return hashlib.sha256("".join(_lines_before(Path(path), stage + 1)).encode()).hexdigest()

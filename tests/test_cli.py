@@ -199,6 +199,38 @@ def test_train_resume_refuses_other_config(tmp_path, cfg_path, capsys):
     assert "train_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["kill-window", "deleted", "none"])
+def test_train_resume_refuses_metrics_that_do_not_match_its_checkpoint(
+        tmp_path, cfg_path, stage2_dir, monkeypatch, damage, capsys):
+    # "kill-window" is what a kill between the stage-2 rows and the stage-2
+    # checkpoint would leave if the checkpoint were written first: no stage-2 row
+    run = tmp_path / "run"
+    shutil.copytree(stage2_dir, run)
+    metrics, checkpoint = run / "metrics.jsonl", run / "checkpoints" / "stage2"
+    if damage == "kill-window":
+        rows = metrics.read_text().splitlines(keepends=True)
+        metrics.write_text("".join(r for r in rows if json.loads(r)["stage"] < 2))
+    elif damage == "deleted":
+        metrics.unlink()
+    before = _tree_bytes(run)
+    trained, real_pipeline = [], csmoe.cli.run_pipeline
+
+    def run_pipeline(*args, **kw):
+        trained.append(kw["stages"])
+        return real_pipeline(*args, **kw)
+
+    monkeypatch.setattr(csmoe.cli, "run_pipeline", run_pipeline)
+    capsys.readouterr()
+    code = main(["train", "--config", cfg_path, "--out", str(run), "--resume", str(checkpoint)])
+    if damage == "none":  # a resume into the directory that wrote the checkpoint
+        assert (code, trained) == (0, [(3, 4)])
+        return
+    assert (code, trained) == (2, [])
+    err = capsys.readouterr().err
+    assert str(metrics) in err and str(checkpoint) in err
+    assert _tree_bytes(run) == before
+
+
 @pytest.mark.parametrize("stages", [None, "4"])
 def test_train_resume_past_the_last_stage_names_it(tmp_path, cfg_path, trained_dir,
                                                     stages, capsys):

@@ -360,8 +360,8 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
         expected += rows + [{"stage": stage, "appended": True}]
     assert result.metrics == expected
 
-    # under train, a stage's checkpoint is written before its rows are
-    # streamed, so a stage-3 failure keeps the rows and checkpoints of 1-2
+    # under train, a stage's rows are streamed before its checkpoint, which
+    # records their digest; a stage-3 failure keeps the rows and checkpoints of 1-2
     short = tiny_config(stage1=budget(2), stage2=budget(2), stage3=budget(2), stage4=budget(2))
     cfg_path, out = tmp_path / "config.json", tmp_path / "run"
     cfg_path.write_text(json.dumps(config_to_dict(short)))
@@ -378,7 +378,7 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     monkeypatch.setattr(stages, "mixed_transition", lambda *a: _inf(real_transition(*a)))
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 3
     assert [(stage, set(row_stages), saved) for stage, row_stages, saved in streamed] == [
-        (1, {1}, True), (2, {2}, True)]
+        (1, {1}, False), (2, {2}, False)]
     assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["stage1", "stage2"]
     lines = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
     assert [r["stage"] for r in lines] == [s for _, row_stages, _ in streamed for s in row_stages]
