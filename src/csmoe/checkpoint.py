@@ -2,11 +2,9 @@
 
 A checkpoint directory holds one file, ``checkpoint.bin``, of kind
 ``checkpoint``. Its header records ``stage``, ``config`` (cosmetic fields
-dropped), ``config_hash``, ``metrics_sha256`` (the digest of the run's
-metrics rows up to its stage, or null) and the name and shape of every
-parameter; its body is their float64 values in ``TrainState.parameters()``
-order. Given the metrics file, loading refuses one whose rows up to the
-stage are missing or differ from those the checkpoint was saved after.
+dropped), ``config_hash``, ``metrics_sha256`` (of the run's metrics rows up
+to its stage, or null) and the name and shape of every parameter; its body
+is their float64 values in ``TrainState.parameters()`` order.
 
 The config and the stage determine the parameter layout: loading starts from
 ``stages.blank_state(config, stage)`` and copies each array into it. Loading

@@ -45,6 +45,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "append_metrics",
+    "metrics_sha256",
     "write_json",
     "read_json_object",
 ]

@@ -10,9 +10,10 @@ through every expert and combines the N products by ``mix``, weighted by
 the sparse probabilities, all as one tape node. Each layer's record keeps
 its router logits, selection and probabilities. The forward's
 ``RoutingTrace`` carries the projector's expert groups (``group_of``) with
-the routing records, and owns what the group-aware losses and statistics share: the ``layout`` of
-its checked labels and the one-group view, each made once per trace, and
-per layer the own-group slice and the one-pass in-group winner count.
+the routing records, and owns what the group-aware losses and statistics
+share: the ``layout`` of its checked labels and the one-group view, each
+made once per trace, and per layer the own-group slice and the one-pass
+in-group winner count.
 ``RoutingTrace.over`` gives the same tokens new layer records and shares
 the layouts already made, so a rerun forward builds none.
 The tests hold a single-token reference path (``tests/oracles.py``) that
