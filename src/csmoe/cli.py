@@ -1,7 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: ``gen-data`` (write the synthetic world and every dataset
-split), ``train`` (run training stages with checkpoints and metrics),
+split), ``train`` (run the training stages with checkpoints and metrics: from
+the stage after ``--resume``'s checkpoint, or stage 1 without one, through
+``--last``),
 ``eval`` (score a checkpoint on the CS / Mono / Both validation splits),
 ``grad-check`` (finite-difference audit of every loss), ``ablate`` (variant
 comparison table over seeds), and ``routing-report`` (routing and
@@ -104,9 +106,8 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
-    """The gen-data splits under ``out``, refused unless drawn from ``config``'s data fields,
-    unless each utterance has the task and language of the split it is pooled as, and
-    unless each code-switch segment's language is one of the config's languages."""
+    """The gen-data splits under ``out``, refused unless drawn from ``config``'s data fields
+    and unless each split passes ``_split_problem``."""
     entries = split_table(config)
     missing = [e.filename for e in entries if not (out / e.filename).exists()]
     if not (out / "config.json").exists():
@@ -125,47 +126,37 @@ def _load_bundle(out: Path, config: ExperimentConfig) -> DatasetBundle:
         )
     splits = [(e, load_dataset(out / e.filename)) for e in entries]
     for entry, utts in splits:
-        want = (entry.task, CS_UNLABELED if entry.language is None else entry.language)
-        bad = [(i, u.task, u.language) for i, u in enumerate(utts) if (u.task, u.language) != want]
-        if bad:
-            raise ValueError(f"dataset {out / entry.filename} utterance {bad[0][0]} has task and "
-                             f"language {bad[0][1:]}, not the split's {want}; "
-                             f"run gen-data to rewrite it")
-        bad = [(i, s.language) for i, u in enumerate(utts) for s in u.segments or ()
-               if not 0 <= s.language < config.num_languages]
-        if bad:
-            raise ValueError(f"dataset {out / entry.filename} utterance {bad[0][0]} has a segment "
-                             f"of language {bad[0][1]}, not one of the config's "
-                             f"{config.num_languages} languages; run gen-data to rewrite it")
+        problem = _split_problem(entry, utts, config)
+        if problem:
+            raise ValueError(f"dataset {out / entry.filename} {problem}; run gen-data to rewrite it")
     return DatasetBundle.from_splits(splits)
+
+
+def _split_problem(entry, utts, config: ExperimentConfig):
+    """What keeps ``utts`` from being ``entry``'s split under ``config``, or None."""
+    want = (entry.task, CS_UNLABELED if entry.language is None else entry.language)
+    bad = [(i, u.task, u.language) for i, u in enumerate(utts) if (u.task, u.language) != want]
+    if bad:
+        return f"utterance {bad[0][0]} has task and language {bad[0][1:]}, not the split's {want}"
+    bad = [(i, s.language) for i, u in enumerate(utts) for s in u.segments or ()
+           if not 0 <= s.language < config.num_languages]
+    if bad:
+        return (f"utterance {bad[0][0]} has a segment of language {bad[0][1]}, not one of the "
+                f"config's {config.num_languages} languages")
+    if not utts:
+        return "holds no utterance"
+    width, targets = utts[0].features.shape[1], np.concatenate([u.targets for u in utts])
+    if width != config.d_in:
+        return f"holds features of width {width}, not the config's d_in {config.d_in}"
+    if targets.min() < 0 or targets.max() >= config.target_vocab_size:
+        return (f"holds target ids in [{targets.min()}, {targets.max()}], outside the config's "
+                f"vocabulary [0, {config.target_vocab_size})")
+    return None
 
 
 def _probe_set(bundle: DatasetBundle) -> tuple:
     """The fixed routing probe: the first validation utterances of each split."""
     return tuple(bundle.st_val[:_PROBE_UTTERANCES]) + tuple(bundle.cs_val[:_PROBE_UTTERANCES])
-
-
-def _parse_stages(text: str) -> tuple:
-    if not text.strip():
-        raise ValueError(f"--stages {text!r} names no stage")
-    stages = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                span = range(int(lo), int(hi) + 1)
-            except ValueError:
-                span = ()
-            if not span:  # not two numbers, or a descending range
-                raise ValueError(f"bad stage range {part!r}")
-            stages.extend(span)
-        else:
-            try:
-                stages.append(int(part))
-            except ValueError:
-                raise ValueError(f"bad stage number {part!r}")
-    return tuple(stages)
 
 
 def cmd_train(args) -> int:
@@ -174,16 +165,7 @@ def cmd_train(args) -> int:
     bundle = _load_bundle(out, config)
 
     metrics = out / "metrics.jsonl"
-    initial = None
-    if args.resume is not None:
-        initial = load_checkpoint(args.resume, config, metrics)
-        if initial.stage == 4:
-            raise ValueError(f"checkpoint {args.resume} is already at stage 4, "
-                             f"so no stage is left to run")
-        default_stages = tuple(range(initial.stage + 1, 5))
-    else:
-        default_stages = (1, 2, 3, 4)
-    stages = _parse_stages(args.stages) if args.stages is not None else default_stages
+    initial = None if args.resume is None else load_checkpoint(args.resume, config, metrics)
 
     probe_set = _probe_set(bundle)
 
@@ -198,10 +180,9 @@ def cmd_train(args) -> int:
         append_metrics(metrics, stage, rows)
         save_checkpoint(out / "checkpoints" / f"stage{stage}", config, state, metrics)
 
-    run_pipeline(config, bundle, stages=stages, initial=initial, after_stage=after_stage)
+    run_pipeline(config, bundle, initial=initial, last=args.last, after_stage=after_stage)
     write_json(out / "config.json", config_to_dict(config))
-    print(f"ran stages {','.join(str(s) for s in stages)} "
-          f"(variant {config.variant}); metrics in {metrics}")
+    print(f"trained through stage {args.last} (variant {config.variant}); metrics in {metrics}")
     return 0
 
 
@@ -357,7 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run training stages on generated datasets")
     common(p)
-    p.add_argument("--stages", help="stage subset, e.g. '1,2' or '3-4' (default: all remaining)")
+    p.add_argument("--last", type=int, default=4,
+                   help="last stage to run (default 4); the first is the one after --resume's "
+                        "checkpoint, or stage 1 without one")
     p.add_argument("--resume", help="checkpoint directory to resume from")
     p.set_defaults(func=cmd_train)
 

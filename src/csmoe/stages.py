@@ -475,42 +475,24 @@ class PipelineResult:
     metrics: list
 
 
-def _validate_stages(stages, initial):
-    stages = tuple(stages) if stages is not None else (1, 2, 3, 4)
-    if not stages or any(s not in (1, 2, 3, 4) for s in stages):
-        raise ValueError(f"stages must be drawn from 1..4, got {stages}")
-    if len(set(stages)) != len(stages) or list(stages) != sorted(stages):
-        raise ValueError(f"stages must be strictly increasing, got {stages}")
-    if any(b - a != 1 for a, b in zip(stages, stages[1:])):
-        raise ValueError(f"stages must be contiguous, got {stages}")
-    if stages[0] == 1 and initial is not None:
-        raise ValueError("starting from stage 1 admits no initial state")
-    if stages[0] > 1 and initial is None:
-        raise ValueError(f"starting at stage {stages[0]} requires the "
-                         f"stage-{stages[0] - 1} state to resume from")
-    if initial is not None and initial.stage != stages[0] - 1:
-        raise ValueError(f"initial state is at stage {initial.stage}; "
-                         f"cannot resume at stage {stages[0]}")
-    return stages
-
-
 def run_pipeline(
     config: ExperimentConfig,
     bundle: DatasetBundle,
     *,
-    stages=None,
     initial=None,
+    last: int = 4,
     after_stage: Optional[Callable] = None,
 ) -> PipelineResult:
-    """Run the staged curriculum for the config's variant.
+    """Run the staged curriculum for the config's variant, from the stage after
+    ``initial`` (a resumed TrainState; stage 1 without one) through ``last``.
 
-    ``stages`` selects a contiguous run of 1..4 (default all); starting past
-    stage 1 requires ``initial``, the previous stage's TrainState. After each
-    stage, ``after_stage(stage, state, rows)`` receives the state and a list
-    of the stage's step rows; rows it appends (a probe, say) join the run's
-    metrics after that stage's steps, and it may persist the state or stream
-    the rows. The result holds the last stage's state and every row of this
-    run, appended ones included.
+    A ``last`` outside that first stage..4, and an ``initial`` already at
+    stage 4, are refused before any stage runs. After each stage,
+    ``after_stage(stage, state, rows)`` receives the state and a list of the
+    stage's step rows; rows it appends (a probe, say) join the run's metrics
+    after that stage's steps, and it may persist the state or stream the
+    rows. The result holds the last stage's state and every row of this run,
+    appended ones included.
 
     Variants: ``no-moe`` keeps one shared MLP throughout — ``run_stage1`` and
     ``run_stage2`` never build the mixture and spend the same batch budget
@@ -520,10 +502,14 @@ def run_pipeline(
     ``conventional-balance`` swaps the within-group balance penalty for the
     group-agnostic one.
     """
-    stages = _validate_stages(stages, initial)
+    first = 1 if initial is None else initial.stage + 1
+    if first > 4:
+        raise ValueError("the initial state is already at stage 4, so no stage is left to run")
+    if not first <= last <= 4:
+        raise ValueError(f"last stage {last} is outside {first}..4, the stages left to run")
     state = initial
     metrics: list = []
-    for stage in stages:
+    for stage in range(first, last + 1):
         done = len(state.metrics) if state is not None else 0
         if stage == 1:
             state = run_stage1(bundle.asr_train, config)

@@ -118,16 +118,21 @@ def test_train_refuses_datasets_drawn_from_other_data_fields(tmp_path, cfg_path,
     assert "config.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, message", [("", "--stages '' names no stage"),
-                                           ("4-3", "bad stage range '4-3'")],
-                         ids=["empty", "descending"])
-def test_train_refuses_empty_stages_flag(tmp_path, cfg_path, capsys, flag, message):
-    out = tmp_path / "out"
-    assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+@pytest.mark.parametrize("resume, last, message", [
+    (False, "0", "last stage 0 is outside 1..4"),
+    (False, "5", "last stage 5 is outside 1..4"),
+    (True, "2", "last stage 2 is outside 3..4"),
+], ids=["zero", "past-stage-4", "the-resumed-stage"])
+def test_train_refuses_a_last_stage_outside_the_stages_left(tmp_path, cfg_path, stage2_dir,
+                                                            resume, last, message, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(stage2_dir, run)
+    before = _tree_bytes(run)
+    argv = ["train", "--config", cfg_path, "--out", str(run), "--last", last]
     capsys.readouterr()
-    assert main(["train", "--config", cfg_path, "--out", str(out), "--stages", flag]) == 2
+    assert main(argv + (["--resume", str(run / "checkpoints" / "stage2")] if resume else [])) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "checkpoints").exists() and not (out / "metrics.jsonl").exists()
+    assert _tree_bytes(run) == before
 
 
 def test_train_full_run(tmp_path, cfg_path):
@@ -159,8 +164,8 @@ def test_train_split_and_resume_matches_full_run(tmp_path, after, variant):
         main(["gen-data", "--config", str(cfg), "--out", str(out)])
     train = ["train", "--config", str(cfg), "--out"]
     assert main([*train, str(full)]) == 0
-    assert main([*train, str(split), "--stages", f"1-{after}"]) == 0
-    assert main([*train, str(split), "--stages", f"{after + 1}-4",
+    assert main([*train, str(split), "--last", str(after)]) == 0
+    assert main([*train, str(split),
                  "--resume", str(split / "checkpoints" / f"stage{after}")]) == 0
     assert (full / "metrics.jsonl").read_bytes() == (split / "metrics.jsonl").read_bytes()
     fa = _tree_bytes(full / "checkpoints" / "stage4")
@@ -178,7 +183,7 @@ def test_train_again_replaces_the_rows_of_the_stages_it_runs(tmp_path, cfg_path)
     assert main([*train, str(once)]) == 0
     for _ in range(2):
         assert main([*train, str(again)]) == 0
-    assert main([*train, str(resumed), "--stages", "1-2"]) == 0
+    assert main([*train, str(resumed), "--last", "2"]) == 0
     for _ in range(2):
         assert main([*train, str(resumed), "--resume",
                      str(resumed / "checkpoints" / "stage2")]) == 0
@@ -190,10 +195,10 @@ def test_train_again_replaces_the_rows_of_the_stages_it_runs(tmp_path, cfg_path)
 def test_train_resume_refuses_other_config(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     main(["gen-data", "--config", cfg_path, "--out", str(out)])
-    main(["train", "--config", cfg_path, "--out", str(out), "--stages", "1,2"])
+    main(["train", "--config", cfg_path, "--out", str(out), "--last", "2"])
     seeded = tmp_path / "seeded.json"
     seeded.write_text(json.dumps({**TINY, "train_seed": 7}))
-    rc = main(["train", "--config", str(seeded), "--out", str(out), "--stages", "3-4",
+    rc = main(["train", "--config", str(seeded), "--out", str(out),
                "--resume", str(out / "checkpoints" / "stage2")])
     assert rc == 2
     assert "train_seed" in capsys.readouterr().err
@@ -216,14 +221,14 @@ def test_train_resume_refuses_metrics_that_do_not_match_its_checkpoint(
     trained, real_pipeline = [], csmoe.cli.run_pipeline
 
     def run_pipeline(*args, **kw):
-        trained.append(kw["stages"])
+        trained.append((kw["initial"].stage, kw["last"]))
         return real_pipeline(*args, **kw)
 
     monkeypatch.setattr(csmoe.cli, "run_pipeline", run_pipeline)
     capsys.readouterr()
     code = main(["train", "--config", cfg_path, "--out", str(run), "--resume", str(checkpoint)])
     if damage == "none":  # a resume into the directory that wrote the checkpoint
-        assert (code, trained) == (0, [(3, 4)])
+        assert (code, trained) == (0, [(2, 4)])
         return
     assert (code, trained) == (2, [])
     err = capsys.readouterr().err
@@ -231,14 +236,14 @@ def test_train_resume_refuses_metrics_that_do_not_match_its_checkpoint(
     assert _tree_bytes(run) == before
 
 
-@pytest.mark.parametrize("stages", [None, "4"])
+@pytest.mark.parametrize("last", [None, "4"])
 def test_train_resume_past_the_last_stage_names_it(tmp_path, cfg_path, trained_dir,
-                                                    stages, capsys):
+                                                    last, capsys):
     before = _tree_bytes(trained_dir)
     argv = ["train", "--config", cfg_path, "--out", str(trained_dir),
             "--resume", str(trained_dir / "checkpoints" / "stage4")]
     capsys.readouterr()
-    assert main(argv + (["--stages", stages] if stages else [])) == 2
+    assert main(argv + (["--last", last] if last else [])) == 2
     assert "already at stage 4, so no stage is left to run" in capsys.readouterr().err
     assert _tree_bytes(trained_dir) == before
 
@@ -385,6 +390,13 @@ def _segment_language_out_of_range(raw: bytes, path: Path) -> bytes:
     return json.dumps(header).encode() + b"\n" + body
 
 
+def _no_utterances(raw: bytes, path: Path) -> bytes:
+    # a well-formed split that lists no utterance and holds no feature
+    header = json.loads(raw.partition(b"\n")[0])
+    header["utterances"], header["arrays"][0][1][0] = [], 0
+    return json.dumps(header).encode() + b"\n"
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw, path: raw[:-8],
     lambda raw, path: raw + bytes(8),
@@ -395,9 +407,10 @@ def _segment_language_out_of_range(raw: bytes, path: Path) -> bytes:
     _first_utterance_emptied,
     _first_utterance_labelled_language_0,
     _segment_language_out_of_range,
+    _no_utterances,
 ], ids=["truncated-body", "trailing-bytes", "header-token-count", "header-not-json",
         "old-jsonl", "tokens-moved", "zero-token-utterance", "label-not-the-entrys",
-        "segment-language-out-of-range"])
+        "segment-language-out-of-range", "no-utterances"])
 def test_train_refuses_damaged_dataset_by_name(tmp_path, cfg_path, damage, capsys):
     # resealed, so each damage passes the digest and reaches its own check
     out = tmp_path / "out"
@@ -422,6 +435,27 @@ def test_train_refuses_a_non_finite_feature_by_name(tmp_path, cfg_path, capsys):
     err = capsys.readouterr().err
     assert str(path) in err and "non-finite" in err
     assert not (out / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("filename, other, message", [
+    ("cs.train.bin", {"d_in": TINY["d_in"] + 2}, "features of width 10, not the config's d_in 8"),
+    ("st_lang0.train.bin", {"vocab_per_lang": 4 * TINY["vocab_per_lang"]},
+     "outside the config's vocabulary [0, 24)"),
+], ids=["feature-width", "target-ids"])
+def test_train_refuses_a_split_of_another_geometry_by_name(tmp_path, cfg_path, filename, other,
+                                                           message, capsys):
+    # a well-formed split copied from a run with other data fields
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    other_cfg = tmp_path / "other.json"
+    other_cfg.write_text(json.dumps({**TINY, **other}))
+    assert main(["gen-data", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["gen-data", "--config", str(other_cfg), "--out", str(elsewhere)]) == 0
+    shutil.copyfile(elsewhere / filename, out / filename)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / filename) in err and message in err
+    assert not (out / "checkpoints").exists() and not (out / "metrics.jsonl").exists()
 
 
 def test_disk_round_trip_is_invisible_to_training(tmp_path, cfg_path, monkeypatch):
@@ -495,7 +529,7 @@ def stage2_dir(tmp_path_factory):
     (root / "config.json").write_text(json.dumps(TINY))
     out = root / "run"
     main(["gen-data", "--config", str(root / "config.json"), "--out", str(out)])
-    main(["train", "--config", str(root / "config.json"), "--out", str(out), "--stages", "1,2"])
+    main(["train", "--config", str(root / "config.json"), "--out", str(out), "--last", "2"])
     return out
 
 
@@ -833,7 +867,7 @@ def test_routing_report_on_a_no_moe_checkpoint_has_no_routing(tmp_path, capsys):
     cfg.write_text(json.dumps({**TINY, "variant": "no-moe"}))
     run, out = tmp_path / "run", tmp_path / "rr"
     main(["gen-data", "--config", str(cfg), "--out", str(run)])
-    assert main(["train", "--config", str(cfg), "--out", str(run), "--stages", "1,2"]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(run), "--last", "2"]) == 0
     capsys.readouterr()
     assert main(["routing-report", "--config", str(cfg),
                  "--checkpoint", str(run / "checkpoints" / "stage2"), "--out", str(out)]) == 0
@@ -954,12 +988,14 @@ def test_bad_config_value_is_rejected_before_training(tmp_path, capsys, field, v
     assert not (out / "world.json").exists()
 
 
-# the last case: the variant is a config field, set in the config file only
+# train-variant: the variant is a config field, set in the config file only;
+# train-stages: --last names the last stage, and the first follows from --resume
 @pytest.mark.parametrize("command, flag", [
     *((command, ["--seed", "3"]) for command in
       ("eval", "routing-report", "ablate", "gen-data", "train")),
     ("train", ["--variant", "no-moe"]),
-], ids=["eval", "routing-report", "ablate", "gen-data", "train", "train-variant"])
+    ("train", ["--stages", "1-2"]),
+], ids=["eval", "routing-report", "ablate", "gen-data", "train", "train-variant", "train-stages"])
 def test_seed_flag_is_rejected_where_nothing_reads_it(tmp_path, command, flag, capsys):
     argv = [command, *flag, "--out", str(tmp_path / "o")]
     if command in ("eval", "routing-report"):

@@ -71,7 +71,7 @@ def _sweep(tmp_path) -> set:
     stage4 = str(run / "checkpoints" / "stage4")
     commands = [
         (["gen-data", "--config", cfg], 0),
-        (["train", "--config", cfg, "--stages", "1-2"], 0),
+        (["train", "--config", cfg, "--last", "2"], 0),
         (["train", "--config", cfg, "--resume", str(run / "checkpoints" / "stage2")], 0),
         (["eval", "--config", cfg, "--checkpoint", stage4], 0),
         (["routing-report", "--config", cfg, "--checkpoint", stage4], 0),

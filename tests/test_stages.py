@@ -385,6 +385,28 @@ def test_pipeline_callbacks(setup, tmp_path, monkeypatch):
     assert "probe" in lines[-1]
 
 
+@pytest.mark.parametrize("initial_stage, last, message", [
+    (None, 0, "last stage 0 is outside 1..4"),
+    (None, 5, "last stage 5 is outside 1..4"),
+    (1, 1, "last stage 1 is outside 2..4"),
+    (2, 2, "last stage 2 is outside 3..4"),
+    (2, 1, "last stage 1 is outside 3..4"),
+    (3, 5, "last stage 5 is outside 4..4"),
+    (4, 4, "already at stage 4, so no stage is left to run"),
+    (4, 5, "already at stage 4, so no stage is left to run"),
+])
+def test_pipeline_refuses_a_last_stage_outside_the_stages_left_before_any_runs(
+        setup, stage2_state, monkeypatch, initial_stage, last, message):
+    config, _, bundle = setup
+    for s in (1, 2, 3, 4):
+        monkeypatch.setattr(stages, f"run_stage{s}",
+                            lambda *args, _s=s: pytest.fail(f"stage {_s} ran"))
+    initial = None if initial_stage is None else replace(stage2_state, stage=initial_stage)
+    with pytest.raises(ValueError) as caught:
+        run_pipeline(config, bundle, initial=initial, last=last)
+    assert message in str(caught.value)
+
+
 def test_run_ablation_equals_its_parts_and_hooks_in_seed_variant_stage_order():
     config = tiny_config(stage1=budget(3), stage2=budget(3), stage3=budget(3), stage4=budget(3))
     variants, seeds = ("no-aux-losses", "full"), (4, 1)
@@ -463,12 +485,12 @@ def test_infinite_loss_raises_naming_stage_step_and_component(
                          stage2=budget(2), stage3=budget(2), stage4=budget(2))
     earlier = []
     if stage > 1:
-        run_pipeline(config, bundle, stages=range(1, stage),
+        run_pipeline(config, bundle, last=stage - 1,
                      after_stage=lambda s, model, rows: earlier.append(model))
     real = getattr(module, patched)
     monkeypatch.setattr(module, patched, lambda *args: _inf(real(*args)))
     with pytest.raises(stages.NonFiniteLossError) as caught:
-        run_pipeline(config, bundle, stages=(stage,), initial=earlier[-1] if earlier else None)
+        run_pipeline(config, bundle, last=stage, initial=earlier[-1] if earlier else None)
     assert str(caught.value) == f"stage {stage} step 1: {component} is inf"
 
 
@@ -482,13 +504,13 @@ def test_each_stage_leaves_no_tape_for_the_cyclic_collector(setup, stage):
                          stage4=budget(3))
     earlier = []
     if stage > 1:
-        run_pipeline(config, bundle, stages=range(1, stage),
+        run_pipeline(config, bundle, last=stage - 1,
                      after_stage=lambda s, model, rows: earlier.append(model))
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, (Tape, _Node))}
     gc.disable()
     try:
-        result = run_pipeline(config, bundle, stages=(stage,),
+        result = run_pipeline(config, bundle, last=stage,
                               initial=earlier[-1] if earlier else None)
         left = [o for o in gc.get_objects()
                 if isinstance(o, (Tape, _Node)) and id(o) not in before]

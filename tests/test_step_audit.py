@@ -83,7 +83,7 @@ def trained(bundle):
     def states(config):
         if config not in cache:
             kept = {}
-            run_pipeline(config, bundle, stages=(1, 2, 3),
+            run_pipeline(config, bundle, last=3,
                          after_stage=lambda s, state, rows: kept.update({s: copy.deepcopy(state)}))
             cache[config] = kept
         return cache[config]
