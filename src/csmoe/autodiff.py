@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -244,37 +244,6 @@ def matmul(a, b) -> Tensor:
         return (g @ bd.T if need_a else None, ad.T @ g if need_b else None)
 
     return _record(out, (a, b), bw)
-
-
-def mix(probs, outputs: Sequence) -> Tensor:
-    """Probability-weighted sum Σ_i outputs[i] · probs[:, i] of N [T × d] tensors.
-
-    One tape node for the whole mixture. Terms are added in expert order,
-    so an exactly-zero probability drops its term bit for bit, and the
-    gradient into outputs[i] is exactly zero on those rows.
-    """
-    p = probs if isinstance(probs, Tensor) else _coerce(probs)
-    ys = [y if isinstance(y, Tensor) else _coerce(y) for y in outputs]
-    pd, yds = p.data, [y.data for y in ys]
-    if pd.ndim != 2 or pd.shape[1] != len(yds) or not yds:
-        raise ValueError(f"mix: probs shape {pd.shape} does not match {len(yds)} outputs")
-    shape = yds[0].shape
-    if len(shape) != 2 or shape[0] != pd.shape[0] or len({yd.shape for yd in yds}) != 1:
-        raise ValueError(
-            f"mix: outputs {[yd.shape for yd in yds]} must share one [{pd.shape[0]} × d] shape"
-        )
-    acc = yds[0] * pd[:, 0, None]
-    for i in range(1, len(yds)):
-        acc = acc + yds[i] * pd[:, i, None]
-    out = Tensor(acc)
-
-    def bw(g):
-        gp = np.empty_like(pd)
-        for i, yd in enumerate(yds):
-            gp[:, i] = (g * yd).sum(axis=1)
-        return (gp,) + tuple(g * pd[:, i, None] for i in range(len(yds)))
-
-    return _record(out, (p, *ys), bw)
 
 
 def masked_softmax(logits, mask: np.ndarray) -> Tensor:

@@ -56,11 +56,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, matmul, mix, relu
+from .autodiff import Tape, Tensor, backward, cross_entropy, fd_gradient, matmul, relu
 from .config import ExperimentConfig
 from .losses import compose_stage_loss, mixed_transition, transition_loss
 from .projector import (LayerRouting, ProjectorConfig, RoutingTrace, build_moe_from_pretrained,
-                        init_mlp, moe_layer)
+                        init_mlp, mix, moe_layer)
 from .stages import routing_terms
 from .world import decode, init_decoder
 
@@ -155,9 +155,9 @@ def _rerun(moe, forwards, start: int, expert: int | None = None, kept=None):
         if expert is not None:
             x, ys = kept[f][start]
             ys = list(ys)
-            ys[expert] = matmul(x, moe.layers[start].expert_weights[expert].value)
+            ys[expert] = matmul(x, moe.layers[start].expert_weights[expert].value).data
             record = trace.layers[start]
-            inputs.append(mix(record.probs, ys))
+            inputs.append(Tensor(mix(record.probs.data, ys)))
             records.append(record)
             first += 1
         for l in range(first, moe.config.num_layers):
@@ -176,7 +176,7 @@ def _kept_products(moe, forwards) -> list:
         layers = []
         for l, (h, layer) in enumerate(zip(inputs, moe.layers)):
             x = relu(h) if l > 0 else h  # moe_layer's ReLU on the previous layer's output
-            layers.append((x, [matmul(x, ew.value) for ew in layer.expert_weights]))
+            layers.append((x, [matmul(x, ew.value).data for ew in layer.expert_weights]))
         kept.append(layers)
     return kept
 

@@ -6,8 +6,9 @@ its top-k experts; probabilities are normalized over the selected set only and
 are exactly zero elsewhere. ``moe_forward`` processes whole batches of tokens
 at once through ``moe_layer``, the one MoE layer evaluation: each layer
 applies the ReLU to the previous layer's output, multiplies the batch
-through every expert and combines the N products by ``mix``, weighted by
-the sparse probabilities, all as one tape node. Each layer's record keeps
+through every expert and combines the N products by ``mix``, a numpy sum
+weighted by the sparse probabilities, all as one tape node whose backward
+repeats the taped chain the tests keep. Each layer's record keeps
 its router logits, selection and probabilities. The forward's
 ``RoutingTrace`` carries the projector's expert groups (``group_of``) with
 the routing records, and owns what the group-aware losses and statistics
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, _record, masked_softmax, matmul, mix, relu, untaped
+from .autodiff import Parameter, Tensor, _record, masked_softmax, matmul, relu, untaped
 
 #: Per-token language value marking code-switched (unlabeled) tokens.
 CS_UNLABELED = -1
@@ -293,6 +294,16 @@ def _topk_rows(logits: np.ndarray, k: int) -> np.ndarray:
     return sel
 
 
+def mix(probs: np.ndarray, products) -> np.ndarray:
+    """Σ_i products[i] · probs[:, i] of N [T × d] arrays, added in expert order into one
+    buffer, so an exactly-zero probability drops its term bit for bit."""
+    out = products[0] * probs[:, 0, None]
+    term = np.empty_like(out)
+    for i in range(1, len(products)):
+        out += np.multiply(products[i], probs[:, i, None], out=term)
+    return out
+
+
 def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouting]:
     """Apply MoE layer ``l`` to the output ``h`` of layer ``l − 1`` (or the features).
 
@@ -300,11 +311,11 @@ def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouti
     pre-activation mixture. Every expert multiplies the whole batch, and
     ``mix`` weights the N products by their (possibly exactly zero)
     probabilities: exact values, and exactly zero gradients for non-selected
-    experts. The products and the mix record one tape node over ``h``, the
-    probabilities and the expert weights; its backward closure holds arrays
-    and flags only. The record keeps the router logits. Layer ``l`` reads
-    only ``h`` and its own parameters, so a forward can restart here from a
-    kept input.
+    experts. The products, made untaped, and the mix record one tape node
+    over ``h``, the probabilities and the expert weights; its backward
+    closure holds arrays and flags only. The record keeps the router
+    logits. Layer ``l`` reads only ``h`` and its own parameters, so a
+    forward can restart here from a kept input.
     """
     if l > 0:
         h = relu(h)
@@ -316,9 +327,9 @@ def moe_layer(proj: MoeProjector, l: int, h: Tensor) -> tuple[Tensor, LayerRouti
     probs = masked_softmax(logits, mask)
     weights = [ew.value for ew in layer.expert_weights]
     with untaped():
-        ys = [matmul(h, w) for w in weights]
-        out = mix(probs, ys)
-    hd, pd, yds, wds = h.data, probs.data, [y.data for y in ys], [w.data for w in weights]
+        yds = [matmul(h, w).data for w in weights]
+    hd, pd, wds = h.data, probs.data, [w.data for w in weights]
+    out = Tensor(mix(pd, yds))
     need_h = h.requires_grad
 
     def bw(g):

@@ -15,12 +15,13 @@ digest line a container writer would give damaged bytes.
 import hashlib
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from csmoe.analysis import _BLOCK
-from csmoe.autodiff import (Tensor, _binary, _coerce, _record, add, masked_softmax, matmul, mix,
-                            mul, token_nll)
+from csmoe.autodiff import (Tensor, _binary, _coerce, _record, add, masked_softmax, matmul, mul,
+                            token_nll)
 from csmoe.losses import transition_loss
 from csmoe.projector import LayerRouting, RoutingTrace, _topk_rows
 from csmoe.world import LanguageSpec, World
@@ -96,6 +97,37 @@ def chain_mixed_transition(logits, src_targets, tgt_targets, lam: float):
     ce_tgt = recompute_cross_entropy(take(logits, np.arange(n_src, logits.shape[0])),
                                      tgt_targets)
     return transition_loss(ce_src, ce_tgt, lam), ce_src, ce_tgt
+
+
+def mix(probs, outputs: Sequence) -> Tensor:
+    """Probability-weighted sum Σ_i outputs[i] · probs[:, i] of N [T × d] tensors.
+
+    One tape node for the whole mixture. Terms are added in expert order,
+    so an exactly-zero probability drops its term bit for bit, and the
+    gradient into outputs[i] is exactly zero on those rows.
+    """
+    p = probs if isinstance(probs, Tensor) else _coerce(probs)
+    ys = [y if isinstance(y, Tensor) else _coerce(y) for y in outputs]
+    pd, yds = p.data, [y.data for y in ys]
+    if pd.ndim != 2 or pd.shape[1] != len(yds) or not yds:
+        raise ValueError(f"mix: probs shape {pd.shape} does not match {len(yds)} outputs")
+    shape = yds[0].shape
+    if len(shape) != 2 or shape[0] != pd.shape[0] or len({yd.shape for yd in yds}) != 1:
+        raise ValueError(
+            f"mix: outputs {[yd.shape for yd in yds]} must share one [{pd.shape[0]} × d] shape"
+        )
+    acc = yds[0] * pd[:, 0, None]
+    for i in range(1, len(yds)):
+        acc = acc + yds[i] * pd[:, i, None]
+    out = Tensor(acc)
+
+    def bw(g):
+        gp = np.empty_like(pd)
+        for i, yd in enumerate(yds):
+            gp[:, i] = (g * yd).sum(axis=1)
+        return (gp,) + tuple(g * pd[:, i, None] for i in range(len(yds)))
+
+    return _record(out, (p, *ys), bw)
 
 
 def chain_expert_mixture(h, probs, weights) -> Tensor:
